@@ -8,17 +8,15 @@ set, uniqueness off the diagonal) are verified pointwise on probes.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .involutions import (
-    BERNOULLI_CROSS_UNIT, INTEGERS, NONNEG_INTEGERS, POSITIVE_REAL,
-    THREE_POINT, UNIT_INTERVAL, REAL_LINE, InvolutionPair, SpaceDescriptor,
-    phi, phi_inv,
+    UNIT_INTERVAL, InvolutionPair, SpaceDescriptor, catalog_get, phi,
 )
 from .reports import VerificationReport
+from .skorokhod import to_interval
 
 UNIQUE = "unique"
 NONUNIQUE = "nonunique"
@@ -73,24 +71,12 @@ class FSpec:
                 raise AugmentationError("numeric solving requires a u-interval")
 
 
-def _interval_point(lo, hi, s):
-    """Map s in (0,1) onto the (possibly infinite) interval (lo, hi)."""
-    lo_fin, hi_fin = math.isfinite(lo), math.isfinite(hi)
-    if lo_fin and hi_fin:
-        return lo + s * (hi - lo)
-    if lo_fin:
-        return lo + s / (1.0 - s)
-    if hi_fin:
-        return hi - (1.0 - s) / s
-    return math.tan(math.pi * (s - 0.5))
-
-
 def _numeric_solve(spec, x, y, tol=1e-12, max_iter=200):
     lo, hi = spec.u_interval
     sign = 1.0 if spec.monotone == "increasing" else -1.0
 
     def h(s):
-        return sign * (spec.f(x, _interval_point(lo, hi, s)) - y)
+        return sign * (spec.f(x, to_interval(s, lo, hi)) - y)
 
     a, b = 1e-12, 1.0 - 1e-12
     ha, hb = h(a), h(b)
@@ -100,7 +86,7 @@ def _numeric_solve(spec, x, y, tol=1e-12, max_iter=200):
         m = 0.5 * (a + b)
         hm = h(m)
         if abs(hm) <= tol:
-            u = _interval_point(lo, hi, m)
+            u = to_interval(m, lo, hi)
             # plateau probe: constant f around u signals non-uniqueness
             eps = 1e-6 * max(1.0, abs(u))
             if (abs(spec.f(x, u + eps) - y) < 1e-12
@@ -244,37 +230,27 @@ def _kdv_solver(x, y):
     return NO_SOLUTION
 
 
+def _gaussian_solver(x, y, beta, sigma):
+    return unique(float(phi((y - beta * x) / sigma)))
+
+
+# closed-form u-solvers of the augmentable catalog maps; "kdv" is the f
+# shared by kdv_g1 and kdv_g2
+SOLVERS = {
+    "matsumoto_yor": _my_solver,
+    "swapped_matsumoto_yor": _swapped_my_solver,
+    "beta_map": _beta_solver,
+    "beta_walk": _beta_walk_solver,
+    "reflecting_rw": _rrw_solver,
+    "kdv": _kdv_solver,
+    "gaussian_rosenblatt": _gaussian_solver,
+}
+
+
 def fspec_for(name, params=None):
     """Closed-form f-specification matching a catalog map's f-component."""
-    params = dict(params or {})
-    if name == "matsumoto_yor":
-        from .involutions import _my_f
-        return FSpec(name, POSITIVE_REAL, POSITIVE_REAL, _my_f, _my_solver)
-    if name == "swapped_matsumoto_yor":
-        from .involutions import _swapped_my_f
-        return FSpec(name, POSITIVE_REAL, POSITIVE_REAL,
-                     _swapped_my_f, _swapped_my_solver)
-    if name == "beta_map":
-        from .involutions import _beta_f
-        return FSpec(name, UNIT_INTERVAL, UNIT_INTERVAL, _beta_f, _beta_solver)
-    if name == "beta_walk":
-        from .involutions import _beta_walk_f
-        return FSpec(name, UNIT_INTERVAL, BERNOULLI_CROSS_UNIT,
-                     _beta_walk_f, _beta_walk_solver)
-    if name == "reflecting_rw":
-        from .involutions import _rrw_f
-        return FSpec(name, NONNEG_INTEGERS, THREE_POINT, _rrw_f, _rrw_solver)
-    if name == "kdv":
-        from .involutions import _kdv_f
-        return FSpec(name, INTEGERS, INTEGERS, _kdv_f, _kdv_solver)
-    if name == "gaussian_rosenblatt":
-        beta, sigma = float(params["beta"]), float(params["sigma"])
-
-        def f(x, u):
-            return beta * x + sigma * phi_inv(u)
-
-        def solver(x, y):
-            return unique(float(phi((y - beta * x) / sigma)))
-
-        return FSpec(name, REAL_LINE, UNIT_INTERVAL, f, solver)
-    raise KeyError(f"no f-specification for {name!r}")
+    if name not in SOLVERS:
+        raise KeyError(f"no f-specification for {name!r}")
+    pair = catalog_get("kdv_g1" if name == "kdv" else name, params)
+    return FSpec(name, pair.x_space, pair.u_space, pair.f,
+                 functools.partial(SOLVERS[name], **pair.params))

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stat_tests
-from .kernels import KernelError, _discrete_noise_table, _gof_against_law
+from . import laws, stat_tests
+from .kernels import (
+    KernelError, _discrete_noise_table, _gof_against_law, pushforward,
+)
 from .reports import VerificationReport
 from .rng import RandomStream
 from .stat_tests import DEFAULT_LEVEL
@@ -165,36 +167,16 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
 
 
 def _kernel_row(pair, nu):
+    """Transition row of the state chain: y = f(x, u) with u ~ nu."""
     noise_cells, _ = _discrete_noise_table(nu)
-
-    def row(x):
-        out = {}
-        for u, pu in noise_cells:
-            y = int(pair.f(int(x), u))
-            out[y] = out.get(y, 0.0) + pu
-        return out
-
-    return row
+    return lambda x: pushforward(pair.f, [(int(x), 1)], noise_cells)
 
 
 def _dual_kernel_row(pair, mu, tail_target=1e-13):
     """Transition row of the noise chain: v = g(x, u) with x ~ mu."""
-    from .laws import truncate
-
-    lo = mu.support_lo
-    hi = lo + 8
-    while mu.mass_outside(lo, hi) > tail_target:
-        hi *= 2
-    table, _ = truncate(mu, lo, hi)
-
-    def row(u):
-        out = {}
-        for x, px in zip(table.support, table.probs):
-            v = int(pair.g(int(x), int(u)))
-            out[v] = out.get(v, 0.0) + float(px)
-        return out
-
-    return row
+    table, _ = laws.truncate(mu, *laws.tail_box(mu, tail_target))
+    cells = list(zip(table.support.tolist(), table.probs.tolist()))
+    return lambda u: pushforward(pair.g, cells, [(int(u), 1)])
 
 
 def _thinned_slices(T, stride=10):

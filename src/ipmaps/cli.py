@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, burke, exact_discrete, kernels, skorokhod
-from .augmentation import fspec_for, verify_hypotheses
+from .augmentation import SOLVERS, fspec_for, verify_hypotheses
 from .involutions import (
     CATALOG_NAMES, catalog_get, check_involution, sample_points,
 )
@@ -29,15 +29,6 @@ from .rng import RandomStream
 
 class ConfigError(ValueError):
     pass
-
-
-CHECK_KINDS = (
-    "involution", "hypotheses", "reversibility", "ip", "detailed-balance",
-    "rrw-characterize", "kdv-tv", "burke", "skorokhod-gaussian",
-)
-
-_AUGMENTABLE = ("matsumoto_yor", "swapped_matsumoto_yor", "beta_map",
-                "beta_walk", "reflecting_rw", "kdv", "gaussian_rosenblatt")
 
 
 def _require(stanza, *names):
@@ -60,7 +51,7 @@ def _validate_stanza(stanza, index):
             raise ConfigError(f"check #{index}: unknown map {stanza['map']!r}")
     elif kind == "hypotheses":
         _require(stanza, "map")
-        if stanza["map"] not in _AUGMENTABLE:
+        if stanza["map"] not in SOLVERS:
             raise ConfigError(
                 f"check #{index}: no f-specification for {stanza['map']!r}")
     elif kind in ("reversibility", "ip"):
@@ -111,18 +102,16 @@ def load_config(path):
 # stanza execution
 # ---------------------------------------------------------------------------
 
-def _run_involution(stanza, rng):
+def _run_involution(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza.get("params"))
     points = sample_points(pair, int(stanza.get("n", 10_000)), rng,
                            box=int(stanza.get("box", 20)))
     return check_involution(pair, points, stanza.get("tol"))
 
 
-def _run_hypotheses(stanza, rng):
+def _run_hypotheses(stanza, rng, out_dir):
     spec = fspec_for(stanza["map"], stanza.get("params"))
-    pair = catalog_get("kdv_g1" if stanza["map"] == "kdv" else stanza["map"],
-                       stanza.get("params"))
-    points = sample_points(pair, int(stanza.get("n", 1000)), rng, box=10)
+    points = sample_points(spec, int(stanza.get("n", 1000)), rng, box=10)
     probes = []
     for x, u in points:
         xs = np.atleast_1d(x) if not isinstance(x, tuple) else x
@@ -136,7 +125,7 @@ def _run_hypotheses(stanza, rng):
     return verify_hypotheses(spec, probes)
 
 
-def _run_reversibility(stanza, rng):
+def _run_reversibility(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza.get("params"))
     kernel = kernels.GeneratedKernel(pair, law_from_spec(stanza["nu"]))
     mu = law_from_spec(stanza["mu"])
@@ -145,14 +134,14 @@ def _run_reversibility(stanza, rng):
         level=float(stanza.get("level", 0.001)))
 
 
-def _run_ip(stanza, rng):
+def _run_ip(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza.get("params"))
     return kernels.check_ip_statistical(
         pair, law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]),
         int(stanza["n"]), rng, level=float(stanza.get("level", 0.001)))
 
 
-def _run_detailed_balance(stanza, rng):
+def _run_detailed_balance(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza.get("params"))
     kernel = kernels.GeneratedKernel(pair, law_from_spec(stanza["nu"]))
     mu = law_from_spec(stanza["mu"])
@@ -164,15 +153,15 @@ def _run_detailed_balance(stanza, rng):
     return report
 
 
-def _run_rrw_characterize(stanza, rng):
+def _run_rrw_characterize(stanza, rng, out_dir):
     params = exact_discrete.RRWParams.make(
         stanza["p"], stanza["q"], stanza["r"], stanza.get("pprime"))
     box = int(stanza.get("box", 200))
     table, tail = exact_discrete.rrw_forced_table(params, box=box)
-    joint = exact_discrete.rrw_joint_table(table, params, box=box)
+    joint = exact_discrete.rrw_joint_table(table, params)
     defect = exact_discrete.product_defect_tv(joint)
     identities = exact_discrete.rrw_verify_proof_identities(
-        table, params, box=box)
+        table, params, joint)
     law = exact_discrete.rrw_forced_law(params)
     head = {str(k): float(v) for k, v in sorted(table.items())[:12]}
     passed = identities.passed and defect <= 1e-12
@@ -190,7 +179,7 @@ def _run_rrw_characterize(stanza, rng):
     )
 
 
-def _run_kdv_tv(stanza, rng):
+def _run_kdv_tv(stanza, rng, out_dir):
     theta = float(stanza["theta"])
     ell = int(stanza["ell"])
     variant = stanza["variant"]
@@ -229,7 +218,7 @@ def _run_burke(stanza, rng, out_dir):
     return report
 
 
-def _run_skorokhod_gaussian(stanza, rng):
+def _run_skorokhod_gaussian(stanza, rng, out_dir):
     beta = float(stanza["beta"])
     sigma = float(stanza["sigma"])
     grid = int(stanza.get("grid", 100))
@@ -269,8 +258,10 @@ _RUNNERS = {
     "detailed-balance": _run_detailed_balance,
     "rrw-characterize": _run_rrw_characterize,
     "kdv-tv": _run_kdv_tv,
+    "burke": _run_burke,
     "skorokhod-gaussian": _run_skorokhod_gaussian,
 }
+CHECK_KINDS = tuple(_RUNNERS)
 
 
 def run(config, out_dir=None):
@@ -282,11 +273,7 @@ def run(config, out_dir=None):
     for stanza, stream in zip(checks, streams):
         inputs = {k: v for k, v in stanza.items() if not k.startswith("_")}
         try:
-            if stanza["kind"] == "burke":
-                rep = _run_burke(stanza, stream, out_dir)
-            else:
-                rep = _RUNNERS[stanza["kind"]](stanza, stream)
-            entry = rep.to_dict()
+            entry = _RUNNERS[stanza["kind"]](stanza, stream, out_dir).to_dict()
         except Exception as exc:   # deliberate: isolate per-check failures
             entry = {"name": stanza["kind"], "passed": False,
                      "details": {"error": f"{type(exc).__name__}: {exc}"}}

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from .involutions import catalog_get
+from .kernels import pushforward
 from .laws import FiniteTable, Geometric, LawError, ParityGeom
 from .reports import VerificationReport
 
@@ -137,24 +137,17 @@ def _noise_cells(params):
     return cells
 
 
-def rrw_joint_table(law_x, params, box=200):
-    """Exact joint law of (Y, V) for X with pmf `law_x` on {0..box}.
+def rrw_joint_table(law_x, params):
+    """Exact joint law of (Y, V) = H(X, U) under the catalog's reflecting_rw.
 
     `law_x` is a dict {state: Fraction} (mass may be < 1; the deficit is
     carried as tail) or a FiniteTable, which is converted.
     """
     if isinstance(law_x, FiniteTable):
         law_x = {int(k): _frac(p) for k, p in zip(law_x.support, law_x.probs)}
-    cells = {}
-    total = Fraction(0)
-    for x, px in law_x.items():
-        total += px
-        for u, pu in _noise_cells(params):
-            y = max(x + u, 0)
-            v = -u - 2 * max(-(x + u), 0)
-            key = (y, v)
-            cells[key] = cells.get(key, Fraction(0)) + px * pu
-    return JointTable(cells=cells, tail=1 - total)
+    cells = pushforward(catalog_get("reflecting_rw"), law_x.items(),
+                        _noise_cells(params))
+    return JointTable(cells=cells, tail=1 - sum(law_x.values(), Fraction(0)))
 
 
 def product_defect_tv(joint):
@@ -175,11 +168,11 @@ def product_defect_tv(joint):
 # proof identities
 # ---------------------------------------------------------------------------
 
-def rrw_verify_proof_identities(law_x, params, box=200, tol=1e-12):
+def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
     """Residuals of the event identities that drive the characterization proof.
 
-    Checks, with Y=(X+U)^+ and V the co-driver and all quantities computed
-    exactly from the joint table:
+    `joint` is `rrw_joint_table(law_x, params)`. Checks, with Y=(X+U)^+ and
+    V the co-driver and all quantities computed exactly from the joint table:
       boundary      P(X=0) q  = P(Y=0) q'
       zero-step     P(X=k) r  = P(Y=k) P(V=0)
       down-up       P(X=k+1) q = P(Y=k) p'
@@ -193,7 +186,6 @@ def rrw_verify_proof_identities(law_x, params, box=200, tol=1e-12):
     """
     if isinstance(law_x, FiniteTable):
         law_x = {int(k): _frac(p) for k, p in zip(law_x.support, law_x.probs)}
-    joint = rrw_joint_table(law_x, params, box=box)
     my, mv = joint.marginals()
     pX = lambda k: law_x.get(k, Fraction(0))
     pY = lambda k: my.get(k, Fraction(0))
@@ -274,23 +266,6 @@ def perturbed_tables(params, box=200, eps=Fraction(1, 1000)):
     return out
 
 
-def rrw_feasible(p, q, r, box=200, tol=1e-9):
-    """Can any X-law on {0..box} make (Y,V) independent with U d= V?
-
-    Solves the proof's linear recursions for the candidate pmf and reports
-    whether it is summable to a probability vector. Covers the r>0 branch
-    and the r=0, p'=p branch, where the recursion ratio is (p/q); a ratio
-    >= 1 makes the candidate non-normalizable.
-    """
-    p, q, r = _frac(p), _frac(q), _frac(r)
-    theta = p / q
-    if theta >= 1:
-        return False
-    pmf = [(1 - theta) * theta ** k for k in range(box + 1)]
-    tail = theta ** (box + 1)
-    return abs(float(sum(pmf) + tail - 1)) <= tol
-
-
 # ---------------------------------------------------------------------------
 # ultra-discrete KdV pushforward
 # ---------------------------------------------------------------------------
@@ -319,20 +294,7 @@ def kdv_pushforward_tv(theta, ell, variant, u_truncation=60, max_tail=1e-9):
     z_nu = theta ** (-ell) / (1 - theta)
     mu = {x: theta ** x / z_mu for x in range(-ell, ell + 1)}
     nu = {u: theta ** u / z_nu for u in range(-ell, M + 1)}
-
-    def h_map(x, u):
-        m = max(x + u, 0)
-        y = min(u, -x)
-        if variant == "g1":
-            return y, x + m
-        s = m - (-1) ** m + (1 if m == 0 else 0)
-        return y, x + s
-
-    push = {}
-    for x, px in mu.items():
-        for u, pu in nu.items():
-            key = h_map(x, u)
-            push[key] = push.get(key, Fraction(0)) + px * pu
+    push = pushforward(catalog_get("kdv_" + variant), mu.items(), nu.items())
 
     product = {(x, u): px * pu for x, px in mu.items() for u, pu in nu.items()}
     diff = Fraction(0)

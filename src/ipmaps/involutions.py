@@ -304,7 +304,8 @@ def sample_points(pair, n, rng, box=20):
 
     Integer-by-integer maps get the exhaustive grid {-box..box}^2 (clipped
     to the space); elementwise maps get one vectorized (x, u) batch; SPD
-    maps get a list of matrix pairs.
+    maps get a list of matrix pairs. Only `pair.x_space` and `pair.u_space`
+    are read, so an FSpec serves as well.
     """
     if pair.x_space.is_integer and pair.u_space.is_integer:
         if pair.x_space.kind == "nonneg_integers":

@@ -606,6 +606,22 @@ def truncate(law, lo, hi):
     return table, tail
 
 
+def tail_box(law, tail_target):
+    """Smallest box [support_lo, hi] of the doubling sequence whose outside
+    mass is <= tail_target.
+
+    A finite support is taken whole; otherwise hi starts at support_lo + 8
+    and doubles, stepping by 8 while it is not yet positive.
+    """
+    lo = law.support_lo
+    hi = law.support_hi if law.support_hi is not math.inf else lo + 8
+    while law.mass_outside(lo, hi) > tail_target:
+        hi = 2 * hi if hi > 0 else hi + 8
+        if hi > 10 ** 9:
+            raise LawError(f"truncation of {law!r} did not converge")
+    return lo, hi
+
+
 _KIND_MAP = {
     "gamma": (Gamma, ("shape", "rate")),
     "gig": (GIG, ("alpha", "lam")),

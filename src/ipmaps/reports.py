@@ -47,11 +47,3 @@ class VerificationReport:
     def to_json(self, indent=2):
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
-
-def combine(name, reports):
-    """Conjunction of sub-reports into one report."""
-    return VerificationReport(
-        name=name,
-        passed=all(r.passed for r in reports),
-        details={"checks": [r.to_dict() for r in reports]},
-    )

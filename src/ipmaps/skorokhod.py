@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .involutions import (
-    POSITIVE_REAL, REAL_LINE, UNIT_INTERVAL, InvolutionPair, SpaceDescriptor,
+    POSITIVE_REAL, REAL_LINE, UNIT_INTERVAL, InvolutionPair, catalog_get,
 )
 from .reports import VerificationReport
 
@@ -41,17 +41,22 @@ class CdfFamily:
     quantile: callable = None
 
 
-def _to_interval(s, lo, hi):
-    """Map s in (0,1) onto (lo, hi), handling infinite endpoints."""
+def to_interval(s, lo, hi):
+    """Map s in (0,1) onto (lo, hi), handling infinite endpoints.
+
+    Elementwise over arrays; a scalar s gives a Python float.
+    """
     s = np.asarray(s, dtype=float)
     lo_fin, hi_fin = math.isfinite(lo), math.isfinite(hi)
     if lo_fin and hi_fin:
-        return lo + s * (hi - lo)
-    if lo_fin:
-        return lo + s / (1.0 - s)
-    if hi_fin:
-        return hi - (1.0 - s) / s
-    return np.tan(np.pi * (s - 0.5))
+        y = lo + s * (hi - lo)
+    elif lo_fin:
+        y = lo + s / (1.0 - s)
+    elif hi_fin:
+        y = hi - (1.0 - s) / s
+    else:
+        y = np.tan(np.pi * (s - 0.5))
+    return y if np.ndim(y) else float(y)
 
 
 def skorokhod_f(fam, x, u, tol=1e-12, max_iter=200):
@@ -66,17 +71,16 @@ def skorokhod_f(fam, x, u, tol=1e-12, max_iter=200):
     lo, hi = fam.interval
     a = np.full(np.broadcast(x, u).shape, 1e-14)
     b = np.full_like(a, 1.0 - 1e-14)
-    fa = fam.F(x, _to_interval(a, lo, hi)) - u
-    fb = fam.F(x, _to_interval(b, lo, hi)) - u
+    fa = fam.F(x, to_interval(a, lo, hi)) - u
+    fb = fam.F(x, to_interval(b, lo, hi)) - u
     if np.any(fa > 0.0) or np.any(fb < 0.0):
         raise SkorokhodError(
             f"{fam.name}: bracket failure; F_x does not sweep (0,1)")
     for _ in range(max_iter):
         m = 0.5 * (a + b)
-        fm = fam.F(x, _to_interval(m, lo, hi)) - u
+        fm = fam.F(x, to_interval(m, lo, hi)) - u
         if np.max(np.abs(fm)) <= tol:
-            y = _to_interval(m, lo, hi)
-            return y if y.ndim else float(y)
+            return to_interval(m, lo, hi)
         below = fm < 0.0
         a = np.where(below, m, a)
         b = np.where(below, b, m)
@@ -118,7 +122,7 @@ def check_monotone(fam, states, n_grid=1000):
     """Probe that y -> F_x(y) is strictly increasing for each given state."""
     lo, hi = fam.interval
     s = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
-    ys = _to_interval(s, lo, hi)
+    ys = to_interval(s, lo, hi)
     bad = []
     for x in states:
         vals = fam.F(np.full_like(ys, float(x)), ys)
@@ -139,9 +143,9 @@ def check_monotone(fam, states, n_grid=1000):
 def gaussian_family(beta, sigma, closed_form=True):
     """The autoregressive Gaussian kernel x -> N(beta x, sigma^2).
 
-    With `closed_form`, the quantile is computed analytically; otherwise it
-    is left to numeric bisection, which is what the agreement checks compare
-    against the analytic map.
+    With `closed_form`, the quantile is the catalog's gaussian_rosenblatt f;
+    otherwise it is left to numeric bisection, which is what the agreement
+    checks compare against the analytic map.
     """
     beta, sigma = float(beta), float(sigma)
     if sigma <= 0.0:
@@ -152,8 +156,8 @@ def gaussian_family(beta, sigma, closed_form=True):
 
     quantile = None
     if closed_form:
-        def quantile(x, u):
-            return beta * np.asarray(x, dtype=float) + sigma * ndtri(np.asarray(u, dtype=float))
+        quantile = catalog_get("gaussian_rosenblatt",
+                               {"beta": beta, "sigma": sigma}).f
 
     return CdfFamily(name=f"gaussian(beta={beta},sigma={sigma})",
                      interval=(-math.inf, math.inf), F=F, quantile=quantile)

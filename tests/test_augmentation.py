@@ -58,6 +58,7 @@ def test_numeric_solver_on_monotone_spec():
                  monotone="increasing", u_interval=(-np.inf, np.inf))
     res = sigma_solve(spec, 2.0, 5.0)
     assert res.kind == UNIQUE
+    assert type(res.u) is float
     assert res.u == pytest.approx(3.0, abs=1e-9)
 
 

@@ -97,6 +97,21 @@ def test_failing_check_sets_overall_fail(tmp_path):
     assert not report["overall_pass"]
 
 
+@pytest.mark.parametrize("ell", [8, 10])
+def test_detailed_balance_with_noise_support_below_minus_eight(tmp_path, ell):
+    # the noise truncation box starts at hi = -ell + 8 <= 0
+    config = load_config(_write_config(tmp_path, {
+        "seed": 1,
+        "checks": [{
+            "kind": "detailed-balance", "map": "kdv_g1",
+            "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": ell}},
+            "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": ell}},
+        }]}))
+    details = run(config)["checks"][0]["details"]
+    assert "error" not in details
+    assert details["noise_tail"] <= 1e-14
+
+
 def test_check_errors_are_isolated(tmp_path):
     config = load_config(_write_config(tmp_path, {
         "seed": 1,

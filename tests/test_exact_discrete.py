@@ -7,7 +7,7 @@ import pytest
 
 from ipmaps.exact_discrete import (
     JointTable, RRWParams, kdv_pushforward_tv, perturbed_tables,
-    product_defect_tv, rrw_feasible, rrw_forced_law, rrw_forced_table,
+    product_defect_tv, rrw_forced_law, rrw_forced_table,
     rrw_joint_table, rrw_verify_proof_identities,
 )
 from ipmaps.laws import Geometric, LawError, ParityGeom
@@ -20,6 +20,8 @@ from ipmaps.laws import Geometric, LawError, ParityGeom
 def test_params_validation():
     with pytest.raises(LawError):
         RRWParams.make(0.5, 0.2, 0.3)            # p >= q
+    with pytest.raises(LawError):
+        RRWParams.make(0.5, 0.5, 0)              # p = q
     with pytest.raises(LawError):
         RRWParams.make(0.2, 0.5, 0.4)            # does not sum to 1
     with pytest.raises(LawError):
@@ -112,7 +114,8 @@ def test_product_table_has_zero_defect():
 def test_identities_interior_case():
     params = RRWParams.make(0.2, 0.5, 0.3)
     pmf, _ = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(pmf, params)
+    report = rrw_verify_proof_identities(
+        pmf, params, rrw_joint_table(pmf, params))
     assert report.passed
     residuals = report.details["residuals"]
     assert all(v <= report.details["threshold"] for v in residuals.values())
@@ -123,7 +126,8 @@ def test_identities_interior_case():
 def test_identities_boundary_case():
     params = RRWParams.make(0.3, 0.7, 0, 0.2)
     pmf, _ = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(pmf, params)
+    report = rrw_verify_proof_identities(
+        pmf, params, rrw_joint_table(pmf, params))
     assert report.passed
     residuals = report.details["residuals"]
     assert residuals["y_even_mass"] <= 1e-12       # P(Y even) = q
@@ -137,7 +141,8 @@ def test_identities_detect_perturbation():
     eps = Fraction(1, 1000)
     moved[0] -= eps
     moved[1] += eps
-    report = rrw_verify_proof_identities(moved, params)
+    report = rrw_verify_proof_identities(
+        moved, params, rrw_joint_table(moved, params))
     assert not report.passed
     assert max(report.details["residuals"].values()) > 1e-4
 
@@ -149,12 +154,6 @@ def test_perturbed_tables_all_break_independence():
     for _, pmf in tables:
         defect = product_defect_tv(rrw_joint_table(pmf, params))
         assert defect > 1e-6
-
-
-def test_infeasible_when_up_rate_dominates():
-    assert not rrw_feasible(0.5, 0.4, 0.1)
-    assert not rrw_feasible(0.5, 0.5, 0)
-    assert rrw_feasible(0.2, 0.5, 0.3)
 
 
 # ---------------------------------------------------------------------------

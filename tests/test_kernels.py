@@ -1,5 +1,7 @@
 """Tests for generated kernels: stepping, chains, reversibility checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from ipmaps.involutions import catalog_get
 from ipmaps.kernels import (
     GeneratedKernel, KernelError, _gof_against_law,
     check_detailed_balance_exact, check_ip_statistical,
-    check_reversibility_statistical, kernel_step, simulate_chain,
-    stationary_sample,
+    check_reversibility_statistical, kernel_step, pushforward,
+    simulate_chain, stationary_sample,
 )
 from ipmaps.laws import (
     BetaI, Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
@@ -142,6 +144,27 @@ def test_detailed_balance_kdv():
     report = check_detailed_balance_exact(kernel, table)
     assert report.passed
     assert report.details["residual"] <= report.details["threshold"]
+
+
+def test_pushforward_fraction_and_float_cells_agree():
+    pair = catalog_get("reflecting_rw")
+    mu = [(k, Fraction(3, 5) * Fraction(2, 5) ** k) for k in range(20)]
+    nu = [(1, Fraction(1, 5)), (-1, Fraction(1, 2)), (0, Fraction(3, 10))]
+    exact = pushforward(pair, mu, nu)
+    mu_f = [(x, float(w)) for x, w in mu]
+    nu_f = [(u, float(w)) for u, w in nu]
+    approx = pushforward(pair, mu_f, nu_f)
+    assert list(exact) == list(approx)
+    assert all(isinstance(w, Fraction) for w in exact.values())
+    # reference: one scalar evaluation per cell, summed in grid order
+    loop = {}
+    for x, px in mu_f:
+        for u, pu in nu_f:
+            key = (int(pair.f(x, u)), int(pair.g(x, u)))
+            loop[key] = loop.get(key, 0.0) + px * pu
+    assert list(approx.items()) == list(loop.items())
+    for key, w in exact.items():
+        assert approx[key] == pytest.approx(float(w), rel=1e-12)
 
 
 def test_detailed_balance_requires_table():

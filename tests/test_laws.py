@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
-    gig_markov_sample, gig_norm_const, law_from_spec, truncate,
+    gig_markov_sample, gig_norm_const, law_from_spec, tail_box, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import chi2_gof, ks_two_sample
@@ -240,6 +240,34 @@ def test_truncation_mass_accounting(law, box):
 def test_truncate_rejects_continuous():
     with pytest.raises(LawError):
         truncate(Gamma(2, 1), 0, 10)
+
+
+@pytest.mark.parametrize("law,target,box", [
+    (Geometric(0.4), 1e-14, (0, 64)),
+    (Geometric(0.4), 1e-13, (0, 32)),
+    (ThreePoint(0.2, 0.5, 0.3), 1e-14, (-1, 1)),
+    (ShiftGeom(0.5, 2), 1e-14, (-2, 48)),
+])
+def test_tail_box_keeps_the_doubling_box(law, target, box):
+    assert tail_box(law, target) == box
+
+
+@pytest.mark.parametrize("ell", [8, 10])
+def test_tail_box_steps_past_nonpositive_start(ell):
+    # support_lo + 8 <= 0, so doubling alone would never make hi positive
+    law = ShiftGeom(0.5, ell)
+    lo, hi = tail_box(law, 1e-14)
+    assert lo == -ell and hi > 0
+    assert law.mass_outside(lo, hi) <= 1e-14
+
+
+def test_tail_box_raises_when_mass_never_drops():
+    class Stuck(Geometric):
+        def mass_outside(self, lo, hi):
+            return 1.0
+
+    with pytest.raises(LawError):
+        tail_box(Stuck(0.5), 1e-14)
 
 
 # ---------------------------------------------------------------------------
