@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .involutions import (
-    UNIT_INTERVAL, InvolutionPair, SpaceDescriptor, catalog_get, phi,
+    UNIT_INTERVAL, InvolutionPair, SpaceDescriptor, catalog_get,
 )
 from .reports import VerificationReport
-from .skorokhod import to_interval
+from .skorokhod import gaussian_cdf, to_interval
 
 UNIQUE = "unique"
 NONUNIQUE = "nonunique"
@@ -231,7 +231,7 @@ def _kdv_solver(x, y):
 
 
 def _gaussian_solver(x, y, beta, sigma):
-    return unique(float(phi((y - beta * x) / sigma)))
+    return unique(float(gaussian_cdf(x, y, beta, sigma)))
 
 
 # closed-form u-solvers of the augmentable catalog maps; "kdv" is the f

@@ -10,6 +10,7 @@ from nu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,23 +47,37 @@ class LatticeField:
 def simulate_field(pair, mu, nu, N, T, rng):
     """Fill the rectangle by the recursion, injecting i.i.d. boundaries.
 
-    Raises on any state escaping the involution's x-space, reporting the
-    lattice coordinates of the first violation.
+    Site (n, t) reads only X[n, t] and U[n, t], so the sites of one
+    anti-diagonal n + t = d are independent and are filled by one
+    vectorized step each. Raises on any state escaping the involution's
+    x-space, reporting the lattice coordinates of the first violation in
+    row-major order, which are those of the row-major scalar recursion:
+    every input of a site precedes it in that order.
     """
     mu_rng, nu_rng = rng.split(2)
     X = np.empty((N, T + 1))
     U = np.empty((N + 1, T))
     X[:, 0] = np.asarray(mu.sample(mu_rng, N), dtype=float)
     U[0, :] = np.asarray(nu.sample(nu_rng, T), dtype=float)
-    for n in range(N):
-        for t in range(T):
-            y = pair.f(X[n, t], U[n, t])
-            if not pair.x_space.contains(y):
-                raise KernelError(
-                    f"state left the space at (n={n + 1}, t={t + 1}): {y!r}")
-            X[n, t + 1] = y
-            U[n + 1, t] = pair.g(X[n, t], U[n, t])
+    with np.errstate(all="ignore"):
+        for d in range(N + T - 1):
+            n = np.arange(max(0, d - T + 1), min(N - 1, d) + 1)
+            t = d - n
+            x, u = X[n, t], U[n, t]
+            X[n, t + 1] = pair.f(x, u)
+            U[n + 1, t] = pair.g(x, u)
+    if not pair.x_space.contains(X[:, 1:]):
+        _raise_first_escape(pair, X, U)
     return LatticeField(X=X, U=U, pair=pair, mu=mu, nu=nu)
+
+
+def _raise_first_escape(pair, X, U):
+    """Raise for the row-major first state outside the x-space."""
+    space = pair.x_space
+    n = next(n for n in range(len(X)) if not space.contains(X[n, 1:]))
+    t = next(t for t in range(1, X.shape[1]) if not space.contains(X[n, t]))
+    y = pair.f(X[n, t - 1], U[n, t - 1])
+    raise KernelError(f"state left the space at (n={n + 1}, t={t}): {y!r}")
 
 
 def check_recursion(field, tol=1e-9):
@@ -140,6 +155,9 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     likelihood means the path does not come from the kernel. The rank
     p-value is exact under the null regardless of how often states recur,
     which the per-state transition GOF cannot offer on a drifting path.
+
+    The simulated paths are scored through a dense log-transition table
+    over the states they visit, accumulated step by step in time order.
     """
     cache = {}
 
@@ -152,13 +170,23 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     obs = _chain_loglik(chain, row)
     stream = RandomStream(_MC_SEED)
     us = np.asarray(nu.sample(stream, (n_sims, T)))
-    x = np.full(n_sims, int(chain[0]))
+    paths = np.empty((T + 1, n_sims), dtype=np.int64)
+    paths[0] = int(chain[0])
+    for t in range(T):
+        paths[t + 1] = pair.f(paths[t], us[:, t])
+    lo = int(paths.min())
+    # nan marks a transition the kernel row lacks
+    logp = np.full((int(paths.max()) - lo + 1,) * 2, np.nan)
+    for a in np.unique(paths[:-1]).tolist():
+        for b, p in row(a).items():
+            if 0 <= b - lo < len(logp):
+                logp[a - lo, b - lo] = np.log(p)
     sims = np.zeros(n_sims)
     for t in range(T):
-        y = pair.f(x, us[:, t])
-        for i in range(n_sims):
-            sims[i] += np.log(row(int(x[i]))[int(y[i])])
-        x = y
+        sims += logp[paths[t] - lo, paths[t + 1] - lo]
+    if np.isnan(sims).any():
+        raise KernelError("a simulated transition is missing from its "
+                          "kernel row")
     p = (1.0 + float((sims <= obs).sum())) / (n_sims + 1.0)
     return stat_tests.TestResult(float(obs), p, (T,), "chain_loglik_mc",
                                  p > level, level,
@@ -275,11 +303,9 @@ def field_rows(field):
     """Flatten to (n, t, x, u) records for CSV export; the boundary noise
     row appears with n=0 and x recorded as nan."""
     N, T = field.shape
-    rows = []
-    for t in range(T):
-        rows.append((0, t, float("nan"), float(field.U[0, t])))
+    nan = float("nan")
+    X, U = field.X.tolist(), field.U.tolist()
+    rows = [(0, t, nan, u) for t, u in enumerate(U[0])]
     for n in range(1, N + 1):
-        for t in range(T + 1):
-            u = float(field.U[n, t]) if t < T else float("nan")
-            rows.append((n, t, float(field.X[n - 1, t]), u))
+        rows.extend(zip(repeat(n), range(T + 1), X[n - 1], U[n] + [nan]))
     return rows

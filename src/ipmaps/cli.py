@@ -146,7 +146,8 @@ def _run_detailed_balance(stanza, rng, out_dir):
     kernel = kernels.GeneratedKernel(pair, law_from_spec(stanza["nu"]))
     mu = law_from_spec(stanza["mu"])
     box = int(stanza.get("box", 200))
-    table, tail = truncate(mu, 0, box)
+    lo = getattr(mu, "support_lo", 0)   # truncate rejects continuous laws
+    table, tail = truncate(mu, lo, lo + box)
     report = kernels.check_detailed_balance_exact(
         kernel, table, tol=float(stanza.get("tol", 1e-12)))
     report.details["mu_truncation_tail"] = tail

@@ -140,6 +140,12 @@ def check_monotone(fam, states, n_grid=1000):
     )
 
 
+def gaussian_cdf(x, y, beta, sigma):
+    """P(Y <= y) for Y ~ N(beta x, sigma^2)."""
+    return ndtr((np.asarray(y, dtype=float)
+                 - beta * np.asarray(x, dtype=float)) / sigma)
+
+
 def gaussian_family(beta, sigma, closed_form=True):
     """The autoregressive Gaussian kernel x -> N(beta x, sigma^2).
 
@@ -152,7 +158,7 @@ def gaussian_family(beta, sigma, closed_form=True):
         raise SkorokhodError("sigma must be positive")
 
     def F(x, y):
-        return ndtr((np.asarray(y, dtype=float) - beta * np.asarray(x, dtype=float)) / sigma)
+        return gaussian_cdf(x, y, beta, sigma)
 
     quantile = None
     if closed_form:

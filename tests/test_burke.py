@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from ipmaps.burke import (
-    check_recursion, field_rows, simulate_field, verify_burke,
+    _kernel_row, _loglik_mc_test, _MC_SEED, check_recursion, field_rows,
+    simulate_field, verify_burke,
 )
-from ipmaps.involutions import catalog_get
+from ipmaps.involutions import POSITIVE_REAL, InvolutionPair, catalog_get
 from ipmaps.kernels import KernelError
-from ipmaps.laws import Gamma, Geometric, GIG, ThreePoint
+from ipmaps.laws import (
+    Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
+)
 from ipmaps.rng import RandomStream
 
 
@@ -43,6 +46,65 @@ def test_single_site_field_is_one_application_of_h():
     x0, u0 = field.X[0, 0], field.U[0, 0]
     assert field.X[0, 1] == pair.f(x0, u0)
     assert field.U[1, 0] == pair.g(x0, u0)
+
+
+def _scalar_field(pair, mu, nu, N, T, rng):
+    """Row-major site-by-site recursion: the reference for the wavefront."""
+    mu_rng, nu_rng = rng.split(2)
+    X = np.empty((N, T + 1))
+    U = np.empty((N + 1, T))
+    X[:, 0] = np.asarray(mu.sample(mu_rng, N), dtype=float)
+    U[0, :] = np.asarray(nu.sample(nu_rng, T), dtype=float)
+    for n in range(N):
+        for t in range(T):
+            X[n, t + 1] = pair.f(X[n, t], U[n, t])
+            U[n + 1, t] = pair.g(X[n, t], U[n, t])
+    return X, U
+
+
+_WAVEFRONT_MAPS = {
+    "reflecting_rw": (Geometric(0.4), ThreePoint(0.2, 0.5, 0.3)),
+    "matsumoto_yor": (GIG(2, 1), Gamma(2, 1)),
+    "kdv_g1": (TruncGeom(0.5, 2), ShiftGeom(0.5, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WAVEFRONT_MAPS))
+@pytest.mark.parametrize("N, T", [(23, 9), (7, 31), (1, 1), (1, 17)])
+def test_wavefront_matches_scalar_recursion(name, N, T):
+    pair = catalog_get(name)
+    mu, nu = _WAVEFRONT_MAPS[name]
+    field = simulate_field(pair, mu, nu, N, T, RandomStream(29))
+    X, U = _scalar_field(pair, mu, nu, N, T, RandomStream(29))
+    assert np.array_equal(field.X, X)
+    assert np.array_equal(field.U, U)
+
+
+class _RowStarts:
+    """State law stub whose n-th draw is 100 n, so X[n, t] = 100 n + t."""
+
+    def sample(self, rng, size):
+        return 100.0 * np.arange(1, size + 1)
+
+
+class _Ones:
+    def sample(self, rng, size):
+        return np.ones(size)
+
+
+def test_escape_reports_row_major_first_site():
+    # (n=5, t=2) lies on anti-diagonal 5, (n=1, t=9) on the later 8, but
+    # (n=1, t=9) comes first in row-major order
+    bad = (100 * 1 + 9, 100 * 5 + 2)
+
+    def f(x, u):
+        y = x + 1.0
+        return np.where(np.isin(y, bad), -1.0, y)
+
+    pair = InvolutionPair("escaping", POSITIVE_REAL, POSITIVE_REAL,
+                          f, lambda x, u: u)
+    with pytest.raises(KernelError, match=r"\(n=1, t=9\)"):
+        simulate_field(pair, _RowStarts(), _Ones(), 6, 10, RandomStream(0))
 
 
 def test_rrw_states_stay_nonnegative_integers():
@@ -93,6 +155,36 @@ def test_corrupted_boundary_rejects():
     failed = [k for k, v in report.details.items()
               if isinstance(v, dict) and v.get("passed") is False]
     assert failed
+
+
+def _scalar_loglik_sims(chain, pair, nu, row, n_sims=2000):
+    """The chain-by-chain simulated log-likelihoods, one scalar at a time."""
+    T = len(chain) - 1
+    us = np.asarray(nu.sample(RandomStream(_MC_SEED), (n_sims, T)))
+    x = np.full(n_sims, int(chain[0]))
+    sims = np.zeros(n_sims)
+    for t in range(T):
+        y = pair.f(x, us[:, t])
+        for i in range(n_sims):
+            sims[i] += np.log(row(int(x[i]))[int(y[i])])
+        x = y
+    return sims
+
+
+@pytest.mark.parametrize("name", ["reflecting_rw", "kdv_g1"])
+def test_loglik_table_matches_scalar_loop(name):
+    pair = catalog_get(name)
+    mu, nu = _WAVEFRONT_MAPS[name]
+    field = simulate_field(pair, mu, nu, 30, 60, RandomStream(31))
+    chain = field.X[0, :].astype(int)
+    row = _kernel_row(pair, nu)
+    result = _loglik_mc_test(chain, pair, nu, row, level=0.001)
+    sims = _scalar_loglik_sims(chain, pair, nu, row)
+    obs = sum(np.log(row(int(a))[int(b)])
+              for a, b in zip(chain[:-1], chain[1:]))
+    assert result.statistic == obs
+    assert result.p_value == (1.0 + float((sims <= obs).sum())) / 2001.0
+    assert result.flags["null_mean"] == float(sims.mean())
 
 
 def test_verify_burke_size_floor():

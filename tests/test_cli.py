@@ -107,9 +107,28 @@ def test_detailed_balance_with_noise_support_below_minus_eight(tmp_path, ell):
             "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": ell}},
             "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": ell}},
         }]}))
-    details = run(config)["checks"][0]["details"]
+    check = run(config)["checks"][0]
+    details = check["details"]
     assert "error" not in details
     assert details["noise_tail"] <= 1e-14
+    # mu is truncated from its own support_lo = -ell, so none of it is lost
+    assert check["passed"]
+    assert details["mu_truncation_tail"] == 0.0
+
+
+def test_detailed_balance_truncates_mu_from_its_support_lo(tmp_path):
+    # a box starting at 0 would drop the mass of trunc_geom on [-2, -1]
+    config = load_config(_write_config(tmp_path, {
+        "seed": 1,
+        "checks": [{
+            "kind": "detailed-balance", "map": "kdv_g1",
+            "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
+            "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
+        }]}))
+    check = run(config)["checks"][0]
+    assert check["passed"], check["details"]
+    assert check["details"]["mu_truncation_tail"] == 0.0
+    assert check["details"]["n_states"] == 5
 
 
 def test_check_errors_are_isolated(tmp_path):

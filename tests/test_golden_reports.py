@@ -1,8 +1,9 @@
 """Golden report bytes: the sha256 of `cli.run` output for stanzas whose
-reports come from exact enumeration or from the discrete Burke kernel rows.
+reports come from exact enumeration or from the Burke field, and of the
+`field.csv` a Burke stanza writes.
 
-A refactor of the pushforward or truncation code must leave these bytes
-unchanged; a deliberate change to a report updates the digest here.
+A refactor of the pushforward, truncation or field code must leave these
+bytes unchanged; a deliberate change to a report updates the digest here.
 """
 
 import hashlib
@@ -14,6 +15,12 @@ from ipmaps.cli import _validate_stanza, run
 
 GEOMETRIC = {"kind": "geometric", "params": {"theta": 0.4}}
 THREE_POINT = {"kind": "three_point", "params": {"p": 0.2, "q": 0.5, "r": 0.3}}
+BURKE_MY = {"kind": "burke", "map": "matsumoto_yor",
+            "mu": {"kind": "gig", "params": {"alpha": 2.0, "lam": 1.0}},
+            "nu": {"kind": "gamma", "params": {"shape": 2.0, "rate": 1.0}},
+            "N": 60, "T": 60}
+BURKE_RRW = {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
+             "nu": THREE_POINT, "N": 60, "T": 60}
 
 GOLDEN = {
     "rrw_interior": (
@@ -39,9 +46,11 @@ GOLDEN = {
          "nu": THREE_POINT},
         "2759327d71d0079d661584a02457c6995246d019aefb485d8f947accfbc7dd4b"),
     "burke_rrw": (
-        {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
-         "nu": THREE_POINT, "N": 60, "T": 60},
+        BURKE_RRW,
         "df5780f951a5645a651f741a602c1484d176715458d91a943c7fc3688c1a8763"),
+    "burke_my": (
+        BURKE_MY,
+        "17cb0c3b151adf9a4c596ffa2a7d1e8c5263626ee5074574d8900fcf9ba05033"),
     "burke_kdv": (
         {"kind": "burke", "map": "kdv_g1",
          "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
@@ -57,3 +66,23 @@ def test_report_bytes_match_golden(name):
     report = run({"seed": 1, "checks": [_validate_stanza(stanza, 0)]})
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+GOLDEN_CSV = {
+    "burke_rrw": (
+        BURKE_RRW,
+        "0147992c6b6c99eab15ff76f8a6a29b390f4f5b5fc71f4ff0a1fd8a615b0dacd"),
+    "burke_my": (
+        BURKE_MY,
+        "a37453e2b71836295d583bf98f0c5e0ec63a6ab54f021550863fd7879336bb76"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_field_csv_bytes_match_golden(name, tmp_path):
+    stanza, digest = GOLDEN_CSV[name]
+    stanza = dict(stanza, csv="field.csv")
+    run({"seed": 1, "checks": [_validate_stanza(stanza, 0)]},
+        out_dir=tmp_path)
+    data = (tmp_path / "field.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
