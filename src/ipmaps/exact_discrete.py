@@ -1,9 +1,12 @@
 """Exact enumeration checks for the reflecting random walk and the
 ultra-discrete KdV maps.
 
-Probabilities are manipulated as exact rationals whenever the parameters are
-rational (floats are read as their shortest decimal), so identities that hold
-exactly report a residual of literally zero.
+Probabilities are exact rationals (floats are read as their shortest
+decimal), so identities that hold exactly report a residual of literally
+zero. Each table holds plain integer numerators over one shared integer
+denominator, so sums and differences of cells are integer arithmetic. A
+reported number is `num / den` of two ints, which Python rounds correctly:
+the same float as `float(Fraction(num, den))`.
 """
 
 from __future__ import annotations
@@ -24,15 +27,6 @@ def _frac(x):
     if isinstance(x, int):
         return Fraction(x)
     return Fraction(str(float(x)))
-
-
-def _sqrt_frac(x):
-    """Exact square root of a rational if it exists, else a float."""
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return math.sqrt(num / den)
 
 
 @dataclass(frozen=True)
@@ -77,18 +71,34 @@ class RRWParams:
         return self.p * self.pprime / (self.q * self.qprime)
 
 
+def _numerators(law):
+    """Integer numerators over one common denominator of an exact law.
+
+    `law` is a {state: Fraction} dict or a FiniteTable, whose float
+    probabilities are read as their shortest decimals. Returns
+    ({state: int}, den).
+    """
+    if isinstance(law, FiniteTable):
+        law = {int(k): _frac(p) for k, p in zip(law.support, law.probs)}
+    den = math.lcm(*(w.denominator for w in law.values()))
+    return {k: w.numerator * (den // w.denominator) for k, w in law.items()}, den
+
+
 @dataclass
 class JointTable:
-    """Finite joint law over (y, v) cells, probabilities exact rationals."""
+    """Finite joint law over (y, v) cells: cell (y, v) has probability
+    nums[(y, v)] / den."""
 
-    cells: dict          # (y, v) -> Fraction
+    nums: dict           # (y, v) -> int
+    den: int
     tail: Fraction
 
     def marginals(self):
+        """Numerators of the y and v marginals, over `den`."""
         my, mv = {}, {}
-        for (y, v), w in self.cells.items():
-            my[y] = my.get(y, Fraction(0)) + w
-            mv[v] = mv.get(v, Fraction(0)) + w
+        for (y, v), w in self.nums.items():
+            my[y] = my.get(y, 0) + w
+            mv[v] = mv.get(v, 0) + w
         return my, mv
 
 
@@ -130,38 +140,42 @@ def rrw_forced_table(params, box=200):
 # joint law and independence defect
 # ---------------------------------------------------------------------------
 
-def _noise_cells(params):
-    cells = [(1, params.p), (-1, params.q)]
+def _noise_law(params):
+    law = {1: params.p, -1: params.q}
     if params.r > 0:
-        cells.append((0, params.r))
-    return cells
+        law[0] = params.r
+    return law
 
 
 def rrw_joint_table(law_x, params):
     """Exact joint law of (Y, V) = H(X, U) under the catalog's reflecting_rw.
 
     `law_x` is a dict {state: Fraction} (mass may be < 1; the deficit is
-    carried as tail) or a FiniteTable, which is converted.
+    carried as tail) or a FiniteTable, which is converted. The cells are
+    numerators over Dx Du, the denominators of law_x and of the step law.
     """
-    if isinstance(law_x, FiniteTable):
-        law_x = {int(k): _frac(p) for k, p in zip(law_x.support, law_x.probs)}
-    cells = pushforward(catalog_get("reflecting_rw"), law_x.items(),
-                        _noise_cells(params))
-    return JointTable(cells=cells, tail=1 - sum(law_x.values(), Fraction(0)))
+    xs, dx = _numerators(law_x)
+    us, du = _numerators(_noise_law(params))
+    nums = pushforward(catalog_get("reflecting_rw"), xs.items(), us.items())
+    return JointTable(nums=nums, den=dx * du,
+                      tail=Fraction(dx - sum(xs.values()), dx))
 
 
 def product_defect_tv(joint):
-    """Exact TV distance between the joint and the product of its marginals."""
+    """Exact TV distance between the joint and the product of its marginals.
+
+    With cell numerator w, marginal numerators my, mv and total mass s over
+    the table's denominator D, a cell is off the product by
+    |w s - my mv| / (D s).
+    """
     my, mv = joint.marginals()
-    mass = sum(joint.cells.values())
+    mass = sum(joint.nums.values())
     if mass == 0:
         return 0.0
-    acc = Fraction(0)
-    for y in my:
-        for v in mv:
-            w = joint.cells.get((y, v), Fraction(0))
-            acc += abs(w - my[y] * mv[v] / mass)
-    return float(acc / 2)
+    cells = joint.nums
+    acc = sum(abs(cells.get((y, v), 0) * mass - py * pv)
+              for y, py in my.items() for v, pv in mv.items())
+    return acc / (2 * joint.den * mass)
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +198,44 @@ def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
     and, in the collapsing cases, exact equality of the (X,U) and (Y,V)
     joint tables.
     """
-    if isinstance(law_x, FiniteTable):
-        law_x = {int(k): _frac(p) for k, p in zip(law_x.support, law_x.probs)}
+    xs, dx = _numerators(law_x)
     my, mv = joint.marginals()
-    pX = lambda k: law_x.get(k, Fraction(0))
-    pY = lambda k: my.get(k, Fraction(0))
-    pprime = mv.get(1, Fraction(0))
-    qprime = mv.get(-1, Fraction(0))
-    v0 = mv.get(0, Fraction(0))
-    states = sorted(law_x)
-    kmax = states[-1]
+    dj = joint.den
+    pX = lambda k: xs.get(k, 0)
+    pY = lambda k: my.get(k, 0)
+    pprime = Fraction(mv.get(1, 0), dj)
+    qprime = Fraction(mv.get(-1, 0), dj)
+    v0 = Fraction(mv.get(0, 0), dj)
+    kmax = max(xs)
+
+    def worst(pairs, s, t):
+        """max |(x/dx) s - (y/dj) t| over numerator pairs (x, y), as a float:
+        one multiplication by a constant on either side of each pair."""
+        cx = s.numerator * t.denominator * dj
+        cy = t.numerator * s.denominator * dx
+        g = math.gcd(cx, cy) or 1     # short constants, short products
+        cx, cy = cx // g, cy // g
+        top = max((abs(x * cx - y * cy) for x, y in pairs), default=0)
+        return top * g / (s.denominator * t.denominator * dx * dj)
 
     residuals = {}
-    residuals["boundary"] = float(abs(pX(0) * params.q - pY(0) * qprime))
-    residuals["zero_step"] = float(max(
-        (abs(pX(k) * params.r - pY(k) * v0) for k in range(kmax)), default=0.0))
-    residuals["down_up"] = float(max(
-        abs(pX(k + 1) * params.q - pY(k) * pprime) for k in range(kmax - 1)))
-    residuals["up_down"] = float(max(
-        abs(pX(k) * params.p - pY(k + 1) * qprime) for k in range(kmax - 1)))
-    mass_x = sum(law_x.values())
-    residuals["total_up"] = float(abs(pprime - (mass_x - pX(0)) * params.q))
+    residuals["boundary"] = worst([(pX(0), pY(0))], params.q, qprime)
+    residuals["zero_step"] = worst(
+        ((pX(k), pY(k)) for k in range(kmax)), params.r, v0)
+    residuals["down_up"] = worst(
+        ((pX(k + 1), pY(k)) for k in range(kmax - 1)), params.q, pprime)
+    residuals["up_down"] = worst(
+        ((pX(k), pY(k + 1)) for k in range(kmax - 1)), params.p, qprime)
+    mass_x = Fraction(sum(xs.values()), dx)
+    residuals["total_up"] = float(
+        abs(pprime - (mass_x - Fraction(pX(0), dx)) * params.q))
 
     if params.r == 0:
         # the parity identities are derived under p + q = 1
-        x_odd = sum(w for k, w in law_x.items() if k % 2 == 1)
+        x_odd = Fraction(sum(w for k, w in xs.items() if k % 2 == 1), dx)
         x_even = mass_x - x_odd
-        y_odd = sum(w for k, w in my.items() if k % 2 == 1)
-        y_even = sum(my.values()) - y_odd
+        y_odd = Fraction(sum(w for k, w in my.items() if k % 2 == 1), dj)
+        y_even = Fraction(sum(my.values()), dj) - y_odd
         residuals["parity_down"] = float(abs(x_odd * params.q - y_even * pprime))
         residuals["parity_up"] = float(abs(x_even * params.p - y_odd * qprime))
         residuals["parity_balance"] = float(
@@ -220,19 +244,17 @@ def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
         residuals["x_odd_mass"] = float(abs(x_odd - params.pprime))
 
     # (X,U) d= (Y,V) whenever the law collapses to the plain geometric
-    identity_exact = None
     if params.r > 0 or params.pprime == params.p:
-        xu = {}
-        for x, px in law_x.items():
-            for u, pu in _noise_cells(params):
-                xu[(x, u)] = px * pu
-        diff = Fraction(0)
-        for key in set(xu) | set(joint.cells):
-            diff += abs(xu.get(key, Fraction(0))
-                        - joint.cells.get(key, Fraction(0)))
+        us, du = _numerators(_noise_law(params))
+        xu = {(x, u): px * pu for x, px in xs.items() for u, pu in us.items()}
+        # xu is over dx du and the joint over dj, which is dx du itself
+        # when the joint comes from law_x
+        g = math.gcd(dx * du, dj)
+        cxu, cj = dj // g, dx * du // g
+        diff = sum(abs(xu.get(key, 0) * cxu - joint.nums.get(key, 0) * cj)
+                   for key in set(xu) | set(joint.nums))
         # boundary cells at the truncation edge contribute O(tail)
-        identity_exact = float(diff / 2)
-        residuals["xu_yv_identity"] = identity_exact
+        residuals["xu_yv_identity"] = diff / (2 * dx * du * cxu)
 
     tail = float(joint.tail)
     threshold = tol + 10.0 * tail
@@ -290,19 +312,24 @@ def kdv_pushforward_tv(theta, ell, variant, u_truncation=60, max_tail=1e-9):
     if float(tail_bound) > max_tail:
         raise LawError(f"u_truncation={M} leaves tail {float(tail_bound)} > {max_tail}")
 
-    z_mu = sum(theta ** i for i in range(-ell, ell + 1))
-    z_nu = theta ** (-ell) / (1 - theta)
-    mu = {x: theta ** x / z_mu for x in range(-ell, ell + 1)}
-    nu = {u: theta ** u / z_nu for u in range(-ell, M + 1)}
+    # theta^x = a^(x+ell) b^(N-x) / (a^ell b^N) for theta = a/b and
+    # -ell <= x <= N, so both laws are integer weights over one denominator:
+    # mu over the sum of its weights, nu = theta^(u+ell) (1 - theta) over
+    # b^(N+ell+1), and the pushforward and the product over their product
+    a, b = theta.numerator, theta.denominator
+    N = max(M, ell)
+    w = {x: a ** (x + ell) * b ** (N - x) for x in range(-ell, N + 1)}
+    mu = {x: w[x] for x in range(-ell, ell + 1)}
+    nu = {u: (b - a) * w[u] for u in range(-ell, M + 1)}
+    den = sum(mu.values()) * b ** (N + ell + 1)
     push = pushforward(catalog_get("kdv_" + variant), mu.items(), nu.items())
 
     product = {(x, u): px * pu for x, px in mu.items() for u, pu in nu.items()}
-    diff = Fraction(0)
-    witness, witness_gap = None, Fraction(0)
+    diff = 0
+    witness, witness_gap = None, 0
     for key in set(push) | set(product):
-        gap = abs(push.get(key, Fraction(0)) - product.get(key, Fraction(0)))
+        gap = abs(push.get(key, 0) - product.get(key, 0))
         diff += gap
         if gap > witness_gap:
             witness_gap, witness = gap, key
-    tv = diff / 2
-    return float(tv), float(tail_bound), witness
+    return diff / (2 * den), float(tail_bound), witness

@@ -154,13 +154,27 @@ def check_detailed_balance_exact(kernel, mu, tol=1e-12):
 def _gof_against_law(samples, law, level=DEFAULT_LEVEL):
     """Chi-square GOF of samples against an analytic law.
 
-    Discrete laws are tabulated over the observed range plus a tail cell;
-    continuous laws use equiprobable quantile bins.
+    A draw outside the law's support interval, or a non-integer draw of a
+    discrete law, fails the test outright. Discrete laws are tabulated from
+    support_lo to the largest draw plus a tail cell; continuous laws use
+    equiprobable quantile bins.
     """
     samples = np.asarray(samples)
     n = len(samples)
+    inside = np.isfinite(samples) & (samples >= law.support_lo) \
+        & (samples <= law.support_hi)
     if law.is_discrete:
-        lo = min(int(samples.min()), law.support_lo)
+        inside &= samples == np.round(samples)
+    if not inside.all():
+        # a structural failure: no chi-square can pass it
+        outside = n - int(inside.sum())
+        return stat_tests.TestResult(
+            np.inf, 0.0, (n,), "chi2_gof", False, level,
+            {"outside_support": outside,
+             "reason": f"{outside} of {n} draws outside the support of "
+                       f"{law!r}"})
+    if law.is_discrete:
+        lo = law.support_lo
         hi = int(samples.max())
         values = np.arange(lo, hi + 1)
         probs = np.array([law.pmf(int(v)) for v in values])

@@ -20,9 +20,14 @@ class LawError(ValueError):
 
 
 class Law:
-    """Base class for probability laws. Immutable; safe to share."""
+    """Base class for probability laws. Immutable; safe to share.
+
+    Every draw lies in the closed interval [support_lo, support_hi]; a
+    discrete law's draws are also integers.
+    """
 
     is_discrete = False
+    support_lo, support_hi = -math.inf, math.inf
 
     def density(self, x):
         raise NotImplementedError
@@ -48,6 +53,8 @@ class Law:
 # ---------------------------------------------------------------------------
 
 class Gamma(Law):
+    support_lo = 0.0
+
     def __init__(self, shape, rate):
         if shape <= 0 or rate <= 0:
             raise LawError("Gamma requires shape>0 and rate>0")
@@ -72,6 +79,8 @@ class Gamma(Law):
 
 
 class BetaI(Law):
+    support_lo, support_hi = 0.0, 1.0
+
     def __init__(self, a, b):
         if a <= 0 or b <= 0:
             raise LawError("BetaI requires a>0 and b>0")
@@ -96,6 +105,8 @@ class BetaI(Law):
 
 
 class UniformUnit(Law):
+    support_lo, support_hi = 0.0, 1.0
+
     def density(self, x):
         x = np.asarray(x, dtype=float)
         return np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
@@ -168,6 +179,8 @@ class GIG(Law):
     unnormalized density; the mode and the maximizer of x^2*h(x) have closed
     forms, so the bounding box is exact.
     """
+
+    support_lo = 0.0
 
     def __init__(self, alpha, lam):
         if alpha <= 0 or lam <= 0:

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from ipmaps.exact_discrete import (
-    JointTable, RRWParams, kdv_pushforward_tv, perturbed_tables,
+    JointTable, RRWParams, _numerators, kdv_pushforward_tv, perturbed_tables,
     product_defect_tv, rrw_forced_law, rrw_forced_table,
     rrw_joint_table, rrw_verify_proof_identities,
 )
-from ipmaps.laws import Geometric, LawError, ParityGeom
+from ipmaps.involutions import catalog_get
+from ipmaps.kernels import pushforward
+from ipmaps.laws import Geometric, LawError, ParityGeom, truncate
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +80,26 @@ def test_forced_table_is_exact():
 def test_joint_from_point_mass_at_zero():
     params = RRWParams.make(0.2, 0.5, 0.3)
     joint = rrw_joint_table({0: Fraction(1)}, params)
-    assert joint.cells == {
+    assert joint.den == 10
+    assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} == {
         (1, -1): Fraction(1, 5),
         (0, -1): Fraction(1, 2),
         (0, 0): Fraction(3, 10),
     }
+
+
+def test_finite_table_and_fraction_dict_give_the_same_tables():
+    assert _numerators({0: Fraction(1, 2), 1: Fraction(1, 3),
+                        2: Fraction(1, 6)}) == ({0: 3, 1: 2, 2: 1}, 6)
+    params = RRWParams.make(0.2, 0.5, 0.3)
+    table, _ = truncate(Geometric(0.4), 0, 60)
+    # a FiniteTable's float probabilities are read as shortest decimals
+    law_x = {int(k): Fraction(str(float(p)))
+             for k, p in zip(table.support, table.probs)}
+    a, b = rrw_joint_table(table, params), rrw_joint_table(law_x, params)
+    assert (a.nums, a.den, a.tail) == (b.nums, b.den, b.tail)
+    assert rrw_verify_proof_identities(table, params, a).details == \
+        rrw_verify_proof_identities(law_x, params, b).details
 
 
 def test_forced_law_gives_zero_defect():
@@ -101,10 +118,10 @@ def test_wrong_law_gives_visible_defect():
 
 
 def test_product_table_has_zero_defect():
-    my = {0: Fraction(1, 2), 1: Fraction(1, 2)}
-    mv = {-1: Fraction(1, 3), 1: Fraction(2, 3)}
-    cells = {(y, v): py * pv for y, py in my.items() for v, pv in mv.items()}
-    assert product_defect_tv(JointTable(cells, Fraction(0))) == 0.0
+    my = {0: 1, 1: 1}            # halves
+    mv = {-1: 1, 1: 2}           # thirds
+    nums = {(y, v): py * pv for y, py in my.items() for v, pv in mv.items()}
+    assert product_defect_tv(JointTable(nums, 6, Fraction(0))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +209,144 @@ def test_kdv_argument_validation():
         kdv_pushforward_tv(0.5, 2, "g3")
     with pytest.raises(LawError):
         kdv_pushforward_tv(0.9, 2, "g1", u_truncation=10)   # tail too fat
+
+
+# ---------------------------------------------------------------------------
+# reference: the same quantities by Fraction arithmetic cell by cell
+# ---------------------------------------------------------------------------
+
+# the (p, q, r, p') grid of the exact-enum benchmark workload
+RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
+            (0.3, 0.7, 0.0, 0.3), (0.3, 0.7, 0.0, 0.15),
+            (0.4, 0.6, 0.0, 0.2))
+
+
+def _ref_noise_cells(params):
+    cells = [(1, params.p), (-1, params.q)]
+    if params.r > 0:
+        cells.append((0, params.r))
+    return cells
+
+
+def _ref_joint_cells(law_x, params):
+    return pushforward(catalog_get("reflecting_rw"), law_x.items(),
+                       _ref_noise_cells(params))
+
+
+def _ref_marginals(cells):
+    my, mv = {}, {}
+    for (y, v), w in cells.items():
+        my[y] = my.get(y, Fraction(0)) + w
+        mv[v] = mv.get(v, Fraction(0)) + w
+    return my, mv
+
+
+def _ref_product_defect_tv(cells):
+    my, mv = _ref_marginals(cells)
+    mass = sum(cells.values())
+    if mass == 0:
+        return 0.0
+    acc = Fraction(0)
+    for y in my:
+        for v in mv:
+            w = cells.get((y, v), Fraction(0))
+            acc += abs(w - my[y] * mv[v] / mass)
+    return float(acc / 2)
+
+
+def _ref_residuals(law_x, params, cells):
+    my, mv = _ref_marginals(cells)
+    pX = lambda k: law_x.get(k, Fraction(0))
+    pY = lambda k: my.get(k, Fraction(0))
+    pprime = mv.get(1, Fraction(0))
+    qprime = mv.get(-1, Fraction(0))
+    v0 = mv.get(0, Fraction(0))
+    kmax = max(law_x)
+    residuals = {}
+    residuals["boundary"] = float(abs(pX(0) * params.q - pY(0) * qprime))
+    residuals["zero_step"] = float(max(
+        (abs(pX(k) * params.r - pY(k) * v0) for k in range(kmax)), default=0.0))
+    residuals["down_up"] = float(max(
+        abs(pX(k + 1) * params.q - pY(k) * pprime) for k in range(kmax - 1)))
+    residuals["up_down"] = float(max(
+        abs(pX(k) * params.p - pY(k + 1) * qprime) for k in range(kmax - 1)))
+    mass_x = sum(law_x.values())
+    residuals["total_up"] = float(abs(pprime - (mass_x - pX(0)) * params.q))
+    if params.r == 0:
+        x_odd = sum(w for k, w in law_x.items() if k % 2 == 1)
+        x_even = mass_x - x_odd
+        y_odd = sum(w for k, w in my.items() if k % 2 == 1)
+        y_even = sum(my.values()) - y_odd
+        residuals["parity_down"] = float(abs(x_odd * params.q - y_even * pprime))
+        residuals["parity_up"] = float(abs(x_even * params.p - y_odd * qprime))
+        residuals["parity_balance"] = float(
+            abs((x_odd + params.q) - (y_even + pprime)))
+        residuals["y_even_mass"] = float(abs(y_even - params.q))
+        residuals["x_odd_mass"] = float(abs(x_odd - params.pprime))
+    if params.r > 0 or params.pprime == params.p:
+        xu = {(x, u): px * pu for x, px in law_x.items()
+              for u, pu in _ref_noise_cells(params)}
+        diff = Fraction(0)
+        for key in set(xu) | set(cells):
+            diff += abs(xu.get(key, Fraction(0)) - cells.get(key, Fraction(0)))
+        residuals["xu_yv_identity"] = float(diff / 2)
+    return residuals
+
+
+def _ref_kdv_pushforward_tv(theta, ell, variant, M):
+    theta = Fraction(str(theta))
+    z_mu = sum(theta ** i for i in range(-ell, ell + 1))
+    z_nu = theta ** (-ell) / (1 - theta)
+    mu = {x: theta ** x / z_mu for x in range(-ell, ell + 1)}
+    nu = {u: theta ** u / z_nu for u in range(-ell, M + 1)}
+
+    push = pushforward(catalog_get("kdv_" + variant), mu.items(), nu.items())
+    product = {(x, u): px * pu for x, px in mu.items() for u, pu in nu.items()}
+    diff = Fraction(0)
+    witness, witness_gap = None, Fraction(0)
+    for key in set(push) | set(product):
+        gap = abs(push.get(key, Fraction(0)) - product.get(key, Fraction(0)))
+        diff += gap
+        if gap > witness_gap:
+            witness_gap, witness = gap, key
+    return float(diff / 2), float(theta ** (M + 1 + ell)), witness
+
+
+def _bits(values):
+    return {k: float(v).hex() for k, v in values.items()}
+
+
+@pytest.mark.parametrize("grid", RRW_GRID, ids=str)
+def test_integer_tables_match_fraction_reference(grid):
+    params = RRWParams.make(*grid)
+    pmf, _ = rrw_forced_table(params, box=200)
+    tables = [pmf] + [moved for _, moved in perturbed_tables(params)]
+    for i, law_x in enumerate(tables):
+        joint = rrw_joint_table(law_x, params)
+        cells = _ref_joint_cells(law_x, params)
+        assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} \
+            == cells
+        assert joint.tail == 1 - sum(law_x.values())
+        defect = product_defect_tv(joint)
+        assert defect.hex() == _ref_product_defect_tv(cells).hex()
+        report = rrw_verify_proof_identities(law_x, params, joint)
+        residuals = report.details["residuals"]
+        assert _bits(residuals) == _bits(_ref_residuals(law_x, params, cells))
+        if i > 0:
+            # a perturbed table: the comparison covers nonzero values
+            assert defect > 0.0
+            assert max(residuals.values()) > 0.0
+
+
+@pytest.mark.parametrize("variant", ["g1", "g2"])
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("ell", [2, 4])
+def test_kdv_integer_weights_match_fraction_reference(variant, theta, ell):
+    tv, tail, witness = kdv_pushforward_tv(theta, ell, variant,
+                                           u_truncation=60)
+    ref_tv, ref_tail, ref_witness = _ref_kdv_pushforward_tv(
+        theta, ell, variant, 60)
+    assert (tv.hex(), tail.hex(), witness) == \
+        (ref_tv.hex(), ref_tail.hex(), ref_witness)
+    if variant == "g2":
+        assert witness is not None and tv > 10.0 * tail

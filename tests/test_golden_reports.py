@@ -30,6 +30,18 @@ GOLDEN = {
         {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0,
          "pprime": 0.2},
         "bc8133cd1ed96a0981a3f0a30f8bd20ea79a3c7143e5b5f220cb2235342b8d24"),
+    # the exact-enum benchmark sizes; digests computed with Fraction tables
+    "rrw_boundary_box1000": (
+        {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0,
+         "pprime": 0.15, "box": 1000},
+        "52a04a826b1b4ed0f670b47726bbafb012e318efa9d61ea7667145af7d65b15a"),
+    "rrw_interior_box1000": (
+        {"kind": "rrw-characterize", "p": 0.1, "q": 0.6, "r": 0.3,
+         "box": 1000},
+        "aaca2e97990e02f1c4fb0bba67eee25a2edb4bc871e4918c821cb12a582d5d8c"),
+    "kdv_g2_ell8": (
+        {"kind": "kdv-tv", "theta": 0.3, "ell": 8, "variant": "g2", "M": 200},
+        "c0cf3dcb5abced063e377e09c039778aaf0a7f17330eb132e89eca126236178e"),
     "kdv_g1": (
         {"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": "g1"},
         "4e2cc288dbb3f66a2804da29cb311d55d4a4bbe59aae7d9601418cce88d3e457"),

@@ -98,6 +98,45 @@ def test_codrivers_are_iid_noise():
     assert independence_test(np.column_stack([v[:-1], v[1:]])).passed
 
 
+# ---------------------------------------------------------------------------
+# structural support check of _gof_against_law
+# ---------------------------------------------------------------------------
+
+def test_gof_fails_on_negative_draws_against_gamma():
+    law = Gamma(2.0, 1.0)
+    draws = law.sample(RandomStream(83), 2000)
+    assert _gof_against_law(draws, law).passed
+    # 20 negative draws fall into the lowest quantile bin, which a
+    # chi-square on 20 bins cannot tell from chance
+    draws[:20] = -draws[:20]
+    res = _gof_against_law(draws, law)
+    assert not res.passed
+    assert res.p_value == 0.0
+    assert res.flags["outside_support"] == 20
+    assert res.flags["reason"] == (
+        "20 of 2000 draws outside the support of Gamma(shape=2.0, rate=1.0)")
+
+
+@pytest.mark.parametrize("law, bad", [
+    (UniformUnit(), 1.5),
+    (BetaI(2.0, 3.0), -0.25),
+    (GIG(2.0, 1.0), 0.0 - 1e-9),
+    (Gamma(2.0, 1.0), np.nan),
+    (Geometric(0.4), -1),
+    (Geometric(0.4), 2.5),
+    (Geometric(0.4), np.inf),
+    (TruncGeom(0.5, 2), 3),
+    (ShiftGeom(0.5, 2), -3),
+])
+def test_gof_fails_on_one_draw_outside_the_support(law, bad):
+    draws = np.asarray(law.sample(RandomStream(89), 5000), dtype=float)
+    assert _gof_against_law(draws, law).passed
+    draws[7] = bad
+    res = _gof_against_law(draws, law)
+    assert not res.passed
+    assert res.flags["outside_support"] == 1
+
+
 def test_chain_requires_positive_length():
     kernel = GeneratedKernel(catalog_get("matsumoto_yor"), Gamma(2, 1))
     with pytest.raises(KernelError):
