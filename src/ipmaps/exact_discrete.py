@@ -201,8 +201,9 @@ def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
     xs, dx = _numerators(law_x)
     my, mv = joint.marginals()
     dj = joint.den
-    pX = lambda k: xs.get(k, 0)
-    pY = lambda k: my.get(k, 0)
+    # numerators of P(X=k) over dx and of P(Y=k) over dj
+    nX = lambda k: xs.get(k, 0)
+    nY = lambda k: my.get(k, 0)
     pprime = Fraction(mv.get(1, 0), dj)
     qprime = Fraction(mv.get(-1, 0), dj)
     v0 = Fraction(mv.get(0, 0), dj)
@@ -219,16 +220,16 @@ def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
         return top * g / (s.denominator * t.denominator * dx * dj)
 
     residuals = {}
-    residuals["boundary"] = worst([(pX(0), pY(0))], params.q, qprime)
+    residuals["boundary"] = worst([(nX(0), nY(0))], params.q, qprime)
     residuals["zero_step"] = worst(
-        ((pX(k), pY(k)) for k in range(kmax)), params.r, v0)
+        ((nX(k), nY(k)) for k in range(kmax)), params.r, v0)
     residuals["down_up"] = worst(
-        ((pX(k + 1), pY(k)) for k in range(kmax - 1)), params.q, pprime)
+        ((nX(k + 1), nY(k)) for k in range(kmax - 1)), params.q, pprime)
     residuals["up_down"] = worst(
-        ((pX(k), pY(k + 1)) for k in range(kmax - 1)), params.p, qprime)
+        ((nX(k), nY(k + 1)) for k in range(kmax - 1)), params.p, qprime)
     mass_x = Fraction(sum(xs.values()), dx)
     residuals["total_up"] = float(
-        abs(pprime - (mass_x - Fraction(pX(0), dx)) * params.q))
+        abs(pprime - (mass_x - Fraction(nX(0), dx)) * params.q))
 
     if params.r == 0:
         # the parity identities are derived under p + q = 1

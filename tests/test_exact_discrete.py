@@ -320,8 +320,10 @@ def _bits(values):
 def test_integer_tables_match_fraction_reference(grid):
     params = RRWParams.make(*grid)
     pmf, _ = rrw_forced_table(params, box=200)
-    tables = [pmf] + [moved for _, moved in perturbed_tables(params)]
-    for i, law_x in enumerate(tables):
+    moved = [table for _, table in perturbed_tables(params)]
+    # a short box leaves a tail far above float resolution
+    short, _ = rrw_forced_table(params, box=5)
+    for law_x in [pmf, short] + moved:
         joint = rrw_joint_table(law_x, params)
         cells = _ref_joint_cells(law_x, params)
         assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} \
@@ -332,21 +334,31 @@ def test_integer_tables_match_fraction_reference(grid):
         report = rrw_verify_proof_identities(law_x, params, joint)
         residuals = report.details["residuals"]
         assert _bits(residuals) == _bits(_ref_residuals(law_x, params, cells))
-        if i > 0:
-            # a perturbed table: the comparison covers nonzero values
+        if law_x in moved:
+            # the comparison covers nonzero values
             assert defect > 0.0
             assert max(residuals.values()) > 0.0
+    # a joint table over another denominator than law_x's
+    joint, cells = rrw_joint_table(pmf, params), _ref_joint_cells(pmf, params)
+    for law_x in moved:
+        report = rrw_verify_proof_identities(law_x, params, joint)
+        assert _bits(report.details["residuals"]) == \
+            _bits(_ref_residuals(law_x, params, cells))
+
+
+# (theta, ell, M); the last has M < ell, so mu reaches past the noise box
+KDV_CASES = [(theta, ell, 60) for theta in (0.3, 0.5, 0.7) for ell in (2, 4)]
+KDV_CASES.append((0.1, 10, 2))
 
 
 @pytest.mark.parametrize("variant", ["g1", "g2"])
-@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
-@pytest.mark.parametrize("ell", [2, 4])
-def test_kdv_integer_weights_match_fraction_reference(variant, theta, ell):
+@pytest.mark.parametrize("theta, ell, M", KDV_CASES)
+def test_kdv_integer_weights_match_fraction_reference(variant, theta, ell, M):
     tv, tail, witness = kdv_pushforward_tv(theta, ell, variant,
-                                           u_truncation=60)
+                                           u_truncation=M)
     ref_tv, ref_tail, ref_witness = _ref_kdv_pushforward_tv(
-        theta, ell, variant, 60)
+        theta, ell, variant, M)
     assert (tv.hex(), tail.hex(), witness) == \
         (ref_tv.hex(), ref_tail.hex(), ref_witness)
-    if variant == "g2":
+    if variant == "g2" and M > ell:
         assert witness is not None and tv > 10.0 * tail

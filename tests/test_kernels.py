@@ -120,7 +120,7 @@ def test_gof_fails_on_negative_draws_against_gamma():
 @pytest.mark.parametrize("law, bad", [
     (UniformUnit(), 1.5),
     (BetaI(2.0, 3.0), -0.25),
-    (GIG(2.0, 1.0), 0.0 - 1e-9),
+    (GIG(2.0, 1.0), -1e-9),
     (Gamma(2.0, 1.0), np.nan),
     (Geometric(0.4), -1),
     (Geometric(0.4), 2.5),
