@@ -121,9 +121,11 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
         counts = np.array([(nxt == v).sum() for v in values], dtype=float)
         if counts.sum() != len(nxt):
             # a transition outside the kernel's support: structural failure
+            flags = {"impossible_transition_from": x,
+                     "reason": f"impossible transition from {x}"}
             return stat_tests.TestResult(np.inf, 0.0, (len(froms),),
                                          "transition_chi2", False, level,
-                                         {"impossible_transition_from": x})
+                                         flags)
         if len(nxt) < min_visits or len(values) < 2:
             continue
         r = stat_tests.chi2_gof(counts, probs, level=level)

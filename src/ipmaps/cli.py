@@ -18,11 +18,9 @@ import sys
 import numpy as np
 
 from . import __version__, burke, exact_discrete, kernels, skorokhod
-from .augmentation import SOLVERS, fspec_for, verify_hypotheses
-from .involutions import (
-    CATALOG_NAMES, catalog_get, check_involution, sample_points,
-)
-from .laws import LawError, law_from_spec, truncate
+from .augmentation import fspec_for, verify_hypotheses
+from .involutions import catalog_get, check_involution, sample_points
+from .laws import law_from_spec, truncate
 from .reports import VerificationReport, _jsonable
 from .rng import RandomStream
 
@@ -31,53 +29,38 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(stanza, *names):
-    for name in names:
+def _validate_stanza(stanza, index):
+    """Check a stanza's fields and resolve its map and laws through the
+    lookups its runner uses, so a bad name or parameter fails here."""
+    if not isinstance(stanza, dict):
+        raise ConfigError(f"check #{index}: a check must be a JSON object")
+    kind = stanza.get("kind")
+    if kind not in _KINDS:
+        raise ConfigError(f"check #{index}: unknown kind {kind!r}")
+    _, fields = _KINDS[kind]
+    for name in fields:
         if name not in stanza:
             raise ConfigError(
-                f"check #{stanza['_index']} ({stanza['kind']}): "
-                f"missing field {name!r}")
-
-
-def _validate_stanza(stanza, index):
-    stanza = dict(stanza)
-    stanza["_index"] = index
-    kind = stanza.get("kind")
-    if kind not in CHECK_KINDS:
-        raise ConfigError(f"check #{index}: unknown kind {kind!r}")
-    if kind == "involution":
-        _require(stanza, "map")
-        if stanza["map"] not in CATALOG_NAMES:
-            raise ConfigError(f"check #{index}: unknown map {stanza['map']!r}")
-    elif kind == "hypotheses":
-        _require(stanza, "map")
-        if stanza["map"] not in SOLVERS:
-            raise ConfigError(
-                f"check #{index}: no f-specification for {stanza['map']!r}")
-    elif kind in ("reversibility", "ip"):
-        _require(stanza, "map", "mu", "nu", "n")
-        law_from_spec(stanza["mu"])
-        law_from_spec(stanza["nu"])
-    elif kind == "detailed-balance":
-        _require(stanza, "map", "mu", "nu")
-        law_from_spec(stanza["mu"])
-        law_from_spec(stanza["nu"])
-    elif kind == "rrw-characterize":
-        _require(stanza, "p", "q", "r")
-        exact_discrete.RRWParams.make(stanza["p"], stanza["q"], stanza["r"],
-                                      stanza.get("pprime"))
-    elif kind == "kdv-tv":
-        _require(stanza, "theta", "ell", "variant")
-        if stanza["variant"] not in ("g1", "g2"):
-            raise ConfigError(f"check #{index}: variant must be g1 or g2")
-    elif kind == "burke":
-        _require(stanza, "map", "mu", "nu")
-        law_from_spec(stanza["mu"])
-        law_from_spec(stanza["nu"])
-    elif kind == "skorokhod-gaussian":
-        _require(stanza, "beta", "sigma")
-        if float(stanza["sigma"]) <= 0.0:
-            raise ConfigError(f"check #{index}: sigma must be positive")
+                f"check #{index} ({kind}): missing field {name!r}")
+    try:
+        if "map" in fields:
+            resolve = fspec_for if kind == "hypotheses" else catalog_get
+            resolve(stanza["map"], stanza.get("params"))
+        if kind == "skorokhod-gaussian":
+            # the pair the numeric construction is compared against
+            catalog_get("gaussian_rosenblatt",
+                        {"beta": stanza["beta"], "sigma": stanza["sigma"]})
+        for name in ("mu", "nu"):
+            if name in fields:
+                law_from_spec(stanza[name])
+        if kind == "rrw-characterize":
+            exact_discrete.RRWParams.make(
+                stanza["p"], stanza["q"], stanza["r"], stanza.get("pprime"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"check #{index} ({kind}): {type(exc).__name__}: {exc}") from exc
+    if kind == "kdv-tv" and stanza["variant"] not in ("g1", "g2"):
+        raise ConfigError(f"check #{index}: variant must be g1 or g2")
     return stanza
 
 
@@ -111,18 +94,12 @@ def _run_involution(stanza, rng, out_dir):
 
 def _run_hypotheses(stanza, rng, out_dir):
     spec = fspec_for(stanza["map"], stanza.get("params"))
-    points = sample_points(spec, int(stanza.get("n", 1000)), rng, box=10)
-    probes = []
-    for x, u in points:
-        xs = np.atleast_1d(x) if not isinstance(x, tuple) else x
-        if isinstance(u, tuple):
-            for i in range(len(np.atleast_1d(xs))):
-                probes.append((float(xs[i]), (int(u[0][i]), float(u[1][i]))))
-        else:
-            us = np.atleast_1d(u)
-            for a, b in zip(np.atleast_1d(xs).tolist(), us.tolist()):
-                probes.append((a, b))
-    return verify_hypotheses(spec, probes)
+    [(xs, us)] = sample_points(spec, int(stanza.get("n", 1000)), rng, box=10)
+    if isinstance(us, tuple):    # beta_walk's (bit, weight) noise
+        us = zip(*(component.tolist() for component in us))
+    else:
+        us = us.tolist()
+    return verify_hypotheses(spec, list(zip(xs.tolist(), us)))
 
 
 def _run_reversibility(stanza, rng, out_dir):
@@ -161,8 +138,7 @@ def _run_rrw_characterize(stanza, rng, out_dir):
     table, tail = exact_discrete.rrw_forced_table(params, box=box)
     joint = exact_discrete.rrw_joint_table(table, params)
     defect = exact_discrete.product_defect_tv(joint)
-    identities = exact_discrete.rrw_verify_proof_identities(
-        table, params, joint)
+    identities = exact_discrete.rrw_verify_proof_identities(params, joint)
     law = exact_discrete.rrw_forced_law(params)
     head = {str(k): float(v) for k, v in sorted(table.items())[:12]}
     passed = identities.passed and defect <= 1e-12
@@ -251,18 +227,19 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
     )
 
 
-_RUNNERS = {
-    "involution": _run_involution,
-    "hypotheses": _run_hypotheses,
-    "reversibility": _run_reversibility,
-    "ip": _run_ip,
-    "detailed-balance": _run_detailed_balance,
-    "rrw-characterize": _run_rrw_characterize,
-    "kdv-tv": _run_kdv_tv,
-    "burke": _run_burke,
-    "skorokhod-gaussian": _run_skorokhod_gaussian,
+# kind -> (runner, required fields) of every check stanza
+_KINDS = {
+    "involution": (_run_involution, ("map",)),
+    "hypotheses": (_run_hypotheses, ("map",)),
+    "reversibility": (_run_reversibility, ("map", "mu", "nu", "n")),
+    "ip": (_run_ip, ("map", "mu", "nu", "n")),
+    "detailed-balance": (_run_detailed_balance, ("map", "mu", "nu")),
+    "rrw-characterize": (_run_rrw_characterize, ("p", "q", "r")),
+    "kdv-tv": (_run_kdv_tv, ("theta", "ell", "variant")),
+    "burke": (_run_burke, ("map", "mu", "nu")),
+    "skorokhod-gaussian": (_run_skorokhod_gaussian, ("beta", "sigma")),
 }
-CHECK_KINDS = tuple(_RUNNERS)
+CHECK_KINDS = tuple(_KINDS)
 
 
 def run(config, out_dir=None):
@@ -274,7 +251,8 @@ def run(config, out_dir=None):
     for stanza, stream in zip(checks, streams):
         inputs = {k: v for k, v in stanza.items() if not k.startswith("_")}
         try:
-            entry = _RUNNERS[stanza["kind"]](stanza, stream, out_dir).to_dict()
+            runner, _ = _KINDS[stanza["kind"]]
+            entry = runner(stanza, stream, out_dir).to_dict()
         except Exception as exc:   # deliberate: isolate per-check failures
             entry = {"name": stanza["kind"], "passed": False,
                      "details": {"error": f"{type(exc).__name__}: {exc}"}}
@@ -300,7 +278,7 @@ def emit(report, out_dir, name="report.json"):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -386,12 +364,12 @@ def main(argv=None):
         config = _config_from_args(args)
         if args.seed is not None:
             config["seed"] = args.seed
-    except (ConfigError, LawError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out
     report = run(config, out_dir=out_dir)
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if out_dir is not None:
         emit(report, out_dir)
     print(text)

@@ -87,11 +87,14 @@ def _numerators(law):
 @dataclass
 class JointTable:
     """Finite joint law over (y, v) cells: cell (y, v) has probability
-    nums[(y, v)] / den."""
+    nums[(y, v)] / den; state x of the X-law it was pushed from has
+    probability xs[x] / dx."""
 
     nums: dict           # (y, v) -> int
     den: int
     tail: Fraction
+    xs: dict             # x -> int
+    dx: int
 
     def marginals(self):
         """Numerators of the y and v marginals, over `den`."""
@@ -158,7 +161,20 @@ def rrw_joint_table(law_x, params):
     us, du = _numerators(_noise_law(params))
     nums = pushforward(catalog_get("reflecting_rw"), xs.items(), us.items())
     return JointTable(nums=nums, den=dx * du,
-                      tail=Fraction(dx - sum(xs.values()), dx))
+                      tail=Fraction(dx - sum(xs.values()), dx), xs=xs, dx=dx)
+
+
+def _gap(push, product):
+    """Sum over the cells of either table of |push - product|, and the
+    cell of the largest gap (None when the tables agree)."""
+    diff = 0
+    witness, witness_gap = None, 0
+    for key in set(push) | set(product):
+        gap = abs(push.get(key, 0) - product.get(key, 0))
+        diff += gap
+        if gap > witness_gap:
+            witness_gap, witness = gap, key
+    return diff, witness
 
 
 def product_defect_tv(joint):
@@ -182,11 +198,12 @@ def product_defect_tv(joint):
 # proof identities
 # ---------------------------------------------------------------------------
 
-def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
+def rrw_verify_proof_identities(params, joint, tol=1e-12):
     """Residuals of the event identities that drive the characterization proof.
 
     `joint` is `rrw_joint_table(law_x, params)`. Checks, with Y=(X+U)^+ and
-    V the co-driver and all quantities computed exactly from the joint table:
+    V the co-driver and all quantities computed exactly from the joint table
+    and the X-law it carries:
       boundary      P(X=0) q  = P(Y=0) q'
       zero-step     P(X=k) r  = P(Y=k) P(V=0)
       down-up       P(X=k+1) q = P(Y=k) p'
@@ -198,7 +215,7 @@ def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
     and, in the collapsing cases, exact equality of the (X,U) and (Y,V)
     joint tables.
     """
-    xs, dx = _numerators(law_x)
+    xs, dx = joint.xs, joint.dx
     my, mv = joint.marginals()
     dj = joint.den
     # numerators of P(X=k) over dx and of P(Y=k) over dj
@@ -246,16 +263,12 @@ def rrw_verify_proof_identities(law_x, params, joint, tol=1e-12):
 
     # (X,U) d= (Y,V) whenever the law collapses to the plain geometric
     if params.r > 0 or params.pprime == params.p:
-        us, du = _numerators(_noise_law(params))
+        us, _ = _numerators(_noise_law(params))
+        # xu is over dx du, the joint's own denominator
         xu = {(x, u): px * pu for x, px in xs.items() for u, pu in us.items()}
-        # xu is over dx du and the joint over dj, which is dx du itself
-        # when the joint comes from law_x
-        g = math.gcd(dx * du, dj)
-        cxu, cj = dj // g, dx * du // g
-        diff = sum(abs(xu.get(key, 0) * cxu - joint.nums.get(key, 0) * cj)
-                   for key in set(xu) | set(joint.nums))
+        diff, _ = _gap(joint.nums, xu)
         # boundary cells at the truncation edge contribute O(tail)
-        residuals["xu_yv_identity"] = diff / (2 * dx * du * cxu)
+        residuals["xu_yv_identity"] = diff / (2 * dj)
 
     tail = float(joint.tail)
     threshold = tol + 10.0 * tail
@@ -326,11 +339,5 @@ def kdv_pushforward_tv(theta, ell, variant, u_truncation=60, max_tail=1e-9):
     push = pushforward(catalog_get("kdv_" + variant), mu.items(), nu.items())
 
     product = {(x, u): px * pu for x, px in mu.items() for u, pu in nu.items()}
-    diff = 0
-    witness, witness_gap = None, 0
-    for key in set(push) | set(product):
-        gap = abs(push.get(key, 0) - product.get(key, 0))
-        diff += gap
-        if gap > witness_gap:
-            witness_gap, witness = gap, key
+    diff, witness = _gap(push, product)
     return diff / (2 * den), float(tail_bound), witness

@@ -215,7 +215,20 @@ def _spd_g(x, u):
 # catalog
 # ---------------------------------------------------------------------------
 
-def _gaussian_pair(beta, sigma):
+def _fixed(x_space, u_space, f, g):
+    """Builder of a catalog pair that takes no parameters."""
+    return lambda name, params: InvolutionPair(name, x_space, u_space, f, g)
+
+
+def _spd_pair(name, params):
+    d = int(params.get("d", 2))
+    if d not in (2, 3):
+        raise DomainError("spd_matsumoto_yor supports d in {2, 3}")
+    return InvolutionPair(name, spd(d), spd(d), _spd_f, _spd_g, {"d": d})
+
+
+def _gaussian_pair(name, params):
+    beta, sigma = float(params["beta"]), float(params["sigma"])
     if not abs(beta) < 1.0:
         raise DomainError("gaussian_rosenblatt requires |beta| < 1")
     if sigma <= 0.0:
@@ -227,47 +240,37 @@ def _gaussian_pair(beta, sigma):
     def g(x, u):
         return phi((1.0 - beta * beta) * x / sigma - beta * phi_inv(u))
 
-    return InvolutionPair("gaussian_rosenblatt", REAL_LINE, UNIT_INTERVAL,
-                          f, g, {"beta": beta, "sigma": sigma})
+    return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g,
+                          {"beta": beta, "sigma": sigma})
+
+
+# name -> builder(name, params) of every catalog map
+_CATALOG = {
+    "matsumoto_yor": _fixed(POSITIVE_REAL, POSITIVE_REAL, _my_f, _my_g),
+    # its g is the plain Matsumoto-Yor f: both are 1/(x+u)
+    "swapped_matsumoto_yor": _fixed(POSITIVE_REAL, POSITIVE_REAL,
+                                    _swapped_my_f, _my_f),
+    "spd_matsumoto_yor": _spd_pair,
+    "kdv_g1": _fixed(INTEGERS, INTEGERS, _kdv_f, _kdv_g1),
+    "kdv_g2": _fixed(INTEGERS, INTEGERS, _kdv_f, _kdv_g2),
+    "beta_map": _fixed(UNIT_INTERVAL, UNIT_INTERVAL, _beta_f, _beta_g),
+    "beta_walk": _fixed(UNIT_INTERVAL, BERNOULLI_CROSS_UNIT,
+                        _beta_walk_f, _beta_walk_g),
+    "reflecting_rw": _fixed(NONNEG_INTEGERS, THREE_POINT, _rrw_f, _rrw_g),
+    "gaussian_rosenblatt": _gaussian_pair,
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog_get(name, params=None):
-    """Return the named involution pair from the catalog."""
-    params = dict(params or {})
-    if name == "matsumoto_yor":
-        return InvolutionPair(name, POSITIVE_REAL, POSITIVE_REAL, _my_f, _my_g)
-    if name == "swapped_matsumoto_yor":
-        # its g is the plain Matsumoto-Yor f: both are 1/(x+u)
-        return InvolutionPair(name, POSITIVE_REAL, POSITIVE_REAL,
-                              _swapped_my_f, _my_f)
-    if name == "spd_matsumoto_yor":
-        d = int(params.get("d", 2))
-        if d not in (2, 3):
-            raise DomainError("spd_matsumoto_yor supports d in {2, 3}")
-        return InvolutionPair(name, spd(d), spd(d), _spd_f, _spd_g, {"d": d})
-    if name == "kdv_g1":
-        return InvolutionPair(name, INTEGERS, INTEGERS, _kdv_f, _kdv_g1)
-    if name == "kdv_g2":
-        return InvolutionPair(name, INTEGERS, INTEGERS, _kdv_f, _kdv_g2)
-    if name == "beta_map":
-        return InvolutionPair(name, UNIT_INTERVAL, UNIT_INTERVAL,
-                              _beta_f, _beta_g)
-    if name == "beta_walk":
-        return InvolutionPair(name, UNIT_INTERVAL, BERNOULLI_CROSS_UNIT,
-                              _beta_walk_f, _beta_walk_g)
-    if name == "reflecting_rw":
-        return InvolutionPair(name, NONNEG_INTEGERS, THREE_POINT,
-                              _rrw_f, _rrw_g)
-    if name == "gaussian_rosenblatt":
-        return _gaussian_pair(float(params["beta"]), float(params["sigma"]))
-    raise KeyError(f"unknown involution {name!r}")
+    """Return the named involution pair from the catalog.
 
-
-CATALOG_NAMES = (
-    "matsumoto_yor", "swapped_matsumoto_yor", "spd_matsumoto_yor",
-    "kdv_g1", "kdv_g2", "beta_map", "beta_walk", "reflecting_rw",
-    "gaussian_rosenblatt",
-)
+    Raises KeyError for an unknown name or a missing parameter, and
+    ValueError (DomainError) for a parameter outside the map's domain.
+    """
+    if name not in _CATALOG:
+        raise KeyError(f"unknown involution {name!r}")
+    return _CATALOG[name](name, dict(params or {}))
 
 
 def _space_samples(space, n, gen):

@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 
 def _jsonable(v):
-    """Coerce numpy scalars/arrays and nested containers to JSON-safe values."""
+    """Coerce numpy scalars/arrays and nested containers to strict JSON
+    values; a non-finite float (a structural failure's statistic) is None."""
     import numpy as np
 
-    if isinstance(v, (bool, int, float, str)) or v is None:
+    if isinstance(v, (bool, int, str)) or v is None:
         return v
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
+        return v if math.isfinite(v) else None
     if isinstance(v, (np.bool_,)):
         return bool(v)
     if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v.tolist()]
     if isinstance(v, dict):
@@ -25,7 +27,7 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if hasattr(v, "to_dict"):
-        return v.to_dict()
+        return _jsonable(v.to_dict())
     return repr(v)
 
 
@@ -43,7 +45,4 @@ class VerificationReport:
             "passed": bool(self.passed),
             "details": _jsonable(self.details),
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 

@@ -131,7 +131,7 @@ def test_criterion_3_rrw_exact(capsys):
         for prm in (params, exact_discrete.RRWParams.make(0.3, 0.7, 0, 0.2)):
             pmf, _ = exact_discrete.rrw_forced_table(prm)
             ids = exact_discrete.rrw_verify_proof_identities(
-                pmf, prm, exact_discrete.rrw_joint_table(pmf, prm))
+                prm, exact_discrete.rrw_joint_table(pmf, prm))
             assert ids.passed
             assert max(ids.details["residuals"].values()) <= 1e-12
 

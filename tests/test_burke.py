@@ -1,17 +1,20 @@
 """Tests for the lattice field recursion and its row/column properties."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ipmaps.burke import (
-    _kernel_row, _loglik_mc_test, _MC_SEED, check_recursion, field_rows,
-    simulate_field, verify_burke,
+    _kernel_row, _loglik_mc_test, _MC_SEED, _transition_gof, check_recursion,
+    field_rows, simulate_field, verify_burke,
 )
 from ipmaps.involutions import POSITIVE_REAL, InvolutionPair, catalog_get
 from ipmaps.kernels import KernelError
 from ipmaps.laws import (
     Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
 )
+from ipmaps.reports import VerificationReport
 from ipmaps.rng import RandomStream
 
 
@@ -200,3 +203,14 @@ def test_field_rows_layout():
     assert rows[0][0] == 0 and np.isnan(rows[0][2])
     ns = {r[0] for r in rows}
     assert ns == set(range(6))
+
+
+def test_impossible_transition_fails_with_a_reason_and_strict_json():
+    froms = np.array([3] * 20 + [4] * 20)
+    tos = np.array([2] * 20 + [4] * 19 + [7])   # 4 -> 7 is not in its row
+    res = _transition_gof(froms, tos, lambda x: {x - 1: 0.5, x: 0.5}, 0.01)
+    assert not res.passed and res.p_value == 0.0
+    assert res.flags["reason"] == "impossible transition from 4"
+    report = VerificationReport("t", res.passed, {"column_kernel": res})
+    details = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert details["details"]["column_kernel"]["statistic"] is None

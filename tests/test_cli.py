@@ -56,6 +56,46 @@ def test_config_rejects_bad_rrw_params(tmp_path):
         load_config(path)
 
 
+GAMMA = {"kind": "gamma", "params": {"shape": 2, "rate": 1}}
+GEOMETRIC = {"kind": "geometric", "params": {"theta": 0.4}}
+THREE_POINT = {"kind": "three_point", "params": {"p": 0.2, "q": 0.5, "r": 0.3}}
+
+BAD_STANZAS = {
+    "ip_unknown_map": {"kind": "ip", "map": "no_such_map", "mu": GAMMA,
+                       "nu": GAMMA, "n": 10000},
+    "reversibility_unknown_map": {"kind": "reversibility",
+                                  "map": "no_such_map", "mu": GAMMA,
+                                  "nu": GAMMA, "n": 10000},
+    "detailed_balance_unknown_map": {"kind": "detailed-balance",
+                                     "map": "no_such_map", "mu": GEOMETRIC,
+                                     "nu": THREE_POINT},
+    "burke_unknown_map": {"kind": "burke", "map": "no_such_map",
+                          "mu": GEOMETRIC, "nu": THREE_POINT},
+    "gaussian_beta_one": {"kind": "involution", "map": "gaussian_rosenblatt",
+                          "params": {"beta": 1.0, "sigma": 1.0}},
+    "gaussian_without_params": {"kind": "involution",
+                                "map": "gaussian_rosenblatt"},
+    "gaussian_without_beta": {"kind": "hypotheses",
+                              "map": "gaussian_rosenblatt",
+                              "params": {"sigma": 1.0}},
+    "skorokhod_beta_one": {"kind": "skorokhod-gaussian", "beta": 1.0,
+                           "sigma": 1.0},
+    "spd_d4": {"kind": "involution", "map": "spd_matsumoto_yor",
+               "params": {"d": 4}},
+    "not_an_object": ["involution", "kdv_g1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STANZAS))
+def test_config_resolves_maps_at_load_time(tmp_path, name, capsys):
+    path = _write_config(tmp_path, {"seed": 1,
+                                    "checks": [BAD_STANZAS[name]]})
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["verify", "--config", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_config_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -187,6 +227,29 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["verify", "--config", bad]) == 1
     assert main(["verify"]) == 2
     capsys.readouterr()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_structural_failure_report_is_strict_json(tmp_path, capsys):
+    # uniform noise through Matsumoto-Yor puts V outside (0, 1)
+    path = _write_config(tmp_path, {
+        "seed": 1,
+        "checks": [{"kind": "ip", "map": "matsumoto_yor", "n": 20000,
+                    "mu": {"kind": "gig", "params": {"alpha": 2, "lam": 1}},
+                    "nu": {"kind": "uniform"}}]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 1
+    printed = json.loads(capsys.readouterr().out,
+                         parse_constant=_reject_constant)
+    written = json.loads((out / "report.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert printed == written
+    v_marginal = written["checks"][0]["details"]["v_marginal"]
+    assert v_marginal["statistic"] is None
+    assert v_marginal["flags"]["outside_support"] > 0
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

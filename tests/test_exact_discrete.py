@@ -98,8 +98,8 @@ def test_finite_table_and_fraction_dict_give_the_same_tables():
              for k, p in zip(table.support, table.probs)}
     a, b = rrw_joint_table(table, params), rrw_joint_table(law_x, params)
     assert (a.nums, a.den, a.tail) == (b.nums, b.den, b.tail)
-    assert rrw_verify_proof_identities(table, params, a).details == \
-        rrw_verify_proof_identities(law_x, params, b).details
+    assert rrw_verify_proof_identities(params, a).details == \
+        rrw_verify_proof_identities(params, b).details
 
 
 def test_forced_law_gives_zero_defect():
@@ -121,7 +121,8 @@ def test_product_table_has_zero_defect():
     my = {0: 1, 1: 1}            # halves
     mv = {-1: 1, 1: 2}           # thirds
     nums = {(y, v): py * pv for y, py in my.items() for v, pv in mv.items()}
-    assert product_defect_tv(JointTable(nums, 6, Fraction(0))) == 0.0
+    joint = JointTable(nums, 6, Fraction(0), xs=my, dx=2)
+    assert product_defect_tv(joint) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,7 @@ def test_product_table_has_zero_defect():
 def test_identities_interior_case():
     params = RRWParams.make(0.2, 0.5, 0.3)
     pmf, _ = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(
-        pmf, params, rrw_joint_table(pmf, params))
+    report = rrw_verify_proof_identities(params, rrw_joint_table(pmf, params))
     assert report.passed
     residuals = report.details["residuals"]
     assert all(v <= report.details["threshold"] for v in residuals.values())
@@ -143,8 +143,7 @@ def test_identities_interior_case():
 def test_identities_boundary_case():
     params = RRWParams.make(0.3, 0.7, 0, 0.2)
     pmf, _ = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(
-        pmf, params, rrw_joint_table(pmf, params))
+    report = rrw_verify_proof_identities(params, rrw_joint_table(pmf, params))
     assert report.passed
     residuals = report.details["residuals"]
     assert residuals["y_even_mass"] <= 1e-12       # P(Y even) = q
@@ -158,8 +157,8 @@ def test_identities_detect_perturbation():
     eps = Fraction(1, 1000)
     moved[0] -= eps
     moved[1] += eps
-    report = rrw_verify_proof_identities(
-        moved, params, rrw_joint_table(moved, params))
+    report = rrw_verify_proof_identities(params,
+                                         rrw_joint_table(moved, params))
     assert not report.passed
     assert max(report.details["residuals"].values()) > 1e-4
 
@@ -331,19 +330,13 @@ def test_integer_tables_match_fraction_reference(grid):
         assert joint.tail == 1 - sum(law_x.values())
         defect = product_defect_tv(joint)
         assert defect.hex() == _ref_product_defect_tv(cells).hex()
-        report = rrw_verify_proof_identities(law_x, params, joint)
+        report = rrw_verify_proof_identities(params, joint)
         residuals = report.details["residuals"]
         assert _bits(residuals) == _bits(_ref_residuals(law_x, params, cells))
         if law_x in moved:
             # the comparison covers nonzero values
             assert defect > 0.0
             assert max(residuals.values()) > 0.0
-    # a joint table over another denominator than law_x's
-    joint, cells = rrw_joint_table(pmf, params), _ref_joint_cells(pmf, params)
-    for law_x in moved:
-        report = rrw_verify_proof_identities(law_x, params, joint)
-        assert _bits(report.details["residuals"]) == \
-            _bits(_ref_residuals(law_x, params, cells))
 
 
 # (theta, ell, M); the last has M < ell, so mu reaches past the noise box

@@ -1,6 +1,6 @@
 """Golden report bytes: the sha256 of `cli.run` output for stanzas whose
-reports come from exact enumeration or from the Burke field, and of the
-`field.csv` a Burke stanza writes.
+reports come from exact enumeration, from the Burke field or from the
+augmentation hypotheses, and of the `field.csv` a Burke stanza writes.
 
 A refactor of the pushforward, truncation or field code must leave these
 bytes unchanged; a deliberate change to a report updates the digest here.
@@ -69,6 +69,16 @@ GOLDEN = {
          "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
          "N": 60, "T": 60},
         "39563745f4bcfc2be4908b67cda761b91920d0b0132e88f3a77d73a41a65ef4a"),
+    # probes from an integer grid (with violations), tuple noise and floats
+    "hypotheses_kdv": (
+        {"kind": "hypotheses", "map": "kdv"},
+        "64a1a3484017ff2439fe32e59633cd326132fd27661869ba8b7e586f92aa0b67"),
+    "hypotheses_beta_walk": (
+        {"kind": "hypotheses", "map": "beta_walk"},
+        "aca2a4c1eb990363aac4f35ad343c8f165ad7525e8de48c9e26714b17b795a34"),
+    "hypotheses_my": (
+        {"kind": "hypotheses", "map": "matsumoto_yor"},
+        "d4886fdbc9fd339b7813f1654a7aabf93e11054c5ab87548aadc5b6ef59cd157"),
 }
 
 

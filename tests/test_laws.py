@@ -93,9 +93,21 @@ def _gig_integral(alpha, lam):
     return val
 
 
-def test_gig_norm_const_matches_direct_quadrature():
-    assert gig_norm_const(2, 1) == pytest.approx(
-        1.0 / _gig_integral(2, 1), rel=1e-10)
+@pytest.mark.parametrize("alpha, lam", [
+    (2, 1), (1, 1), (0.5, 0.5), (3, 2), (1.5, 0.7), (2, 3), (0.2, 5)])
+def test_gig_norm_const_matches_direct_quadrature(alpha, lam):
+    assert gig_norm_const(alpha, lam) == pytest.approx(
+        1.0 / _gig_integral(alpha, lam), rel=1e-10)
+
+
+def test_gig_norm_const_keeps_the_benchmark_value():
+    # the value the quadrature gave for the GIG(2, 1) of every workload
+    assert gig_norm_const(2, 1).hex() == "0x1.f86a02eb1dd97p+0"
+
+
+def test_gig_norm_const_raises_where_the_bessel_function_underflows():
+    with pytest.raises(LawError):
+        gig_norm_const(2, 400)
 
 
 def test_gig_density_integrates_to_one():
