@@ -39,9 +39,20 @@ GOLDEN = {
         {"kind": "rrw-characterize", "p": 0.1, "q": 0.6, "r": 0.3,
          "box": 1000},
         "aaca2e97990e02f1c4fb0bba67eee25a2edb4bc871e4918c821cb12a582d5d8c"),
+    "rrw_boundary_p04_box1000": (
+        {"kind": "rrw-characterize", "p": 0.4, "q": 0.6, "r": 0,
+         "pprime": 0.2, "box": 1000},
+        "0d239bbe87f03985c37256171bc381ba7d11302aab5d7a47a7fdc6dc22a4edd1"),
     "kdv_g2_ell8": (
         {"kind": "kdv-tv", "theta": 0.3, "ell": 8, "variant": "g2", "M": 200},
         "c0cf3dcb5abced063e377e09c039778aaf0a7f17330eb132e89eca126236178e"),
+    # the largest KdV stanza of the exact-enum benchmark, and one with M < ell
+    "kdv_g1_ell8": (
+        {"kind": "kdv-tv", "theta": 0.7, "ell": 8, "variant": "g1", "M": 200},
+        "ebd1e640cfbc2bc1c456238369c553db8653974f7771f3f727e48bbf9ff8c34c"),
+    "kdv_g2_m_below_ell": (
+        {"kind": "kdv-tv", "theta": 0.1, "ell": 10, "variant": "g2", "M": 2},
+        "c9bea68e165b5f9d52505bb21f0b0967dc8f950fcfe817584c91c3984e8d3d6a"),
     "kdv_g1": (
         {"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": "g1"},
         "4e2cc288dbb3f66a2804da29cb311d55d4a4bbe59aae7d9601418cce88d3e457"),
