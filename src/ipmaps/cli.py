@@ -53,14 +53,17 @@ def _validate_stanza(stanza, index):
         for name in ("mu", "nu"):
             if name in fields:
                 law_from_spec(stanza[name])
+        if kind == "reversibility":
+            kernels.require_reversibility_n(stanza["n"])
         if kind == "rrw-characterize":
             exact_discrete.RRWParams.make(
                 stanza["p"], stanza["q"], stanza["r"], stanza.get("pprime"))
+        if kind == "kdv-tv":
+            catalog_get("kdv_" + stanza["variant"])
+            exact_discrete.kdv_tables(*_kdv_args(stanza))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"check #{index} ({kind}): {type(exc).__name__}: {exc}") from exc
-    if kind == "kdv-tv" and stanza["variant"] not in ("g1", "g2"):
-        raise ConfigError(f"check #{index}: variant must be g1 or g2")
     return stanza
 
 
@@ -135,12 +138,13 @@ def _run_rrw_characterize(stanza, rng, out_dir):
     params = exact_discrete.RRWParams.make(
         stanza["p"], stanza["q"], stanza["r"], stanza.get("pprime"))
     box = int(stanza.get("box", 200))
-    table, tail = exact_discrete.rrw_forced_table(params, box=box)
+    table = exact_discrete.rrw_forced_table(params, box=box)
     joint = exact_discrete.rrw_joint_table(table, params)
     defect = exact_discrete.product_defect_tv(joint)
     identities = exact_discrete.rrw_verify_proof_identities(params, joint)
     law = exact_discrete.rrw_forced_law(params)
-    head = {str(k): float(v) for k, v in sorted(table.items())[:12]}
+    nums, den = table
+    head = {str(k): w / den for k, w in sorted(nums.items())[:12]}
     passed = identities.passed and defect <= 1e-12
     return VerificationReport(
         name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
@@ -149,21 +153,24 @@ def _run_rrw_characterize(stanza, rng, out_dir):
         details={
             "forced_law": type(law).__name__,
             "forced_pmf_head": head,
-            "truncation_tail": float(tail),
+            "truncation_tail": float(joint.tail),
             "product_defect_tv": defect,
             "identities": identities.to_dict(),
         },
     )
 
 
+def _kdv_args(stanza):
+    """(theta, ell, M, max_tail) of a kdv-tv stanza."""
+    return (float(stanza["theta"]), int(stanza["ell"]),
+            int(stanza.get("M", 60)), float(stanza.get("max_tail", 1e-9)))
+
+
 def _run_kdv_tv(stanza, rng, out_dir):
-    theta = float(stanza["theta"])
-    ell = int(stanza["ell"])
+    theta, ell, M, max_tail = _kdv_args(stanza)
     variant = stanza["variant"]
-    M = int(stanza.get("M", 60))
     tv, tail, witness = exact_discrete.kdv_pushforward_tv(
-        theta, ell, variant, u_truncation=M,
-        max_tail=float(stanza.get("max_tail", 1e-9)))
+        theta, ell, variant, u_truncation=M, max_tail=max_tail)
     preserved = tv <= 10.0 * tail
     passed = preserved if variant == "g1" else not preserved
     return VerificationReport(

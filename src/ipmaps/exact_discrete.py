@@ -3,10 +3,13 @@ ultra-discrete KdV maps.
 
 Probabilities are exact rationals (floats are read as their shortest
 decimal), so identities that hold exactly report a residual of literally
-zero. Each table holds plain integer numerators over one shared integer
-denominator, so sums and differences of cells are integer arithmetic. A
-reported number is `num / den` of two ints, which Python rounds correctly:
-the same float as `float(Fraction(num, den))`.
+zero. Every table is one pair (nums, den) of plain integer numerators over
+one integer denominator, so sums and differences of cells are integer
+arithmetic. Every geometric table (the walk's forced law and both KdV laws)
+comes from one integer tabulation of theta^k, and H#(mu (x) nu) is compared
+with mu (x) nu by one gap routine. A reported number is `num / den` of two
+ints, which Python rounds correctly: the same float as
+`float(Fraction(num, den))`, whatever denominator the table is over.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .involutions import catalog_get
 from .kernels import pushforward
-from .laws import FiniteTable, Geometric, LawError, ParityGeom
+from .laws import Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom
 from .reports import VerificationReport
 
 
@@ -71,17 +74,25 @@ class RRWParams:
         return self.p * self.pprime / (self.q * self.qprime)
 
 
-def _numerators(law):
-    """Integer numerators over one common denominator of an exact law.
+def _integer_weights(weights):
+    """A few {key: Fraction} weights as ({key: int}, den) over the lcm of
+    their denominators."""
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    return ({k: w.numerator * (den // w.denominator)
+             for k, w in weights.items()}, den)
 
-    `law` is a {state: Fraction} dict or a FiniteTable, whose float
-    probabilities are read as their shortest decimals. Returns
-    ({state: int}, den).
-    """
-    if isinstance(law, FiniteTable):
-        law = {int(k): _frac(p) for k, p in zip(law.support, law.probs)}
-    den = math.lcm(*(w.denominator for w in law.values()))
-    return {k: w.numerator * (den // w.denominator) for k, w in law.items()}, den
+
+def _geometric_table(theta, lo, hi):
+    """The law P(k) = (1 - theta) theta^(k - lo) on {lo, lo+1, ...} cut at
+    hi, for a Fraction theta = a/b: numerators (b - a) a^(k - lo) b^(hi - k)
+    over b^(hi - lo + 1). The dropped mass is theta^(hi - lo + 1)."""
+    a, b = theta.numerator, theta.denominator
+    apow, bpow = [1], [1]
+    for _ in range(hi - lo):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return ({k: (b - a) * apow[k - lo] * bpow[hi - k]
+             for k in range(lo, hi + 1)}, bpow[-1] * b)
 
 
 @dataclass
@@ -123,50 +134,51 @@ def rrw_forced_law(params):
 
 
 def rrw_forced_table(params, box=200):
-    """Exact rational pmf of the forced law on {0..box}, plus tail mass."""
-    pmf = {}
+    """Exact pmf of the forced law on {0..box} as a table (nums, den); the
+    mass beyond box is den - sum(nums)."""
     if params.r > 0:
-        theta = params.p / params.q
-        for k in range(box + 1):
-            pmf[k] = (1 - theta) * theta ** k
-        tail = theta ** (box + 1)
-        return pmf, tail
-    rho2 = params.rho2
-    peven, podd = params.qprime, params.pprime
-    for k in range(box + 1):
-        w = podd if k % 2 == 1 else peven
-        pmf[k] = w * (1 - rho2) * rho2 ** (k // 2)
-    return pmf, 1 - sum(pmf.values())
+        return _geometric_table(params.p / params.q, 0, box)
+    # P(k) = w (1 - rho^2) rho^(2 (k // 2)) with w = q' (k even), p' (k odd)
+    pairs, den = _geometric_table(params.rho2, 0, box // 2)
+    w, dw = _integer_weights({0: params.qprime, 1: params.pprime})
+    return {k: w[k % 2] * pairs[k // 2] for k in range(box + 1)}, dw * den
 
 
 # ---------------------------------------------------------------------------
 # joint law and independence defect
 # ---------------------------------------------------------------------------
 
-def _noise_law(params):
+def _step_table(params):
+    """The step law P(U=1) = p, P(U=-1) = q, P(U=0) = r as (nums, den)."""
     law = {1: params.p, -1: params.q}
     if params.r > 0:
         law[0] = params.r
-    return law
+    return _integer_weights(law)
 
 
 def rrw_joint_table(law_x, params):
     """Exact joint law of (Y, V) = H(X, U) under the catalog's reflecting_rw.
 
-    `law_x` is a dict {state: Fraction} (mass may be < 1; the deficit is
-    carried as tail) or a FiniteTable, which is converted. The cells are
-    numerators over Dx Du, the denominators of law_x and of the step law.
+    `law_x` is a table (nums, den) of X whose mass may be < 1; the deficit
+    is carried as tail. The cells are numerators over den Du, with Du the
+    denominator of the step law.
     """
-    xs, dx = _numerators(law_x)
-    us, du = _numerators(_noise_law(params))
+    xs, dx = law_x
+    us, du = _step_table(params)
     nums = pushforward(catalog_get("reflecting_rw"), xs.items(), us.items())
     return JointTable(nums=nums, den=dx * du,
                       tail=Fraction(dx - sum(xs.values()), dx), xs=xs, dx=dx)
 
 
-def _gap(push, product):
-    """Sum over the cells of either table of |push - product|, and the
-    cell of the largest gap (None when the tables agree)."""
+def _product_gap(push, xs, us):
+    """Compare H#(mu (x) nu) with mu (x) nu for integer tables xs and us.
+
+    `push` holds the image of the product cells, over the same denominator
+    as the outer product of xs and us. Returns the sum over the cells of
+    either table of |push - product|, and the cell of the largest gap
+    (None when the tables agree).
+    """
+    product = {(x, u): px * pu for x, px in xs.items() for u, pu in us.items()}
     diff = 0
     witness, witness_gap = None, 0
     for key in set(push) | set(product):
@@ -263,10 +275,8 @@ def rrw_verify_proof_identities(params, joint, tol=1e-12):
 
     # (X,U) d= (Y,V) whenever the law collapses to the plain geometric
     if params.r > 0 or params.pprime == params.p:
-        us, _ = _numerators(_noise_law(params))
-        # xu is over dx du, the joint's own denominator
-        xu = {(x, u): px * pu for x, px in xs.items() for u, pu in us.items()}
-        diff, _ = _gap(joint.nums, xu)
+        # the product is over dx du, the joint's own denominator
+        diff, _ = _product_gap(joint.nums, xs, _step_table(params)[0])
         # boundary cells at the truncation edge contribute O(tail)
         residuals["xu_yv_identity"] = diff / (2 * dj)
 
@@ -284,60 +294,34 @@ def rrw_verify_proof_identities(params, joint, tol=1e-12):
     )
 
 
-def perturbed_tables(params, box=200, eps=Fraction(1, 1000)):
-    """Forced law with mass eps moved between adjacent states.
-
-    The structured deviation family used to show that independence pins the
-    law: every member must produce a visible product defect.
-    """
-    base, _ = rrw_forced_table(params, box=box)
-    moves = [(0, 1), (1, 0), (1, 2)]
-    out = []
-    for a, b in moves:
-        t = dict(base)
-        delta = min(eps, t[a])
-        t[a] -= delta
-        t[b] += delta
-        out.append(((a, b), t))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # ultra-discrete KdV pushforward
 # ---------------------------------------------------------------------------
 
+def kdv_tables(theta, ell, M, max_tail):
+    """Integer tables (nums, den) of mu = TruncGeom(theta, ell) and of
+    nu = ShiftGeom(theta, ell) cut at M, and nu's dropped mass
+    theta^(M + 1 + ell) as a float, which must not exceed max_tail."""
+    mu, nu = TruncGeom(theta, ell), ShiftGeom(theta, ell)
+    theta = _frac(theta)
+    # mu is the geometric table on its support, over its own sum
+    xs, _ = _geometric_table(theta, mu.support_lo, mu.support_hi)
+    us, du = _geometric_table(theta, nu.support_lo, M)
+    tail = (du - sum(us.values())) / du
+    if tail > max_tail:
+        raise LawError(f"u_truncation={M} leaves tail {tail} > {max_tail}")
+    return (xs, sum(xs.values())), (us, du), tail
+
+
 def kdv_pushforward_tv(theta, ell, variant, u_truncation=60, max_tail=1e-9):
     """Exact TV between H#(mu (x) nu) and mu (x) nu on the truncated grid.
 
-    mu is the theta-geometric law on {-ell..ell}, nu its one-sided analogue
-    truncated at u_truncation M; the dropped noise tail theta^(M+1+ell) is
-    returned as the analytic bound. Variant "g1" preserves the product law
-    (tv is tail-sized); "g2" does not (a witness cell is recorded).
+    mu and nu are the tables of `kdv_tables`; nu's dropped mass is returned
+    as the analytic bound. Variant "g1" preserves the product law (tv is
+    tail-sized); "g2" does not (a witness cell is recorded).
     """
-    theta = _frac(theta)
-    if not 0 < theta < 1:
-        raise LawError("theta must lie in (0,1)")
-    if ell <= 0 or ell % 2 != 0:
-        raise LawError("ell must be a positive even integer")
-    if variant not in ("g1", "g2"):
-        raise LawError("variant must be 'g1' or 'g2'")
-    M = int(u_truncation)
-    tail_bound = theta ** (M + 1 + ell)
-    if float(tail_bound) > max_tail:
-        raise LawError(f"u_truncation={M} leaves tail {float(tail_bound)} > {max_tail}")
-
-    # theta^x = a^(x+ell) b^(N-x) / (a^ell b^N) for theta = a/b and
-    # -ell <= x <= N, so both laws are integer weights over one denominator:
-    # mu over the sum of its weights, nu = theta^(u+ell) (1 - theta) over
-    # b^(N+ell+1), and the pushforward and the product over their product
-    a, b = theta.numerator, theta.denominator
-    N = max(M, ell)
-    w = {x: a ** (x + ell) * b ** (N - x) for x in range(-ell, N + 1)}
-    mu = {x: w[x] for x in range(-ell, ell + 1)}
-    nu = {u: (b - a) * w[u] for u in range(-ell, M + 1)}
-    den = sum(mu.values()) * b ** (N + ell + 1)
-    push = pushforward(catalog_get("kdv_" + variant), mu.items(), nu.items())
-
-    product = {(x, u): px * pu for x, px in mu.items() for u, pu in nu.items()}
-    diff, witness = _gap(push, product)
-    return diff / (2 * den), float(tail_bound), witness
+    (xs, dx), (us, du), tail = kdv_tables(theta, ell, int(u_truncation),
+                                          max_tail)
+    push = pushforward(catalog_get("kdv_" + variant), xs.items(), us.items())
+    diff, witness = _product_gap(push, xs, us)
+    return diff / (2 * dx * du), tail, witness

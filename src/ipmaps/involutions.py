@@ -105,16 +105,6 @@ class InvolutionPair:
         return self.f(x, u), self.g(x, u)
 
 
-def apply(pair, x, u):
-    """Evaluate (y,v) = H(x,u), validating outputs for non-vector inputs."""
-    y, v = pair.f(x, u), pair.g(x, u)
-    if pair.x_space.kind == "spd" and not pair.x_space.contains(y, tol=1e-10):
-        raise DomainError(f"{pair.name}: output left the SPD cone")
-    if pair.u_space.kind == "spd" and not pair.u_space.contains(v, tol=1e-10):
-        raise DomainError(f"{pair.name}: co-output left the SPD cone")
-    return y, v
-
-
 # ---------------------------------------------------------------------------
 # scalar maps
 # ---------------------------------------------------------------------------
@@ -363,7 +353,7 @@ def involution_tolerance(pair):
 
 
 def check_involution(pair, points, tol=None):
-    """Verify apply(apply(x,u)) == (x,u) on the given points.
+    """Verify H(H(x,u)) == (x,u) on the given points.
 
     `points` is a list of (x,u) pairs; for elementwise maps a single
     (x_array, u_array) entry checks all array slots at once.

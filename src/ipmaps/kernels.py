@@ -1,5 +1,5 @@
-"""Markov kernels generated by random functions, chain simulation, and
-reversibility / independence-preservation checks.
+"""Markov kernels generated by random functions, and reversibility /
+independence-preservation checks.
 
 Exact checks enumerate discrete noise; statistical checks draw Monte Carlo
 samples and delegate to `stat_tests`.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stat_tests
-from .laws import FiniteTable, Law, tail_box
+from .laws import FiniteTable, tail_box
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
 
@@ -29,55 +29,11 @@ class GeneratedKernel:
     noise: object         # Law, or tuple of Laws for product noise
 
 
-@dataclass
-class ChainPath:
-    states: np.ndarray      # X^0 .. X^T
-    drivers: np.ndarray     # U^0 .. U^{T-1}
-    codrivers: np.ndarray   # V^t = g_f(X^t, U^t)
-
-
 def _sample_noise(noise, rng, size=None):
     if isinstance(noise, tuple):
         streams = rng.split(len(noise))
         return tuple(c.sample(s, size) for c, s in zip(noise, streams))
     return noise.sample(rng, size)
-
-
-def kernel_step(kernel, x, rng):
-    """One transition: f(x, u) with u drawn from the noise law."""
-    return kernel.pair.f(x, _sample_noise(kernel.noise, rng))
-
-
-def simulate_chain(kernel, init, T, rng):
-    """Simulate X^{t+1} = f(X^t, U^t) and record V^t = g_f(X^t, U^t)."""
-    if T < 1:
-        raise KernelError("need at least one step")
-    init_rng, noise_rng = rng.split(2)
-    x = init.sample(init_rng) if isinstance(init, Law) else init
-    us = _sample_noise(kernel.noise, noise_rng, T)
-    states = [x]
-    for t in range(T):
-        u = tuple(c[t] for c in us) if isinstance(us, tuple) else us[t]
-        x = kernel.pair.f(x, u)
-        states.append(x)
-    states = np.asarray(states)
-    vs = kernel.pair.g(states[:-1], us)
-    return ChainPath(states=states, drivers=us, codrivers=np.asarray(vs))
-
-
-def stationary_sample(kernel, n, rng, burn_in=1000, x0=None):
-    """Approximate stationary draws by running n parallel chains.
-
-    Used when the stationary law has no direct sampler; chains start at the
-    noise mean (or x0) and burn in for `burn_in` steps.
-    """
-    if x0 is None:
-        probe = _sample_noise(kernel.noise, rng.child(), 256)
-        x0 = float(np.mean(probe)) if not isinstance(probe, tuple) else 0.5
-    x = np.full(n, x0)
-    for _ in range(burn_in):
-        x = kernel.pair.f(x, _sample_noise(kernel.noise, rng, n))
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +150,16 @@ def _gof_against_law(samples, law, level=DEFAULT_LEVEL):
     return stat_tests.chi2_gof(counts, probs, level=level)
 
 
+def require_reversibility_n(n):
+    """Raise KernelError unless n, the sample size of a statistical
+    reversibility check, is at least 10^4."""
+    if int(n) < 10_000:
+        raise KernelError("need n >= 10^4 for the statistical check")
+
+
 def check_reversibility_statistical(kernel, mu, n, rng, level=DEFAULT_LEVEL):
     """Exchangeability of (X, f(X,U)) for X ~ mu independent of U ~ noise."""
-    if n < 10_000:
-        raise KernelError("need n >= 10^4 for the statistical check")
+    require_reversibility_n(n)
     mu_rng, noise_rng = rng.split(2)
     xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
     us = _sample_noise(kernel.noise, noise_rng, n)

@@ -256,18 +256,6 @@ class GIG(Law):
         return f"GIG(alpha={self.alpha}, lam={self.lam})"
 
 
-def gig_markov_sample(alpha, lam, n, rng, burn_in=1000):
-    """Draw n approximate GIG(alpha,lam) values by iterating x -> 1/(x+G),
-    G ~ Gamma(alpha,lam); the iteration's stationary law is the GIG law.
-
-    Independent mechanism used to cross-validate the rejection sampler.
-    """
-    x = np.full(n, 1.0)
-    for _ in range(burn_in):
-        x = 1.0 / (x + rng.gen.gamma(alpha, 1.0 / lam, n))
-    return x
-
-
 # ---------------------------------------------------------------------------
 # discrete kinds
 # ---------------------------------------------------------------------------

@@ -168,11 +168,3 @@ def gaussian_family(beta, sigma, closed_form=True):
     return CdfFamily(name=f"gaussian(beta={beta},sigma={sigma})",
                      interval=(-math.inf, math.inf), F=F, quantile=quantile)
 
-
-def uniform_family():
-    """The state-independent family F_x(y) = y on (0,1): f(x,u)=u, g(x,u)=x."""
-
-    def F(x, y):
-        return np.asarray(y, dtype=float) + 0.0 * np.asarray(x, dtype=float)
-
-    return CdfFamily(name="uniform", interval=(0.0, 1.0), F=F)

@@ -129,9 +129,9 @@ def test_criterion_3_rrw_exact(capsys):
         assert db.passed and db.details["residual"] <= 1e-15
 
         for prm in (params, exact_discrete.RRWParams.make(0.3, 0.7, 0, 0.2)):
-            pmf, _ = exact_discrete.rrw_forced_table(prm)
+            table = exact_discrete.rrw_forced_table(prm)
             ids = exact_discrete.rrw_verify_proof_identities(
-                prm, exact_discrete.rrw_joint_table(pmf, prm))
+                prm, exact_discrete.rrw_joint_table(table, prm))
             assert ids.passed
             assert max(ids.details["residuals"].values()) <= 1e-12
 
@@ -144,11 +144,17 @@ def test_criterion_3_rrw_exact(capsys):
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn))
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn / 2))
                 for prm in grid:
-                    pmf, _ = exact_discrete.rrw_forced_table(prm)
-                    joint = exact_discrete.rrw_joint_table(pmf, prm)
+                    nums, den = exact_discrete.rrw_forced_table(prm)
+                    joint = exact_discrete.rrw_joint_table((nums, den), prm)
                     assert exact_discrete.product_defect_tv(joint) <= 1e-12
-                    for _, moved in exact_discrete.perturbed_tables(prm):
-                        bad = exact_discrete.rrw_joint_table(moved, prm)
+                    # mass 1/1000 moved between adjacent states
+                    for a, b in ((0, 1), (1, 0), (1, 2)):
+                        moved = {k: 1000 * w for k, w in nums.items()}
+                        delta = min(den, moved[a])
+                        moved[a] -= delta
+                        moved[b] += delta
+                        bad = exact_discrete.rrw_joint_table(
+                            (moved, 1000 * den), prm)
                         assert exact_discrete.product_defect_tv(bad) > 1e-6
 
 

@@ -83,6 +83,19 @@ BAD_STANZAS = {
     "spd_d4": {"kind": "involution", "map": "spd_matsumoto_yor",
                "params": {"d": 4}},
     "not_an_object": ["involution", "kdv_g1"],
+    "reversibility_small_n": {"kind": "reversibility", "map": "matsumoto_yor",
+                              "mu": {"kind": "gig",
+                                     "params": {"alpha": 2, "lam": 1}},
+                              "nu": GAMMA, "n": 500},
+    "kdv_theta_2": {"kind": "kdv-tv", "theta": 2, "ell": 2, "variant": "g1"},
+    "kdv_theta_1_5": {"kind": "kdv-tv", "theta": 1.5, "ell": 2,
+                      "variant": "g1"},
+    "kdv_odd_ell": {"kind": "kdv-tv", "theta": 0.5, "ell": 3,
+                    "variant": "g1"},
+    "kdv_g3": {"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": "g3"},
+    # tail 0.9^13 = 0.25 above the default max_tail 1e-9
+    "kdv_fat_tail": {"kind": "kdv-tv", "theta": 0.9, "ell": 2,
+                     "variant": "g1", "M": 10},
 }
 
 
@@ -175,8 +188,9 @@ def test_check_errors_are_isolated(tmp_path):
     config = load_config(_write_config(tmp_path, {
         "seed": 1,
         "checks": [
-            {"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": "g1",
-             "M": 2},   # tail too fat: runtime error inside the check
+            # continuous noise: runtime error inside the exact check
+            {"kind": "detailed-balance", "map": "reflecting_rw",
+             "mu": GEOMETRIC, "nu": GAMMA},
             {"kind": "involution", "map": "kdv_g1", "box": 5},
         ]}))
     report = run(config)

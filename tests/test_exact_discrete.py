@@ -6,13 +6,37 @@ from fractions import Fraction
 import pytest
 
 from ipmaps.exact_discrete import (
-    JointTable, RRWParams, _numerators, kdv_pushforward_tv, perturbed_tables,
-    product_defect_tv, rrw_forced_law, rrw_forced_table,
-    rrw_joint_table, rrw_verify_proof_identities,
+    JointTable, RRWParams, kdv_pushforward_tv, product_defect_tv,
+    rrw_forced_law, rrw_forced_table, rrw_joint_table,
+    rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
 from ipmaps.kernels import pushforward
-from ipmaps.laws import Geometric, LawError, ParityGeom, truncate
+from ipmaps.laws import Geometric, LawError, ParityGeom
+
+
+def _fractions(table):
+    """A table (nums, den) as a {state: Fraction} law."""
+    nums, den = table
+    return {k: Fraction(w, den) for k, w in nums.items()}
+
+
+def perturbed_tables(params, box=200):
+    """The forced table with mass 1/1000 (or all of it, if less) moved
+    between adjacent states.
+
+    The structured deviation family used to show that independence pins the
+    law: every member must produce a visible product defect.
+    """
+    nums, den = rrw_forced_table(params, box=box)
+    out = []
+    for a, b in ((0, 1), (1, 0), (1, 2)):
+        moved = {k: 1000 * w for k, w in nums.items()}
+        delta = min(den, moved[a])
+        moved[a] -= delta
+        moved[b] += delta
+        out.append(((a, b), (moved, 1000 * den)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +90,11 @@ def test_forced_law_boundary_case_parity():
 
 def test_forced_table_is_exact():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    pmf, tail = rrw_forced_table(params, box=50)
+    nums, den = rrw_forced_table(params, box=50)
+    pmf = _fractions((nums, den))
     assert pmf[0] == Fraction(3, 5)
     assert pmf[1] == Fraction(3, 5) * Fraction(2, 5)
-    assert tail == Fraction(2, 5) ** 51
-    assert sum(pmf.values()) + tail == 1
+    assert Fraction(den - sum(nums.values()), den) == Fraction(2, 5) ** 51
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +103,7 @@ def test_forced_table_is_exact():
 
 def test_joint_from_point_mass_at_zero():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    joint = rrw_joint_table({0: Fraction(1)}, params)
+    joint = rrw_joint_table(({0: 1}, 1), params)
     assert joint.den == 10
     assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} == {
         (1, -1): Fraction(1, 5),
@@ -88,32 +112,32 @@ def test_joint_from_point_mass_at_zero():
     }
 
 
-def test_finite_table_and_fraction_dict_give_the_same_tables():
-    assert _numerators({0: Fraction(1, 2), 1: Fraction(1, 3),
-                        2: Fraction(1, 6)}) == ({0: 3, 1: 2, 2: 1}, 6)
-    params = RRWParams.make(0.2, 0.5, 0.3)
-    table, _ = truncate(Geometric(0.4), 0, 60)
-    # a FiniteTable's float probabilities are read as shortest decimals
-    law_x = {int(k): Fraction(str(float(p)))
-             for k, p in zip(table.support, table.probs)}
-    a, b = rrw_joint_table(table, params), rrw_joint_table(law_x, params)
-    assert (a.nums, a.den, a.tail) == (b.nums, b.den, b.tail)
-    assert rrw_verify_proof_identities(params, a).details == \
-        rrw_verify_proof_identities(params, b).details
+@pytest.mark.parametrize("grid", [(0.2, 0.5, 0.3), (0.4, 0.6, 0, 0.2)],
+                         ids=str)
+def test_table_denominator_does_not_change_a_report(grid):
+    # every reported float is one correctly rounded int / int division
+    params = RRWParams.make(*grid)
+    for (_, law_x) in perturbed_tables(params, box=30):
+        nums, den = law_x
+        scaled = ({k: 7 * w for k, w in nums.items()}, 7 * den)
+        a, b = rrw_joint_table(law_x, params), rrw_joint_table(scaled, params)
+        assert a.tail == b.tail
+        assert product_defect_tv(a).hex() == product_defect_tv(b).hex()
+        assert rrw_verify_proof_identities(params, a).details == \
+            rrw_verify_proof_identities(params, b).details
 
 
 def test_forced_law_gives_zero_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    pmf, _ = rrw_forced_table(params, box=200)
-    defect = product_defect_tv(rrw_joint_table(pmf, params))
+    table = rrw_forced_table(params, box=200)
+    defect = product_defect_tv(rrw_joint_table(table, params))
     assert defect <= 1e-12
 
 
 def test_wrong_law_gives_visible_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    geo = Geometric(0.5)
-    pmf = {k: Fraction(1, 2) ** (k + 1) for k in range(201)}
-    defect = product_defect_tv(rrw_joint_table(pmf, params))
+    table = ({k: 2 ** (200 - k) for k in range(201)}, 2 ** 201)  # 2^-(k+1)
+    defect = product_defect_tv(rrw_joint_table(table, params))
     assert defect > 1e-3
 
 
@@ -131,8 +155,9 @@ def test_product_table_has_zero_defect():
 
 def test_identities_interior_case():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    pmf, _ = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(params, rrw_joint_table(pmf, params))
+    table = rrw_forced_table(params)
+    report = rrw_verify_proof_identities(params,
+                                         rrw_joint_table(table, params))
     assert report.passed
     residuals = report.details["residuals"]
     assert all(v <= report.details["threshold"] for v in residuals.values())
@@ -142,8 +167,9 @@ def test_identities_interior_case():
 
 def test_identities_boundary_case():
     params = RRWParams.make(0.3, 0.7, 0, 0.2)
-    pmf, _ = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(params, rrw_joint_table(pmf, params))
+    table = rrw_forced_table(params)
+    report = rrw_verify_proof_identities(params,
+                                         rrw_joint_table(table, params))
     assert report.passed
     residuals = report.details["residuals"]
     assert residuals["y_even_mass"] <= 1e-12       # P(Y even) = q
@@ -152,11 +178,7 @@ def test_identities_boundary_case():
 
 def test_identities_detect_perturbation():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    pmf, _ = rrw_forced_table(params)
-    moved = dict(pmf)
-    eps = Fraction(1, 1000)
-    moved[0] -= eps
-    moved[1] += eps
+    [(_, moved), *_] = perturbed_tables(params)   # 1/1000 from 0 to 1
     report = rrw_verify_proof_identities(params,
                                          rrw_joint_table(moved, params))
     assert not report.passed
@@ -167,8 +189,8 @@ def test_perturbed_tables_all_break_independence():
     params = RRWParams.make(0.2, 0.5, 0.3)
     tables = perturbed_tables(params)
     assert len(tables) >= 3
-    for _, pmf in tables:
-        defect = product_defect_tv(rrw_joint_table(pmf, params))
+    for _, table in tables:
+        defect = product_defect_tv(rrw_joint_table(table, params))
         assert defect > 1e-6
 
 
@@ -199,17 +221,6 @@ def test_kdv_dichotomy_grid(theta, ell):
     assert tv2 > 10.0 * tail2
 
 
-def test_kdv_argument_validation():
-    with pytest.raises(LawError):
-        kdv_pushforward_tv(1.5, 2, "g1")
-    with pytest.raises(LawError):
-        kdv_pushforward_tv(0.5, 3, "g1")
-    with pytest.raises(LawError):
-        kdv_pushforward_tv(0.5, 2, "g3")
-    with pytest.raises(LawError):
-        kdv_pushforward_tv(0.9, 2, "g1", u_truncation=10)   # tail too fat
-
-
 # ---------------------------------------------------------------------------
 # reference: the same quantities by Fraction arithmetic cell by cell
 # ---------------------------------------------------------------------------
@@ -218,6 +229,21 @@ def test_kdv_argument_validation():
 RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
             (0.3, 0.7, 0.0, 0.3), (0.3, 0.7, 0.0, 0.15),
             (0.4, 0.6, 0.0, 0.2))
+
+
+def _ref_forced_table(params, box):
+    """The forced law on {0..box} and its tail, one Fraction per state."""
+    pmf = {}
+    if params.r > 0:
+        theta = params.p / params.q
+        for k in range(box + 1):
+            pmf[k] = (1 - theta) * theta ** k
+        return pmf, theta ** (box + 1)
+    rho2 = params.rho2
+    for k in range(box + 1):
+        w = params.pprime if k % 2 == 1 else params.qprime
+        pmf[k] = w * (1 - rho2) * rho2 ** (k // 2)
+    return pmf, 1 - sum(pmf.values())
 
 
 def _ref_noise_cells(params):
@@ -318,12 +344,17 @@ def _bits(values):
 @pytest.mark.parametrize("grid", RRW_GRID, ids=str)
 def test_integer_tables_match_fraction_reference(grid):
     params = RRWParams.make(*grid)
-    pmf, _ = rrw_forced_table(params, box=200)
+    for box in (200, 5):
+        # a short box leaves a tail far above float resolution
+        nums, den = rrw_forced_table(params, box=box)
+        pmf, tail = _ref_forced_table(params, box)
+        assert _fractions((nums, den)) == pmf
+        assert Fraction(den - sum(nums.values()), den) == tail
+    forced = [rrw_forced_table(params, box=box) for box in (200, 5)]
     moved = [table for _, table in perturbed_tables(params)]
-    # a short box leaves a tail far above float resolution
-    short, _ = rrw_forced_table(params, box=5)
-    for law_x in [pmf, short] + moved:
-        joint = rrw_joint_table(law_x, params)
+    for table in forced + moved:
+        law_x = _fractions(table)
+        joint = rrw_joint_table(table, params)
         cells = _ref_joint_cells(law_x, params)
         assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} \
             == cells
@@ -333,7 +364,7 @@ def test_integer_tables_match_fraction_reference(grid):
         report = rrw_verify_proof_identities(params, joint)
         residuals = report.details["residuals"]
         assert _bits(residuals) == _bits(_ref_residuals(law_x, params, cells))
-        if law_x in moved:
+        if table in moved:
             # the comparison covers nonzero values
             assert defect > 0.0
             assert max(residuals.values()) > 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ipmaps.involutions import (
-    CATALOG_NAMES, DomainError, apply, catalog_get, check_involution,
+    CATALOG_NAMES, DomainError, catalog_get, check_involution,
     sample_points,
 )
 from ipmaps.rng import RandomStream
@@ -143,14 +143,6 @@ def test_range_closure(name):
         y, v = pair.f(x, u), pair.g(x, u)
         assert pair.x_space.contains(y)
         assert pair.u_space.contains(v)
-
-
-def test_apply_validates_spd_outputs():
-    pair = catalog_get("spd_matsumoto_yor", {"d": 2})
-    x = np.array([[2.0, 0.1], [0.1, 1.0]])
-    u = np.array([[1.0, 0.2], [0.2, 3.0]])
-    y, v = apply(pair, x, u)
-    assert pair.x_space.contains(y) and pair.u_space.contains(v)
 
 
 # ---------------------------------------------------------------------------

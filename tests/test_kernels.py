@@ -9,8 +9,7 @@ from ipmaps.involutions import catalog_get
 from ipmaps.kernels import (
     GeneratedKernel, KernelError, _gof_against_law,
     check_detailed_balance_exact, check_ip_statistical,
-    check_reversibility_statistical, kernel_step, pushforward,
-    simulate_chain, stationary_sample,
+    check_reversibility_statistical, pushforward,
 )
 from ipmaps.laws import (
     BetaI, Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
@@ -34,18 +33,30 @@ class ConstLaw:
         return np.full(size, self.value)
 
 
+def _chain(pair, noise, init, T, rng):
+    """Run X^{t+1} = f(X^t, U^t) for T steps from `init` (a value or a law);
+    return the states X^0..X^T and the co-drivers V^t = g(X^t, U^t)."""
+    init_rng, noise_rng = rng.split(2)
+    x = init.sample(init_rng) if hasattr(init, "sample") else init
+    us = noise.sample(noise_rng, T)
+    states = [x]
+    for u in us:
+        x = pair.f(x, u)
+        states.append(x)
+    states = np.asarray(states)
+    return states, np.asarray(pair.g(states[:-1], us))
+
+
 # ---------------------------------------------------------------------------
-# kernel_step
+# one step
 # ---------------------------------------------------------------------------
 
 def test_rrw_step_with_forced_down_move():
-    kernel = GeneratedKernel(catalog_get("reflecting_rw"), ConstLaw(-1))
-    assert kernel_step(kernel, 0, RandomStream(0)) == 0
+    assert catalog_get("reflecting_rw").f(0, -1) == 0
 
 
 def test_my_step_with_forced_noise():
-    kernel = GeneratedKernel(catalog_get("matsumoto_yor"), ConstLaw(1.0))
-    assert kernel_step(kernel, 1.0, RandomStream(0)) == pytest.approx(0.5)
+    assert catalog_get("matsumoto_yor").f(1.0, 1.0) == pytest.approx(0.5)
 
 
 def test_step_frequencies_match_three_point_noise():
@@ -60,40 +71,38 @@ def test_step_frequencies_match_three_point_noise():
 
 
 # ---------------------------------------------------------------------------
-# simulate_chain
+# chains
 # ---------------------------------------------------------------------------
 
 def test_deterministic_my_iterates():
-    kernel = GeneratedKernel(catalog_get("matsumoto_yor"), ConstLaw(1.0))
-    path = simulate_chain(kernel, 1.0, 3, RandomStream(0))
-    assert np.allclose(path.states, [1.0, 0.5, 2.0 / 3.0, 0.6])
+    states, _ = _chain(catalog_get("matsumoto_yor"), ConstLaw(1.0), 1.0, 3,
+                       RandomStream(0))
+    assert np.allclose(states, [1.0, 0.5, 2.0 / 3.0, 0.6])
 
 
 def test_chain_structural_invariants():
-    kernel = GeneratedKernel(catalog_get("reflecting_rw"),
-                             ThreePoint(0.2, 0.5, 0.3))
-    path = simulate_chain(kernel, Geometric(0.4), 500, RandomStream(71))
-    pair = kernel.pair
-    assert np.array_equal(path.states[1:],
-                          pair.f(path.states[:-1], path.drivers))
-    assert np.array_equal(path.codrivers,
-                          pair.g(path.states[:-1], path.drivers))
+    # the walk stays on {0, 1, ...}, moves by at most one, and its
+    # co-drivers stay in the step law's support {-1, 0, 1}
+    states, vs = _chain(catalog_get("reflecting_rw"),
+                        ThreePoint(0.2, 0.5, 0.3), Geometric(0.4), 500,
+                        RandomStream(71))
+    assert states.min() >= 0
+    assert np.abs(np.diff(states)).max() <= 1
+    assert set(vs.tolist()) <= {-1, 0, 1}
 
 
 def test_stationary_chain_marginal_gof():
-    kernel = GeneratedKernel(catalog_get("reflecting_rw"),
-                             ThreePoint(0.2, 0.5, 0.3))
-    path = simulate_chain(kernel, Geometric(0.4), 100_000, RandomStream(73))
+    states, _ = _chain(catalog_get("reflecting_rw"),
+                       ThreePoint(0.2, 0.5, 0.3), Geometric(0.4), 100_000,
+                       RandomStream(73))
     # consecutive states are dependent; thin far past the correlation length
-    thinned = path.states[::50]
+    thinned = states[::50]
     assert _gof_against_law(thinned, Geometric(0.4)).passed
 
 
 def test_codrivers_are_iid_noise():
-    kernel = GeneratedKernel(catalog_get("reflecting_rw"),
-                             ThreePoint(0.2, 0.5, 0.3))
-    path = simulate_chain(kernel, Geometric(0.4), 100_000, RandomStream(79))
-    v = path.codrivers
+    _, v = _chain(catalog_get("reflecting_rw"), ThreePoint(0.2, 0.5, 0.3),
+                  Geometric(0.4), 100_000, RandomStream(79))
     assert _gof_against_law(v, ThreePoint(0.2, 0.5, 0.3)).passed
     assert independence_test(np.column_stack([v[:-1], v[1:]])).passed
 
@@ -135,22 +144,6 @@ def test_gof_fails_on_one_draw_outside_the_support(law, bad):
     res = _gof_against_law(draws, law)
     assert not res.passed
     assert res.flags["outside_support"] == 1
-
-
-def test_chain_requires_positive_length():
-    kernel = GeneratedKernel(catalog_get("matsumoto_yor"), Gamma(2, 1))
-    with pytest.raises(KernelError):
-        simulate_chain(kernel, 1.0, 0, RandomStream(0))
-
-
-def test_stationary_sample_matches_direct_sampler():
-    kernel = GeneratedKernel(catalog_get("matsumoto_yor"), Gamma(2, 1))
-    rng = RandomStream(83)
-    r1, r2 = rng.split(2)
-    burned = stationary_sample(kernel, 20_000, r1, burn_in=1000)
-    from ipmaps.stat_tests import ks_two_sample
-    direct = GIG(2, 1).sample(r2, 20_000)
-    assert ks_two_sample(burned, direct).passed
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
-    gig_markov_sample, gig_norm_const, law_from_spec, tail_box, truncate,
+    gig_norm_const, law_from_spec, tail_box, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import chi2_gof, ks_two_sample
@@ -139,6 +139,16 @@ def test_gig_mean_matches_quadrature():
     draws = law.sample(RandomStream(7), n)
     se = math.sqrt(var / n)
     assert abs(draws.mean() - mean) <= 3.0 * se
+
+
+def gig_markov_sample(alpha, lam, n, rng, burn_in=1000):
+    """Draw n approximate GIG(alpha, lam) values by iterating
+    x -> 1/(x + G), G ~ Gamma(alpha, lam), whose stationary law is GIG: an
+    independent mechanism to cross-validate the rejection sampler."""
+    x = np.full(n, 1.0)
+    for _ in range(burn_in):
+        x = 1.0 / (x + rng.gen.gamma(alpha, 1.0 / lam, n))
+    return x
 
 
 def test_gig_rejection_vs_markov_chain_sampler():

@@ -12,7 +12,7 @@ from ipmaps.laws import Normal, UniformUnit
 from ipmaps.rng import RandomStream
 from ipmaps.skorokhod import (
     CdfFamily, SkorokhodError, build_involution, check_monotone,
-    gaussian_family, rosenblatt_g, skorokhod_f, uniform_family,
+    gaussian_family, rosenblatt_g, skorokhod_f,
 )
 
 
@@ -32,7 +32,10 @@ def test_gaussian_rosenblatt_point():
 
 
 def test_uniform_family_is_trivial():
-    fam = uniform_family()
+    # the state-independent family F_x(y) = y: f(x,u) = u, g(x,u) = x
+    fam = CdfFamily(name="uniform", interval=(0.0, 1.0),
+                    F=lambda x, y: np.asarray(y, dtype=float)
+                    + 0.0 * np.asarray(x, dtype=float))
     assert skorokhod_f(fam, 0.3, 0.7) == pytest.approx(0.7, abs=1e-10)
     assert rosenblatt_g(fam, 0.3, 0.7) == pytest.approx(0.3, abs=1e-10)
 
