@@ -17,6 +17,7 @@ import numpy as np
 from . import laws, stat_tests
 from .kernels import (
     KernelError, _discrete_noise_table, _gof_against_law, pushforward,
+    renormalized,
 )
 from .reports import VerificationReport
 from .rng import RandomStream
@@ -204,8 +205,8 @@ def _kernel_row(pair, nu):
 
 def _dual_kernel_row(pair, mu, tail_target=1e-13):
     """Transition row of the noise chain: v = g(x, u) with x ~ mu."""
-    table, _ = laws.truncate(mu, *laws.tail_box(mu, tail_target))
-    cells = list(zip(table.support.tolist(), table.probs.tolist()))
+    cells, _ = laws.truncate(mu, laws.tail_box(mu, tail_target))
+    cells = renormalized(cells)
     return lambda u: pushforward(pair.g, cells, [(int(u), 1)])
 
 

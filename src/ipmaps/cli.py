@@ -29,6 +29,10 @@ class ConfigError(ValueError):
     pass
 
 
+# stanza fields that count something; a runner reads them with int()
+_INTEGER_FIELDS = ("n", "box", "M", "ell", "N", "T", "grid")
+
+
 def _validate_stanza(stanza, index):
     """Check a stanza's fields and resolve its map and laws through the
     lookups its runner uses, so a bad name or parameter fails here."""
@@ -42,6 +46,12 @@ def _validate_stanza(stanza, index):
         if name not in stanza:
             raise ConfigError(
                 f"check #{index} ({kind}): missing field {name!r}")
+    for name in _INTEGER_FIELDS:
+        value = stanza.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(
+                f"check #{index} ({kind}): {name!r} must be an integer, "
+                f"not {value!r}")
     try:
         if "map" in fields:
             resolve = fspec_for if kind == "hypotheses" else catalog_get
@@ -127,9 +137,9 @@ def _run_detailed_balance(stanza, rng, out_dir):
     mu = law_from_spec(stanza["mu"])
     box = int(stanza.get("box", 200))
     lo = getattr(mu, "support_lo", 0)   # truncate rejects continuous laws
-    table, tail = truncate(mu, lo, lo + box)
+    cells, tail = truncate(mu, lo + box)
     report = kernels.check_detailed_balance_exact(
-        kernel, table, tol=float(stanza.get("tol", 1e-12)))
+        kernel, cells, tol=float(stanza.get("tol", 1e-12)))
     report.details["mu_truncation_tail"] = tail
     return report
 

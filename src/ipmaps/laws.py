@@ -1,8 +1,8 @@
 """Probability laws: evaluation, sampling, and exact truncated tabulation.
 
-Continuous kinds expose ``density``/``cdf``/``quantile``/``sample``; discrete
-kinds additionally support exact truncation to a finite table with the dropped
-tail mass in closed form where one exists.
+Continuous kinds expose ``density``/``cdf``/``quantile``/``sample``; a
+discrete kind is its ``pmf`` and its upper ``tail``, in closed form where one
+exists, and `truncate` tabulates it on a box.
 """
 
 from __future__ import annotations
@@ -28,15 +28,6 @@ class Law:
 
     is_discrete = False
     support_lo, support_hi = -math.inf, math.inf
-
-    def density(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def quantile(self, u):
-        raise NotImplementedError
 
     def sample(self, rng: RandomStream, size=None):
         raise NotImplementedError
@@ -268,67 +259,16 @@ class DiscreteLaw(Law):
     support_hi = math.inf
 
     def pmf(self, k):
+        """P(X = k) for an integer k in [support_lo, support_hi]."""
         raise NotImplementedError
 
-    def density(self, x):
-        x = np.asarray(x)
-        flat = np.ravel(x)
-        out = np.array([self._pmf_checked(v) for v in flat]).reshape(np.shape(x))
-        return float(out) if out.ndim == 0 else out
-
-    def _pmf_checked(self, v):
-        fv = float(v)
-        if fv != int(fv):
+    def tail(self, hi):
+        """P(X > hi) for an integer hi >= support_lo; 0.0 from support_hi
+        on. Summed from support_lo unless the kind has a closed form."""
+        if hi >= self.support_hi:
             return 0.0
-        k = int(fv)
-        if k < self.support_lo or k > self.support_hi:
-            return 0.0
-        return self.pmf(k)
-
-    def cdf(self, x):
-        def one(v):
-            m = math.floor(float(v))
-            if m < self.support_lo:
-                return 0.0
-            return self._cdf_int(min(m, self._cdf_cap(m)))
-
-        if np.ndim(x) == 0:
-            return one(x)
-        return np.array([one(v) for v in np.ravel(x)]).reshape(np.shape(x))
-
-    def _cdf_cap(self, m):
-        return m if self.support_hi is math.inf else min(m, self.support_hi)
-
-    def _cdf_int(self, m):
-        # fallback: direct summation from the lower support bound
-        return min(1.0, sum(self.pmf(k) for k in range(self.support_lo, m + 1)))
-
-    def quantile(self, u):
-        def one(uv):
-            # generalized inverse inf{k: F(k) >= u}
-            k = self.support_lo
-            acc = 0.0
-            while True:
-                acc += self.pmf(k)
-                if acc >= uv or (self.support_hi is not math.inf and k >= self.support_hi):
-                    return k
-                k += 1
-
-        u = self._check_u(u)
-        if np.ndim(u) == 0:
-            return one(float(u))
-        return np.array([one(float(v)) for v in np.ravel(u)]).reshape(np.shape(u))
-
-    def _sf_int(self, m):
-        """P(X > m); overridden with a closed form where one exists."""
-        return 1.0 - self._cdf_int(m)
-
-    def mass_outside(self, lo, hi):
-        """Exact probability outside [lo, hi]; closed form where available."""
-        below = self.cdf(lo - 1) if lo - 1 >= self.support_lo else 0.0
-        above = 0.0 if (self.support_hi is not math.inf and hi >= self.support_hi) \
-            else self._sf_int(hi)
-        return float(below + above)
+        return 1.0 - min(1.0, sum(self.pmf(k)
+                                  for k in range(self.support_lo, hi + 1)))
 
 
 class Bernoulli(DiscreteLaw):
@@ -341,9 +281,6 @@ class Bernoulli(DiscreteLaw):
 
     def pmf(self, k):
         return self.p if k == 1 else 1.0 - self.p
-
-    def _cdf_int(self, m):
-        return 1.0 - self.p if m == 0 else 1.0
 
     def sample(self, rng, size=None):
         draws = rng.gen.random(size) < self.p
@@ -364,26 +301,8 @@ class Geometric(DiscreteLaw):
     def pmf(self, k):
         return (1.0 - self.theta) * self.theta ** k
 
-    def _cdf_int(self, m):
-        return 1.0 - self.theta ** (m + 1)
-
-    def _sf_int(self, m):
-        return self.theta ** (m + 1)
-
-    def quantile(self, u):
-        def one(uv):
-            k = int(math.ceil(math.log1p(-uv) / math.log(self.theta) - 1.0))
-            k = max(k, 0)
-            while self._cdf_int(k) < uv:
-                k += 1
-            while k > 0 and self._cdf_int(k - 1) >= uv:
-                k -= 1
-            return k
-
-        u = self._check_u(u)
-        if np.ndim(u) == 0:
-            return one(float(u))
-        return np.array([one(float(v)) for v in np.ravel(u)], dtype=np.int64).reshape(np.shape(u))
+    def tail(self, hi):
+        return self.theta ** (hi + 1)
 
     def sample(self, rng, size=None):
         draws = rng.gen.geometric(1.0 - self.theta, size) - 1
@@ -438,11 +357,8 @@ class ShiftGeom(DiscreteLaw):
         # theta^k (1-theta) theta^ell = (1-theta) theta^(k+ell)
         return (1.0 - self.theta) * self.theta ** (k + self.ell)
 
-    def _cdf_int(self, m):
-        return 1.0 - self.theta ** (m + self.ell + 1)
-
-    def _sf_int(self, m):
-        return self.theta ** (m + self.ell + 1)
+    def tail(self, hi):
+        return self.theta ** (hi + self.ell + 1)
 
     def sample(self, rng, size=None):
         draws = rng.gen.geometric(1.0 - self.theta, size) - 1 - self.ell
@@ -464,15 +380,6 @@ class ThreePoint(DiscreteLaw):
 
     def pmf(self, k):
         return {1: self.p, -1: self.q, 0: self.r}.get(k, 0.0)
-
-    def _cdf_int(self, m):
-        if m < -1:
-            return 0.0
-        if m == -1:
-            return self.q
-        if m == 0:
-            return self.q + self.r
-        return 1.0
 
     def sample(self, rng, size=None):
         u = rng.gen.random(size)
@@ -502,19 +409,9 @@ class ParityGeom(DiscreteLaw):
         w = self.podd if k % 2 == 1 else 1.0 - self.podd
         return w * (1.0 - self._rho2) * self._rho2 ** (k // 2)
 
-    def _cdf_int(self, m):
-        if m < 0:
-            return 0.0
-        ke = m // 2                       # last even index 2*ke <= m
-        even = (1.0 - self.podd) * (1.0 - self._rho2 ** (ke + 1))
-        ko = (m - 1) // 2                 # last odd index 2*ko+1 <= m
-        odd = self.podd * (1.0 - self._rho2 ** (ko + 1)) if ko >= 0 else 0.0
-        return even + odd
-
-    def _sf_int(self, m):
-        if m < 0:
-            return 1.0
-        ke, ko = m // 2, (m - 1) // 2
+    def tail(self, hi):
+        ke = hi // 2                      # last even index 2*ke <= hi
+        ko = (hi - 1) // 2                # last odd index 2*ko+1 <= hi
         even = (1.0 - self.podd) * self._rho2 ** (ke + 1)
         odd = self.podd * (self._rho2 ** (ko + 1) if ko >= 0 else 1.0)
         return even + odd
@@ -532,17 +429,16 @@ class ParityGeom(DiscreteLaw):
 class FiniteTable(DiscreteLaw):
     """Explicit finite table of (integer support value, probability)."""
 
-    def __init__(self, support, probs, check=True):
+    def __init__(self, support, probs):
         support = np.asarray(support, dtype=np.int64)
         probs = np.asarray(probs, dtype=float)
         order = np.argsort(support)
         self.support = support[order]
         self.probs = probs[order]
-        if check:
-            if np.any(self.probs < 0):
-                raise LawError("FiniteTable probabilities must be nonnegative")
-            if abs(self.probs.sum() - 1.0) > 1e-12:
-                raise LawError("FiniteTable probabilities must sum to 1")
+        if np.any(self.probs < 0):
+            raise LawError("FiniteTable probabilities must be nonnegative")
+        if abs(self.probs.sum() - 1.0) > 1e-12:
+            raise LawError("FiniteTable probabilities must sum to 1")
         self.support_lo = int(self.support[0])
         self.support_hi = int(self.support[-1])
         self._cum = np.cumsum(self.probs)
@@ -550,17 +446,6 @@ class FiniteTable(DiscreteLaw):
 
     def pmf(self, k):
         return self._index.get(int(k), 0.0)
-
-    def _cdf_int(self, m):
-        i = np.searchsorted(self.support, m, side="right")
-        return float(self._cum[i - 1]) if i > 0 else 0.0
-
-    def quantile(self, u):
-        u = self._check_u(u)
-        idx = np.searchsorted(self._cum, u, side="left")
-        idx = np.minimum(idx, len(self.support) - 1)
-        out = self.support[idx]
-        return int(out) if np.ndim(u) == 0 else out
 
     def sample(self, rng, size=None):
         u = rng.gen.random(size)
@@ -573,41 +458,35 @@ class FiniteTable(DiscreteLaw):
         return f"FiniteTable(n={len(self.support)}, lo={self.support_lo}, hi={self.support_hi})"
 
 
-def truncate(law, lo, hi):
-    """Restrict a discrete law to the integer box [lo, hi].
+def truncate(law, hi):
+    """Tabulate a discrete law on the integer box [support_lo, hi].
 
-    Returns (renormalized FiniteTable, dropped tail mass). The tail mass uses
-    the law's closed-form cdf, so e.g. a geometric tail is exact.
+    Returns the cells (k, pmf(k)) of positive mass, in increasing k, and
+    the mass tail(hi) beyond the box, exact where the law's tail has a
+    closed form. The cells are not renormalized.
     """
     if not law.is_discrete:
         raise LawError("truncate requires a discrete law")
-    lo = max(int(lo), law.support_lo)
-    hi = int(hi) if law.support_hi is math.inf else min(int(hi), law.support_hi)
-    if hi < lo:
+    hi = int(min(hi, law.support_hi))
+    if hi < law.support_lo:
         raise LawError("empty truncation box")
-    support = np.arange(lo, hi + 1)
-    raw = np.array([law.pmf(int(k)) for k in support])
-    tail = law.mass_outside(lo, hi)
-    keep = raw > 0.0
-    support, raw = support[keep], raw[keep]
-    table = FiniteTable(support, raw / raw.sum(), check=False)
-    return table, tail
+    cells = [(k, law.pmf(k)) for k in range(law.support_lo, hi + 1)]
+    return [(k, p) for k, p in cells if p > 0.0], law.tail(hi)
 
 
 def tail_box(law, tail_target):
-    """Smallest box [support_lo, hi] of the doubling sequence whose outside
-    mass is <= tail_target.
+    """The smallest hi of the doubling sequence with tail(hi) <= tail_target.
 
     A finite support is taken whole; otherwise hi starts at support_lo + 8
     and doubles, stepping by 8 while it is not yet positive.
     """
-    lo = law.support_lo
-    hi = law.support_hi if law.support_hi is not math.inf else lo + 8
-    while law.mass_outside(lo, hi) > tail_target:
+    hi = law.support_hi if law.support_hi is not math.inf \
+        else law.support_lo + 8
+    while law.tail(hi) > tail_target:
         hi = 2 * hi if hi > 0 else hi + 8
         if hi > 10 ** 9:
             raise LawError(f"truncation of {law!r} did not converge")
-    return lo, hi
+    return hi
 
 
 _KIND_MAP = {

@@ -124,8 +124,8 @@ def test_criterion_3_rrw_exact(capsys):
         params = exact_discrete.RRWParams.make(0.2, 0.5, 0.3)
         kernel = kernels.GeneratedKernel(catalog_get("reflecting_rw"),
                                          ThreePoint(0.2, 0.5, 0.3))
-        table, _ = truncate(Geometric(0.4), 0, 200)
-        db = kernels.check_detailed_balance_exact(kernel, table)
+        cells, _ = truncate(Geometric(0.4), 200)
+        db = kernels.check_detailed_balance_exact(kernel, cells)
         assert db.passed and db.details["residual"] <= 1e-15
 
         for prm in (params, exact_discrete.RRWParams.make(0.3, 0.7, 0, 0.2)):

@@ -96,6 +96,28 @@ BAD_STANZAS = {
     # tail 0.9^13 = 0.25 above the default max_tail 1e-9
     "kdv_fat_tail": {"kind": "kdv-tv", "theta": 0.9, "ell": 2,
                      "variant": "g1", "M": 10},
+    # counts must be JSON integers, not floats that int() would truncate
+    "kdv_ell_2_5": {"kind": "kdv-tv", "theta": 0.5, "ell": 2.5,
+                    "variant": "g1"},
+    "kdv_m_float": {"kind": "kdv-tv", "theta": 0.5, "ell": 2,
+                    "variant": "g1", "M": 60.0},
+    "involution_box_20_7": {"kind": "involution", "map": "kdv_g1",
+                            "box": 20.7},
+    "involution_n_string": {"kind": "involution", "map": "kdv_g1",
+                            "n": "1000"},
+    "rrw_box_3_9": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
+                    "r": 0.3, "box": 3.9},
+    "detailed_balance_box_bool": {"kind": "detailed-balance",
+                                  "map": "reflecting_rw", "mu": GEOMETRIC,
+                                  "nu": THREE_POINT, "box": True},
+    "ip_n_float": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
+                   "nu": GAMMA, "n": 2e4},
+    "burke_N_float": {"kind": "burke", "map": "reflecting_rw",
+                      "mu": GEOMETRIC, "nu": THREE_POINT, "N": 60.5},
+    "burke_T_float": {"kind": "burke", "map": "reflecting_rw",
+                      "mu": GEOMETRIC, "nu": THREE_POINT, "T": 60.0},
+    "skorokhod_grid_float": {"kind": "skorokhod-gaussian", "beta": 0.5,
+                             "sigma": 1.0, "grid": 100.5},
 }
 
 

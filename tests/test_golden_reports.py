@@ -68,6 +68,26 @@ GOLDEN = {
          "mu": {"kind": "geometric", "params": {"theta": 0.5}},
          "nu": THREE_POINT},
         "2759327d71d0079d661584a02457c6995246d019aefb485d8f947accfbc7dd4b"),
+    # mu from its negative support_lo, and a noise box that steps by 8
+    "detailed_balance_kdv_ell8": (
+        {"kind": "detailed-balance", "map": "kdv_g1",
+         "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 8}},
+         "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 8}}},
+        "c302a09c3d6ea37e989151f9be16a88929e5cbd8be9a9655c471d657a6057926"),
+    # discrete GOF cells and tails: a Bernoulli component of product noise,
+    # and the KdV laws under the map that does not preserve them
+    "ip_beta_walk_product": (
+        {"kind": "ip", "map": "beta_walk", "n": 20000,
+         "mu": {"kind": "beta", "params": {"a": 2.0, "b": 3.0}},
+         "nu": {"kind": "product", "components": [
+             {"kind": "bernoulli", "params": {"p": 0.4}},
+             {"kind": "beta", "params": {"a": 1.0, "b": 5.0}}]}},
+        "4d33b85c79d2da7e8ef5334e5cc956467395c6bfdab711c85e690802e04e3e6c"),
+    "ip_kdv_g2": (
+        {"kind": "ip", "map": "kdv_g2", "n": 20000,
+         "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
+         "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}}},
+        "6c7864b8414fd762a1985cae53d21211f590968b6d72f2f8dfb60a796a84f667"),
     "burke_rrw": (
         BURKE_RRW,
         "df5780f951a5645a651f741a602c1484d176715458d91a943c7fc3688c1a8763"),

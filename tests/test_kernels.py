@@ -156,24 +156,24 @@ def _rrw_kernel():
 
 
 def test_detailed_balance_holds_for_forced_law():
-    table, _ = truncate(Geometric(0.4), 0, 200)
-    report = check_detailed_balance_exact(_rrw_kernel(), table)
+    cells, _ = truncate(Geometric(0.4), 200)
+    report = check_detailed_balance_exact(_rrw_kernel(), cells)
     assert report.passed
     assert report.details["residual"] <= 1e-15
 
 
 def test_detailed_balance_fails_for_wrong_law():
-    table, _ = truncate(Geometric(0.5), 0, 200)
-    report = check_detailed_balance_exact(_rrw_kernel(), table)
+    cells, _ = truncate(Geometric(0.5), 200)
+    report = check_detailed_balance_exact(_rrw_kernel(), cells)
     assert not report.passed
     assert report.details["residual"] >= 0.01
 
 
 def test_detailed_balance_kdv():
     kernel = GeneratedKernel(catalog_get("kdv_g1"), ShiftGeom(0.5, 2))
-    table, tail = truncate(TruncGeom(0.5, 2), -2, 2)
+    cells, tail = truncate(TruncGeom(0.5, 2), 2)
     assert tail == 0.0
-    report = check_detailed_balance_exact(kernel, table)
+    report = check_detailed_balance_exact(kernel, cells)
     assert report.passed
     assert report.details["residual"] <= report.details["threshold"]
 
@@ -197,11 +197,6 @@ def test_pushforward_fraction_and_float_cells_agree():
     assert list(approx.items()) == list(loop.items())
     for key, w in exact.items():
         assert approx[key] == pytest.approx(float(w), rel=1e-12)
-
-
-def test_detailed_balance_requires_table():
-    with pytest.raises(KernelError):
-        check_detailed_balance_exact(_rrw_kernel(), Geometric(0.4))
 
 
 # ---------------------------------------------------------------------------

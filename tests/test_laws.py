@@ -16,17 +16,8 @@ from ipmaps.stat_tests import chi2_gof, ks_two_sample
 
 
 # ---------------------------------------------------------------------------
-# density / cdf / quantile point values
+# continuous density / cdf / quantile point values
 # ---------------------------------------------------------------------------
-
-def test_geometric_density_at_zero():
-    assert Geometric(0.4).density(0) == pytest.approx(0.6, abs=1e-15)
-
-
-def test_trunc_geom_density_outside_support():
-    assert TruncGeom(0.5, 2).density(3) == 0.0
-    assert TruncGeom(0.5, 2).density(-3) == 0.0
-
 
 def test_uniform_cdf():
     assert UniformUnit().cdf(0.3) == pytest.approx(0.3, abs=1e-15)
@@ -34,10 +25,6 @@ def test_uniform_cdf():
 
 def test_normal_cdf_at_mean():
     assert Normal(0, 1).cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_geometric_cdf():
-    assert Geometric(0.4).cdf(1) == pytest.approx(0.84, abs=1e-15)
 
 
 def test_uniform_quantile():
@@ -48,14 +35,8 @@ def test_normal_quantile_median():
     assert Normal(0, 1).quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_geometric_quantile_generalized_inverse():
-    law = Geometric(0.4)
-    assert law.quantile(0.59) == 0
-    assert law.quantile(0.61) == 1
-
-
 def test_quantile_rejects_bad_u():
-    for law in (UniformUnit(), Geometric(0.4), Normal(0, 1)):
+    for law in (UniformUnit(), Normal(0, 1)):
         with pytest.raises(LawError):
             law.quantile(0.0)
         with pytest.raises(LawError):
@@ -200,7 +181,7 @@ def test_discrete_sampler_gof(law):
     probs = np.array([law.pmf(int(v)) for v in values])
     counts = np.array([(draws == v).sum() for v in values], dtype=float)
     counts = np.append(counts, len(draws) - counts.sum())
-    probs = np.append(probs, law.mass_outside(lo, hi))
+    probs = np.append(probs, law.tail(hi))
     assert chi2_gof(counts, probs / probs.sum()).passed
 
 
@@ -229,39 +210,61 @@ def test_continuous_quantile_cdf_identities(law):
 # ---------------------------------------------------------------------------
 
 def test_truncate_shift_geom_tail_is_exact():
-    _, tail = truncate(ShiftGeom(0.5, 2), -2, 60)
+    _, tail = truncate(ShiftGeom(0.5, 2), 60)
     assert tail == 2.0 ** -63
 
 
 def test_truncate_geometric_at_zero():
-    table, tail = truncate(Geometric(0.4), 0, 0)
-    assert list(table.support) == [0]
-    assert table.probs[0] == 1.0
+    cells, tail = truncate(Geometric(0.4), 0)
+    assert cells == [(0, Geometric(0.4).pmf(0))]
     assert tail == pytest.approx(0.4, abs=1e-15)
 
 
 def test_truncate_trunc_geom_identity():
     law = TruncGeom(0.3, 4)
-    table, tail = truncate(law, -4, 4)
+    cells, tail = truncate(law, 4)
     assert tail == 0.0
-    for k in range(-4, 5):
-        assert table.pmf(k) == pytest.approx(law.pmf(k), abs=1e-15)
+    assert cells == [(k, law.pmf(k)) for k in range(-4, 5)]
 
 
+# every discrete kind of the spec table; box is [support_lo, last hi checked]
 @pytest.mark.parametrize("law,box", [
     (Geometric(0.4), (0, 40)),
     (ShiftGeom(0.5, 2), (-2, 50)),
     (ParityGeom(0.6, 0.3), (0, 80)),
+    (Bernoulli(0.4), (0, 3)),
+    (TruncGeom(0.3, 4), (-4, 7)),
+    (ThreePoint(0.2, 0.5, 0.3), (-1, 3)),
+    (ThreePoint(0.3, 0.7, 0.0), (-1, 3)),
+    (FiniteTable([3, -1, 0], [0.25, 0.5, 0.25]), (-1, 5)),
 ])
 def test_truncation_mass_accounting(law, box):
-    lo, hi = box
-    raw = sum(law.pmf(k) for k in range(lo, hi + 1))
-    assert raw + law.mass_outside(lo, hi) == pytest.approx(1.0, abs=1e-14)
+    lo, last = box
+    assert lo == law.support_lo
+    for hi in range(lo, last + 1):
+        cells, tail = truncate(law, hi)
+        assert tail == law.tail(hi)
+        box = range(lo, min(hi, law.support_hi) + 1)
+        raw = sum(law.pmf(k) for k in box)
+        assert raw + tail == pytest.approx(1.0, abs=1e-14)
+        # only positive-mass cells: ThreePoint with r = 0 has no state 0
+        assert cells == [(k, law.pmf(k)) for k in box if law.pmf(k) > 0.0]
+        if hi >= law.support_hi:
+            assert tail == 0.0
+    if law.support_hi is math.inf:
+        assert law.tail(last) > 0.0
+    else:
+        assert last > law.support_hi
 
 
 def test_truncate_rejects_continuous():
     with pytest.raises(LawError):
-        truncate(Gamma(2, 1), 0, 10)
+        truncate(Gamma(2, 1), 10)
+
+
+def test_truncate_rejects_a_box_below_the_support():
+    with pytest.raises(LawError):
+        truncate(ShiftGeom(0.5, 2), -3)
 
 
 @pytest.mark.parametrize("law,target,box", [
@@ -271,21 +274,21 @@ def test_truncate_rejects_continuous():
     (ShiftGeom(0.5, 2), 1e-14, (-2, 48)),
 ])
 def test_tail_box_keeps_the_doubling_box(law, target, box):
-    assert tail_box(law, target) == box
+    assert (law.support_lo, tail_box(law, target)) == box
 
 
 @pytest.mark.parametrize("ell", [8, 10])
 def test_tail_box_steps_past_nonpositive_start(ell):
     # support_lo + 8 <= 0, so doubling alone would never make hi positive
     law = ShiftGeom(0.5, ell)
-    lo, hi = tail_box(law, 1e-14)
-    assert lo == -ell and hi > 0
-    assert law.mass_outside(lo, hi) <= 1e-14
+    hi = tail_box(law, 1e-14)
+    assert hi > 0
+    assert law.tail(hi) <= 1e-14
 
 
 def test_tail_box_raises_when_mass_never_drops():
     class Stuck(Geometric):
-        def mass_outside(self, lo, hi):
+        def tail(self, hi):
             return 1.0
 
     with pytest.raises(LawError):
