@@ -10,7 +10,7 @@ from nu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count
 
 import numpy as np
 
@@ -303,12 +303,13 @@ def verify_burke(field, level=DEFAULT_LEVEL):
 
 
 def field_rows(field):
-    """Flatten to (n, t, x, u) records for CSV export; the boundary noise
-    row appears with n=0 and x recorded as nan."""
-    N, T = field.shape
-    nan = float("nan")
+    """The field as CSV text: one chunk of CRLF-ended n,t,x,u lines per
+    lattice row n, floats written as their repr. The boundary noise row
+    appears with n=0 and x written as nan, and the last site of every row
+    with u written as nan."""
     X, U = field.X.tolist(), field.U.tolist()
-    rows = [(0, t, nan, u) for t, u in enumerate(U[0])]
-    for n in range(1, N + 1):
-        rows.extend(zip(repeat(n), range(T + 1), X[n - 1], U[n] + [nan]))
+    rows = ["".join([f"0,{t},nan,{u}\r\n" for t, u in enumerate(U[0])])]
+    for n, (xs, us) in enumerate(zip(X, U[1:]), start=1):
+        rows.append("".join([f"{n},{t},{x},{u}\r\n" for t, x, u
+                             in zip(count(), xs, us + ["nan"])]))
     return rows

@@ -10,7 +10,6 @@ runtimes, so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -207,7 +206,9 @@ def _run_burke(stanza, rng, out_dir):
     if stanza.get("csv") and out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, stanza["csv"])
-        _write_csv(path, ("n", "t", "x", "u"), burke.field_rows(field))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("n,t,x,u\r\n")
+            fh.writelines(burke.field_rows(field))
         report.details["csv"] = stanza["csv"]
     return report
 
@@ -282,13 +283,6 @@ def run(config, out_dir=None):
         "n_checks": len(entries),
         "checks": entries,
     }
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def emit(report, out_dir, name="report.json"):

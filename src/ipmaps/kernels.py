@@ -146,8 +146,7 @@ def _gof_against_law(samples, law, level=DEFAULT_LEVEL):
         return stat_tests.chi2_gof(counts, probs, level=level)
     k = 50 if n >= 100_000 else 20
     edges = np.asarray(law.quantile(np.linspace(0.0, 1.0, k + 1)[1:-1]))
-    idx = np.searchsorted(edges, samples.astype(float), side="right")
-    counts = np.bincount(idx, minlength=k).astype(float)
+    counts = stat_tests.bin_counts(samples, edges)
     probs = np.full(k, 1.0 / k)
     return stat_tests.chi2_gof(counts, probs, level=level)
 

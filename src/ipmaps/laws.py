@@ -259,8 +259,9 @@ class DiscreteLaw(Law):
     support_hi = math.inf
 
     def pmf(self, k):
-        """P(X = k) for an integer k in [support_lo, support_hi]."""
-        raise NotImplementedError
+        """P(X = k) for an integer k: the kind's own _pmf(k) on [support_lo,
+        support_hi], and 0.0 outside it."""
+        return self._pmf(k) if self.support_lo <= k <= self.support_hi else 0.0
 
     def tail(self, hi):
         """P(X > hi) for an integer hi >= support_lo; 0.0 from support_hi
@@ -279,7 +280,7 @@ class Bernoulli(DiscreteLaw):
             raise LawError("Bernoulli requires p in [0,1]")
         self.p = float(p)
 
-    def pmf(self, k):
+    def _pmf(self, k):
         return self.p if k == 1 else 1.0 - self.p
 
     def sample(self, rng, size=None):
@@ -298,7 +299,7 @@ class Geometric(DiscreteLaw):
             raise LawError("Geometric requires theta in (0,1)")
         self.theta = float(theta)
 
-    def pmf(self, k):
+    def _pmf(self, k):
         return (1.0 - self.theta) * self.theta ** k
 
     def tail(self, hi):
@@ -325,7 +326,7 @@ class TruncGeom(DiscreteLaw):
         self.support_lo, self.support_hi = -self.ell, self.ell
         self._z = sum(self.theta ** i for i in range(-self.ell, self.ell + 1))
 
-    def pmf(self, k):
+    def _pmf(self, k):
         return self.theta ** k / self._z
 
     def sample(self, rng, size=None):
@@ -353,7 +354,7 @@ class ShiftGeom(DiscreteLaw):
         self.ell = int(ell)
         self.support_lo = -self.ell
 
-    def pmf(self, k):
+    def _pmf(self, k):
         # theta^k (1-theta) theta^ell = (1-theta) theta^(k+ell)
         return (1.0 - self.theta) * self.theta ** (k + self.ell)
 
@@ -378,7 +379,7 @@ class ThreePoint(DiscreteLaw):
             raise LawError("ThreePoint requires p,q,r >= 0 with p+q+r=1")
         self.p, self.q, self.r = float(p), float(q), float(r)
 
-    def pmf(self, k):
+    def _pmf(self, k):
         return {1: self.p, -1: self.q, 0: self.r}.get(k, 0.0)
 
     def sample(self, rng, size=None):
@@ -403,9 +404,7 @@ class ParityGeom(DiscreteLaw):
         self.podd = float(podd)
         self._rho2 = self.rho ** 2
 
-    def pmf(self, k):
-        if k < 0:
-            return 0.0
+    def _pmf(self, k):
         w = self.podd if k % 2 == 1 else 1.0 - self.podd
         return w * (1.0 - self._rho2) * self._rho2 ** (k // 2)
 
@@ -444,7 +443,7 @@ class FiniteTable(DiscreteLaw):
         self._cum = np.cumsum(self.probs)
         self._index = {int(k): float(p) for k, p in zip(self.support, self.probs)}
 
-    def pmf(self, k):
+    def _pmf(self, k):
         return self._index.get(int(k), 0.0)
 
     def sample(self, rng, size=None):

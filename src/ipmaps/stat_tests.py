@@ -110,17 +110,47 @@ def chi2_gof(counts, probs, level=DEFAULT_LEVEL):
 # binning helpers
 # ---------------------------------------------------------------------------
 
-def _bin_indices(values, max_bins):
-    """Assign integer bin labels using unique values (few) or quantile edges."""
-    values = np.asarray(values, dtype=float)
-    uniq = np.unique(values)
-    if len(uniq) <= max_bins:
-        idx = np.searchsorted(uniq, values)
-        return idx, len(uniq)
-    qs = np.quantile(values, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
-    edges = np.unique(qs)
-    idx = np.searchsorted(edges, values, side="right")
-    return idx, len(edges) + 1
+def _binning(pooled, max_bins, *samples):
+    """Labels of each sample (default: pooled) and the bin count, from one
+    sort of pooled: searchsorted(uniq, v) on its np.unique values (NaNs are
+    one value) if there are at most max_bins, else searchsorted(edges, v,
+    side="right") on its unique interior quantiles."""
+    s = np.sort(pooled)
+    edges, side = s[np.concatenate(([True], s[1:] != s[:-1]))], "left"
+    if len(edges) and np.isnan(edges[-1]):
+        edges = edges[:np.searchsorted(edges, np.nan) + 1]
+    if len(edges) > max_bins:
+        qs = np.quantile(s, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+        edges, side = np.unique(qs), "right"
+    return ([_labels(edges, v, side) for v in samples or (pooled,)],
+            len(edges) + (side == "right"))
+
+
+def _labels(edges, values, side):
+    """np.searchsorted(edges, values, side) as one comparison per edge."""
+    above = np.greater if side == "left" else np.greater_equal
+    labels = np.zeros(len(values), dtype=np.min_scalar_type(len(edges)))
+    for edge in edges:
+        labels += above(values, edge)
+    nan = np.isnan(values)
+    if nan.any():
+        # searchsorted sorts NaN after every number
+        labels[nan] = np.searchsorted(edges, np.nan, side)
+    return labels
+
+
+def bin_counts(values, edges):
+    """Counts of the labels searchsorted(edges, values, side="right") from
+    one sort: the cell between two edges holds the values in [lo, hi)."""
+    cuts = np.searchsorted(np.sort(np.asarray(values, dtype=float)), edges,
+                           side="left")
+    return np.diff(cuts, prepend=0, append=len(values))
+
+
+def _table(ra, rb, ka, kb):
+    """Counts of the label pairs (ra, rb), flattened row-major."""
+    cells = np.multiply(ra, kb, dtype=np.intp) + rb
+    return np.bincount(cells, minlength=ka * kb).astype(float)
 
 
 def independence_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
@@ -136,14 +166,13 @@ def independence_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
     n = len(pairs)
     if n < min_n:
         raise StatTestError(f"independence_test needs at least {min_n} pairs")
-    ra, ka = _bin_indices(pairs[:, 0], bins)
-    rb, kb = _bin_indices(pairs[:, 1], bins)
+    # contiguous columns: the per-edge comparisons run 3x faster on them
+    (ra,), ka = _binning(np.ascontiguousarray(pairs[:, 0]), bins)
+    (rb,), kb = _binning(np.ascontiguousarray(pairs[:, 1]), bins)
     if ka < 2 or kb < 2:
         return _result(0.0, 1.0, (n,), "independence_chi2", level,
                        degenerate_marginal=True, dof=0)
-    table = np.zeros((ka, kb))
-    np.add.at(table, (ra, rb), 1.0)
-    table = _merge_table(table)
+    table = _merge_table(_table(ra, rb, ka, kb).reshape(ka, kb))
     r, c = table.shape
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
@@ -199,18 +228,16 @@ def exchangeability_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
     if n < min_n:
         raise StatTestError(f"exchangeability_test needs at least {min_n} pairs")
     half = n // 2
-    a = pairs[:half]
-    b = pairs[half:2 * half][:, ::-1]
-    pooled = np.vstack([a, b])
+    # pooled columns: the first half as-is, then the second half swapped
+    x = np.concatenate([pairs[:half, 0], pairs[half:2 * half, 1]])
+    y = np.concatenate([pairs[:half, 1], pairs[half:2 * half, 0]])
     if half < 10_000:
         bins = min(bins, 5)
-    ia, ka = _bin_indices_from(pooled[:, 0], a[:, 0], b[:, 0], bins)
-    ib, kb = _bin_indices_from(pooled[:, 1], a[:, 1], b[:, 1], bins)
+    ia, ka = _bin_indices_from(x, x[:half], x[half:], bins)
+    ib, kb = _bin_indices_from(y, y[:half], y[half:], bins)
     (ia_a, ia_b), (ib_a, ib_b) = ia, ib
-    ca = np.zeros(ka * kb)
-    cb = np.zeros(ka * kb)
-    np.add.at(ca, ia_a * kb + ib_a, 1.0)
-    np.add.at(cb, ia_b * kb + ib_b, 1.0)
+    ca = _table(ia_a, ib_a, ka, kb)
+    cb = _table(ia_b, ib_b, ka, kb)
     pooled_counts = ca + cb
     # collapse cells whose pooled expectation is too small into one bucket
     small = pooled_counts / 2.0 < 5.0
@@ -234,10 +261,4 @@ def exchangeability_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
 
 def _bin_indices_from(pooled, a, b, max_bins):
     """Common bin labels for two samples, using pooled quantile edges."""
-    uniq = np.unique(pooled)
-    if len(uniq) <= max_bins:
-        return (np.searchsorted(uniq, a), np.searchsorted(uniq, b)), len(uniq)
-    qs = np.quantile(pooled, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
-    edges = np.unique(qs)
-    return (np.searchsorted(edges, a, side="right"),
-            np.searchsorted(edges, b, side="right")), len(edges) + 1
+    return _binning(pooled, max_bins, a, b)

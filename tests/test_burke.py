@@ -198,11 +198,19 @@ def test_verify_burke_size_floor():
 def test_field_rows_layout():
     field = _rrw_field(17, N=5, T=4)
     rows = field_rows(field)
-    # T boundary-noise rows plus N * (T+1) site rows
-    assert len(rows) == 4 + 5 * 5
-    assert rows[0][0] == 0 and np.isnan(rows[0][2])
-    ns = {r[0] for r in rows}
-    assert ns == set(range(6))
+    # one CRLF-ended chunk for the boundary noise row n = 0 and one for each
+    # lattice row: T noise lines, then N chunks of T+1 site lines
+    assert len(rows) == 1 + 5
+    assert all(row.endswith("\r\n") for row in rows)
+    lines = [[line.split(",") for line in row.split("\r\n")[:-1]]
+             for row in rows]
+    assert [len(chunk) for chunk in lines] == [4] + [5] * 5
+    assert lines[0][0] == ["0", "0", "nan", repr(float(field.U[0, 0]))]
+    assert lines[2][3] == ["2", "3", repr(float(field.X[1, 3])),
+                           repr(float(field.U[2, 3]))]
+    assert lines[5][4][3] == "nan"
+    assert [{int(line[0]) for line in chunk} for chunk in lines] == \
+        [{n} for n in range(6)]
 
 
 def test_impossible_transition_fails_with_a_reason_and_strict_json():

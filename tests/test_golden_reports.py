@@ -15,9 +15,9 @@ from ipmaps.cli import _validate_stanza, run
 
 GEOMETRIC = {"kind": "geometric", "params": {"theta": 0.4}}
 THREE_POINT = {"kind": "three_point", "params": {"p": 0.2, "q": 0.5, "r": 0.3}}
-BURKE_MY = {"kind": "burke", "map": "matsumoto_yor",
-            "mu": {"kind": "gig", "params": {"alpha": 2.0, "lam": 1.0}},
-            "nu": {"kind": "gamma", "params": {"shape": 2.0, "rate": 1.0}},
+GIG = {"kind": "gig", "params": {"alpha": 2.0, "lam": 1.0}}
+GAMMA = {"kind": "gamma", "params": {"shape": 2.0, "rate": 1.0}}
+BURKE_MY = {"kind": "burke", "map": "matsumoto_yor", "mu": GIG, "nu": GAMMA,
             "N": 60, "T": 60}
 BURKE_RRW = {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
              "nu": THREE_POINT, "N": 60, "T": 60}
@@ -88,6 +88,15 @@ GOLDEN = {
          "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
          "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}}},
         "6c7864b8414fd762a1985cae53d21211f590968b6d72f2f8dfb60a796a84f667"),
+    # the statistical benchmark size: 50-cell GOF and 10 x 10 binned tables
+    "ip_my_gig_gamma_1e6": (
+        {"kind": "ip", "map": "matsumoto_yor", "n": 1_000_000,
+         "mu": GIG, "nu": GAMMA},
+        "044726f3ff9ab353f3cec7a7b7c3ea07b24e22d316504928c7587bd790beded3"),
+    "reversibility_my_gig_gamma_1e6": (
+        {"kind": "reversibility", "map": "matsumoto_yor", "n": 1_000_000,
+         "mu": GIG, "nu": GAMMA},
+        "195b71ade1d693323e36308783f965288a37f53b3bd88d869b653264768481d6"),
     "burke_rrw": (
         BURKE_RRW,
         "df5780f951a5645a651f741a602c1484d176715458d91a943c7fc3688c1a8763"),

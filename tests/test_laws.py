@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
-    gig_norm_const, law_from_spec, tail_box, truncate,
+    _KIND_MAP, gig_norm_const, law_from_spec, tail_box, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import chi2_gof, ks_two_sample
@@ -255,6 +255,35 @@ def test_truncation_mass_accounting(law, box):
         assert law.tail(last) > 0.0
     else:
         assert last > law.support_hi
+
+
+# one spec of every discrete kind of the spec table
+DISCRETE_SPECS = {
+    "bernoulli": {"p": 0.4},
+    "geometric": {"theta": 0.4},
+    "trunc_geom": {"theta": 0.3, "ell": 4},
+    "shift_geom": {"theta": 0.3, "ell": 4},
+    "three_point": {"p": 0.2, "q": 0.5, "r": 0.3},
+    "parity_geom": {"rho": 0.6, "podd": 0.3},
+    "finite_table": {"support": [3, -1, 0], "probs": [0.25, 0.5, 0.25]},
+}
+
+
+def test_discrete_specs_cover_every_discrete_kind():
+    discrete = {kind for kind, (cls, _) in _KIND_MAP.items()
+                if cls.is_discrete}
+    assert discrete == set(DISCRETE_SPECS)
+
+
+@pytest.mark.parametrize("kind", sorted(DISCRETE_SPECS))
+def test_pmf_is_zero_outside_the_support(kind):
+    law = law_from_spec({"kind": kind, "params": DISCRETE_SPECS[kind]})
+    assert law.pmf(law.support_lo) > 0.0
+    assert law.pmf(law.support_lo - 1) == 0.0
+    assert law.pmf(law.support_lo - 5) == 0.0
+    if law.support_hi is not math.inf:
+        assert law.pmf(law.support_hi) > 0.0
+        assert law.pmf(law.support_hi + 1) == 0.0
 
 
 def test_truncate_rejects_continuous():

@@ -1,13 +1,16 @@
 """Tests for the statistical test machinery."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ipmaps.laws import Geometric
+from ipmaps import kernels, stat_tests
+from ipmaps.laws import Gamma, Geometric, UniformUnit
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import (
-    StatTestError, chi2_gof, exchangeability_test, independence_test,
-    ks_two_sample,
+    StatTestError, _bin_indices_from, _binning, bin_counts, chi2_gof,
+    exchangeability_test, independence_test, ks_two_sample,
 )
 
 
@@ -148,3 +151,147 @@ def test_results_are_deterministic():
     r2 = independence_test(pairs.copy())
     assert r1 == r2
     assert r1.to_dict() == r2.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# binning from one sort against the searchsorted binning it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_bin_indices(values, max_bins):
+    values = np.asarray(values, dtype=float)
+    uniq = np.unique(values)
+    if len(uniq) <= max_bins:
+        return np.searchsorted(uniq, values), len(uniq)
+    qs = np.quantile(values, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+    edges = np.unique(qs)
+    return np.searchsorted(edges, values, side="right"), len(edges) + 1
+
+
+def _ref_bin_indices_from(pooled, a, b, max_bins):
+    uniq = np.unique(pooled)
+    if len(uniq) <= max_bins:
+        return (np.searchsorted(uniq, a), np.searchsorted(uniq, b)), len(uniq)
+    qs = np.quantile(pooled, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+    edges = np.unique(qs)
+    return (np.searchsorted(edges, a, side="right"),
+            np.searchsorted(edges, b, side="right")), len(edges) + 1
+
+
+def _ref_binning(pooled, max_bins, *samples):
+    if not samples:
+        idx, k = _ref_bin_indices(pooled, max_bins)
+        return [idx], k
+    return _ref_bin_indices_from(pooled, *samples, max_bins)
+
+
+def _ref_table(ra, rb, ka, kb):
+    table = np.zeros((ka, kb))
+    np.add.at(table, (ra, rb), 1.0)
+    return table.ravel()
+
+
+def _ref_bin_counts(values, edges):
+    idx = np.searchsorted(edges, np.asarray(values, dtype=float), side="right")
+    return np.bincount(idx, minlength=len(edges) + 1)
+
+
+def _binning_inputs(n=4000):
+    gen = RandomStream(211).gen
+    cont = gen.gamma(2.0, 1.0, n)
+    ties = gen.integers(0, 40, n).astype(float)
+    special = cont.copy()
+    special[[3, 70, 500]] = np.inf
+    special[[9, 800]] = -np.inf
+    special[[11, 12, 2000]] = np.nan
+    few_nan = gen.integers(0, 4, n).astype(float)
+    few_nan[[5, 6, 7]] = np.nan
+    all_nan = np.full(n, np.nan)
+    all_nan[:50] = 1.0
+    return {
+        "continuous": cont,
+        "tied_at_quantile_edges": ties,
+        "bins_unique": gen.integers(0, 10, n).astype(float),
+        "bins_plus_one_unique": gen.integers(0, 11, n).astype(float),
+        "all_equal": np.full(n, 2.5),
+        "inf_and_nan": special,
+        "few_values_and_nan": few_nan,
+        "mostly_nan": all_nan,
+        # one heavy atom: quantile edges collapse, leaving empty cells
+        "heavy_atom": np.where(gen.random(n) < 0.7, 0.0, cont),
+    }
+
+
+BINNING_INPUTS = _binning_inputs()
+
+
+def _same(x, y):
+    return json.dumps(x.to_dict(), sort_keys=True) == \
+        json.dumps(y.to_dict(), sort_keys=True)
+
+
+# 300 bins: more edges than an 8-bit label can count
+@pytest.mark.parametrize("bins", [10, 300])
+@pytest.mark.parametrize("name", sorted(BINNING_INPUTS))
+def test_labels_match_searchsorted_reference(name, bins):
+    values = BINNING_INPUTS[name]
+    (labels,), k = _binning(values, bins)
+    ref, ref_k = _ref_bin_indices(values, bins)
+    assert k == ref_k
+    assert np.array_equal(labels.astype(np.int64), ref)
+    # pooled edges: labels of one half and of a reversed other half
+    half = len(values) // 2
+    a, b = values[:half], values[half:][::-1]
+    (la, lb), k = _bin_indices_from(values, a, b, bins)
+    (ra, rb), ref_k = _ref_bin_indices_from(values, a, b, bins)
+    assert k == ref_k
+    assert np.array_equal(la.astype(np.int64), ra)
+    assert np.array_equal(lb.astype(np.int64), rb)
+
+
+@pytest.mark.parametrize("name", sorted(BINNING_INPUTS))
+def test_bin_counts_match_searchsorted_reference(name):
+    values = BINNING_INPUTS[name]
+    finite = np.unique(values[np.isfinite(values)])
+    # edges at sample values, between them, and beyond the sample
+    for edges in (finite[::7], np.quantile(finite, [0.1, 0.5, 0.9]),
+                  np.array([-1.0, 0.0, 2.5, 100.0])):
+        counts = bin_counts(values, edges)
+        assert np.array_equal(counts, _ref_bin_counts(values, edges))
+        assert counts.sum() == len(values)
+
+
+@pytest.mark.parametrize("name", sorted(BINNING_INPUTS))
+def test_tests_match_searchsorted_reference(name, monkeypatch):
+    values = BINNING_INPUTS[name]
+    other = BINNING_INPUTS["tied_at_quantile_edges"]
+    pairs = [np.column_stack([values, other]),
+             np.column_stack([other, values]),
+             np.column_stack([values, values[::-1]])]
+    new = [(independence_test(p), exchangeability_test(p)) for p in pairs]
+    monkeypatch.setattr(stat_tests, "_binning", _ref_binning)
+    monkeypatch.setattr(stat_tests, "_bin_indices_from",
+                        _ref_bin_indices_from)
+    monkeypatch.setattr(stat_tests, "_table", _ref_table)
+    old = [(independence_test(p), exchangeability_test(p)) for p in pairs]
+    for (ind, exc), (ref_ind, ref_exc) in zip(new, old):
+        assert _same(ind, ref_ind)
+        assert _same(exc, ref_exc)
+
+
+@pytest.mark.parametrize("law,low,high,n", [
+    (Gamma(2.0, 1.0), 0.0, 30.0, 20_000),
+    (Gamma(2.0, 1.0), 0.0, 30.0, 100_000),
+    # draws on a third of the support: most cells are empty
+    (UniformUnit(), 0.0, 0.3, 20_000),
+])
+def test_gof_counts_match_searchsorted_reference(law, low, high, n,
+                                                 monkeypatch):
+    gen = RandomStream(223).gen
+    k = 50 if n >= 100_000 else 20
+    edges = np.asarray(law.quantile(np.linspace(0.0, 1.0, k + 1)[1:-1]))
+    draws = gen.uniform(low, high, n - 5 * len(edges))
+    # every edge drawn exactly, five times
+    samples = np.concatenate([draws, np.repeat(edges, 5)])
+    new = kernels._gof_against_law(samples, law)
+    monkeypatch.setattr(stat_tests, "bin_counts", _ref_bin_counts)
+    assert _same(new, kernels._gof_against_law(samples, law))
