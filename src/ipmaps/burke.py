@@ -133,8 +133,7 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
         stat += r.statistic
         dof += r.flags["dof"]
         states += 1
-    from scipy import stats as sps
-    p = float(sps.chi2.sf(stat, dof)) if dof > 0 else 1.0
+    p = stat_tests.chi2_sf(stat, dof) if dof > 0 else 1.0
     return stat_tests.TestResult(stat, p, (len(froms),), "transition_chi2",
                                  p > level, level,
                                  {"dof": dof, "states": states})

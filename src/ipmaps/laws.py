@@ -3,6 +3,15 @@
 Continuous kinds expose ``density``/``cdf``/``quantile``/``sample``; a
 discrete kind is its ``pmf`` and its upper ``tail``, in closed form where one
 exists, and `truncate` tabulates it on a box.
+
+The package does not import scipy.stats. The gamma and beta cdf and
+quantile call the scipy.special functions that scipy.stats calls for them,
+in the same order of operations, so they give the same bits:
+`gammainc`/`gammaincinv` and `betainc`/`betaincinv`. The densities are
+closed forms in `xlogy`, `xlog1py`, `gammaln` and `betaln` (the gamma one
+is scipy.stats' own). Off the support a density is 0 and a cdf is 0 or 1,
+as in scipy.stats. The normal law uses `ndtr`/`ndtri`, and the GIG constant
+`kv`.
 """
 
 from __future__ import annotations
@@ -10,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .rng import RandomStream
 
@@ -51,19 +60,25 @@ class Gamma(Law):
             raise LawError("Gamma requires shape>0 and rate>0")
         self.shape = float(shape)
         self.rate = float(rate)
-        self._dist = stats.gamma(a=self.shape, scale=1.0 / self.rate)
+        self._scale = 1.0 / self.rate
 
     def density(self, x):
-        return self._dist.pdf(x)
+        z = np.asarray(x, dtype=float) / self._scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = np.exp(special.xlogy(self.shape - 1.0, z) - z
+                            - special.gammaln(self.shape)) / self._scale
+        return np.where(z < 0.0, 0.0, inside)[()]
 
     def cdf(self, x):
-        return self._dist.cdf(x)
+        # x / scale, not x * rate: the two differ in the last bit
+        z = np.asarray(x, dtype=float) / self._scale
+        return special.gammainc(self.shape, np.maximum(z, 0.0))
 
     def quantile(self, u):
-        return self._dist.ppf(self._check_u(u))
+        return special.gammaincinv(self.shape, self._check_u(u)) * self._scale
 
     def sample(self, rng, size=None):
-        return rng.gen.gamma(self.shape, 1.0 / self.rate, size)
+        return rng.gen.gamma(self.shape, self._scale, size)
 
     def __repr__(self):
         return f"Gamma(shape={self.shape}, rate={self.rate})"
@@ -77,16 +92,21 @@ class BetaI(Law):
             raise LawError("BetaI requires a>0 and b>0")
         self.a = float(a)
         self.b = float(b)
-        self._dist = stats.beta(self.a, self.b)
 
     def density(self, x):
-        return self._dist.pdf(x)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = np.exp(special.xlog1py(self.b - 1.0, -x)
+                            + special.xlogy(self.a - 1.0, x)
+                            - special.betaln(self.a, self.b))
+        return np.where((x < 0.0) | (x > 1.0), 0.0, inside)[()]
 
     def cdf(self, x):
-        return self._dist.cdf(x)
+        return special.betainc(self.a, self.b,
+                               np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
     def quantile(self, u):
-        return self._dist.ppf(self._check_u(u))
+        return special.betaincinv(self.a, self.b, self._check_u(u))
 
     def sample(self, rng, size=None):
         return rng.gen.beta(self.a, self.b, size)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 DEFAULT_LEVEL = 0.001
 
@@ -56,6 +56,9 @@ def ks_two_sample(a, b, level=DEFAULT_LEVEL):
     b = np.asarray(b, dtype=float)
     if len(a) < 100 or len(b) < 100:
         raise StatTestError("ks_two_sample needs at least 100 points per sample")
+    # the only scipy.stats use, imported here to keep it out of start-up
+    from scipy import stats
+
     res = stats.ks_2samp(a, b, method="asymp")
     return _result(res.statistic, res.pvalue, (len(a), len(b)),
                    "ks_two_sample", level)
@@ -64,6 +67,11 @@ def ks_two_sample(a, b, level=DEFAULT_LEVEL):
 # ---------------------------------------------------------------------------
 # chi-square machinery
 # ---------------------------------------------------------------------------
+
+def chi2_sf(stat, dof):
+    """P(chi2_dof > stat), as scipy.stats.chi2.sf gives it: 1 for stat <= 0."""
+    return float(special.chdtrc(dof, max(stat, 0.0)))
+
 
 def _merge_small_cells(counts, expected, floor=5.0):
     """Merge cells until every expected count reaches the floor.
@@ -101,7 +109,7 @@ def chi2_gof(counts, probs, level=DEFAULT_LEVEL):
     assert exp.min() >= 5.0 or len(exp) == 1
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = max(len(obs) - 1, 1)
-    p = stats.chi2.sf(stat, dof)
+    p = chi2_sf(stat, dof)
     return _result(stat, p, (int(n),), "chi2_gof", level, dof=dof,
                    cells=len(obs))
 
@@ -183,7 +191,7 @@ def independence_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
                        degenerate_marginal=True, dof=0)
     stat = float(((table - exp) ** 2 / exp).sum())
     dof = (r - 1) * (c - 1)
-    p = stats.chi2.sf(stat, dof)
+    p = chi2_sf(stat, dof)
     return _result(stat, p, (n,), "independence_chi2", level, dof=dof,
                    shape=[r, c])
 
@@ -254,7 +262,7 @@ def exchangeability_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
     eb = pooled_counts * (cb.sum() / pooled_counts.sum())
     stat = float((((ca - ea) ** 2) / ea).sum() + (((cb - eb) ** 2) / eb).sum())
     dof = len(ca) - 1
-    p = stats.chi2.sf(stat, dof)
+    p = chi2_sf(stat, dof)
     return _result(stat, p, (half, half), "exchangeability_chi2", level,
                    dof=dof, cells=len(ca))
 

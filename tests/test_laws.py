@@ -44,6 +44,67 @@ def test_quantile_rejects_bad_u():
 
 
 # ---------------------------------------------------------------------------
+# gamma and beta from scipy.special, against scipy.stats bit for bit
+# ---------------------------------------------------------------------------
+
+def _hex(values):
+    return [float.hex(v) for v in np.ravel(values).astype(float).tolist()]
+
+
+# 2e5 random u, and the continuous-GOF edge grids for 20 and 50 cells
+U_GRIDS = (RandomStream(11).gen.random(200_000),
+           np.linspace(0.0, 1.0, 21)[1:-1], np.linspace(0.0, 1.0, 51)[1:-1])
+OFF_GRID = np.array([0.0, -0.0, 1e-300, np.inf, np.nan])
+GAMMA_PARAMS = ((2.0, 1.0), (0.5, 3.0), (7.3, 0.2), (1.0, 1.0))
+BETA_PARAMS = ((2.0, 1.0), (3.0, 2.0), (0.5, 0.5), (1.0, 5.0), (4.0, 0.7))
+
+
+@pytest.mark.parametrize("shape, rate", GAMMA_PARAMS)
+def test_gamma_matches_scipy_stats_bits(shape, rate):
+    law, ref = Gamma(shape, rate), stats.gamma(a=shape, scale=1.0 / rate)
+    for u in U_GRIDS:
+        x = ref.ppf(u)
+        assert _hex(law.quantile(u)) == _hex(x)
+        x = np.concatenate([x, OFF_GRID])
+        assert _hex(law.cdf(x)) == _hex(ref.cdf(x))
+        with np.errstate(invalid="ignore"):     # scipy.stats' pdf at inf
+            assert _hex(law.density(x)) == _hex(ref.pdf(x))
+
+
+@pytest.mark.parametrize("a, b", BETA_PARAMS)
+def test_beta_matches_scipy_stats_bits(a, b):
+    law, ref = BetaI(a, b), stats.beta(a, b)
+    for u in U_GRIDS:
+        x = ref.ppf(u)
+        assert _hex(law.quantile(u)) == _hex(x)
+        x = np.concatenate([x, OFF_GRID, [1.0]])
+        assert _hex(law.cdf(x)) == _hex(ref.cdf(x))
+        # scipy.stats takes the beta density from Boost, not from the logs
+        np.testing.assert_allclose(law.density(x), ref.pdf(x), rtol=1e-12)
+
+
+@pytest.mark.parametrize("law, ref, xs", [
+    (Gamma(2.0, 1.0), stats.gamma(a=2.0), [-1.0, -1e-300, -np.inf]),
+    (Gamma(0.5, 3.0), stats.gamma(a=0.5, scale=1.0 / 3.0), [-2.0, -np.inf]),
+    (BetaI(3.0, 2.0), stats.beta(3.0, 2.0), [-0.5, 1.5, -np.inf, np.inf]),
+    (BetaI(0.5, 0.5), stats.beta(0.5, 0.5), [-1e-300, 1.0 + 1e-15, 7.0]),
+])
+def test_cdf_and_density_off_the_support(law, ref, xs):
+    """0 or 1 for the cdf and 0 for the density, as in scipy.stats, where
+    the bare special functions give nan."""
+    xs = np.array(xs)
+    cdf = law.cdf(xs)
+    assert np.all((cdf == 0.0) | (cdf == 1.0))
+    assert np.all((cdf == 1.0) == (xs > law.support_hi))
+    assert np.all(law.density(xs) == 0.0)
+    assert _hex(cdf) == _hex(ref.cdf(xs))
+    assert _hex(law.density(xs)) == _hex(ref.pdf(xs))
+    for x, c in zip(xs, cdf):
+        assert np.ndim(law.cdf(x)) == 0 and law.cdf(x) == c
+        assert np.ndim(law.density(x)) == 0 and law.density(x) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
 

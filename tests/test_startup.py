@@ -1,0 +1,52 @@
+"""The CLI starts, and runs exact and Beta-law checks, without scipy.stats.
+
+scipy.stats takes about half a second to import; the package reaches the
+few functions it needs through scipy.special instead. The check runs in a
+fresh interpreter, since this test session has imported scipy.stats.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """\
+import sys
+import ipmaps.cli as cli
+
+for path in sys.argv[1:]:
+    report = cli.run(cli.load_config(path), out_dir=path + ".out")
+    cli.emit(report, path + ".out")
+    assert report["overall_pass"], report
+assert "scipy.stats" not in sys.modules, "ipmaps imported scipy.stats"
+"""
+
+CONFIGS = {
+    "rrw.json": {"seed": 1, "checks": [
+        {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
+         "box": 100}]},
+    "beta_ip.json": {"seed": 1, "checks": [
+        {"kind": "ip", "map": "beta_map", "n": 20_000,
+         "mu": {"kind": "beta", "params": {"a": 2.0, "b": 1.0}},
+         "nu": {"kind": "beta", "params": {"a": 3.0, "b": 2.0}}}]},
+}
+
+
+def test_cli_runs_without_importing_scipy_stats(tmp_path):
+    paths = []
+    for name, config in CONFIGS.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(config))
+        paths.append(str(path))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, *paths],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    for path in paths:
+        assert (Path(path + ".out") / "report.json").is_file()

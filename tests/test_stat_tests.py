@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ipmaps import kernels, stat_tests
 from ipmaps.laws import Gamma, Geometric, UniformUnit
@@ -93,6 +94,17 @@ def test_chi2_shape_errors():
         chi2_gof([1.0, 2.0], [1.0])
     with pytest.raises(StatTestError):
         chi2_gof([1.0, 2.0], [0.5, 0.6])
+
+
+def test_chi2_sf_matches_scipy_stats_bits():
+    gen = RandomStream(19).gen
+    for dof in range(1, 401):
+        grid = np.concatenate([[0.0, -0.0, np.inf, 1e-300],
+                               gen.random(20) * 4.0 * dof])
+        got = [stat_tests.chi2_sf(float(s), dof).hex() for s in grid]
+        assert got == [float(stats.chi2.sf(s, dof)).hex() for s in grid]
+        # below the support scipy.stats gives 1; the bare chdtrc gives nan
+        assert stat_tests.chi2_sf(-1.0, dof) == stats.chi2.sf(-1.0, dof) == 1.0
 
 
 # ---------------------------------------------------------------------------
