@@ -1,9 +1,10 @@
 """Construction of involutive augmentations from an f-specification.
 
-Given f: X x U -> X together with a solver for u in y = f(x,u), the unique
-co-map g_f(x,u) = sigma(f(x,u), x) is built wherever the solution is unique,
-and g_f = u on the fixed-point set. Hypotheses (symmetry of the accessible
-set, uniqueness off the diagonal) are verified pointwise on probes.
+An f-specification is a catalog f: X x U -> X together with its closed-form
+solver sigma for u in y = f(x,u). The unique co-map g_f(x,u) =
+sigma(f(x,u), x) is built wherever the solution is unique, and g_f = u on
+the fixed-point set. Hypotheses (symmetry of the accessible set, uniqueness
+off the diagonal) are verified pointwise on probes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 from .involutions import (
     UNIT_INTERVAL, InvolutionPair, SpaceDescriptor, catalog_get,
+    check_involution,
 )
 from .reports import VerificationReport
-from .skorokhod import gaussian_cdf, to_interval
+from .skorokhod import gaussian_cdf
 
 UNIQUE = "unique"
 NONUNIQUE = "nonunique"
@@ -47,64 +49,17 @@ class AugmentationError(ValueError):
 
 @dataclass(frozen=True)
 class FSpec:
-    """An f-map with the data needed to invert it in u.
+    """A catalog f together with its closed-form u-solver.
 
-    Either `solver` (closed form) is given, or f(x,.) must be declared
-    strictly monotone on a real u-interval, in which case bisection to 1e-12
-    is used.
+    `solver(x, y)` solves y = f(x, u) for u and returns a SolveResult:
+    unique(u), NON_UNIQUE or NO_SOLUTION.
     """
 
     name: str
     x_space: SpaceDescriptor
     u_space: SpaceDescriptor
     f: callable
-    solver: callable = None
-    monotone: str = None              # "increasing" | "decreasing"
-    u_interval: tuple = None          # (lo, hi); may be infinite
-
-    def __post_init__(self):
-        if self.solver is None:
-            if self.monotone not in ("increasing", "decreasing"):
-                raise AugmentationError(
-                    "numeric solving requires a declared strict monotonicity")
-            if self.u_interval is None:
-                raise AugmentationError("numeric solving requires a u-interval")
-
-
-def _numeric_solve(spec, x, y, tol=1e-12, max_iter=200):
-    lo, hi = spec.u_interval
-    sign = 1.0 if spec.monotone == "increasing" else -1.0
-
-    def h(s):
-        return sign * (spec.f(x, to_interval(s, lo, hi)) - y)
-
-    a, b = 1e-12, 1.0 - 1e-12
-    ha, hb = h(a), h(b)
-    if ha > 0.0 or hb < 0.0:
-        return NO_SOLUTION
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        hm = h(m)
-        if abs(hm) <= tol:
-            u = to_interval(m, lo, hi)
-            # plateau probe: constant f around u signals non-uniqueness
-            eps = 1e-6 * max(1.0, abs(u))
-            if (abs(spec.f(x, u + eps) - y) < 1e-12
-                    and abs(spec.f(x, u - eps) - y) < 1e-12):
-                return NON_UNIQUE
-            return unique(u)
-        if hm < 0.0:
-            a = m
-        else:
-            b = m
-    return NO_SOLUTION
-
-
-def sigma_solve(spec, x, y):
-    """Solve y = f(x, u) for u: Unique(u), NonUnique, or NoSolution."""
-    if spec.solver is not None:
-        return spec.solver(x, y)
-    return _numeric_solve(spec, x, y)
+    solver: callable
 
 
 def _values_close(a, b, space):
@@ -117,16 +72,15 @@ def _values_close(a, b, space):
 def augment(spec, probes=None):
     """Build the involutive augmentation (f, g_f) of the f-specification.
 
-    If probes are given, Prop.-style hypotheses and the round trip are
-    verified on them first; a violation aborts with a witness.
+    If probes are given, the hypotheses and the round trip H(H(x,u)) =
+    (x,u) are verified on them first; a violation aborts with a witness.
     """
 
     def g_f(x, u):
         y = spec.f(x, u)
-        res = sigma_solve(spec, x, y)
-        if not res.is_unique:
+        if not spec.solver(x, y).is_unique:
             return u
-        back = sigma_solve(spec, y, x)
+        back = spec.solver(y, x)
         if not back.is_unique:
             raise AugmentationError(
                 f"{spec.name}: accessible-set symmetry fails at "
@@ -140,20 +94,12 @@ def augment(spec, probes=None):
         if not report.passed:
             raise AugmentationError(
                 f"{spec.name}: hypotheses violated: {report.details['violations'][:1]}")
-        for x, u in probes:
-            y, v = pair.f(x, u), pair.g(x, u)
-            x2, u2 = pair.f(y, v), pair.g(y, v)
-            if not (_values_close(x2, x, spec.x_space)
-                    and _scalar_u_close(u2, u, spec.u_space)):
-                raise AugmentationError(
-                    f"{spec.name}: round trip fails at (x={x!r}, u={u!r})")
+        round_trip = check_involution(pair, probes)
+        if not round_trip.passed:
+            raise AugmentationError(
+                f"{spec.name}: round trip fails at "
+                f"{round_trip.details['worst_point']}")
     return pair
-
-
-def _scalar_u_close(a, b, space):
-    if space.kind == "bernoulli_cross_unit":
-        return a[0] == b[0] and _values_close(a[1], b[1], UNIT_INTERVAL)
-    return _values_close(a, b, space)
 
 
 def verify_hypotheses(spec, probes):
@@ -166,14 +112,14 @@ def verify_hypotheses(spec, probes):
     violations = []
     for x, u in probes:
         y = spec.f(x, u)
-        back = sigma_solve(spec, y, x)
+        back = spec.solver(y, x)
         if back.kind == NOSOLUTION:
             violations.append({
                 "kind": "symmetry", "x": x, "u": u, "y": y,
                 "note": "reverse pair (y,x) is not accessible",
             })
             continue
-        fwd = sigma_solve(spec, x, y)
+        fwd = spec.solver(x, y)
         if fwd.kind == NONUNIQUE and not _values_close(y, x, spec.x_space):
             violations.append({
                 "kind": "multiplicity", "x": x, "u": u, "y": y,

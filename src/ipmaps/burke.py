@@ -213,6 +213,13 @@ def _thinned_slices(T, stride=10):
     return list(range(stride, T + 1, stride))
 
 
+def require_field_shape(N, T):
+    """Raise KernelError unless an N x T field is at least 30 x 30, the
+    smallest that `verify_burke` tests."""
+    if N < 30 or T < 30:
+        raise KernelError("need at least a 30 x 30 field")
+
+
 def verify_burke(field, level=DEFAULT_LEVEL):
     """Burke's property on the simulated rectangle.
 
@@ -242,8 +249,7 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     """
     X, U = field.X, field.U
     N, T = field.shape
-    if N < 30 or T < 30:
-        raise KernelError("need at least a 30 x 30 field")
+    require_field_shape(N, T)
     discrete = field.pair.x_space.is_integer
     slices = _thinned_slices(T)
     checks = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,6 +33,10 @@ class ConfigError(ValueError):
 _INTEGER_FIELDS = ("n", "box", "M", "ell", "N", "T", "grid")
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_stanza(stanza, index):
     """Check a stanza's fields and resolve its map and laws through the
     lookups its runner uses, so a bad name or parameter fails here."""
@@ -51,6 +56,13 @@ def _validate_stanza(stanza, index):
             raise ConfigError(
                 f"check #{index} ({kind}): {name!r} must be an integer, "
                 f"not {value!r}")
+    level, tol = stanza.get("level", 0.001), stanza.get("tol", 0.0)
+    if not (_is_number(level) and 0.0 < level < 1.0):
+        raise ConfigError(f"check #{index} ({kind}): 'level' must be a "
+                          f"number in (0, 1), not {level!r}")
+    if not (_is_number(tol) and 0.0 <= tol < math.inf):
+        raise ConfigError(f"check #{index} ({kind}): 'tol' must be a "
+                          f"finite number >= 0, not {tol!r}")
     try:
         if "map" in fields:
             resolve = fspec_for if kind == "hypotheses" else catalog_get
@@ -64,6 +76,8 @@ def _validate_stanza(stanza, index):
                 law_from_spec(stanza[name])
         if kind == "reversibility":
             kernels.require_reversibility_n(stanza["n"])
+        if kind == "burke":
+            burke.require_field_shape(*_burke_shape(stanza))
         if kind == "rrw-characterize":
             exact_discrete.RRWParams.make(
                 stanza["p"], stanza["q"], stanza["r"], stanza.get("pprime"))
@@ -116,11 +130,9 @@ def _run_hypotheses(stanza, rng, out_dir):
 
 def _run_reversibility(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza.get("params"))
-    kernel = kernels.GeneratedKernel(pair, law_from_spec(stanza["nu"]))
-    mu = law_from_spec(stanza["mu"])
     return kernels.check_reversibility_statistical(
-        kernel, mu, int(stanza["n"]), rng,
-        level=float(stanza.get("level", 0.001)))
+        pair, law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]),
+        int(stanza["n"]), rng, level=float(stanza.get("level", 0.001)))
 
 
 def _run_ip(stanza, rng, out_dir):
@@ -132,13 +144,13 @@ def _run_ip(stanza, rng, out_dir):
 
 def _run_detailed_balance(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza.get("params"))
-    kernel = kernels.GeneratedKernel(pair, law_from_spec(stanza["nu"]))
+    nu = law_from_spec(stanza["nu"])
     mu = law_from_spec(stanza["mu"])
     box = int(stanza.get("box", 200))
     lo = getattr(mu, "support_lo", 0)   # truncate rejects continuous laws
     cells, tail = truncate(mu, lo + box)
     report = kernels.check_detailed_balance_exact(
-        kernel, cells, tol=float(stanza.get("tol", 1e-12)))
+        pair, nu, cells, tol=float(stanza.get("tol", 1e-12)))
     report.details["mu_truncation_tail"] = tail
     return report
 
@@ -191,12 +203,16 @@ def _run_kdv_tv(stanza, rng, out_dir):
     )
 
 
+def _burke_shape(stanza):
+    """(N, T) of a burke stanza."""
+    return int(stanza.get("N", 50)), int(stanza.get("T", 50))
+
+
 def _run_burke(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza.get("params"))
     mu = law_from_spec(stanza["mu"])
     nu = law_from_spec(stanza["nu"])
-    N = int(stanza.get("N", 50))
-    T = int(stanza.get("T", 50))
+    N, T = _burke_shape(stanza)
     field = burke.simulate_field(pair, mu, nu, N, T, rng)
     recursion = burke.check_recursion(field)
     report = burke.verify_burke(field,

@@ -1,13 +1,13 @@
 """Markov kernels generated by random functions, and reversibility /
 independence-preservation checks.
 
-Exact checks enumerate discrete noise; statistical checks draw Monte Carlo
+The kernel of a catalog pair H = (f, g) and a noise law nu is
+K(x,.) = law of f(x,U), U ~ nu; every check takes the pair and nu. Exact
+checks enumerate discrete noise; statistical checks draw Monte Carlo
 samples and delegate to `stat_tests`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +19,6 @@ from .stat_tests import DEFAULT_LEVEL
 
 class KernelError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GeneratedKernel:
-    """Kernel K(x,.) = law of f(x,U), U ~ noise; `pair` carries (f, g_f)."""
-
-    pair: object          # InvolutionPair
-    noise: object         # Law, or tuple of Laws for product noise
 
 
 def _sample_noise(noise, rng, size=None):
@@ -79,16 +71,17 @@ def renormalized(cells):
     return list(zip(points, (weights / weights.sum()).tolist()))
 
 
-def check_detailed_balance_exact(kernel, mu_cells, tol=1e-12):
-    """Max |mu(x)K(x,y) - mu(y)K(y,x)| by exact enumeration of noise outcomes.
+def check_detailed_balance_exact(pair, nu, mu_cells, tol=1e-12):
+    """Max |mu(x)K(x,y) - mu(y)K(y,x)| by exact enumeration of noise outcomes,
+    for the kernel K(x,.) = law of f(x,U), U ~ nu, of `pair`.
 
     `mu_cells` are the (state, weight) cells of mu, as `truncate` gives
-    them; they are renormalized to sum to 1. The noise law is truncated to
-    tail <= 1e-14 and the pass threshold is tol + 10 * tail.
+    them; they are renormalized to sum to 1. The noise law nu is truncated
+    to tail <= 1e-14 and the pass threshold is tol + 10 * tail.
     """
     mu_cells = renormalized(mu_cells)
-    noise_cells, tail = _discrete_noise_table(kernel.noise)
-    f = kernel.pair.f
+    noise_cells, tail = _discrete_noise_table(nu)
+    f = pair.f
     flux = pushforward(lambda x, u: (x, f(x, u)), mu_cells, noise_cells)
     residual = 0.0
     worst = None
@@ -99,7 +92,7 @@ def check_detailed_balance_exact(kernel, mu_cells, tol=1e-12):
             worst = (x, y)
     threshold = tol + 10.0 * tail
     return VerificationReport(
-        name=f"detailed_balance:{kernel.pair.name}",
+        name=f"detailed_balance:{pair.name}",
         passed=residual <= threshold,
         details={"residual": residual, "threshold": threshold,
                  "noise_tail": tail, "worst_pair": worst,
@@ -158,16 +151,17 @@ def require_reversibility_n(n):
         raise KernelError("need n >= 10^4 for the statistical check")
 
 
-def check_reversibility_statistical(kernel, mu, n, rng, level=DEFAULT_LEVEL):
-    """Exchangeability of (X, f(X,U)) for X ~ mu independent of U ~ noise."""
+def check_reversibility_statistical(pair, mu, nu, n, rng,
+                                    level=DEFAULT_LEVEL):
+    """Exchangeability of (X, f(X,U)) for X ~ mu independent of U ~ nu."""
     require_reversibility_n(n)
     mu_rng, noise_rng = rng.split(2)
     xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
-    us = _sample_noise(kernel.noise, noise_rng, n)
-    ys = np.asarray(kernel.pair.f(xs, us), dtype=float)
+    us = _sample_noise(nu, noise_rng, n)
+    ys = np.asarray(pair.f(xs, us), dtype=float)
     res = stat_tests.exchangeability_test(np.column_stack([xs, ys]), level=level)
     return VerificationReport(
-        name=f"reversibility:{kernel.pair.name}",
+        name=f"reversibility:{pair.name}",
         passed=res.passed,
         details={"exchangeability": res.to_dict(), "n": n},
     )

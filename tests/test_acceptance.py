@@ -122,10 +122,9 @@ def test_criterion_3_rrw_exact(capsys):
     with capsys.disabled(), \
             criterion(3, "reflecting random walk exact characterization", 10):
         params = exact_discrete.RRWParams.make(0.2, 0.5, 0.3)
-        kernel = kernels.GeneratedKernel(catalog_get("reflecting_rw"),
-                                         ThreePoint(0.2, 0.5, 0.3))
         cells, _ = truncate(Geometric(0.4), 200)
-        db = kernels.check_detailed_balance_exact(kernel, cells)
+        db = kernels.check_detailed_balance_exact(
+            catalog_get("reflecting_rw"), ThreePoint(0.2, 0.5, 0.3), cells)
         assert db.passed and db.details["residual"] <= 1e-15
 
         for prm in (params, exact_discrete.RRWParams.make(0.3, 0.7, 0, 0.2)):

@@ -5,33 +5,33 @@ import pytest
 
 from ipmaps.augmentation import (
     NONUNIQUE, NOSOLUTION, UNIQUE, AugmentationError, FSpec, augment,
-    fspec_for, sigma_solve, verify_hypotheses,
+    fspec_for, unique, verify_hypotheses,
 )
 from ipmaps.involutions import REAL_LINE, catalog_get, sample_points
 from ipmaps.rng import RandomStream
 
 
 # ---------------------------------------------------------------------------
-# sigma_solve
+# closed-form solvers
 # ---------------------------------------------------------------------------
 
 def test_my_solver_unique():
     spec = fspec_for("matsumoto_yor")
-    res = sigma_solve(spec, 1.0, 0.5)
+    res = spec.solver(1.0, 0.5)
     assert res.kind == UNIQUE
     assert res.u == pytest.approx(1.0, abs=1e-12)
 
 
 def test_my_solver_no_solution_outside_accessible_set():
     spec = fspec_for("matsumoto_yor")
-    assert sigma_solve(spec, 1.0, 2.0).kind == NOSOLUTION
+    assert spec.solver(1.0, 2.0).kind == NOSOLUTION
 
 
 def test_rrw_solver_nonunique_at_origin():
     spec = fspec_for("reflecting_rw")
-    assert sigma_solve(spec, 0, 0).kind == NONUNIQUE
-    assert sigma_solve(spec, 1, 2).u == 1
-    assert sigma_solve(spec, 1, 3).kind == NOSOLUTION
+    assert spec.solver(0, 0).kind == NONUNIQUE
+    assert spec.solver(1, 2).u == 1
+    assert spec.solver(1, 3).kind == NOSOLUTION
 
 
 def test_solver_consistency_with_f():
@@ -44,27 +44,9 @@ def test_solver_consistency_with_f():
                 else float(gen.uniform(0.01, 0.99))
             y = float(np.exp(gen.normal())) if name != "beta_map" \
                 else float(gen.uniform(0.01, 0.99))
-            res = sigma_solve(spec, x, y)
+            res = spec.solver(x, y)
             if res.kind == UNIQUE:
                 assert spec.f(x, res.u) == pytest.approx(y, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# numeric solver
-# ---------------------------------------------------------------------------
-
-def test_numeric_solver_on_monotone_spec():
-    spec = FSpec("shift", REAL_LINE, REAL_LINE, lambda x, u: x + u,
-                 monotone="increasing", u_interval=(-np.inf, np.inf))
-    res = sigma_solve(spec, 2.0, 5.0)
-    assert res.kind == UNIQUE
-    assert type(res.u) is float
-    assert res.u == pytest.approx(3.0, abs=1e-9)
-
-
-def test_numeric_solver_requires_monotonicity():
-    with pytest.raises(AugmentationError):
-        FSpec("bad", REAL_LINE, REAL_LINE, lambda x, u: x + u)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +113,31 @@ def test_augment_roundtrip_f_of_y_v():
         assert spec.f(y, v) == pytest.approx(x, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", [
+    "matsumoto_yor", "swapped_matsumoto_yor", "beta_map", "beta_walk",
+    "reflecting_rw",
+])
+def test_augment_with_probes_accepts_catalog_specs(name):
+    probes = _scalar_probes(catalog_get(name), 500, 67)
+    built = augment(fspec_for(name), probes)
+    assert built.name == f"augmented:{name}"
+
+
 def test_augment_with_probes_aborts_on_kdv():
     spec = fspec_for("kdv")
     with pytest.raises(AugmentationError):
         augment(spec, probes=[(-2, 2), (1, -1)])
+
+
+def test_augment_with_probes_aborts_on_a_wrong_solver():
+    # f = x + u on the real line, solved off by 0.5: every solve is unique
+    # and (y, x) is accessible, so only the round trip can catch it
+    spec = FSpec("shift", REAL_LINE, REAL_LINE, lambda x, u: x + u,
+                 lambda x, y: unique(y - x + 0.5))
+    probes = [(1.0, 2.0), (-3.0, 0.5)]
+    assert verify_hypotheses(spec, probes).passed
+    with pytest.raises(AugmentationError, match="round trip fails at"):
+        augment(spec, probes)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,33 @@ BAD_STANZAS = {
                       "mu": GEOMETRIC, "nu": THREE_POINT, "T": 60.0},
     "skorokhod_grid_float": {"kind": "skorokhod-gaussian", "beta": 0.5,
                              "sigma": 1.0, "grid": 100.5},
+    # a level outside (0, 1) makes every p-value pass or fail
+    "ip_level_0": {"kind": "ip", "map": "kdv_g2",
+                   "mu": {"kind": "trunc_geom",
+                          "params": {"theta": 0.5, "ell": 2}},
+                   "nu": {"kind": "shift_geom",
+                          "params": {"theta": 0.5, "ell": 2}},
+                   "n": 10000, "level": 0},
+    "reversibility_level_minus_1": {"kind": "reversibility",
+                                    "map": "matsumoto_yor",
+                                    "mu": {"kind": "gig",
+                                           "params": {"alpha": 2, "lam": 1}},
+                                    "nu": {"kind": "uniform"}, "n": 10000,
+                                    "level": -1},
+    "ip_level_1_5": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
+                     "nu": GAMMA, "n": 10000, "level": 1.5},
+    "burke_level_string": {"kind": "burke", "map": "reflecting_rw",
+                           "mu": GEOMETRIC, "nu": THREE_POINT,
+                           "level": "abc"},
+    "ip_level_bool": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
+                      "nu": GAMMA, "n": 10000, "level": True},
+    "detailed_balance_tol_string": {"kind": "detailed-balance",
+                                    "map": "reflecting_rw", "mu": GEOMETRIC,
+                                    "nu": THREE_POINT, "tol": "x"},
+    "involution_tol_minus_1": {"kind": "involution", "map": "kdv_g1",
+                               "tol": -1},
+    "burke_10x10": {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
+                    "nu": THREE_POINT, "N": 10, "T": 10},
 }
 
 

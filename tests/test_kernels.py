@@ -7,9 +7,8 @@ import pytest
 
 from ipmaps.involutions import catalog_get
 from ipmaps.kernels import (
-    GeneratedKernel, KernelError, _gof_against_law,
-    check_detailed_balance_exact, check_ip_statistical,
-    check_reversibility_statistical, pushforward,
+    KernelError, _gof_against_law, check_detailed_balance_exact,
+    check_ip_statistical, check_reversibility_statistical, pushforward,
 )
 from ipmaps.laws import (
     BetaI, Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
@@ -150,30 +149,30 @@ def test_gof_fails_on_one_draw_outside_the_support(law, bad):
 # exact detailed balance
 # ---------------------------------------------------------------------------
 
-def _rrw_kernel():
-    return GeneratedKernel(catalog_get("reflecting_rw"),
-                           ThreePoint(0.2, 0.5, 0.3))
+def _rrw_balance(cells):
+    return check_detailed_balance_exact(catalog_get("reflecting_rw"),
+                                        ThreePoint(0.2, 0.5, 0.3), cells)
 
 
 def test_detailed_balance_holds_for_forced_law():
     cells, _ = truncate(Geometric(0.4), 200)
-    report = check_detailed_balance_exact(_rrw_kernel(), cells)
+    report = _rrw_balance(cells)
     assert report.passed
     assert report.details["residual"] <= 1e-15
 
 
 def test_detailed_balance_fails_for_wrong_law():
     cells, _ = truncate(Geometric(0.5), 200)
-    report = check_detailed_balance_exact(_rrw_kernel(), cells)
+    report = _rrw_balance(cells)
     assert not report.passed
     assert report.details["residual"] >= 0.01
 
 
 def test_detailed_balance_kdv():
-    kernel = GeneratedKernel(catalog_get("kdv_g1"), ShiftGeom(0.5, 2))
     cells, tail = truncate(TruncGeom(0.5, 2), 2)
     assert tail == 0.0
-    report = check_detailed_balance_exact(kernel, cells)
+    report = check_detailed_balance_exact(catalog_get("kdv_g1"),
+                                          ShiftGeom(0.5, 2), cells)
     assert report.passed
     assert report.details["residual"] <= report.details["threshold"]
 
@@ -204,42 +203,42 @@ def test_pushforward_fraction_and_float_cells_agree():
 # ---------------------------------------------------------------------------
 
 def test_my_kernel_is_gig_reversible():
-    kernel = GeneratedKernel(catalog_get("matsumoto_yor"), Gamma(2, 1))
-    report = check_reversibility_statistical(kernel, GIG(2, 1), 50_000,
-                                             RandomStream(89))
+    report = check_reversibility_statistical(
+        catalog_get("matsumoto_yor"), GIG(2, 1), Gamma(2, 1), 50_000,
+        RandomStream(89))
     assert report.passed
 
 
 def test_my_kernel_not_reversible_with_uniform_noise():
-    kernel = GeneratedKernel(catalog_get("matsumoto_yor"), UniformUnit())
-    report = check_reversibility_statistical(kernel, GIG(2, 1), 50_000,
-                                             RandomStream(89))
+    report = check_reversibility_statistical(
+        catalog_get("matsumoto_yor"), GIG(2, 1), UniformUnit(), 50_000,
+        RandomStream(89))
     assert not report.passed
     assert report.details["exchangeability"]["p_value"] < 1e-10
 
 
 def test_beta_map_reversibility():
-    kernel = GeneratedKernel(catalog_get("beta_map"), BetaI(3, 2))
-    report = check_reversibility_statistical(kernel, BetaI(2, 1), 50_000,
-                                             RandomStream(97))
+    report = check_reversibility_statistical(
+        catalog_get("beta_map"), BetaI(2, 1), BetaI(3, 2), 50_000,
+        RandomStream(97))
     assert report.passed
 
 
 def test_reversibility_needs_enough_samples():
-    kernel = GeneratedKernel(catalog_get("matsumoto_yor"), Gamma(2, 1))
     with pytest.raises(KernelError):
-        check_reversibility_statistical(kernel, GIG(2, 1), 500,
+        check_reversibility_statistical(catalog_get("matsumoto_yor"),
+                                        GIG(2, 1), Gamma(2, 1), 500,
                                         RandomStream(0))
 
 
 def test_ip_matches_reversibility_for_my():
     # the two checks agree on the same map and laws
     pair = catalog_get("matsumoto_yor")
-    kernel = GeneratedKernel(pair, Gamma(2, 1))
     rng = RandomStream(101)
     r1, r2 = rng.split(2)
     ip = check_ip_statistical(pair, GIG(2, 1), Gamma(2, 1), 50_000, r1)
-    rev = check_reversibility_statistical(kernel, GIG(2, 1), 50_000, r2)
+    rev = check_reversibility_statistical(pair, GIG(2, 1), Gamma(2, 1), 50_000,
+                                          r2)
     assert ip.passed and rev.passed
 
 
