@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
+from ipmaps import laws
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
@@ -201,10 +202,80 @@ def test_gig_rejection_vs_markov_chain_sampler():
     assert ks_two_sample(a, b).passed
 
 
+# ---------------------------------------------------------------------------
+# GIG cdf and quantile against adaptive quadrature and root finding
+# ---------------------------------------------------------------------------
+
+GIG_GRID = [(0.1, 0.01), (0.5, 0.5), (2, 1), (0.1, 5), (1, 20)]
+# the quantile edges of the chi-square GOF at n < 10^5 and n >= 10^5
+GOF_EDGES = [np.linspace(0.0, 1.0, k + 1)[1:-1] for k in (20, 50)]
+
+
+def _gig_quad_cdf(law, x):
+    """The cdf by `quad` over t = log x in [-30, min(log x, 30)]."""
+    if x <= 0.0 or math.log(x) <= -30.0:
+        return 0.0
+
+    def integrand(t):
+        e = -law.alpha * t - 2.0 * law.lam * math.cosh(t)
+        return math.exp(e) if e > -745.0 else 0.0
+
+    val, _ = integrate.quad(integrand, -30.0, min(math.log(x), 30.0),
+                            epsabs=1e-300, epsrel=1e-12, limit=400)
+    return min(val * law.norm_const, 1.0)
+
+
+@pytest.mark.parametrize("alpha, lam", GIG_GRID)
+def test_gig_cdf_matches_quadrature(alpha, lam):
+    law = GIG(alpha, lam)
+    xs = np.exp(np.linspace(-12.0, 12.0, 97))
+    ref = np.array([_gig_quad_cdf(law, x) for x in xs])
+    assert np.max(np.abs(law.cdf(xs) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, lam", GIG_GRID)
+def test_gig_cdf_is_monotone(alpha, lam):
+    cdf = GIG(alpha, lam).cdf(np.exp(np.linspace(-31.0, 31.0, 20_001)))
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+
+
+@pytest.mark.parametrize("alpha, lam", GIG_GRID)
+def test_gig_quantile_matches_root_of_quadrature(alpha, lam):
+    law = GIG(alpha, lam)
+    for us in GOF_EDGES:
+        ref = np.array([math.exp(optimize.brentq(
+            lambda t: _gig_quad_cdf(law, math.exp(t)) - u, -30.0, 30.0,
+            xtol=1e-15)) for u in us])
+        assert np.max(np.abs(law.quantile(us) / ref - 1.0)) <= 1e-12
+
+
+def test_gig_cdf_ends():
+    law = GIG(2, 1)
+    assert law.cdf(0.0) == 0.0 and law.cdf(-1.0) == 0.0
+    assert law.cdf(np.inf) == 1.0
+    assert law.cdf([-np.inf, -2.0, 0.0, np.inf]).tolist() == [0, 0, 0, 1]
+
+
+def test_gig_scalars_stay_scalar_and_arrays_keep_their_shape():
+    law = GIG(2, 1)
+    assert type(law.cdf(1.0)) is float
+    assert type(law.quantile(0.5)) is float
+    assert law.cdf(np.full((2, 3), 1.0)).shape == (2, 3)
+    assert law.quantile(np.full((2, 3), 0.5)).shape == (2, 3)
+
+
 def test_gig_quantile_cdf_roundtrip():
     law = GIG(2, 1)
-    for u in (0.05, 0.5, 0.95):
-        assert law.cdf(law.quantile(u)) == pytest.approx(u, abs=1e-10)
+    us = GOF_EDGES[1]
+    assert np.max(np.abs(law.cdf(law.quantile(us)) - us)) <= 1e-14
+
+
+def test_gig_raises_when_the_cdf_table_misses_the_constant(monkeypatch):
+    monkeypatch.setattr(laws, "gig_norm_const",
+                        lambda alpha, lam: gig_norm_const(alpha, lam) * (1 + 1e-11))
+    with pytest.raises(LawError, match="does not sum to 1"):
+        GIG(2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The CLI starts, and runs exact and Beta-law checks, without scipy.stats.
+"""The CLI starts, and runs exact, Beta-law and GIG-law checks, without
+scipy.stats, scipy.integrate or scipy.optimize.
 
-scipy.stats takes about half a second to import; the package reaches the
-few functions it needs through scipy.special instead. The check runs in a
-fresh interpreter, since this test session has imported scipy.stats.
+scipy.stats takes about half a second to import, and scipy.integrate pulls
+in scipy.optimize, scipy.linalg and scipy.sparse; the package reaches the
+few functions it needs through scipy.special, and tabulates the GIG cdf
+with numpy. The check runs in a fresh interpreter, since this test session
+has imported all three.
 """
 
 import json
@@ -21,7 +24,8 @@ for path in sys.argv[1:]:
     report = cli.run(cli.load_config(path), out_dir=path + ".out")
     cli.emit(report, path + ".out")
     assert report["overall_pass"], report
-assert "scipy.stats" not in sys.modules, "ipmaps imported scipy.stats"
+for name in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
+    assert name not in sys.modules, f"ipmaps imported {name}"
 """
 
 CONFIGS = {
@@ -32,6 +36,11 @@ CONFIGS = {
         {"kind": "ip", "map": "beta_map", "n": 20_000,
          "mu": {"kind": "beta", "params": {"a": 2.0, "b": 1.0}},
          "nu": {"kind": "beta", "params": {"a": 3.0, "b": 2.0}}}]},
+    # builds a GIG law, whose quantile sets the GOF edges
+    "gig_ip.json": {"seed": 1, "checks": [
+        {"kind": "ip", "map": "matsumoto_yor", "n": 20_000,
+         "mu": {"kind": "gig", "params": {"alpha": 2.0, "lam": 1.0}},
+         "nu": {"kind": "gamma", "params": {"shape": 2.0, "rate": 1.0}}}]},
 }
 
 
