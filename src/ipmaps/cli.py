@@ -29,12 +29,30 @@ class ConfigError(ValueError):
     pass
 
 
-# stanza fields that count something; a runner reads them with int()
-_INTEGER_FIELDS = ("n", "box", "M", "ell", "N", "T", "grid")
+_REQUIRED = object()   # the default of a field that has none
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _integer(low=-math.inf):
+    return (lambda v: type(v) is int and v >= low,
+            "an integer" if low == -math.inf else f"an integer >= {low}")
+
+
+# field -> (test, description) of the values it accepts; a bool is no integer
+_FIELD_CHECKS = {
+    "seed": _integer(0), **dict.fromkeys(("n", "grid", "box"), _integer(1)),
+    **dict.fromkeys(("M", "ell", "N", "T"), _integer()),
+    "level": (lambda v: type(v) in (int, float) and 0 < v < 1,
+              "a number in (0, 1)"),
+    "tol": (lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+            "a finite number >= 0"),
+}
+
+
+def _check_field(where, name, value):
+    test, what = _FIELD_CHECKS[name]
+    if not test(value):
+        raise ConfigError(f"{where}{name!r} must be {what}, not {value!r}")
+    return value
 
 
 def _validate_stanza(stanza, index):
@@ -42,51 +60,44 @@ def _validate_stanza(stanza, index):
     lookups its runner uses, so a bad name or parameter fails here."""
     if not isinstance(stanza, dict):
         raise ConfigError(f"check #{index}: a check must be a JSON object")
-    kind = stanza.get("kind")
-    if kind not in _KINDS:
+    kind = stanza["kind"] if "kind" in stanza else None
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"check #{index}: unknown kind {kind!r}")
-    _, fields = _KINDS[kind]
-    for name in fields:
-        if name not in stanza:
-            raise ConfigError(
-                f"check #{index} ({kind}): missing field {name!r}")
-    for name in _INTEGER_FIELDS:
-        value = stanza.get(name, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(
-                f"check #{index} ({kind}): {name!r} must be an integer, "
-                f"not {value!r}")
-    level, tol = stanza.get("level", 0.001), stanza.get("tol", 0.0)
-    if not (_is_number(level) and 0.0 < level < 1.0):
-        raise ConfigError(f"check #{index} ({kind}): 'level' must be a "
-                          f"number in (0, 1), not {level!r}")
-    if not (_is_number(tol) and 0.0 <= tol < math.inf):
-        raise ConfigError(f"check #{index} ({kind}): 'tol' must be a "
-                          f"finite number >= 0, not {tol!r}")
+    where = f"check #{index} ({kind}): "
+    _, defaults = _KINDS[kind]
+    for name, value in stanza.items():
+        if name != "kind" and name not in defaults and name[:1] != "_":
+            raise ConfigError(f"{where}unknown field {name!r}")
+        if name in _FIELD_CHECKS:
+            _check_field(where, name, value)
+    for name, default in defaults.items():
+        if default is _REQUIRED and name not in stanza:
+            raise ConfigError(f"{where}missing field {name!r}")
+    view = {**defaults, **stanza}
     try:
-        if "map" in fields:
+        if "map" in defaults:
             resolve = fspec_for if kind == "hypotheses" else catalog_get
-            resolve(stanza["map"], stanza.get("params"))
+            resolve(view["map"], view["params"])
         if kind == "skorokhod-gaussian":
             # the pair the numeric construction is compared against
             catalog_get("gaussian_rosenblatt",
-                        {"beta": stanza["beta"], "sigma": stanza["sigma"]})
+                        {"beta": view["beta"], "sigma": view["sigma"]})
         for name in ("mu", "nu"):
-            if name in fields:
-                law_from_spec(stanza[name])
+            if name in defaults:
+                law_from_spec(view[name])
         if kind == "reversibility":
-            kernels.require_reversibility_n(stanza["n"])
+            kernels.require_reversibility_n(view["n"])
         if kind == "burke":
-            burke.require_field_shape(*_burke_shape(stanza))
+            burke.require_field_shape(view["N"], view["T"])
         if kind == "rrw-characterize":
             exact_discrete.RRWParams.make(
-                stanza["p"], stanza["q"], stanza["r"], stanza.get("pprime"))
+                view["p"], view["q"], view["r"], view["pprime"])
         if kind == "kdv-tv":
-            catalog_get("kdv_" + stanza["variant"])
-            exact_discrete.kdv_tables(*_kdv_args(stanza))
+            catalog_get("kdv_" + view["variant"])
+            exact_discrete.kdv_tables(float(view["theta"]), view["ell"],
+                                      view["M"], float(view["max_tail"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"check #{index} ({kind}): {type(exc).__name__}: {exc}") from exc
+        raise ConfigError(f"{where}{type(exc).__name__}: {exc}") from exc
     return stanza
 
 
@@ -100,6 +111,7 @@ def load_config(path):
         raise ConfigError("config root must be a JSON object")
     if "seed" not in raw:
         raise ConfigError("config must set an explicit seed")
+    _check_field("config: ", "seed", raw["seed"])
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("checks must be a list")
@@ -112,15 +124,14 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 def _run_involution(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza.get("params"))
-    points = sample_points(pair, int(stanza.get("n", 10_000)), rng,
-                           box=int(stanza.get("box", 20)))
-    return check_involution(pair, points, stanza.get("tol"))
+    pair = catalog_get(stanza["map"], stanza["params"])
+    points = sample_points(pair, stanza["n"], rng, box=stanza["box"])
+    return check_involution(pair, points, stanza["tol"])
 
 
 def _run_hypotheses(stanza, rng, out_dir):
-    spec = fspec_for(stanza["map"], stanza.get("params"))
-    [(xs, us)] = sample_points(spec, int(stanza.get("n", 1000)), rng, box=10)
+    spec = fspec_for(stanza["map"], stanza["params"])
+    [(xs, us)] = sample_points(spec, stanza["n"], rng, box=10)
     if isinstance(us, tuple):    # beta_walk's (bit, weight) noise
         us = zip(*(component.tolist() for component in us))
     else:
@@ -129,37 +140,35 @@ def _run_hypotheses(stanza, rng, out_dir):
 
 
 def _run_reversibility(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza.get("params"))
+    pair = catalog_get(stanza["map"], stanza["params"])
     return kernels.check_reversibility_statistical(
         pair, law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]),
-        int(stanza["n"]), rng, level=float(stanza.get("level", 0.001)))
+        stanza["n"], rng, level=stanza["level"])
 
 
 def _run_ip(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza.get("params"))
+    pair = catalog_get(stanza["map"], stanza["params"])
     return kernels.check_ip_statistical(
         pair, law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]),
-        int(stanza["n"]), rng, level=float(stanza.get("level", 0.001)))
+        stanza["n"], rng, level=stanza["level"])
 
 
 def _run_detailed_balance(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza.get("params"))
+    pair = catalog_get(stanza["map"], stanza["params"])
     nu = law_from_spec(stanza["nu"])
     mu = law_from_spec(stanza["mu"])
-    box = int(stanza.get("box", 200))
     lo = getattr(mu, "support_lo", 0)   # truncate rejects continuous laws
-    cells, tail = truncate(mu, lo + box)
+    cells, tail = truncate(mu, lo + stanza["box"])
     report = kernels.check_detailed_balance_exact(
-        pair, nu, cells, tol=float(stanza.get("tol", 1e-12)))
+        pair, nu, cells, tol=float(stanza["tol"]))
     report.details["mu_truncation_tail"] = tail
     return report
 
 
 def _run_rrw_characterize(stanza, rng, out_dir):
     params = exact_discrete.RRWParams.make(
-        stanza["p"], stanza["q"], stanza["r"], stanza.get("pprime"))
-    box = int(stanza.get("box", 200))
-    table = exact_discrete.rrw_forced_table(params, box=box)
+        stanza["p"], stanza["q"], stanza["r"], stanza["pprime"])
+    table = exact_discrete.rrw_forced_table(params, box=stanza["box"])
     joint = exact_discrete.rrw_joint_table(table, params)
     defect = exact_discrete.product_defect_tv(joint)
     identities = exact_discrete.rrw_verify_proof_identities(params, joint)
@@ -181,21 +190,15 @@ def _run_rrw_characterize(stanza, rng, out_dir):
     )
 
 
-def _kdv_args(stanza):
-    """(theta, ell, M, max_tail) of a kdv-tv stanza."""
-    return (float(stanza["theta"]), int(stanza["ell"]),
-            int(stanza.get("M", 60)), float(stanza.get("max_tail", 1e-9)))
-
-
 def _run_kdv_tv(stanza, rng, out_dir):
-    theta, ell, M, max_tail = _kdv_args(stanza)
-    variant = stanza["variant"]
+    theta, variant = float(stanza["theta"]), stanza["variant"]
     tv, tail, witness = exact_discrete.kdv_pushforward_tv(
-        theta, ell, variant, u_truncation=M, max_tail=max_tail)
+        theta, stanza["ell"], variant, u_truncation=stanza["M"],
+        max_tail=float(stanza["max_tail"]))
     preserved = tv <= 10.0 * tail
     passed = preserved if variant == "g1" else not preserved
     return VerificationReport(
-        name=f"kdv_tv({variant},theta={theta},ell={ell})",
+        name=f"kdv_tv({variant},theta={theta},ell={stanza['ell']})",
         passed=passed,
         details={"tv": tv, "tail_bound": tail,
                  "witness_cell": list(witness) if witness else None,
@@ -203,23 +206,16 @@ def _run_kdv_tv(stanza, rng, out_dir):
     )
 
 
-def _burke_shape(stanza):
-    """(N, T) of a burke stanza."""
-    return int(stanza.get("N", 50)), int(stanza.get("T", 50))
-
-
 def _run_burke(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza.get("params"))
+    pair = catalog_get(stanza["map"], stanza["params"])
     mu = law_from_spec(stanza["mu"])
     nu = law_from_spec(stanza["nu"])
-    N, T = _burke_shape(stanza)
-    field = burke.simulate_field(pair, mu, nu, N, T, rng)
+    field = burke.simulate_field(pair, mu, nu, stanza["N"], stanza["T"], rng)
     recursion = burke.check_recursion(field)
-    report = burke.verify_burke(field,
-                                level=float(stanza.get("level", 0.001)))
+    report = burke.verify_burke(field, level=stanza["level"])
     report.passed = report.passed and recursion.passed
     report.details["recursion"] = recursion.to_dict()
-    if stanza.get("csv") and out_dir is not None:
+    if stanza["csv"] and out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, stanza["csv"])
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -230,10 +226,8 @@ def _run_burke(stanza, rng, out_dir):
 
 
 def _run_skorokhod_gaussian(stanza, rng, out_dir):
-    beta = float(stanza["beta"])
-    sigma = float(stanza["sigma"])
-    grid = int(stanza.get("grid", 100))
-    tol = float(stanza.get("tol", 1e-8))
+    beta, sigma = float(stanza["beta"]), float(stanza["sigma"])
+    grid, tol = stanza["grid"], float(stanza["tol"])
     numeric = skorokhod.gaussian_family(beta, sigma, closed_form=False)
     catalog = catalog_get("gaussian_rosenblatt",
                           {"beta": beta, "sigma": sigma})
@@ -247,8 +241,7 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
         skorokhod.rosenblatt_g(numeric, xg.ravel(), ug.ravel())
         - catalog.g(xg.ravel(), ug.ravel()))))
     mono = skorokhod.check_monotone(numeric, np.linspace(-3, 3, 11))
-    pair = skorokhod.build_involution(
-        skorokhod.gaussian_family(beta, sigma))
+    pair = skorokhod.build_involution(skorokhod.gaussian_family(beta, sigma))
     points = sample_points(pair, 10_000, rng)
     invo = check_involution(pair, points, 1e-8)
     passed = sup_f <= tol and sup_g <= tol and mono.passed and invo.passed
@@ -261,19 +254,27 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
     )
 
 
-# kind -> (runner, required fields) of every check stanza
+_MAP = {"map": _REQUIRED, "params": None}
+_PAIR = {**_MAP, "mu": _REQUIRED, "nu": _REQUIRED}
+_LEVEL = {"level": kernels.DEFAULT_LEVEL}
+# kind -> (runner, {field: default}) of every check stanza
 _KINDS = {
-    "involution": (_run_involution, ("map",)),
-    "hypotheses": (_run_hypotheses, ("map",)),
-    "reversibility": (_run_reversibility, ("map", "mu", "nu", "n")),
-    "ip": (_run_ip, ("map", "mu", "nu", "n")),
-    "detailed-balance": (_run_detailed_balance, ("map", "mu", "nu")),
-    "rrw-characterize": (_run_rrw_characterize, ("p", "q", "r")),
-    "kdv-tv": (_run_kdv_tv, ("theta", "ell", "variant")),
-    "burke": (_run_burke, ("map", "mu", "nu")),
-    "skorokhod-gaussian": (_run_skorokhod_gaussian, ("beta", "sigma")),
+    "involution": (_run_involution,
+                   {**_MAP, "n": 10_000, "box": 20, "tol": None}),
+    "hypotheses": (_run_hypotheses, {**_MAP, "n": 1000}),
+    "reversibility": (_run_reversibility, {**_PAIR, "n": _REQUIRED, **_LEVEL}),
+    "ip": (_run_ip, {**_PAIR, "n": _REQUIRED, **_LEVEL}),
+    "detailed-balance": (_run_detailed_balance,
+                         {**_PAIR, "box": 200, "tol": 1e-12}),
+    "rrw-characterize": (_run_rrw_characterize, {
+        "p": _REQUIRED, "q": _REQUIRED, "r": _REQUIRED, "pprime": None,
+        "box": 200}),
+    "kdv-tv": (_run_kdv_tv, {"theta": _REQUIRED, "ell": _REQUIRED,
+                             "variant": _REQUIRED, "M": 60, "max_tail": 1e-9}),
+    "burke": (_run_burke, {**_PAIR, "N": 50, "T": 50, **_LEVEL, "csv": None}),
+    "skorokhod-gaussian": (_run_skorokhod_gaussian, {
+        "beta": _REQUIRED, "sigma": _REQUIRED, "grid": 100, "tol": 1e-8}),
 }
-CHECK_KINDS = tuple(_KINDS)
 
 
 def run(config, out_dir=None):
@@ -285,8 +286,8 @@ def run(config, out_dir=None):
     for stanza, stream in zip(checks, streams):
         inputs = {k: v for k, v in stanza.items() if not k.startswith("_")}
         try:
-            runner, _ = _KINDS[stanza["kind"]]
-            entry = runner(stanza, stream, out_dir).to_dict()
+            runner, defaults = _KINDS[stanza["kind"]]
+            entry = runner({**defaults, **stanza}, stream, out_dir).to_dict()
         except Exception as exc:   # deliberate: isolate per-check failures
             entry = {"name": stanza["kind"], "passed": False,
                      "details": {"error": f"{type(exc).__name__}: {exc}"}}
@@ -332,8 +333,8 @@ def build_parser():
         _add_common(p)
         if name == "simulate-burke":
             p.add_argument("--map", default="reflecting_rw")
-            p.add_argument("--N", type=int, default=50)
-            p.add_argument("--T", type=int, default=50)
+            p.add_argument("--N", type=int, default=_KINDS["burke"][1]["N"])
+            p.add_argument("--T", type=int, default=_KINDS["burke"][1]["T"])
         if name == "characterize-rrw":
             p.add_argument("--p", type=float)
             p.add_argument("--q", type=float)
@@ -362,9 +363,8 @@ def _config_from_args(args):
         if args.map not in _DEFAULT_BURKE:
             raise ConfigError(
                 f"no default laws for map {args.map!r}; use --config")
-        stanza = {"kind": "burke", "map": args.map, "N": args.N, "T": args.T,
-                  "csv": "field.csv"}
-        stanza.update(_DEFAULT_BURKE[args.map])
+        stanza = {"kind": "burke", "map": args.map, **_DEFAULT_BURKE[args.map],
+                  "N": args.N, "T": args.T, "csv": "field.csv"}
         if args.seed is None:
             raise ConfigError("an explicit --seed is required")
         return {"seed": args.seed,
@@ -390,7 +390,7 @@ def main(argv=None):
     try:
         config = _config_from_args(args)
         if args.seed is not None:
-            config["seed"] = args.seed
+            config["seed"] = _check_field("--seed: ", "seed", args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

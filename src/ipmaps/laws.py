@@ -451,11 +451,11 @@ class FiniteTable(DiscreteLaw):
     def __init__(self, support, probs):
         support = np.asarray(support, dtype=np.int64)
         probs = np.asarray(probs, dtype=float)
+        if probs.shape != support.shape or np.any(probs < 0):
+            raise LawError("FiniteTable needs one probability >= 0 per value")
         order = np.argsort(support)
         self.support = support[order]
         self.probs = probs[order]
-        if np.any(self.probs < 0):
-            raise LawError("FiniteTable probabilities must be nonnegative")
         if abs(self.probs.sum() - 1.0) > 1e-12:
             raise LawError("FiniteTable probabilities must sum to 1")
         self.support_lo = int(self.support[0])

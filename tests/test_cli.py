@@ -145,6 +145,35 @@ BAD_STANZAS = {
                                "tol": -1},
     "burke_10x10": {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
                     "nu": THREE_POINT, "N": 10, "T": 10},
+    # a field the kind does not read would silently take its default
+    "ip_levl_typo": {"kind": "ip", "map": "kdv_g2",
+                     "mu": {"kind": "trunc_geom",
+                            "params": {"theta": 0.5, "ell": 2}},
+                     "nu": {"kind": "shift_geom",
+                            "params": {"theta": 0.5, "ell": 2}},
+                     "n": 10000, "levl": 0.5},
+    "involution_level": {"kind": "involution", "map": "kdv_g1",
+                         "level": 0.01},
+    "ip_box": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
+               "nu": GAMMA, "n": 10000, "box": 20},
+    "kind_not_a_string": {"kind": ["ip"]},
+    "finite_table_lengths": {"kind": "detailed-balance",
+                             "map": "reflecting_rw",
+                             "mu": {"kind": "finite_table",
+                                    "params": {"support": [0, 1],
+                                               "probs": [1.0]}},
+                             "nu": THREE_POINT},
+    # a count below 1 would pass vacuously or fail only at run time
+    "hypotheses_n_0": {"kind": "hypotheses", "map": "matsumoto_yor", "n": 0},
+    "involution_n_minus_5": {"kind": "involution", "map": "kdv_g1", "n": -5},
+    "ip_n_0": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
+               "nu": GAMMA, "n": 0},
+    "skorokhod_grid_0": {"kind": "skorokhod-gaussian", "beta": 0.5,
+                         "sigma": 1.0, "grid": 0},
+    "involution_box_0": {"kind": "involution", "map": "kdv_g1", "box": 0},
+    "detailed_balance_box_minus_1": {"kind": "detailed-balance",
+                                     "map": "reflecting_rw", "mu": GEOMETRIC,
+                                     "nu": THREE_POINT, "box": -1},
 }
 
 
@@ -154,8 +183,69 @@ def test_config_resolves_maps_at_load_time(tmp_path, name, capsys):
                                     "checks": [BAD_STANZAS[name]]})
     with pytest.raises(ConfigError):
         load_config(path)
-    assert main(["verify", "--config", path]) == 2
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["abc", "1", -1, 1.7, True])
+def test_config_rejects_a_seed_that_is_not_a_count(tmp_path, seed, capsys):
+    path = _write_config(tmp_path, {
+        "seed": seed,
+        "checks": [{"kind": "involution", "map": "kdv_g1", "box": 5}]})
+    with pytest.raises(ConfigError):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().out == ""
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "{config}"],
+    ["simulate-burke", "--map", "reflecting_rw"],
+    ["characterize-rrw", "--p", "0.2", "--q", "0.5", "--r", "0.3"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_flag_is_a_config_error(tmp_path, argv, capsys):
+    path = _write_config(tmp_path, {
+        "seed": 1,
+        "checks": [{"kind": "involution", "map": "kdv_g1", "box": 5}]})
+    out = tmp_path / "out"
+    argv = [arg.format(config=path) for arg in argv]
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "'seed' must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_comment_keys_load_and_inputs_are_the_stanza_as_written(tmp_path):
+    rrw_laws = {"mu": GEOMETRIC, "nu": THREE_POINT}
+    stanzas = [
+        {"kind": "involution", "map": "kdv_g1", "box": 5,
+         "_comment": "a key starting with _ is a comment"},
+        {"kind": "hypotheses", "map": "kdv", "n": 100},
+        {"kind": "reversibility", "map": "reflecting_rw", "n": 10000,
+         **rrw_laws},
+        {"kind": "ip", "map": "reflecting_rw", "n": 10000, **rrw_laws},
+        {"kind": "detailed-balance", "map": "reflecting_rw", **rrw_laws},
+        {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
+         "box": 50},
+        {"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": "g1"},
+        {"kind": "burke", "map": "reflecting_rw", "N": 50, "T": 50,
+         **rrw_laws},
+        {"kind": "skorokhod-gaussian", "beta": 0.5, "sigma": 1.0,
+         "grid": 5},
+    ]
+    config = load_config(_write_config(tmp_path, {"seed": 1,
+                                                  "checks": stanzas}))
+    report = run(config)
+    for stanza, check in zip(stanzas, report["checks"]):
+        assert "error" not in check["details"], check
+        written = {k: v for k, v in stanza.items() if k != "_comment"}
+        assert check["inputs"] == written
+    assert "_comment" not in json.dumps(report)
 
 
 def test_config_rejects_malformed_json(tmp_path):
