@@ -10,37 +10,21 @@ off the diagonal) are verified pointwise on probes.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .involutions import (
     UNIT_INTERVAL, InvolutionPair, SpaceDescriptor, catalog_get,
-    check_involution,
+    batch_item, check_involution,
 )
 from .reports import VerificationReport
 from .skorokhod import gaussian_cdf
 
+# the status of a solve, one per probe
 UNIQUE = "unique"
 NONUNIQUE = "nonunique"
 NOSOLUTION = "nosolution"
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    kind: str
-    u: object = None
-
-    @property
-    def is_unique(self):
-        return self.kind == UNIQUE
-
-
-def unique(u):
-    return SolveResult(UNIQUE, u)
-
-
-NON_UNIQUE = SolveResult(NONUNIQUE)
-NO_SOLUTION = SolveResult(NOSOLUTION)
 
 
 class AugmentationError(ValueError):
@@ -51,8 +35,9 @@ class AugmentationError(ValueError):
 class FSpec:
     """A catalog f together with its closed-form u-solver.
 
-    `solver(x, y)` solves y = f(x, u) for u and returns a SolveResult:
-    unique(u), NON_UNIQUE or NO_SOLUTION.
+    `solver(x, y)` solves y = f(x, u) for u on arrays and returns (u,
+    status): status holds UNIQUE, NONUNIQUE or NOSOLUTION per entry, and u
+    is meaningful only where the status is UNIQUE.
     """
 
     name: str
@@ -62,39 +47,46 @@ class FSpec:
     solver: callable
 
 
-def _values_close(a, b, space):
+def _close(a, b, space):
+    """Entrywise a == b on integer spaces, else equal to 1e-9 relative."""
     if space.is_integer:
         return a == b
-    scale = max(1.0, abs(a), abs(b))
-    return abs(a - b) <= 1e-9 * scale
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return np.abs(a - b) <= 1e-9 * scale
 
 
 def augment(spec, probes=None):
     """Build the involutive augmentation (f, g_f) of the f-specification.
 
-    If probes are given, the hypotheses and the round trip H(H(x,u)) =
-    (x,u) are verified on them first; a violation aborts with a witness.
+    If a probe batch (xs, us) is given, the hypotheses and the round trip
+    H(H(x,u)) = (x,u) are verified on it first; a violation aborts with a
+    witness.
     """
 
     def g_f(x, u):
         y = spec.f(x, u)
-        if not spec.solver(x, y).is_unique:
-            return u
-        back = spec.solver(y, x)
-        if not back.is_unique:
+        _, fwd = spec.solver(x, y)
+        back, status = spec.solver(y, x)
+        unique = fwd == UNIQUE
+        broken = np.flatnonzero(unique & (status != UNIQUE))
+        if broken.size:
+            i = broken[0]
+            xi, ui, yi = (batch_item(v, i) for v in (x, u, y))
             raise AugmentationError(
                 f"{spec.name}: accessible-set symmetry fails at "
-                f"(x={x!r}, u={u!r}): solve({y!r}, {x!r}) -> {back.kind}")
-        return back.u
+                f"(x={xi!r}, u={ui!r}): solve({yi!r}, {xi!r}) -> {status[i]}")
+        if isinstance(u, tuple):    # beta_walk's (bit, weight) noise
+            return tuple(np.where(unique, b, v) for b, v in zip(back, u))
+        return np.where(unique, back, u)
 
     pair = InvolutionPair(f"augmented:{spec.name}", spec.x_space,
                           spec.u_space, spec.f, g_f)
     if probes is not None:
-        report = verify_hypotheses(spec, probes)
+        report = verify_hypotheses(spec, *probes)
         if not report.passed:
             raise AugmentationError(
                 f"{spec.name}: hypotheses violated: {report.details['violations'][:1]}")
-        round_trip = check_involution(pair, probes)
+        round_trip = check_involution(pair, *probes)
         if not round_trip.passed:
             raise AugmentationError(
                 f"{spec.name}: round trip fails at "
@@ -102,82 +94,79 @@ def augment(spec, probes=None):
     return pair
 
 
-def verify_hypotheses(spec, probes):
-    """Pointwise check of the augmentation hypotheses on probe pairs.
+_NOTES = {"symmetry": "reverse pair (y,x) is not accessible",
+          "multiplicity": "multiple solutions off the diagonal"}
+
+
+def verify_hypotheses(spec, xs, us):
+    """Check the augmentation hypotheses on a probe batch.
 
     For each probe (x,u) with y = f(x,u): (a) (y,x) must be accessible
     (symmetry), and (b) a non-unique solution is allowed only on the
-    diagonal y = x.
+    diagonal y = x. The first 10 violations are listed in probe order.
     """
+    ys = spec.f(xs, us)
+    _, back = spec.solver(ys, xs)
+    _, fwd = spec.solver(xs, ys)
+    symmetry = back == NOSOLUTION
+    on_diagonal = _close(ys, xs, spec.x_space)
+    multiplicity = ~symmetry & (fwd == NONUNIQUE) & ~on_diagonal
+    bad = np.flatnonzero(symmetry | multiplicity)
     violations = []
-    for x, u in probes:
-        y = spec.f(x, u)
-        back = spec.solver(y, x)
-        if back.kind == NOSOLUTION:
-            violations.append({
-                "kind": "symmetry", "x": x, "u": u, "y": y,
-                "note": "reverse pair (y,x) is not accessible",
-            })
-            continue
-        fwd = spec.solver(x, y)
-        if fwd.kind == NONUNIQUE and not _values_close(y, x, spec.x_space):
-            violations.append({
-                "kind": "multiplicity", "x": x, "u": u, "y": y,
-                "note": "multiple solutions off the diagonal",
-            })
+    for i in bad[:10]:
+        kind = "symmetry" if symmetry[i] else "multiplicity"
+        violations.append({"kind": kind, "x": batch_item(xs, i),
+                           "u": batch_item(us, i), "y": batch_item(ys, i),
+                           "note": _NOTES[kind]})
     return VerificationReport(
         name=f"hypotheses:{spec.name}",
-        passed=not violations,
-        details={"n_probes": len(probes), "n_violations": len(violations),
-                 "violations": violations[:10]},
+        passed=bad.size == 0,
+        details={"n_probes": len(xs), "n_violations": len(bad),
+                 "violations": violations},
     )
 
 
 # ---------------------------------------------------------------------------
-# closed-form f-specifications for the catalog maps
+# closed-form f-specifications for the catalog maps, on arrays
 # ---------------------------------------------------------------------------
 
 def _my_solver(x, y):
-    if x * y >= 1.0:
-        return NO_SOLUTION
-    return unique(1.0 / y - x)
+    return 1.0 / y - x, np.where(x * y >= 1.0, NOSOLUTION, UNIQUE)
 
 
 def _swapped_my_solver(x, y):
     z = x * y
-    return unique((math.sqrt(z * (4.0 + z)) - z) / (2.0 * y))
+    u = (np.sqrt(z * (4.0 + z)) - z) / (2.0 * y)
+    return u, np.full(np.shape(u), UNIQUE)
 
 
 def _beta_solver(x, y):
-    return unique((1.0 - y) / (1.0 - x * y))
+    u = (1.0 - y) / (1.0 - x * y)
+    return u, np.full(np.shape(u), UNIQUE)
 
 
 def _beta_walk_solver(x, y):
-    if _values_close(x, y, UNIT_INTERVAL):
-        return NO_SOLUTION
-    if y < x:
-        return unique((0, 1.0 - y / x))
-    return unique((1, (y - x) / (1.0 - x)))
+    down = y < x
+    weight = np.where(down, 1.0 - y / x, (y - x) / (1.0 - x))
+    status = np.where(_close(x, y, UNIT_INTERVAL), NOSOLUTION, UNIQUE)
+    return (np.where(down, 0, 1), weight), status
 
 
 def _rrw_solver(x, y):
-    if x == 0 and y == 0:
-        return NON_UNIQUE     # f(0,-1) = f(0,0) = 0
-    if y >= 0 and abs(y - x) <= 1:
-        return unique(y - x)
-    return NO_SOLUTION
+    # f(0,-1) = f(0,0) = 0
+    status = np.select([(x == 0) & (y == 0), (y >= 0) & (np.abs(y - x) <= 1)],
+                       [NONUNIQUE, UNIQUE], NOSOLUTION)
+    return y - x, status
 
 
 def _kdv_solver(x, y):
-    if y < -x:
-        return unique(y)
-    if y == -x:
-        return NON_UNIQUE     # every u >= -x solves f(x,u) = -x
-    return NO_SOLUTION
+    # every u >= -x solves f(x,u) = -x
+    return y, np.select([y < -x, y == -x], [UNIQUE, NONUNIQUE], NOSOLUTION)
 
 
 def _gaussian_solver(x, y, beta, sigma):
-    return unique(float(gaussian_cdf(x, y, beta, sigma)))
+    u = gaussian_cdf(x, y, beta, sigma)
+    return u, np.full(np.shape(u), UNIQUE)
 
 
 # closed-form u-solvers of the augmentable catalog maps; "kdv" is the f

@@ -139,16 +139,6 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
                                  {"dof": dof, "states": states})
 
 
-def _chain_loglik(states, row_cache):
-    total = 0.0
-    for a, b in zip(states[:-1], states[1:]):
-        p = row_cache(int(a)).get(int(b), 0.0)
-        if p <= 0.0:
-            return -np.inf
-        total += np.log(p)
-    return total
-
-
 def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     """Monte Carlo misfit test of one chain against the generated kernel.
 
@@ -158,29 +148,24 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     p-value is exact under the null regardless of how often states recur,
     which the per-state transition GOF cannot offer on a drifting path.
 
-    The simulated paths are scored through a dense log-transition table
-    over the states they visit, accumulated step by step in time order.
+    The observed chain and the simulated paths are scored through one dense
+    log-transition table over the states they visit, accumulated step by
+    step in time order. A transition the kernel row lacks reads nan: it
+    makes the observed likelihood -inf and a simulated one an error.
     """
-    cache = {}
-
-    def row(x):
-        if x not in cache:
-            cache[x] = row_law(x)
-        return cache[x]
-
     T = len(chain) - 1
-    obs = _chain_loglik(chain, row)
     stream = RandomStream(_MC_SEED)
     us = np.asarray(nu.sample(stream, (n_sims, T)))
     paths = np.empty((T + 1, n_sims), dtype=np.int64)
     paths[0] = int(chain[0])
     for t in range(T):
         paths[t + 1] = pair.f(paths[t], us[:, t])
-    lo = int(paths.min())
-    # nan marks a transition the kernel row lacks
-    logp = np.full((int(paths.max()) - lo + 1,) * 2, np.nan)
-    for a in np.unique(paths[:-1]).tolist():
-        for b, p in row(a).items():
+    lo = int(min(paths.min(), chain.min()))
+    size = int(max(paths.max(), chain.max())) - lo + 1
+    logp = np.full((size, size), np.nan)
+    froms = set(np.unique(paths[:-1]).tolist()) | set(chain[:-1].tolist())
+    for a in froms:
+        for b, p in row_law(a).items():
             if 0 <= b - lo < len(logp):
                 logp[a - lo, b - lo] = np.log(p)
     sims = np.zeros(n_sims)
@@ -189,8 +174,11 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     if np.isnan(sims).any():
         raise KernelError("a simulated transition is missing from its "
                           "kernel row")
+    # cumsum adds in time order, as the paths are summed
+    obs = float(np.cumsum(logp[chain[:-1] - lo, chain[1:] - lo])[-1])
+    obs = -np.inf if np.isnan(obs) else obs
     p = (1.0 + float((sims <= obs).sum())) / (n_sims + 1.0)
-    return stat_tests.TestResult(float(obs), p, (T,), "chain_loglik_mc",
+    return stat_tests.TestResult(obs, p, (T,), "chain_loglik_mc",
                                  p > level, level,
                                  {"n_sims": n_sims,
                                   "null_mean": float(sims.mean())})
@@ -213,11 +201,19 @@ def _thinned_slices(T, stride=10):
     return list(range(stride, T + 1, stride))
 
 
+# pairs each independence and exchangeability sub-test of verify_burke needs
+_MIN_PAIRS = 100
+
+
 def require_field_shape(N, T):
-    """Raise KernelError unless an N x T field is at least 30 x 30, the
-    smallest that `verify_burke` tests."""
-    if N < 30 or T < 30:
-        raise KernelError("need at least a 30 x 30 field")
+    """Raise KernelError unless `verify_burke` can test an N x T field: at
+    least 30 x 30, with (N // 2) * (T // 10) >= 100 row pairs, the pairs of
+    rows (0, 1), (2, 3), ... on every thinned slice."""
+    pairs = (N // 2) * len(_thinned_slices(T))
+    if N < 30 or T < 30 or pairs < _MIN_PAIRS:
+        raise KernelError(
+            f"a {N} x {T} field is too small: need at least 30 x 30 and "
+            f"(N // 2) * (T // 10) >= {_MIN_PAIRS} row pairs, not {pairs}")
 
 
 def verify_burke(field, level=DEFAULT_LEVEL):
@@ -260,7 +256,7 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     row_pairs = np.column_stack([X[even][:, slices].ravel(),
                                  X[even + 1][:, slices].ravel()])
     checks["row_independence"] = stat_tests.independence_test(
-        row_pairs, bins=5, level=level, min_n=100)
+        row_pairs, bins=5, level=level, min_n=_MIN_PAIRS)
 
     if discrete:
         kernel_row = _kernel_row(field.pair, field.nu)
@@ -279,7 +275,7 @@ def verify_burke(field, level=DEFAULT_LEVEL):
         # exchangeability_test swaps its second half internally, so the
         # halves are passed unswapped and must have equal length
         checks["column_kernel"] = stat_tests.exchangeability_test(
-            np.vstack([a, b]), level=level, min_n=100)
+            np.vstack([a, b]), level=level, min_n=_MIN_PAIRS)
 
     checks["u_marginal"] = _gof_against_law(U[N, :], field.nu, level=level)
 
@@ -296,7 +292,7 @@ def verify_burke(field, level=DEFAULT_LEVEL):
         b = np.column_stack([U[even][:, tb].ravel(),
                              U[even + 1][:, tb].ravel()])
         checks["dual_column_kernel"] = stat_tests.exchangeability_test(
-            np.vstack([a, b]), level=level, min_n=100)
+            np.vstack([a, b]), level=level, min_n=_MIN_PAIRS)
 
     passed = all(c.passed for c in checks.values())
     return VerificationReport(

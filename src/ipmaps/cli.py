@@ -125,18 +125,14 @@ def load_config(path):
 
 def _run_involution(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza["params"])
-    points = sample_points(pair, stanza["n"], rng, box=stanza["box"])
-    return check_involution(pair, points, stanza["tol"])
+    xs, us = sample_points(pair, stanza["n"], rng, box=stanza["box"])
+    return check_involution(pair, xs, us, stanza["tol"])
 
 
 def _run_hypotheses(stanza, rng, out_dir):
     spec = fspec_for(stanza["map"], stanza["params"])
-    [(xs, us)] = sample_points(spec, stanza["n"], rng, box=10)
-    if isinstance(us, tuple):    # beta_walk's (bit, weight) noise
-        us = zip(*(component.tolist() for component in us))
-    else:
-        us = us.tolist()
-    return verify_hypotheses(spec, list(zip(xs.tolist(), us)))
+    xs, us = sample_points(spec, stanza["n"], rng, box=10)
+    return verify_hypotheses(spec, xs, us)
 
 
 def _run_reversibility(stanza, rng, out_dir):
@@ -175,7 +171,8 @@ def _run_rrw_characterize(stanza, rng, out_dir):
     law = exact_discrete.rrw_forced_law(params)
     nums, den = table
     head = {str(k): w / den for k, w in sorted(nums.items())[:12]}
-    passed = identities.passed and defect <= 1e-12
+    # the truncation leaves a defect of order tail, as in the identities
+    passed = identities.passed and defect <= 1e-12 + 10.0 * float(joint.tail)
     return VerificationReport(
         name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
              f"r={float(params.r)})",
@@ -242,8 +239,8 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
         - catalog.g(xg.ravel(), ug.ravel()))))
     mono = skorokhod.check_monotone(numeric, np.linspace(-3, 3, 11))
     pair = skorokhod.build_involution(skorokhod.gaussian_family(beta, sigma))
-    points = sample_points(pair, 10_000, rng)
-    invo = check_involution(pair, points, 1e-8)
+    xs, us = sample_points(pair, 10_000, rng)
+    invo = check_involution(pair, xs, us, 1e-8)
     passed = sup_f <= tol and sup_g <= tol and mono.passed and invo.passed
     return VerificationReport(
         name=f"skorokhod_gaussian(beta={beta},sigma={sigma})",

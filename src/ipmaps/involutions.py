@@ -1,8 +1,10 @@
 """Catalog of concrete involutions H=(f,g) on product spaces.
 
 Each catalog entry is an `InvolutionPair` whose components accept scalars or
-numpy arrays elementwise (matrix-valued maps accept single matrices). Integer
-maps use exact integer arithmetic so the involution identity holds exactly.
+numpy arrays elementwise (matrix-valued maps accept stacks of shape (n, d, d)).
+Integer maps use exact integer arithmetic so the involution identity holds
+exactly. A batch of points is one `(xs, us)` pair of arrays, with a tuple of
+arrays for tuple-valued noise.
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ class SpaceDescriptor:
                         and np.all((ws > 0.0) & (ws < 1.0)))
         if k == "spd":
             m = np.asarray(v, dtype=float)
-            if m.shape != (self.dim, self.dim):
+            if m.shape[-2:] != (self.dim, self.dim):
                 return False
-            if not np.allclose(m, m.T, atol=tol):
+            if not np.allclose(m, np.swapaxes(m, -1, -2), atol=tol):
                 return False
-            return bool(np.linalg.eigvalsh(m)[0] > tol)
+            return bool(np.all(np.linalg.eigvalsh(m)[..., 0] > tol))
         raise ValueError(f"unknown space kind {k!r}")
 
     @property
@@ -138,12 +140,8 @@ def _beta_walk_g(x, u):
     u0, u1 = u
     v1_swap = u1 * x / (1.0 - x + u1 * x)          # branch for u0 = 0
     v1_keep = u1 * (1.0 - x) / (u1 * (1.0 - x) + x)  # branch for u0 = 1
-    one = np.asarray(u0) == 1
-    v0 = 1 - np.asarray(u0)
-    v1 = np.where(one, v1_keep, v1_swap)
-    if np.ndim(u0) == 0:
-        return int(v0), float(v1)
-    return v0, v1
+    u0 = np.asarray(u0)
+    return 1 - u0, np.where(u0 == 1, v1_keep, v1_swap)
 
 
 def _pos(n):
@@ -178,12 +176,12 @@ def _rrw_g(x, u):
 
 
 # ---------------------------------------------------------------------------
-# SPD maps (quadratic representation P_a(b) = a b a)
+# SPD maps (quadratic representation P_a(b) = a b a), on stacks (..., d, d)
 # ---------------------------------------------------------------------------
 
 def _sym_power(m, p):
     w, q = np.linalg.eigh(m)
-    return (q * w ** p) @ q.T
+    return (q * w[..., None, :] ** p) @ np.swapaxes(q, -1, -2)
 
 
 def _quad_rep(a, b):
@@ -191,12 +189,12 @@ def _quad_rep(a, b):
 
 
 def _spd_f(x, u):
-    eye = np.eye(x.shape[0])
+    eye = np.eye(x.shape[-1])
     return _quad_rep(_sym_power(eye + x, -0.5), u)
 
 
 def _spd_g(x, u):
-    eye = np.eye(x.shape[0])
+    eye = np.eye(x.shape[-1])
     y = _spd_f(x, u)
     return _quad_rep(_sym_power(eye + y, 0.5), x)
 
@@ -283,21 +281,17 @@ def _space_samples(space, n, gen):
     if k == "bernoulli_cross_unit":
         return (gen.integers(0, 2, n), gen.uniform(1e-6, 1.0 - 1e-6, n))
     if k == "spd":
-        d = space.dim
-        out = []
-        for _ in range(n):
-            a = gen.normal(0.0, 1.0, (d, d))
-            out.append(a @ a.T + 0.1 * np.eye(d))
-        return out
+        a = gen.normal(0.0, 1.0, (n, space.dim, space.dim))
+        return a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(space.dim)
     raise ValueError(f"cannot sample from space kind {k!r}")
 
 
 def sample_points(pair, n, rng, box=20):
-    """Probe points for round-trip checks.
+    """One batch (xs, us) of probe points for round-trip checks.
 
     Integer-by-integer maps get the exhaustive grid {-box..box}^2 (clipped
-    to the space); elementwise maps get one vectorized (x, u) batch; SPD
-    maps get a list of matrix pairs. Only `pair.x_space` and `pair.u_space`
+    to the space); every other map gets n draws from each space, SPD maps
+    as stacks of shape (n, d, d). Only `pair.x_space` and `pair.u_space`
     are read, so an FSpec serves as well.
     """
     if pair.x_space.is_integer and pair.u_space.is_integer:
@@ -310,36 +304,40 @@ def sample_points(pair, n, rng, box=20):
         else:
             us = np.arange(-box, box + 1)
         xg, ug = np.meshgrid(xs, us)
-        return [(xg.ravel(), ug.ravel())]
+        return xg.ravel(), ug.ravel()
     gen = rng.gen
-    if pair.x_space.kind == "spd":
-        xs = _space_samples(pair.x_space, n, gen)
-        us = _space_samples(pair.u_space, n, gen)
-        return list(zip(xs, us))
-    return [(_space_samples(pair.x_space, n, gen),
-             _space_samples(pair.u_space, n, gen))]
+    return (_space_samples(pair.x_space, n, gen),
+            _space_samples(pair.u_space, n, gen))
+
+
+def batch_item(v, i):
+    """Entry i of a batch component as plain Python values: nested lists
+    for a matrix, a tuple for tuple-valued noise."""
+    if isinstance(v, tuple):
+        return tuple(batch_item(c, i) for c in v)
+    return np.asarray(v)[i].tolist()
 
 
 # ---------------------------------------------------------------------------
 # round-trip checking
 # ---------------------------------------------------------------------------
 
-def _component_dev(a, b, space):
-    """Deviation between two points of one component space."""
-    if space.kind == "spd":
-        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+def _deviations(a, b, space):
+    """Per-point deviation between two batches of one component space:
+    Frobenius norm for matrices, absolute for integers, else relative.
+    Arrays are reused in place, so a batch of 10^6 points keeps few
+    temporaries alive."""
     if space.kind == "bernoulli_cross_unit":
-        d0 = np.max(np.abs(np.asarray(a[0]) - np.asarray(b[0])))
-        d1 = _rel_dev(np.asarray(a[1], dtype=float), np.asarray(b[1], dtype=float))
-        return float(max(d0, d1))
+        dev = _deviations(a[1], b[1], UNIT_INTERVAL)
+        return np.maximum(dev, np.abs(a[0] - b[0]), out=dev)
+    if space.kind == "spd":
+        return np.linalg.norm(a - b, axis=(-2, -1))
     if space.is_integer:
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-    return _rel_dev(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def _rel_dev(a, b):
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / scale))
+        return np.abs(a - b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    dev = np.abs(a - b)
+    return np.divide(dev, np.maximum(scale, 1.0, out=scale), out=dev)
 
 
 def involution_tolerance(pair):
@@ -352,36 +350,28 @@ def involution_tolerance(pair):
     return 1e-9
 
 
-def check_involution(pair, points, tol=None):
-    """Verify H(H(x,u)) == (x,u) on the given points.
+def check_involution(pair, xs, us, tol=None):
+    """Verify H(H(x,u)) == (x,u) on one batch of points.
 
-    `points` is a list of (x,u) pairs; for elementwise maps a single
-    (x_array, u_array) entry checks all array slots at once.
+    A deviation that is nan fails the check; a failing report names the
+    probe with the largest deviation.
     """
     if tol is None:
         tol = involution_tolerance(pair)
-    max_dev = 0.0
-    worst = None
-    n_points = 0
-    for x, u in points:
-        if pair.x_space.kind == "spd":
-            n_points += 1
-        else:
-            n_points += int(np.size(x[0] if isinstance(x, tuple) else x))
-        y, v = pair.f(x, u), pair.g(x, u)
-        x2, u2 = pair.f(y, v), pair.g(y, v)
-        dev = max(_component_dev(x2, x, pair.x_space),
-                  _component_dev(u2, u, pair.u_space))
-        if dev > max_dev:
-            max_dev = dev
-            worst = (x, u) if np.ndim(x) == 0 else None
+    y, v = pair.f(xs, us), pair.g(xs, us)
+    dev = _deviations(pair.f(y, v), xs, pair.x_space).astype(float, copy=False)
+    np.maximum(dev, _deviations(pair.g(y, v), us, pair.u_space), out=dev)
+    worst = int(np.argmax(dev))
+    max_dev = float(dev[worst])
+    passed = max_dev <= tol
     return VerificationReport(
         name=f"involution:{pair.name}",
-        passed=max_dev <= tol,
+        passed=passed,
         details={
             "max_deviation": max_dev,
             "tolerance": tol,
-            "n_points": n_points,
-            "worst_point": repr(worst) if worst is not None else None,
+            "n_points": len(xs),
+            "worst_point": None if passed else repr(
+                (batch_item(xs, worst), batch_item(us, worst))),
         },
     )

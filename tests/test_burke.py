@@ -7,7 +7,7 @@ import pytest
 
 from ipmaps.burke import (
     _kernel_row, _loglik_mc_test, _MC_SEED, _transition_gof, check_recursion,
-    field_rows, simulate_field, verify_burke,
+    field_rows, require_field_shape, simulate_field, verify_burke,
 )
 from ipmaps.involutions import POSITIVE_REAL, InvolutionPair, catalog_get
 from ipmaps.kernels import KernelError
@@ -190,9 +190,33 @@ def test_loglik_table_matches_scalar_loop(name):
     assert result.flags["null_mean"] == float(sims.mean())
 
 
+def test_loglik_of_an_impossible_observed_chain_is_minus_infinity():
+    pair = catalog_get("reflecting_rw")
+    nu = ThreePoint(0.2, 0.5, 0.3)
+    chain = np.array([0, 1, 5, 4, 3])    # 1 -> 5 is not a step of the walk
+    result = _loglik_mc_test(chain, pair, nu, _kernel_row(pair, nu), 0.001)
+    assert result.statistic == -np.inf
+    assert result.p_value == 1.0 / 2001.0 and not result.passed
+
+
 def test_verify_burke_size_floor():
     with pytest.raises(KernelError):
         verify_burke(_rrw_field(1, N=10, T=50))
+
+
+@pytest.mark.parametrize("N,T,ok", [
+    (30, 30, False), (40, 40, False), (48, 48, False), (50, 50, True),
+    (30, 69, False), (30, 70, True), (66, 30, False), (68, 30, True),
+])
+def test_field_shape_floor_is_the_row_pair_count(N, T, ok):
+    # (N // 2) * (T // 10) same-slice row pairs, at least 100
+    if ok:
+        require_field_shape(N, T)
+        for field in (_rrw_field(1, N=N, T=T), _my_field(1, N=N, T=T)):
+            assert set(verify_burke(field).details) >= {"row_independence"}
+    else:
+        with pytest.raises(KernelError, match="row pairs"):
+            require_field_shape(N, T)
 
 
 def test_field_rows_layout():

@@ -116,6 +116,12 @@ BAD_STANZAS = {
                       "mu": GEOMETRIC, "nu": THREE_POINT, "N": 60.5},
     "burke_T_float": {"kind": "burke", "map": "reflecting_rw",
                       "mu": GEOMETRIC, "nu": THREE_POINT, "T": 60.0},
+    # fewer than the 100 row pairs, (N // 2) * (T // 10), verify_burke tests
+    "burke_30x30": {"kind": "burke", "map": "reflecting_rw",
+                    "mu": GEOMETRIC, "nu": THREE_POINT, "N": 30, "T": 30},
+    "burke_40x40": {"kind": "burke", "map": "matsumoto_yor",
+                    "mu": {"kind": "gig", "params": {"alpha": 2, "lam": 1}},
+                    "nu": GAMMA, "N": 40, "T": 40},
     "skorokhod_grid_float": {"kind": "skorokhod-gaussian", "beta": 0.5,
                              "sigma": 1.0, "grid": 100.5},
     # a level outside (0, 1) makes every p-value pass or fail
@@ -439,3 +445,16 @@ def test_characterize_rrw_subcommand(capsys):
     details = report["checks"][0]["details"]
     assert details["forced_law"] == "Geometric"
     assert details["product_defect_tv"] <= 1e-12
+
+
+@pytest.mark.parametrize("box", [1, 5, 10, 20])
+def test_rrw_characterize_passes_within_its_truncation_tail(box):
+    # a small box leaves a product defect above 1e-12 but within 10 x the
+    # tail it reports; at box 20 the defect is 3.0e-9 against 4.4e-9
+    report = run({"seed": 0, "checks": [
+        {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
+         "box": box}]})
+    details = report["checks"][0]["details"]
+    assert report["overall_pass"]
+    assert details["product_defect_tv"] > 1e-12
+    assert details["product_defect_tv"] <= 10 * details["truncation_tail"]

@@ -1,9 +1,11 @@
 """Golden report bytes: the sha256 of `cli.run` output for stanzas whose
-reports come from exact enumeration, from the Burke field or from the
-augmentation hypotheses, and of the `field.csv` a Burke stanza writes.
+reports come from exact enumeration, from the Burke field, from the
+augmentation hypotheses or from involution round trips, and of the
+`field.csv` a Burke stanza writes.
 
-A refactor of the pushforward, truncation or field code must leave these
-bytes unchanged; a deliberate change to a report updates the digest here.
+A refactor of the pushforward, truncation, field, solver or round-trip code
+must leave these bytes unchanged; a deliberate change to a report updates
+the digest here.
 """
 
 import hashlib
@@ -119,6 +121,35 @@ GOLDEN = {
     "hypotheses_my": (
         {"kind": "hypotheses", "map": "matsumoto_yor"},
         "d4886fdbc9fd339b7813f1654a7aabf93e11054c5ab87548aadc5b6ef59cd157"),
+    # the remaining closed-form solvers, and round trips of matrix stacks,
+    # float batches and an integer grid; digests computed with one matrix
+    # and one scalar probe at a time
+    "hypotheses_gaussian": (
+        {"kind": "hypotheses", "map": "gaussian_rosenblatt",
+         "params": {"beta": 0.5, "sigma": 1.0}},
+        "665d9cf14c42eec585cbc386564d13f44f12ff77abe74b531f5b20ac4dd8b143"),
+    "hypotheses_swapped_my": (
+        {"kind": "hypotheses", "map": "swapped_matsumoto_yor"},
+        "7e5820605789f7e1bc4fa1c05aa3f5263739b2adcdaef3d24fbffec9125fcaa8"),
+    "hypotheses_beta_map": (
+        {"kind": "hypotheses", "map": "beta_map"},
+        "4aa6e7e1d2ad2be36626029398dea6a6042bf177ddcce4217fa81459ef47a9e6"),
+    "hypotheses_rrw": (
+        {"kind": "hypotheses", "map": "reflecting_rw"},
+        "be3021afd0b53210357fa0edac8e360ea08ea1cc6103b7f41443d18d70d1f268"),
+    "involution_spd_d3": (
+        {"kind": "involution", "map": "spd_matsumoto_yor", "params": {"d": 3},
+         "n": 1000},
+        "1551d01a1e3803fab0392f03ff062f7b8d1f17ac1a82281dc883889a35973ba5"),
+    "involution_my": (
+        {"kind": "involution", "map": "matsumoto_yor", "n": 20000},
+        "ec17e5c9511702d6228713a1a06ff3b21f94e17b4b56023123085b738a80423f"),
+    "involution_kdv_g1": (
+        {"kind": "involution", "map": "kdv_g1", "box": 5},
+        "2232c3318ae5a1bfcfaaa2f805a0f496116101c2703a28cd3aac200340d9a514"),
+    "skorokhod_gaussian": (
+        {"kind": "skorokhod-gaussian", "beta": 0.5, "sigma": 1.0},
+        "833ae69918bb4e7a8139276707d36ed9a717d856e3d68f9214566f35fe99624d"),
 }
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ipmaps.involutions import (
-    CATALOG_NAMES, DomainError, catalog_get, check_involution,
-    sample_points,
+    CATALOG_NAMES, REAL_LINE, DomainError, InvolutionPair, catalog_get,
+    check_involution, sample_points,
 )
 from ipmaps.rng import RandomStream
 
@@ -59,8 +59,7 @@ def test_gaussian_rosenblatt_fixed_point():
 @pytest.mark.parametrize("name", ["kdv_g1", "kdv_g2", "reflecting_rw"])
 def test_integer_maps_exact_involution(name):
     pair = catalog_get(name)
-    points = sample_points(pair, 0, None, box=20)
-    report = check_involution(pair, points)
+    report = check_involution(pair, *sample_points(pair, 0, None, box=20))
     assert report.passed
     assert report.details["max_deviation"] == 0.0
 
@@ -75,8 +74,8 @@ def test_integer_maps_exact_involution(name):
 def test_continuous_maps_involution(name, tol):
     params = {"beta": 0.5, "sigma": 1.0} if name == "gaussian_rosenblatt" else None
     pair = catalog_get(name, params)
-    points = sample_points(pair, 100_000, RandomStream(21))
-    report = check_involution(pair, points)
+    report = check_involution(pair,
+                              *sample_points(pair, 100_000, RandomStream(21)))
     assert report.passed
     assert report.details["max_deviation"] <= tol
     assert report.details["n_points"] == 100_000
@@ -85,10 +84,54 @@ def test_continuous_maps_involution(name, tol):
 @pytest.mark.parametrize("d", [2, 3])
 def test_spd_involution(d):
     pair = catalog_get("spd_matsumoto_yor", {"d": d})
-    points = sample_points(pair, 1000, RandomStream(23))
-    report = check_involution(pair, points)
+    xs, us = sample_points(pair, 1000, RandomStream(23))
+    assert xs.shape == us.shape == (1000, d, d)
+    report = check_involution(pair, xs, us)
     assert report.passed
     assert report.details["max_deviation"] <= 1e-7
+    assert report.details["n_points"] == 1000
+
+
+def test_spd_stack_matches_single_matrices():
+    pair = catalog_get("spd_matsumoto_yor", {"d": 3})
+    xs, us = sample_points(pair, 5, RandomStream(25))
+    ys, vs = pair(xs, us)
+    for i in range(5):
+        y, v = pair(xs[i], us[i])
+        assert np.array_equal(ys[i], y) and np.array_equal(vs[i], v)
+
+
+def test_spd_contains_checks_every_matrix_of_a_stack():
+    pair = catalog_get("spd_matsumoto_yor", {"d": 2})
+    space = pair.x_space
+    xs, _ = sample_points(pair, 4, RandomStream(27))
+    assert space.contains(xs) and space.contains(xs[0])
+    xs[2] = -xs[2]
+    assert not space.contains(xs)
+    assert not space.contains(np.ones(4))
+
+
+def _swap_pair(g):
+    # f(x, u) = u with g(x, u) = x is the swap involution
+    return InvolutionPair("swap", REAL_LINE, REAL_LINE, lambda x, u: u, g)
+
+
+def test_failing_round_trip_names_its_worst_point():
+    pair = _swap_pair(lambda x, u: x + (x == 2.0))
+    xs, us = np.array([1.0, 2.0, 3.0]), np.zeros(3)
+    report = check_involution(pair, xs, us)
+    assert not report.passed
+    assert report.details["max_deviation"] == pytest.approx(1.0 / 3.0)
+    assert report.details["worst_point"] == "(2.0, 0.0)"
+    assert check_involution(_swap_pair(lambda x, u: x), xs, us).details[
+        "worst_point"] is None
+
+
+def test_nan_deviation_fails_the_round_trip():
+    pair = _swap_pair(lambda x, u: np.where(x == 3.0, np.nan, x))
+    report = check_involution(pair, np.array([1.0, 2.0, 3.0]), np.zeros(3))
+    assert not report.passed
+    assert report.details["worst_point"] == "(3.0, 0.0)"
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +181,10 @@ def test_range_closure(name):
         params = {"d": 2}
     pair = catalog_get(name, params)
     n = 1000 if name == "spd_matsumoto_yor" else 100_000
-    points = sample_points(pair, n, RandomStream(37))
-    for x, u in points:
-        y, v = pair.f(x, u), pair.g(x, u)
-        assert pair.x_space.contains(y)
-        assert pair.u_space.contains(v)
+    xs, us = sample_points(pair, n, RandomStream(37))
+    y, v = pair.f(xs, us), pair.g(xs, us)
+    assert pair.x_space.contains(y)
+    assert pair.u_space.contains(v)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def test_bracket_failure_is_reported():
 
 def test_built_gaussian_pair_is_involution():
     pair = build_involution(gaussian_family(0.5, 1.0))
-    points = sample_points(pair, 10_000, RandomStream(163))
-    report = check_involution(pair, points, 1e-8)
+    xs, us = sample_points(pair, 10_000, RandomStream(163))
+    report = check_involution(pair, xs, us, 1e-8)
     assert report.passed
 
 
