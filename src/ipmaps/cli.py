@@ -90,8 +90,10 @@ def _validate_stanza(stanza, index):
         if kind == "burke":
             burke.require_field_shape(view["N"], view["T"])
         if kind == "rrw-characterize":
-            exact_discrete.RRWParams.make(
-                view["p"], view["q"], view["r"], view["pprime"])
+            exact_discrete.rrw_forced_table(
+                exact_discrete.RRWParams.make(
+                    view["p"], view["q"], view["r"], view["pprime"]),
+                view["box"], float(view["max_tail"]))
         if kind == "kdv-tv":
             catalog_get("kdv_" + view["variant"])
             exact_discrete.kdv_tables(float(view["theta"]), view["ell"],
@@ -164,7 +166,8 @@ def _run_detailed_balance(stanza, rng, out_dir):
 def _run_rrw_characterize(stanza, rng, out_dir):
     params = exact_discrete.RRWParams.make(
         stanza["p"], stanza["q"], stanza["r"], stanza["pprime"])
-    table = exact_discrete.rrw_forced_table(params, box=stanza["box"])
+    table = exact_discrete.rrw_forced_table(params, stanza["box"],
+                                            float(stanza["max_tail"]))
     joint = exact_discrete.rrw_joint_table(table, params)
     defect = exact_discrete.product_defect_tv(joint)
     identities = exact_discrete.rrw_verify_proof_identities(params, joint)
@@ -265,7 +268,7 @@ _KINDS = {
                          {**_PAIR, "box": 200, "tol": 1e-12}),
     "rrw-characterize": (_run_rrw_characterize, {
         "p": _REQUIRED, "q": _REQUIRED, "r": _REQUIRED, "pprime": None,
-        "box": 200}),
+        "box": 200, "max_tail": 1e-6}),
     "kdv-tv": (_run_kdv_tv, {"theta": _REQUIRED, "ell": _REQUIRED,
                              "variant": _REQUIRED, "M": 60, "max_tail": 1e-9}),
     "burke": (_run_burke, {**_PAIR, "N": 50, "T": 50, **_LEVEL, "csv": None}),

@@ -133,15 +133,22 @@ def rrw_forced_law(params):
     return ParityGeom(rho, float(params.pprime))
 
 
-def rrw_forced_table(params, box=200):
+def rrw_forced_table(params, box=200, max_tail=1.0):
     """Exact pmf of the forced law on {0..box} as a table (nums, den); the
-    mass beyond box is den - sum(nums)."""
+    mass beyond box is den - sum(nums), which must not exceed max_tail."""
     if params.r > 0:
-        return _geometric_table(params.p / params.q, 0, box)
-    # P(k) = w (1 - rho^2) rho^(2 (k // 2)) with w = q' (k even), p' (k odd)
-    pairs, den = _geometric_table(params.rho2, 0, box // 2)
-    w, dw = _integer_weights({0: params.qprime, 1: params.pprime})
-    return {k: w[k % 2] * pairs[k // 2] for k in range(box + 1)}, dw * den
+        nums, den = _geometric_table(params.p / params.q, 0, box)
+    else:
+        # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w = q' (k even), p' (k odd)
+        pairs, dp = _geometric_table(params.rho2, 0, box // 2)
+        w, dw = _integer_weights({0: params.qprime, 1: params.pprime})
+        nums = {k: w[k % 2] * pairs[k // 2] for k in range(box + 1)}
+        den = dw * dp
+    dropped = den - sum(nums.values())
+    if dropped > Fraction(max_tail) * den:
+        raise LawError(f"box={box} leaves tail {float(Fraction(dropped, den))}"
+                       f" > {max_tail}")
+    return nums, den
 
 
 # ---------------------------------------------------------------------------

@@ -361,9 +361,12 @@ def check_involution(pair, xs, us, tol=None):
     y, v = pair.f(xs, us), pair.g(xs, us)
     dev = _deviations(pair.f(y, v), xs, pair.x_space).astype(float, copy=False)
     np.maximum(dev, _deviations(pair.g(y, v), us, pair.u_space), out=dev)
-    worst = int(np.argmax(dev))
-    max_dev = float(dev[worst])
+    max_dev = float(dev.max(initial=0.0))   # an empty batch passes
     passed = max_dev <= tol
+    worst = None
+    if not passed:
+        k = int(np.argmax(dev))
+        worst = repr((batch_item(xs, k), batch_item(us, k)))
     return VerificationReport(
         name=f"involution:{pair.name}",
         passed=passed,
@@ -371,7 +374,6 @@ def check_involution(pair, xs, us, tol=None):
             "max_deviation": max_dev,
             "tolerance": tol,
             "n_points": len(xs),
-            "worst_point": None if passed else repr(
-                (batch_item(xs, worst), batch_item(us, worst))),
+            "worst_point": worst,
         },
     )

@@ -107,6 +107,12 @@ BAD_STANZAS = {
                             "n": "1000"},
     "rrw_box_3_9": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
                     "r": 0.3, "box": 3.9},
+    # tail 0.4^11 = 4.2e-5 above the default max_tail 1e-6: 10 x the tail
+    # would bound the product defect too loosely to show one
+    "rrw_box_10": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
+                   "r": 0.3, "box": 10},
+    "rrw_box_1": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
+                  "r": 0.3, "box": 1},
     "detailed_balance_box_bool": {"kind": "detailed-balance",
                                   "map": "reflecting_rw", "mu": GEOMETRIC,
                                   "nu": THREE_POINT, "box": True},
@@ -447,13 +453,15 @@ def test_characterize_rrw_subcommand(capsys):
     assert details["product_defect_tv"] <= 1e-12
 
 
-@pytest.mark.parametrize("box", [1, 5, 10, 20])
-def test_rrw_characterize_passes_within_its_truncation_tail(box):
+@pytest.mark.parametrize("box,max_tail", [(20, None), (10, 1e-4)])
+def test_rrw_characterize_passes_within_its_truncation_tail(box, max_tail):
     # a small box leaves a product defect above 1e-12 but within 10 x the
     # tail it reports; at box 20 the defect is 3.0e-9 against 4.4e-9
-    report = run({"seed": 0, "checks": [
-        {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
-         "box": box}]})
+    stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
+              "box": box}
+    if max_tail is not None:
+        stanza["max_tail"] = max_tail
+    report = run({"seed": 0, "checks": [stanza]})
     details = report["checks"][0]["details"]
     assert report["overall_pass"]
     assert details["product_defect_tv"] > 1e-12

@@ -81,6 +81,18 @@ def test_continuous_maps_involution(name, tol):
     assert report.details["n_points"] == 100_000
 
 
+@pytest.mark.parametrize("name,params", [
+    ("matsumoto_yor", None), ("beta_walk", None),
+    ("spd_matsumoto_yor", {"d": 2}),
+])
+def test_empty_batch_passes_with_zero_deviation(name, params):
+    pair = catalog_get(name, params)
+    report = check_involution(pair, *sample_points(pair, 0, RandomStream(22)))
+    assert report.passed
+    assert report.details["max_deviation"] == 0.0
+    assert report.details["n_points"] == 0
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_spd_involution(d):
     pair = catalog_get("spd_matsumoto_yor", {"d": d})
