@@ -6,9 +6,9 @@ decimal), so identities that hold exactly report a residual of literally
 zero. Every table is one pair (nums, den) of plain integer numerators over
 one integer denominator, so sums and differences of cells are integer
 arithmetic. Every geometric table (the walk's forced law and both KdV laws)
-comes from one integer tabulation of theta^k, and H#(mu (x) nu) is compared
-with mu (x) nu by one gap routine. A reported number is `num / den` of two
-ints, which Python rounds correctly: the same float as
+comes from one integer tabulation of theta^k. The KdV product law is
+checked cell by cell, so it needs no truncation tail. A reported number is
+`num / den` of two ints, which Python rounds correctly: the same float as
 `float(Fraction(num, den))`, whatever denominator the table is over.
 """
 
@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .involutions import catalog_get
 from .kernels import pushforward
-from .laws import Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom
+from .laws import Geometric, LawError, ParityGeom, TruncGeom
 from .reports import VerificationReport
 
 
@@ -177,25 +179,6 @@ def rrw_joint_table(law_x, params):
                       tail=Fraction(dx - sum(xs.values()), dx), xs=xs, dx=dx)
 
 
-def _product_gap(push, xs, us):
-    """Compare H#(mu (x) nu) with mu (x) nu for integer tables xs and us.
-
-    `push` holds the image of the product cells, over the same denominator
-    as the outer product of xs and us. Returns the sum over the cells of
-    either table of |push - product|, and the cell of the largest gap
-    (None when the tables agree).
-    """
-    product = {(x, u): px * pu for x, px in xs.items() for u, pu in us.items()}
-    diff = 0
-    witness, witness_gap = None, 0
-    for key in set(push) | set(product):
-        gap = abs(push.get(key, 0) - product.get(key, 0))
-        diff += gap
-        if gap > witness_gap:
-            witness_gap, witness = gap, key
-    return diff, witness
-
-
 def product_defect_tv(joint):
     """Exact TV distance between the joint and the product of its marginals.
 
@@ -283,7 +266,11 @@ def rrw_verify_proof_identities(params, joint, tol=1e-12):
     # (X,U) d= (Y,V) whenever the law collapses to the plain geometric
     if params.r > 0 or params.pprime == params.p:
         # the product is over dx du, the joint's own denominator
-        diff, _ = _product_gap(joint.nums, xs, _step_table(params)[0])
+        us, _ = _step_table(params)
+        product = {(x, u): px * pu for x, px in xs.items()
+                   for u, pu in us.items()}
+        diff = sum(abs(joint.nums.get(key, 0) - product.get(key, 0))
+                   for key in set(joint.nums) | set(product))
         # boundary cells at the truncation edge contribute O(tail)
         residuals["xu_yv_identity"] = diff / (2 * dj)
 
@@ -302,33 +289,38 @@ def rrw_verify_proof_identities(params, joint, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# ultra-discrete KdV pushforward
+# ultra-discrete KdV product law, cell by cell
 # ---------------------------------------------------------------------------
 
-def kdv_tables(theta, ell, M, max_tail):
-    """Integer tables (nums, den) of mu = TruncGeom(theta, ell) and of
-    nu = ShiftGeom(theta, ell) cut at M, and nu's dropped mass
-    theta^(M + 1 + ell) as a float, which must not exceed max_tail."""
-    mu, nu = TruncGeom(theta, ell), ShiftGeom(theta, ell)
-    theta = _frac(theta)
-    # mu is the geometric table on its support, over its own sum
-    xs, _ = _geometric_table(theta, mu.support_lo, mu.support_hi)
-    us, du = _geometric_table(theta, nu.support_lo, M)
-    tail = (du - sum(us.values())) / du
-    if tail > max_tail:
-        raise LawError(f"u_truncation={M} leaves tail {tail} > {max_tail}")
-    return (xs, sum(xs.values())), (us, du), tail
+def kdv_box(theta, ell, M):
+    """The cells x in [-ell, ell], u in [-ell, M] in x-major order, after
+    checking theta and ell as the KdV laws do and that some cell has
+    x + u > 0, the only cells where kdv_g1 and kdv_g2 differ."""
+    TruncGeom(theta, ell)
+    if M <= -ell:
+        raise LawError(f"M={M} <= -ell leaves no cell with x + u > 0")
+    xs, us = np.arange(-ell, ell + 1), np.arange(-ell, M + 1)
+    return np.repeat(xs, len(us)), np.tile(us, len(xs))
 
 
-def kdv_pushforward_tv(theta, ell, variant, u_truncation=60, max_tail=1e-9):
-    """Exact TV between H#(mu (x) nu) and mu (x) nu on the truncated grid.
+def kdv_pushforward_tv(theta, ell, variant, M=60):
+    """H#(mu (x) nu) = mu (x) nu for mu = TruncGeom(theta, ell) and
+    nu = ShiftGeom(theta, ell), checked at every cell of `kdv_box`.
 
-    mu and nu are the tables of `kdv_tables`; nu's dropped mass is returned
-    as the analytic bound. Variant "g1" preserves the product law (tv is
-    tail-sized); "g2" does not (a witness cell is recorded).
+    H is an involution, so the product law is preserved exactly when
+    mu(y) nu(v) = mu(x) nu(u) at every cell, with (y, v) = H(x, u). The
+    weights are integer numerators of theta^k on each support and 0 off it;
+    nu's table reaches the largest image v, so no image falls off it.
+    Returns the number of cells, the number that fail the identity and the
+    first failing cell (None when none fails).
     """
-    (xs, dx), (us, du), tail = kdv_tables(theta, ell, int(u_truncation),
-                                          max_tail)
-    push = pushforward(catalog_get("kdv_" + variant), xs.items(), us.items())
-    diff, witness = _product_gap(push, xs, us)
-    return diff / (2 * dx * du), tail, witness
+    xs, us = kdv_box(theta, ell, M)
+    ys, vs = catalog_get("kdv_" + variant)(xs, us)
+    theta = _frac(theta)
+    mu, _ = _geometric_table(theta, -ell, ell)
+    # v >= M at the cell (ell, M), so this table also covers every u
+    nu, _ = _geometric_table(theta, -ell, int(vs.max()))
+    failing = [(x, u) for x, u, y, v in zip(xs.tolist(), us.tolist(),
+                                            ys.tolist(), vs.tolist())
+               if mu.get(y, 0) * nu.get(v, 0) != mu[x] * nu[u]]
+    return len(xs), len(failing), failing[0] if failing else None

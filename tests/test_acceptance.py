@@ -149,12 +149,12 @@ def test_criterion_4_kdv_dichotomy(capsys):
             criterion(4, "lattice map product-measure dichotomy", 10):
         for theta in (0.3, 0.5, 0.7):
             for ell in (2, 4):
-                tv1, tail1, _ = exact_discrete.kdv_pushforward_tv(
-                    theta, ell, "g1", u_truncation=60)
-                tv2, tail2, _ = exact_discrete.kdv_pushforward_tv(
-                    theta, ell, "g2", u_truncation=60)
-                assert tv1 <= 10.0 * tail1, (theta, ell)
-                assert tv2 > 10.0 * tail2, (theta, ell)
+                _, failing1, _ = exact_discrete.kdv_pushforward_tv(
+                    theta, ell, "g1", 60)
+                _, failing2, _ = exact_discrete.kdv_pushforward_tv(
+                    theta, ell, "g2", 60)
+                assert failing1 == 0, (theta, ell)
+                assert failing2 > 0, (theta, ell)
 
 
 # ---------------------------------------------------------------------------

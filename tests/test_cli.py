@@ -93,9 +93,30 @@ BAD_STANZAS = {
     "kdv_odd_ell": {"kind": "kdv-tv", "theta": 0.5, "ell": 3,
                     "variant": "g1"},
     "kdv_g3": {"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": "g3"},
-    # tail 0.9^13 = 0.25 above the default max_tail 1e-9
-    "kdv_fat_tail": {"kind": "kdv-tv", "theta": 0.9, "ell": 2,
-                     "variant": "g1", "M": 10},
+    # no cell of the box has x + u > 0, where g1 and g2 differ
+    "kdv_m_minus_ell": {"kind": "kdv-tv", "theta": 0.5, "ell": 2,
+                        "variant": "g2", "M": -2},
+    # the identity is checked cell by cell: there is no tail to bound
+    "kdv_max_tail": {"kind": "kdv-tv", "theta": 0.5, "ell": 2,
+                     "variant": "g1", "max_tail": 1e-9},
+    # numbers must be JSON numbers, not strings or bools
+    "kdv_theta_string": {"kind": "kdv-tv", "theta": "0.5", "ell": 2,
+                         "variant": "g1"},
+    "rrw_p_string": {"kind": "rrw-characterize", "p": "0.2", "q": 0.5,
+                     "r": 0.3},
+    "rrw_pprime_string": {"kind": "rrw-characterize", "p": 0.3, "q": 0.7,
+                          "r": 0, "pprime": "0.2"},
+    "rrw_max_tail_bool": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
+                          "r": 0.3, "max_tail": True},
+    "skorokhod_beta_string": {"kind": "skorokhod-gaussian", "beta": "0.5",
+                              "sigma": 1.0},
+    # exact detailed balance tabulates both laws
+    "detailed_balance_continuous_mu": {"kind": "detailed-balance",
+                                       "map": "reflecting_rw", "mu": GAMMA,
+                                       "nu": THREE_POINT},
+    "detailed_balance_continuous_nu": {"kind": "detailed-balance",
+                                       "map": "reflecting_rw",
+                                       "mu": GEOMETRIC, "nu": GAMMA},
     # counts must be JSON integers, not floats that int() would truncate
     "kdv_ell_2_5": {"kind": "kdv-tv", "theta": 0.5, "ell": 2.5,
                     "variant": "g1"},
@@ -339,9 +360,10 @@ def test_check_errors_are_isolated(tmp_path):
     config = load_config(_write_config(tmp_path, {
         "seed": 1,
         "checks": [
-            # continuous noise: runtime error inside the exact check
-            {"kind": "detailed-balance", "map": "reflecting_rw",
-             "mu": GEOMETRIC, "nu": GAMMA},
+            # normal noise drives the field out of (0, inf) at run time
+            {"kind": "burke", "map": "matsumoto_yor",
+             "mu": {"kind": "gig", "params": {"alpha": 2, "lam": 1}},
+             "nu": {"kind": "normal", "params": {"mean": 0, "variance": 1}}},
             {"kind": "involution", "map": "kdv_g1", "box": 5},
         ]}))
     report = run(config)
@@ -466,3 +488,28 @@ def test_rrw_characterize_passes_within_its_truncation_tail(box, max_tail):
     assert report["overall_pass"]
     assert details["product_defect_tv"] > 1e-12
     assert details["product_defect_tv"] <= 10 * details["truncation_tail"]
+
+
+@pytest.mark.parametrize("variant", ["g1", "g2"])
+def test_kdv_tv_reports_failing_cells(variant):
+    # mu's support reaches past the noise box (M < ell); g2 moves the
+    # product law on the 78 cells with x + u > 0
+    stanza = {"kind": "kdv-tv", "theta": 0.1, "ell": 10, "variant": variant,
+              "M": 2}
+    report = run({"seed": 0, "checks": [stanza]})
+    details = report["checks"][0]["details"]
+    assert report["overall_pass"]
+    failing, witness = (0, None) if variant == "g1" else (78, [-1, 2])
+    assert details == {"checked_cells": 21 * 13, "failing_cells": failing,
+                       "witness_cell": witness,
+                       "product_preserved": variant == "g1"}
+
+
+@pytest.mark.parametrize("variant", ["g1", "g2"])
+def test_kdv_tv_needs_no_tail_bound(tmp_path, variant):
+    # theta^(M + 1 + ell) = 0.9^13 = 0.25 of nu lies beyond this box
+    stanza = {"kind": "kdv-tv", "theta": 0.9, "ell": 2, "variant": variant,
+              "M": 10}
+    report = run(load_config(_write_config(tmp_path, {"seed": 0,
+                                                      "checks": [stanza]})))
+    assert report["overall_pass"]

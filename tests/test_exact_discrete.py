@@ -1,18 +1,18 @@
 """Tests for the exact reflecting-random-walk characterization and the
-lattice-map pushforward dichotomy."""
+lattice-map product-law dichotomy."""
 
 from fractions import Fraction
 
 import pytest
 
 from ipmaps.exact_discrete import (
-    JointTable, RRWParams, kdv_pushforward_tv, product_defect_tv,
+    JointTable, RRWParams, kdv_box, kdv_pushforward_tv, product_defect_tv,
     rrw_forced_law, rrw_forced_table, rrw_joint_table,
     rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
 from ipmaps.kernels import pushforward
-from ipmaps.laws import Geometric, LawError, ParityGeom
+from ipmaps.laws import Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom
 
 
 def _fractions(table):
@@ -199,26 +199,31 @@ def test_perturbed_tables_all_break_independence():
 # ---------------------------------------------------------------------------
 
 def test_kdv_g1_preserves_product_measure():
-    tv, tail, _ = kdv_pushforward_tv(0.5, 2, "g1", u_truncation=60)
-    assert tail == 2.0 ** -63
-    assert tv <= 10.0 * tail
-    assert tv <= 1e-12
+    assert kdv_pushforward_tv(0.5, 2, "g1", 60) == (5 * 63, 0, None)
 
 
 def test_kdv_g2_breaks_product_measure():
-    tv, tail, witness = kdv_pushforward_tv(0.5, 2, "g2", u_truncation=60)
-    assert tv > 1e-11
-    assert tv > 10.0 * tail
-    assert witness is not None
+    cells, failing, witness = kdv_pushforward_tv(0.5, 2, "g2", 60)
+    # g2 moves the product law exactly on the cells with x + u > 0
+    xs, us = kdv_box(0.5, 2, 60)
+    assert (cells, failing) == (len(xs), int((xs + us > 0).sum()))
+    assert witness == (-2, 3)
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("ell", [2, 4])
 def test_kdv_dichotomy_grid(theta, ell):
-    tv1, tail1, _ = kdv_pushforward_tv(theta, ell, "g1", u_truncation=60)
-    tv2, tail2, _ = kdv_pushforward_tv(theta, ell, "g2", u_truncation=60)
-    assert tv1 <= 10.0 * tail1
-    assert tv2 > 10.0 * tail2
+    assert kdv_pushforward_tv(theta, ell, "g1", 60)[1] == 0
+    assert kdv_pushforward_tv(theta, ell, "g2", 60)[1] > 0
+
+
+@pytest.mark.parametrize("ell, M", [(2, -2), (2, -3), (10, -10)])
+def test_kdv_box_needs_a_cell_with_positive_x_plus_u(ell, M):
+    with pytest.raises(LawError, match="no cell with x \\+ u > 0"):
+        kdv_box(0.5, ell, M)
+    # the smallest admitted box has one such cell, and g2 fails on it
+    _, failing, witness = kdv_pushforward_tv(0.5, ell, "g2", 1 - ell)
+    assert (failing, witness) == (1, (ell, 1 - ell))
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +323,34 @@ def _ref_residuals(law_x, params, cells):
     return residuals
 
 
-def _ref_kdv_pushforward_tv(theta, ell, variant, M):
+def _ref_kdv_cells(theta, ell, variant, M):
+    """The box size and the failing cells of mu(y) nu(v) = mu(x) nu(u),
+    from the normalised TruncGeom and ShiftGeom pmfs in Fraction arithmetic,
+    one cell at a time in x-major order."""
+    mu_law, nu_law = TruncGeom(theta, ell), ShiftGeom(theta, ell)
     theta = Fraction(str(theta))
     z_mu = sum(theta ** i for i in range(-ell, ell + 1))
-    z_nu = theta ** (-ell) / (1 - theta)
-    mu = {x: theta ** x / z_mu for x in range(-ell, ell + 1)}
-    nu = {u: theta ** u / z_nu for u in range(-ell, M + 1)}
 
-    push = pushforward(catalog_get("kdv_" + variant), mu.items(), nu.items())
-    product = {(x, u): px * pu for x, px in mu.items() for u, pu in nu.items()}
-    diff = Fraction(0)
-    witness, witness_gap = None, Fraction(0)
-    for key in set(push) | set(product):
-        gap = abs(push.get(key, Fraction(0)) - product.get(key, Fraction(0)))
-        diff += gap
-        if gap > witness_gap:
-            witness_gap, witness = gap, key
-    return float(diff / 2), float(theta ** (M + 1 + ell)), witness
+    def mu(x):
+        inside = mu_law.support_lo <= x <= mu_law.support_hi
+        return theta ** x / z_mu if inside else Fraction(0)
+
+    def nu(u):
+        inside = nu_law.support_lo <= u
+        return (1 - theta) * theta ** (u + ell) if inside else Fraction(0)
+
+    for k in range(-ell, M + 1):
+        assert float(mu(k)) == pytest.approx(mu_law.pmf(k), rel=1e-12)
+        assert float(nu(k)) == pytest.approx(nu_law.pmf(k), rel=1e-12)
+    pair = catalog_get("kdv_" + variant)
+    cells, failing = 0, []
+    for x in range(-ell, ell + 1):
+        for u in range(-ell, M + 1):
+            y, v = (int(c) for c in pair(x, u))
+            cells += 1
+            if mu(y) * nu(v) != mu(x) * nu(u):
+                failing.append((x, u))
+    return cells, failing
 
 
 def _bits(values):
@@ -378,11 +394,9 @@ KDV_CASES.append((0.1, 10, 2))
 @pytest.mark.parametrize("variant", ["g1", "g2"])
 @pytest.mark.parametrize("theta, ell, M", KDV_CASES)
 def test_kdv_integer_weights_match_fraction_reference(variant, theta, ell, M):
-    tv, tail, witness = kdv_pushforward_tv(theta, ell, variant,
-                                           u_truncation=M)
-    ref_tv, ref_tail, ref_witness = _ref_kdv_pushforward_tv(
-        theta, ell, variant, M)
-    assert (tv.hex(), tail.hex(), witness) == \
-        (ref_tv.hex(), ref_tail.hex(), ref_witness)
-    if variant == "g2" and M > ell:
-        assert witness is not None and tv > 10.0 * tail
+    cells, failing, witness = kdv_pushforward_tv(theta, ell, variant, M)
+    ref_cells, ref_failing = _ref_kdv_cells(theta, ell, variant, M)
+    assert (cells, failing) == (ref_cells, len(ref_failing))
+    assert witness == (ref_failing[0] if ref_failing else None)
+    # g1 preserves the product law; g2 moves it, at M < ell too
+    assert (failing == 0) == (variant == "g1")
