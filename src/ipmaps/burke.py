@@ -10,7 +10,6 @@ from nu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -82,17 +81,16 @@ def _raise_first_escape(pair, X, U):
 
 
 def check_recursion(field, tol=1e-9):
-    """Recompute every interior site and report the worst deviation."""
+    """Recompute every interior site and report the worst deviation; a nan
+    deviation is the worst, so a field holding a nan fails."""
     X, U, pair = field.X, field.U, field.pair
     N, T = field.shape
-    worst = 0.0
-    for n in range(N):
-        y = pair.f(X[n, :-1], U[n, :])
-        v = pair.g(X[n, :-1], U[n, :])
-        scale = np.maximum(1.0, np.maximum(np.abs(y), np.abs(X[n, 1:])))
-        worst = max(worst,
-                    float(np.max(np.abs(y - X[n, 1:]) / scale)),
-                    float(np.max(np.abs(v - U[n + 1, :]))))
+    y = pair.f(X[:, :-1], U[:-1])
+    v = pair.g(X[:, :-1], U[:-1])
+    scale = np.maximum(1.0, np.maximum(np.abs(y), np.abs(X[:, 1:])))
+    # np.maximum and np.max propagate nan, where Python's max may skip it
+    worst = float(np.max(np.maximum(np.abs(y - X[:, 1:]) / scale,
+                                    np.abs(v - U[1:])), initial=0.0))
     if pair.x_space.is_integer:
         tol = 0.0
     return VerificationReport(
@@ -307,10 +305,35 @@ def field_rows(field):
     """The field as CSV text: one chunk of CRLF-ended n,t,x,u lines per
     lattice row n, floats written as their repr. The boundary noise row
     appears with n=0 and x written as nan, and the last site of every row
-    with u written as nan."""
-    X, U = field.X.tolist(), field.U.tolist()
-    rows = ["".join([f"0,{t},nan,{u}\r\n" for t, u in enumerate(U[0])])]
-    for n, (xs, us) in enumerate(zip(X, U[1:]), start=1):
-        rows.append("".join([f"{n},{t},{x},{u}\r\n" for t, x, u
-                             in zip(count(), xs, us + ["nan"])]))
+    with u written as nan.
+
+    Each chunk joins one list of six pieces per line, n ",t," x "," u
+    "\r\n", whose constant pieces are made once per field. On an integer
+    x-space the fields hold few distinct floats, so each distinct float64
+    bit pattern is formatted once; keying on bits keeps -0.0 apart from
+    0.0."""
+    X, U = field.X, field.U
+    N, T = field.shape
+    if field.pair.x_space.is_integer:
+        bits = np.unique(np.concatenate([X.ravel(), U.ravel()])
+                         .view(np.int64))
+        table = dict(zip(bits.tolist(),
+                         map(repr, bits.view(np.float64).tolist())))
+
+        def text(row):
+            return map(table.__getitem__, row.view(np.int64).tolist())
+    else:
+        def text(row):
+            return map(repr, row.tolist())
+
+    line = []
+    for t in range(T + 1):
+        line += ["0", f",{t},", "nan", ",", "nan", "\r\n"]
+    line[4:6 * T:6] = text(U[0])
+    rows = ["".join(line[:6 * T])]
+    for n in range(1, N + 1):
+        line[0::6] = [str(n)] * (T + 1)
+        line[2::6] = text(X[n - 1])
+        line[4:6 * T:6] = text(U[n])
+        rows.append("".join(line))
     return rows

@@ -1,12 +1,13 @@
 """Tests for the lattice field recursion and its row/column properties."""
 
 import json
+from itertools import count
 
 import numpy as np
 import pytest
 
 from ipmaps.burke import (
-    _kernel_row, _loglik_mc_test, _MC_SEED, _transition_gof, check_recursion,
+    LatticeField, _kernel_row, _loglik_mc_test, _MC_SEED, _transition_gof, check_recursion,
     field_rows, require_field_shape, simulate_field, verify_burke,
 )
 from ipmaps.involutions import POSITIVE_REAL, InvolutionPair, catalog_get
@@ -135,6 +136,32 @@ def test_recursion_invariant():
     assert rep.details["worst_deviation"] <= 1e-9
 
 
+def _nan_in_x(field):
+    field.X[5, 10] = np.nan
+
+
+def _nan_in_u(field):
+    field.U[7, 20] = np.nan
+
+
+def _nan_and_shift_in_one_row(field):
+    field.X[5, 10] = np.nan
+    field.X[5, 30] += 1.0
+
+
+@pytest.mark.parametrize("make", [_rrw_field, _my_field])
+@pytest.mark.parametrize("corrupt", [_nan_in_x, _nan_in_u,
+                                     _nan_and_shift_in_one_row])
+def test_recursion_fails_on_a_nan(make, corrupt):
+    field = make(1, N=60, T=60)
+    corrupt(field)
+    rep = check_recursion(field)
+    assert not rep.passed
+    assert np.isnan(rep.details["worst_deviation"])
+    details = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+    assert details["details"]["worst_deviation"] is None
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -235,6 +262,37 @@ def test_field_rows_layout():
     assert lines[5][4][3] == "nan"
     assert [{int(line[0]) for line in chunk} for chunk in lines] == \
         [{n} for n in range(6)]
+
+
+def _field_rows_reference(field):
+    """field_rows as one f-string per site, the layout's reference."""
+    X, U = field.X.tolist(), field.U.tolist()
+    rows = ["".join([f"0,{t},nan,{u}\r\n" for t, u in enumerate(U[0])])]
+    for n, (xs, us) in enumerate(zip(X, U[1:]), start=1):
+        rows.append("".join([f"{n},{t},{x},{u}\r\n" for t, x, u
+                             in zip(count(), xs, us + ["nan"])]))
+    return rows
+
+
+@pytest.mark.parametrize("make", [_rrw_field, _my_field])
+def test_field_rows_match_the_per_site_reference(make):
+    field = make(3, N=37, T=41)
+    assert field_rows(field) == _field_rows_reference(field)
+
+
+@pytest.mark.parametrize("name", ["reflecting_rw", "matsumoto_yor"])
+def test_field_rows_keep_every_float_repr(name):
+    # -0.0 and 0.0 share a value but not a repr; on the integer branch the
+    # table of reprs must tell them apart
+    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e16, 1e-05, 5e-324, 3.0]
+    X = np.resize(values, (4, 8))
+    U = np.resize(values[::-1], (5, 7))
+    field = LatticeField(X=X, U=U, pair=catalog_get(name), mu=None, nu=None)
+    rows = field_rows(field)
+    assert rows == _field_rows_reference(field)
+    text = "".join(rows)
+    for v in values:
+        assert f",{v!r}\r\n" in text and f",{v!r}," in text
 
 
 def test_impossible_transition_fails_with_a_reason_and_strict_json():
