@@ -45,11 +45,14 @@ def _number(v):
 _FIELD_CHECKS = {
     "seed": _integer(0), **dict.fromkeys(("n", "grid", "box"), _integer(1)),
     **dict.fromkeys(("M", "ell", "N", "T"), _integer()),
-    **dict.fromkeys(("theta", "p", "q", "r", "beta", "sigma", "max_tail"),
+    **dict.fromkeys(("theta", "p", "q", "r", "beta", "sigma"),
                     (_number, "a finite number")),
     "pprime": (lambda v: v is None or _number(v), "a finite number or null"),
     "level": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
     "tol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
+    "csv": (lambda v: v is None or type(v) is str
+            and os.path.basename(v) == v not in ("", ".", ".."),
+            "null or a plain file name"),
 }
 
 
@@ -98,10 +101,8 @@ def _validate_stanza(stanza, index):
         if kind == "burke":
             burke.require_field_shape(view["N"], view["T"])
         if kind == "rrw-characterize":
-            exact_discrete.rrw_forced_table(
-                exact_discrete.RRWParams.make(
-                    view["p"], view["q"], view["r"], view["pprime"]),
-                view["box"], float(view["max_tail"]))
+            exact_discrete.RRWParams.make(
+                view["p"], view["q"], view["r"], view["pprime"])
         if kind == "kdv-tv":
             catalog_get("kdv_" + view["variant"])
             exact_discrete.kdv_box(view["theta"], view["ell"], view["M"])
@@ -172,25 +173,24 @@ def _run_detailed_balance(stanza, rng, out_dir):
 def _run_rrw_characterize(stanza, rng, out_dir):
     params = exact_discrete.RRWParams.make(
         stanza["p"], stanza["q"], stanza["r"], stanza["pprime"])
-    table = exact_discrete.rrw_forced_table(params, stanza["box"],
-                                            float(stanza["max_tail"]))
+    cells, failing, witness = exact_discrete.rrw_pushforward_cells(
+        params, stanza["box"])
+    table = exact_discrete.rrw_forced_table(params, stanza["box"])
     joint = exact_discrete.rrw_joint_table(table, params)
-    defect = exact_discrete.product_defect_tv(joint)
     identities = exact_discrete.rrw_verify_proof_identities(params, joint)
     law = exact_discrete.rrw_forced_law(params)
     nums, den = table
     head = {str(k): w / den for k, w in sorted(nums.items())[:12]}
-    # the truncation leaves a defect of order tail, as in the identities
-    passed = identities.passed and defect <= identities.details["threshold"]
     return VerificationReport(
         name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
              f"r={float(params.r)})",
-        passed=passed,
+        passed=identities.passed and failing == 0,
         details={
             "forced_law": type(law).__name__,
             "forced_pmf_head": head,
             "truncation_tail": float(joint.tail),
-            "product_defect_tv": defect,
+            "checked_cells": cells, "failing_cells": failing,
+            "witness_cell": list(witness) if witness else None,
             "identities": identities.to_dict(),
         },
     )
@@ -273,7 +273,7 @@ _KINDS = {
                          {**_PAIR, "box": 200, "tol": 1e-12}),
     "rrw-characterize": (_run_rrw_characterize, {
         "p": _REQUIRED, "q": _REQUIRED, "r": _REQUIRED, "pprime": None,
-        "box": 200, "max_tail": 1e-6}),
+        "box": 200}),
     "kdv-tv": (_run_kdv_tv, {"theta": _REQUIRED, "ell": _REQUIRED,
                              "variant": _REQUIRED, "M": 60}),
     "burke": (_run_burke, {**_PAIR, "N": 50, "T": 50, **_LEVEL, "csv": None}),

@@ -5,9 +5,10 @@ Probabilities are exact rationals (floats are read as their shortest
 decimal), so identities that hold exactly report a residual of literally
 zero. Every table is one pair (nums, den) of plain integer numerators over
 one integer denominator, so sums and differences of cells are integer
-arithmetic. Every geometric table (the walk's forced law and both KdV laws)
-comes from one integer tabulation of theta^k. The KdV product law is
-checked cell by cell, so it needs no truncation tail. A reported number is
+arithmetic. Every geometric table (the walk's forced laws and both KdV
+laws) comes from one integer tabulation of theta^k. One cell identity,
+`product_defect_tv`, decides the product law of both integer maps cell by
+cell, so no truncation tail enters either verdict. A reported number is
 `num / den` of two ints, which Python rounds correctly: the same float as
 `float(Fraction(num, den))`, whatever denominator the table is over.
 """
@@ -38,8 +39,8 @@ def _frac(x):
 class RRWParams:
     """Reflecting-random-walk step law: P(U=1)=p, P(U=-1)=q, P(U=0)=r.
 
-    `pprime` is P(V=1), used only in the boundary case r=0; then
-    q' = p + q - p' is implied.
+    `pprime` is P(V=1), set only in the boundary case r=0; then
+    q' = p + q - p' is implied. For r>0, V has the law of U.
     """
 
     p: Fraction
@@ -63,6 +64,9 @@ class RRWParams:
             pp = _frac(pprime)
             if not 0 < pp < q:
                 raise LawError("case r=0 needs pprime in (0, q)")
+        elif pprime is not None:
+            raise LawError("pprime is set only in the case r=0: for r > 0"
+                           " V has the law of U")
         return RRWParams(p, q, r, pp)
 
     @property
@@ -135,34 +139,34 @@ def rrw_forced_law(params):
     return ParityGeom(rho, float(params.pprime))
 
 
-def rrw_forced_table(params, box=200, max_tail=1.0):
-    """Exact pmf of the forced law on {0..box} as a table (nums, den); the
-    mass beyond box is den - sum(nums), which must not exceed max_tail."""
+def rrw_forced_table(params, box=200, y=False):
+    """Exact pmf of the forced law of X on {0..box} as a table (nums, den),
+    or with `y` the law of Y = (X + U)^+ it gives, over the same den. At
+    r>0 both are the geometric law; at r=0 their parity weights
+    (P(k even), P(k odd)) are (q', p') for X and (q, p) for Y."""
     if params.r > 0:
-        nums, den = _geometric_table(params.p / params.q, 0, box)
-    else:
-        # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w = q' (k even), p' (k odd)
-        pairs, dp = _geometric_table(params.rho2, 0, box // 2)
-        w, dw = _integer_weights({0: params.qprime, 1: params.pprime})
-        nums = {k: w[k % 2] * pairs[k // 2] for k in range(box + 1)}
-        den = dw * dp
-    dropped = den - sum(nums.values())
-    if dropped > Fraction(max_tail) * den:
-        raise LawError(f"box={box} leaves tail {float(Fraction(dropped, den))}"
-                       f" > {max_tail}")
-    return nums, den
+        return _geometric_table(params.p / params.q, 0, box)
+    # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w one of the parity weights
+    pairs, dp = _geometric_table(params.rho2, 0, box // 2)
+    w, dw = _integer_weights({0: params.qprime, 1: params.pprime,
+                              2: params.q, 3: params.p})
+    parity = 2 if y else 0
+    nums = {k: w[k % 2 + parity] * pairs[k // 2] for k in range(box + 1)}
+    return nums, dw * dp
 
 
 # ---------------------------------------------------------------------------
-# joint law and independence defect
+# joint law and the cell identity
 # ---------------------------------------------------------------------------
 
-def _step_table(params):
-    """The step law P(U=1) = p, P(U=-1) = q, P(U=0) = r as (nums, den)."""
-    law = {1: params.p, -1: params.q}
-    if params.r > 0:
-        law[0] = params.r
-    return _integer_weights(law)
+def _step_tables(params):
+    """The laws of U, (p, q, r), and of V, (p', q', r), as numerator tables
+    over one denominator; the step 0 only when r>0."""
+    w, den = _integer_weights(dict(enumerate((
+        params.q, params.r, params.p,
+        params.qprime, params.r, params.pprime or params.p))))
+    steps = (-1, 0, 1) if params.r > 0 else (-1, 1)
+    return {s: w[s + 1] for s in steps}, {s: w[s + 4] for s in steps}, den
 
 
 def rrw_joint_table(law_x, params):
@@ -173,27 +177,41 @@ def rrw_joint_table(law_x, params):
     denominator of the step law.
     """
     xs, dx = law_x
-    us, du = _step_table(params)
+    us, _, du = _step_tables(params)
     nums = pushforward(catalog_get("reflecting_rw"), xs.items(), us.items())
     return JointTable(nums=nums, den=dx * du,
                       tail=Fraction(dx - sum(xs.values()), dx), xs=xs, dx=dx)
 
 
-def product_defect_tv(joint):
-    """Exact TV distance between the joint and the product of its marginals.
+def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
+    """The cells (xs, us), in x-major order, at which
+    mu_out(y) nu_out(v) = mu(x) nu(u) fails, with (ys, vs) = H(xs, us).
 
-    With cell numerator w, marginal numerators my, mv and total mass s over
-    the table's denominator D, a cell is off the product by
-    |w s - my mv| / (D s).
+    H is an involution, hence a bijection, so H#(mu (x) nu) = mu_out (x)
+    nu_out holds exactly when the identity holds at every cell. The laws
+    are integer numerator tables, mu_out over mu's denominator and nu_out
+    over nu's, so each cell is one integer comparison; a state off mu_out
+    or nu_out has weight 0. Returns the number of cells, the number that
+    fail and the first failing cell (None when none fails).
     """
-    my, mv = joint.marginals()
-    mass = sum(joint.nums.values())
-    if mass == 0:
-        return 0.0
-    cells = joint.nums
-    acc = sum(abs(cells.get((y, v), 0) * mass - py * pv)
-              for y, py in my.items() for v, pv in mv.items())
-    return acc / (2 * joint.den * mass)
+    failing = [(x, u) for x, u, y, v in zip(xs.tolist(), us.tolist(),
+                                            ys.tolist(), vs.tolist())
+               if mu_out.get(y, 0) * nu_out.get(v, 0) != mu[x] * nu[u]]
+    return len(xs), len(failing), failing[0] if failing else None
+
+
+def rrw_pushforward_cells(params, box):
+    """H#(mu (x) nu) = mu' (x) nu' under reflecting_rw, checked by
+    `product_defect_tv` at every cell x in [0, box], u in the step support:
+    mu and mu' are the forced laws of X and Y, reaching the largest image
+    y = box + 1, and nu and nu' those of U and V."""
+    mu, _ = rrw_forced_table(params, box + 1)
+    mu_y, _ = rrw_forced_table(params, box + 1, y=True)
+    nu, nu_v, _ = _step_tables(params)
+    xs = np.repeat(np.arange(box + 1), len(nu))
+    us = np.tile(list(nu), box + 1)
+    ys, vs = catalog_get("reflecting_rw")(xs, us)
+    return product_defect_tv(xs, us, ys, vs, mu, nu, mu_y, nu_v)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +232,6 @@ def rrw_verify_proof_identities(params, joint, tol=1e-12):
       parity sums   P(X odd) q = P(Y even) p',  P(X even) p = P(Y odd) q'
       balance       P(X odd) + q = P(Y even) + p'
       parity mass   P(Y even) = q   (case r=0)
-    and, in the collapsing cases, exact equality of the (X,U) and (Y,V)
-    joint tables.
     """
     xs, dx = joint.xs, joint.dx
     my, mv = joint.marginals()
@@ -263,17 +279,6 @@ def rrw_verify_proof_identities(params, joint, tol=1e-12):
         residuals["y_even_mass"] = float(abs(y_even - params.q))
         residuals["x_odd_mass"] = float(abs(x_odd - params.pprime))
 
-    # (X,U) d= (Y,V) whenever the law collapses to the plain geometric
-    if params.r > 0 or params.pprime == params.p:
-        # the product is over dx du, the joint's own denominator
-        us, _ = _step_table(params)
-        product = {(x, u): px * pu for x, px in xs.items()
-                   for u, pu in us.items()}
-        diff = sum(abs(joint.nums.get(key, 0) - product.get(key, 0))
-                   for key in set(joint.nums) | set(product))
-        # boundary cells at the truncation edge contribute O(tail)
-        residuals["xu_yv_identity"] = diff / (2 * dj)
-
     tail = float(joint.tail)
     threshold = tol + 10.0 * tail
     passed = all(v <= threshold for v in residuals.values())
@@ -305,14 +310,10 @@ def kdv_box(theta, ell, M):
 
 def kdv_pushforward_tv(theta, ell, variant, M=60):
     """H#(mu (x) nu) = mu (x) nu for mu = TruncGeom(theta, ell) and
-    nu = ShiftGeom(theta, ell), checked at every cell of `kdv_box`.
-
-    H is an involution, so the product law is preserved exactly when
-    mu(y) nu(v) = mu(x) nu(u) at every cell, with (y, v) = H(x, u). The
-    weights are integer numerators of theta^k on each support and 0 off it;
-    nu's table reaches the largest image v, so no image falls off it.
-    Returns the number of cells, the number that fail the identity and the
-    first failing cell (None when none fails).
+    nu = ShiftGeom(theta, ell), checked by `product_defect_tv` at every
+    cell of `kdv_box`. The weights are integer numerators of theta^k on
+    each support and 0 off it; nu's table reaches the largest image v, so
+    no image falls off it. Returns what `product_defect_tv` returns.
     """
     xs, us = kdv_box(theta, ell, M)
     ys, vs = catalog_get("kdv_" + variant)(xs, us)
@@ -320,7 +321,4 @@ def kdv_pushforward_tv(theta, ell, variant, M=60):
     mu, _ = _geometric_table(theta, -ell, ell)
     # v >= M at the cell (ell, M), so this table also covers every u
     nu, _ = _geometric_table(theta, -ell, int(vs.max()))
-    failing = [(x, u) for x, u, y, v in zip(xs.tolist(), us.tolist(),
-                                            ys.tolist(), vs.tolist())
-               if mu.get(y, 0) * nu.get(v, 0) != mu[x] * nu[u]]
-    return len(xs), len(failing), failing[0] if failing else None
+    return product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu)

@@ -9,6 +9,7 @@ arrays for tuple-valued noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,17 +206,27 @@ def _spd_g(x, u):
 
 def _fixed(x_space, u_space, f, g):
     """Builder of a catalog pair that takes no parameters."""
-    return lambda name, params: InvolutionPair(name, x_space, u_space, f, g)
+    def build(name, params):
+        if params:
+            raise DomainError(f"{name} takes no params, not {params!r}")
+        return InvolutionPair(name, x_space, u_space, f, g)
+    return build
 
 
 def _spd_pair(name, params):
-    d = int(params.get("d", 2))
-    if d not in (2, 3):
-        raise DomainError("spd_matsumoto_yor supports d in {2, 3}")
+    d = params.get("d", 2)
+    if set(params) - {"d"} or type(d) is not int or d not in (2, 3):
+        raise DomainError("spd_matsumoto_yor takes one param, an integer d"
+                          f" in {{2, 3}}, not {params!r}")
     return InvolutionPair(name, spd(d), spd(d), _spd_f, _spd_g, {"d": d})
 
 
 def _gaussian_pair(name, params):
+    if set(params) - {"beta", "sigma"} or any(
+            type(v) not in (int, float) or not math.isfinite(v)
+            for v in params.values()):
+        raise DomainError("gaussian_rosenblatt takes the finite numbers beta"
+                          f" and sigma as params, not {params!r}")
     beta, sigma = float(params["beta"]), float(params["sigma"])
     if not abs(beta) < 1.0:
         raise DomainError("gaussian_rosenblatt requires |beta| < 1")
@@ -254,7 +265,8 @@ def catalog_get(name, params=None):
     """Return the named involution pair from the catalog.
 
     Raises KeyError for an unknown name or a missing parameter, and
-    ValueError (DomainError) for a parameter outside the map's domain.
+    ValueError (DomainError) for a parameter the map does not take, one of
+    the wrong type, or one outside the map's domain.
     """
     if name not in _CATALOG:
         raise KeyError(f"unknown involution {name!r}")

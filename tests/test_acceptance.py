@@ -126,18 +126,26 @@ def test_criterion_3_rrw_exact(capsys):
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn))
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn / 2))
                 for prm in grid:
-                    nums, den = exact_discrete.rrw_forced_table(prm)
-                    joint = exact_discrete.rrw_joint_table((nums, den), prm)
-                    assert exact_discrete.product_defect_tv(joint) <= 1e-12
-                    # mass 1/1000 moved between adjacent states
+                    assert exact_discrete.rrw_pushforward_cells(prm, 200) \
+                        == ((3 if prm.r > 0 else 2) * 201, 0, None)
+                    # mass 1/1000 moved between adjacent states fails the
+                    # cells of both states, over the cells x in [0, 200]
+                    nu, nu_v, _ = exact_discrete._step_tables(prm)
+                    xs = np.repeat(np.arange(201), len(nu))
+                    us = np.tile(list(nu), 201)
+                    ys, vs = catalog_get("reflecting_rw")(xs, us)
+                    nums, den = exact_discrete.rrw_forced_table(prm, 201)
+                    law_y, _ = exact_discrete.rrw_forced_table(prm, 201,
+                                                               y=True)
+                    law_y = {k: 1000 * w for k, w in law_y.items()}
                     for a, b in ((0, 1), (1, 0), (1, 2)):
                         moved = {k: 1000 * w for k, w in nums.items()}
                         delta = min(den, moved[a])
                         moved[a] -= delta
                         moved[b] += delta
-                        bad = exact_discrete.rrw_joint_table(
-                            (moved, 1000 * den), prm)
-                        assert exact_discrete.product_defect_tv(bad) > 1e-6
+                        _, failing, _ = exact_discrete.product_defect_tv(
+                            xs, us, ys, vs, moved, nu, law_y, nu_v)
+                        assert failing == 2 * len(nu)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ipmaps import exact_discrete
 from ipmaps.cli import ConfigError, emit, load_config, main, run
 
 
@@ -82,6 +83,20 @@ BAD_STANZAS = {
                            "sigma": 1.0},
     "spd_d4": {"kind": "involution", "map": "spd_matsumoto_yor",
                "params": {"d": 4}},
+    # a map's params are exactly those it reads, of the type it reads
+    "my_alpha": {"kind": "involution", "map": "matsumoto_yor",
+                 "params": {"alpha": 3}},
+    "spd_d_2_5": {"kind": "involution", "map": "spd_matsumoto_yor",
+                  "params": {"d": 2.5}},
+    "spd_d_string": {"kind": "involution", "map": "spd_matsumoto_yor",
+                     "params": {"d": "3"}},
+    "gaussian_beta_string": {"kind": "hypotheses",
+                             "map": "gaussian_rosenblatt",
+                             "params": {"beta": "0.5", "sigma": 1.0}},
+    "gaussian_gamma": {"kind": "involution", "map": "gaussian_rosenblatt",
+                       "params": {"beta": 0.5, "sigma": 1.0, "gamma": 2}},
+    "gaussian_sigma_inf": {"kind": "involution", "map": "gaussian_rosenblatt",
+                           "params": {"beta": 0.5, "sigma": float("inf")}},
     "not_an_object": ["involution", "kdv_g1"],
     "reversibility_small_n": {"kind": "reversibility", "map": "matsumoto_yor",
                               "mu": {"kind": "gig",
@@ -106,6 +121,10 @@ BAD_STANZAS = {
                      "r": 0.3},
     "rrw_pprime_string": {"kind": "rrw-characterize", "p": 0.3, "q": 0.7,
                           "r": 0, "pprime": "0.2"},
+    # for r > 0, V has the law of U: a p' would be ignored
+    "rrw_pprime_with_r": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
+                          "r": 0.3, "pprime": 0.2},
+    # the product verdict is exact at every box: there is no tail to bound
     "rrw_max_tail_bool": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
                           "r": 0.3, "max_tail": True},
     "skorokhod_beta_string": {"kind": "skorokhod-gaussian", "beta": "0.5",
@@ -128,12 +147,6 @@ BAD_STANZAS = {
                             "n": "1000"},
     "rrw_box_3_9": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
                     "r": 0.3, "box": 3.9},
-    # tail 0.4^11 = 4.2e-5 above the default max_tail 1e-6: 10 x the tail
-    # would bound the product defect too loosely to show one
-    "rrw_box_10": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
-                   "r": 0.3, "box": 10},
-    "rrw_box_1": {"kind": "rrw-characterize", "p": 0.2, "q": 0.5,
-                  "r": 0.3, "box": 1},
     "detailed_balance_box_bool": {"kind": "detailed-balance",
                                   "map": "reflecting_rw", "mu": GEOMETRIC,
                                   "nu": THREE_POINT, "box": True},
@@ -178,6 +191,14 @@ BAD_STANZAS = {
                                "tol": -1},
     "burke_10x10": {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
                     "nu": THREE_POINT, "N": 10, "T": 10},
+    # the field is written to a plain file name under --out
+    "burke_csv_escapes_out": {"kind": "burke", "map": "reflecting_rw",
+                              "mu": GEOMETRIC, "nu": THREE_POINT,
+                              "csv": "../escaped.csv"},
+    "burke_csv_7": {"kind": "burke", "map": "reflecting_rw",
+                    "mu": GEOMETRIC, "nu": THREE_POINT, "csv": 7},
+    "burke_csv_empty": {"kind": "burke", "map": "reflecting_rw",
+                        "mu": GEOMETRIC, "nu": THREE_POINT, "csv": ""},
     # a field the kind does not read would silently take its default
     "ip_levl_typo": {"kind": "ip", "map": "kdv_g2",
                      "mu": {"kind": "trunc_geom",
@@ -472,22 +493,53 @@ def test_characterize_rrw_subcommand(capsys):
     report = json.loads(capsys.readouterr().out)
     details = report["checks"][0]["details"]
     assert details["forced_law"] == "Geometric"
-    assert details["product_defect_tv"] <= 1e-12
+    assert (details["checked_cells"], details["failing_cells"],
+            details["witness_cell"]) == (603, 0, None)
 
 
-@pytest.mark.parametrize("box,max_tail", [(20, None), (10, 1e-4)])
-def test_rrw_characterize_passes_within_its_truncation_tail(box, max_tail):
-    # a small box leaves a product defect above 1e-12 but within 10 x the
-    # tail it reports; at box 20 the defect is 3.0e-9 against 4.4e-9
-    stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
-              "box": box}
-    if max_tail is not None:
-        stanza["max_tail"] = max_tail
-    report = run({"seed": 0, "checks": [stanza]})
-    details = report["checks"][0]["details"]
-    assert report["overall_pass"]
-    assert details["product_defect_tv"] > 1e-12
-    assert details["product_defect_tv"] <= 10 * details["truncation_tail"]
+def test_characterize_rrw_rejects_pprime_with_positive_r(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["characterize-rrw", "--p", "0.2", "--q", "0.5", "--r", "0.3",
+                 "--pprime", "0.2", "--out", str(out)]) == 2
+    assert "pprime is set only in the case r=0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the (p, q, r, p') grid of the exact-enum benchmark workload, and one more
+# point of each case with p close to q
+RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
+            (0.3, 0.7, 0.0, 0.3), (0.3, 0.7, 0.0, 0.15),
+            (0.4, 0.6, 0.0, 0.2), (0.3, 0.35, 0.35, None),
+            (0.45, 0.55, 0.0, 0.05))
+
+
+@pytest.mark.parametrize("grid", RRW_GRID, ids=str)
+def test_rrw_characterize_passes_at_every_box(grid):
+    # the identities' threshold grows with the tail of a small box; the
+    # product verdict is exact and does not depend on it
+    p, q, r, pprime = grid
+    steps = 3 if r > 0 else 2
+    for box in (*range(1, 41), 200, 1000):
+        stanza = {"kind": "rrw-characterize", "p": p, "q": q, "r": r,
+                  "box": box}
+        if pprime is not None:
+            stanza["pprime"] = pprime
+        report = run({"seed": 0, "checks": [stanza]})
+        details = report["checks"][0]["details"]
+        assert report["overall_pass"], (box, details)
+        assert (details["checked_cells"], details["failing_cells"],
+                details["witness_cell"]) == ((box + 1) * steps, 0, None)
+
+
+def test_rrw_characterize_fails_on_a_failing_cell(monkeypatch):
+    # the identities pass, but one failing cell fails the verdict
+    monkeypatch.setattr(exact_discrete, "rrw_pushforward_cells",
+                        lambda params, box: (603, 1, (0, -1)))
+    stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3}
+    check = run({"seed": 0, "checks": [stanza]})["checks"][0]
+    assert check["details"]["identities"]["passed"]
+    assert not check["passed"]
+    assert check["details"]["witness_cell"] == [0, -1]
 
 
 @pytest.mark.parametrize("variant", ["g1", "g2"])

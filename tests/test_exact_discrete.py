@@ -1,13 +1,15 @@
 """Tests for the exact reflecting-random-walk characterization and the
 lattice-map product-law dichotomy."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ipmaps.exact_discrete import (
-    JointTable, RRWParams, kdv_box, kdv_pushforward_tv, product_defect_tv,
-    rrw_forced_law, rrw_forced_table, rrw_joint_table,
+    RRWParams, _step_tables, kdv_box, kdv_pushforward_tv, product_defect_tv,
+    rrw_forced_law, rrw_forced_table, rrw_joint_table, rrw_pushforward_cells,
     rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
@@ -26,7 +28,7 @@ def perturbed_tables(params, box=200):
     between adjacent states.
 
     The structured deviation family used to show that independence pins the
-    law: every member must produce a visible product defect.
+    law: every member must fail the cell identity.
     """
     nums, den = rrw_forced_table(params, box=box)
     out = []
@@ -37,6 +39,20 @@ def perturbed_tables(params, box=200):
         moved[b] += delta
         out.append(((a, b), (moved, 1000 * den)))
     return out
+
+
+def rrw_cells(params, box, law_x, law_y):
+    """`product_defect_tv` on the cells x in [0, box], u in the step
+    support, with mu = law_x and mu' = law_y brought over one denominator."""
+    (mu, dx), (mu_y, dy) = law_x, law_y
+    den = math.lcm(dx, dy)
+    mu = {k: w * (den // dx) for k, w in mu.items()}
+    mu_y = {k: w * (den // dy) for k, w in mu_y.items()}
+    nu, nu_v, _ = _step_tables(params)
+    xs = np.repeat(np.arange(box + 1), len(nu))
+    us = np.tile(list(nu), box + 1)
+    ys, vs = catalog_get("reflecting_rw")(xs, us)
+    return product_defect_tv(xs, us, ys, vs, mu, nu, mu_y, nu_v)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +70,8 @@ def test_params_validation():
         RRWParams.make(0.3, 0.7, 0)              # r=0 needs pprime
     with pytest.raises(LawError):
         RRWParams.make(0.3, 0.7, 0, 0.8)         # pprime outside (0, q)
+    with pytest.raises(LawError, match="pprime is set only in the case r=0"):
+        RRWParams.make(0.2, 0.5, 0.3, 0.2)       # r>0: V has the law of U
 
 
 def test_qprime_is_implied():
@@ -97,8 +115,19 @@ def test_forced_table_is_exact():
     assert Fraction(den - sum(nums.values()), den) == Fraction(2, 5) ** 51
 
 
+def test_forced_law_of_y_swaps_the_parity_weights():
+    params = RRWParams.make(0.3, 0.7, 0, 0.2)
+    pmf_x = _fractions(rrw_forced_table(params, box=3))
+    pmf_y = _fractions(rrw_forced_table(params, box=3, y=True))
+    assert [pmf_y[k] / pmf_x[k] for k in range(4)] == \
+        [params.q / params.qprime, params.p / params.pprime] * 2
+    interior = RRWParams.make(0.2, 0.5, 0.3)
+    assert rrw_forced_table(interior, 9, y=True) == \
+        rrw_forced_table(interior, 9)
+
+
 # ---------------------------------------------------------------------------
-# joint table and independence defect
+# joint table and the cell identity
 # ---------------------------------------------------------------------------
 
 def test_joint_from_point_mass_at_zero():
@@ -122,31 +151,46 @@ def test_table_denominator_does_not_change_a_report(grid):
         scaled = ({k: 7 * w for k, w in nums.items()}, 7 * den)
         a, b = rrw_joint_table(law_x, params), rrw_joint_table(scaled, params)
         assert a.tail == b.tail
-        assert product_defect_tv(a).hex() == product_defect_tv(b).hex()
         assert rrw_verify_proof_identities(params, a).details == \
             rrw_verify_proof_identities(params, b).details
 
 
 def test_forced_law_gives_zero_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    table = rrw_forced_table(params, box=200)
-    defect = product_defect_tv(rrw_joint_table(table, params))
-    assert defect <= 1e-12
+    assert rrw_pushforward_cells(params, 200) == (603, 0, None)
+    law_x = rrw_forced_table(params, 201)
+    law_y = rrw_forced_table(params, 201, y=True)
+    assert rrw_cells(params, 200, law_x, law_y) == (603, 0, None)
 
 
 def test_wrong_law_gives_visible_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    table = ({k: 2 ** (200 - k) for k in range(201)}, 2 ** 201)  # 2^-(k+1)
-    defect = product_defect_tv(rrw_joint_table(table, params))
-    assert defect > 1e-3
+    table = ({k: 2 ** (201 - k) for k in range(202)}, 2 ** 202)  # 2^-(k+1)
+    cells, failing, witness = rrw_cells(
+        params, 200, table, rrw_forced_table(params, 201, y=True))
+    assert (cells, witness) == (603, (0, -1))
+    assert failing > 0
+
+
+def test_output_law_equal_to_the_input_law_fails_every_cell():
+    # at r = 0 and p' != p, Y has parity weights (q, p), not X's (q', p')
+    params = RRWParams.make(0.3, 0.7, 0, 0.15)
+    law_x = rrw_forced_table(params, 41)
+    ref_cells, ref_failing = _ref_rrw_cells(params, 40, y=False)
+    assert rrw_cells(params, 40, law_x, law_x) == \
+        (ref_cells, len(ref_failing), ref_failing[0]) == (82, 82, (0, -1))
+    assert rrw_pushforward_cells(params, 40) == (82, 0, None)
 
 
 def test_product_table_has_zero_defect():
-    my = {0: 1, 1: 1}            # halves
-    mv = {-1: 1, 1: 2}           # thirds
-    nums = {(y, v): py * pv for y, py in my.items() for v, pv in mv.items()}
-    joint = JointTable(nums, 6, Fraction(0), xs=my, dx=2)
-    assert product_defect_tv(joint) == 0.0
+    # the swap H(x, u) = (u, x) carries mu (x) nu to nu (x) mu; weights
+    # over 6: mu halves on {0, 1}, nu thirds on {-1, 1}
+    mu, nu = {0: 3, 1: 3}, {-1: 2, 1: 4}
+    xs, us = np.repeat([0, 1], 2), np.tile([-1, 1], 2)
+    assert product_defect_tv(xs, us, us, xs, mu, nu, nu, mu) == (4, 0, None)
+    # mu (x) nu itself is not: every cell but the fixed point (1, 1) fails
+    assert product_defect_tv(xs, us, us, xs, mu, nu, mu, nu) == \
+        (4, 3, (0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +205,6 @@ def test_identities_interior_case():
     assert report.passed
     residuals = report.details["residuals"]
     assert all(v <= report.details["threshold"] for v in residuals.values())
-    # (X,U) and (Y,V) are equal as exact tables up to the truncation edge
-    assert residuals["xu_yv_identity"] <= report.details["threshold"]
 
 
 def test_identities_boundary_case():
@@ -186,12 +228,16 @@ def test_identities_detect_perturbation():
 
 
 def test_perturbed_tables_all_break_independence():
-    params = RRWParams.make(0.2, 0.5, 0.3)
-    tables = perturbed_tables(params)
-    assert len(tables) >= 3
-    for _, table in tables:
-        defect = product_defect_tv(rrw_joint_table(table, params))
-        assert defect > 1e-6
+    # the cells whose x carries moved mass fail, and no other cell
+    for grid, cells in (((0.2, 0.5, 0.3), 603), ((0.3, 0.7, 0, 0.15), 402)):
+        params = RRWParams.make(*grid)
+        law_y = rrw_forced_table(params, 201, y=True)
+        tables = perturbed_tables(params, box=201)
+        assert len(tables) >= 3
+        steps = len(_step_tables(params)[0])
+        for (a, b), table in tables:
+            assert rrw_cells(params, 200, table, law_y) == \
+                (cells, 2 * steps, (min(a, b), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +280,13 @@ def test_kdv_box_needs_a_cell_with_positive_x_plus_u(ell, M):
 RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
             (0.3, 0.7, 0.0, 0.3), (0.3, 0.7, 0.0, 0.15),
             (0.4, 0.6, 0.0, 0.2))
+# and one more point of each case, with p close to q
+RRW_WIDE_GRID = RRW_GRID + ((0.3, 0.35, 0.35, None), (0.45, 0.55, 0.0, 0.05))
 
 
-def _ref_forced_table(params, box):
-    """The forced law on {0..box} and its tail, one Fraction per state."""
+def _ref_forced_table(params, box, y=False):
+    """The forced law of X (or with `y` of Y) on {0..box} and its tail,
+    one Fraction per state."""
     pmf = {}
     if params.r > 0:
         theta = params.p / params.q
@@ -245,8 +294,9 @@ def _ref_forced_table(params, box):
             pmf[k] = (1 - theta) * theta ** k
         return pmf, theta ** (box + 1)
     rho2 = params.rho2
+    odd, even = (params.p, params.q) if y else (params.pprime, params.qprime)
     for k in range(box + 1):
-        w = params.pprime if k % 2 == 1 else params.qprime
+        w = odd if k % 2 == 1 else even
         pmf[k] = w * (1 - rho2) * rho2 ** (k // 2)
     return pmf, 1 - sum(pmf.values())
 
@@ -269,19 +319,6 @@ def _ref_marginals(cells):
         my[y] = my.get(y, Fraction(0)) + w
         mv[v] = mv.get(v, Fraction(0)) + w
     return my, mv
-
-
-def _ref_product_defect_tv(cells):
-    my, mv = _ref_marginals(cells)
-    mass = sum(cells.values())
-    if mass == 0:
-        return 0.0
-    acc = Fraction(0)
-    for y in my:
-        for v in mv:
-            w = cells.get((y, v), Fraction(0))
-            acc += abs(w - my[y] * mv[v] / mass)
-    return float(acc / 2)
 
 
 def _ref_residuals(law_x, params, cells):
@@ -313,13 +350,6 @@ def _ref_residuals(law_x, params, cells):
             abs((x_odd + params.q) - (y_even + pprime)))
         residuals["y_even_mass"] = float(abs(y_even - params.q))
         residuals["x_odd_mass"] = float(abs(x_odd - params.pprime))
-    if params.r > 0 or params.pprime == params.p:
-        xu = {(x, u): px * pu for x, px in law_x.items()
-              for u, pu in _ref_noise_cells(params)}
-        diff = Fraction(0)
-        for key in set(xu) | set(cells):
-            diff += abs(xu.get(key, Fraction(0)) - cells.get(key, Fraction(0)))
-        residuals["xu_yv_identity"] = float(diff / 2)
     return residuals
 
 
@@ -353,6 +383,30 @@ def _ref_kdv_cells(theta, ell, variant, M):
     return cells, failing
 
 
+def _ref_rrw_cells(params, box, y=True):
+    """The box size and the failing cells of mu'(y) nu'(v) = mu(x) nu(u)
+    for mu, mu' the laws of X and Y (of X again without `y`) and nu, nu'
+    those of U and V, from the normalised pmfs in Fraction arithmetic, one
+    cell at a time in x-major order."""
+    mu, _ = _ref_forced_table(params, box + 1)
+    mu_y, _ = _ref_forced_table(params, box + 1, y=y)
+    law = rrw_forced_law(params)
+    for k in range(box + 2):
+        assert float(mu[k]) == pytest.approx(law.pmf(k), rel=1e-12)
+    pv = params.p if params.pprime is None else params.pprime
+    nu = {-1: params.q, 0: params.r, 1: params.p}
+    nu_v = {-1: params.qprime, 0: params.r, 1: pv}
+    pair = catalog_get("reflecting_rw")
+    cells, failing = 0, []
+    for x in range(box + 1):
+        for u in ((-1, 0, 1) if params.r > 0 else (-1, 1)):
+            y, v = (int(c) for c in pair(x, u))
+            cells += 1
+            if mu_y[y] * nu_v[v] != mu[x] * nu[u]:
+                failing.append((x, u))
+    return cells, failing
+
+
 def _bits(values):
     return {k: float(v).hex() for k, v in values.items()}
 
@@ -366,6 +420,8 @@ def test_integer_tables_match_fraction_reference(grid):
         pmf, tail = _ref_forced_table(params, box)
         assert _fractions((nums, den)) == pmf
         assert Fraction(den - sum(nums.values()), den) == tail
+        assert _fractions(rrw_forced_table(params, box, y=True)) == \
+            _ref_forced_table(params, box, y=True)[0]
     forced = [rrw_forced_table(params, box=box) for box in (200, 5)]
     moved = [table for _, table in perturbed_tables(params)]
     for table in forced + moved:
@@ -375,15 +431,22 @@ def test_integer_tables_match_fraction_reference(grid):
         assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} \
             == cells
         assert joint.tail == 1 - sum(law_x.values())
-        defect = product_defect_tv(joint)
-        assert defect.hex() == _ref_product_defect_tv(cells).hex()
         report = rrw_verify_proof_identities(params, joint)
         residuals = report.details["residuals"]
         assert _bits(residuals) == _bits(_ref_residuals(law_x, params, cells))
         if table in moved:
             # the comparison covers nonzero values
-            assert defect > 0.0
             assert max(residuals.values()) > 0.0
+
+
+@pytest.mark.parametrize("grid", RRW_WIDE_GRID, ids=str)
+def test_rrw_cells_match_fraction_reference(grid):
+    params = RRWParams.make(*grid)
+    steps = 3 if params.r > 0 else 2
+    for box in (*range(1, 41), 200):
+        ref_cells, ref_failing = _ref_rrw_cells(params, box)
+        assert (ref_cells, ref_failing) == ((box + 1) * steps, [])
+        assert rrw_pushforward_cells(params, box) == (ref_cells, 0, None)
 
 
 # (theta, ell, M); the last has M < ell, so mu reaches past the noise box

@@ -25,26 +25,27 @@ BURKE_RRW = {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
              "nu": THREE_POINT, "N": 60, "T": 60}
 
 GOLDEN = {
+    # rrw-characterize counts the cells failing mu'(y) nu'(v) = mu(x) nu(u)
     "rrw_interior": (
         {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3},
-        "b7e14653c18f8c1ad7767cab9f1c44fa8ab34cfb38ea801f128a37b1b3298b7d"),
+        "3310d96eec44bfd9271bc6b13a7e385ed2258e6ade96b4f991cdd3c8000e17d0"),
     "rrw_boundary": (
         {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0,
          "pprime": 0.2},
-        "bc8133cd1ed96a0981a3f0a30f8bd20ea79a3c7143e5b5f220cb2235342b8d24"),
-    # the exact-enum benchmark sizes; digests computed with Fraction tables
+        "1d3b9a0fa0482163fe1e00f952fdffe7c30d5273920bb031673d400c6762d424"),
+    # the exact-enum benchmark sizes
     "rrw_boundary_box1000": (
         {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0,
          "pprime": 0.15, "box": 1000},
-        "52a04a826b1b4ed0f670b47726bbafb012e318efa9d61ea7667145af7d65b15a"),
+        "9fb349e389c70545c0f71e09b0ca9afa4a305d1a9a702c0707a4f28a59164cb4"),
     "rrw_interior_box1000": (
         {"kind": "rrw-characterize", "p": 0.1, "q": 0.6, "r": 0.3,
          "box": 1000},
-        "aaca2e97990e02f1c4fb0bba67eee25a2edb4bc871e4918c821cb12a582d5d8c"),
+        "4a6411b9dbc2563852c8f8d92f2022e53a5ff812e5a4798f272b7978ada1d152"),
     "rrw_boundary_p04_box1000": (
         {"kind": "rrw-characterize", "p": 0.4, "q": 0.6, "r": 0,
          "pprime": 0.2, "box": 1000},
-        "0d239bbe87f03985c37256171bc381ba7d11302aab5d7a47a7fdc6dc22a4edd1"),
+        "16a639578d36f94835d30473fff93a6063893c3bb7c4a568d19b8f06904a5972"),
     # kdv-tv counts the cells failing mu(y) nu(v) = mu(x) nu(u)
     "kdv_g2_ell8": (
         {"kind": "kdv-tv", "theta": 0.3, "ell": 8, "variant": "g2", "M": 200},
