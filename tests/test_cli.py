@@ -531,6 +531,25 @@ def test_rrw_characterize_passes_at_every_box(grid):
                 details["witness_cell"]) == ((box + 1) * steps, 0, None)
 
 
+@pytest.mark.parametrize("box,max_tail", [(20, None), (10, 1e-4)])
+def test_rrw_characterize_passes_within_its_truncation_tail(tmp_path, box,
+                                                            max_tail):
+    # a small box once left a product defect that only a tail bound could
+    # excuse; the cell check passes it outright, and a max_tail is refused
+    stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
+              "box": box}
+    report = run({"seed": 0, "checks": [stanza]})
+    details = report["checks"][0]["details"]
+    assert report["overall_pass"], details
+    assert (details["checked_cells"], details["failing_cells"],
+            details["witness_cell"]) == ((box + 1) * 3, 0, None)
+    if max_tail is not None:
+        path = _write_config(tmp_path, {
+            "seed": 0, "checks": [{**stanza, "max_tail": max_tail}]})
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+
 def test_rrw_characterize_fails_on_a_failing_cell(monkeypatch):
     # the identities pass, but one failing cell fails the verdict
     monkeypatch.setattr(exact_discrete, "rrw_pushforward_cells",
