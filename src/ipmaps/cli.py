@@ -173,23 +173,23 @@ def _run_detailed_balance(stanza, rng, out_dir):
 def _run_rrw_characterize(stanza, rng, out_dir):
     params = exact_discrete.RRWParams.make(
         stanza["p"], stanza["q"], stanza["r"], stanza["pprime"])
-    cells, failing, witness = exact_discrete.rrw_pushforward_cells(
-        params, stanza["box"])
-    table = exact_discrete.rrw_forced_table(params, stanza["box"])
-    joint = exact_discrete.rrw_joint_table(table, params)
+    box = stanza["box"]
+    joint = exact_discrete.rrw_joint_table(params, box)
+    checked, failing, witness = exact_discrete.rrw_pushforward_cells(joint)
     identities = exact_discrete.rrw_verify_proof_identities(params, joint)
     law = exact_discrete.rrw_forced_law(params)
-    nums, den = table
-    head = {str(k): w / den for k, w in sorted(nums.items())[:12]}
+    _, (mu, den), _, _ = joint
+    tail = den - sum(mu[k] for k in range(box + 1))
     return VerificationReport(
         name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
              f"r={float(params.r)})",
         passed=identities.passed and failing == 0,
         details={
             "forced_law": type(law).__name__,
-            "forced_pmf_head": head,
-            "truncation_tail": float(joint.tail),
-            "checked_cells": cells, "failing_cells": failing,
+            "forced_pmf_head": {str(k): mu[k] / den
+                                for k in range(min(12, box + 1))},
+            "truncation_tail": tail / den,
+            "checked_cells": checked, "failing_cells": failing,
             "witness_cell": list(witness) if witness else None,
             "identities": identities.to_dict(),
         },

@@ -2,14 +2,15 @@
 ultra-discrete KdV maps.
 
 Probabilities are exact rationals (floats are read as their shortest
-decimal), so identities that hold exactly report a residual of literally
-zero. Every table is one pair (nums, den) of plain integer numerators over
-one integer denominator, so sums and differences of cells are integer
-arithmetic. Every geometric table (the walk's forced laws and both KdV
-laws) comes from one integer tabulation of theta^k. One cell identity,
-`product_defect_tv`, decides the product law of both integer maps cell by
-cell, so no truncation tail enters either verdict. A reported number is
-`num / den` of two ints, which Python rounds correctly: the same float as
+decimal). Every table is one pair (nums, den) of plain integer numerators
+over one integer denominator, so every identity is one integer equality
+and a verdict counts the states where it fails. Every geometric table (the
+walk's forced laws and both KdV laws) comes from one integer tabulation of
+theta^k. One cell identity, `product_defect_tv`, decides the product law
+of both integer maps cell by cell, and the walk's per-state proof
+identities on the cells where Y's marginal is exact, so no truncation tail
+enters any verdict. A reported probability is `num / den` of two ints,
+which Python rounds correctly: the same float as
 `float(Fraction(num, den))`, whatever denominator the table is over.
 """
 
@@ -22,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .involutions import catalog_get
-from .kernels import pushforward
 from .laws import Geometric, LawError, ParityGeom, TruncGeom
 from .reports import VerificationReport
 
@@ -101,27 +101,6 @@ def _geometric_table(theta, lo, hi):
              for k in range(lo, hi + 1)}, bpow[-1] * b)
 
 
-@dataclass
-class JointTable:
-    """Finite joint law over (y, v) cells: cell (y, v) has probability
-    nums[(y, v)] / den; state x of the X-law it was pushed from has
-    probability xs[x] / dx."""
-
-    nums: dict           # (y, v) -> int
-    den: int
-    tail: Fraction
-    xs: dict             # x -> int
-    dx: int
-
-    def marginals(self):
-        """Numerators of the y and v marginals, over `den`."""
-        my, mv = {}, {}
-        for (y, v), w in self.nums.items():
-            my[y] = my.get(y, 0) + w
-            mv[v] = mv.get(v, 0) + w
-        return my, mv
-
-
 # ---------------------------------------------------------------------------
 # forced laws
 # ---------------------------------------------------------------------------
@@ -169,18 +148,21 @@ def _step_tables(params):
     return {s: w[s + 1] for s in steps}, {s: w[s + 4] for s in steps}, den
 
 
-def rrw_joint_table(law_x, params):
-    """Exact joint law of (Y, V) = H(X, U) under the catalog's reflecting_rw.
-
-    `law_x` is a table (nums, den) of X whose mass may be < 1; the deficit
-    is carried as tail. The cells are numerators over den Du, with Du the
-    denominator of the step law.
+def rrw_joint_table(params, box):
+    """(cells, (mu, den), mu_y, (nu, nu_v, du)), read by both the cell
+    check and the proof identities: the cells (xs, us, ys, vs), x in
+    [0, box] times the step support in x-major order, with (ys, vs) from
+    one evaluation of reflecting_rw; the forced tables mu of X and mu_y of
+    Y over den, reaching the largest image y = box + 1; and the tables nu
+    of U and nu_v of V over du. Cell (x, u) has mass mu(x) nu(u) / (den du).
     """
-    xs, dx = law_x
-    us, _, du = _step_tables(params)
-    nums = pushforward(catalog_get("reflecting_rw"), xs.items(), us.items())
-    return JointTable(nums=nums, den=dx * du,
-                      tail=Fraction(dx - sum(xs.values()), dx), xs=xs, dx=dx)
+    mu, den = rrw_forced_table(params, box + 1)
+    mu_y, _ = rrw_forced_table(params, box + 1, y=True)
+    nu, nu_v, du = _step_tables(params)
+    xs = np.repeat(np.arange(box + 1), len(nu))
+    us = np.tile(list(nu), box + 1)
+    cells = (xs, us, *catalog_get("reflecting_rw")(xs, us))
+    return cells, (mu, den), mu_y, (nu, nu_v, du)
 
 
 def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
@@ -189,10 +171,11 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
 
     H is an involution, hence a bijection, so H#(mu (x) nu) = mu_out (x)
     nu_out holds exactly when the identity holds at every cell. The laws
-    are integer numerator tables, mu_out over mu's denominator and nu_out
-    over nu's, so each cell is one integer comparison; a state off mu_out
-    or nu_out has weight 0. Returns the number of cells, the number that
-    fail and the first failing cell (None when none fails).
+    are integer numerator tables whose products on either side are over
+    one denominator (mu_out over mu's and nu_out over nu's, say), so each
+    cell is one integer comparison; a state off mu_out or nu_out has
+    weight 0. Returns the number of cells, the number that fail and the
+    first failing cell (None when none fails).
     """
     failing = [(x, u) for x, u, y, v in zip(xs.tolist(), us.tolist(),
                                             ys.tolist(), vs.tolist())
@@ -200,97 +183,100 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     return len(xs), len(failing), failing[0] if failing else None
 
 
-def rrw_pushforward_cells(params, box):
+def rrw_pushforward_cells(joint):
     """H#(mu (x) nu) = mu' (x) nu' under reflecting_rw, checked by
-    `product_defect_tv` at every cell x in [0, box], u in the step support:
-    mu and mu' are the forced laws of X and Y, reaching the largest image
-    y = box + 1, and nu and nu' those of U and V."""
-    mu, _ = rrw_forced_table(params, box + 1)
-    mu_y, _ = rrw_forced_table(params, box + 1, y=True)
-    nu, nu_v, _ = _step_tables(params)
-    xs = np.repeat(np.arange(box + 1), len(nu))
-    us = np.tile(list(nu), box + 1)
-    ys, vs = catalog_get("reflecting_rw")(xs, us)
-    return product_defect_tv(xs, us, ys, vs, mu, nu, mu_y, nu_v)
+    `product_defect_tv` at every cell of `joint` (`rrw_joint_table`): mu and
+    mu' are the forced laws of X and Y, nu and nu' the laws of U and V."""
+    cells, (mu, _), mu_y, (nu, nu_v, _) = joint
+    return product_defect_tv(*cells, mu, nu, mu_y, nu_v)
 
 
 # ---------------------------------------------------------------------------
 # proof identities
 # ---------------------------------------------------------------------------
 
-def rrw_verify_proof_identities(params, joint, tol=1e-12):
-    """Residuals of the event identities that drive the characterization proof.
+_TALLY = ("checked", "failing", "first_failing")
 
-    `joint` is `rrw_joint_table(law_x, params)`. Checks, with Y=(X+U)^+ and
-    V the co-driver and all quantities computed exactly from the joint table
-    and the X-law it carries:
-      boundary      P(X=0) q  = P(Y=0) q'
-      zero-step     P(X=k) r  = P(Y=k) P(V=0)
-      down-up       P(X=k+1) q = P(Y=k) p'
-      up-down       P(X=k) p  = P(Y=k+1) q'
-      total-up      p' = P(X>=1) q
-      parity sums   P(X odd) q = P(Y even) p',  P(X even) p = P(Y odd) q'
-      balance       P(X odd) + q = P(Y even) + p'
-      parity mass   P(Y even) = q   (case r=0)
+
+def _count(checks):
+    """The `_TALLY` of a list of (state, the identity holds there)."""
+    failing = [state for state, holds in checks if not holds]
+    return dict(zip(_TALLY, (len(checks), len(failing),
+                             failing[0] if failing else None)))
+
+
+def rrw_verify_proof_identities(params, joint):
+    """The event identities that drive the characterization proof, as exact
+    integer equalities on the X table of `joint` (`rrw_joint_table`), with
+    Y = (X+U)^+ and V = -U - 2(X+U)^-. The cells of [0, box] give Y's
+    marginal exactly on y <= box - 1, and V's law once the mass of X > box,
+    where V = -U, is added.
+
+    Per state, P(X=x) nu(u) = P(Y=y) nu'(v) at each cell (x, u) -> (y, v)
+    with y <= box - 1:
+      boundary   (0, -1) -> (0, -1)      zero_step  (k, 0) -> (k, 0), r > 0
+      down_up    (k+1, -1) -> (k, 1)     up_down    (k, 1) -> (k+1, -1)
+    Mass:
+      total_up   p' = P(X >= 1) q, at the state v = 1
+      v_law      P(V = v) = nu'(v), at each v
+    At r = 0, summed over the parity pairs {0, 1}, ..., {2n, 2n+1} for each
+    of the box // 2 pairs 2n + 1 <= box - 1, at the pair (2n, 2n+1):
+      parity_down     P(X odd) q = P(Y even) p'
+      parity_up       P(X even) p = P(Y odd) q'
+      x_odd_mass      P(X odd | pairs) = p'
+      y_even_mass     P(Y even | pairs) = q
+      parity_balance  P(X odd | pairs) + q = P(Y even | pairs) + p'
+    Each identity reports the states it checked, how many fail and the
+    first that fails.
     """
-    xs, dx = joint.xs, joint.dx
-    my, mv = joint.marginals()
-    dj = joint.den
-    # numerators of P(X=k) over dx and of P(Y=k) over dj
-    nX = lambda k: xs.get(k, 0)
-    nY = lambda k: my.get(k, 0)
-    pprime = Fraction(mv.get(1, 0), dj)
-    qprime = Fraction(mv.get(-1, 0), dj)
-    v0 = Fraction(mv.get(0, 0), dj)
-    kmax = max(xs)
+    (xs, us, ys, vs), (mu, dx), _, (nu, nu_v, du) = joint
+    box = int(xs[-1])
+    my, mv = {}, {}              # numerators over dx du
+    for x, u, y, v in zip(xs.tolist(), us.tolist(), ys.tolist(), vs.tolist()):
+        w = mu[x] * nu[u]
+        my[y] = my.get(y, 0) + w
+        mv[v] = mv.get(v, 0) + w
+    # mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
+    nu_du = {u: w * du for u, w in nu.items()}
+    exact = ys <= box - 1
+    kinds = {"boundary": (xs == 0) & (us == -1), "zero_step": us == 0,
+             "down_up": (xs > 0) & (us == -1), "up_down": us == 1}
+    if params.r == 0:
+        del kinds["zero_step"]
+    report = {}
+    for name, at in kinds.items():
+        at &= exact
+        report[name] = dict(zip(_TALLY, product_defect_tv(
+            xs[at], us[at], ys[at], vs[at], mu, nu_du, my, nu_v)))
 
-    def worst(pairs, s, t):
-        """max |(x/dx) s - (y/dj) t| over numerator pairs (x, y), as a float:
-        one multiplication by a constant on either side of each pair."""
-        cx = s.numerator * t.denominator * dj
-        cy = t.numerator * s.denominator * dx
-        g = math.gcd(cx, cy) or 1     # short constants, short products
-        cx, cy = cx // g, cy // g
-        top = max((abs(x * cx - y * cy) for x, y in pairs), default=0)
-        return top * g / (s.denominator * t.denominator * dx * dj)
-
-    residuals = {}
-    residuals["boundary"] = worst([(nX(0), nY(0))], params.q, qprime)
-    residuals["zero_step"] = worst(
-        ((nX(k), nY(k)) for k in range(kmax)), params.r, v0)
-    residuals["down_up"] = worst(
-        ((nX(k + 1), nY(k)) for k in range(kmax - 1)), params.q, pprime)
-    residuals["up_down"] = worst(
-        ((nX(k), nY(k + 1)) for k in range(kmax - 1)), params.p, qprime)
-    mass_x = Fraction(sum(xs.values()), dx)
-    residuals["total_up"] = float(
-        abs(pprime - (mass_x - Fraction(nX(0), dx)) * params.q))
+    p, q, pp, qp = nu[1], nu[-1], nu_v[1], nu_v[-1]
+    beyond = dx - sum(mu[x] for x in range(box + 1))     # X > box
+    report["total_up"] = _count([(1, pp * dx == (dx - mu[0]) * q)])
+    report["v_law"] = _count([(v, mv[v] + beyond * nu[-v] == w * dx)
+                              for v, w in nu_v.items()])
 
     if params.r == 0:
-        # the parity identities are derived under p + q = 1
-        x_odd = Fraction(sum(w for k, w in xs.items() if k % 2 == 1), dx)
-        x_even = mass_x - x_odd
-        y_odd = Fraction(sum(w for k, w in my.items() if k % 2 == 1), dj)
-        y_even = Fraction(sum(my.values()), dj) - y_odd
-        residuals["parity_down"] = float(abs(x_odd * params.q - y_even * pprime))
-        residuals["parity_up"] = float(abs(x_even * params.p - y_odd * qprime))
-        residuals["parity_balance"] = float(
-            abs((x_odd + params.q) - (y_even + pprime)))
-        residuals["y_even_mass"] = float(abs(y_even - params.q))
-        residuals["x_odd_mass"] = float(abs(x_odd - params.pprime))
+        # sums over the pairs {0, 1}, ..., {k, k+1}: X over dx, Y over dx du
+        parity = {name: [] for name in ("parity_down", "parity_up",
+                                        "x_odd_mass", "y_even_mass",
+                                        "parity_balance")}
+        xe = xo = ye = yo = 0
+        for k in range(0, 2 * (box // 2), 2):
+            xe, xo = xe + mu[k], xo + mu[k + 1]
+            ye, yo = ye + my[k], yo + my[k + 1]
+            # x_odd_mass, y_even_mass: a = 0, b = 0; parity_balance,
+            # xo / (xe + xo) - p' = ye / (ye + yo) - q: a (ye + yo) = b (xe + xo)
+            a, b = xo * du - pp * (xe + xo), ye * du - q * (ye + yo)
+            holds = (q * xo * du == pp * ye, p * xe * du == qp * yo,
+                     a == 0, b == 0, a * (ye + yo) == b * (xe + xo))
+            for checks, ok in zip(parity.values(), holds):
+                checks.append(((k, k + 1), ok))
+        report.update((name, _count(c)) for name, c in parity.items())
 
-    tail = float(joint.tail)
-    threshold = tol + 10.0 * tail
-    passed = all(v <= threshold for v in residuals.values())
     return VerificationReport(
         name="rrw_proof_identities",
-        passed=passed,
-        details={"residuals": residuals, "threshold": threshold,
-                 "tail": tail,
-                 "params": {"p": float(params.p), "q": float(params.q),
-                            "r": float(params.r),
-                            "pprime": float(params.pprime) if params.pprime is not None else None}},
-    )
+        passed=all(r["failing"] == 0 for r in report.values()),
+        details=report)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class Gamma(Law):
     support_lo = 0.0
 
     def __init__(self, shape, rate):
-        if shape <= 0 or rate <= 0:
+        if not (shape > 0 and rate > 0):
             raise LawError("Gamma requires shape>0 and rate>0")
         self.shape = float(shape)
         self.rate = float(rate)
@@ -88,7 +88,7 @@ class BetaI(Law):
     support_lo, support_hi = 0.0, 1.0
 
     def __init__(self, a, b):
-        if a <= 0 or b <= 0:
+        if not (a > 0 and b > 0):
             raise LawError("BetaI requires a>0 and b>0")
         self.a = float(a)
         self.b = float(b)
@@ -137,7 +137,7 @@ class UniformUnit(Law):
 
 class Normal(Law):
     def __init__(self, mean=0.0, variance=1.0):
-        if variance <= 0:
+        if not variance > 0:
             raise LawError("Normal requires variance>0")
         self.mean = float(mean)
         self.variance = float(variance)
@@ -193,7 +193,7 @@ class GIG(Law):
     support_lo = 0.0
 
     def __init__(self, alpha, lam):
-        if alpha <= 0 or lam <= 0:
+        if not (alpha > 0 and lam > 0):
             raise LawError("GIG requires alpha>0 and lam>0")
         self.alpha = float(alpha)
         self.lam = float(lam)
@@ -449,10 +449,16 @@ class FiniteTable(DiscreteLaw):
     """Explicit finite table of (integer support value, probability)."""
 
     def __init__(self, support, probs):
-        support = np.asarray(support, dtype=np.int64)
+        values = np.asarray(support, dtype=float)
+        support = values.astype(np.int64)
         probs = np.asarray(probs, dtype=float)
-        if probs.shape != support.shape or np.any(probs < 0):
-            raise LawError("FiniteTable needs one probability >= 0 per value")
+        if np.any(support != values) or \
+                len(np.unique(support)) < len(support):
+            raise LawError("FiniteTable needs distinct integer support values")
+        if probs.shape != support.shape or \
+                not np.all((probs >= 0) & (probs <= 1)):
+            raise LawError("FiniteTable needs one probability in [0, 1] for"
+                           " each value")
         order = np.argsort(support)
         self.support = support[order]
         self.probs = probs[order]
@@ -541,4 +547,10 @@ def law_from_spec(spec):
     missing = set(names) - set(params)
     if missing:
         raise LawError(f"missing parameters for {kind}: {sorted(missing)}")
+    for n in names:
+        values = params[n] if isinstance(params[n], list) else [params[n]]
+        if not all(type(v) in (int, float) and math.isfinite(v)
+                   for v in values):
+            raise LawError(f"{kind} parameter {n!r} must hold finite numbers"
+                           f" only, not {params[n]!r}")
     return cls(**{n: params[n] for n in names})

@@ -111,11 +111,10 @@ def test_criterion_3_rrw_exact(capsys):
         assert db.passed and db.details["residual"] <= 1e-15
 
         for prm in (params, exact_discrete.RRWParams.make(0.3, 0.7, 0, 0.2)):
-            table = exact_discrete.rrw_forced_table(prm)
             ids = exact_discrete.rrw_verify_proof_identities(
-                prm, exact_discrete.rrw_joint_table(table, prm))
+                prm, exact_discrete.rrw_joint_table(prm, 200))
             assert ids.passed
-            assert max(ids.details["residuals"].values()) <= 1e-12
+            assert all(r["failing"] == 0 for r in ids.details.values())
 
         for p in (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)):
             for q in (Fraction(5, 10), Fraction(6, 10), Fraction(7, 10)):
@@ -126,17 +125,13 @@ def test_criterion_3_rrw_exact(capsys):
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn))
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn / 2))
                 for prm in grid:
-                    assert exact_discrete.rrw_pushforward_cells(prm, 200) \
+                    joint = exact_discrete.rrw_joint_table(prm, 200)
+                    assert exact_discrete.rrw_pushforward_cells(joint) \
                         == ((3 if prm.r > 0 else 2) * 201, 0, None)
                     # mass 1/1000 moved between adjacent states fails the
                     # cells of both states, over the cells x in [0, 200]
-                    nu, nu_v, _ = exact_discrete._step_tables(prm)
-                    xs = np.repeat(np.arange(201), len(nu))
-                    us = np.tile(list(nu), 201)
-                    ys, vs = catalog_get("reflecting_rw")(xs, us)
-                    nums, den = exact_discrete.rrw_forced_table(prm, 201)
-                    law_y, _ = exact_discrete.rrw_forced_table(prm, 201,
-                                                               y=True)
+                    cells, (nums, den), law_y, steps = joint
+                    nu, nu_v, _ = steps
                     law_y = {k: 1000 * w for k, w in law_y.items()}
                     for a, b in ((0, 1), (1, 0), (1, 2)):
                         moved = {k: 1000 * w for k, w in nums.items()}
@@ -144,8 +139,11 @@ def test_criterion_3_rrw_exact(capsys):
                         moved[a] -= delta
                         moved[b] += delta
                         _, failing, _ = exact_discrete.product_defect_tv(
-                            xs, us, ys, vs, moved, nu, law_y, nu_v)
+                            *cells, moved, nu, law_y, nu_v)
                         assert failing == 2 * len(nu)
+                        assert not exact_discrete.rrw_verify_proof_identities(
+                            prm, (cells, (moved, 1000 * den), None,
+                                  steps)).passed
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ from ipmaps import exact_discrete
 from ipmaps.cli import ConfigError, emit, load_config, main, run
 
 
+# a JSON number no float writes as: it loads as inf
+BIG = "<1e400>"
+
+
 def _write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload).replace(json.dumps(BIG), "1e400"))
     return str(path)
 
 
@@ -211,6 +215,33 @@ BAD_STANZAS = {
     "ip_box": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
                "nu": GAMMA, "n": 10000, "box": 20},
     "kind_not_a_string": {"kind": ["ip"]},
+    # a law parameter is a finite JSON number: nothing drops or rounds it
+    "three_point_p_nan": {"kind": "detailed-balance", "map": "reflecting_rw",
+                          "mu": GEOMETRIC,
+                          "nu": {"kind": "three_point",
+                                 "params": {"p": float("nan"), "q": 0.5,
+                                            "r": 0.3}}},
+    "gamma_shape_infinity": {"kind": "ip", "map": "matsumoto_yor",
+                             "mu": GAMMA, "n": 10000,
+                             "nu": {"kind": "gamma",
+                                    "params": {"shape": float("inf"),
+                                               "rate": 1}}},
+    "beta_a_1e400": {"kind": "ip", "map": "beta_map", "n": 10000,
+                     "mu": {"kind": "beta", "params": {"a": BIG, "b": 1}},
+                     "nu": {"kind": "beta", "params": {"a": 2, "b": 1}}},
+    "bernoulli_p_bool": {"kind": "detailed-balance", "map": "reflecting_rw",
+                         "mu": GEOMETRIC,
+                         "nu": {"kind": "bernoulli", "params": {"p": True}}},
+    "finite_table_half": {"kind": "ip", "map": "reflecting_rw",
+                          "mu": GEOMETRIC, "n": 10000,
+                          "nu": {"kind": "finite_table",
+                                 "params": {"support": [-1, 0.5, 1],
+                                            "probs": [0.3, 0.4, 0.3]}}},
+    "finite_table_repeated": {"kind": "detailed-balance",
+                              "map": "reflecting_rw", "mu": GEOMETRIC,
+                              "nu": {"kind": "finite_table",
+                                     "params": {"support": [-1, -1, 1],
+                                                "probs": [0.3, 0.3, 0.4]}}},
     "finite_table_lengths": {"kind": "detailed-balance",
                              "map": "reflecting_rw",
                              "mu": {"kind": "finite_table",
@@ -515,8 +546,6 @@ RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
 
 @pytest.mark.parametrize("grid", RRW_GRID, ids=str)
 def test_rrw_characterize_passes_at_every_box(grid):
-    # the identities' threshold grows with the tail of a small box; the
-    # product verdict is exact and does not depend on it
     p, q, r, pprime = grid
     steps = 3 if r > 0 else 2
     for box in (*range(1, 41), 200, 1000):
@@ -529,6 +558,10 @@ def test_rrw_characterize_passes_at_every_box(grid):
         assert report["overall_pass"], (box, details)
         assert (details["checked_cells"], details["failing_cells"],
                 details["witness_cell"]) == ((box + 1) * steps, 0, None)
+        identities = details["identities"]
+        assert identities["passed"]
+        assert all((r["failing"], r["first_failing"]) == (0, None)
+                   for r in identities["details"].values()), (box, details)
 
 
 @pytest.mark.parametrize("box,max_tail", [(20, None), (10, 1e-4)])
@@ -553,7 +586,7 @@ def test_rrw_characterize_passes_within_its_truncation_tail(tmp_path, box,
 def test_rrw_characterize_fails_on_a_failing_cell(monkeypatch):
     # the identities pass, but one failing cell fails the verdict
     monkeypatch.setattr(exact_discrete, "rrw_pushforward_cells",
-                        lambda params, box: (603, 1, (0, -1)))
+                        lambda joint: (603, 1, (0, -1)))
     stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3}
     check = run({"seed": 0, "checks": [stanza]})["checks"][0]
     assert check["details"]["identities"]["passed"]

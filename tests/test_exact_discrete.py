@@ -8,13 +8,19 @@ import numpy as np
 import pytest
 
 from ipmaps.exact_discrete import (
-    RRWParams, _step_tables, kdv_box, kdv_pushforward_tv, product_defect_tv,
-    rrw_forced_law, rrw_forced_table, rrw_joint_table, rrw_pushforward_cells,
-    rrw_verify_proof_identities,
+    RRWParams, _geometric_table, _step_tables, kdv_box, kdv_pushforward_tv,
+    product_defect_tv, rrw_forced_law, rrw_forced_table, rrw_joint_table,
+    rrw_pushforward_cells, rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
-from ipmaps.kernels import pushforward
 from ipmaps.laws import Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom
+
+# the (p, q, r, p') grid of the exact-enum benchmark workload
+RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
+            (0.3, 0.7, 0.0, 0.3), (0.3, 0.7, 0.0, 0.15),
+            (0.4, 0.6, 0.0, 0.2))
+# and one more point of each case, with p close to q
+RRW_WIDE_GRID = RRW_GRID + ((0.3, 0.35, 0.35, None), (0.45, 0.55, 0.0, 0.05))
 
 
 def _fractions(table):
@@ -39,6 +45,21 @@ def perturbed_tables(params, box=200):
         moved[b] += delta
         out.append(((a, b), (moved, 1000 * den)))
     return out
+
+
+def with_x_table(joint, table):
+    """`joint` with the X table the proof identities read replaced."""
+    cells, _, mu_y, steps = joint
+    return cells, table, mu_y, steps
+
+
+def identities(params, box, table=None):
+    """The proof identities' report on the box [0, box], for the forced X
+    table or for `table`."""
+    joint = rrw_joint_table(params, box)
+    if table is not None:
+        joint = with_x_table(joint, table)
+    return rrw_verify_proof_identities(params, joint)
 
 
 def rrw_cells(params, box, law_x, law_y):
@@ -131,33 +152,46 @@ def test_forced_law_of_y_swaps_the_parity_weights():
 # ---------------------------------------------------------------------------
 
 def test_joint_from_point_mass_at_zero():
+    # the cells of box 1 in x-major order and their image; with X = 0 the
+    # weights mu(x) nu(u) of the cells give H's law
     params = RRWParams.make(0.2, 0.5, 0.3)
-    joint = rrw_joint_table(({0: 1}, 1), params)
-    assert joint.den == 10
-    assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} == {
-        (1, -1): Fraction(1, 5),
-        (0, -1): Fraction(1, 2),
-        (0, 0): Fraction(3, 10),
-    }
+    joint = rrw_joint_table(params, 1)
+    (xs, us, ys, vs), _, _, (nu, _, du) = joint
+    assert list(zip(xs.tolist(), us.tolist())) == \
+        [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+    assert list(zip(ys.tolist(), vs.tolist())) == \
+        [(0, -1), (0, 0), (1, -1), (0, 1), (1, 0), (2, -1)]
+    mu = {0: 1, 1: 0, 2: 0}
+    law = {(y, v): Fraction(mu[x] * nu[u], du)
+           for x, u, y, v in zip(xs.tolist(), us.tolist(), ys.tolist(),
+                                 vs.tolist()) if mu[x]}
+    assert law == {(1, -1): Fraction(1, 5), (0, -1): Fraction(1, 2),
+                   (0, 0): Fraction(3, 10)}
+    # P(Y=0) = q + r moves the boundary identity P(X=0) q = P(Y=0) q'
+    details = rrw_verify_proof_identities(
+        params, with_x_table(joint, (mu, 1))).details
+    assert details["boundary"] == \
+        {"checked": 1, "failing": 1, "first_failing": (0, -1)}
 
 
 @pytest.mark.parametrize("grid", [(0.2, 0.5, 0.3), (0.4, 0.6, 0, 0.2)],
                          ids=str)
 def test_table_denominator_does_not_change_a_report(grid):
-    # every reported float is one correctly rounded int / int division
+    # the identities are integer equalities: scaling a table's numerators
+    # and its denominator together changes none of them
     params = RRWParams.make(*grid)
     for (_, law_x) in perturbed_tables(params, box=30):
         nums, den = law_x
         scaled = ({k: 7 * w for k, w in nums.items()}, 7 * den)
-        a, b = rrw_joint_table(law_x, params), rrw_joint_table(scaled, params)
-        assert a.tail == b.tail
-        assert rrw_verify_proof_identities(params, a).details == \
-            rrw_verify_proof_identities(params, b).details
+        a, b = identities(params, 30, law_x), identities(params, 30, scaled)
+        assert not a.passed
+        assert a.details == b.details
 
 
 def test_forced_law_gives_zero_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    assert rrw_pushforward_cells(params, 200) == (603, 0, None)
+    assert rrw_pushforward_cells(rrw_joint_table(params, 200)) == \
+        (603, 0, None)
     law_x = rrw_forced_table(params, 201)
     law_y = rrw_forced_table(params, 201, y=True)
     assert rrw_cells(params, 200, law_x, law_y) == (603, 0, None)
@@ -179,7 +213,8 @@ def test_output_law_equal_to_the_input_law_fails_every_cell():
     ref_cells, ref_failing = _ref_rrw_cells(params, 40, y=False)
     assert rrw_cells(params, 40, law_x, law_x) == \
         (ref_cells, len(ref_failing), ref_failing[0]) == (82, 82, (0, -1))
-    assert rrw_pushforward_cells(params, 40) == (82, 0, None)
+    assert rrw_pushforward_cells(rrw_joint_table(params, 40)) == \
+        (82, 0, None)
 
 
 def test_product_table_has_zero_defect():
@@ -197,34 +232,64 @@ def test_product_table_has_zero_defect():
 # proof identities
 # ---------------------------------------------------------------------------
 
+def _counts(report):
+    return {name: (r["checked"], r["failing"])
+            for name, r in report.details.items()}
+
+
 def test_identities_interior_case():
-    params = RRWParams.make(0.2, 0.5, 0.3)
-    table = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(params,
-                                         rrw_joint_table(table, params))
+    report = identities(RRWParams.make(0.2, 0.5, 0.3), 200)
     assert report.passed
-    residuals = report.details["residuals"]
-    assert all(v <= report.details["threshold"] for v in residuals.values())
+    assert _counts(report) == {
+        "boundary": (1, 0), "zero_step": (200, 0), "down_up": (200, 0),
+        "up_down": (199, 0), "total_up": (1, 0), "v_law": (3, 0)}
 
 
 def test_identities_boundary_case():
-    params = RRWParams.make(0.3, 0.7, 0, 0.2)
-    table = rrw_forced_table(params)
-    report = rrw_verify_proof_identities(params,
-                                         rrw_joint_table(table, params))
+    # no step 0 at r = 0; the parity identities over the 100 pairs
+    # {2n, 2n+1} with 2n + 1 <= 199, where Y's marginal is exact
+    report = identities(RRWParams.make(0.3, 0.7, 0, 0.2), 200)
     assert report.passed
-    residuals = report.details["residuals"]
-    assert residuals["y_even_mass"] <= 1e-12       # P(Y even) = q
-    assert residuals["x_odd_mass"] <= 1e-12        # P(X odd) = p'
+    assert _counts(report) == {
+        "boundary": (1, 0), "down_up": (200, 0), "up_down": (199, 0),
+        "total_up": (1, 0), "v_law": (2, 0), "parity_down": (100, 0),
+        "parity_up": (100, 0), "x_odd_mass": (100, 0),
+        "y_even_mass": (100, 0), "parity_balance": (100, 0)}
 
 
 def test_identities_detect_perturbation():
     params = RRWParams.make(0.2, 0.5, 0.3)
     [(_, moved), *_] = perturbed_tables(params)   # 1/1000 from 0 to 1
-    report = rrw_verify_proof_identities(params,
-                                         rrw_joint_table(moved, params))
+    report = identities(params, 200, moved)
     assert not report.passed
-    assert max(report.details["residuals"].values()) > 1e-4
+    details = report.details
+    assert details["boundary"]["first_failing"] == (0, -1)
+    assert details["total_up"] == \
+        {"checked": 1, "failing": 1, "first_failing": 1}
+    # a down-step from X = 0 reflects to V = -1, from X = 1 gives V = 1
+    assert details["v_law"] == \
+        {"checked": 3, "failing": 2, "first_failing": -1}
+
+
+@pytest.mark.parametrize("box", [1, 5, 20, 200])
+def test_identities_reject_a_geometric_law_of_the_wrong_rate(box):
+    # at p, q, r = 0.2, 0.5, 0.3 the forced rate is p / q = 2/5
+    params = RRWParams.make(0.2, 0.5, 0.3)
+    for theta in (Fraction(1, 5), Fraction(2, 5), Fraction(1, 2),
+                  Fraction(3, 5)):
+        report = identities(params, box, _geometric_table(theta, 0, box + 1))
+        assert report.passed == (theta == Fraction(2, 5)), (theta, report)
+
+
+@pytest.mark.parametrize("grid", [g for g in RRW_GRID if g[2] == 0], ids=str)
+def test_identities_reject_a_wrong_geometric_law_at_box_1(grid):
+    # p' = p forces the geometric law of rate p / q; p' != p none
+    params = RRWParams.make(*grid)
+    theta = params.p / params.q
+    if params.pprime == params.p:
+        theta /= 2
+        assert identities(params, 1, _geometric_table(2 * theta, 0, 2)).passed
+    assert not identities(params, 1, _geometric_table(theta, 0, 2)).passed
 
 
 def test_perturbed_tables_all_break_independence():
@@ -276,14 +341,6 @@ def test_kdv_box_needs_a_cell_with_positive_x_plus_u(ell, M):
 # reference: the same quantities by Fraction arithmetic cell by cell
 # ---------------------------------------------------------------------------
 
-# the (p, q, r, p') grid of the exact-enum benchmark workload
-RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
-            (0.3, 0.7, 0.0, 0.3), (0.3, 0.7, 0.0, 0.15),
-            (0.4, 0.6, 0.0, 0.2))
-# and one more point of each case, with p close to q
-RRW_WIDE_GRID = RRW_GRID + ((0.3, 0.35, 0.35, None), (0.45, 0.55, 0.0, 0.05))
-
-
 def _ref_forced_table(params, box, y=False):
     """The forced law of X (or with `y` of Y) on {0..box} and its tail,
     one Fraction per state."""
@@ -301,56 +358,67 @@ def _ref_forced_table(params, box, y=False):
     return pmf, 1 - sum(pmf.values())
 
 
-def _ref_noise_cells(params):
-    cells = [(1, params.p), (-1, params.q)]
-    if params.r > 0:
-        cells.append((0, params.r))
-    return cells
-
-
-def _ref_joint_cells(law_x, params):
-    return pushforward(catalog_get("reflecting_rw"), law_x.items(),
-                       _ref_noise_cells(params))
-
-
-def _ref_marginals(cells):
-    my, mv = {}, {}
-    for (y, v), w in cells.items():
-        my[y] = my.get(y, Fraction(0)) + w
-        mv[v] = mv.get(v, Fraction(0)) + w
-    return my, mv
-
-
-def _ref_residuals(law_x, params, cells):
-    my, mv = _ref_marginals(cells)
-    pX = lambda k: law_x.get(k, Fraction(0))
-    pY = lambda k: my.get(k, Fraction(0))
-    pprime = mv.get(1, Fraction(0))
-    qprime = mv.get(-1, Fraction(0))
-    v0 = mv.get(0, Fraction(0))
-    kmax = max(law_x)
-    residuals = {}
-    residuals["boundary"] = float(abs(pX(0) * params.q - pY(0) * qprime))
-    residuals["zero_step"] = float(max(
-        (abs(pX(k) * params.r - pY(k) * v0) for k in range(kmax)), default=0.0))
-    residuals["down_up"] = float(max(
-        abs(pX(k + 1) * params.q - pY(k) * pprime) for k in range(kmax - 1)))
-    residuals["up_down"] = float(max(
-        abs(pX(k) * params.p - pY(k + 1) * qprime) for k in range(kmax - 1)))
-    mass_x = sum(law_x.values())
-    residuals["total_up"] = float(abs(pprime - (mass_x - pX(0)) * params.q))
+def _ref_step_laws(params):
+    """The laws of U and V as {step: Fraction}; the step 0 only when r>0."""
+    pv = params.p if params.pprime is None else params.pprime
+    nu = {-1: params.q, 0: params.r, 1: params.p}
+    nu_v = {-1: params.qprime, 0: params.r, 1: pv}
     if params.r == 0:
-        x_odd = sum(w for k, w in law_x.items() if k % 2 == 1)
-        x_even = mass_x - x_odd
-        y_odd = sum(w for k, w in my.items() if k % 2 == 1)
-        y_even = sum(my.values()) - y_odd
-        residuals["parity_down"] = float(abs(x_odd * params.q - y_even * pprime))
-        residuals["parity_up"] = float(abs(x_even * params.p - y_odd * qprime))
-        residuals["parity_balance"] = float(
-            abs((x_odd + params.q) - (y_even + pprime)))
-        residuals["y_even_mass"] = float(abs(y_even - params.q))
-        residuals["x_odd_mass"] = float(abs(x_odd - params.pprime))
-    return residuals
+        del nu[0], nu_v[0]
+    return nu, nu_v
+
+
+def _ref_identities(params, pmf, box):
+    """Each proof identity, state by state in Fraction arithmetic, from the
+    pmf of X on [0, box] (its deficit the mass of X > box): {name: (states
+    checked, states failing, first failing state)}."""
+    nu, nu_v = _ref_step_laws(params)
+    pair = catalog_get("reflecting_rw")
+    cells = [(x, u, *(int(c) for c in pair(x, u)))
+             for x in range(box + 1) for u in nu]
+    p_y, p_v = {}, {}
+    for x, u, y, v in cells:
+        p_y[y] = p_y.get(y, 0) + pmf[x] * nu[u]
+        p_v[v] = p_v.get(v, 0) + pmf[x] * nu[u]
+    checks = {"boundary": [], "zero_step": [], "down_up": [], "up_down": []}
+    for x, u, y, v in cells:
+        if y <= box - 1:     # every cell reaching y lies in the box
+            name = "boundary" if (x, u) == (0, -1) else \
+                {0: "zero_step", -1: "down_up", 1: "up_down"}[u]
+            checks[name].append(((x, u), pmf[x] * nu[u] == p_y[y] * nu_v[v]))
+    if params.r == 0:
+        del checks["zero_step"]
+    # every X > box steps to X + U > 0, so V = -U there
+    beyond = 1 - sum(pmf[x] for x in range(box + 1))
+    checks["total_up"] = [(1, (1 - pmf[0]) * params.q == nu_v[1])]
+    checks["v_law"] = [(v, p_v[v] + beyond * nu[-v] == nu_v[v])
+                       for v in nu_v]
+    if params.r == 0:
+        for name in ("parity_down", "parity_up", "x_odd_mass", "y_even_mass",
+                     "parity_balance"):
+            checks[name] = []
+        for n in range(box // 2):
+            # the pairs {0, 1}, ..., {2n, 2n+1}; 2n + 1 <= box - 1
+            x_odd = sum(pmf[k] for k in range(1, 2 * n + 2, 2))
+            x_even = sum(pmf[k] for k in range(0, 2 * n + 2, 2))
+            y_odd = sum(p_y[k] for k in range(1, 2 * n + 2, 2))
+            y_even = sum(p_y[k] for k in range(0, 2 * n + 2, 2))
+            x_odd_c, y_even_c = (x_odd / (x_odd + x_even),
+                                 y_even / (y_even + y_odd))
+            for name, holds in (
+                    ("parity_down", x_odd * params.q == y_even * nu_v[1]),
+                    ("parity_up", x_even * params.p == y_odd * nu_v[-1]),
+                    ("x_odd_mass", x_odd_c == nu_v[1]),
+                    ("y_even_mass", y_even_c == params.q),
+                    ("parity_balance",
+                     x_odd_c + params.q == y_even_c + nu_v[1])):
+                checks[name].append(((2 * n, 2 * n + 1), holds))
+    out = {}
+    for name, states in checks.items():
+        failing = [state for state, holds in states if not holds]
+        out[name] = (len(states), len(failing),
+                     failing[0] if failing else None)
+    return out
 
 
 def _ref_kdv_cells(theta, ell, variant, M):
@@ -407,10 +475,6 @@ def _ref_rrw_cells(params, box, y=True):
     return cells, failing
 
 
-def _bits(values):
-    return {k: float(v).hex() for k, v in values.items()}
-
-
 @pytest.mark.parametrize("grid", RRW_GRID, ids=str)
 def test_integer_tables_match_fraction_reference(grid):
     params = RRWParams.make(*grid)
@@ -422,21 +486,16 @@ def test_integer_tables_match_fraction_reference(grid):
         assert Fraction(den - sum(nums.values()), den) == tail
         assert _fractions(rrw_forced_table(params, box, y=True)) == \
             _ref_forced_table(params, box, y=True)[0]
-    forced = [rrw_forced_table(params, box=box) for box in (200, 5)]
-    moved = [table for _, table in perturbed_tables(params)]
-    for table in forced + moved:
-        law_x = _fractions(table)
-        joint = rrw_joint_table(table, params)
-        cells = _ref_joint_cells(law_x, params)
-        assert {k: Fraction(w, joint.den) for k, w in joint.nums.items()} \
-            == cells
-        assert joint.tail == 1 - sum(law_x.values())
-        report = rrw_verify_proof_identities(params, joint)
-        residuals = report.details["residuals"]
-        assert _bits(residuals) == _bits(_ref_residuals(law_x, params, cells))
-        if table in moved:
-            # the comparison covers nonzero values
-            assert max(residuals.values()) > 0.0
+        forced = rrw_forced_table(params, box + 1)
+        moved = [table for _, table in perturbed_tables(params, box)]
+        for table in [forced] + moved:
+            details = identities(params, box, table).details
+            got = {name: (r["checked"], r["failing"], r["first_failing"])
+                   for name, r in details.items()}
+            assert got == _ref_identities(params, _fractions(table), box)
+            # the comparison covers failing states
+            assert (table is forced) == all(
+                r["failing"] == 0 for r in details.values())
 
 
 @pytest.mark.parametrize("grid", RRW_WIDE_GRID, ids=str)
@@ -446,7 +505,8 @@ def test_rrw_cells_match_fraction_reference(grid):
     for box in (*range(1, 41), 200):
         ref_cells, ref_failing = _ref_rrw_cells(params, box)
         assert (ref_cells, ref_failing) == ((box + 1) * steps, [])
-        assert rrw_pushforward_cells(params, box) == (ref_cells, 0, None)
+        assert rrw_pushforward_cells(rrw_joint_table(params, box)) == \
+            (ref_cells, 0, None)
 
 
 # (theta, ell, M); the last has M < ell, so mu reaches past the noise box

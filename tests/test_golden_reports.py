@@ -26,26 +26,27 @@ BURKE_RRW = {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
 
 GOLDEN = {
     # rrw-characterize counts the cells failing mu'(y) nu'(v) = mu(x) nu(u)
+    # and, per proof identity, the states failing its integer equality
     "rrw_interior": (
         {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3},
-        "3310d96eec44bfd9271bc6b13a7e385ed2258e6ade96b4f991cdd3c8000e17d0"),
+        "bd4f26eb55f09813aa87039ac01c6e84218295c4c02bbd9dcced8dfd2ccbb751"),
     "rrw_boundary": (
         {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0,
          "pprime": 0.2},
-        "1d3b9a0fa0482163fe1e00f952fdffe7c30d5273920bb031673d400c6762d424"),
+        "08f684549a615662dda72f5059bfc3fc7aa7626c69b7b7b181fd50330540bc66"),
     # the exact-enum benchmark sizes
     "rrw_boundary_box1000": (
         {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0,
          "pprime": 0.15, "box": 1000},
-        "9fb349e389c70545c0f71e09b0ca9afa4a305d1a9a702c0707a4f28a59164cb4"),
+        "83c4a0defe532936d1e72fad952c61cf74094b172121878549c537b281444f9f"),
     "rrw_interior_box1000": (
         {"kind": "rrw-characterize", "p": 0.1, "q": 0.6, "r": 0.3,
          "box": 1000},
-        "4a6411b9dbc2563852c8f8d92f2022e53a5ff812e5a4798f272b7978ada1d152"),
+        "8a1acac340e671be6eb1b196a243db16a35e23b779278b0945597da024ebb8c2"),
     "rrw_boundary_p04_box1000": (
         {"kind": "rrw-characterize", "p": 0.4, "q": 0.6, "r": 0,
          "pprime": 0.2, "box": 1000},
-        "16a639578d36f94835d30473fff93a6063893c3bb7c4a568d19b8f06904a5972"),
+        "26a8e6013e8c5308f19112f0170ac2f91eaa7641e192be234d83e29e67661b98"),
     # kdv-tv counts the cells failing mu(y) nu(v) = mu(x) nu(u)
     "kdv_g2_ell8": (
         {"kind": "kdv-tv", "theta": 0.3, "ell": 8, "variant": "g2", "M": 200},

@@ -483,3 +483,31 @@ def test_law_from_spec_errors():
                        "params": {"shape": 2, "rate": 1, "extra": 3}})
     with pytest.raises(LawError):
         law_from_spec("gamma")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.5"],
+                         ids=repr)
+def test_law_from_spec_takes_only_finite_numbers(value):
+    for kind, params in (("three_point", {"p": value, "q": 0.5, "r": 0.3}),
+                         ("bernoulli", {"p": value}),
+                         ("finite_table", {"support": [0, 1],
+                                           "probs": [value, 0.5]})):
+        with pytest.raises(LawError, match="must hold finite numbers only"):
+            law_from_spec({"kind": kind, "params": params})
+
+
+@pytest.mark.parametrize("make", [
+    lambda nan: Gamma(nan, 1.0), lambda nan: BetaI(2.0, nan),
+    lambda nan: Normal(0.0, nan), lambda nan: GIG(nan, 1.0),
+    lambda nan: FiniteTable([0, 1], [nan, 0.5])])
+def test_laws_reject_nan_parameters(make):
+    with pytest.raises(LawError):
+        make(float("nan"))
+
+
+@pytest.mark.parametrize("support", [[-1, 0.5, 1], [-1, -1, 1]], ids=str)
+def test_finite_table_needs_distinct_integer_support(support):
+    # 0.5 once loaded as 0; a repeated -1 gave pmf(-1) = 0.3 while the
+    # sampler drew -1 with probability 0.6
+    with pytest.raises(LawError, match="distinct integer support"):
+        FiniteTable(support, [0.3, 0.3, 0.4])
