@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws, stat_tests
-from .kernels import (
-    KernelError, _discrete_noise_table, _gof_against_law, pushforward,
-    renormalized,
-)
+from .kernels import KernelError, _gof_against_law, pushforward
 from .reports import VerificationReport
 from .rng import RandomStream
 from .stat_tests import DEFAULT_LEVEL
@@ -184,14 +181,16 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
 
 def _kernel_row(pair, nu):
     """Transition row of the state chain: y = f(x, u) with u ~ nu."""
-    noise_cells, _ = _discrete_noise_table(nu)
+    noise_cells, _ = laws.truncate(nu, laws.tail_box(nu, 1e-14))
     return lambda x: pushforward(pair.f, [(int(x), 1)], noise_cells)
 
 
 def _dual_kernel_row(pair, mu, tail_target=1e-13):
     """Transition row of the noise chain: v = g(x, u) with x ~ mu."""
     cells, _ = laws.truncate(mu, laws.tail_box(mu, tail_target))
-    cells = renormalized(cells)
+    points, weights = zip(*cells)
+    weights = np.array(weights)
+    cells = list(zip(points, (weights / weights.sum()).tolist()))
     return lambda u: pushforward(pair.g, cells, [(int(u), 1)])
 
 

@@ -76,8 +76,18 @@ class SpaceDescriptor:
         raise ValueError(f"unknown space kind {k!r}")
 
     @property
+    def integer_interval(self):
+        """(lo, hi) of an integer space, the integers in it; None for a
+        space of any other kind."""
+        return _INTEGER_INTERVALS.get(self.kind)
+
+    @property
     def is_integer(self):
-        return self.kind in ("integers", "nonneg_integers", "three_point")
+        return self.integer_interval is not None
+
+
+_INTEGER_INTERVALS = {"integers": (-math.inf, math.inf),
+                      "nonneg_integers": (0, math.inf), "three_point": (-1, 1)}
 
 
 POSITIVE_REAL = SpaceDescriptor("positive_real")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import stat_tests
-from .laws import tail_box, truncate
+from .exact_discrete import law_table
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
 
@@ -35,11 +35,11 @@ def _sample_noise(noise, rng, size=None):
 def pushforward(h, mu_cells, nu_cells):
     """Exact law of h(X, U) for independent X ~ mu_cells and U ~ nu_cells.
 
-    Cells are (integer point, weight) pairs; weights may be floats or
+    Cells are (integer point, weight) pairs; weights may be floats, ints or
     Fractions. `h` must be vectorized, as catalog maps are: it is evaluated
     once on the x-major grid of all point pairs, and a tuple result gives
     tuple keys. Weights are summed per key in grid order starting from 0, so
-    Fraction laws are exact and float sums match a cell-by-cell loop bit for
+    exact laws stay exact and float sums match a cell-by-cell loop bit for
     bit. Keys keep the order in which the grid first reaches them.
     """
     mu_cells, nu_cells = list(mu_cells), list(nu_cells)
@@ -57,47 +57,31 @@ def pushforward(h, mu_cells, nu_cells):
     return law
 
 
-def _discrete_noise_table(noise, tail_target=1e-14):
-    """Truncate a discrete noise law so the dropped mass is <= tail_target."""
-    if not noise.is_discrete:
-        raise KernelError("exact checks need discrete noise")
-    return truncate(noise, tail_box(noise, tail_target))
-
-
-def renormalized(cells):
-    """(point, weight) cells with the weights divided by their numpy sum."""
-    points, weights = zip(*cells)
-    weights = np.array(weights)
-    return list(zip(points, (weights / weights.sum()).tolist()))
-
-
-def check_detailed_balance_exact(pair, nu, mu_cells, tol=1e-12):
-    """Max |mu(x)K(x,y) - mu(y)K(y,x)| by exact enumeration of noise outcomes,
-    for the kernel K(x,.) = law of f(x,U), U ~ nu, of `pair`.
-
-    `mu_cells` are the (state, weight) cells of mu, as `truncate` gives
-    them; they are renormalized to sum to 1. The noise law nu is truncated
-    to tail <= 1e-14 and the pass threshold is tol + 10 * tail.
-    """
-    mu_cells = renormalized(mu_cells)
-    noise_cells, tail = _discrete_noise_table(nu)
-    f = pair.f
-    flux = pushforward(lambda x, u: (x, f(x, u)), mu_cells, noise_cells)
-    residual = 0.0
-    worst = None
-    for (x, y), w in flux.items():
-        back = flux.get((y, x), 0.0)
-        if abs(w - back) > residual:
-            residual = abs(w - back)
-            worst = (x, y)
-    threshold = tol + 10.0 * tail
+def check_detailed_balance_exact(pair, mu, nu, box):
+    """mu(x) K(x,y) = mu(y) K(y,x), K(x,.) the law of pair.f(x, U), U ~ nu,
+    as one integer equality per pair x != y up to mu's support_lo + box with
+    flux either way (mu is 0 below support_lo, so such pairs are exact).
+    Unbounded noise, which drives only kdv's f = min(u, -x), constant from
+    u = -x on, is cut at -support_lo of mu, its tail on the next cell."""
+    lo = mu.support_lo
+    mu_w, _, _ = law_table(mu, lo + box)
+    u_hi = nu.support_hi if nu.support_hi < np.inf else max(nu.support_lo, -lo)
+    nu_w, _, tail = law_table(nu, u_hi)
+    noise = [(u, w) for u, w in {**nu_w, u_hi + 1: tail}.items() if w]
+    # K(x, y) in nu's numerators, for each state x of positive mass
+    states = [(x, 1) for x, w in mu_w.items() if w]
+    kernel = pushforward(lambda x, u: (x, pair.f(x, u)), states, noise)
+    # each pair once: from x < y when both directions carry flux
+    pairs = [(x, y, w, kernel.get((y, x), 0))
+             for (x, y), w in kernel.items() if x != y and y <= lo + box
+             and (x < y or (y, x) not in kernel)]
+    failing = [(x, y) for x, y, w, back in pairs
+               if mu_w[x] * w != mu_w.get(y, 0) * back]
     return VerificationReport(
-        name=f"detailed_balance:{pair.name}",
-        passed=residual <= threshold,
-        details={"residual": residual, "threshold": threshold,
-                 "noise_tail": tail, "worst_pair": worst,
-                 "n_states": len(mu_cells)},
-    )
+        name=f"detailed_balance:{pair.name}", passed=not failing,
+        details={"checked_pairs": len(pairs), "failing_pairs": len(failing),
+                 "witness_pair": list(failing[0]) if failing else None,
+                 "n_states": len(states)})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ipmaps.augmentation import augment, fspec_for, verify_hypotheses
 from ipmaps.involutions import catalog_get, check_involution, sample_points
 from ipmaps.laws import (
     Bernoulli, BetaI, Gamma, Geometric, GIG, Normal, ShiftGeom, ThreePoint,
-    TruncGeom, UniformUnit, truncate,
+    TruncGeom, UniformUnit,
 )
 from ipmaps.rng import RandomStream
 
@@ -105,10 +105,14 @@ def test_criterion_3_rrw_exact(capsys):
     with capsys.disabled(), \
             criterion(3, "reflecting random walk exact characterization", 10):
         params = exact_discrete.RRWParams.make(0.2, 0.5, 0.3)
-        cells, _ = truncate(Geometric(0.4), 200)
-        db = kernels.check_detailed_balance_exact(
-            catalog_get("reflecting_rw"), ThreePoint(0.2, 0.5, 0.3), cells)
-        assert db.passed and db.details["residual"] <= 1e-15
+        walk, steps = catalog_get("reflecting_rw"), ThreePoint(0.2, 0.5, 0.3)
+        for box in (1, 200):
+            db = kernels.check_detailed_balance_exact(
+                walk, Geometric(0.4), steps, box)
+            assert db.passed and db.details["failing_pairs"] == 0
+            assert db.details["checked_pairs"] == box
+            assert not kernels.check_detailed_balance_exact(
+                walk, Geometric(0.5), steps, box).passed
 
         for prm in (params, exact_discrete.RRWParams.make(0.3, 0.7, 0, 0.2)):
             ids = exact_discrete.rrw_verify_proof_identities(

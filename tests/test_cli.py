@@ -64,6 +64,7 @@ def test_config_rejects_bad_rrw_params(tmp_path):
 GAMMA = {"kind": "gamma", "params": {"shape": 2, "rate": 1}}
 GEOMETRIC = {"kind": "geometric", "params": {"theta": 0.4}}
 THREE_POINT = {"kind": "three_point", "params": {"p": 0.2, "q": 0.5, "r": 0.3}}
+BERNOULLI = {"kind": "bernoulli", "params": {"p": 0.5}}
 
 BAD_STANZAS = {
     "ip_unknown_map": {"kind": "ip", "map": "no_such_map", "mu": GAMMA,
@@ -140,6 +141,20 @@ BAD_STANZAS = {
     "detailed_balance_continuous_nu": {"kind": "detailed-balance",
                                        "map": "reflecting_rw",
                                        "mu": GEOMETRIC, "nu": GAMMA},
+    # ... on a map of integer spaces, inside those spaces
+    "detailed_balance_my_bernoulli": {"kind": "detailed-balance",
+                                      "map": "matsumoto_yor",
+                                      "mu": BERNOULLI, "nu": BERNOULLI},
+    "detailed_balance_beta_map_bernoulli": {"kind": "detailed-balance",
+                                            "map": "beta_map",
+                                            "mu": BERNOULLI,
+                                            "nu": BERNOULLI},
+    "detailed_balance_rrw_mu_below_0": {
+        "kind": "detailed-balance", "map": "reflecting_rw", "nu": THREE_POINT,
+        "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}}},
+    "detailed_balance_rrw_shift_geom_noise": {
+        "kind": "detailed-balance", "map": "reflecting_rw", "mu": GEOMETRIC,
+        "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}}},
     # counts must be JSON integers, not floats that int() would truncate
     "kdv_ell_2_5": {"kind": "kdv-tv", "theta": 0.5, "ell": 2.5,
                     "variant": "g1"},
@@ -188,9 +203,10 @@ BAD_STANZAS = {
                            "level": "abc"},
     "ip_level_bool": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
                       "nu": GAMMA, "n": 10000, "level": True},
-    "detailed_balance_tol_string": {"kind": "detailed-balance",
-                                    "map": "reflecting_rw", "mu": GEOMETRIC,
-                                    "nu": THREE_POINT, "tol": "x"},
+    # detailed balance is one integer equality per pair: no tolerance
+    "detailed_balance_tol": {"kind": "detailed-balance",
+                             "map": "reflecting_rw", "mu": GEOMETRIC,
+                             "nu": THREE_POINT, "tol": 1e-12},
     "involution_tol_minus_1": {"kind": "involution", "map": "kdv_g1",
                                "tol": -1},
     "burke_10x10": {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
@@ -376,7 +392,7 @@ def test_failing_check_sets_overall_fail(tmp_path):
 
 @pytest.mark.parametrize("ell", [8, 10])
 def test_detailed_balance_with_noise_support_below_minus_eight(tmp_path, ell):
-    # the noise truncation box starts at hi = -ell + 8 <= 0
+    # unbounded noise is tabulated from -ell to u_hi = ell, its tail on ell + 1
     config = load_config(_write_config(tmp_path, {
         "seed": 1,
         "checks": [{
@@ -387,10 +403,10 @@ def test_detailed_balance_with_noise_support_below_minus_eight(tmp_path, ell):
     check = run(config)["checks"][0]
     details = check["details"]
     assert "error" not in details
-    assert details["noise_tail"] <= 1e-14
-    # mu is truncated from its own support_lo = -ell, so none of it is lost
+    # mu's box starts at its own support_lo = -ell, so it holds every state
     assert check["passed"]
-    assert details["mu_truncation_tail"] == 0.0
+    assert details["n_states"] == 2 * ell + 1
+    assert details["failing_pairs"] == 0
 
 
 def test_detailed_balance_truncates_mu_from_its_support_lo(tmp_path):
@@ -404,8 +420,8 @@ def test_detailed_balance_truncates_mu_from_its_support_lo(tmp_path):
         }]}))
     check = run(config)["checks"][0]
     assert check["passed"], check["details"]
-    assert check["details"]["mu_truncation_tail"] == 0.0
     assert check["details"]["n_states"] == 5
+    assert check["details"]["checked_pairs"] == 6
 
 
 def test_check_errors_are_isolated(tmp_path):

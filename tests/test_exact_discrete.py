@@ -9,11 +9,14 @@ import pytest
 
 from ipmaps.exact_discrete import (
     RRWParams, _geometric_table, _step_tables, kdv_box, kdv_pushforward_tv,
-    product_defect_tv, rrw_forced_law, rrw_forced_table, rrw_joint_table,
-    rrw_pushforward_cells, rrw_verify_proof_identities,
+    law_table, product_defect_tv, rrw_forced_law, rrw_forced_table,
+    rrw_joint_table, rrw_pushforward_cells, rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
-from ipmaps.laws import Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom
+from ipmaps.laws import (
+    Bernoulli, FiniteTable, Geometric, LawError, ParityGeom, ShiftGeom,
+    ThreePoint, TruncGeom,
+)
 
 # the (p, q, r, p') grid of the exact-enum benchmark workload
 RRW_GRID = ((0.2, 0.5, 0.3, None), (0.1, 0.6, 0.3, None),
@@ -145,6 +148,35 @@ def test_forced_law_of_y_swaps_the_parity_weights():
     interior = RRWParams.make(0.2, 0.5, 0.3)
     assert rrw_forced_table(interior, 9, y=True) == \
         rrw_forced_table(interior, 9)
+
+
+@pytest.mark.parametrize("law, hi", [
+    (Geometric(0.4), 30), (ShiftGeom(0.5, 4), 12), (TruncGeom(0.3, 4), 1),
+    (TruncGeom(0.3, 4), 9), (ParityGeom(0.5, 0.3), 7),
+    (ParityGeom(0.5, 0.3), 8), (Bernoulli(0.7), 1), (Bernoulli(0.7), 0),
+    (ThreePoint(0.2, 0.5, 0.3), 1), (FiniteTable([-1, 3], [0.25, 0.75]), 2),
+], ids=repr)
+def test_law_table_is_each_law_in_integers(law, hi):
+    nums, den, tail = law_table(law, hi)
+    assert set(nums) <= set(range(law.support_lo, hi + 1))
+    for k in range(law.support_lo, hi + 1):
+        assert nums.get(k, 0) / den == pytest.approx(law.pmf(k), rel=1e-12)
+    assert tail == den - sum(nums.values()) >= 0
+    assert tail / den == pytest.approx(law.tail(hi), rel=1e-12, abs=1e-15)
+
+
+def test_law_table_reads_parameters_as_decimals():
+    # 1 - 0.7 is the float 0.30000000000000004, not 3/10
+    assert _fractions(law_table(Bernoulli(0.7), 1)[:2]) == \
+        {0: Fraction(3, 10), 1: Fraction(7, 10)}
+    nums, den, tail = law_table(Geometric(0.4), 5)
+    assert Fraction(tail, den) == Fraction(2, 5) ** 6
+    # parity weights 7/10 and 3/10 on rho^2 = 1/4
+    nums, den, tail = law_table(ParityGeom(0.5, 0.3), 4)
+    assert Fraction(tail, den) == \
+        Fraction(7, 10) / 4 ** 3 + Fraction(3, 10) / 4 ** 2
+    # a finite law is over the sum of its weights: its tail is 0 exactly
+    assert law_table(ThreePoint(1 / 3, 1 / 3, 1 / 3), 1)[2] == 0
 
 
 # ---------------------------------------------------------------------------

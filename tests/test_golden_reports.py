@@ -64,21 +64,23 @@ GOLDEN = {
     "kdv_g2": (
         {"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": "g2"},
         "f6b2db50f489ccd525fa67ccbfffc529d031675cd15f42f0e54ce73e98381ed3"),
+    # detailed-balance counts the state pairs failing mu(x) K(x, y) =
+    # mu(y) K(y, x)
     "detailed_balance_pass": (
         {"kind": "detailed-balance", "map": "reflecting_rw",
          "mu": GEOMETRIC, "nu": THREE_POINT},
-        "4b4bbb280d094198bba6eb1c0164567cb0b9ac770f8ed97ce878319468fbcffa"),
+        "71cfc8b1aaf7c656d84afd6cef1f61d3b83b58ca0b1e5e21131c62cc5abba9cd"),
     "detailed_balance_fail": (
         {"kind": "detailed-balance", "map": "reflecting_rw",
          "mu": {"kind": "geometric", "params": {"theta": 0.5}},
          "nu": THREE_POINT},
-        "2759327d71d0079d661584a02457c6995246d019aefb485d8f947accfbc7dd4b"),
-    # mu from its negative support_lo, and a noise box that steps by 8
+        "c2d090a8d2e212e79479bfcc1ce5fb40e6d05406657f4d11e93e7fe969bfea73"),
+    # mu from its negative support_lo, and unbounded noise with its tail
     "detailed_balance_kdv_ell8": (
         {"kind": "detailed-balance", "map": "kdv_g1",
          "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 8}},
          "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 8}}},
-        "c302a09c3d6ea37e989151f9be16a88929e5cbd8be9a9655c471d657a6057926"),
+        "5287fc5b10ee7e6ffb25a173203a28d0adf613a3583daf03011f3151b1e42eb7"),
     # discrete GOF cells and tails: a Bernoulli component of product noise,
     # and the KdV laws under the map that does not preserve them
     "ip_beta_walk_product": (

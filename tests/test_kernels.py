@@ -5,14 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ipmaps import kernels
+from ipmaps.exact_discrete import (
+    kdv_box, kdv_pushforward_tv, law_table, product_defect_tv,
+)
 from ipmaps.involutions import catalog_get
 from ipmaps.kernels import (
     KernelError, _gof_against_law, check_detailed_balance_exact,
     check_ip_statistical, check_reversibility_statistical, pushforward,
 )
 from ipmaps.laws import (
-    BetaI, Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
-    UniformUnit, truncate,
+    BetaI, FiniteTable, Gamma, Geometric, GIG, ShiftGeom, ThreePoint,
+    TruncGeom, UniformUnit,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import independence_test
@@ -149,32 +153,117 @@ def test_gof_fails_on_one_draw_outside_the_support(law, bad):
 # exact detailed balance
 # ---------------------------------------------------------------------------
 
-def _rrw_balance(cells):
-    return check_detailed_balance_exact(catalog_get("reflecting_rw"),
-                                        ThreePoint(0.2, 0.5, 0.3), cells)
+WALK, KDV_G1 = catalog_get("reflecting_rw"), catalog_get("kdv_g1")
+STEPS = ThreePoint(0.2, 0.5, 0.3)
+
+
+def _pairs(report):
+    d = report.details
+    return d["checked_pairs"], d["failing_pairs"], d["witness_pair"]
 
 
 def test_detailed_balance_holds_for_forced_law():
-    cells, _ = truncate(Geometric(0.4), 200)
-    report = _rrw_balance(cells)
+    report = check_detailed_balance_exact(WALK, Geometric(0.4), STEPS, 200)
     assert report.passed
-    assert report.details["residual"] <= 1e-15
+    assert _pairs(report) == (200, 0, None)
+    assert report.details["n_states"] == 201
 
 
 def test_detailed_balance_fails_for_wrong_law():
-    cells, _ = truncate(Geometric(0.5), 200)
-    report = _rrw_balance(cells)
-    assert not report.passed
-    assert report.details["residual"] >= 0.01
+    for box in (1, 200):
+        report = check_detailed_balance_exact(WALK, Geometric(0.5), STEPS,
+                                              box)
+        assert not report.passed
+        assert _pairs(report) == (box, box, [0, 1])
 
 
 def test_detailed_balance_kdv():
-    cells, tail = truncate(TruncGeom(0.5, 2), 2)
-    assert tail == 0.0
-    report = check_detailed_balance_exact(catalog_get("kdv_g1"),
-                                          ShiftGeom(0.5, 2), cells)
+    report = check_detailed_balance_exact(KDV_G1, TruncGeom(0.5, 2),
+                                          ShiftGeom(0.5, 2), 200)
     assert report.passed
-    assert report.details["residual"] <= report.details["threshold"]
+    # y = min(u, -x) <= -x: the 6 of the 10 pairs of [-2, 2] with x + y <= 0
+    assert _pairs(report) == (6, 0, None)
+    assert report.details["n_states"] == 5
+
+
+@pytest.mark.parametrize("box", range(1, 41))
+def test_detailed_balance_holds_at_every_box(box):
+    # the first state past the box has no kernel row in the table, so a
+    # pair reaching it is not compared: boxes 10, 20 and 30 pass too
+    assert check_detailed_balance_exact(WALK, Geometric(0.4), STEPS,
+                                        box).passed
+    assert check_detailed_balance_exact(
+        KDV_G1, TruncGeom(0.5, 40), ShiftGeom(0.5, 40), box).passed
+
+
+@pytest.mark.parametrize("box", [1, 200])
+def test_detailed_balance_fails_a_one_way_kernel(box):
+    # with p = 0 the walk only steps down: x -> x - 1 has no way back
+    report = check_detailed_balance_exact(WALK, Geometric(0.4),
+                                          ThreePoint(0, 0.6, 0.4), box)
+    assert not report.passed
+    assert _pairs(report) == (box, box, [1, 0])
+
+
+@pytest.mark.parametrize("box", [1, 200])
+def test_detailed_balance_fails_mass_leaving_the_support(box):
+    # on {2, 3, 4} in the ratio p/q = 1/2 the pairs (2, 3) and (3, 4)
+    # balance, but the walk steps from 2 down to 1 and from 4 up to 5
+    mu = FiniteTable([2, 3, 4], [4 / 7, 2 / 7, 1 / 7])
+    report = check_detailed_balance_exact(WALK, mu, ThreePoint(0.2, 0.4, 0.4),
+                                          box)
+    assert not report.passed
+    # box 1 checks (2, 1) and (2, 3); the default box (3, 4) and (4, 5) too
+    assert _pairs(report) == ((2, 1, [2, 1]) if box == 1 else (4, 2, [2, 1]))
+
+
+def test_detailed_balance_needs_the_noise_tail(monkeypatch):
+    # K(x, -x) = P(U >= -x) holds the mass of U past the table; without it
+    # each pair (x, -x) with x != 0 fails, mu(x) != mu(-x), and no other
+    checked, failing, _ = _pairs(check_detailed_balance_exact(
+        KDV_G1, TruncGeom(0.5, 8), ShiftGeom(0.5, 8), 200))
+    assert (checked, failing) == (72, 0)
+    law_table = kernels.law_table
+    monkeypatch.setattr(kernels, "law_table",
+                        lambda law, hi: (*law_table(law, hi)[:2], 0))
+    report = check_detailed_balance_exact(KDV_G1, TruncGeom(0.5, 8),
+                                          ShiftGeom(0.5, 8), 200)
+    assert _pairs(report) == (72, 8, [-8, 8])
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.3, 0.4, 0.5, 0.6])
+def test_detailed_balance_and_the_product_law_agree_on_the_walk(theta):
+    # the paper's relation: the walk's kernel is reversible for mu exactly
+    # when H preserves mu (x) nu, and both hold only at theta = p/q = 0.4
+    mu, box = Geometric(theta), 40
+    xs, us = np.repeat(np.arange(box + 1), 3), np.tile([-1, 0, 1], box + 1)
+    ys, vs = WALK(xs, us)
+    mu_w, _, _ = law_table(mu, box + 1)
+    nu_w, _, _ = law_table(STEPS, 1)
+    _, failing, _ = product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
+    reversible = check_detailed_balance_exact(WALK, mu, STEPS, box).passed
+    assert reversible == (failing == 0) == (theta == 0.4)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5])
+def test_detailed_balance_does_not_see_g_on_kdv(theta):
+    # g1 and g2 share f = min(u, -x), so the kernel and its reversibility
+    # are the same; only the cell identity of H = (f, g) separates them
+    nu = ShiftGeom(theta, 4)
+    for variant, preserved in (("g1", True), ("g2", False)):
+        pair = catalog_get("kdv_" + variant)
+        assert check_detailed_balance_exact(pair, TruncGeom(theta, 4), nu,
+                                            200).passed
+        assert (kdv_pushforward_tv(theta, 4, variant)[1] == 0) == preserved
+        # with mu at theta / 2 both sides fail
+        assert not check_detailed_balance_exact(
+            pair, TruncGeom(theta / 2, 4), nu, 200).passed
+        xs, us = kdv_box(theta, 4, 60)
+        ys, vs = pair(xs, us)
+        mu_w, _, _ = law_table(TruncGeom(theta / 2, 4), 4)
+        nu_w, _, _ = law_table(nu, int(vs.max()))
+        assert product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w,
+                                 nu_w)[1] > 0
 
 
 def test_pushforward_fraction_and_float_cells_agree():
