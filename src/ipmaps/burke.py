@@ -247,13 +247,13 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     slices = _thinned_slices(T)
     checks = {}
 
-    checks["x_marginal"] = _gof_against_law(X[:, T], field.mu, level=level)
+    checks["x_marginal"] = _gof_against_law(np.sort(X[:, T]), field.mu,
+                                            level=level)
 
     even = np.arange(0, N - 1, 2)
-    row_pairs = np.column_stack([X[even][:, slices].ravel(),
-                                 X[even + 1][:, slices].ravel()])
+    a, b = X[even][:, slices].ravel(), X[even + 1][:, slices].ravel()
     checks["row_independence"] = stat_tests.independence_test(
-        row_pairs, bins=5, level=level, min_n=_MIN_PAIRS)
+        a, b, np.sort(a), np.sort(b), bins=5, level=level, min_n=_MIN_PAIRS)
 
     if discrete:
         kernel_row = _kernel_row(field.pair, field.nu)
@@ -264,17 +264,15 @@ def verify_burke(field, level=DEFAULT_LEVEL):
             chain0, field.pair, field.nu, kernel_row, level)
     else:
         ts = np.arange(0, T - 1, 5)
-        half = N // 2
-        a = np.column_stack([X[:half][:, ts].ravel(),
-                             X[:half][:, ts + 1].ravel()])
-        b = np.column_stack([X[half:2 * half][:, ts].ravel(),
-                             X[half:2 * half][:, ts + 1].ravel()])
+        chains = X[:N // 2 * 2]
         # exchangeability_test swaps its second half internally, so the
-        # halves are passed unswapped and must have equal length
+        # halves, rows :N // 2 and N // 2:, are passed unswapped
         checks["column_kernel"] = stat_tests.exchangeability_test(
-            np.vstack([a, b]), level=level, min_n=_MIN_PAIRS)
+            chains[:, ts].ravel(), chains[:, ts + 1].ravel(), level=level,
+            min_n=_MIN_PAIRS)
 
-    checks["u_marginal"] = _gof_against_law(U[N, :], field.nu, level=level)
+    checks["u_marginal"] = _gof_against_law(np.sort(U[N, :]), field.nu,
+                                            level=level)
 
     if discrete:
         checks["dual_column_kernel"] = _transition_gof(
@@ -282,14 +280,12 @@ def verify_burke(field, level=DEFAULT_LEVEL):
             _dual_kernel_row(field.pair, field.mu), level)
     else:
         even = np.arange(0, N, 2)
-        ta = list(range(0, T // 2, 5))
-        tb = list(range(T // 2, T, 5))
-        a = np.column_stack([U[even][:, ta].ravel(),
-                             U[even + 1][:, ta].ravel()])
-        b = np.column_stack([U[even][:, tb].ravel(),
-                             U[even + 1][:, tb].ravel()])
+        ta, tb = list(range(0, T // 2, 5)), list(range(T // 2, T, 5))
+        # the pairs at times ta, then those at times tb
+        a, b = (np.concatenate([U[r][:, ta].ravel(), U[r][:, tb].ravel()])
+                for r in (even, even + 1))
         checks["dual_column_kernel"] = stat_tests.exchangeability_test(
-            np.vstack([a, b]), level=level, min_n=_MIN_PAIRS)
+            a, b, level=level, min_n=_MIN_PAIRS)
 
     passed = all(c.passed for c in checks.values())
     return VerificationReport(

@@ -105,8 +105,8 @@ def _validate_stanza(stanza, index):
                 law = law_from_spec(view[name])
                 if kind == "detailed-balance":
                     _require_integer_law(name, law, getattr(pair, space))
-        if kind == "reversibility":
-            kernels.require_reversibility_n(view["n"])
+        if kind in kernels.MIN_N:
+            kernels.require_n(kind, view["n"])
         if kind == "burke":
             burke.require_field_shape(view["N"], view["T"])
         if kind == "rrw-characterize":

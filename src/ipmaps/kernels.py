@@ -88,23 +88,26 @@ def check_detailed_balance_exact(pair, mu, nu, box):
 # statistical checks
 # ---------------------------------------------------------------------------
 
-def _gof_against_law(samples, law, level=DEFAULT_LEVEL):
-    """Chi-square GOF of samples against an analytic law.
+def _inside(v, law):
+    """Which values v are finite points of the law's support interval, and
+    integers if the law is discrete."""
+    inside = np.isfinite(v) & (v >= law.support_lo) & (v <= law.support_hi)
+    return inside & (v == np.round(v)) if law.is_discrete else inside
+
+
+def _gof_against_law(s, law, level=DEFAULT_LEVEL):
+    """Chi-square GOF of s, the sorted draws, against an analytic law.
 
     A draw outside the law's support interval, or a non-integer draw of a
     discrete law, fails the test outright. Discrete laws are tabulated from
     support_lo to the largest draw plus a tail cell; continuous laws use
     equiprobable quantile bins.
     """
-    samples = np.asarray(samples)
-    n = len(samples)
-    inside = np.isfinite(samples) & (samples >= law.support_lo) \
-        & (samples <= law.support_hi)
-    if law.is_discrete:
-        inside &= samples == np.round(samples)
-    if not inside.all():
+    n = len(s)
+    # sorted with NaNs last, the ends bound every draw of a continuous law
+    if not _inside(s if law.is_discrete else s[[0, -1]], law).all():
         # a structural failure: no chi-square can pass it
-        outside = n - int(inside.sum())
+        outside = n - int(_inside(s, law).sum())
         return stat_tests.TestResult(
             np.inf, 0.0, (n,), "chi2_gof", False, level,
             {"outside_support": outside,
@@ -112,9 +115,9 @@ def _gof_against_law(samples, law, level=DEFAULT_LEVEL):
                        f"{law!r}"})
     if law.is_discrete:
         lo = law.support_lo
-        hi = int(samples.max())
+        hi = int(s[-1])
         probs = np.array([law.pmf(k) for k in range(lo, hi + 1)])
-        counts = np.bincount((samples - lo).astype(np.int64)).astype(float)
+        counts = np.bincount((s - lo).astype(np.int64)).astype(float)
         counts = np.append(counts, n - counts.sum())
         probs = np.append(probs, law.tail(hi))
         if probs.sum() <= 0:
@@ -123,27 +126,32 @@ def _gof_against_law(samples, law, level=DEFAULT_LEVEL):
         return stat_tests.chi2_gof(counts, probs, level=level)
     k = 50 if n >= 100_000 else 20
     edges = np.asarray(law.quantile(np.linspace(0.0, 1.0, k + 1)[1:-1]))
-    counts = stat_tests.bin_counts(samples, edges)
+    counts = stat_tests.bin_counts(s, edges)
     probs = np.full(k, 1.0 / k)
     return stat_tests.chi2_gof(counts, probs, level=level)
 
 
-def require_reversibility_n(n):
-    """Raise KernelError unless n, the sample size of a statistical
-    reversibility check, is at least 10^4."""
-    if int(n) < 10_000:
-        raise KernelError("need n >= 10^4 for the statistical check")
+# the least n of each statistical check; ip's is independence_test's floor
+MIN_N = {"reversibility": 10_000, "ip": 200}
+
+
+def require_n(kind, n):
+    """Raise KernelError unless n, the sample size of a statistical `kind`
+    check, is at least MIN_N[kind]."""
+    if int(n) < MIN_N[kind]:
+        raise KernelError(f"need n >= {MIN_N[kind]} for the statistical "
+                          f"{kind} check")
 
 
 def check_reversibility_statistical(pair, mu, nu, n, rng,
                                     level=DEFAULT_LEVEL):
     """Exchangeability of (X, f(X,U)) for X ~ mu independent of U ~ nu."""
-    require_reversibility_n(n)
+    require_n("reversibility", n)
     mu_rng, noise_rng = rng.split(2)
     xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
     us = _sample_noise(nu, noise_rng, n)
     ys = np.asarray(pair.f(xs, us), dtype=float)
-    res = stat_tests.exchangeability_test(np.column_stack([xs, ys]), level=level)
+    res = stat_tests.exchangeability_test(xs, ys, level=level)
     return VerificationReport(
         name=f"reversibility:{pair.name}",
         passed=res.passed,
@@ -153,25 +161,23 @@ def check_reversibility_statistical(pair, mu, nu, n, rng,
 
 def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     """Does H preserve mu (x) nu?  Tests Y ~ mu, V ~ nu, and Y independent of V."""
+    require_n("ip", n)
     mu_rng, nu_rng = rng.split(2)
     xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
     us = _sample_noise(nu, nu_rng, n)
     ys = np.asarray(pair.f(xs, us), dtype=float)
     vs = pair.g(xs, us)
-
-    checks = {"y_marginal": _gof_against_law(ys, mu, level=level)}
-    if isinstance(nu, tuple):
-        for i, (v_comp, nu_comp) in enumerate(zip(vs, nu)):
-            checks[f"v_marginal_{i}"] = _gof_against_law(
-                np.asarray(v_comp), nu_comp, level=level)
-        for i, v_comp in enumerate(vs):
-            checks[f"independence_{i}"] = stat_tests.independence_test(
-                np.column_stack([ys, np.asarray(v_comp, dtype=float)]),
-                level=level)
-    else:
-        checks["v_marginal"] = _gof_against_law(np.asarray(vs), nu, level=level)
-        checks["independence"] = stat_tests.independence_test(
-            np.column_stack([ys, np.asarray(vs, dtype=float)]), level=level)
+    # each column sorted once, for its GOF and its independence test
+    y_sorted = np.sort(ys)
+    checks = {"y_marginal": _gof_against_law(y_sorted, mu, level=level)}
+    product = isinstance(nu, tuple)
+    for i, (v, law) in enumerate(zip(vs, nu) if product else [(vs, nu)]):
+        key = f"_{i}" if product else ""
+        v = np.asarray(v, dtype=float)
+        v_sorted = np.sort(v)
+        checks["v_marginal" + key] = _gof_against_law(v_sorted, law, level)
+        checks["independence" + key] = stat_tests.independence_test(
+            ys, v, y_sorted, v_sorted, level=level)
 
     passed = all(c.passed for c in checks.values())
     return VerificationReport(

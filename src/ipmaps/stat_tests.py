@@ -118,20 +118,30 @@ def chi2_gof(counts, probs, level=DEFAULT_LEVEL):
 # binning helpers
 # ---------------------------------------------------------------------------
 
-def _binning(pooled, max_bins, *samples):
-    """Labels of each sample (default: pooled) and the bin count, from one
-    sort of pooled: searchsorted(uniq, v) on its np.unique values (NaNs are
-    one value) if there are at most max_bins, else searchsorted(edges, v,
-    side="right") on its unique interior quantiles."""
-    s = np.sort(pooled)
+def _binning(s, max_bins, *samples):
+    """Labels of each sample and the bin count, from s, the sorted pooled
+    sample: searchsorted(uniq, v) on its unique values (NaNs are one value)
+    if there are at most max_bins, else searchsorted(edges, v, side="right")
+    on its unique interior quantiles."""
     edges, side = s[np.concatenate(([True], s[1:] != s[:-1]))], "left"
     if len(edges) and np.isnan(edges[-1]):
         edges = edges[:np.searchsorted(edges, np.nan) + 1]
     if len(edges) > max_bins:
-        qs = np.quantile(s, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+        qs = _quantiles(s, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
         edges, side = np.unique(qs), "right"
-    return ([_labels(edges, v, side) for v in samples or (pooled,)],
+    return ([_labels(edges, v, side) for v in samples],
             len(edges) + (side == "right"))
+
+
+def _quantiles(s, q):
+    """np.quantile(s, q) of a sorted s, read off by index: the type-7
+    (linear) quantiles of Hyndman & Fan (1996) in numpy's arithmetic, where
+    a NaN (sorted last) makes every quantile NaN."""
+    at = (len(s) - 1) * q
+    i = np.where(at >= len(s) - 1, -1, np.floor(at)).astype(np.intp)
+    lo, hi, t = s[i], s[np.where(i < 0, i, i + 1)], at - i
+    out = np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
+    return np.where(np.isnan(s[-1]), s[-1], out)
 
 
 def _labels(edges, values, side):
@@ -147,12 +157,11 @@ def _labels(edges, values, side):
     return labels
 
 
-def bin_counts(values, edges):
-    """Counts of the labels searchsorted(edges, values, side="right") from
-    one sort: the cell between two edges holds the values in [lo, hi)."""
-    cuts = np.searchsorted(np.sort(np.asarray(values, dtype=float)), edges,
-                           side="left")
-    return np.diff(cuts, prepend=0, append=len(values))
+def bin_counts(s, edges):
+    """Counts of the labels searchsorted(edges, s, side="right") of a sorted
+    s: the cell between two edges holds the values in [lo, hi)."""
+    cuts = np.searchsorted(s, edges, side="left")
+    return np.diff(cuts, prepend=0, append=len(s))
 
 
 def _table(ra, rb, ka, kb):
@@ -161,22 +170,28 @@ def _table(ra, rb, ka, kb):
     return np.bincount(cells, minlength=ka * kb).astype(float)
 
 
-def independence_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
-    """Chi-square independence test on a binned contingency table.
+def _pair_count(test, a, b, min_n):
+    """The length of the paired 1-D columns a and b, at least min_n."""
+    if np.ndim(a) != 1 or np.shape(a) != np.shape(b):
+        raise StatTestError(f"{test} needs two 1-D columns of one length")
+    if len(a) < min_n:
+        raise StatTestError(f"{test} needs at least {min_n} pairs")
+    return len(a)
+
+
+def independence_test(a, b, sorted_a, sorted_b, bins=10, level=DEFAULT_LEVEL,
+                      min_n=200):
+    """Chi-square independence test of the paired float columns a and b on
+    a binned contingency table; sorted_a and sorted_b are their sorted
+    copies, which the caller shares with its other tests of a and b.
 
     Continuous marginals are binned by their own quantiles; discrete
     marginals with few distinct values keep their categories. Rows/columns
     are merged until every expected count reaches 5.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise StatTestError("pairs must be an (n, 2) array")
-    n = len(pairs)
-    if n < min_n:
-        raise StatTestError(f"independence_test needs at least {min_n} pairs")
-    # contiguous columns: the per-edge comparisons run 3x faster on them
-    (ra,), ka = _binning(np.ascontiguousarray(pairs[:, 0]), bins)
-    (rb,), kb = _binning(np.ascontiguousarray(pairs[:, 1]), bins)
+    n = _pair_count("independence_test", a, b, min_n)
+    (ra,), ka = _binning(sorted_a, bins, a)
+    (rb,), kb = _binning(sorted_b, bins, b)
     if ka < 2 or kb < 2:
         return _result(0.0, 1.0, (n,), "independence_chi2", level,
                        degenerate_marginal=True, dof=0)
@@ -221,28 +236,24 @@ def _merge_table(table, floor=5.0):
     return table
 
 
-def exchangeability_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
-    """Test whether (A,B) and (B,A) are equal in law.
+def exchangeability_test(a, b, bins=10, level=DEFAULT_LEVEL, min_n=200):
+    """Test whether (A,B) and (B,A) are equal in law, from the paired float
+    columns a and b.
 
     Split-half scheme: the first half of the sample is kept as-is, the
     second half is coordinate-swapped, and a two-sample chi-square
     homogeneity test compares the two independent halves on a common
     quantile-binned 2-D grid.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise StatTestError("pairs must be an (n, 2) array")
-    n = len(pairs)
-    if n < min_n:
-        raise StatTestError(f"exchangeability_test needs at least {min_n} pairs")
+    n = _pair_count("exchangeability_test", a, b, min_n)
     half = n // 2
     # pooled columns: the first half as-is, then the second half swapped
-    x = np.concatenate([pairs[:half, 0], pairs[half:2 * half, 1]])
-    y = np.concatenate([pairs[:half, 1], pairs[half:2 * half, 0]])
+    x = np.concatenate([a[:half], b[half:2 * half]])
+    y = np.concatenate([b[:half], a[half:2 * half]])
     if half < 10_000:
         bins = min(bins, 5)
-    ia, ka = _bin_indices_from(x, x[:half], x[half:], bins)
-    ib, kb = _bin_indices_from(y, y[:half], y[half:], bins)
+    ia, ka = _bin_indices_from(np.sort(x), x[:half], x[half:], bins)
+    ib, kb = _bin_indices_from(np.sort(y), y[:half], y[half:], bins)
     (ia_a, ia_b), (ib_a, ib_b) = ia, ib
     ca = _table(ia_a, ib_a, ka, kb)
     cb = _table(ia_b, ib_b, ka, kb)
@@ -267,6 +278,6 @@ def exchangeability_test(pairs, bins=10, level=DEFAULT_LEVEL, min_n=200):
                    dof=dof, cells=len(ca))
 
 
-def _bin_indices_from(pooled, a, b, max_bins):
-    """Common bin labels for two samples, using pooled quantile edges."""
-    return _binning(pooled, max_bins, a, b)
+def _bin_indices_from(s, a, b, max_bins):
+    """Common bin labels for two samples, from s, their sorted pool."""
+    return _binning(s, max_bins, a, b)

@@ -107,6 +107,17 @@ BAD_STANZAS = {
                               "mu": {"kind": "gig",
                                      "params": {"alpha": 2, "lam": 1}},
                               "nu": GAMMA, "n": 500},
+    # below independence_test's floor of 200 pairs
+    "ip_n_150": {"kind": "ip", "map": "matsumoto_yor",
+                 "mu": {"kind": "gig", "params": {"alpha": 2, "lam": 1}},
+                 "nu": GAMMA, "n": 150},
+    "ip_product_noise_n_199": {
+        "kind": "ip", "map": "beta_walk",
+        "mu": {"kind": "beta", "params": {"a": 2.0, "b": 3.0}},
+        "nu": {"kind": "product", "components": [
+            {"kind": "bernoulli", "params": {"p": 0.4}},
+            {"kind": "beta", "params": {"a": 1.0, "b": 5.0}}]},
+        "n": 199},
     "kdv_theta_2": {"kind": "kdv-tv", "theta": 2, "ell": 2, "variant": "g1"},
     "kdv_theta_1_5": {"kind": "kdv-tv", "theta": 1.5, "ell": 2,
                       "variant": "g1"},

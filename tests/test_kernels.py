@@ -100,14 +100,16 @@ def test_stationary_chain_marginal_gof():
                        RandomStream(73))
     # consecutive states are dependent; thin far past the correlation length
     thinned = states[::50]
-    assert _gof_against_law(thinned, Geometric(0.4)).passed
+    assert _gof_against_law(np.sort(thinned), Geometric(0.4)).passed
 
 
 def test_codrivers_are_iid_noise():
     _, v = _chain(catalog_get("reflecting_rw"), ThreePoint(0.2, 0.5, 0.3),
                   Geometric(0.4), 100_000, RandomStream(79))
-    assert _gof_against_law(v, ThreePoint(0.2, 0.5, 0.3)).passed
-    assert independence_test(np.column_stack([v[:-1], v[1:]])).passed
+    assert _gof_against_law(np.sort(v), ThreePoint(0.2, 0.5, 0.3)).passed
+    v = np.asarray(v, dtype=float)
+    assert independence_test(v[:-1], v[1:], np.sort(v[:-1]),
+                             np.sort(v[1:])).passed
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +119,11 @@ def test_codrivers_are_iid_noise():
 def test_gof_fails_on_negative_draws_against_gamma():
     law = Gamma(2.0, 1.0)
     draws = law.sample(RandomStream(83), 2000)
-    assert _gof_against_law(draws, law).passed
+    assert _gof_against_law(np.sort(draws), law).passed
     # 20 negative draws fall into the lowest quantile bin, which a
     # chi-square on 20 bins cannot tell from chance
     draws[:20] = -draws[:20]
-    res = _gof_against_law(draws, law)
+    res = _gof_against_law(np.sort(draws), law)
     assert not res.passed
     assert res.p_value == 0.0
     assert res.flags["outside_support"] == 20
@@ -142,9 +144,9 @@ def test_gof_fails_on_negative_draws_against_gamma():
 ])
 def test_gof_fails_on_one_draw_outside_the_support(law, bad):
     draws = np.asarray(law.sample(RandomStream(89), 5000), dtype=float)
-    assert _gof_against_law(draws, law).passed
+    assert _gof_against_law(np.sort(draws), law).passed
     draws[7] = bad
-    res = _gof_against_law(draws, law)
+    res = _gof_against_law(np.sort(draws), law)
     assert not res.passed
     assert res.flags["outside_support"] == 1
 
@@ -342,3 +344,41 @@ def test_ip_with_product_noise_reports_components():
     assert details["y_marginal"]["passed"]
     assert not details["v_marginal_0"]["passed"]
     assert not report.passed
+
+
+def test_ip_needs_enough_samples():
+    # 200 is independence_test's pair floor
+    with pytest.raises(KernelError):
+        check_ip_statistical(catalog_get("matsumoto_yor"), GIG(2, 1),
+                             Gamma(2, 1), 199, RandomStream(0))
+    assert check_ip_statistical(catalog_get("matsumoto_yor"), GIG(2, 1),
+                                Gamma(2, 1), 200, RandomStream(0)).details
+
+
+def test_ip_sorts_each_column_once(monkeypatch):
+    sorts = []
+
+    def counting_sort(a, *args, **kwargs):
+        sorts.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    original = np.sort
+    monkeypatch.setattr(np, "sort", counting_sort)
+    check_ip_statistical(catalog_get("matsumoto_yor"), GIG(2, 1), Gamma(2, 1),
+                         20_000, RandomStream(107))
+    # Y for its GOF and independence test, then V for its own
+    assert sorts == [(20_000,), (20_000,)]
+
+
+def test_statistical_checks_never_call_np_quantile(monkeypatch):
+    def no_quantile(*args, **kwargs):
+        raise AssertionError("np.quantile called")
+
+    monkeypatch.setattr(np, "quantile", no_quantile)
+    pair = catalog_get("matsumoto_yor")
+    for mu, nu in ((GIG(2, 1), Gamma(2, 1)), (GIG(2, 1), UniformUnit())):
+        check_ip_statistical(pair, mu, nu, 20_000, RandomStream(109))
+        check_reversibility_statistical(pair, mu, nu, 20_000,
+                                        RandomStream(113))
+    check_ip_statistical(catalog_get("reflecting_rw"), Geometric(0.4),
+                         ThreePoint(0.2, 0.5, 0.3), 20_000, RandomStream(127))

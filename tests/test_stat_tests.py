@@ -111,28 +111,41 @@ def test_chi2_sf_matches_scipy_stats_bits():
 # independence
 # ---------------------------------------------------------------------------
 
+def _independence(a, b, **kwargs):
+    """independence_test of the columns a and b, each sorted once here."""
+    return independence_test(a, b, np.sort(a), np.sort(b), **kwargs)
+
+
 def test_independence_rejects_perfect_dependence():
     a = RandomStream(131).gen.random(100_000)
-    res = independence_test(np.column_stack([a, a]))
+    res = _independence(a, a)
     assert res.p_value < 1e-10
 
 
 def test_independence_null():
     gen = RandomStream(137).gen
-    res = independence_test(gen.random((100_000, 2)))
+    res = _independence(*gen.random((100_000, 2)).T)
     assert res.passed
 
 
 def test_independence_degenerate_marginal_flag():
     a = RandomStream(139).gen.random(1000)
-    res = independence_test(np.column_stack([a, np.zeros(1000)]))
+    res = _independence(a, np.zeros(1000))
     assert res.passed
     assert res.flags["degenerate_marginal"]
 
 
 def test_independence_sample_floor():
     with pytest.raises(StatTestError):
-        independence_test(np.zeros((50, 2)))
+        _independence(np.zeros(50), np.zeros(50))
+
+
+def test_tests_reject_columns_of_unequal_length():
+    a = RandomStream(141).gen.random(1000)
+    with pytest.raises(StatTestError):
+        _independence(a, a[:-1])
+    with pytest.raises(StatTestError):
+        exchangeability_test(a, a[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +154,25 @@ def test_independence_sample_floor():
 
 def test_exchangeable_construction_passes():
     z = RandomStream(149).gen.normal(size=(100_000, 3))
-    pairs = np.column_stack([z[:, 0] + z[:, 2], z[:, 1] + z[:, 2]])
-    assert exchangeability_test(pairs).passed
+    assert exchangeability_test(z[:, 0] + z[:, 2], z[:, 1] + z[:, 2]).passed
 
 
 def test_mean_shift_rejects():
     a = RandomStream(151).gen.normal(size=100_000)
-    res = exchangeability_test(np.column_stack([a, a + 1.0]))
+    res = exchangeability_test(a, a + 1.0)
     assert res.p_value < 1e-10
 
 
 def test_exchangeability_sample_floor():
     with pytest.raises(StatTestError):
-        exchangeability_test(np.zeros((50, 2)))
+        exchangeability_test(np.zeros(50), np.zeros(50))
 
 
 def test_results_are_deterministic():
     gen = RandomStream(157).gen
-    pairs = gen.random((5000, 2))
-    r1 = independence_test(pairs)
-    r2 = independence_test(pairs.copy())
+    a, b = gen.random((5000, 2)).T
+    r1 = _independence(a, b)
+    r2 = _independence(a.copy(), b.copy())
     assert r1 == r2
     assert r1.to_dict() == r2.to_dict()
 
@@ -189,11 +201,11 @@ def _ref_bin_indices_from(pooled, a, b, max_bins):
             np.searchsorted(edges, b, side="right")), len(edges) + 1
 
 
-def _ref_binning(pooled, max_bins, *samples):
-    if not samples:
-        idx, k = _ref_bin_indices(pooled, max_bins)
+def _ref_binning(sorted_pooled, max_bins, *samples):
+    if len(samples) == 1:
+        idx, k = _ref_bin_indices(*samples, max_bins)
         return [idx], k
-    return _ref_bin_indices_from(pooled, *samples, max_bins)
+    return _ref_bin_indices_from(sorted_pooled, *samples, max_bins)
 
 
 def _ref_table(ra, rb, ka, kb):
@@ -241,19 +253,45 @@ def _same(x, y):
         json.dumps(y.to_dict(), sort_keys=True)
 
 
+def _quantile_inputs():
+    gen = RandomStream(227).gen
+    for n in (1, 2, 3, 4, *gen.integers(5, 3000, 12)):
+        yield gen.normal(size=n)
+        yield gen.integers(0, 3, n).astype(float)    # ties
+        special = gen.normal(size=n)
+        special[gen.random(n) < 0.2] = np.inf
+        special[gen.random(n) < 0.2] = -np.inf
+        yield special
+        yield np.where(gen.random(n) < 0.5, np.inf, -np.inf)
+        with_nan = special.copy()
+        with_nan[gen.integers(0, n)] = np.nan
+        yield with_nan
+
+
+@pytest.mark.parametrize("bins", [5, 10, 50, 300])
+def test_quantiles_by_index_match_np_quantile_bit_for_bit(bins):
+    q = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    with np.errstate(invalid="ignore"):     # inf - inf, as numpy computes
+        for values in _quantile_inputs():
+            s = np.sort(values)
+            got = stat_tests._quantiles(s, q).view(np.int64)
+            assert np.array_equal(got, np.quantile(s, q).view(np.int64))
+            assert np.array_equal(got, np.quantile(values, q).view(np.int64))
+
+
 # 300 bins: more edges than an 8-bit label can count
 @pytest.mark.parametrize("bins", [10, 300])
 @pytest.mark.parametrize("name", sorted(BINNING_INPUTS))
 def test_labels_match_searchsorted_reference(name, bins):
     values = BINNING_INPUTS[name]
-    (labels,), k = _binning(values, bins)
+    (labels,), k = _binning(np.sort(values), bins, values)
     ref, ref_k = _ref_bin_indices(values, bins)
     assert k == ref_k
     assert np.array_equal(labels.astype(np.int64), ref)
     # pooled edges: labels of one half and of a reversed other half
     half = len(values) // 2
     a, b = values[:half], values[half:][::-1]
-    (la, lb), k = _bin_indices_from(values, a, b, bins)
+    (la, lb), k = _bin_indices_from(np.sort(values), a, b, bins)
     (ra, rb), ref_k = _ref_bin_indices_from(values, a, b, bins)
     assert k == ref_k
     assert np.array_equal(la.astype(np.int64), ra)
@@ -267,7 +305,7 @@ def test_bin_counts_match_searchsorted_reference(name):
     # edges at sample values, between them, and beyond the sample
     for edges in (finite[::7], np.quantile(finite, [0.1, 0.5, 0.9]),
                   np.array([-1.0, 0.0, 2.5, 100.0])):
-        counts = bin_counts(values, edges)
+        counts = bin_counts(np.sort(values), edges)
         assert np.array_equal(counts, _ref_bin_counts(values, edges))
         assert counts.sum() == len(values)
 
@@ -276,15 +314,13 @@ def test_bin_counts_match_searchsorted_reference(name):
 def test_tests_match_searchsorted_reference(name, monkeypatch):
     values = BINNING_INPUTS[name]
     other = BINNING_INPUTS["tied_at_quantile_edges"]
-    pairs = [np.column_stack([values, other]),
-             np.column_stack([other, values]),
-             np.column_stack([values, values[::-1]])]
-    new = [(independence_test(p), exchangeability_test(p)) for p in pairs]
+    pairs = [(values, other), (other, values), (values, values[::-1])]
+    new = [(_independence(*p), exchangeability_test(*p)) for p in pairs]
     monkeypatch.setattr(stat_tests, "_binning", _ref_binning)
     monkeypatch.setattr(stat_tests, "_bin_indices_from",
                         _ref_bin_indices_from)
     monkeypatch.setattr(stat_tests, "_table", _ref_table)
-    old = [(independence_test(p), exchangeability_test(p)) for p in pairs]
+    old = [(_independence(*p), exchangeability_test(*p)) for p in pairs]
     for (ind, exc), (ref_ind, ref_exc) in zip(new, old):
         assert _same(ind, ref_ind)
         assert _same(exc, ref_exc)
@@ -304,6 +340,7 @@ def test_gof_counts_match_searchsorted_reference(law, low, high, n,
     draws = gen.uniform(low, high, n - 5 * len(edges))
     # every edge drawn exactly, five times
     samples = np.concatenate([draws, np.repeat(edges, 5)])
+    samples = np.sort(samples)
     new = kernels._gof_against_law(samples, law)
     monkeypatch.setattr(stat_tests, "bin_counts", _ref_bin_counts)
     assert _same(new, kernels._gof_against_law(samples, law))
