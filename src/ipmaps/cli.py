@@ -63,16 +63,6 @@ def _check_field(where, name, value):
     return value
 
 
-def _require_integer_law(name, law, space):
-    """Raise LawError unless `law` is a discrete law whose support interval
-    lies in `space`, an integer space."""
-    lo, hi = space.integer_interval or (math.inf, -math.inf)
-    if not (getattr(law, "is_discrete", False)
-            and lo <= law.support_lo and law.support_hi <= hi):
-        raise LawError(f"{name} must be a discrete law inside an integer "
-                       f"space, not {law!r} in the map's {space.kind} space")
-
-
 def _validate_stanza(stanza, index):
     """Check a stanza's fields and resolve its map and laws through the
     lookups its runner uses, so a bad name or parameter fails here."""
@@ -100,11 +90,18 @@ def _validate_stanza(stanza, index):
             # the pair the numeric construction is compared against
             catalog_get("gaussian_rosenblatt",
                         {"beta": view["beta"], "sigma": view["sigma"]})
-        for name, space in (("mu", "x_space"), ("nu", "u_space")):
-            if name in defaults:
+        if "mu" in defaults:
+            spaces = pair.x_space, pair.u_space
+            for name, space in zip(("mu", "nu"), spaces):
                 law = law_from_spec(view[name])
-                if kind == "detailed-balance":
-                    _require_integer_law(name, law, getattr(pair, space))
+                if not space.admits(law):
+                    raise LawError(f"{name} {law!r} does not live on the "
+                                   f"map's {space.kind} space")
+            if kind == "detailed-balance" and not all(
+                    s.is_integer for s in spaces):
+                raise LawError("detailed-balance needs integer spaces")
+            if kind == "burke" and pair.u_space.parts:   # nu sampled whole
+                raise LawError("burke needs a map with scalar noise")
         if kind in kernels.MIN_N:
             kernels.require_n(kind, view["n"])
         if kind == "burke":
@@ -154,25 +151,24 @@ def _run_hypotheses(stanza, rng, out_dir):
     return verify_hypotheses(spec, xs, us)
 
 
+def _pair_and_laws(stanza):
+    return (catalog_get(stanza["map"], stanza["params"]),
+            law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]))
+
+
 def _run_reversibility(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza["params"])
     return kernels.check_reversibility_statistical(
-        pair, law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]),
-        stanza["n"], rng, level=stanza["level"])
+        *_pair_and_laws(stanza), stanza["n"], rng, level=stanza["level"])
 
 
 def _run_ip(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza["params"])
     return kernels.check_ip_statistical(
-        pair, law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]),
-        stanza["n"], rng, level=stanza["level"])
+        *_pair_and_laws(stanza), stanza["n"], rng, level=stanza["level"])
 
 
 def _run_detailed_balance(stanza, rng, out_dir):
-    return kernels.check_detailed_balance_exact(
-        catalog_get(stanza["map"], stanza["params"]),
-        law_from_spec(stanza["mu"]), law_from_spec(stanza["nu"]),
-        stanza["box"])
+    return kernels.check_detailed_balance_exact(*_pair_and_laws(stanza),
+                                                stanza["box"])
 
 
 def _run_rrw_characterize(stanza, rng, out_dir):
@@ -217,9 +213,7 @@ def _run_kdv_tv(stanza, rng, out_dir):
 
 
 def _run_burke(stanza, rng, out_dir):
-    pair = catalog_get(stanza["map"], stanza["params"])
-    mu = law_from_spec(stanza["mu"])
-    nu = law_from_spec(stanza["nu"])
+    pair, mu, nu = _pair_and_laws(stanza)
     field = burke.simulate_field(pair, mu, nu, stanza["N"], stanza["T"], rng)
     recursion = burke.check_recursion(field)
     report = burke.verify_burke(field, level=stanza["level"])

@@ -37,66 +37,58 @@ def phi_inv(u):
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Decidable membership predicate for a component space."""
+    """A component space as data. A scalar space is the open interval
+    (lo, hi), or the integers in [lo, hi] if `is_integer`; a product space
+    is the tuple of its `parts`; an SPD space holds the dim x dim SPD
+    matrices. `kind` names the space and keys its real probe draws."""
 
     kind: str
-    dim: int = 0  # SPD dimension, when kind == "spd"
+    lo: float = -math.inf
+    hi: float = math.inf
+    is_integer: bool = False
+    parts: tuple = ()
+    dim: int = 0
 
     def contains(self, v, tol=1e-10):
-        k = self.kind
-        if k == "positive_real":
-            return bool(np.all(np.asarray(v, dtype=float) > 0.0))
-        if k == "unit_interval":
-            a = np.asarray(v, dtype=float)
-            return bool(np.all((a > 0.0) & (a < 1.0)))
-        if k == "real_line":
-            return bool(np.all(np.isfinite(np.asarray(v, dtype=float))))
-        if k == "integers":
-            a = np.asarray(v)
-            return bool(np.all(np.equal(np.mod(a, 1), 0)))
-        if k == "nonneg_integers":
-            a = np.asarray(v)
-            return bool(np.all(np.equal(np.mod(a, 1), 0)) and np.all(a >= 0))
-        if k == "three_point":
-            a = np.asarray(v)
-            return bool(np.all(np.isin(a, (-1, 0, 1))))
-        if k == "bernoulli_cross_unit":
-            b, w = v
-            bs = np.asarray(b)
-            ws = np.asarray(w, dtype=float)
-            return bool(np.all(np.isin(bs, (0, 1)))
-                        and np.all((ws > 0.0) & (ws < 1.0)))
-        if k == "spd":
+        if self.parts:
+            return all(p.contains(c)
+                       for p, c in zip(self.parts, v, strict=True))
+        if self.dim:
             m = np.asarray(v, dtype=float)
             if m.shape[-2:] != (self.dim, self.dim):
                 return False
             if not np.allclose(m, np.swapaxes(m, -1, -2), atol=tol):
                 return False
             return bool(np.all(np.linalg.eigvalsh(m)[..., 0] > tol))
-        raise ValueError(f"unknown space kind {k!r}")
+        a = np.asarray(v, dtype=float)
+        if self.is_integer:
+            with np.errstate(invalid="ignore"):   # inf and nan: mod is nan
+                inside = (np.mod(a, 1) == 0) & (self.lo <= a) & (a <= self.hi)
+        else:
+            inside = (self.lo < a) & (a < self.hi)
+        return bool(np.all(inside))
 
-    @property
-    def integer_interval(self):
-        """(lo, hi) of an integer space, the integers in it; None for a
-        space of any other kind."""
-        return _INTEGER_INTERVALS.get(self.kind)
-
-    @property
-    def is_integer(self):
-        return self.integer_interval is not None
-
-
-_INTEGER_INTERVALS = {"integers": (-math.inf, math.inf),
-                      "nonneg_integers": (0, math.inf), "three_point": (-1, 1)}
+    def admits(self, law):
+        """Whether `law` lives here: discrete exactly on an integer space,
+        with its support interval in [lo, hi]; on a product space, a tuple
+        of such laws, one per part; on an SPD space, no law."""
+        if self.parts:
+            return (isinstance(law, tuple) and len(law) == len(self.parts)
+                    and all(p.admits(c) for p, c in zip(self.parts, law)))
+        return (not self.dim and not isinstance(law, tuple)
+                and law.is_discrete == self.is_integer
+                and self.lo <= law.support_lo and law.support_hi <= self.hi)
 
 
-POSITIVE_REAL = SpaceDescriptor("positive_real")
-UNIT_INTERVAL = SpaceDescriptor("unit_interval")
+POSITIVE_REAL = SpaceDescriptor("positive_real", 0.0)
+UNIT_INTERVAL = SpaceDescriptor("unit_interval", 0.0, 1.0)
 REAL_LINE = SpaceDescriptor("real_line")
-INTEGERS = SpaceDescriptor("integers")
-NONNEG_INTEGERS = SpaceDescriptor("nonneg_integers")
-THREE_POINT = SpaceDescriptor("three_point")
-BERNOULLI_CROSS_UNIT = SpaceDescriptor("bernoulli_cross_unit")
+INTEGERS = SpaceDescriptor("integers", is_integer=True)
+NONNEG_INTEGERS = SpaceDescriptor("nonneg_integers", 0, is_integer=True)
+THREE_POINT = SpaceDescriptor("three_point", -1, 1, is_integer=True)
+BIT = SpaceDescriptor("bit", 0, 1, is_integer=True)
+BERNOULLI_CROSS_UNIT = SpaceDescriptor("bernoulli_cross_unit",
+                                       parts=(BIT, UNIT_INTERVAL))
 
 
 def spd(dim):
@@ -284,52 +276,42 @@ def catalog_get(name, params=None):
 
 
 def _space_samples(space, n, gen):
-    """Draw n probe values from a component space."""
-    k = space.kind
-    if k == "positive_real":
-        return np.exp(gen.normal(0.0, 1.0, n))
-    if k == "unit_interval":
-        return gen.uniform(1e-6, 1.0 - 1e-6, n)
-    if k == "real_line":
-        # std 1 keeps the Gaussian map's cdf arguments away from the
-        # floating-point saturation of ndtr, so round trips stay invertible
-        return gen.normal(0.0, 1.0, n)
-    if k == "nonneg_integers":
-        return gen.integers(0, 41, n)
-    if k == "integers":
-        return gen.integers(-20, 21, n)
-    if k == "three_point":
-        return gen.choice(np.array([-1, 0, 1]), n)
-    if k == "bernoulli_cross_unit":
-        return (gen.integers(0, 2, n), gen.uniform(1e-6, 1.0 - 1e-6, n))
-    if k == "spd":
+    """Draw n probe values from a component space, one batch per part of a
+    product space."""
+    if space.parts:
+        return tuple(_space_samples(p, n, gen) for p in space.parts)
+    if space.dim:
         a = gen.normal(0.0, 1.0, (n, space.dim, space.dim))
         return a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(space.dim)
-    raise ValueError(f"cannot sample from space kind {k!r}")
+    if space.is_integer:   # bounded: a map with unbounded ones takes the grid
+        return gen.integers(space.lo, space.hi + 1, n)
+    return _REAL_PROBES[space.kind](gen, n)
+
+
+# kind -> n probe draws from a real space; on the line, std 1 keeps the
+# Gaussian map's cdf arguments away from the floating-point saturation of
+# ndtr, so round trips stay invertible
+_REAL_PROBES = {
+    "positive_real": lambda gen, n: np.exp(gen.normal(0.0, 1.0, n)),
+    "unit_interval": lambda gen, n: gen.uniform(1e-6, 1.0 - 1e-6, n),
+    "real_line": lambda gen, n: gen.normal(0.0, 1.0, n),
+}
 
 
 def sample_points(pair, n, rng, box=20):
     """One batch (xs, us) of probe points for round-trip checks.
 
-    Integer-by-integer maps get the exhaustive grid {-box..box}^2 (clipped
-    to the space); every other map gets n draws from each space, SPD maps
-    as stacks of shape (n, d, d). Only `pair.x_space` and `pair.u_space`
-    are read, so an FSpec serves as well.
+    Integer-by-integer maps get the exhaustive grid {-box..box}^2 clipped
+    to [lo, hi] of each space; every other map gets n draws from each
+    space, SPD maps as stacks of shape (n, d, d). Only `pair.x_space` and
+    `pair.u_space` are read, so an FSpec serves as well.
     """
-    if pair.x_space.is_integer and pair.u_space.is_integer:
-        if pair.x_space.kind == "nonneg_integers":
-            xs = np.arange(0, box + 1)
-        else:
-            xs = np.arange(-box, box + 1)
-        if pair.u_space.kind == "three_point":
-            us = np.array([-1, 0, 1])
-        else:
-            us = np.arange(-box, box + 1)
-        xg, ug = np.meshgrid(xs, us)
+    spaces = pair.x_space, pair.u_space
+    if all(s.is_integer for s in spaces):
+        xg, ug = np.meshgrid(*(np.arange(max(s.lo, -box), min(s.hi, box) + 1)
+                               for s in spaces))
         return xg.ravel(), ug.ravel()
-    gen = rng.gen
-    return (_space_samples(pair.x_space, n, gen),
-            _space_samples(pair.u_space, n, gen))
+    return tuple(_space_samples(s, n, rng.gen) for s in spaces)
 
 
 def batch_item(v, i):
@@ -346,13 +328,15 @@ def batch_item(v, i):
 
 def _deviations(a, b, space):
     """Per-point deviation between two batches of one component space:
-    Frobenius norm for matrices, absolute for integers, else relative.
-    Arrays are reused in place, so a batch of 10^6 points keeps few
-    temporaries alive."""
-    if space.kind == "bernoulli_cross_unit":
-        dev = _deviations(a[1], b[1], UNIT_INTERVAL)
-        return np.maximum(dev, np.abs(a[0] - b[0]), out=dev)
-    if space.kind == "spd":
+    Frobenius norm for matrices, absolute for integers, else relative; a
+    product's is the largest over its parts. Arrays are reused in place,
+    so a batch of 10^6 points keeps few temporaries alive."""
+    if space.parts:   # in place in the last part's float array, one at a time
+        dev = _deviations(a[-1], b[-1], space.parts[-1])
+        for part in zip(a[:-1], b[:-1], space.parts[:-1]):
+            np.maximum(dev, _deviations(*part), out=dev)
+        return dev
+    if space.dim:
         return np.linalg.norm(a - b, axis=(-2, -1))
     if space.is_integer:
         return np.abs(a - b)
@@ -363,7 +347,7 @@ def _deviations(a, b, space):
 
 
 def involution_tolerance(pair):
-    if pair.x_space.kind == "spd":
+    if pair.x_space.dim:
         return 1e-7
     if pair.x_space.is_integer and pair.u_space.is_integer:
         return 0.0

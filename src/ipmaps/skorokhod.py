@@ -97,12 +97,9 @@ def rosenblatt_g(fam, x, u):
 
 
 def _state_space(interval):
-    lo, hi = interval
-    if (lo, hi) == (0.0, 1.0):
-        return UNIT_INTERVAL
-    if lo == 0.0 and math.isinf(hi):
-        return POSITIVE_REAL
-    return REAL_LINE
+    """The catalog real space on the interval (lo, hi), else the line."""
+    return next((s for s in (UNIT_INTERVAL, POSITIVE_REAL)
+                 if (s.lo, s.hi) == interval), REAL_LINE)
 
 
 def build_involution(fam):

@@ -123,12 +123,15 @@ def _binning(s, max_bins, *samples):
     sample: searchsorted(uniq, v) on its unique values (NaNs are one value)
     if there are at most max_bins, else searchsorted(edges, v, side="right")
     on its unique interior quantiles."""
-    edges, side = s[np.concatenate(([True], s[1:] != s[:-1]))], "left"
-    if len(edges) and np.isnan(edges[-1]):
-        edges = edges[:np.searchsorted(edges, np.nan) + 1]
-    if len(edges) > max_bins:
+    first = np.concatenate(([True], s[1:] != s[:-1]))
+    distinct = np.count_nonzero(first)
+    if np.isnan(s[-1]):   # each NaN is its own first; count one
+        distinct -= len(s) - 1 - np.searchsorted(s, np.nan)
+    if distinct > max_bins:
         qs = _quantiles(s, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
         edges, side = np.unique(qs), "right"
+    else:
+        edges, side = s[first][:distinct], "left"
     return ([_labels(edges, v, side) for v in samples],
             len(edges) + (side == "right"))
 

@@ -65,6 +65,10 @@ GAMMA = {"kind": "gamma", "params": {"shape": 2, "rate": 1}}
 GEOMETRIC = {"kind": "geometric", "params": {"theta": 0.4}}
 THREE_POINT = {"kind": "three_point", "params": {"p": 0.2, "q": 0.5, "r": 0.3}}
 BERNOULLI = {"kind": "bernoulli", "params": {"p": 0.5}}
+BETA_23 = {"kind": "beta", "params": {"a": 2.0, "b": 3.0}}
+BETA_15 = {"kind": "beta", "params": {"a": 1.0, "b": 5.0}}
+BERNOULLI_X_BETA = {"kind": "product", "components": [
+    {"kind": "bernoulli", "params": {"p": 0.4}}, BETA_15]}
 
 BAD_STANZAS = {
     "ip_unknown_map": {"kind": "ip", "map": "no_such_map", "mu": GAMMA,
@@ -286,6 +290,28 @@ BAD_STANZAS = {
     "detailed_balance_box_minus_1": {"kind": "detailed-balance",
                                      "map": "reflecting_rw", "mu": GEOMETRIC,
                                      "nu": THREE_POINT, "box": -1},
+    # every stanza's mu and nu must live on the map's x and u spaces
+    "ip_my_product_mu": {"kind": "ip", "map": "matsumoto_yor", "n": 10000,
+                         "mu": {"kind": "product",
+                                "components": [GAMMA, GAMMA]},
+                         "nu": GAMMA},
+    "ip_beta_walk_scalar_nu": {"kind": "ip", "map": "beta_walk", "n": 10000,
+                               "mu": BETA_23, "nu": BETA_15},
+    "ip_my_two_part_nu": {"kind": "ip", "map": "matsumoto_yor", "n": 10000,
+                          "mu": GAMMA, "nu": BERNOULLI_X_BETA},
+    "reversibility_rrw_gamma_mu": {"kind": "reversibility",
+                                   "map": "reflecting_rw", "n": 10000,
+                                   "mu": GAMMA, "nu": THREE_POINT},
+    "burke_rrw_gamma_mu": {"kind": "burke", "map": "reflecting_rw",
+                           "mu": GAMMA, "nu": THREE_POINT},
+    # simulate_field draws scalar noise
+    "burke_beta_walk_product_nu": {"kind": "burke", "map": "beta_walk",
+                                   "mu": BETA_23, "nu": BERNOULLI_X_BETA},
+    # no catalog law lives on SPD matrices
+    "ip_spd_gamma_n_300": {"kind": "ip", "map": "spd_matsumoto_yor",
+                           "n": 300, "mu": GAMMA, "nu": GAMMA},
+    "ip_spd_gamma_n_20000": {"kind": "ip", "map": "spd_matsumoto_yor",
+                             "n": 20000, "mu": GAMMA, "nu": GAMMA},
 }
 
 
@@ -435,17 +461,17 @@ def test_detailed_balance_truncates_mu_from_its_support_lo(tmp_path):
     assert check["details"]["checked_pairs"] == 6
 
 
-def test_check_errors_are_isolated(tmp_path):
-    config = load_config(_write_config(tmp_path, {
+def test_check_errors_are_isolated():
+    # load_config rejects normal noise on (0, inf); run() unvalidated, it
+    # drives the field out of (0, inf), a run-time error in that check alone
+    report = run({
         "seed": 1,
         "checks": [
-            # normal noise drives the field out of (0, inf) at run time
             {"kind": "burke", "map": "matsumoto_yor",
              "mu": {"kind": "gig", "params": {"alpha": 2, "lam": 1}},
              "nu": {"kind": "normal", "params": {"mean": 0, "variance": 1}}},
             {"kind": "involution", "map": "kdv_g1", "box": 5},
-        ]}))
-    report = run(config)
+        ]})
     assert not report["checks"][0]["passed"]
     assert "error" in report["checks"][0]["details"]
     assert report["checks"][1]["passed"]
@@ -516,6 +542,24 @@ def test_structural_failure_report_is_strict_json(tmp_path, capsys):
     v_marginal = written["checks"][0]["details"]["v_marginal"]
     assert v_marginal["statistic"] is None
     assert v_marginal["flags"]["outside_support"] > 0
+
+
+@pytest.mark.parametrize("stanza", [
+    {"kind": "ip", "map": "matsumoto_yor",
+     "mu": {"kind": "gig", "params": {"alpha": 2, "lam": 1}},
+     "nu": {"kind": "uniform"}},
+    {"kind": "ip", "map": "kdv_g2",
+     "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
+     "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}}},
+    {"kind": "ip", "map": "beta_walk", "mu": BETA_23,
+     "nu": BERNOULLI_X_BETA},
+], ids=lambda stanza: stanza["map"])
+def test_known_bad_laws_on_their_spaces_load_and_fail(tmp_path, stanza):
+    config = load_config(_write_config(tmp_path, {
+        "seed": 1, "checks": [{**stanza, "n": 20000}]}))
+    check = run(config)["checks"][0]
+    assert "error" not in check["details"]
+    assert not check["passed"]
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Tests for the involution catalog: point values, round trips, range closure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from ipmaps.involutions import (
-    CATALOG_NAMES, REAL_LINE, DomainError, InvolutionPair, catalog_get,
-    check_involution, sample_points,
+    BERNOULLI_CROSS_UNIT, BIT, CATALOG_NAMES, INTEGERS, NONNEG_INTEGERS,
+    POSITIVE_REAL, REAL_LINE, THREE_POINT, UNIT_INTERVAL, DomainError,
+    InvolutionPair, catalog_get, check_involution, sample_points, spd,
 )
+from ipmaps.laws import law_from_spec
 from ipmaps.rng import RandomStream
 
 
@@ -197,6 +201,117 @@ def test_range_closure(name):
     y, v = pair.f(xs, us), pair.g(xs, us)
     assert pair.x_space.contains(y)
     assert pair.u_space.contains(v)
+
+
+# ---------------------------------------------------------------------------
+# spaces as data
+# ---------------------------------------------------------------------------
+
+VALUES = (-1, 0, 0.5, 1, 2, 41, np.inf, -np.inf, np.nan)
+# 1 where the space holds the value of VALUES at that position; the
+# answers of the per-kind predicates these intervals replaced, except that
+# +inf is no longer a positive real
+MEMBERS = {
+    POSITIVE_REAL: "001111000",
+    UNIT_INTERVAL: "001000000",
+    REAL_LINE: "111111000",
+    INTEGERS: "110111000",
+    NONNEG_INTEGERS: "010111000",
+    THREE_POINT: "110100000",
+    BIT: "010100000",
+}
+
+
+@pytest.mark.parametrize("space", MEMBERS, ids=lambda s: s.kind)
+def test_scalar_space_membership_table(space):
+    for v, member in zip(VALUES, MEMBERS[space]):
+        expected = member == "1"
+        assert space.contains(v) is expected, v
+        assert space.contains(np.array([v, v])) is expected, v
+        assert space.contains(np.array([v, np.nan])) is False, v
+
+
+def test_product_space_membership_table():
+    for b, bit in zip(VALUES, MEMBERS[BIT]):
+        for w, unit in zip(VALUES, MEMBERS[UNIT_INTERVAL]):
+            expected = bit == unit == "1"
+            assert BERNOULLI_CROSS_UNIT.contains((b, w)) is expected, (b, w)
+            assert BERNOULLI_CROSS_UNIT.contains(
+                (np.array([b, 0]), np.array([w, 0.5]))) is expected, (b, w)
+
+
+SPACES = {"positive_real": POSITIVE_REAL, "unit_interval": UNIT_INTERVAL,
+          "real_line": REAL_LINE, "integers": INTEGERS,
+          "nonneg_integers": NONNEG_INTEGERS, "three_point": THREE_POINT,
+          "bernoulli_cross_unit": BERNOULLI_CROSS_UNIT, "spd": spd(2)}
+BERNOULLI = {"kind": "bernoulli", "params": {"p": 0.4}}
+BETA = {"kind": "beta", "params": {"a": 1, "b": 5}}
+GAMMA = {"kind": "gamma", "params": {"shape": 2, "rate": 1}}
+# law spec -> the spaces of SPACES it lives on
+ADMITTED = [
+    (GAMMA, {"positive_real", "real_line"}),
+    ({"kind": "gig", "params": {"alpha": 2, "lam": 1}},
+     {"positive_real", "real_line"}),
+    (BETA, {"positive_real", "unit_interval", "real_line"}),
+    ({"kind": "uniform"}, {"positive_real", "unit_interval", "real_line"}),
+    ({"kind": "normal", "params": {"mean": 0, "variance": 1}},
+     {"real_line"}),
+    (BERNOULLI, {"integers", "nonneg_integers", "three_point"}),
+    ({"kind": "geometric", "params": {"theta": 0.4}},
+     {"integers", "nonneg_integers"}),
+    ({"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
+     {"integers"}),
+    ({"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
+     {"integers"}),
+    ({"kind": "three_point", "params": {"p": 0.2, "q": 0.5, "r": 0.3}},
+     {"integers", "three_point"}),
+    ({"kind": "parity_geom", "params": {"rho": 0.5, "podd": 0.3}},
+     {"integers", "nonneg_integers"}),
+    ({"kind": "finite_table",
+      "params": {"support": [-1, 0, 1], "probs": [0.3, 0.4, 0.3]}},
+     {"integers", "three_point"}),
+    ({"kind": "finite_table",
+      "params": {"support": [0, 3], "probs": [0.5, 0.5]}},
+     {"integers", "nonneg_integers"}),
+    ({"kind": "product", "components": [BERNOULLI, BETA]},
+     {"bernoulli_cross_unit"}),
+    ({"kind": "product", "components": [BETA, BERNOULLI]}, set()),
+    ({"kind": "product", "components": [BERNOULLI, GAMMA]}, set()),
+    ({"kind": "product", "components": [BERNOULLI, BETA, BETA]}, set()),
+    ({"kind": "product", "components": [BERNOULLI]}, set()),
+]
+
+
+@pytest.mark.parametrize("spec,admitted", ADMITTED,
+                         ids=lambda v: v.get("kind") if isinstance(v, dict)
+                         else None)
+def test_admits_table(spec, admitted):
+    law = law_from_spec(spec)
+    assert {name for name, space in SPACES.items()
+            if space.admits(law)} == admitted
+
+
+@pytest.mark.parametrize("box", [1, 5, 20])
+@pytest.mark.parametrize("name,x_lo,us", [
+    ("kdv_g1", None, None), ("reflecting_rw", 0, np.array([-1, 0, 1]))])
+def test_integer_grid_is_the_box_clipped_to_each_space(name, x_lo, us, box):
+    xs = np.arange(-box if x_lo is None else x_lo, box + 1)
+    us = np.arange(-box, box + 1) if us is None else us
+    xg, ug = np.meshgrid(xs, us)
+    got = sample_points(catalog_get(name), 0, None, box=box)
+    for a, b in zip(got, (xg.ravel(), ug.ravel())):
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_beta_walk_probe_draws_come_from_its_parts_in_order():
+    xs, (bits, ws) = sample_points(catalog_get("beta_walk"), 1000,
+                                   RandomStream(5))
+    assert (xs.dtype, bits.dtype, ws.dtype) == (
+        np.float64, np.int64, np.float64)
+    digest = hashlib.sha256(xs.tobytes() + bits.tobytes() + ws.tobytes())
+    assert digest.hexdigest() == ("c53ef54188bb50cfd1dc811ff32d4d3e"
+                                  "96634c7e506861d2a662a8f44f13674c")
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,9 @@ def _binning_inputs(n=4000):
         "mostly_nan": all_nan,
         # one heavy atom: quantile edges collapse, leaving empty cells
         "heavy_atom": np.where(gen.random(n) < 0.7, 0.0, cont),
+        # 9 numbers and a run of NaNs, which count as one value: 10 in all
+        "bins_unique_with_nan_run": np.where(
+            gen.random(n) < 0.1, np.nan, gen.integers(0, 9, n)),
     }
 
 
