@@ -9,12 +9,13 @@ from nu.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import laws, stat_tests
-from .kernels import KernelError, _gof_against_law, pushforward
+from . import stat_tests
+from .kernels import KernelError, _gof_against_law, law_cells, pushforward
 from .reports import VerificationReport
 from .rng import RandomStream
 from .stat_tests import DEFAULT_LEVEL
@@ -98,9 +99,9 @@ def check_recursion(field, tol=1e-9):
 
 
 def _transition_gof(froms, tos, row_law, level, min_visits=10):
-    """Chi-square of observed transitions against analytic kernel rows.
+    """Chi-square of observed transitions against exact kernel rows.
 
-    `row_law(state)` returns the transition row as a {next: prob} dict.
+    `row_law(state)` returns the exact row ({next: integer weight}, den).
     One GOF per sufficiently visited from-state; the per-state statistics
     sum to a chi-square with summed degrees of freedom because the draws
     are conditionally independent given the from-state sequence.
@@ -110,10 +111,9 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
     stat, dof, states = 0.0, 0, 0
     for x in np.unique(froms):
         nxt = tos[froms == x]
-        support = row_law(x)
+        support, den = row_law(x)
         values = sorted(support)
-        probs = np.array([support[v] for v in values])
-        probs = probs / probs.sum()
+        probs = np.array([support[v] / den for v in values])
         counts = np.array([(nxt == v).sum() for v in values], dtype=float)
         if counts.sum() != len(nxt):
             # a transition outside the kernel's support: structural failure
@@ -144,9 +144,13 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     which the per-state transition GOF cannot offer on a drifting path.
 
     The observed chain and the simulated paths are scored through one dense
-    log-transition table over the states they visit, accumulated step by
-    step in time order. A transition the kernel row lacks reads nan: it
-    makes the observed likelihood -inf and a simulated one an error.
+    table of the exact rows' logs over the states they visit, accumulated
+    step by step in time order. A transition a row lacks reads -inf: the
+    observed chain may take one, a simulated path may not.
+
+    Float sums of T logs err in their last bits, so a simulated sum within
+    1e-9 relative of the observed one is ranked by its exact probability,
+    its rows' weights over their dens, and an exact tie counts as <=.
     """
     T = len(chain) - 1
     stream = RandomStream(_MC_SEED)
@@ -157,41 +161,60 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
         paths[t + 1] = pair.f(paths[t], us[:, t])
     lo = int(min(paths.min(), chain.min()))
     size = int(max(paths.max(), chain.max())) - lo + 1
-    logp = np.full((size, size), np.nan)
-    froms = set(np.unique(paths[:-1]).tolist()) | set(chain[:-1].tolist())
-    for a in froms:
-        for b, p in row_law(a).items():
-            if 0 <= b - lo < len(logp):
-                logp[a - lo, b - lo] = np.log(p)
+    # the exact rows: integer weights, 0 off a row, and one den per state
+    weight = np.zeros((size, size), dtype=object)
+    dens = np.ones(size, dtype=object)
+    logp = np.full((size, size), -np.inf)
+    for a in set(np.unique(paths[:-1]).tolist()) | set(chain[:-1].tolist()):
+        weights, dens[a - lo] = row_law(a)
+        for b, w in weights.items():
+            if 0 <= b - lo < size:
+                weight[a - lo, b - lo] = w
+                logp[a - lo, b - lo] = np.log(w / dens[a - lo])
     sims = np.zeros(n_sims)
     for t in range(T):
         sims += logp[paths[t] - lo, paths[t + 1] - lo]
-    if np.isnan(sims).any():
+    if np.isneginf(sims).any():
         raise KernelError("a simulated transition is missing from its "
                           "kernel row")
     # cumsum adds in time order, as the paths are summed
     obs = float(np.cumsum(logp[chain[:-1] - lo, chain[1:] - lo])[-1])
-    obs = -np.inf if np.isnan(obs) else obs
-    p = (1.0 + float((sims <= obs).sum())) / (n_sims + 1.0)
+    close = np.isclose(sims, obs, rtol=1e-9, atol=0.0)
+    steps = np.column_stack([chain, paths[:, close]]) - lo
+    num = np.prod(weight[steps[:-1], steps[1:]], axis=0)
+    den = np.prod(dens[steps[:-1]], axis=0)
+    # sign of P(path) - P(observed chain), for each close simulated path
+    sides = num[1:] * den[0] - num[0] * den[1:]
+    below = (sims[~close] <= obs).sum() + (sides <= 0).sum()
+    p = (1.0 + float(below)) / (n_sims + 1.0)
     return stat_tests.TestResult(obs, p, (T,), "chain_loglik_mc",
                                  p > level, level,
                                  {"n_sims": n_sims,
-                                  "null_mean": float(sims.mean())})
+                                  "null_mean": float(sims.mean()),
+                                  "exact_ties": int((sides == 0).sum())})
 
 
 def _kernel_row(pair, nu):
-    """Transition row of the state chain: y = f(x, u) with u ~ nu."""
-    noise_cells, _ = laws.truncate(nu, laws.tail_box(nu, 1e-14))
-    return lambda x: pushforward(pair.f, [(int(x), 1)], noise_cells)
+    """Exact transition row of the state chain, y = f(x, u) with u ~ nu, as
+    ({y: integer weight}, den): nu's `law_cells` cut at -x, built once."""
+    @functools.cache
+    def row(x):
+        cells, den = law_cells(nu, -int(x))
+        return pushforward(pair.f, [(int(x), 1)], cells), den
+    return row
 
 
-def _dual_kernel_row(pair, mu, tail_target=1e-13):
-    """Transition row of the noise chain: v = g(x, u) with x ~ mu."""
-    cells, _ = laws.truncate(mu, laws.tail_box(mu, tail_target))
-    points, weights = zip(*cells)
-    weights = np.array(weights)
-    cells = list(zip(points, (weights / weights.sum()).tolist()))
-    return lambda u: pushforward(pair.g, cells, [(int(u), 1)])
+def _dual_kernel_row(pair, mu, x_max):
+    """Exact transition row of the noise chain, v = g(x, u) with x ~ mu, as
+    ({v: integer weight}, den): mu's `law_cells` cut at max(-u, x_max + 1),
+    x_max the largest x the chain reads. kdv's g is nondecreasing in x and
+    takes each value at no more than two adjacent x, so each state the
+    chain reaches keeps its exact mass there too. Built once per u."""
+    @functools.cache
+    def row(u):
+        cells, den = law_cells(mu, max(-int(u), x_max + 1))
+        return pushforward(pair.g, cells, [(int(u), 1)]), den
+    return row
 
 
 def _thinned_slices(T, stride=10):
@@ -277,7 +300,7 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     if discrete:
         checks["dual_column_kernel"] = _transition_gof(
             U[:-1, 0].astype(int), U[1:, 0].astype(int),
-            _dual_kernel_row(field.pair, field.mu), level)
+            _dual_kernel_row(field.pair, field.mu, int(X[:, 0].max())), level)
     else:
         even = np.arange(0, N, 2)
         ta, tb = list(range(0, T // 2, 5)), list(range(T // 2, T, 5))

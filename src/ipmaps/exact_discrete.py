@@ -1,18 +1,17 @@
 """Exact enumeration checks for the reflecting random walk and the
-ultra-discrete KdV maps, and `law_table`, the integer table of a discrete
-law that exact detailed balance reads.
+ultra-discrete KdV maps.
 
 Probabilities are exact rationals (floats are read as their shortest
 decimal). Every table is one pair (nums, den) of plain integer numerators
 over one integer denominator, so every identity is one integer equality
-and a verdict counts the states where it fails. Every geometric table
-comes from one integer tabulation of theta^k. One cell identity,
-`product_defect_tv`, decides the product law of both integer maps cell by
-cell, and the walk's per-state proof identities on the cells where Y's
-marginal is exact, so no truncation tail enters any verdict. A reported
-probability is `num / den` of two ints, which Python rounds correctly: the
-same float as `float(Fraction(num, den))`, whatever denominator the table
-is over.
+and a verdict counts the states where it fails. A catalog law's table is
+`laws.truncate`, and the walk's forced laws use its theta^k tabulation.
+One cell identity, `product_defect_tv`, decides the product law of both
+integer maps cell by cell, and the walk's per-state proof identities on
+the cells where Y's marginal is exact, so no truncation tail enters any
+verdict. A reported probability is `num / den` of two ints, which Python
+rounds correctly: the same float as `float(Fraction(num, den))`, whatever
+denominator the table is over.
 """
 
 from __future__ import annotations
@@ -23,15 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import laws
 from .involutions import catalog_get
-from .laws import (Bernoulli, Geometric, LawError, ParityGeom, ShiftGeom,
-                   TruncGeom)
+from .laws import (Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom,
+                   _frac, _geometric_table, _integer_weights)
 from .reports import VerificationReport
-
-
-def _frac(x):
-    """x as a Fraction, a float read as its shortest decimal."""
-    return Fraction(x if isinstance(x, (int, Fraction)) else str(float(x)))
 
 
 @dataclass(frozen=True)
@@ -77,50 +72,6 @@ class RRWParams:
         if self.r > 0:
             return (self.p / self.q) ** 2
         return self.p * self.pprime / (self.q * self.qprime)
-
-
-def _integer_weights(weights):
-    """A few {key: Fraction} weights as ({key: int}, den) over the lcm of
-    their denominators."""
-    den = math.lcm(*(w.denominator for w in weights.values()))
-    return ({k: w.numerator * (den // w.denominator)
-             for k, w in weights.items()}, den)
-
-
-def _geometric_table(theta, lo, hi):
-    """The law P(k) = (1 - theta) theta^(k - lo) on {lo, lo+1, ...} cut at
-    hi, for a Fraction theta = a/b: numerators (b - a) a^(k - lo) b^(hi - k)
-    over b^(hi - lo + 1). The dropped mass is theta^(hi - lo + 1)."""
-    a, b = theta.numerator, theta.denominator
-    apow, bpow = [1], [1]
-    for _ in range(hi - lo):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-    return ({k: (b - a) * apow[k - lo] * bpow[hi - k]
-             for k in range(lo, hi + 1)}, bpow[-1] * b)
-
-
-def law_table(law, hi):
-    """A discrete law of the catalog on [support_lo, hi] as (nums, den,
-    den P(X > hi)), its parameters read as their shortest decimal. A finite
-    law is over the sum of its weights, so no mass lies past support_hi."""
-    lo, top = law.support_lo, law.support_hi
-    end = top if top < math.inf else hi
-    if isinstance(law, (Geometric, ShiftGeom, TruncGeom)):
-        nums, den = _geometric_table(_frac(law.theta), lo, end)
-    elif isinstance(law, ParityGeom):
-        w, dw = _integer_weights({0: 1 - _frac(law.podd), 1: _frac(law.podd)})
-        pairs, dp = _geometric_table(_frac(law.rho) ** 2, 0, end // 2)
-        nums = {k: w[k % 2] * pairs[k // 2] for k in range(end + 1)}
-        den = dw * dp
-    elif isinstance(law, Bernoulli):
-        nums, den = _integer_weights({0: 1 - _frac(law.p), 1: _frac(law.p)})
-    else:   # ThreePoint, FiniteTable: each weight is a parameter
-        nums, den = _integer_weights({k: _frac(law.pmf(k)) for k in getattr(
-            law, "support", np.arange(lo, top + 1)).tolist()})
-    den = sum(nums.values()) if top < math.inf else den
-    nums = {k: w for k, w in nums.items() if k <= hi}
-    return nums, den, den - sum(nums.values())
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +276,7 @@ def kdv_pushforward_tv(theta, ell, variant, M=60):
     """
     xs, us = kdv_box(theta, ell, M)
     ys, vs = catalog_get("kdv_" + variant)(xs, us)
-    mu, _, _ = law_table(TruncGeom(theta, ell), ell)
+    mu, _, _ = laws.truncate(TruncGeom(theta, ell), ell)
     # v >= M at the cell (ell, M), so this table also covers every u
-    nu, _, _ = law_table(ShiftGeom(theta, ell), int(vs.max()))
+    nu, _, _ = laws.truncate(ShiftGeom(theta, ell), int(vs.max()))
     return product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu)

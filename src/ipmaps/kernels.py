@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import stat_tests
-from .exact_discrete import law_table
+from . import laws, stat_tests
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
 
@@ -57,19 +56,28 @@ def pushforward(h, mu_cells, nu_cells):
     return law
 
 
+def law_cells(law, cut):
+    """(cells, den): a discrete law's (value, positive integer weight)
+    cells over den, a finite law whole and an unbounded one up to
+    max(support_lo, cut) with its exact tail on the next cell. A kernel row
+    on them is exact where the map is constant from the cut on: kdv's f =
+    min(u, -x) in u from -x on, and reflecting_rw's g in x from -u on."""
+    hi = law.support_hi if law.support_hi < np.inf else \
+        max(law.support_lo, cut)
+    nums, den, tail = laws.truncate(law, hi)
+    return [(k, w) for k, w in {**nums, hi + 1: tail}.items() if w], den
+
+
 def check_detailed_balance_exact(pair, mu, nu, box):
     """mu(x) K(x,y) = mu(y) K(y,x), K(x,.) the law of pair.f(x, U), U ~ nu,
     as one integer equality per pair x != y up to mu's support_lo + box with
     flux either way (mu is 0 below support_lo, so such pairs are exact).
-    Unbounded noise, which drives only kdv's f = min(u, -x), constant from
-    u = -x on, is cut at -support_lo of mu, its tail on the next cell."""
+    Its noise is `law_cells` cut at -support_lo, exact for every state."""
     lo = mu.support_lo
-    mu_w, _, _ = law_table(mu, lo + box)
-    u_hi = nu.support_hi if nu.support_hi < np.inf else max(nu.support_lo, -lo)
-    nu_w, _, tail = law_table(nu, u_hi)
-    noise = [(u, w) for u, w in {**nu_w, u_hi + 1: tail}.items() if w]
+    mu_w, _, _ = laws.truncate(mu, lo + box)
+    noise, _ = law_cells(nu, -lo)
     # K(x, y) in nu's numerators, for each state x of positive mass
-    states = [(x, 1) for x, w in mu_w.items() if w]
+    states = [(x, 1) for x in mu_w]
     kernel = pushforward(lambda x, u: (x, pair.f(x, u)), states, noise)
     # each pair once: from x < y when both directions carry flux
     pairs = [(x, y, w, kernel.get((y, x), 0))
@@ -99,9 +107,9 @@ def _gof_against_law(s, law, level=DEFAULT_LEVEL):
     """Chi-square GOF of s, the sorted draws, against an analytic law.
 
     A draw outside the law's support interval, or a non-integer draw of a
-    discrete law, fails the test outright. Discrete laws are tabulated from
-    support_lo to the largest draw plus a tail cell; continuous laws use
-    equiprobable quantile bins.
+    discrete law, fails the test outright. A discrete law's cells are its
+    exact table (`laws.truncate`) from support_lo to the largest draw, and
+    its exact tail; continuous laws use equiprobable quantile bins.
     """
     n = len(s)
     # sorted with NaNs last, the ends bound every draw of a continuous law
@@ -114,16 +122,12 @@ def _gof_against_law(s, law, level=DEFAULT_LEVEL):
              "reason": f"{outside} of {n} draws outside the support of "
                        f"{law!r}"})
     if law.is_discrete:
-        lo = law.support_lo
-        hi = int(s[-1])
-        probs = np.array([law.pmf(k) for k in range(lo, hi + 1)])
+        lo, hi = law.support_lo, int(s[-1])
+        nums, den, tail = laws.truncate(law, hi)
+        probs = [nums.get(k, 0) / den for k in range(lo, hi + 1)]
         counts = np.bincount((s - lo).astype(np.int64)).astype(float)
         counts = np.append(counts, n - counts.sum())
-        probs = np.append(probs, law.tail(hi))
-        if probs.sum() <= 0:
-            raise KernelError("law has no mass on the observed range")
-        probs = probs / probs.sum()
-        return stat_tests.chi2_gof(counts, probs, level=level)
+        return stat_tests.chi2_gof(counts, probs + [tail / den], level=level)
     k = 50 if n >= 100_000 else 20
     edges = np.asarray(law.quantile(np.linspace(0.0, 1.0, k + 1)[1:-1]))
     counts = stat_tests.bin_counts(s, edges)

@@ -1,8 +1,8 @@
 """Probability laws: evaluation, sampling, and exact truncated tabulation.
 
-Continuous kinds expose ``density``/``cdf``/``quantile``/``sample``; a
-discrete kind is its ``pmf`` and its upper ``tail``, in closed form where one
-exists, and `truncate` tabulates it on a box.
+Continuous kinds expose ``density``/``cdf``/``quantile``/``sample``. A
+discrete kind has a float ``pmf`` and one exact table, `truncate`, which
+every verdict that reads a discrete law reads.
 
 Of scipy, this module imports scipy.special alone. The gamma and beta cdf
 and quantile call the functions that scipy.stats calls for them, in the
@@ -17,6 +17,7 @@ the GIG cdf and quantile a Gauss-Legendre table in numpy (see `GIG`).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -271,6 +272,32 @@ class GIG(Law):
 # discrete kinds
 # ---------------------------------------------------------------------------
 
+def _frac(x):
+    """x as a Fraction, a float read as its shortest decimal."""
+    return Fraction(x if isinstance(x, (int, Fraction)) else str(float(x)))
+
+
+def _integer_weights(weights):
+    """A few {key: Fraction} weights as ({key: int}, den) over the lcm of
+    their denominators."""
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    return ({k: w.numerator * (den // w.denominator)
+             for k, w in weights.items()}, den)
+
+
+def _geometric_table(theta, lo, hi):
+    """The law P(k) = (1 - theta) theta^(k - lo) on {lo, lo+1, ...} cut at
+    hi, for a Fraction theta = a/b: numerators (b - a) a^(k - lo) b^(hi - k)
+    over b^(hi - lo + 1). The dropped mass is theta^(hi - lo + 1)."""
+    a, b = theta.numerator, theta.denominator
+    apow, bpow = [1], [1]
+    for _ in range(hi - lo):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return ({k: (b - a) * apow[k - lo] * bpow[hi - k]
+             for k in range(lo, hi + 1)}, bpow[-1] * b)
+
+
 class DiscreteLaw(Law):
     is_discrete = True
 
@@ -283,13 +310,9 @@ class DiscreteLaw(Law):
         support_hi], and 0.0 outside it."""
         return self._pmf(k) if self.support_lo <= k <= self.support_hi else 0.0
 
-    def tail(self, hi):
-        """P(X > hi) for an integer hi >= support_lo; 0.0 from support_hi
-        on. Summed from support_lo unless the kind has a closed form."""
-        if hi >= self.support_hi:
-            return 0.0
-        return 1.0 - min(1.0, sum(self.pmf(k)
-                                  for k in range(self.support_lo, hi + 1)))
+    def _table(self, end):
+        """(nums, den) on [support_lo, end]; geometric kinds use this one."""
+        return _geometric_table(_frac(self.theta), self.support_lo, end)
 
 
 class Bernoulli(DiscreteLaw):
@@ -302,6 +325,9 @@ class Bernoulli(DiscreteLaw):
 
     def _pmf(self, k):
         return self.p if k == 1 else 1.0 - self.p
+
+    def _table(self, end):
+        return _integer_weights({0: 1 - _frac(self.p), 1: _frac(self.p)})
 
     def sample(self, rng, size=None):
         draws = rng.gen.random(size) < self.p
@@ -321,9 +347,6 @@ class Geometric(DiscreteLaw):
 
     def _pmf(self, k):
         return (1.0 - self.theta) * self.theta ** k
-
-    def tail(self, hi):
-        return self.theta ** (hi + 1)
 
     def sample(self, rng, size=None):
         draws = rng.gen.geometric(1.0 - self.theta, size) - 1
@@ -378,9 +401,6 @@ class ShiftGeom(DiscreteLaw):
         # theta^k (1-theta) theta^ell = (1-theta) theta^(k+ell)
         return (1.0 - self.theta) * self.theta ** (k + self.ell)
 
-    def tail(self, hi):
-        return self.theta ** (hi + self.ell + 1)
-
     def sample(self, rng, size=None):
         draws = rng.gen.geometric(1.0 - self.theta, size) - 1 - self.ell
         return int(draws) if size is None else draws
@@ -401,6 +421,10 @@ class ThreePoint(DiscreteLaw):
 
     def _pmf(self, k):
         return {1: self.p, -1: self.q, 0: self.r}.get(k, 0.0)
+
+    def _table(self, end):
+        return _integer_weights({-1: _frac(self.q), 0: _frac(self.r),
+                                 1: _frac(self.p)})
 
     def sample(self, rng, size=None):
         u = rng.gen.random(size)
@@ -428,12 +452,11 @@ class ParityGeom(DiscreteLaw):
         w = self.podd if k % 2 == 1 else 1.0 - self.podd
         return w * (1.0 - self._rho2) * self._rho2 ** (k // 2)
 
-    def tail(self, hi):
-        ke = hi // 2                      # last even index 2*ke <= hi
-        ko = (hi - 1) // 2                # last odd index 2*ko+1 <= hi
-        even = (1.0 - self.podd) * self._rho2 ** (ke + 1)
-        odd = self.podd * (self._rho2 ** (ko + 1) if ko >= 0 else 1.0)
-        return even + odd
+    def _table(self, end):
+        # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w the weight of k's parity
+        w, dw = _integer_weights({0: 1 - _frac(self.podd), 1: _frac(self.podd)})
+        pairs, dp = _geometric_table(_frac(self.rho) ** 2, 0, end // 2)
+        return {k: w[k % 2] * pairs[k // 2] for k in range(end + 1)}, dw * dp
 
     def sample(self, rng, size=None):
         parity = (rng.gen.random(size) < self.podd).astype(np.int64)
@@ -472,6 +495,9 @@ class FiniteTable(DiscreteLaw):
     def _pmf(self, k):
         return self._index.get(int(k), 0.0)
 
+    def _table(self, end):
+        return _integer_weights({k: _frac(p) for k, p in self._index.items()})
+
     def sample(self, rng, size=None):
         u = rng.gen.random(size)
         idx = np.searchsorted(self._cum, u, side="left")
@@ -484,34 +510,20 @@ class FiniteTable(DiscreteLaw):
 
 
 def truncate(law, hi):
-    """Tabulate a discrete law on the integer box [support_lo, hi].
-
-    Returns the cells (k, pmf(k)) of positive mass, in increasing k, and
-    the mass tail(hi) beyond the box, exact where the law's tail has a
-    closed form. The cells are not renormalized.
-    """
+    """A discrete law on [support_lo, hi], exactly: (nums, den, tail), the
+    positive integer weights of its states in increasing order over one
+    den, and tail = den P(X > hi). A finite law is over the sum of its
+    weights, so no mass lies past support_hi. A probability is then one
+    correctly rounded int division `num / den`."""
     if not law.is_discrete:
         raise LawError("truncate requires a discrete law")
-    hi = int(min(hi, law.support_hi))
     if hi < law.support_lo:
         raise LawError("empty truncation box")
-    cells = [(k, law.pmf(k)) for k in range(law.support_lo, hi + 1)]
-    return [(k, p) for k, p in cells if p > 0.0], law.tail(hi)
-
-
-def tail_box(law, tail_target):
-    """The smallest hi of the doubling sequence with tail(hi) <= tail_target.
-
-    A finite support is taken whole; otherwise hi starts at support_lo + 8
-    and doubles, stepping by 8 while it is not yet positive.
-    """
-    hi = law.support_hi if law.support_hi is not math.inf \
-        else law.support_lo + 8
-    while law.tail(hi) > tail_target:
-        hi = 2 * hi if hi > 0 else hi + 8
-        if hi > 10 ** 9:
-            raise LawError(f"truncation of {law!r} did not converge")
-    return hi
+    finite = law.support_hi < math.inf
+    nums, den = law._table(law.support_hi if finite else hi)
+    den = sum(nums.values()) if finite else den
+    nums = {k: w for k, w in nums.items() if k <= hi and w}
+    return nums, den, den - sum(nums.values())
 
 
 _KIND_MAP = {

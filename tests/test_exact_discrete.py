@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from ipmaps.exact_discrete import (
-    RRWParams, _geometric_table, _step_tables, kdv_box, kdv_pushforward_tv,
-    law_table, product_defect_tv, rrw_forced_law, rrw_forced_table,
-    rrw_joint_table, rrw_pushforward_cells, rrw_verify_proof_identities,
+    RRWParams, _step_tables, kdv_box, kdv_pushforward_tv, product_defect_tv,
+    rrw_forced_law, rrw_forced_table, rrw_joint_table, rrw_pushforward_cells,
+    rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
 from ipmaps.laws import (
     Bernoulli, FiniteTable, Geometric, LawError, ParityGeom, ShiftGeom,
-    ThreePoint, TruncGeom,
+    ThreePoint, TruncGeom, _geometric_table, truncate,
 )
 
 # the (p, q, r, p') grid of the exact-enum benchmark workload
@@ -150,6 +150,29 @@ def test_forced_law_of_y_swaps_the_parity_weights():
         rrw_forced_table(interior, 9)
 
 
+def _ref_pmf(law):
+    """The law's pmf in Fractions, its parameters read as decimals, from
+    its definition: a finite law over the sum of its weights."""
+    d = lambda x: Fraction(str(x))
+    if isinstance(law, (Geometric, ShiftGeom)):
+        lo, theta = law.support_lo, d(law.theta)
+        return lambda k: (1 - theta) * theta ** (k - lo) if k >= lo else 0
+    if isinstance(law, ParityGeom):
+        rho2, podd = d(law.rho) ** 2, d(law.podd)
+        return lambda k: (podd if k % 2 else 1 - podd) * (1 - rho2) * \
+            rho2 ** (k // 2) if k >= 0 else 0
+    if isinstance(law, TruncGeom):
+        weights = {k: d(law.theta) ** k for k in range(-law.ell, law.ell + 1)}
+    elif isinstance(law, Bernoulli):
+        weights = {0: 1 - d(law.p), 1: d(law.p)}
+    elif isinstance(law, ThreePoint):
+        weights = {-1: d(law.q), 0: d(law.r), 1: d(law.p)}
+    else:
+        weights = dict(zip(law.support.tolist(), map(d, law.probs.tolist())))
+    total = sum(weights.values())
+    return lambda k: weights.get(k, 0) / total
+
+
 @pytest.mark.parametrize("law, hi", [
     (Geometric(0.4), 30), (ShiftGeom(0.5, 4), 12), (TruncGeom(0.3, 4), 1),
     (TruncGeom(0.3, 4), 9), (ParityGeom(0.5, 0.3), 7),
@@ -157,26 +180,30 @@ def test_forced_law_of_y_swaps_the_parity_weights():
     (ThreePoint(0.2, 0.5, 0.3), 1), (FiniteTable([-1, 3], [0.25, 0.75]), 2),
 ], ids=repr)
 def test_law_table_is_each_law_in_integers(law, hi):
-    nums, den, tail = law_table(law, hi)
-    assert set(nums) <= set(range(law.support_lo, hi + 1))
-    for k in range(law.support_lo, hi + 1):
+    nums, den, tail = truncate(law, hi)
+    pmf = _ref_pmf(law)
+    box = range(law.support_lo, hi + 1)
+    assert list(nums) == [k for k in box if pmf(k) > 0]
+    for k in box:
+        assert Fraction(nums.get(k, 0), den) == pmf(k)
+        # the float pmf agrees with the exact table
         assert nums.get(k, 0) / den == pytest.approx(law.pmf(k), rel=1e-12)
     assert tail == den - sum(nums.values()) >= 0
-    assert tail / den == pytest.approx(law.tail(hi), rel=1e-12, abs=1e-15)
+    assert Fraction(tail, den) == 1 - sum(pmf(k) for k in box)
 
 
 def test_law_table_reads_parameters_as_decimals():
     # 1 - 0.7 is the float 0.30000000000000004, not 3/10
-    assert _fractions(law_table(Bernoulli(0.7), 1)[:2]) == \
+    assert _fractions(truncate(Bernoulli(0.7), 1)[:2]) == \
         {0: Fraction(3, 10), 1: Fraction(7, 10)}
-    nums, den, tail = law_table(Geometric(0.4), 5)
+    nums, den, tail = truncate(Geometric(0.4), 5)
     assert Fraction(tail, den) == Fraction(2, 5) ** 6
     # parity weights 7/10 and 3/10 on rho^2 = 1/4
-    nums, den, tail = law_table(ParityGeom(0.5, 0.3), 4)
+    nums, den, tail = truncate(ParityGeom(0.5, 0.3), 4)
     assert Fraction(tail, den) == \
         Fraction(7, 10) / 4 ** 3 + Fraction(3, 10) / 4 ** 2
     # a finite law is over the sum of its weights: its tail is 0 exactly
-    assert law_table(ThreePoint(1 / 3, 1 / 3, 1 / 3), 1)[2] == 0
+    assert truncate(ThreePoint(1 / 3, 1 / 3, 1 / 3), 1)[2] == 0
 
 
 # ---------------------------------------------------------------------------

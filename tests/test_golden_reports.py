@@ -106,7 +106,7 @@ GOLDEN = {
         "195b71ade1d693323e36308783f965288a37f53b3bd88d869b653264768481d6"),
     "burke_rrw": (
         BURKE_RRW,
-        "df5780f951a5645a651f741a602c1484d176715458d91a943c7fc3688c1a8763"),
+        "92bb7c54499c80ac508ac9f38ae3c7c2e2ea9d7d26c8ab793f767ab4d451e8a2"),
     "burke_my": (
         BURKE_MY,
         "17cb0c3b151adf9a4c596ffa2a7d1e8c5263626ee5074574d8900fcf9ba05033"),
@@ -115,7 +115,7 @@ GOLDEN = {
          "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
          "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
          "N": 60, "T": 60},
-        "39563745f4bcfc2be4908b67cda761b91920d0b0132e88f3a77d73a41a65ef4a"),
+        "62731ab8849f5d182b398385d82913d1e32ba4a46fc944832f1e611cb16abf89"),
     # probes from an integer grid (with violations), tuple noise and floats
     "hypotheses_kdv": (
         {"kind": "hypotheses", "map": "kdv"},

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ipmaps import kernels
+from ipmaps import laws
 from ipmaps.exact_discrete import (
-    kdv_box, kdv_pushforward_tv, law_table, product_defect_tv,
+    kdv_box, kdv_pushforward_tv, product_defect_tv,
 )
 from ipmaps.involutions import catalog_get
 from ipmaps.kernels import (
@@ -16,7 +16,7 @@ from ipmaps.kernels import (
 )
 from ipmaps.laws import (
     BetaI, FiniteTable, Gamma, Geometric, GIG, ShiftGeom, ThreePoint,
-    TruncGeom, UniformUnit,
+    TruncGeom, UniformUnit, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import independence_test
@@ -225,9 +225,8 @@ def test_detailed_balance_needs_the_noise_tail(monkeypatch):
     checked, failing, _ = _pairs(check_detailed_balance_exact(
         KDV_G1, TruncGeom(0.5, 8), ShiftGeom(0.5, 8), 200))
     assert (checked, failing) == (72, 0)
-    law_table = kernels.law_table
-    monkeypatch.setattr(kernels, "law_table",
-                        lambda law, hi: (*law_table(law, hi)[:2], 0))
+    monkeypatch.setattr(laws, "truncate",
+                        lambda law, hi: (*truncate(law, hi)[:2], 0))
     report = check_detailed_balance_exact(KDV_G1, TruncGeom(0.5, 8),
                                           ShiftGeom(0.5, 8), 200)
     assert _pairs(report) == (72, 8, [-8, 8])
@@ -240,8 +239,8 @@ def test_detailed_balance_and_the_product_law_agree_on_the_walk(theta):
     mu, box = Geometric(theta), 40
     xs, us = np.repeat(np.arange(box + 1), 3), np.tile([-1, 0, 1], box + 1)
     ys, vs = WALK(xs, us)
-    mu_w, _, _ = law_table(mu, box + 1)
-    nu_w, _, _ = law_table(STEPS, 1)
+    mu_w, _, _ = truncate(mu, box + 1)
+    nu_w, _, _ = truncate(STEPS, 1)
     _, failing, _ = product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
     reversible = check_detailed_balance_exact(WALK, mu, STEPS, box).passed
     assert reversible == (failing == 0) == (theta == 0.4)
@@ -262,8 +261,8 @@ def test_detailed_balance_does_not_see_g_on_kdv(theta):
             pair, TruncGeom(theta / 2, 4), nu, 200).passed
         xs, us = kdv_box(theta, 4, 60)
         ys, vs = pair(xs, us)
-        mu_w, _, _ = law_table(TruncGeom(theta / 2, 4), 4)
-        nu_w, _, _ = law_table(nu, int(vs.max()))
+        mu_w, _, _ = truncate(TruncGeom(theta / 2, 4), 4)
+        nu_w, _, _ = truncate(nu, int(vs.max()))
         assert product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w,
                                  nu_w)[1] > 0
 

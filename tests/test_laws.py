@@ -1,6 +1,7 @@
 """Tests for probability law construction, evaluation, sampling, truncation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ipmaps import laws
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
-    _KIND_MAP, gig_norm_const, law_from_spec, tail_box, truncate,
+    _KIND_MAP, gig_norm_const, law_from_spec, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import chi2_gof, ks_two_sample
@@ -307,14 +308,16 @@ def test_sampling_is_reproducible():
 ])
 def test_discrete_sampler_gof(law):
     draws = np.asarray(law.sample(RandomStream(13), 100_000))
-    lo = min(int(draws.min()), law.support_lo)
+    assert int(draws.min()) >= law.support_lo
     hi = int(draws.max())
-    values = np.arange(lo, hi + 1)
-    probs = np.array([law.pmf(int(v)) for v in values])
+    values = np.arange(law.support_lo, hi + 1)
+    nums, den, tail = truncate(law, hi)
+    probs = [Fraction(nums.get(int(v), 0), den) for v in values]
+    probs.append(Fraction(tail, den))
+    assert sum(probs) == 1
     counts = np.array([(draws == v).sum() for v in values], dtype=float)
     counts = np.append(counts, len(draws) - counts.sum())
-    probs = np.append(probs, law.tail(hi))
-    assert chi2_gof(counts, probs / probs.sum()).passed
+    assert chi2_gof(counts, [float(p) for p in probs]).passed
 
 
 @pytest.mark.parametrize("law", [
@@ -342,21 +345,26 @@ def test_continuous_quantile_cdf_identities(law):
 # ---------------------------------------------------------------------------
 
 def test_truncate_shift_geom_tail_is_exact():
-    _, tail = truncate(ShiftGeom(0.5, 2), 60)
-    assert tail == 2.0 ** -63
+    nums, den, tail = truncate(ShiftGeom(0.5, 2), 60)
+    assert Fraction(tail, den) == Fraction(1, 2 ** 63)
+    assert sum(nums.values()) + tail == den
 
 
 def test_truncate_geometric_at_zero():
-    cells, tail = truncate(Geometric(0.4), 0)
-    assert cells == [(0, Geometric(0.4).pmf(0))]
-    assert tail == pytest.approx(0.4, abs=1e-15)
+    nums, den, tail = truncate(Geometric(0.4), 0)
+    assert {k: Fraction(w, den) for k, w in nums.items()} == \
+        {0: Fraction(3, 5)}
+    assert Fraction(tail, den) == Fraction(2, 5)
 
 
 def test_truncate_trunc_geom_identity():
     law = TruncGeom(0.3, 4)
-    cells, tail = truncate(law, 4)
-    assert tail == 0.0
-    assert cells == [(k, law.pmf(k)) for k in range(-4, 5)]
+    nums, den, tail = truncate(law, 4)
+    assert tail == 0 and den == sum(nums.values())
+    theta = Fraction(3, 10)
+    z = sum(theta ** k for k in range(-4, 5))
+    assert {k: Fraction(w, den) for k, w in nums.items()} == \
+        {k: theta ** k / z for k in range(-4, 5)}
 
 
 # every discrete kind of the spec table; box is [support_lo, last hi checked]
@@ -374,18 +382,15 @@ def test_truncation_mass_accounting(law, box):
     lo, last = box
     assert lo == law.support_lo
     for hi in range(lo, last + 1):
-        cells, tail = truncate(law, hi)
-        assert tail == law.tail(hi)
+        nums, den, tail = truncate(law, hi)
+        assert sum(nums.values()) + tail == den
         box = range(lo, min(hi, law.support_hi) + 1)
-        raw = sum(law.pmf(k) for k in box)
-        assert raw + tail == pytest.approx(1.0, abs=1e-14)
-        # only positive-mass cells: ThreePoint with r = 0 has no state 0
-        assert cells == [(k, law.pmf(k)) for k in box if law.pmf(k) > 0.0]
-        if hi >= law.support_hi:
-            assert tail == 0.0
-    if law.support_hi is math.inf:
-        assert law.tail(last) > 0.0
-    else:
+        # only positive-mass states: ThreePoint with r = 0 has no state 0
+        assert list(nums) == [k for k in box if law.pmf(k) > 0.0]
+        for k, w in nums.items():
+            assert w / den == pytest.approx(law.pmf(k), rel=1e-12)
+        assert (tail == 0) == (hi >= law.support_hi)
+    if law.support_hi is not math.inf:
         assert last > law.support_hi
 
 
@@ -426,34 +431,6 @@ def test_truncate_rejects_continuous():
 def test_truncate_rejects_a_box_below_the_support():
     with pytest.raises(LawError):
         truncate(ShiftGeom(0.5, 2), -3)
-
-
-@pytest.mark.parametrize("law,target,box", [
-    (Geometric(0.4), 1e-14, (0, 64)),
-    (Geometric(0.4), 1e-13, (0, 32)),
-    (ThreePoint(0.2, 0.5, 0.3), 1e-14, (-1, 1)),
-    (ShiftGeom(0.5, 2), 1e-14, (-2, 48)),
-])
-def test_tail_box_keeps_the_doubling_box(law, target, box):
-    assert (law.support_lo, tail_box(law, target)) == box
-
-
-@pytest.mark.parametrize("ell", [8, 10])
-def test_tail_box_steps_past_nonpositive_start(ell):
-    # support_lo + 8 <= 0, so doubling alone would never make hi positive
-    law = ShiftGeom(0.5, ell)
-    hi = tail_box(law, 1e-14)
-    assert hi > 0
-    assert law.tail(hi) <= 1e-14
-
-
-def test_tail_box_raises_when_mass_never_drops():
-    class Stuck(Geometric):
-        def tail(self, hi):
-            return 1.0
-
-    with pytest.raises(LawError):
-        tail_box(Stuck(0.5), 1e-14)
 
 
 # ---------------------------------------------------------------------------
