@@ -104,7 +104,9 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
     `row_law(state)` returns the exact row ({next: integer weight}, den).
     One GOF per sufficiently visited from-state; the per-state statistics
     sum to a chi-square with summed degrees of freedom because the draws
-    are conditionally independent given the from-state sequence.
+    are conditionally independent given the from-state sequence. With no
+    such state the result passes with p = 1, and its `reason` flag says
+    that nothing was tested.
     """
     froms = np.asarray(froms)
     tos = np.asarray(tos)
@@ -128,10 +130,13 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
         stat += r.statistic
         dof += r.flags["dof"]
         states += 1
+    flags = {"dof": dof, "states": states}
+    if not states:
+        flags["reason"] = (f"nothing tested: no from-state with two or more"
+                           f" next states reached {min_visits} transitions")
     p = stat_tests.chi2_sf(stat, dof) if dof > 0 else 1.0
     return stat_tests.TestResult(stat, p, (len(froms),), "transition_chi2",
-                                 p > level, level,
-                                 {"dof": dof, "states": states})
+                                 p > level, level, flags)
 
 
 def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):

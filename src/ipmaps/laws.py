@@ -1,21 +1,19 @@
-"""Probability laws: evaluation, sampling, and exact truncated tabulation.
+"""Probability laws: sampling, quantiles, and exact truncated tabulation.
 
-Continuous kinds expose ``density``/``cdf``/``quantile``/``sample``. A
-discrete kind has a float ``pmf`` and one exact table, `truncate`, which
-every verdict that reads a discrete law reads.
+A law keeps what a verdict reads. Continuous kinds expose `quantile` and
+`sample`. A discrete kind has `sample` and one exact table, `truncate`,
+which every verdict that reads a discrete law reads.
 
-Of scipy, this module imports scipy.special alone. The gamma and beta cdf
-and quantile call the functions that scipy.stats calls for them, in the
-same order of operations, so they give the same bits: `gammainc`/
-`gammaincinv` and `betainc`/`betaincinv`. The densities are closed forms in
-`xlogy`, `xlog1py`, `gammaln` and `betaln` (the gamma one is scipy.stats'
-own). Off the support a density is 0 and a cdf is 0 or 1, as in
-scipy.stats. The normal law uses `ndtr`/`ndtri`, the GIG constant `kv`, and
-the GIG cdf and quantile a Gauss-Legendre table in numpy (see `GIG`).
+Of scipy, this module imports scipy.special alone. The gamma and beta
+quantiles call the functions that scipy.stats calls for them, so they give
+the same bits: `gammaincinv` and `betaincinv`. The normal law uses
+`ndtri`, the GIG constant `kv`, and the GIG quantile a Gauss-Legendre table
+in numpy (see `GIG`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -63,18 +61,6 @@ class Gamma(Law):
         self.rate = float(rate)
         self._scale = 1.0 / self.rate
 
-    def density(self, x):
-        z = np.asarray(x, dtype=float) / self._scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside = np.exp(special.xlogy(self.shape - 1.0, z) - z
-                            - special.gammaln(self.shape)) / self._scale
-        return np.where(z < 0.0, 0.0, inside)[()]
-
-    def cdf(self, x):
-        # x / scale, not x * rate: the two differ in the last bit
-        z = np.asarray(x, dtype=float) / self._scale
-        return special.gammainc(self.shape, np.maximum(z, 0.0))
-
     def quantile(self, u):
         return special.gammaincinv(self.shape, self._check_u(u)) * self._scale
 
@@ -94,18 +80,6 @@ class BetaI(Law):
         self.a = float(a)
         self.b = float(b)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside = np.exp(special.xlog1py(self.b - 1.0, -x)
-                            + special.xlogy(self.a - 1.0, x)
-                            - special.betaln(self.a, self.b))
-        return np.where((x < 0.0) | (x > 1.0), 0.0, inside)[()]
-
-    def cdf(self, x):
-        return special.betainc(self.a, self.b,
-                               np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
-
     def quantile(self, u):
         return special.betaincinv(self.a, self.b, self._check_u(u))
 
@@ -118,13 +92,6 @@ class BetaI(Law):
 
 class UniformUnit(Law):
     support_lo, support_hi = 0.0, 1.0
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x > 0.0) & (x < 1.0), 1.0, 0.0)
-
-    def cdf(self, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def quantile(self, u):
         return self._check_u(u)
@@ -143,13 +110,6 @@ class Normal(Law):
         self.mean = float(mean)
         self.variance = float(variance)
         self.std = math.sqrt(self.variance)
-
-    def density(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.std
-        return np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
-
-    def cdf(self, x):
-        return special.ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
 
     def quantile(self, u):
         return self.mean + self.std * special.ndtri(self._check_u(u))
@@ -186,9 +146,10 @@ class GIG(Law):
     unnormalized density; the mode and the maximizer of x^2*h(x) have closed
     forms, so the bounding box is exact.
 
-    The cdf in t = log x is a cumulative table over 1200 panels of [-30, 30],
-    built at construction and checked to total 1, plus an 8-node Gauss-Legendre
-    sum over part of x's panel; the quantile bisects within u's panel.
+    The quantile reads a cumulative table of the density in t = log x over
+    1200 panels of [-30, 30], built at construction and checked to total 1:
+    it finds u's panel and bisects within it on an 8-node Gauss-Legendre
+    sum over part of the panel.
     """
 
     support_lo = 0.0
@@ -214,27 +175,11 @@ class GIG(Law):
     def _log_h(self, x):
         return -(self.alpha + 1.0) * np.log(x) - self.lam * (x + 1.0 / x)
 
-    def density(self, x):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        out = np.zeros_like(xs)
-        pos = xs > 0.0
-        out[pos] = self.norm_const * np.exp(self._log_h(xs[pos]))
-        return float(out[0]) if scalar else out
-
     def _mass(self, lo, hi):
         """Gauss-Legendre integral of exp(-alpha t - 2 lam cosh t) over each [lo, hi]."""
         half = 0.5 * (hi - lo)
         t = (lo + half)[..., None] + half[..., None] * _GL_NODES
         return half * (np.exp(-self.alpha * t - 2.0 * self.lam * np.cosh(t)) @ _GL_WEIGHTS)
-
-    def cdf(self, x):
-        t = np.clip(np.log(np.maximum(np.asarray(x, dtype=float), 1e-300)), -30.0, 30.0)
-        k = np.searchsorted(self._edges[:-1], t, side="right") - 1
-        p = self.norm_const * (self._cum[k] + self._mass(self._edges[k], t))
-        out = np.where(t >= 30.0, 1.0, np.minimum(p, 1.0))
-        return float(out) if out.ndim == 0 else out
 
     def quantile(self, u):
         target = self._check_u(u) / self.norm_const
@@ -305,11 +250,6 @@ class DiscreteLaw(Law):
     support_lo = 0
     support_hi = math.inf
 
-    def pmf(self, k):
-        """P(X = k) for an integer k: the kind's own _pmf(k) on [support_lo,
-        support_hi], and 0.0 outside it."""
-        return self._pmf(k) if self.support_lo <= k <= self.support_hi else 0.0
-
     def _table(self, end):
         """(nums, den) on [support_lo, end]; geometric kinds use this one."""
         return _geometric_table(_frac(self.theta), self.support_lo, end)
@@ -322,9 +262,6 @@ class Bernoulli(DiscreteLaw):
         if not 0.0 <= p <= 1.0:
             raise LawError("Bernoulli requires p in [0,1]")
         self.p = float(p)
-
-    def _pmf(self, k):
-        return self.p if k == 1 else 1.0 - self.p
 
     def _table(self, end):
         return _integer_weights({0: 1 - _frac(self.p), 1: _frac(self.p)})
@@ -345,9 +282,6 @@ class Geometric(DiscreteLaw):
             raise LawError("Geometric requires theta in (0,1)")
         self.theta = float(theta)
 
-    def _pmf(self, k):
-        return (1.0 - self.theta) * self.theta ** k
-
     def sample(self, rng, size=None):
         draws = rng.gen.geometric(1.0 - self.theta, size) - 1
         return int(draws) if size is None else draws
@@ -367,18 +301,13 @@ class TruncGeom(DiscreteLaw):
         self.theta = float(theta)
         self.ell = int(ell)
         self.support_lo, self.support_hi = -self.ell, self.ell
-        self._z = sum(self.theta ** i for i in range(-self.ell, self.ell + 1))
-
-    def _pmf(self, k):
-        return self.theta ** k / self._z
 
     def sample(self, rng, size=None):
-        support = np.arange(-self.ell, self.ell + 1)
-        probs = np.array([self.pmf(int(k)) for k in support])
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
+        # each exact partial sum over den, correctly rounded; the last is 1
+        nums, den, _ = truncate(self, self.ell)
+        cum = np.array([c / den for c in itertools.accumulate(nums.values())])
         idx = np.searchsorted(cum, rng.gen.random(size), side="right")
-        out = support[idx]
+        out = np.array(list(nums))[idx]
         return int(out) if size is None else out
 
     def __repr__(self):
@@ -397,10 +326,6 @@ class ShiftGeom(DiscreteLaw):
         self.ell = int(ell)
         self.support_lo = -self.ell
 
-    def _pmf(self, k):
-        # theta^k (1-theta) theta^ell = (1-theta) theta^(k+ell)
-        return (1.0 - self.theta) * self.theta ** (k + self.ell)
-
     def sample(self, rng, size=None):
         draws = rng.gen.geometric(1.0 - self.theta, size) - 1 - self.ell
         return int(draws) if size is None else draws
@@ -418,9 +343,6 @@ class ThreePoint(DiscreteLaw):
         if min(p, q, r) < 0 or abs(p + q + r - 1.0) > 1e-12:
             raise LawError("ThreePoint requires p,q,r >= 0 with p+q+r=1")
         self.p, self.q, self.r = float(p), float(q), float(r)
-
-    def _pmf(self, k):
-        return {1: self.p, -1: self.q, 0: self.r}.get(k, 0.0)
 
     def _table(self, end):
         return _integer_weights({-1: _frac(self.q), 0: _frac(self.r),
@@ -447,10 +369,6 @@ class ParityGeom(DiscreteLaw):
         self.rho = float(rho)
         self.podd = float(podd)
         self._rho2 = self.rho ** 2
-
-    def _pmf(self, k):
-        w = self.podd if k % 2 == 1 else 1.0 - self.podd
-        return w * (1.0 - self._rho2) * self._rho2 ** (k // 2)
 
     def _table(self, end):
         # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w the weight of k's parity
@@ -490,13 +408,10 @@ class FiniteTable(DiscreteLaw):
         self.support_lo = int(self.support[0])
         self.support_hi = int(self.support[-1])
         self._cum = np.cumsum(self.probs)
-        self._index = {int(k): float(p) for k, p in zip(self.support, self.probs)}
-
-    def _pmf(self, k):
-        return self._index.get(int(k), 0.0)
 
     def _table(self, end):
-        return _integer_weights({k: _frac(p) for k, p in self._index.items()})
+        return _integer_weights(dict(zip(self.support.tolist(),
+                                         map(_frac, self.probs.tolist()))))
 
     def sample(self, rng, size=None):
         u = rng.gen.random(size)

@@ -24,8 +24,5 @@ class RandomStream:
         """Return ``n`` independent child streams, deterministically derived."""
         return [RandomStream(child) for child in self._seq.spawn(n)]
 
-    def child(self):
-        return self.split(1)[0]
-
     def __repr__(self):
         return f"RandomStream(entropy={self._seq.entropy})"

@@ -3,9 +3,10 @@
 For a family of cdfs F_x on an interval (a, b), strictly increasing in the
 second argument, the quantile transform f(x, u) = F_x^{-1}(u) together with
 the conditional-cdf transform g(x, u) = F_{f(x,u)}(x) forms an involution on
-(a, b) x (0, 1). When the family belongs to a reversible kernel, the pair
-also preserves mu (x) UniformUnit; for non-reversible families the pair is
-still built, and the involution check is expected to fail.
+(a, b) x (0, 1), whatever the family: f(f(x,u), g(x,u)) = F_y^{-1}(F_y(x))
+= x, and g(f(x,u), g(x,u)) = F_x(y) = u with y = f(x, u). Reversibility
+decides the rest: the pair preserves mu (x) UniformUnit exactly when the
+family is the kernel of a chain that is reversible with respect to mu.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from ipmaps.burke import (
     _transition_gof, check_recursion, field_rows, require_field_shape,
     simulate_field, verify_burke,
 )
-from ipmaps.cli import _validate_stanza, run
+from ipmaps.cli import _validate_stanza, main, run
 from ipmaps.involutions import POSITIVE_REAL, InvolutionPair, catalog_get
 from ipmaps.kernels import KernelError
 from ipmaps.laws import (
@@ -321,6 +321,39 @@ def test_burke_kdv_with_unbounded_mu_reads_every_transition(name):
     # its noise tail reads 0.06249999999999956 there and merges other cells
     assert details["column_kernel"]["statistic"] == pytest.approx(
         98 / 15, rel=1e-12)
+
+
+def _simulate_burke_seed_3(tmp_path):
+    """`ipmaps simulate-burke --seed 3`: reflecting_rw at 50 x 50. The dual
+    chain starts at U[0, 0] = 0, which reflecting_rw's g never leaves."""
+    out = tmp_path / "out"
+    assert main(["simulate-burke", "--seed", "3", "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())["checks"][0]
+
+
+def _kdv_g1_geometric_mu(tmp_path):
+    stanza = _validate_stanza({
+        "kind": "burke", "map": "kdv_g1",
+        "mu": {"kind": "geometric", "params": {"theta": 0.4}},
+        "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
+        "N": 60, "T": 60}, 0)
+    return run({"seed": 1, "checks": [stanza]})["checks"][0]
+
+
+@pytest.mark.parametrize("make", [_simulate_burke_seed_3,
+                                  _kdv_g1_geometric_mu])
+def test_transition_gof_that_tested_nothing_says_so(make, tmp_path):
+    details = make(tmp_path)["details"]
+    dual = details["dual_column_kernel"]
+    # the verdict and p value are kept; the reason says they rest on nothing
+    assert dual["passed"] and dual["p_value"] == 1.0
+    assert dual["statistic"] == 0.0
+    assert dual["flags"]["states"] == 0 and dual["flags"]["dof"] == 0
+    assert dual["flags"]["reason"] == (
+        "nothing tested: no from-state with two or more next states"
+        " reached 10 transitions")
+    assert details["column_kernel"]["flags"]["states"] > 0
+    assert "reason" not in details["column_kernel"]["flags"]
 
 
 def test_loglik_of_an_impossible_observed_chain_is_minus_infinity():

@@ -1,4 +1,10 @@
-"""Tests for probability law construction, evaluation, sampling, truncation."""
+"""Tests for probability law construction, quantiles, sampling, truncation.
+
+Each law is checked against a reference outside the package: scipy.stats
+for the continuous kinds, with GIG(alpha, lam) = geninvgauss(p=-alpha,
+b=2 lam), adaptive quadrature for the GIG quantile, and Fraction pmfs for
+the discrete kinds.
+"""
 
 import math
 from fractions import Fraction
@@ -15,19 +21,12 @@ from ipmaps.laws import (
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import chi2_gof, ks_two_sample
+from test_exact_discrete import _ref_pmf
 
 
 # ---------------------------------------------------------------------------
-# continuous density / cdf / quantile point values
+# continuous quantile point values
 # ---------------------------------------------------------------------------
-
-def test_uniform_cdf():
-    assert UniformUnit().cdf(0.3) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_normal_cdf_at_mean():
-    assert Normal(0, 1).cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-
 
 def test_uniform_quantile():
     assert UniformUnit().quantile(0.7) == pytest.approx(0.7, abs=1e-15)
@@ -56,7 +55,6 @@ def _hex(values):
 # 2e5 random u, and the continuous-GOF edge grids for 20 and 50 cells
 U_GRIDS = (RandomStream(11).gen.random(200_000),
            np.linspace(0.0, 1.0, 21)[1:-1], np.linspace(0.0, 1.0, 51)[1:-1])
-OFF_GRID = np.array([0.0, -0.0, 1e-300, np.inf, np.nan])
 GAMMA_PARAMS = ((2.0, 1.0), (0.5, 3.0), (7.3, 0.2), (1.0, 1.0))
 BETA_PARAMS = ((2.0, 1.0), (3.0, 2.0), (0.5, 0.5), (1.0, 5.0), (4.0, 0.7))
 
@@ -65,45 +63,14 @@ BETA_PARAMS = ((2.0, 1.0), (3.0, 2.0), (0.5, 0.5), (1.0, 5.0), (4.0, 0.7))
 def test_gamma_matches_scipy_stats_bits(shape, rate):
     law, ref = Gamma(shape, rate), stats.gamma(a=shape, scale=1.0 / rate)
     for u in U_GRIDS:
-        x = ref.ppf(u)
-        assert _hex(law.quantile(u)) == _hex(x)
-        x = np.concatenate([x, OFF_GRID])
-        assert _hex(law.cdf(x)) == _hex(ref.cdf(x))
-        with np.errstate(invalid="ignore"):     # scipy.stats' pdf at inf
-            assert _hex(law.density(x)) == _hex(ref.pdf(x))
+        assert _hex(law.quantile(u)) == _hex(ref.ppf(u))
 
 
 @pytest.mark.parametrize("a, b", BETA_PARAMS)
 def test_beta_matches_scipy_stats_bits(a, b):
     law, ref = BetaI(a, b), stats.beta(a, b)
     for u in U_GRIDS:
-        x = ref.ppf(u)
-        assert _hex(law.quantile(u)) == _hex(x)
-        x = np.concatenate([x, OFF_GRID, [1.0]])
-        assert _hex(law.cdf(x)) == _hex(ref.cdf(x))
-        # scipy.stats takes the beta density from Boost, not from the logs
-        np.testing.assert_allclose(law.density(x), ref.pdf(x), rtol=1e-12)
-
-
-@pytest.mark.parametrize("law, ref, xs", [
-    (Gamma(2.0, 1.0), stats.gamma(a=2.0), [-1.0, -1e-300, -np.inf]),
-    (Gamma(0.5, 3.0), stats.gamma(a=0.5, scale=1.0 / 3.0), [-2.0, -np.inf]),
-    (BetaI(3.0, 2.0), stats.beta(3.0, 2.0), [-0.5, 1.5, -np.inf, np.inf]),
-    (BetaI(0.5, 0.5), stats.beta(0.5, 0.5), [-1e-300, 1.0 + 1e-15, 7.0]),
-])
-def test_cdf_and_density_off_the_support(law, ref, xs):
-    """0 or 1 for the cdf and 0 for the density, as in scipy.stats, where
-    the bare special functions give nan."""
-    xs = np.array(xs)
-    cdf = law.cdf(xs)
-    assert np.all((cdf == 0.0) | (cdf == 1.0))
-    assert np.all((cdf == 1.0) == (xs > law.support_hi))
-    assert np.all(law.density(xs) == 0.0)
-    assert _hex(cdf) == _hex(ref.cdf(xs))
-    assert _hex(law.density(xs)) == _hex(ref.pdf(xs))
-    for x, c in zip(xs, cdf):
-        assert np.ndim(law.cdf(x)) == 0 and law.cdf(x) == c
-        assert np.ndim(law.density(x)) == 0 and law.density(x) == 0.0
+        assert _hex(law.quantile(u)) == _hex(ref.ppf(u))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +121,16 @@ def test_gig_norm_const_raises_where_the_bessel_function_underflows():
         gig_norm_const(2, 400)
 
 
+def _gig_density(law, x):
+    """The density the sampler and the quantile table read: the law's
+    constant times exp of its log kernel."""
+    return law.norm_const * np.exp(law._log_h(x))
+
+
 def test_gig_density_integrates_to_one():
     law = GIG(2, 1)
-    val, _ = integrate.quad(law.density, 0.0, np.inf, limit=400)
+    val, _ = integrate.quad(lambda x: _gig_density(law, x), 0.0, np.inf,
+                            limit=400)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
@@ -169,15 +143,15 @@ def test_gig_reciprocal_symmetry_pointwise():
     # density * x^(alpha+1) * exp(lam (x + 1/x)) must be constant in x
     law = GIG(2, 1)
     xs = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-    vals = law.density(xs) * xs ** 3.0 * np.exp(xs + 1.0 / xs)
+    vals = _gig_density(law, xs) * xs ** 3.0 * np.exp(xs + 1.0 / xs)
     assert np.max(np.abs(vals / vals[0] - 1.0)) <= 1e-10
 
 
 def test_gig_mean_matches_quadrature():
     law = GIG(2, 1)
-    mean, _ = integrate.quad(lambda x: x * law.density(x), 0.0, np.inf,
-                             limit=400)
-    var, _ = integrate.quad(lambda x: (x - mean) ** 2 * law.density(x),
+    pdf = stats.geninvgauss(p=-law.alpha, b=2.0 * law.lam).pdf
+    mean, _ = integrate.quad(lambda x: x * pdf(x), 0.0, np.inf, limit=400)
+    var, _ = integrate.quad(lambda x: (x - mean) ** 2 * pdf(x),
                             0.0, np.inf, limit=400)
     n = 1_000_000
     draws = law.sample(RandomStream(7), n)
@@ -204,7 +178,7 @@ def test_gig_rejection_vs_markov_chain_sampler():
 
 
 # ---------------------------------------------------------------------------
-# GIG cdf and quantile against adaptive quadrature and root finding
+# GIG quantile table against adaptive quadrature and root finding
 # ---------------------------------------------------------------------------
 
 GIG_GRID = [(0.1, 0.01), (0.5, 0.5), (2, 1), (0.1, 5), (1, 20)]
@@ -228,17 +202,23 @@ def _gig_quad_cdf(law, x):
 
 @pytest.mark.parametrize("alpha, lam", GIG_GRID)
 def test_gig_cdf_matches_quadrature(alpha, lam):
+    """The cumulative table the quantile reads, at every 5th panel edge
+    t = log x in [-12, 12]."""
     law = GIG(alpha, lam)
-    xs = np.exp(np.linspace(-12.0, 12.0, 97))
-    ref = np.array([_gig_quad_cdf(law, x) for x in xs])
-    assert np.max(np.abs(law.cdf(xs) - ref)) <= 1e-12
+    k = np.flatnonzero(np.abs(law._edges) <= 12.0)[::5]
+    ref = np.array([_gig_quad_cdf(law, x) for x in np.exp(law._edges[k])])
+    assert len(k) == 97
+    assert np.max(np.abs(law.norm_const * law._cum[k] - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha, lam", GIG_GRID)
 def test_gig_cdf_is_monotone(alpha, lam):
-    cdf = GIG(alpha, lam).cdf(np.exp(np.linspace(-31.0, 31.0, 20_001)))
-    assert np.all(np.diff(cdf) >= 0.0)
-    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    """The cumulative table never falls, and the quantile read from it
+    rises with u."""
+    law = GIG(alpha, lam)
+    assert np.all(np.diff(law._cum) >= 0.0)
+    assert np.all(np.diff(law.quantile(np.linspace(0.0, 1.0, 2_001)[1:-1]))
+                  > 0.0)
 
 
 @pytest.mark.parametrize("alpha, lam", GIG_GRID)
@@ -251,25 +231,17 @@ def test_gig_quantile_matches_root_of_quadrature(alpha, lam):
         assert np.max(np.abs(law.quantile(us) / ref - 1.0)) <= 1e-12
 
 
-def test_gig_cdf_ends():
-    law = GIG(2, 1)
-    assert law.cdf(0.0) == 0.0 and law.cdf(-1.0) == 0.0
-    assert law.cdf(np.inf) == 1.0
-    assert law.cdf([-np.inf, -2.0, 0.0, np.inf]).tolist() == [0, 0, 0, 1]
-
-
 def test_gig_scalars_stay_scalar_and_arrays_keep_their_shape():
     law = GIG(2, 1)
-    assert type(law.cdf(1.0)) is float
     assert type(law.quantile(0.5)) is float
-    assert law.cdf(np.full((2, 3), 1.0)).shape == (2, 3)
     assert law.quantile(np.full((2, 3), 0.5)).shape == (2, 3)
 
 
 def test_gig_quantile_cdf_roundtrip():
     law = GIG(2, 1)
     us = GOF_EDGES[1]
-    assert np.max(np.abs(law.cdf(law.quantile(us)) - us)) <= 1e-14
+    xs = law.quantile(us)
+    assert np.max(np.abs([_gig_quad_cdf(law, x) for x in xs] - us)) <= 1e-14
 
 
 def test_gig_raises_when_the_cdf_table_misses_the_constant(monkeypatch):
@@ -320,12 +292,40 @@ def test_discrete_sampler_gof(law):
     assert chi2_gof(counts, [float(p) for p in probs]).passed
 
 
+def _geninvgauss_cdf(law):
+    """scipy.stats' geninvgauss cdf of a GIG law at sorted points: its `cdf`
+    at the first, then 8-node Gauss-Legendre integrals of its `pdf` over
+    each gap. Its `cdf` alone takes one `quad` per point, some 10 s for
+    10^5 draws."""
+    ref = stats.geninvgauss(p=-law.alpha, b=2.0 * law.lam)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+
+    def cdf(xs):
+        half = 0.5 * np.diff(xs)
+        gaps = ref.pdf(xs[:-1, None] + half[:, None] * (nodes + 1.0)) @ weights
+        return ref.cdf(xs[0]) + np.append(0.0, np.cumsum(half * gaps))
+    return cdf
+
+
+def _ref_cdf(law):
+    """The law's cdf from scipy.stats; GIG's only at sorted points."""
+    if isinstance(law, GIG):
+        return _geninvgauss_cdf(law)
+    if isinstance(law, Gamma):
+        return stats.gamma(a=law.shape, scale=1.0 / law.rate).cdf
+    if isinstance(law, BetaI):
+        return stats.beta(law.a, law.b).cdf
+    if isinstance(law, Normal):
+        return stats.norm(law.mean, law.std).cdf
+    return stats.uniform().cdf
+
+
 @pytest.mark.parametrize("law", [
     Gamma(2, 1), BetaI(2, 3), UniformUnit(), Normal(1, 4), GIG(2, 1),
 ])
 def test_continuous_sampler_gof(law):
-    draws = np.asarray(law.sample(RandomStream(17), 100_000))
-    res = stats.kstest(draws, law.cdf)
+    draws = np.sort(law.sample(RandomStream(17), 100_000))
+    res = stats.kstest(draws, _ref_cdf(law))
     assert res.pvalue > 0.001
 
 
@@ -333,10 +333,11 @@ def test_continuous_sampler_gof(law):
     Gamma(2, 1), BetaI(2, 3), UniformUnit(), Normal(1, 4),
 ])
 def test_continuous_quantile_cdf_identities(law):
+    cdf = _ref_cdf(law)
     us = np.linspace(0.001, 0.999, 25)
     xs = law.quantile(us)
-    assert np.max(np.abs(law.cdf(xs) - us)) <= 1e-10
-    assert np.max(np.abs(law.quantile(law.cdf(xs)) - xs)
+    assert np.max(np.abs(cdf(xs) - us)) <= 1e-10
+    assert np.max(np.abs(law.quantile(cdf(xs)) - xs)
                   / np.maximum(1.0, np.abs(xs))) <= 1e-8
 
 
@@ -385,10 +386,11 @@ def test_truncation_mass_accounting(law, box):
         nums, den, tail = truncate(law, hi)
         assert sum(nums.values()) + tail == den
         box = range(lo, min(hi, law.support_hi) + 1)
+        pmf = _ref_pmf(law)
         # only positive-mass states: ThreePoint with r = 0 has no state 0
-        assert list(nums) == [k for k in box if law.pmf(k) > 0.0]
+        assert list(nums) == [k for k in box if pmf(k) > 0]
         for k, w in nums.items():
-            assert w / den == pytest.approx(law.pmf(k), rel=1e-12)
+            assert Fraction(w, den) == pmf(k)
         assert (tail == 0) == (hi >= law.support_hi)
     if law.support_hi is not math.inf:
         assert last > law.support_hi
@@ -414,13 +416,17 @@ def test_discrete_specs_cover_every_discrete_kind():
 
 @pytest.mark.parametrize("kind", sorted(DISCRETE_SPECS))
 def test_pmf_is_zero_outside_the_support(kind):
+    """The exact table keeps no state outside [support_lo, support_hi],
+    and gives positive mass to each finite end."""
     law = law_from_spec({"kind": kind, "params": DISCRETE_SPECS[kind]})
-    assert law.pmf(law.support_lo) > 0.0
-    assert law.pmf(law.support_lo - 1) == 0.0
-    assert law.pmf(law.support_lo - 5) == 0.0
-    if law.support_hi is not math.inf:
-        assert law.pmf(law.support_hi) > 0.0
-        assert law.pmf(law.support_hi + 1) == 0.0
+    finite = law.support_hi is not math.inf
+    nums, den, tail = truncate(law, law.support_hi + 5 if finite else 40)
+    assert min(nums) == law.support_lo and nums[law.support_lo] > 0
+    if finite:
+        assert max(nums) == law.support_hi and nums[law.support_hi] > 0
+        assert tail == 0
+    with pytest.raises(LawError):
+        truncate(law, law.support_lo - 1)
 
 
 def test_truncate_rejects_continuous():

@@ -97,6 +97,23 @@ def test_built_gaussian_pair_is_involution():
     assert report.passed
 
 
+def test_non_reversible_family_still_gives_an_involution():
+    """F_x = N(0.8 sin x + 0.3 x^2 / (1 + x^2), 0.49): a Gaussian kernel
+    whose mean is not linear in x is reversible with respect to no law.
+    Yet every strictly increasing family gives an involution; reversibility
+    decides only whether mu (x) UniformUnit is preserved."""
+    def mean(x):
+        return 0.8 * np.sin(x) + 0.3 * x * x / (1.0 + x * x)
+
+    fam = CdfFamily("nonreversible", (-math.inf, math.inf),
+                    lambda x, y: ndtr((np.asarray(y, dtype=float)
+                                       - mean(np.asarray(x, dtype=float)))
+                                      / 0.7))
+    pair = build_involution(fam)
+    xs, us = sample_points(pair, 2_000, RandomStream(0))
+    assert check_involution(pair, xs, us, 1e-8).passed
+
+
 def test_beta_zero_decouples_coordinates():
     fam = gaussian_family(0.0, 2.0)
     gen = RandomStream(167).gen
