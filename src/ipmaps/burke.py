@@ -20,9 +20,10 @@ from .reports import VerificationReport
 from .rng import RandomStream
 from .stat_tests import DEFAULT_LEVEL
 
-# fixed stream for the Monte Carlo null calibration of the chain-likelihood
-# test; independent of the data, and constant so reports stay deterministic
+# fixed stream and chain count of the chain-likelihood test's Monte Carlo
+# null; independent of the data, and constant so reports stay deterministic
 _MC_SEED = 78130631
+_MC_SIMS = 2000
 
 
 @dataclass
@@ -78,7 +79,7 @@ def _raise_first_escape(pair, X, U):
     raise KernelError(f"state left the space at (n={n + 1}, t={t}): {y!r}")
 
 
-def check_recursion(field, tol=1e-9):
+def check_recursion(field):
     """Recompute every interior site and report the worst deviation; a nan
     deviation is the worst, so a field holding a nan fails."""
     X, U, pair = field.X, field.U, field.pair
@@ -89,8 +90,7 @@ def check_recursion(field, tol=1e-9):
     # np.maximum and np.max propagate nan, where Python's max may skip it
     worst = float(np.max(np.maximum(np.abs(y - X[:, 1:]) / scale,
                                     np.abs(v - U[1:])), initial=0.0))
-    if pair.x_space.is_integer:
-        tol = 0.0
+    tol = 0.0 if pair.x_space.is_integer else 1e-9
     return VerificationReport(
         name=f"recursion:{pair.name}",
         passed=worst <= tol,
@@ -98,11 +98,11 @@ def check_recursion(field, tol=1e-9):
     )
 
 
-def _transition_gof(froms, tos, row_law, level, min_visits=10):
+def _transition_gof(froms, tos, row_law, level):
     """Chi-square of observed transitions against exact kernel rows.
 
     `row_law(state)` returns the exact row ({next: integer weight}, den).
-    One GOF per sufficiently visited from-state; the per-state statistics
+    One GOF per from-state with 10 or more visits; the per-state statistics
     sum to a chi-square with summed degrees of freedom because the draws
     are conditionally independent given the from-state sequence. With no
     such state the result passes with p = 1, and its `reason` flag says
@@ -124,7 +124,7 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
             return stat_tests.TestResult(np.inf, 0.0, (len(froms),),
                                          "transition_chi2", False, level,
                                          flags)
-        if len(nxt) < min_visits or len(values) < 2:
+        if len(nxt) < 10 or len(values) < 2:
             continue
         r = stat_tests.chi2_gof(counts, probs, level=level)
         stat += r.statistic
@@ -132,14 +132,14 @@ def _transition_gof(froms, tos, row_law, level, min_visits=10):
         states += 1
     flags = {"dof": dof, "states": states}
     if not states:
-        flags["reason"] = (f"nothing tested: no from-state with two or more"
-                           f" next states reached {min_visits} transitions")
+        flags["reason"] = ("nothing tested: no from-state with two or more"
+                           " next states reached 10 transitions")
     p = stat_tests.chi2_sf(stat, dof) if dof > 0 else 1.0
     return stat_tests.TestResult(stat, p, (len(froms),), "transition_chi2",
                                  p > level, level, flags)
 
 
-def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
+def _loglik_mc_test(chain, pair, nu, row_law, level):
     """Monte Carlo misfit test of one chain against the generated kernel.
 
     The observed transition log-likelihood is ranked against chains simulated
@@ -159,8 +159,8 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     """
     T = len(chain) - 1
     stream = RandomStream(_MC_SEED)
-    us = np.asarray(nu.sample(stream, (n_sims, T)))
-    paths = np.empty((T + 1, n_sims), dtype=np.int64)
+    us = np.asarray(nu.sample(stream, (_MC_SIMS, T)))
+    paths = np.empty((T + 1, _MC_SIMS), dtype=np.int64)
     paths[0] = int(chain[0])
     for t in range(T):
         paths[t + 1] = pair.f(paths[t], us[:, t])
@@ -176,7 +176,7 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
             if 0 <= b - lo < size:
                 weight[a - lo, b - lo] = w
                 logp[a - lo, b - lo] = np.log(w / dens[a - lo])
-    sims = np.zeros(n_sims)
+    sims = np.zeros(_MC_SIMS)
     for t in range(T):
         sims += logp[paths[t] - lo, paths[t + 1] - lo]
     if np.isneginf(sims).any():
@@ -191,10 +191,10 @@ def _loglik_mc_test(chain, pair, nu, row_law, level, n_sims=2000):
     # sign of P(path) - P(observed chain), for each close simulated path
     sides = num[1:] * den[0] - num[0] * den[1:]
     below = (sims[~close] <= obs).sum() + (sides <= 0).sum()
-    p = (1.0 + float(below)) / (n_sims + 1.0)
+    p = (1.0 + float(below)) / (_MC_SIMS + 1.0)
     return stat_tests.TestResult(obs, p, (T,), "chain_loglik_mc",
                                  p > level, level,
-                                 {"n_sims": n_sims,
+                                 {"n_sims": _MC_SIMS,
                                   "null_mean": float(sims.mean()),
                                   "exact_ties": int((sides == 0).sum())})
 
@@ -222,8 +222,8 @@ def _dual_kernel_row(pair, mu, x_max):
     return row
 
 
-def _thinned_slices(T, stride=10):
-    return list(range(stride, T + 1, stride))
+def _thinned_slices(T):
+    return list(range(10, T + 1, 10))
 
 
 # pairs each independence and exchangeability sub-test of verify_burke needs

@@ -305,9 +305,9 @@ def run(config, out_dir=None):
     }
 
 
-def emit(report, out_dir, name="report.json"):
+def emit(report, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")

@@ -33,14 +33,14 @@ from .reports import VerificationReport
 class RRWParams:
     """Reflecting-random-walk step law: P(U=1)=p, P(U=-1)=q, P(U=0)=r.
 
-    `pprime` is P(V=1), set only in the boundary case r=0; then
-    q' = p + q - p' is implied. For r>0, V has the law of U.
+    `pprime` is P(V=1), stored in every case: set in the boundary case r=0,
+    and p' = p for r>0, where V has the law of U. q' = p + q - p' is implied.
     """
 
     p: Fraction
     q: Fraction
     r: Fraction
-    pprime: Fraction = None
+    pprime: Fraction
 
     @staticmethod
     def make(p, q, r, pprime=None):
@@ -51,7 +51,7 @@ class RRWParams:
             raise LawError("p + q + r must equal 1")
         if p >= q:
             raise LawError("the characterization requires p < q")
-        pp = None
+        pp = p
         if r == 0:
             if pprime is None:
                 raise LawError("case r=0 needs pprime = P(V=1)")
@@ -65,12 +65,10 @@ class RRWParams:
 
     @property
     def qprime(self):
-        return self.p + self.q - self.pprime if self.pprime is not None else self.q
+        return self.p + self.q - self.pprime
 
     @property
     def rho2(self):
-        if self.r > 0:
-            return (self.p / self.q) ** 2
         return self.p * self.pprime / (self.q * self.qprime)
 
 
@@ -91,7 +89,7 @@ def rrw_forced_law(params):
     return ParityGeom(rho, float(params.pprime))
 
 
-def rrw_forced_table(params, box=200, y=False):
+def rrw_forced_table(params, box, y=False):
     """Exact pmf of the forced law of X on {0..box} as a table (nums, den),
     or with `y` the law of Y = (X + U)^+ it gives, over the same den. At
     r>0 both are the geometric law; at r=0 their parity weights
@@ -116,7 +114,7 @@ def _step_tables(params):
     over one denominator; the step 0 only when r>0."""
     w, den = _integer_weights(dict(enumerate((
         params.q, params.r, params.p,
-        params.qprime, params.r, params.pprime or params.p))))
+        params.qprime, params.r, params.pprime))))
     steps = (-1, 0, 1) if params.r > 0 else (-1, 1)
     return {s: w[s + 1] for s in steps}, {s: w[s + 4] for s in steps}, den
 
@@ -267,7 +265,7 @@ def kdv_box(theta, ell, M):
     return np.repeat(xs, len(us)), np.tile(us, len(xs))
 
 
-def kdv_pushforward_tv(theta, ell, variant, M=60):
+def kdv_pushforward_tv(theta, ell, variant, M):
     """H#(mu (x) nu) = mu (x) nu for mu = TruncGeom(theta, ell) and
     nu = ShiftGeom(theta, ell), checked by `product_defect_tv` at every
     cell of `kdv_box`. The weights are integer numerators of theta^k on

@@ -49,7 +49,7 @@ class SpaceDescriptor:
     parts: tuple = ()
     dim: int = 0
 
-    def contains(self, v, tol=1e-10):
+    def contains(self, v):
         if self.parts:
             return all(p.contains(c)
                        for p, c in zip(self.parts, v, strict=True))
@@ -57,9 +57,9 @@ class SpaceDescriptor:
             m = np.asarray(v, dtype=float)
             if m.shape[-2:] != (self.dim, self.dim):
                 return False
-            if not np.allclose(m, np.swapaxes(m, -1, -2), atol=tol):
+            if not np.allclose(m, np.swapaxes(m, -1, -2), atol=1e-10):
                 return False
-            return bool(np.all(np.linalg.eigvalsh(m)[..., 0] > tol))
+            return bool(np.all(np.linalg.eigvalsh(m)[..., 0] > 1e-10))
         a = np.asarray(v, dtype=float)
         if self.is_integer:
             with np.errstate(invalid="ignore"):   # inf and nan: mod is nan

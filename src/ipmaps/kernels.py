@@ -20,13 +20,6 @@ class KernelError(ValueError):
     pass
 
 
-def _sample_noise(noise, rng, size=None):
-    if isinstance(noise, tuple):
-        streams = rng.split(len(noise))
-        return tuple(c.sample(s, size) for c, s in zip(noise, streams))
-    return noise.sample(rng, size)
-
-
 # ---------------------------------------------------------------------------
 # exact detailed balance on discrete spaces
 # ---------------------------------------------------------------------------
@@ -147,14 +140,24 @@ def require_n(kind, n):
                           f"{kind} check")
 
 
+def _draw(kind, pair, mu, nu, n, rng):
+    """(xs, us, ys) of a statistical `kind` check: n draws X ~ mu and U ~ nu,
+    one stream each (and one per product component), and Y = f(X, U)."""
+    require_n(kind, n)
+    mu_rng, nu_rng = rng.split(2)
+    xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
+    if isinstance(nu, tuple):
+        streams = nu_rng.split(len(nu))
+        us = tuple(c.sample(s, n) for c, s in zip(nu, streams))
+    else:
+        us = nu.sample(nu_rng, n)
+    return xs, us, np.asarray(pair.f(xs, us), dtype=float)
+
+
 def check_reversibility_statistical(pair, mu, nu, n, rng,
                                     level=DEFAULT_LEVEL):
     """Exchangeability of (X, f(X,U)) for X ~ mu independent of U ~ nu."""
-    require_n("reversibility", n)
-    mu_rng, noise_rng = rng.split(2)
-    xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
-    us = _sample_noise(nu, noise_rng, n)
-    ys = np.asarray(pair.f(xs, us), dtype=float)
+    xs, _, ys = _draw("reversibility", pair, mu, nu, n, rng)
     res = stat_tests.exchangeability_test(xs, ys, level=level)
     return VerificationReport(
         name=f"reversibility:{pair.name}",
@@ -165,11 +168,7 @@ def check_reversibility_statistical(pair, mu, nu, n, rng,
 
 def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     """Does H preserve mu (x) nu?  Tests Y ~ mu, V ~ nu, and Y independent of V."""
-    require_n("ip", n)
-    mu_rng, nu_rng = rng.split(2)
-    xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
-    us = _sample_noise(nu, nu_rng, n)
-    ys = np.asarray(pair.f(xs, us), dtype=float)
+    xs, us, ys = _draw("ip", pair, mu, nu, n, rng)
     vs = pair.g(xs, us)
     # each column sorted once, for its GOF and its independence test
     y_sorted = np.sort(ys)

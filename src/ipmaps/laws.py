@@ -20,8 +20,6 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
-from .rng import RandomStream
-
 
 class LawError(ValueError):
     pass
@@ -30,15 +28,12 @@ class LawError(ValueError):
 class Law:
     """Base class for probability laws. Immutable; safe to share.
 
-    Every draw lies in the closed interval [support_lo, support_hi]; a
-    discrete law's draws are also integers.
+    `sample(rng, size)` returns an array of draws in the closed interval
+    [support_lo, support_hi]; a discrete law's draws are also integers.
     """
 
     is_discrete = False
     support_lo, support_hi = -math.inf, math.inf
-
-    def sample(self, rng: RandomStream, size=None):
-        raise NotImplementedError
 
     def _check_u(self, u):
         u = np.asarray(u, dtype=float)
@@ -64,7 +59,7 @@ class Gamma(Law):
     def quantile(self, u):
         return special.gammaincinv(self.shape, self._check_u(u)) * self._scale
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.gen.gamma(self.shape, self._scale, size)
 
     def __repr__(self):
@@ -83,7 +78,7 @@ class BetaI(Law):
     def quantile(self, u):
         return special.betaincinv(self.a, self.b, self._check_u(u))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.gen.beta(self.a, self.b, size)
 
     def __repr__(self):
@@ -96,7 +91,7 @@ class UniformUnit(Law):
     def quantile(self, u):
         return self._check_u(u)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.gen.random(size)
 
     def __repr__(self):
@@ -114,7 +109,7 @@ class Normal(Law):
     def quantile(self, u):
         return self.mean + self.std * special.ndtri(self._check_u(u))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.gen.normal(self.mean, self.std, size)
 
     def __repr__(self):
@@ -193,8 +188,8 @@ class GIG(Law):
         out = np.exp(0.5 * (lo + hi))
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(size)
+    def sample(self, rng, size):
+        n = int(size)
         out = np.empty(n)
         filled = 0
         while filled < n:
@@ -207,7 +202,7 @@ class GIG(Law):
             take = min(len(xs), n - filled)
             out[filled:filled + take] = xs[:take]
             filled += take
-        return float(out[0]) if size is None else out
+        return out
 
     def __repr__(self):
         return f"GIG(alpha={self.alpha}, lam={self.lam})"
@@ -254,6 +249,14 @@ class DiscreteLaw(Law):
         """(nums, den) on [support_lo, end]; geometric kinds use this one."""
         return _geometric_table(_frac(self.theta), self.support_lo, end)
 
+    def sample(self, rng, size):
+        """Inverse-cdf draws of a finite law from its exact table: each exact
+        partial sum over den, correctly rounded, the last being 1."""
+        nums, den, _ = truncate(self, self.support_hi)
+        cum = np.array([c / den for c in itertools.accumulate(nums.values())])
+        idx = np.searchsorted(cum, rng.gen.random(size), side="right")
+        return np.array(list(nums))[idx]
+
 
 class Bernoulli(DiscreteLaw):
     support_lo, support_hi = 0, 1
@@ -266,9 +269,8 @@ class Bernoulli(DiscreteLaw):
     def _table(self, end):
         return _integer_weights({0: 1 - _frac(self.p), 1: _frac(self.p)})
 
-    def sample(self, rng, size=None):
-        draws = rng.gen.random(size) < self.p
-        return int(draws) if size is None else draws.astype(np.int64)
+    def sample(self, rng, size):
+        return (rng.gen.random(size) < self.p).astype(np.int64)
 
     def __repr__(self):
         return f"Bernoulli({self.p})"
@@ -282,9 +284,8 @@ class Geometric(DiscreteLaw):
             raise LawError("Geometric requires theta in (0,1)")
         self.theta = float(theta)
 
-    def sample(self, rng, size=None):
-        draws = rng.gen.geometric(1.0 - self.theta, size) - 1
-        return int(draws) if size is None else draws
+    def sample(self, rng, size):
+        return rng.gen.geometric(1.0 - self.theta, size) - 1
 
     def __repr__(self):
         return f"Geometric({self.theta})"
@@ -302,14 +303,6 @@ class TruncGeom(DiscreteLaw):
         self.ell = int(ell)
         self.support_lo, self.support_hi = -self.ell, self.ell
 
-    def sample(self, rng, size=None):
-        # each exact partial sum over den, correctly rounded; the last is 1
-        nums, den, _ = truncate(self, self.ell)
-        cum = np.array([c / den for c in itertools.accumulate(nums.values())])
-        idx = np.searchsorted(cum, rng.gen.random(size), side="right")
-        out = np.array(list(nums))[idx]
-        return int(out) if size is None else out
-
     def __repr__(self):
         return f"TruncGeom({self.theta}, {self.ell})"
 
@@ -326,9 +319,8 @@ class ShiftGeom(DiscreteLaw):
         self.ell = int(ell)
         self.support_lo = -self.ell
 
-    def sample(self, rng, size=None):
-        draws = rng.gen.geometric(1.0 - self.theta, size) - 1 - self.ell
-        return int(draws) if size is None else draws
+    def sample(self, rng, size):
+        return rng.gen.geometric(1.0 - self.theta, size) - 1 - self.ell
 
     def __repr__(self):
         return f"ShiftGeom({self.theta}, {self.ell})"
@@ -348,10 +340,10 @@ class ThreePoint(DiscreteLaw):
         return _integer_weights({-1: _frac(self.q), 0: _frac(self.r),
                                  1: _frac(self.p)})
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = rng.gen.random(size)
         out = np.where(u < self.p, 1, np.where(u < self.p + self.q, -1, 0))
-        return int(out) if size is None else out.astype(np.int64)
+        return out.astype(np.int64)
 
     def __repr__(self):
         return f"ThreePoint({self.p}, {self.q}, {self.r})"
@@ -376,11 +368,10 @@ class ParityGeom(DiscreteLaw):
         pairs, dp = _geometric_table(_frac(self.rho) ** 2, 0, end // 2)
         return {k: w[k % 2] * pairs[k // 2] for k in range(end + 1)}, dw * dp
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         parity = (rng.gen.random(size) < self.podd).astype(np.int64)
         k = rng.gen.geometric(1.0 - self._rho2, size) - 1
-        out = 2 * k + parity
-        return int(out) if size is None else out
+        return 2 * k + parity
 
     def __repr__(self):
         return f"ParityGeom(rho={self.rho}, podd={self.podd})"
@@ -407,18 +398,10 @@ class FiniteTable(DiscreteLaw):
             raise LawError("FiniteTable probabilities must sum to 1")
         self.support_lo = int(self.support[0])
         self.support_hi = int(self.support[-1])
-        self._cum = np.cumsum(self.probs)
 
     def _table(self, end):
         return _integer_weights(dict(zip(self.support.tolist(),
                                          map(_frac, self.probs.tolist()))))
-
-    def sample(self, rng, size=None):
-        u = rng.gen.random(size)
-        idx = np.searchsorted(self._cum, u, side="left")
-        idx = np.minimum(idx, len(self.support) - 1)
-        out = self.support[idx]
-        return int(out) if size is None else out
 
     def __repr__(self):
         return f"FiniteTable(n={len(self.support)}, lo={self.support_lo}, hi={self.support_hi})"
@@ -462,6 +445,10 @@ def law_from_spec(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise LawError(f"invalid law spec: {spec!r}")
     kind = spec["kind"]
+    keys = ("kind", "components") if kind == "product" else ("kind", "params")
+    extra = [k for k in spec if k not in keys and k[:1] != "_"]
+    if extra:
+        raise LawError(f"unknown keys in the {kind!r} law spec: {extra}")
     params = spec.get("params", {})
     if kind == "product":
         return tuple(law_from_spec(c) for c in spec["components"])

@@ -60,7 +60,7 @@ def to_interval(s, lo, hi):
     return y if np.ndim(y) else float(y)
 
 
-def skorokhod_f(fam, x, u, tol=1e-12, max_iter=200):
+def skorokhod_f(fam, x, u):
     """Quantile transform F_x^{-1}(u), the random-function form of the kernel."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -77,15 +77,15 @@ def skorokhod_f(fam, x, u, tol=1e-12, max_iter=200):
     if np.any(fa > 0.0) or np.any(fb < 0.0):
         raise SkorokhodError(
             f"{fam.name}: bracket failure; F_x does not sweep (0,1)")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         fm = fam.F(x, to_interval(m, lo, hi)) - u
-        if np.max(np.abs(fm)) <= tol:
+        if np.max(np.abs(fm)) <= 1e-12:
             return to_interval(m, lo, hi)
         below = fm < 0.0
         a = np.where(below, m, a)
         b = np.where(below, b, m)
-    raise SkorokhodError(f"{fam.name}: bisection did not reach {tol}")
+    raise SkorokhodError(f"{fam.name}: bisection did not reach 1e-12")
 
 
 def rosenblatt_g(fam, x, u):
@@ -116,10 +116,10 @@ def build_involution(fam):
                           UNIT_INTERVAL, f, g)
 
 
-def check_monotone(fam, states, n_grid=1000):
+def check_monotone(fam, states):
     """Probe that y -> F_x(y) is strictly increasing for each given state."""
     lo, hi = fam.interval
-    s = np.linspace(0.0, 1.0, n_grid + 2)[1:-1]
+    s = np.linspace(0.0, 1.0, 1002)[1:-1]
     ys = to_interval(s, lo, hi)
     bad = []
     for x in states:
@@ -133,7 +133,7 @@ def check_monotone(fam, states, n_grid=1000):
     return VerificationReport(
         name=f"monotone:{fam.name}",
         passed=not bad,
-        details={"n_grid": n_grid, "n_states": len(states),
+        details={"n_grid": len(s), "n_states": len(states),
                  "violating_states": bad[:10]},
     )
 

@@ -73,15 +73,15 @@ def chi2_sf(stat, dof):
     return float(special.chdtrc(dof, max(stat, 0.0)))
 
 
-def _merge_small_cells(counts, expected, floor=5.0):
-    """Merge cells until every expected count reaches the floor.
+def _merge_small_cells(counts, expected):
+    """Merge cells until every expected count reaches 5.
 
     Deterministic: the smallest expected cell is merged with its smaller
     neighbor, repeatedly. Input order is preserved otherwise.
     """
     counts = [float(c) for c in counts]
     expected = [float(e) for e in expected]
-    while len(counts) > 1 and min(expected) < floor:
+    while len(counts) > 1 and min(expected) < 5.0:
         i = int(np.argmin(expected))
         if i == 0:
             j = 1
@@ -204,9 +204,6 @@ def independence_test(a, b, sorted_a, sorted_b, bins=10, level=DEFAULT_LEVEL,
     col = table.sum(axis=0, keepdims=True)
     exp = row * col / n
     assert exp.min() >= 5.0 or (r <= 2 and c <= 2)
-    if min(r, c) == 1:
-        return _result(0.0, 1.0, (n,), "independence_chi2", level,
-                       degenerate_marginal=True, dof=0)
     stat = float(((table - exp) ** 2 / exp).sum())
     dof = (r - 1) * (c - 1)
     p = chi2_sf(stat, dof)
@@ -214,9 +211,9 @@ def independence_test(a, b, sorted_a, sorted_b, bins=10, level=DEFAULT_LEVEL,
                    shape=[r, c])
 
 
-def _merge_table(table, floor=5.0):
+def _merge_table(table):
     """Merge adjacent rows/columns with the smallest marginals until all
-    expected counts under independence reach the floor."""
+    expected counts under independence reach 5, never below 2 x 2."""
     table = table.astype(float)
     n = table.sum()
     while True:
@@ -224,7 +221,7 @@ def _merge_table(table, floor=5.0):
         row = table.sum(axis=1)
         col = table.sum(axis=0)
         # smallest expected count under independence is min_row*min_col/n
-        if row.min() * col.min() >= floor * n or (r <= 2 and c <= 2):
+        if row.min() * col.min() >= 5.0 * n or (r <= 2 and c <= 2):
             break
         if r > 2 and (c <= 2 or row.min() <= col.min()):
             i = int(np.argmin(row))
@@ -239,7 +236,7 @@ def _merge_table(table, floor=5.0):
     return table
 
 
-def exchangeability_test(a, b, bins=10, level=DEFAULT_LEVEL, min_n=200):
+def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
     """Test whether (A,B) and (B,A) are equal in law, from the paired float
     columns a and b.
 
@@ -253,8 +250,7 @@ def exchangeability_test(a, b, bins=10, level=DEFAULT_LEVEL, min_n=200):
     # pooled columns: the first half as-is, then the second half swapped
     x = np.concatenate([a[:half], b[half:2 * half]])
     y = np.concatenate([b[:half], a[half:2 * half]])
-    if half < 10_000:
-        bins = min(bins, 5)
+    bins = 10 if half >= 10_000 else 5
     ia, ka = _bin_indices_from(np.sort(x), x[:half], x[half:], bins)
     ib, kb = _bin_indices_from(np.sort(y), y[:half], y[half:], bins)
     (ia_a, ia_b), (ib_a, ib_b) = ia, ib

@@ -160,6 +160,10 @@ BAD_STANZAS = {
     "detailed_balance_my_bernoulli": {"kind": "detailed-balance",
                                       "map": "matsumoto_yor",
                                       "mu": BERNOULLI, "nu": BERNOULLI},
+    # ... and on a map of real spaces, whatever the laws
+    "detailed_balance_my_gamma": {"kind": "detailed-balance",
+                                  "map": "matsumoto_yor", "mu": GAMMA,
+                                  "nu": GAMMA},
     "detailed_balance_beta_map_bernoulli": {"kind": "detailed-balance",
                                             "map": "beta_map",
                                             "mu": BERNOULLI,
@@ -246,6 +250,15 @@ BAD_STANZAS = {
     "ip_box": {"kind": "ip", "map": "matsumoto_yor", "mu": GAMMA,
                "nu": GAMMA, "n": 10000, "box": 20},
     "kind_not_a_string": {"kind": ["ip"]},
+    # a law spec holds kind and params (components for a product) and
+    # comment keys only: a misspelt or unread key would be ignored
+    "law_spec_prams": {"kind": "detailed-balance", "map": "reflecting_rw",
+                       "mu": {**GEOMETRIC, "prams": {"theta": 0.9}},
+                       "nu": THREE_POINT},
+    "product_spec_params": {"kind": "ip", "map": "beta_walk", "n": 10000,
+                            "mu": BETA_23,
+                            "nu": {**BERNOULLI_X_BETA,
+                                   "params": {"p": 0.9}}},
     # a law parameter is a finite JSON number: nothing drops or rounds it
     "three_point_p_nan": {"kind": "detailed-balance", "map": "reflecting_rw",
                           "mu": GEOMETRIC,
@@ -384,6 +397,21 @@ def test_comment_keys_load_and_inputs_are_the_stanza_as_written(tmp_path):
         written = {k: v for k, v in stanza.items() if k != "_comment"}
         assert check["inputs"] == written
     assert "_comment" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([{"seed": 1, "checks": []}], "config root must be a JSON object"),
+    ({"seed": 1, "checks": {"kind": "involution", "map": "kdv_g1"}},
+     "checks must be a list")], ids=["root_list", "checks_object"])
+def test_config_root_is_an_object_and_checks_a_list(tmp_path, payload,
+                                                    message, capsys):
+    path = _write_config(tmp_path, payload)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (out / "report.json").exists()
 
 
 def test_config_rejects_malformed_json(tmp_path):

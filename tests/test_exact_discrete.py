@@ -84,6 +84,9 @@ def rrw_cells(params, box, law_x, law_y):
 # ---------------------------------------------------------------------------
 
 def test_params_validation():
+    for p, q in ((0, 0.7), (0.7, 0)):
+        with pytest.raises(LawError, match=r"need p,q in \(0,1\)"):
+            RRWParams.make(p, q, 0.3)
     with pytest.raises(LawError):
         RRWParams.make(0.5, 0.2, 0.3)            # p >= q
     with pytest.raises(LawError):
@@ -417,7 +420,7 @@ def _ref_forced_table(params, box, y=False):
 
 def _ref_step_laws(params):
     """The laws of U and V as {step: Fraction}; the step 0 only when r>0."""
-    pv = params.p if params.pprime is None else params.pprime
+    pv = params.p if params.r > 0 else params.pprime
     nu = {-1: params.q, 0: params.r, 1: params.p}
     nu_v = {-1: params.qprime, 0: params.r, 1: pv}
     if params.r == 0:
@@ -518,7 +521,7 @@ def _ref_rrw_cells(params, box, y=True):
     pmf = _ref_pmf(rrw_forced_law(params))
     for k in range(box + 2):
         assert float(mu[k]) == pytest.approx(float(pmf(k)), rel=1e-12)
-    pv = params.p if params.pprime is None else params.pprime
+    pv = params.p if params.r > 0 else params.pprime
     nu = {-1: params.q, 0: params.r, 1: params.p}
     nu_v = {-1: params.qprime, 0: params.r, 1: pv}
     pair = catalog_get("reflecting_rw")

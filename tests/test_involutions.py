@@ -122,6 +122,10 @@ def test_spd_contains_checks_every_matrix_of_a_stack():
     space = pair.x_space
     xs, _ = sample_points(pair, 4, RandomStream(27))
     assert space.contains(xs) and space.contains(xs[0])
+    # eigvalsh reads one triangle, so only the symmetry test sees this
+    skewed = xs.copy()
+    skewed[1, 0, 1] += 1.0
+    assert not space.contains(skewed) and space.contains(skewed[0])
     xs[2] = -xs[2]
     assert not space.contains(xs)
     assert not space.contains(np.ones(4))

@@ -30,9 +30,7 @@ class ConstLaw:
     def __init__(self, value):
         self.value = value
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
+    def sample(self, rng, size):
         return np.full(size, self.value)
 
 
@@ -40,7 +38,7 @@ def _chain(pair, noise, init, T, rng):
     """Run X^{t+1} = f(X^t, U^t) for T steps from `init` (a value or a law);
     return the states X^0..X^T and the co-drivers V^t = g(X^t, U^t)."""
     init_rng, noise_rng = rng.split(2)
-    x = init.sample(init_rng) if hasattr(init, "sample") else init
+    x = init.sample(init_rng, 1)[0] if hasattr(init, "sample") else init
     us = noise.sample(noise_rng, T)
     states = [x]
     for u in us:
@@ -255,7 +253,7 @@ def test_detailed_balance_does_not_see_g_on_kdv(theta):
         pair = catalog_get("kdv_" + variant)
         assert check_detailed_balance_exact(pair, TruncGeom(theta, 4), nu,
                                             200).passed
-        assert (kdv_pushforward_tv(theta, 4, variant)[1] == 0) == preserved
+        assert (kdv_pushforward_tv(theta, 4, variant, 60)[1] == 0) == preserved
         # with mu at theta / 2 both sides fail
         assert not check_detailed_balance_exact(
             pair, TruncGeom(theta / 2, 4), nu, 200).passed

@@ -88,6 +88,17 @@ def test_parameter_range_errors():
         ThreePoint(0.5, 0.5, 0.5)
     with pytest.raises(LawError):
         ParityGeom(1.2, 0.5)
+    for podd in (0.0, 1.0):
+        with pytest.raises(LawError, match="podd in"):
+            ParityGeom(0.5, podd)
+    for p in (-0.1, 1.5):
+        with pytest.raises(LawError, match="p in"):
+            Bernoulli(p)
+    for theta in (0.0, 1.0):
+        with pytest.raises(LawError, match="theta in"):
+            ShiftGeom(theta, 2)
+    with pytest.raises(LawError, match="even ell"):
+        ShiftGeom(0.5, 3)
     with pytest.raises(LawError):
         FiniteTable([0, 1], [0.7, 0.7])
 
@@ -256,7 +267,18 @@ def test_gig_raises_when_the_cdf_table_misses_the_constant(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_bernoulli_one_is_degenerate():
-    assert Bernoulli(1.0).sample(RandomStream(0)) == 1
+    assert (Bernoulli(1.0).sample(RandomStream(0), 100) == 1).all()
+
+
+def test_finite_table_draws_from_its_exact_table():
+    # the exact cumulative table [1/2, 3/4, 1] draws as the float rule
+    # support[searchsorted(cumsum(probs), u, "left")] did, draw for draw
+    law = FiniteTable([3, -1, 0], [0.25, 0.5, 0.25])
+    draws = law.sample(RandomStream(43), 100_000)
+    u = RandomStream(43).gen.random(100_000)
+    old = law.support[np.searchsorted(np.cumsum(law.probs), u, "left")]
+    assert set(np.unique(draws).tolist()) == {-1, 0, 3}
+    assert np.array_equal(draws, old)
 
 
 def test_gamma_mean():
