@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .reports import VerificationReport
 
@@ -28,11 +27,13 @@ _PHI_EPS = 1e-15
 
 
 def phi(z):
-    return special.ndtr(z)
+    from scipy.special import ndtr
+    return ndtr(z)
 
 
 def phi_inv(u):
-    return special.ndtri(np.clip(u, _PHI_EPS, 1.0 - _PHI_EPS))
+    from scipy.special import ndtri
+    return ndtri(np.clip(u, _PHI_EPS, 1.0 - _PHI_EPS))
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class SpaceDescriptor:
             m = np.asarray(v, dtype=float)
             if m.shape[-2:] != (self.dim, self.dim):
                 return False
-            if not np.allclose(m, np.swapaxes(m, -1, -2), atol=1e-10):
+            if not np.allclose(m, np.swapaxes(m, -1, -2), rtol=0.0,
+                               atol=1e-10):
                 return False
             return bool(np.all(np.linalg.eigvalsh(m)[..., 0] > 1e-10))
         a = np.asarray(v, dtype=float)

@@ -4,11 +4,12 @@ A law keeps what a verdict reads. Continuous kinds expose `quantile` and
 `sample`. A discrete kind has `sample` and one exact table, `truncate`,
 which every verdict that reads a discrete law reads.
 
-Of scipy, this module imports scipy.special alone. The gamma and beta
-quantiles call the functions that scipy.stats calls for them, so they give
-the same bits: `gammaincinv` and `betaincinv`. The normal law uses
-`ndtri`, the GIG constant `kv`, and the GIG quantile a Gauss-Legendre table
-in numpy (see `GIG`).
+Of scipy, this module uses scipy.special alone, imported in the functions
+that call it, so the discrete laws of the exact stanzas load no scipy. The
+gamma and beta quantiles call the functions that scipy.stats calls for
+them, so they give the same bits: `gammaincinv` and `betaincinv`. The
+normal law uses `ndtri`, the GIG constant `kv`, and the GIG quantile a
+Gauss-Legendre table in numpy (see `GIG`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 
 class LawError(ValueError):
@@ -57,7 +57,8 @@ class Gamma(Law):
         self._scale = 1.0 / self.rate
 
     def quantile(self, u):
-        return special.gammaincinv(self.shape, self._check_u(u)) * self._scale
+        from scipy.special import gammaincinv
+        return gammaincinv(self.shape, self._check_u(u)) * self._scale
 
     def sample(self, rng, size):
         return rng.gen.gamma(self.shape, self._scale, size)
@@ -76,7 +77,8 @@ class BetaI(Law):
         self.b = float(b)
 
     def quantile(self, u):
-        return special.betaincinv(self.a, self.b, self._check_u(u))
+        from scipy.special import betaincinv
+        return betaincinv(self.a, self.b, self._check_u(u))
 
     def sample(self, rng, size):
         return rng.gen.beta(self.a, self.b, size)
@@ -107,7 +109,8 @@ class Normal(Law):
         self.std = math.sqrt(self.variance)
 
     def quantile(self, u):
-        return self.mean + self.std * special.ndtri(self._check_u(u))
+        from scipy.special import ndtri
+        return self.mean + self.std * ndtri(self._check_u(u))
 
     def sample(self, rng, size):
         return rng.gen.normal(self.mean, self.std, size)
@@ -125,7 +128,8 @@ def gig_norm_const(alpha, lam):
     """
     if alpha <= 0 or lam <= 0:
         raise LawError("gig_norm_const requires alpha>0 and lam>0")
-    k = special.kv(alpha, 2.0 * lam)
+    from scipy.special import kv
+    k = kv(alpha, 2.0 * lam)
     if not np.isfinite(k) or k <= 0.0:
         raise LawError(f"GIG constant out of float range at ({alpha}, {lam})")
     return float(1.0 / (2.0 * k))

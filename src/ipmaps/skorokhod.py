@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .involutions import (
     POSITIVE_REAL, REAL_LINE, UNIT_INTERVAL, InvolutionPair, catalog_get,
@@ -140,6 +139,7 @@ def check_monotone(fam, states):
 
 def gaussian_cdf(x, y, beta, sigma):
     """P(Y <= y) for Y ~ N(beta x, sigma^2)."""
+    from scipy.special import ndtr
     return ndtr((np.asarray(y, dtype=float)
                  - beta * np.asarray(x, dtype=float)) / sigma)
 

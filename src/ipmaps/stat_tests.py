@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 DEFAULT_LEVEL = 0.001
 
@@ -70,7 +69,8 @@ def ks_two_sample(a, b, level=DEFAULT_LEVEL):
 
 def chi2_sf(stat, dof):
     """P(chi2_dof > stat), as scipy.stats.chi2.sf gives it: 1 for stat <= 0."""
-    return float(special.chdtrc(dof, max(stat, 0.0)))
+    from scipy.special import chdtrc
+    return float(chdtrc(dof, max(stat, 0.0)))
 
 
 def _merge_small_cells(counts, expected):

@@ -126,6 +126,11 @@ def test_spd_contains_checks_every_matrix_of_a_stack():
     skewed = xs.copy()
     skewed[1, 0, 1] += 1.0
     assert not space.contains(skewed) and space.contains(skewed[0])
+    # the 1e-10 symmetry tolerance is absolute, whatever the entries' size
+    skewed[1, 0, 1] = xs[1, 0, 1] + 1e-6
+    assert not space.contains(skewed)
+    skewed[1, 0, 1] = xs[1, 0, 1] + 1e-13
+    assert space.contains(skewed)
     xs[2] = -xs[2]
     assert not space.contains(xs)
     assert not space.contains(np.ones(4))
