@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stat_tests
+from .involutions import _deviations
 from .kernels import KernelError, _gof_against_law, law_cells, pushforward
 from .reports import VerificationReport
 from .rng import RandomStream
@@ -86,10 +87,10 @@ def check_recursion(field):
     N, T = field.shape
     y = pair.f(X[:, :-1], U[:-1])
     v = pair.g(X[:, :-1], U[:-1])
-    scale = np.maximum(1.0, np.maximum(np.abs(y), np.abs(X[:, 1:])))
     # np.maximum and np.max propagate nan, where Python's max may skip it
-    worst = float(np.max(np.maximum(np.abs(y - X[:, 1:]) / scale,
-                                    np.abs(v - U[1:])), initial=0.0))
+    worst = float(np.max(np.maximum(_deviations(y, X[:, 1:], pair.x_space),
+                                    _deviations(v, U[1:], pair.u_space)),
+                         initial=0.0))
     tol = 0.0 if pair.x_space.is_integer else 1e-9
     return VerificationReport(
         name=f"recursion:{pair.name}",

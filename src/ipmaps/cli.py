@@ -72,10 +72,6 @@ def _validate_stanza(stanza, index):
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"check #{index}: unknown kind {kind!r}")
     where = f"check #{index} ({kind}): "
-    if kind not in _EXACT_KINDS:
-        # now, before any draw: loaded at first use, after 10^6-draw arrays
-        # exist, it cost 3-10% checks_per_s and 6-14 MB peak RSS
-        import scipy.special  # noqa: F401
     _, defaults = _KINDS[kind]
     for name, value in stanza.items():
         if name != "kind" and name not in defaults and name[:1] != "_":
@@ -86,16 +82,19 @@ def _validate_stanza(stanza, index):
         if default is _REQUIRED and name not in stanza:
             raise ConfigError(f"{where}missing field {name!r}")
     view = {**defaults, **stanza}
+    exact = kind in _EXACT_KINDS
     try:
         if "map" in defaults:
             resolve = fspec_for if kind == "hypotheses" else catalog_get
             pair = resolve(view["map"], view["params"])
+            spaces = pair.x_space, pair.u_space
+            # checked without laws, a map on integer spaces needs no scipy
+            exact |= "mu" not in defaults and all(s.is_integer for s in spaces)
         if kind == "skorokhod-gaussian":
             # the pair the numeric construction is compared against
             catalog_get("gaussian_rosenblatt",
                         {"beta": view["beta"], "sigma": view["sigma"]})
         if "mu" in defaults:
-            spaces = pair.x_space, pair.u_space
             for name, space in zip(("mu", "nu"), spaces):
                 law = law_from_spec(view[name])
                 if not space.admits(law):
@@ -118,6 +117,10 @@ def _validate_stanza(stanza, index):
             exact_discrete.kdv_box(view["theta"], view["ell"], view["M"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}{type(exc).__name__}: {exc}") from exc
+    if not exact:
+        # now, before any draw: loaded at first use, after 10^6-draw arrays
+        # exist, it cost 3-10% checks_per_s and 6-14 MB peak RSS
+        import scipy.special  # noqa: F401
     return stanza
 
 

@@ -36,6 +36,12 @@ def phi_inv(u):
     return ndtri(np.clip(u, _PHI_EPS, 1.0 - _PHI_EPS))
 
 
+def gaussian_cdf(x, y, beta, sigma):
+    """P(Y <= y) for Y ~ N(beta x, sigma^2)."""
+    return phi((np.asarray(y, dtype=float)
+                - beta * np.asarray(x, dtype=float)) / sigma)
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A component space as data. A scalar space is the open interval
@@ -97,9 +103,20 @@ def spd(dim):
     return SpaceDescriptor("spd", dim=dim)
 
 
+# the status of a solve, one per probe
+UNIQUE = "unique"
+NONUNIQUE = "nonunique"
+NOSOLUTION = "nosolution"
+
+
 @dataclass(frozen=True)
 class InvolutionPair:
-    """A named map H=(f,g) on x_space x u_space with H o H = identity."""
+    """A named map H=(f,g) on x_space x u_space with H o H = identity.
+
+    `solver(x, y)`, None for a map without one, solves y = f(x, u) for u
+    on arrays and returns (u, status): status holds UNIQUE, NONUNIQUE or
+    NOSOLUTION per entry, and u is meaningful only where it is UNIQUE.
+    """
 
     name: str
     x_space: SpaceDescriptor
@@ -107,6 +124,7 @@ class InvolutionPair:
     f: callable
     g: callable
     params: dict = field(default_factory=dict)
+    solver: callable = None
 
     def __call__(self, x, u):
         return self.f(x, u), self.g(x, u)
@@ -124,8 +142,18 @@ def _my_g(x, u):
     return 1.0 / x - 1.0 / (x + u)
 
 
+def _my_solver(x, y):
+    return 1.0 / y - x, np.where(x * y >= 1.0, NOSOLUTION, UNIQUE)
+
+
 def _swapped_my_f(x, u):
     return 1.0 / u - 1.0 / (x + u)
+
+
+def _swapped_my_solver(x, y):
+    z = x * y
+    u = (np.sqrt(z * (4.0 + z)) - z) / (2.0 * y)
+    return u, np.full(np.shape(u), UNIQUE)
 
 
 def _beta_f(x, u):
@@ -134,6 +162,11 @@ def _beta_f(x, u):
 
 def _beta_g(x, u):
     return 1.0 - u * x
+
+
+def _beta_solver(x, y):
+    u = (1.0 - y) / (1.0 - x * y)
+    return u, np.full(np.shape(u), UNIQUE)
 
 
 def _beta_walk_f(x, u):
@@ -147,6 +180,14 @@ def _beta_walk_g(x, u):
     v1_keep = u1 * (1.0 - x) / (u1 * (1.0 - x) + x)  # branch for u0 = 1
     u0 = np.asarray(u0)
     return 1 - u0, np.where(u0 == 1, v1_keep, v1_swap)
+
+
+def _beta_walk_solver(x, y):
+    down = y < x
+    weight = np.where(down, 1.0 - y / x, (y - x) / (1.0 - x))
+    status = np.where(_deviations(x, y, UNIT_INTERVAL) <= 1e-9,
+                      NOSOLUTION, UNIQUE)
+    return (np.where(down, 0, 1), weight), status
 
 
 def _pos(n):
@@ -172,12 +213,24 @@ def _kdv_g2(x, u):
     return x + h
 
 
+def _kdv_solver(x, y):
+    # every u >= -x solves f(x,u) = -x
+    return y, np.select([y < -x, y == -x], [UNIQUE, NONUNIQUE], NOSOLUTION)
+
+
 def _rrw_f(x, u):
     return _pos(x + u)
 
 
 def _rrw_g(x, u):
     return -u - 2 * _neg(x + u)
+
+
+def _rrw_solver(x, y):
+    # f(0,-1) = f(0,0) = 0
+    status = np.select([(x == 0) & (y == 0), (y >= 0) & (np.abs(y - x) <= 1)],
+                       [NONUNIQUE, UNIQUE], NOSOLUTION)
+    return y - x, status
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +261,12 @@ def _spd_g(x, u):
 # catalog
 # ---------------------------------------------------------------------------
 
-def _fixed(x_space, u_space, f, g):
+def _fixed(x_space, u_space, f, g, solver):
     """Builder of a catalog pair that takes no parameters."""
     def build(name, params):
         if params:
             raise DomainError(f"{name} takes no params, not {params!r}")
-        return InvolutionPair(name, x_space, u_space, f, g)
+        return InvolutionPair(name, x_space, u_space, f, g, solver=solver)
     return build
 
 
@@ -243,23 +296,31 @@ def _gaussian_pair(name, params):
     def g(x, u):
         return phi((1.0 - beta * beta) * x / sigma - beta * phi_inv(u))
 
+    def solver(x, y):
+        u = gaussian_cdf(x, y, beta, sigma)
+        return u, np.full(np.shape(u), UNIQUE)
+
     return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g,
-                          {"beta": beta, "sigma": sigma})
+                          {"beta": beta, "sigma": sigma}, solver)
 
 
-# name -> builder(name, params) of every catalog map
+# name -> builder(name, params) of every catalog map; kdv_g1 and kdv_g2
+# share f and so its solver
 _CATALOG = {
-    "matsumoto_yor": _fixed(POSITIVE_REAL, POSITIVE_REAL, _my_f, _my_g),
+    "matsumoto_yor": _fixed(POSITIVE_REAL, POSITIVE_REAL, _my_f, _my_g,
+                            _my_solver),
     # its g is the plain Matsumoto-Yor f: both are 1/(x+u)
     "swapped_matsumoto_yor": _fixed(POSITIVE_REAL, POSITIVE_REAL,
-                                    _swapped_my_f, _my_f),
+                                    _swapped_my_f, _my_f, _swapped_my_solver),
     "spd_matsumoto_yor": _spd_pair,
-    "kdv_g1": _fixed(INTEGERS, INTEGERS, _kdv_f, _kdv_g1),
-    "kdv_g2": _fixed(INTEGERS, INTEGERS, _kdv_f, _kdv_g2),
-    "beta_map": _fixed(UNIT_INTERVAL, UNIT_INTERVAL, _beta_f, _beta_g),
+    "kdv_g1": _fixed(INTEGERS, INTEGERS, _kdv_f, _kdv_g1, _kdv_solver),
+    "kdv_g2": _fixed(INTEGERS, INTEGERS, _kdv_f, _kdv_g2, _kdv_solver),
+    "beta_map": _fixed(UNIT_INTERVAL, UNIT_INTERVAL, _beta_f, _beta_g,
+                       _beta_solver),
     "beta_walk": _fixed(UNIT_INTERVAL, BERNOULLI_CROSS_UNIT,
-                        _beta_walk_f, _beta_walk_g),
-    "reflecting_rw": _fixed(NONNEG_INTEGERS, THREE_POINT, _rrw_f, _rrw_g),
+                        _beta_walk_f, _beta_walk_g, _beta_walk_solver),
+    "reflecting_rw": _fixed(NONNEG_INTEGERS, THREE_POINT, _rrw_f, _rrw_g,
+                            _rrw_solver),
     "gaussian_rosenblatt": _gaussian_pair,
 }
 CATALOG_NAMES = tuple(_CATALOG)
@@ -305,8 +366,7 @@ def sample_points(pair, n, rng, box=20):
 
     Integer-by-integer maps get the exhaustive grid {-box..box}^2 clipped
     to [lo, hi] of each space; every other map gets n draws from each
-    space, SPD maps as stacks of shape (n, d, d). Only `pair.x_space` and
-    `pair.u_space` are read, so an FSpec serves as well.
+    space, SPD maps as stacks of shape (n, d, d).
     """
     spaces = pair.x_space, pair.u_space
     if all(s.is_integer for s in spaces):

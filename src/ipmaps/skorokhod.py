@@ -18,6 +18,7 @@ import numpy as np
 
 from .involutions import (
     POSITIVE_REAL, REAL_LINE, UNIT_INTERVAL, InvolutionPair, catalog_get,
+    gaussian_cdf,
 )
 from .reports import VerificationReport
 
@@ -135,13 +136,6 @@ def check_monotone(fam, states):
         details={"n_grid": len(s), "n_states": len(states),
                  "violating_states": bad[:10]},
     )
-
-
-def gaussian_cdf(x, y, beta, sigma):
-    """P(Y <= y) for Y ~ N(beta x, sigma^2)."""
-    from scipy.special import ndtr
-    return ndtr((np.asarray(y, dtype=float)
-                 - beta * np.asarray(x, dtype=float)) / sigma)
 
 
 def gaussian_family(beta, sigma, closed_form=True):

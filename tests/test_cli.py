@@ -99,6 +99,8 @@ BAD_STANZAS = {
                   "params": {"d": 2.5}},
     "spd_d_string": {"kind": "involution", "map": "spd_matsumoto_yor",
                      "params": {"d": "3"}},
+    # no u-solver, so no f-specification
+    "hypotheses_spd": {"kind": "hypotheses", "map": "spd_matsumoto_yor"},
     "gaussian_beta_string": {"kind": "hypotheses",
                              "map": "gaussian_rosenblatt",
                              "params": {"beta": "0.5", "sigma": 1.0}},
@@ -440,6 +442,21 @@ def test_single_involution_check(tmp_path):
     report = run(config)
     assert report["overall_pass"]
     assert report["checks"][0]["details"]["max_deviation"] == 0.0
+
+
+def test_hypotheses_on_either_kdv_map_reads_the_shared_kdv_solver(tmp_path):
+    # kdv_g1 and kdv_g2 share f = min(u, -x), so the integer grid gives the
+    # same violations as under the name "kdv"
+    config = load_config(_write_config(tmp_path, {
+        "seed": 1,
+        "checks": [{"kind": "hypotheses", "map": name}
+                   for name in ("kdv", "kdv_g1", "kdv_g2")]}))
+    checks = run(config)["checks"]
+    assert [c["name"] for c in checks] == [
+        "hypotheses:kdv", "hypotheses:kdv_g1", "hypotheses:kdv_g2"]
+    counts = [c["details"]["n_violations"] for c in checks]
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+    assert not any(c["passed"] for c in checks)
 
 
 def test_failing_check_sets_overall_fail(tmp_path):

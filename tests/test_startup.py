@@ -8,8 +8,9 @@ with numpy. Exact, Beta-law and GIG-law checks run without those three.
 
 scipy.special itself takes about 0.3 s to import. The exact stanzas
 (`rrw-characterize`, `kdv-tv`, `detailed-balance`) compute in integers and
-run with no scipy module loaded. Every other stanza has `load_config`
-import scipy.special, before the first draw.
+run with no scipy module loaded, as do `involution` and `hypotheses` on a
+map with integer spaces. Every other stanza has `load_config` import
+scipy.special, before the first draw.
 """
 
 import json
@@ -63,8 +64,11 @@ assert not loaded, f"ipmaps imported {loaded}"
 """
 
 # every exact path: both rrw laws (r = 0 is the ParityGeom one), both KdV
-# variants, and detailed balance on an unbounded and on a truncated mu
+# variants, detailed balance on an unbounded and on a truncated mu, and the
+# round trip and hypotheses of integer maps
 EXACT_CONFIG = {"seed": 1, "checks": [
+    {"kind": "involution", "map": "kdv_g1", "box": 5},
+    {"kind": "hypotheses", "map": "reflecting_rw"},
     {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3, "box": 100},
     {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0.0,
      "pprime": 0.15, "box": 100},
