@@ -355,7 +355,8 @@ def _space_samples(space, n, gen):
 # Gaussian map's cdf arguments away from the floating-point saturation of
 # ndtr, so round trips stay invertible
 _REAL_PROBES = {
-    "positive_real": lambda gen, n: np.exp(gen.normal(0.0, 1.0, n)),
+    "positive_real": lambda gen, n: np.exp(a := gen.normal(0.0, 1.0, n),
+                                           out=a),
     "unit_interval": lambda gen, n: gen.uniform(1e-6, 1.0 - 1e-6, n),
     "real_line": lambda gen, n: gen.normal(0.0, 1.0, n),
 }
@@ -384,6 +385,35 @@ def batch_item(v, i):
     return np.asarray(v)[i].tolist()
 
 
+# points per block of a pointwise step: a batch's temporaries are a block's
+BLOCK = 1 << 16
+
+
+def blocks(n):
+    return (slice(i, i + BLOCK) for i in range(0, n, BLOCK))
+
+
+def batch_slice(v, s):
+    return tuple(batch_slice(c, s) for c in v) if isinstance(v, tuple) else v[s]
+
+
+def map_blocks(h, xs, us, into=()):
+    """h(xs, us) made a block at a time: a list of one array per part of its
+    value, each of its first block's dtype, written over into[i], an array
+    that nothing reads after h, where the dtypes agree (h is pointwise)."""
+    out = None
+    for s in blocks(len(xs)):
+        parts = h(xs[s], batch_slice(us, s))
+        parts = parts if isinstance(parts, tuple) else (parts,)
+        out = out or [a if a is not None and a.dtype == p.dtype else
+                      np.empty(len(xs), p.dtype)
+                      for p, a in zip(parts, into or [None] * len(parts))]
+        for o, p in zip(out, parts):
+            o[s] = p
+        del parts, p   # free this block before h makes the next
+    return out
+
+
 # ---------------------------------------------------------------------------
 # round-trip checking
 # ---------------------------------------------------------------------------
@@ -391,21 +421,15 @@ def batch_item(v, i):
 def _deviations(a, b, space):
     """Per-point deviation between two batches of one component space:
     Frobenius norm for matrices, absolute for integers, else relative; a
-    product's is the largest over its parts. Arrays are reused in place,
-    so a batch of 10^6 points keeps few temporaries alive."""
-    if space.parts:   # in place in the last part's float array, one at a time
-        dev = _deviations(a[-1], b[-1], space.parts[-1])
-        for part in zip(a[:-1], b[:-1], space.parts[:-1]):
-            np.maximum(dev, _deviations(*part), out=dev)
-        return dev
+    product's is the largest over its parts."""
+    if space.parts:
+        return np.max([_deviations(*p) for p in zip(a, b, space.parts)], 0)
     if space.dim:
         return np.linalg.norm(a - b, axis=(-2, -1))
     if space.is_integer:
         return np.abs(a - b)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    scale = np.maximum(np.abs(a), np.abs(b))
-    dev = np.abs(a - b)
-    return np.divide(dev, np.maximum(scale, 1.0, out=scale), out=dev)
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
 def involution_tolerance(pair):
@@ -419,16 +443,18 @@ def involution_tolerance(pair):
 
 
 def check_involution(pair, xs, us, tol=None):
-    """Verify H(H(x,u)) == (x,u) on one batch of points.
+    """Verify H(H(x,u)) == (x,u) on one batch of points, a block at a time.
 
     A deviation that is nan fails the check; a failing report names the
-    probe with the largest deviation.
+    probe with the largest deviation, the first nan if there is one.
     """
     if tol is None:
         tol = involution_tolerance(pair)
-    y, v = pair.f(xs, us), pair.g(xs, us)
-    dev = _deviations(pair.f(y, v), xs, pair.x_space).astype(float, copy=False)
-    np.maximum(dev, _deviations(pair.g(y, v), us, pair.u_space), out=dev)
+    space = SpaceDescriptor("pair", parts=(pair.x_space, pair.u_space))
+    dev = np.empty(len(xs))
+    for s in blocks(len(xs)):
+        x, u = xs[s], batch_slice(us, s)
+        dev[s] = _deviations(pair(*pair(x, u)), (x, u), space)
     max_dev = float(dev.max(initial=0.0))   # an empty batch passes
     passed = max_dev <= tol
     worst = None

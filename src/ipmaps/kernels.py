@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import laws, stat_tests
+from .involutions import blocks, map_blocks
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
 
@@ -106,7 +107,8 @@ def _gof_against_law(s, law, level=DEFAULT_LEVEL):
     """
     n = len(s)
     # sorted with NaNs last, the ends bound every draw of a continuous law
-    if not _inside(s if law.is_discrete else s[[0, -1]], law).all():
+    checked = blocks(n) if law.is_discrete else [[0, -1]]
+    if not all(_inside(s[b], law).all() for b in checked):
         # a structural failure: no chi-square can pass it
         outside = n - int(_inside(s, law).sum())
         return stat_tests.TestResult(
@@ -118,7 +120,8 @@ def _gof_against_law(s, law, level=DEFAULT_LEVEL):
         lo, hi = law.support_lo, int(s[-1])
         nums, den, tail = laws.truncate(law, hi)
         probs = [nums.get(k, 0) / den for k in range(lo, hi + 1)]
-        counts = np.bincount((s - lo).astype(np.int64)).astype(float)
+        # every draw is an integer in [lo, hi]: cell k holds [k, k + 1)
+        counts = stat_tests.bin_counts(s, np.arange(lo + 1, hi + 1))
         counts = np.append(counts, n - counts.sum())
         return stat_tests.chi2_gof(counts, probs + [tail / den], level=level)
     k = 50 if n >= 100_000 else 20
@@ -151,13 +154,13 @@ def _draw(kind, pair, mu, nu, n, rng):
         us = tuple(c.sample(s, n) for c, s in zip(nu, streams))
     else:
         us = nu.sample(nu_rng, n)
-    return xs, us, np.asarray(pair.f(xs, us), dtype=float)
+    return xs, us, np.asarray(map_blocks(pair.f, xs, us)[0], dtype=float)
 
 
 def check_reversibility_statistical(pair, mu, nu, n, rng,
                                     level=DEFAULT_LEVEL):
     """Exchangeability of (X, f(X,U)) for X ~ mu independent of U ~ nu."""
-    xs, _, ys = _draw("reversibility", pair, mu, nu, n, rng)
+    xs, ys = _draw("reversibility", pair, mu, nu, n, rng)[::2]
     res = stat_tests.exchangeability_test(xs, ys, level=level)
     return VerificationReport(
         name=f"reversibility:{pair.name}",
@@ -169,14 +172,16 @@ def check_reversibility_statistical(pair, mu, nu, n, rng,
 def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     """Does H preserve mu (x) nu?  Tests Y ~ mu, V ~ nu, and Y independent of V."""
     xs, us, ys = _draw("ip", pair, mu, nu, n, rng)
-    vs = pair.g(xs, us)
+    product = isinstance(nu, tuple)
+    # V over U's arrays; popped below, so an int column goes once copied
+    vs = map_blocks(pair.g, xs, us, into=us if product else (us,))
+    del xs, us
     # each column sorted once, for its GOF and its independence test
     y_sorted = np.sort(ys)
     checks = {"y_marginal": _gof_against_law(y_sorted, mu, level=level)}
-    product = isinstance(nu, tuple)
-    for i, (v, law) in enumerate(zip(vs, nu) if product else [(vs, nu)]):
+    for i, law in enumerate(nu if product else [nu]):
         key = f"_{i}" if product else ""
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(vs.pop(0), dtype=float)
         v_sorted = np.sort(v)
         checks["v_marginal" + key] = _gof_against_law(v_sorted, law, level)
         checks["independence" + key] = stat_tests.independence_test(

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .involutions import blocks
+
 DEFAULT_LEVEL = 0.001
 
 
@@ -168,9 +170,10 @@ def bin_counts(s, edges):
 
 
 def _table(ra, rb, ka, kb):
-    """Counts of the label pairs (ra, rb), flattened row-major."""
-    cells = np.multiply(ra, kb, dtype=np.intp) + rb
-    return np.bincount(cells, minlength=ka * kb).astype(float)
+    """Counts of the label pairs (ra, rb), flattened row-major, by blocks."""
+    return sum(np.bincount(np.multiply(ra[s], kb, dtype=np.intp) + rb[s],
+                           minlength=ka * kb)
+               for s in blocks(len(ra))).astype(float)
 
 
 def _pair_count(test, a, b, min_n):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ipmaps.involutions import (
-    BERNOULLI_CROSS_UNIT, BIT, CATALOG_NAMES, INTEGERS, NONNEG_INTEGERS,
-    POSITIVE_REAL, REAL_LINE, THREE_POINT, UNIT_INTERVAL, DomainError,
-    InvolutionPair, catalog_get, check_involution, sample_points, spd,
+    BERNOULLI_CROSS_UNIT, BIT, BLOCK, CATALOG_NAMES, INTEGERS,
+    NONNEG_INTEGERS, POSITIVE_REAL, REAL_LINE, THREE_POINT, UNIT_INTERVAL,
+    DomainError, InvolutionPair, batch_item, catalog_get, check_involution,
+    sample_points, spd,
 )
 from ipmaps.laws import law_from_spec
 from ipmaps.rng import RandomStream
@@ -157,6 +158,119 @@ def test_nan_deviation_fails_the_round_trip():
     report = check_involution(pair, np.array([1.0, 2.0, 3.0]), np.zeros(3))
     assert not report.passed
     assert report.details["worst_point"] == "(3.0, 0.0)"
+
+
+# ---------------------------------------------------------------------------
+# the round trip in blocks against the whole batch at once
+# ---------------------------------------------------------------------------
+
+def whole_batch_deviations(a, b, space):
+    """_deviations as it was before the round trip ran in blocks."""
+    if space.parts:
+        dev = whole_batch_deviations(a[-1], b[-1], space.parts[-1])
+        for part in zip(a[:-1], b[:-1], space.parts[:-1]):
+            np.maximum(dev, whole_batch_deviations(*part), out=dev)
+        return dev
+    if space.dim:
+        return np.linalg.norm(a - b, axis=(-2, -1))
+    if space.is_integer:
+        return np.abs(a - b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    dev = np.abs(a - b)
+    return np.divide(dev, np.maximum(scale, 1.0, out=scale), out=dev)
+
+
+def whole_batch_check(pair, xs, us, tol):
+    """(passed, details) of check_involution as it ran before it worked in
+    blocks: one round trip of the whole batch."""
+    y, v = pair.f(xs, us), pair.g(xs, us)
+    dev = whole_batch_deviations(pair.f(y, v), xs, pair.x_space).astype(
+        float, copy=False)
+    np.maximum(dev, whole_batch_deviations(pair.g(y, v), us, pair.u_space),
+               out=dev)
+    max_dev = float(dev.max(initial=0.0))
+    worst = None
+    if not max_dev <= tol:
+        k = int(np.argmax(dev))
+        worst = repr((batch_item(xs, k), batch_item(us, k)))
+    return max_dev <= tol, {"max_deviation": max_dev, "tolerance": tol,
+                            "n_points": len(xs), "worst_point": worst}
+
+
+BLOCK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def _worst_last(n):
+    # g doubles the last x (relative deviation 1/2) and moves the first by
+    # a half (1/3): the worst point is the last, in the last block
+    xs = np.arange(1.0, n + 1)
+    pair = _swap_pair(lambda x, u: np.where(
+        x == n, 2.0 * x, np.where(x == 1.0, x + 0.5, x)))
+    return pair, xs, np.zeros(n), n - 1
+
+
+def _nan_middle(n):
+    # a finite deviation first, then NaNs at n // 2 (a middle block once
+    # there are three) and at the end: the first NaN is the worst point
+    xs = np.arange(1.0, n + 1)
+    pair = _swap_pair(lambda x, u: np.where(
+        (x == n // 2 + 1) | (x == n), np.nan, np.where(x == 1.0, 3.0, x)))
+    return pair, xs, np.zeros(n), n // 2
+
+
+def _spd_stack_worst_last(n):
+    # the swap on 2 x 2 SPD stacks, with g doubling the last matrix only
+    xs, us = sample_points(catalog_get("spd_matsumoto_yor"), n,
+                           RandomStream(41))
+    xs[-1] = 1000.0 * np.eye(2)
+    pair = InvolutionPair("spd_swap", spd(2), spd(2), lambda x, u: u,
+                          lambda x, u: np.where(x[:, :1, :1] >= 1000.0,
+                                                2.0 * x, x))
+    return pair, xs, us, n - 1
+
+
+def _catalog_batch(name):
+    def batch(n):
+        pair = catalog_get(name)
+        return (pair, *sample_points(pair, n, RandomStream(43)), None)
+    return batch
+
+
+def _reflecting_rw_batch(n):
+    gen = RandomStream(47).gen
+    return (catalog_get("reflecting_rw"), gen.integers(0, 50, n),
+            gen.integers(-1, 2, n), None)
+
+
+# name -> n -> (pair, xs, us, index of the worst point or None)
+BLOCK_CASES = {
+    "matsumoto_yor": _catalog_batch("matsumoto_yor"),
+    "beta_walk_tuple_noise": _catalog_batch("beta_walk"),
+    "reflecting_rw_integers": _reflecting_rw_batch,
+    "worst_point_in_last_block": _worst_last,
+    "nan_in_middle_block": _nan_middle,
+    "spd_stack_worst_last": _spd_stack_worst_last,
+}
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocked_round_trip_equals_the_whole_batch(case, n):
+    pair, xs, us, worst = BLOCK_CASES[case](n)
+    report = check_involution(pair, xs, us)
+    passed, details = whole_batch_check(pair, xs, us,
+                                        report.details["tolerance"])
+    assert report.passed is passed
+    # repr compares every float bit for bit, nan included
+    assert repr(report.details) == repr(details)
+    if worst is None:
+        assert report.passed
+    else:
+        assert not report.passed
+        assert report.details["worst_point"] == repr(
+            (batch_item(xs, worst), batch_item(us, worst)))
+
 
 
 # ---------------------------------------------------------------------------

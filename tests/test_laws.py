@@ -188,6 +188,37 @@ def test_gig_rejection_vs_markov_chain_sampler():
     assert ks_two_sample(a, b).passed
 
 
+def whole_batch_gig_sample(law, rng, size):
+    """GIG.sample as it ran before it tested its proposals a block at a
+    time: each round's ratio-of-uniforms test on all m proposals at once."""
+    n = int(size)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = max(2 * (n - filled), 64)
+        v = rng.gen.random(m)
+        w = rng.gen.random(m) * law._w_max
+        x = w / v
+        accept = 2.0 * np.log(v) <= law._log_h(x) - law._log_h_mode
+        xs = x[accept]
+        take = min(len(xs), n - filled)
+        out[filled:filled + take] = xs[:take]
+        filled += take
+    return out
+
+
+# (1, 20) accepts about one proposal in five, so it takes several rounds
+@pytest.mark.parametrize("alpha, lam", [(2, 1), (1, 20)])
+@pytest.mark.parametrize("n", [1, 64, (1 << 16) + 3, 100_000])
+def test_gig_draws_keep_the_bits_of_the_whole_batch_sampler(alpha, lam, n):
+    law = GIG(alpha, lam)
+    blocked, whole = RandomStream(13), RandomStream(13)
+    assert np.array_equal(law.sample(blocked, n),
+                          whole_batch_gig_sample(law, whole, n))
+    # the stream is used as far: its next draws agree as well
+    assert np.array_equal(blocked.gen.random(4), whole.gen.random(4))
+
+
 # ---------------------------------------------------------------------------
 # GIG quantile table against adaptive quadrature and root finding
 # ---------------------------------------------------------------------------

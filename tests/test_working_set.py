@@ -1,0 +1,56 @@
+"""Working-set bounds of the sampling checks, measured with tracemalloc.
+
+A check works on n-point columns and on one block of BLOCK points at a time,
+so its traced peak is a few columns of 8n bytes, whatever n is.
+"""
+
+import tracemalloc
+from functools import partial
+
+import pytest
+
+from ipmaps.involutions import catalog_get, check_involution, sample_points
+from ipmaps.kernels import check_ip_statistical
+from ipmaps.laws import Bernoulli, BetaI, GIG, Gamma
+from ipmaps.rng import RandomStream
+
+N = 200_000
+
+
+def _ip(name, mu, nu, n):
+    return partial(check_ip_statistical, catalog_get(name), mu, nu, n,
+                   RandomStream(61))
+
+
+def _involution(name, n):
+    # the probe points are drawn before the trace starts
+    pair = catalog_get(name)
+    return partial(check_involution, pair,
+                   *sample_points(pair, n, RandomStream(67)))
+
+
+# name -> (bound in columns of 8n bytes, n -> the check ready to run, its
+# verdict); beta_walk does not keep this product law, and ip sees it
+CASES = {
+    "ip:matsumoto_yor:gig-gamma": (6, partial(
+        _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1)), True),
+    "ip:beta_walk:product": (6, partial(
+        _ip, "beta_walk", BetaI(2, 3), (Bernoulli(0.4), BetaI(1, 5))), False),
+    "involution:matsumoto_yor": (4, partial(_involution, "matsumoto_yor"),
+                                 True),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_traced_peak_is_a_few_columns(case):
+    columns, make, verdict = CASES[case]
+    make(1_000)()   # lazy imports and first-call caches, outside the trace
+    check = make(N)
+    tracemalloc.start()
+    try:
+        report = check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed is verdict
+    assert peak <= columns * 8 * N, f"{peak / (8 * N):.2f} columns"
