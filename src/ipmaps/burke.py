@@ -9,22 +9,15 @@ from nu.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import stat_tests
-from .involutions import _deviations
-from .kernels import KernelError, _gof_against_law, law_cells, pushforward
+from . import exact_discrete, stat_tests
+from .involutions import _deviations, involution_tolerance
+from .kernels import KernelError, _gof_against_law
 from .reports import VerificationReport
-from .rng import RandomStream
 from .stat_tests import DEFAULT_LEVEL
-
-# fixed stream and chain count of the chain-likelihood test's Monte Carlo
-# null; independent of the data, and constant so reports stay deterministic
-_MC_SEED = 78130631
-_MC_SIMS = 2000
 
 
 @dataclass
@@ -91,136 +84,12 @@ def check_recursion(field):
     worst = float(np.max(np.maximum(_deviations(y, X[:, 1:], pair.x_space),
                                     _deviations(v, U[1:], pair.u_space)),
                          initial=0.0))
-    tol = 0.0 if pair.x_space.is_integer else 1e-9
+    tol = involution_tolerance(pair)
     return VerificationReport(
         name=f"recursion:{pair.name}",
         passed=worst <= tol,
         details={"worst_deviation": worst, "tol": tol, "shape": [N, T]},
     )
-
-
-def _transition_gof(froms, tos, row_law, level):
-    """Chi-square of observed transitions against exact kernel rows.
-
-    `row_law(state)` returns the exact row ({next: integer weight}, den).
-    One GOF per from-state with 10 or more visits; the per-state statistics
-    sum to a chi-square with summed degrees of freedom because the draws
-    are conditionally independent given the from-state sequence. With no
-    such state the result passes with p = 1, and its `reason` flag says
-    that nothing was tested.
-    """
-    froms = np.asarray(froms)
-    tos = np.asarray(tos)
-    stat, dof, states = 0.0, 0, 0
-    for x in np.unique(froms):
-        nxt = tos[froms == x]
-        support, den = row_law(x)
-        values = sorted(support)
-        probs = np.array([support[v] / den for v in values])
-        counts = np.array([(nxt == v).sum() for v in values], dtype=float)
-        if counts.sum() != len(nxt):
-            # a transition outside the kernel's support: structural failure
-            flags = {"impossible_transition_from": x,
-                     "reason": f"impossible transition from {x}"}
-            return stat_tests.TestResult(np.inf, 0.0, (len(froms),),
-                                         "transition_chi2", False, level,
-                                         flags)
-        if len(nxt) < 10 or len(values) < 2:
-            continue
-        r = stat_tests.chi2_gof(counts, probs, level=level)
-        stat += r.statistic
-        dof += r.flags["dof"]
-        states += 1
-    flags = {"dof": dof, "states": states}
-    if not states:
-        flags["reason"] = ("nothing tested: no from-state with two or more"
-                           " next states reached 10 transitions")
-    p = stat_tests.chi2_sf(stat, dof) if dof > 0 else 1.0
-    return stat_tests.TestResult(stat, p, (len(froms),), "transition_chi2",
-                                 p > level, level, flags)
-
-
-def _loglik_mc_test(chain, pair, nu, row_law, level):
-    """Monte Carlo misfit test of one chain against the generated kernel.
-
-    The observed transition log-likelihood is ranked against chains simulated
-    from the kernel itself (same start, same length); an atypically low
-    likelihood means the path does not come from the kernel. The rank
-    p-value is exact under the null regardless of how often states recur,
-    which the per-state transition GOF cannot offer on a drifting path.
-
-    The observed chain and the simulated paths are scored through one dense
-    table of the exact rows' logs over the states they visit, accumulated
-    step by step in time order. A transition a row lacks reads -inf: the
-    observed chain may take one, a simulated path may not.
-
-    Float sums of T logs err in their last bits, so a simulated sum within
-    1e-9 relative of the observed one is ranked by its exact probability,
-    its rows' weights over their dens, and an exact tie counts as <=.
-    """
-    T = len(chain) - 1
-    stream = RandomStream(_MC_SEED)
-    us = np.asarray(nu.sample(stream, (_MC_SIMS, T)))
-    paths = np.empty((T + 1, _MC_SIMS), dtype=np.int64)
-    paths[0] = int(chain[0])
-    for t in range(T):
-        paths[t + 1] = pair.f(paths[t], us[:, t])
-    lo = int(min(paths.min(), chain.min()))
-    size = int(max(paths.max(), chain.max())) - lo + 1
-    # the exact rows: integer weights, 0 off a row, and one den per state
-    weight = np.zeros((size, size), dtype=object)
-    dens = np.ones(size, dtype=object)
-    logp = np.full((size, size), -np.inf)
-    for a in set(np.unique(paths[:-1]).tolist()) | set(chain[:-1].tolist()):
-        weights, dens[a - lo] = row_law(a)
-        for b, w in weights.items():
-            if 0 <= b - lo < size:
-                weight[a - lo, b - lo] = w
-                logp[a - lo, b - lo] = np.log(w / dens[a - lo])
-    sims = np.zeros(_MC_SIMS)
-    for t in range(T):
-        sims += logp[paths[t] - lo, paths[t + 1] - lo]
-    if np.isneginf(sims).any():
-        raise KernelError("a simulated transition is missing from its "
-                          "kernel row")
-    # cumsum adds in time order, as the paths are summed
-    obs = float(np.cumsum(logp[chain[:-1] - lo, chain[1:] - lo])[-1])
-    close = np.isclose(sims, obs, rtol=1e-9, atol=0.0)
-    steps = np.column_stack([chain, paths[:, close]]) - lo
-    num = np.prod(weight[steps[:-1], steps[1:]], axis=0)
-    den = np.prod(dens[steps[:-1]], axis=0)
-    # sign of P(path) - P(observed chain), for each close simulated path
-    sides = num[1:] * den[0] - num[0] * den[1:]
-    below = (sims[~close] <= obs).sum() + (sides <= 0).sum()
-    p = (1.0 + float(below)) / (_MC_SIMS + 1.0)
-    return stat_tests.TestResult(obs, p, (T,), "chain_loglik_mc",
-                                 p > level, level,
-                                 {"n_sims": _MC_SIMS,
-                                  "null_mean": float(sims.mean()),
-                                  "exact_ties": int((sides == 0).sum())})
-
-
-def _kernel_row(pair, nu):
-    """Exact transition row of the state chain, y = f(x, u) with u ~ nu, as
-    ({y: integer weight}, den): nu's `law_cells` cut at -x, built once."""
-    @functools.cache
-    def row(x):
-        cells, den = law_cells(nu, -int(x))
-        return pushforward(pair.f, [(int(x), 1)], cells), den
-    return row
-
-
-def _dual_kernel_row(pair, mu, x_max):
-    """Exact transition row of the noise chain, v = g(x, u) with x ~ mu, as
-    ({v: integer weight}, den): mu's `law_cells` cut at max(-u, x_max + 1),
-    x_max the largest x the chain reads. kdv's g is nondecreasing in x and
-    takes each value at no more than two adjacent x, so each state the
-    chain reaches keeps its exact mass there too. Built once per u."""
-    @functools.cache
-    def row(u):
-        cells, den = law_cells(mu, max(-int(u), x_max + 1))
-        return pushforward(pair.g, cells, [(int(u), 1)]), den
-    return row
 
 
 def _thinned_slices(T):
@@ -253,44 +122,53 @@ def verify_burke(field, level=DEFAULT_LEVEL):
         slice, whose entries are i.i.d.;
     (b) row_independence: disjoint same-slice neighbour pairs are
         independent, same thinned slices;
-    (c) column_kernel: the time evolution follows the generated kernel.
-        Discrete states: transition GOF of the first chain, whose driving
-        noise is the i.i.d. boundary row, so transition draws are exactly
-        conditionally independent; a Monte Carlo likelihood rank test
-        (column_loglik) covers drifting paths whose states never recur.
-        Continuous states: exchangeability of
-        consecutive states (reversibility), halves split by chain so they
-        are independent;
-    (d) u_marginal: generated noise is nu-distributed, tested on the last
-        noise row, which is i.i.d. along time;
-    (e) dual_column_kernel: the transposed statement, the noise evolves as
-        a stationary Markov chain in the row direction. Discrete: transition
-        GOF of one noise column against the enumerated dual kernel.
-        Continuous: exchangeability of neighbour noise pairs with halves
-        from well-separated column groups.
+    (c) u_marginal: generated noise is nu-distributed, tested on the last
+        noise row, which is i.i.d. along time.
+
+    On an integer map the rest is exact. The flip argument gives Burke's
+    rows and columns once H#(mu (x) nu) = mu (x) nu holds and the
+    boundaries are i.i.d. from mu and nu, so the `exact` block checks the
+    cell identity mu(y) nu(v) = mu(x) nu(u) at every cell x in
+    [mu.support_lo, max X], u in [nu.support_lo, max U]
+    (`exact_discrete.pushforward_cells`), reporting `checked_cells`,
+    `failing_cells` and `witness_cell` as `kdv-tv` does, and two GOFs test
+    the boundaries: x_boundary, X[., 0] against mu, and u_boundary,
+    U[0, .] against nu. Chain 0 and noise column 0 cannot test the map:
+    they are driven by the i.i.d. boundaries, so they follow the kernel
+    of f and its dual kernel of g for every H, preserving the product law
+    or not.
+
+    On a continuous map the columns are tested by exchangeability:
+    (d) column_kernel: consecutive states (reversibility), halves split by
+        chain so they are independent;
+    (e) dual_column_kernel: neighbour noise pairs, with halves from
+        well-separated column groups.
     """
     X, U = field.X, field.U
     N, T = field.shape
     require_field_shape(N, T)
-    discrete = field.pair.x_space.is_integer
+    mu, nu = field.mu, field.nu
     slices = _thinned_slices(T)
-    checks = {}
-
-    checks["x_marginal"] = _gof_against_law(np.sort(X[:, T]), field.mu,
-                                            level=level)
+    checks = {
+        "x_marginal": _gof_against_law(np.sort(X[:, T]), mu, level=level),
+        "u_marginal": _gof_against_law(np.sort(U[N, :]), nu, level=level),
+    }
 
     even = np.arange(0, N - 1, 2)
     a, b = X[even][:, slices].ravel(), X[even + 1][:, slices].ravel()
     checks["row_independence"] = stat_tests.independence_test(
         a, b, np.sort(a), np.sort(b), bins=5, level=level, min_n=_MIN_PAIRS)
 
-    if discrete:
-        kernel_row = _kernel_row(field.pair, field.nu)
-        chain0 = X[0, :].astype(int)
-        checks["column_kernel"] = _transition_gof(
-            chain0[:-1], chain0[1:], kernel_row, level)
-        checks["column_loglik"] = _loglik_mc_test(
-            chain0, field.pair, field.nu, kernel_row, level)
+    failing, exact = 0, {}
+    if field.pair.x_space.is_integer:
+        checks["x_boundary"] = _gof_against_law(np.sort(X[:, 0]), mu,
+                                                level=level)
+        checks["u_boundary"] = _gof_against_law(np.sort(U[0, :]), nu,
+                                                level=level)
+        cells, failing, witness = exact_discrete.pushforward_cells(
+            field.pair, mu, nu, int(X.max()), int(U.max()))
+        exact["exact"] = {"checked_cells": cells, "failing_cells": failing,
+                          "witness_cell": list(witness) if witness else None}
     else:
         ts = np.arange(0, T - 1, 5)
         chains = X[:N // 2 * 2]
@@ -299,15 +177,6 @@ def verify_burke(field, level=DEFAULT_LEVEL):
         checks["column_kernel"] = stat_tests.exchangeability_test(
             chains[:, ts].ravel(), chains[:, ts + 1].ravel(), level=level,
             min_n=_MIN_PAIRS)
-
-    checks["u_marginal"] = _gof_against_law(np.sort(U[N, :]), field.nu,
-                                            level=level)
-
-    if discrete:
-        checks["dual_column_kernel"] = _transition_gof(
-            U[:-1, 0].astype(int), U[1:, 0].astype(int),
-            _dual_kernel_row(field.pair, field.mu, int(X[:, 0].max())), level)
-    else:
         even = np.arange(0, N, 2)
         ta, tb = list(range(0, T // 2, 5)), list(range(T // 2, T, 5))
         # the pairs at times ta, then those at times tb
@@ -316,12 +185,11 @@ def verify_burke(field, level=DEFAULT_LEVEL):
         checks["dual_column_kernel"] = stat_tests.exchangeability_test(
             a, b, level=level, min_n=_MIN_PAIRS)
 
-    passed = all(c.passed for c in checks.values())
     return VerificationReport(
         name=f"burke:{field.pair.name}",
-        passed=passed,
+        passed=failing == 0 and all(c.passed for c in checks.values()),
         details={k: c.to_dict() for k, c in checks.items()}
-        | {"shape": [N, T]},
+        | {"shape": [N, T]} | exact,
     )
 
 

@@ -6,12 +6,13 @@ decimal). Every table is one pair (nums, den) of plain integer numerators
 over one integer denominator, so every identity is one integer equality
 and a verdict counts the states where it fails. A catalog law's table is
 `laws.truncate`, and the walk's forced laws use its theta^k tabulation.
-One cell identity, `product_defect_tv`, decides the product law of both
-integer maps cell by cell, and the walk's per-state proof identities on
-the cells where Y's marginal is exact, so no truncation tail enters any
-verdict. A reported probability is `num / den` of two ints, which Python
-rounds correctly: the same float as `float(Fraction(num, den))`, whatever
-denominator the table is over.
+One cell identity, `product_defect_tv`, decides the product law of an
+integer map cell by cell (`pushforward_cells` for two catalog laws, as
+`kdv-tv` and Burke's integer fields use it), and the walk's per-state
+proof identities on the cells where Y's marginal is exact, so no
+truncation tail enters any verdict. A reported probability is
+`num / den` of two ints, which Python rounds correctly: the same float as
+`float(Fraction(num, den))`, whatever denominator the table is over.
 """
 
 from __future__ import annotations
@@ -144,13 +145,14 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     nu_out holds exactly when the identity holds at every cell. The laws
     are integer numerator tables whose products on either side are over
     one denominator (mu_out over mu's and nu_out over nu's, say), so each
-    cell is one integer comparison; a state off mu_out or nu_out has
-    weight 0. Returns the number of cells, the number that fail and the
-    first failing cell (None when none fails).
+    cell is one integer comparison; a state off a table has weight 0.
+    Returns the number of cells, the number that fail and the first
+    failing cell (None when none fails).
     """
     failing = [(x, u) for x, u, y, v in zip(xs.tolist(), us.tolist(),
                                             ys.tolist(), vs.tolist())
-               if mu_out.get(y, 0) * nu_out.get(v, 0) != mu[x] * nu[u]]
+               if mu_out.get(y, 0) * nu_out.get(v, 0)
+               != mu.get(x, 0) * nu.get(u, 0)]
     return len(xs), len(failing), failing[0] if failing else None
 
 
@@ -265,16 +267,28 @@ def kdv_box(theta, ell, M):
     return np.repeat(xs, len(us)), np.tile(us, len(xs))
 
 
+def pushforward_cells(pair, mu, nu, x_hi, u_hi):
+    """H#(mu (x) nu) = mu (x) nu, checked by `product_defect_tv` at every
+    cell x in [mu.support_lo, x_hi], u in [nu.support_lo, u_hi] of the
+    integer map `pair`, each range clipped to its law's support. Each
+    law's table is one `laws.truncate` reaching the largest state of its
+    range and of its image (y or v), so no image falls off it. Returns
+    what `product_defect_tv` returns.
+    """
+    xs = np.arange(mu.support_lo, min(x_hi, mu.support_hi) + 1)
+    us = np.arange(nu.support_lo, min(u_hi, nu.support_hi) + 1)
+    xs, us = np.repeat(xs, len(us)), np.tile(us, len(xs))
+    ys, vs = pair(xs, us)
+    mu_w, _, _ = laws.truncate(mu, int(ys.max(initial=x_hi)))
+    nu_w, _, _ = laws.truncate(nu, int(vs.max(initial=u_hi)))
+    return product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
+
+
 def kdv_pushforward_tv(theta, ell, variant, M):
     """H#(mu (x) nu) = mu (x) nu for mu = TruncGeom(theta, ell) and
-    nu = ShiftGeom(theta, ell), checked by `product_defect_tv` at every
-    cell of `kdv_box`. The weights are integer numerators of theta^k on
-    each support and 0 off it; nu's table reaches the largest image v, so
-    no image falls off it. Returns what `product_defect_tv` returns.
-    """
-    xs, us = kdv_box(theta, ell, M)
-    ys, vs = catalog_get("kdv_" + variant)(xs, us)
-    mu, _, _ = laws.truncate(TruncGeom(theta, ell), ell)
-    # v >= M at the cell (ell, M), so this table also covers every u
-    nu, _, _ = laws.truncate(ShiftGeom(theta, ell), int(vs.max()))
-    return product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu)
+    nu = ShiftGeom(theta, ell), checked by `pushforward_cells` at every
+    cell of `kdv_box`, x in [-ell, ell] and u in [-ell, M]."""
+    kdv_box(theta, ell, M)
+    return pushforward_cells(catalog_get("kdv_" + variant),
+                             TruncGeom(theta, ell), ShiftGeom(theta, ell),
+                             ell, M)

@@ -54,8 +54,8 @@ def law_cells(law, cut):
     """(cells, den): a discrete law's (value, positive integer weight)
     cells over den, a finite law whole and an unbounded one up to
     max(support_lo, cut) with its exact tail on the next cell. A kernel row
-    on them is exact where the map is constant from the cut on: kdv's f =
-    min(u, -x) in u from -x on, and reflecting_rw's g in x from -u on."""
+    on them is exact where the map is constant from the cut on, as kdv's
+    f = min(u, -x) is in u from -x on."""
     hi = law.support_hi if law.support_hi < np.inf else \
         max(law.support_lo, cut)
     nums, den, tail = laws.truncate(law, hi)

@@ -1,24 +1,20 @@
 """Tests for the lattice field recursion and its row/column properties."""
 
 import json
-from fractions import Fraction
 from itertools import count
 
 import numpy as np
 import pytest
 
 from ipmaps.burke import (
-    LatticeField, _dual_kernel_row, _kernel_row, _loglik_mc_test, _MC_SEED,
-    _transition_gof, check_recursion, field_rows, require_field_shape,
+    LatticeField, check_recursion, field_rows, require_field_shape,
     simulate_field, verify_burke,
 )
-from ipmaps.cli import _validate_stanza, main, run
 from ipmaps.involutions import POSITIVE_REAL, InvolutionPair, catalog_get
 from ipmaps.kernels import KernelError
 from ipmaps.laws import (
     Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
 )
-from ipmaps.reports import VerificationReport
 from ipmaps.rng import RandomStream
 
 
@@ -180,189 +176,96 @@ def test_verify_burke_my_passes():
 
 
 def test_corrupted_boundary_rejects():
-    # boundary noise drawn from the wrong law; verify against the right one
-    field = _rrw_field(1, nu=ThreePoint(0.5, 0.2, 0.3))
-    field.nu = ThreePoint(0.2, 0.5, 0.3)
+    # noise drawn from ThreePoint(.5, .2, .3) but declared as (.2, .5, .3):
+    # the declared laws pass the cell identity, and the boundary GOF sees
+    # the swap
+    rejected = 0
+    for seed in range(100, 130):
+        field = _rrw_field(seed, nu=ThreePoint(0.5, 0.2, 0.3))
+        field.nu = ThreePoint(0.2, 0.5, 0.3)
+        report = verify_burke(field)
+        assert report.details["exact"]["failing_cells"] == 0
+        rejected += not report.passed
+    assert rejected >= 29
+
+
+# ---------------------------------------------------------------------------
+# integer maps: the exact cell identity and the boundary GOFs
+# ---------------------------------------------------------------------------
+
+_KDV_LAWS = (TruncGeom(0.5, 2), ShiftGeom(0.5, 2))
+_RRW_LAWS = (Geometric(0.4), ThreePoint(0.2, 0.5, 0.3))
+
+
+def _square_field(name, mu, nu, size, seed):
+    return simulate_field(catalog_get(name), mu, nu, size, size,
+                          RandomStream(seed))
+
+
+def test_kdv_g2_fails_burke_through_the_exact_block():
+    # kdv_g2 moves TruncGeom (x) ShiftGeom, while its chain 0 and noise
+    # column 0 follow their kernels all the same
+    failing = []
+    for seed in range(1, 21):
+        report = verify_burke(_square_field("kdv_g2", *_KDV_LAWS, 50, seed))
+        exact = report.details["exact"]
+        assert not report.passed
+        assert exact["failing_cells"] > 0, (seed, report.details)
+        assert exact["witness_cell"] is not None
+        failing.append(exact["failing_cells"])
+    assert failing[:3] == [80, 110, 85]
+
+
+@pytest.mark.parametrize("size", [50, 100, 200])
+@pytest.mark.parametrize("name", ["kdv_g1", "reflecting_rw"])
+def test_product_preserving_fields_have_no_failing_cell(name, size):
+    laws = _KDV_LAWS if name == "kdv_g1" else _RRW_LAWS
+    details = verify_burke(_square_field(name, *laws, size, 1)).details
+    exact = details["exact"]
+    assert exact["checked_cells"] > 0
+    assert exact["failing_cells"] == 0 and exact["witness_cell"] is None
+    assert {"x_boundary", "u_boundary"} <= set(details)
+    assert not {"column_kernel", "dual_column_kernel"} & set(details)
+
+
+def test_rrw_off_its_forced_law_fails_at_the_first_cell():
+    # (0, 1) -> (1, -1): mu(1) nu(-1) = mu(0) nu(1) needs theta = p / q = 0.4
+    field = _square_field("reflecting_rw", Geometric(0.5), _RRW_LAWS[1], 50,
+                          1)
     report = verify_burke(field)
     assert not report.passed
-    failed = [k for k, v in report.details.items()
-              if isinstance(v, dict) and v.get("passed") is False]
-    assert failed
+    assert report.details["exact"]["witness_cell"] == [0, 1]
 
 
-def _prob(row, a, b):
-    """K(a, b) of an exact row function, as a Fraction."""
-    weights, den = row(int(a))
-    return Fraction(weights.get(int(b), 0), den)
+def _jump_in_a_chain(field):
+    field.X[3, 10] = field.X[3, 9] + 5       # no step of the walk
 
 
-def _scalar_loglik_sims(chain, pair, nu, row, n_sims=2000):
-    """The chain-by-chain simulated log-likelihoods, one scalar at a time,
-    and each simulated path's exact probability."""
-    T = len(chain) - 1
-    us = np.asarray(nu.sample(RandomStream(_MC_SEED), (n_sims, T)))
-    x = np.full(n_sims, int(chain[0]))
-    sims = np.zeros(n_sims)
-    exact = [Fraction(1)] * n_sims
-    for t in range(T):
-        y = pair.f(x, us[:, t])
-        for i in range(n_sims):
-            prob = _prob(row, x[i], y[i])
-            sims[i] += np.log(prob.numerator / prob.denominator)
-            exact[i] *= prob
-        x = y
-    return sims, exact
+def _noise_off_the_support(field):
+    field.U[0, 7] = 2.0                      # ThreePoint lives on {-1, 0, 1}
 
 
-def _rank_p(chain, exact, row):
-    """The rank p-value by its definition: 1 + the simulated paths no more
-    likely than the chain, exactly, over n_sims + 1."""
-    obs = Fraction(1)
-    for a, b in zip(chain[:-1], chain[1:]):
-        obs *= _prob(row, a, b)
-    return (1 + sum(e <= obs for e in exact)) / (len(exact) + 1)
-
-
-@pytest.mark.parametrize("name", ["reflecting_rw", "kdv_g1"])
-def test_loglik_table_matches_scalar_loop(name):
-    pair = catalog_get(name)
-    mu, nu = _WAVEFRONT_MAPS[name]
-    field = simulate_field(pair, mu, nu, 30, 60, RandomStream(31))
-    chain = field.X[0, :].astype(int)
-    row = _kernel_row(pair, nu)
-    result = _loglik_mc_test(chain, pair, nu, row, level=0.001)
-    sims, exact = _scalar_loglik_sims(chain, pair, nu, row)
-    obs = sum(np.log(float(_prob(row, a, b)))
-              for a, b in zip(chain[:-1], chain[1:]))
-    assert result.statistic == obs
-    assert result.p_value == _rank_p(chain, exact, row)
-    assert result.flags["null_mean"] == float(sims.mean())
-
-
-def _burke_kdv_chain():
-    """Chain 0 of the `burke` kdv_g1 stanza at 60 x 60, seed 1, as `cli.run`
-    draws it, with its pair and noise law."""
-    pair, nu = catalog_get("kdv_g1"), ShiftGeom(0.5, 2)
-    field = simulate_field(pair, TruncGeom(0.5, 2), nu, 60, 60,
-                           RandomStream(1).split(1)[0])
-    return field.X[0, :].astype(int), pair, nu
-
-
-def test_loglik_counts_every_exact_tie_whatever_the_summation_order():
-    chain, pair, nu = _burke_kdv_chain()
-    row = _kernel_row(pair, nu)
-    result = _loglik_mc_test(chain, pair, nu, row, level=0.001)
-    sims, exact = _scalar_loglik_sims(chain, pair, nu, row)
-    assert result.flags["exact_ties"] == 59
-    assert result.p_value == _rank_p(chain, exact, row) == 245 / 2001
-    # float sums of the tied paths fall either side of the observed one, and
-    # which side depends on the order the logs are added in
-    logs = [np.log(float(_prob(row, a, b)))
-            for a, b in zip(chain[:-1], chain[1:])]
-    for obs in (sum(logs), sum(logs[::-1])):
-        assert (1.0 + (sims <= obs).sum()) / 2001 < result.p_value
-
-
-def test_kernel_rows_are_the_exact_pushforward_correctly_rounded():
-    def floats(row):
-        weights, den = row
-        return {k: w / den for k, w in weights.items()}
-
-    # kdv_g1's f = min(u, -x): K(x, y) = nu(y) below -x, P(U >= -x) at -x
-    nu = ShiftGeom(0.5, 2)
-    row = _kernel_row(catalog_get("kdv_g1"), nu)
-    assert floats(row(-2)) == {-2: 0.5, -1: 0.25, 0: 0.125, 1: 0.0625,
-                               2: 0.0625}
-    half = Fraction(1, 2)
-    for x in range(-6, 6):
-        ref = {y: half ** (y + 3) for y in range(-2, -x)}
-        ref[-x] = half ** max(2 - x, 0)
-        assert floats(row(x)) == {y: float(p) for y, p in ref.items()}
-    # reflecting_rw's dual row: v = -u - 2 (x + u)^-, so K*(u, 2x + u) =
-    # mu(x) for x < -u and K*(u, -u) = P(X >= -u)
-    theta = Fraction(2, 5)
-    dual = _dual_kernel_row(catalog_get("reflecting_rw"), Geometric(0.4), 3)
-    for u in range(-8, 3):
-        ref = {2 * x + u: (1 - theta) * theta ** x for x in range(-u)}
-        ref[-u] = theta ** max(-u, 0)
-        assert floats(dual(u)) == {v: float(p) for v, p in ref.items()}
-
-
-@pytest.mark.parametrize("name", ["kdv_g1", "kdv_g2"])
-def test_dual_rows_of_kdv_are_exact_on_every_state_the_chain_reads(name):
-    # with mu unbounded, the dual row reaches every g(x, u), x <= x_max,
-    # with its exact mass: g is nondecreasing in x and takes each value
-    # at no more than two adjacent x
-    pair, theta, x_max = catalog_get(name), Fraction(2, 5), 6
-    dual = _dual_kernel_row(pair, Geometric(0.4), x_max)
-    for u in range(-4, 6):
-        weights, den = dual(u)
-        ref = {}
-        for x in range(x_max + 40):
-            v = int(pair.g(x, u))
-            ref[v] = ref.get(v, 0) + (1 - theta) * theta ** x
-        for x in range(x_max + 1):
-            v = int(pair.g(x, u))
-            assert Fraction(weights[v], den) == ref[v]
-        assert sum(weights.values()) == den
-
-
-@pytest.mark.parametrize("name", ["kdv_g1", "kdv_g2"])
-def test_burke_kdv_with_unbounded_mu_reads_every_transition(name):
-    stanza = _validate_stanza({
-        "kind": "burke", "map": name,
-        "mu": {"kind": "geometric", "params": {"theta": 0.4}},
-        "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
-        "N": 60, "T": 60}, 0)
-    details = run({"seed": 1, "checks": [stanza]})["checks"][0]["details"]
-    for key in ("column_kernel", "dual_column_kernel"):
-        assert "impossible_transition_from" not in details[key]["flags"]
-    # the exact row puts 1/16 on the last cell at x = -2; a row missing
-    # its noise tail reads 0.06249999999999956 there and merges other cells
-    assert details["column_kernel"]["statistic"] == pytest.approx(
-        98 / 15, rel=1e-12)
-
-
-def _simulate_burke_seed_3(tmp_path):
-    """`ipmaps simulate-burke --seed 3`: reflecting_rw at 50 x 50. The dual
-    chain starts at U[0, 0] = 0, which reflecting_rw's g never leaves."""
-    out = tmp_path / "out"
-    assert main(["simulate-burke", "--seed", "3", "--out", str(out)]) == 0
-    return json.loads((out / "report.json").read_text())["checks"][0]
-
-
-def _kdv_g1_geometric_mu(tmp_path):
-    stanza = _validate_stanza({
-        "kind": "burke", "map": "kdv_g1",
-        "mu": {"kind": "geometric", "params": {"theta": 0.4}},
-        "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
-        "N": 60, "T": 60}, 0)
-    return run({"seed": 1, "checks": [stanza]})["checks"][0]
-
-
-@pytest.mark.parametrize("make", [_simulate_burke_seed_3,
-                                  _kdv_g1_geometric_mu])
-def test_transition_gof_that_tested_nothing_says_so(make, tmp_path):
-    details = make(tmp_path)["details"]
-    dual = details["dual_column_kernel"]
-    # the verdict and p value are kept; the reason says they rest on nothing
-    assert dual["passed"] and dual["p_value"] == 1.0
-    assert dual["statistic"] == 0.0
-    assert dual["flags"]["states"] == 0 and dual["flags"]["dof"] == 0
-    assert dual["flags"]["reason"] == (
-        "nothing tested: no from-state with two or more next states"
-        " reached 10 transitions")
-    assert details["column_kernel"]["flags"]["states"] > 0
-    assert "reason" not in details["column_kernel"]["flags"]
-
-
-def test_loglik_of_an_impossible_observed_chain_is_minus_infinity():
-    pair = catalog_get("reflecting_rw")
-    nu = ThreePoint(0.2, 0.5, 0.3)
-    chain = np.array([0, 1, 5, 4, 3])    # 1 -> 5 is not a step of the walk
-    result = _loglik_mc_test(chain, pair, nu, _kernel_row(pair, nu), 0.001)
-    assert result.statistic == -np.inf
-    assert result.p_value == 1.0 / 2001.0 and not result.passed
+def test_impossible_transition_fails_with_a_reason_and_strict_json():
+    for edit, failed in ((_jump_in_a_chain, {"recursion"}),
+                         (_noise_off_the_support, {"recursion",
+                                                   "u_boundary"})):
+        field = _rrw_field(1)
+        edit(field)
+        # what a `burke` stanza reports: the field's checks and recursion
+        report = verify_burke(field)
+        recursion = check_recursion(field)
+        report.details["recursion"] = recursion
+        report.passed = report.passed and recursion.passed
+        assert not report.passed
+        details = json.loads(json.dumps(report.to_dict(),
+                                        allow_nan=False))["details"]
+        assert {k for k, v in details.items() if isinstance(v, dict)
+                and v.get("passed") is False} == failed
+        assert details["recursion"]["details"]["worst_deviation"] > 0
+        if "u_boundary" in failed:
+            flags = details["u_boundary"]["flags"]
+            assert details["u_boundary"]["statistic"] is None
+            assert flags["outside_support"] == 1 and "reason" in flags
 
 
 def test_verify_burke_size_floor():
@@ -432,14 +335,3 @@ def test_field_rows_keep_every_float_repr(name):
     text = "".join(rows)
     for v in values:
         assert f",{v!r}\r\n" in text and f",{v!r}," in text
-
-
-def test_impossible_transition_fails_with_a_reason_and_strict_json():
-    froms = np.array([3] * 20 + [4] * 20)
-    tos = np.array([2] * 20 + [4] * 19 + [7])   # 4 -> 7 is not in its row
-    res = _transition_gof(froms, tos, lambda x: ({x - 1: 1, x: 1}, 2), 0.01)
-    assert not res.passed and res.p_value == 0.0
-    assert res.flags["reason"] == "impossible transition from 4"
-    report = VerificationReport("t", res.passed, {"column_kernel": res})
-    details = json.loads(json.dumps(report.to_dict(), allow_nan=False))
-    assert details["details"]["column_kernel"]["statistic"] is None

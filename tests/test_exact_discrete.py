@@ -9,7 +9,7 @@ import pytest
 
 from ipmaps.exact_discrete import (
     RRWParams, _step_tables, kdv_box, kdv_pushforward_tv, product_defect_tv,
-    rrw_forced_law, rrw_forced_table, rrw_joint_table, rrw_pushforward_cells,
+    pushforward_cells, rrw_forced_law, rrw_forced_table, rrw_joint_table, rrw_pushforward_cells,
     rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
@@ -395,6 +395,18 @@ def test_kdv_box_needs_a_cell_with_positive_x_plus_u(ell, M):
     # the smallest admitted box has one such cell, and g2 fails on it
     _, failing, witness = kdv_pushforward_tv(0.5, ell, "g2", 1 - ell)
     assert (failing, witness) == (1, (ell, 1 - ell))
+
+
+def test_pushforward_cells_reads_a_state_off_a_table_as_weight_0():
+    # ThreePoint(0.2, 0.8, 0) has no step 0, so its table leaves u = 0 out;
+    # each cell (x, 0) is its own image, with weight 0 on either side
+    pair, nu = catalog_get("reflecting_rw"), ThreePoint(0.2, 0.8, 0)
+    assert pushforward_cells(pair, Geometric(0.25), nu, 5, 1) == \
+        (18, 0, None)
+    # the x range stops at 5, the u range at nu's support_hi
+    cells, failing, witness = pushforward_cells(pair, Geometric(0.5), nu,
+                                                5, 9)
+    assert (cells, witness) == (18, (0, 1)) and failing > 0
 
 
 # ---------------------------------------------------------------------------

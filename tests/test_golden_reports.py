@@ -106,7 +106,7 @@ GOLDEN = {
         "195b71ade1d693323e36308783f965288a37f53b3bd88d869b653264768481d6"),
     "burke_rrw": (
         BURKE_RRW,
-        "92bb7c54499c80ac508ac9f38ae3c7c2e2ea9d7d26c8ab793f767ab4d451e8a2"),
+        "79191ef57f1a3a8e798d63cd239a64e0aec57bbae23a700f73ea650aebf14b83"),
     "burke_my": (
         BURKE_MY,
         "17cb0c3b151adf9a4c596ffa2a7d1e8c5263626ee5074574d8900fcf9ba05033"),
@@ -115,7 +115,7 @@ GOLDEN = {
          "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
          "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
          "N": 60, "T": 60},
-        "62731ab8849f5d182b398385d82913d1e32ba4a46fc944832f1e611cb16abf89"),
+        "3a0c65275b77a54d335719f940e7efcfdf9999d3289133e24fb07bf945dc624e"),
     # probes from an integer grid (with violations), tuple noise and floats
     "hypotheses_kdv": (
         {"kind": "hypotheses", "map": "kdv"},
