@@ -1,16 +1,18 @@
-"""Exact enumeration checks for the reflecting random walk and the
-ultra-discrete KdV maps.
+"""Exact enumeration on integer maps: the reflecting random walk's
+characterization, the ultra-discrete KdV product law, Burke's integer
+fields and exact detailed balance.
 
 Probabilities are exact rationals (floats are read as their shortest
 decimal). Every table is one pair (nums, den) of plain integer numerators
 over one integer denominator, so every identity is one integer equality
 and a verdict counts the states where it fails. A catalog law's table is
 `laws.truncate`, and the walk's forced laws use its theta^k tabulation.
-One cell identity, `product_defect_tv`, decides the product law of an
-integer map cell by cell (`pushforward_cells` for two catalog laws, as
-`kdv-tv` and Burke's integer fields use it), and the walk's per-state
-proof identities on the cells where Y's marginal is exact, so no
-truncation tail enters any verdict. A reported probability is
+Every verdict enumerates its cells in x-major order with `cells`, and sums
+a pushforward with `accumulate`. One cell identity, `product_defect_tv`,
+decides the product law of an integer map cell by cell (`pushforward_cells`
+for two catalog laws, as `kdv-tv` and Burke's integer fields use it), and
+the walk's per-state proof identities on the cells where Y's marginal is
+exact, so no truncation tail enters any verdict. A reported probability is
 `num / den` of two ints, which Python rounds correctly: the same float as
 `float(Fraction(num, den))`, whatever denominator the table is over.
 """
@@ -107,8 +109,23 @@ def rrw_forced_table(params, box, y=False):
 
 
 # ---------------------------------------------------------------------------
-# joint law and the cell identity
+# cells, the pushforward, the joint law and the cell identity
 # ---------------------------------------------------------------------------
+
+def cells(xs, us):
+    """The x-major cells of two value sequences: every (x, u) with x from
+    xs and u from us, as two arrays, all of one x's cells before the next's."""
+    return np.repeat(xs, len(us)), np.tile(us, len(xs))
+
+
+def accumulate(keys, weights):
+    """The pushforward: weights summed per key from 0, so int weights stay
+    exact, with the keys in the order they are first reached."""
+    law = {}
+    for key, w in zip(keys, weights):
+        law[key] = law.get(key, 0) + w
+    return law
+
 
 def _step_tables(params):
     """The laws of U, (p, q, r), and of V, (p', q', r), as numerator tables
@@ -131,10 +148,9 @@ def rrw_joint_table(params, box):
     mu, den = rrw_forced_table(params, box + 1)
     mu_y, _ = rrw_forced_table(params, box + 1, y=True)
     nu, nu_v, du = _step_tables(params)
-    xs = np.repeat(np.arange(box + 1), len(nu))
-    us = np.tile(list(nu), box + 1)
-    cells = (xs, us, *catalog_get("reflecting_rw")(xs, us))
-    return cells, (mu, den), mu_y, (nu, nu_v, du)
+    xs, us = cells(np.arange(box + 1), list(nu))
+    grid = (xs, us, *catalog_get("reflecting_rw")(xs, us))
+    return grid, (mu, den), mu_y, (nu, nu_v, du)
 
 
 def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
@@ -160,8 +176,8 @@ def rrw_pushforward_cells(joint):
     """H#(mu (x) nu) = mu' (x) nu' under reflecting_rw, checked by
     `product_defect_tv` at every cell of `joint` (`rrw_joint_table`): mu and
     mu' are the forced laws of X and Y, nu and nu' the laws of U and V."""
-    cells, (mu, _), mu_y, (nu, nu_v, _) = joint
-    return product_defect_tv(*cells, mu, nu, mu_y, nu_v)
+    grid, (mu, _), mu_y, (nu, nu_v, _) = joint
+    return product_defect_tv(*grid, mu, nu, mu_y, nu_v)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +220,9 @@ def rrw_verify_proof_identities(params, joint):
     """
     (xs, us, ys, vs), (mu, dx), _, (nu, nu_v, du) = joint
     box = int(xs[-1])
-    my, mv = {}, {}              # numerators over dx du
-    for x, u, y, v in zip(xs.tolist(), us.tolist(), ys.tolist(), vs.tolist()):
-        w = mu[x] * nu[u]
-        my[y] = my.get(y, 0) + w
-        mv[v] = mv.get(v, 0) + w
+    # the laws of Y and V on the cells, numerators over dx du
+    w = [mu[x] * nu[u] for x, u in zip(xs.tolist(), us.tolist())]
+    my, mv = accumulate(ys.tolist(), w), accumulate(vs.tolist(), w)
     # mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
     nu_du = {u: w * du for u, w in nu.items()}
     exact = ys <= box - 1
@@ -257,14 +271,11 @@ def rrw_verify_proof_identities(params, joint):
 # ---------------------------------------------------------------------------
 
 def kdv_box(theta, ell, M):
-    """The cells x in [-ell, ell], u in [-ell, M] in x-major order, after
-    checking theta and ell as the KdV laws do and that some cell has
-    x + u > 0, the only cells where kdv_g1 and kdv_g2 differ."""
+    """Check theta and ell as the KdV laws do, and that the box [-ell, ell]
+    x [-ell, M] has a cell with x + u > 0, where kdv_g1 and kdv_g2 differ."""
     TruncGeom(theta, ell)
     if M <= -ell:
         raise LawError(f"M={M} <= -ell leaves no cell with x + u > 0")
-    xs, us = np.arange(-ell, ell + 1), np.arange(-ell, M + 1)
-    return np.repeat(xs, len(us)), np.tile(us, len(xs))
 
 
 def pushforward_cells(pair, mu, nu, x_hi, u_hi):
@@ -275,9 +286,8 @@ def pushforward_cells(pair, mu, nu, x_hi, u_hi):
     range and of its image (y or v), so no image falls off it. Returns
     what `product_defect_tv` returns.
     """
-    xs = np.arange(mu.support_lo, min(x_hi, mu.support_hi) + 1)
-    us = np.arange(nu.support_lo, min(u_hi, nu.support_hi) + 1)
-    xs, us = np.repeat(xs, len(us)), np.tile(us, len(xs))
+    xs, us = cells(np.arange(mu.support_lo, min(x_hi, mu.support_hi) + 1),
+                   np.arange(nu.support_lo, min(u_hi, nu.support_hi) + 1))
     ys, vs = pair(xs, us)
     mu_w, _, _ = laws.truncate(mu, int(ys.max(initial=x_hi)))
     nu_w, _, _ = laws.truncate(nu, int(vs.max(initial=u_hi)))
@@ -287,7 +297,7 @@ def pushforward_cells(pair, mu, nu, x_hi, u_hi):
 def kdv_pushforward_tv(theta, ell, variant, M):
     """H#(mu (x) nu) = mu (x) nu for mu = TruncGeom(theta, ell) and
     nu = ShiftGeom(theta, ell), checked by `pushforward_cells` at every
-    cell of `kdv_box`, x in [-ell, ell] and u in [-ell, M]."""
+    cell x in [-ell, ell], u in [-ell, M] of the box `kdv_box` checks."""
     kdv_box(theta, ell, M)
     return pushforward_cells(catalog_get("kdv_" + variant),
                              TruncGeom(theta, ell), ShiftGeom(theta, ell),

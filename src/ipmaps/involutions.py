@@ -47,7 +47,7 @@ class SpaceDescriptor:
     """A component space as data. A scalar space is the open interval
     (lo, hi), or the integers in [lo, hi] if `is_integer`; a product space
     is the tuple of its `parts`; an SPD space holds the dim x dim SPD
-    matrices. `kind` names the space and keys its real probe draws."""
+    matrices. `kind` only names the space."""
 
     kind: str
     lo: float = -math.inf
@@ -346,20 +346,18 @@ def _space_samples(space, n, gen):
     if space.dim:
         a = gen.normal(0.0, 1.0, (n, space.dim, space.dim))
         return a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(space.dim)
+    lo, hi = space.lo, space.hi
     if space.is_integer:   # bounded: a map with unbounded ones takes the grid
-        return gen.integers(space.lo, space.hi + 1, n)
-    return _REAL_PROBES[space.kind](gen, n)
-
-
-# kind -> n probe draws from a real space; on the line, std 1 keeps the
-# Gaussian map's cdf arguments away from the floating-point saturation of
-# ndtr, so round trips stay invertible
-_REAL_PROBES = {
-    "positive_real": lambda gen, n: np.exp(a := gen.normal(0.0, 1.0, n),
-                                           out=a),
-    "unit_interval": lambda gen, n: gen.uniform(1e-6, 1.0 - 1e-6, n),
-    "real_line": lambda gen, n: gen.normal(0.0, 1.0, n),
-}
+        return gen.integers(lo, hi + 1, n)
+    if math.isfinite(lo) and math.isfinite(hi):
+        return gen.uniform(lo + 1e-6, hi - 1e-6, n)
+    # on the line, std 1 keeps the Gaussian map's cdf arguments away from
+    # the floating-point saturation of ndtr, so round trips stay invertible
+    a = gen.normal(0.0, 1.0, n)
+    if math.isfinite(lo):   # lo + exp(a), in place
+        np.exp(a, out=a)
+        a += lo
+    return a
 
 
 def sample_points(pair, n, rng, box=20):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import laws, stat_tests
+from .exact_discrete import accumulate, cells
 from .involutions import blocks, map_blocks
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
@@ -25,54 +26,24 @@ class KernelError(ValueError):
 # exact detailed balance on discrete spaces
 # ---------------------------------------------------------------------------
 
-def pushforward(h, mu_cells, nu_cells):
-    """Exact law of h(X, U) for independent X ~ mu_cells and U ~ nu_cells.
-
-    Cells are (integer point, weight) pairs; weights may be floats, ints or
-    Fractions. `h` must be vectorized, as catalog maps are: it is evaluated
-    once on the x-major grid of all point pairs, and a tuple result gives
-    tuple keys. Weights are summed per key in grid order starting from 0, so
-    exact laws stay exact and float sums match a cell-by-cell loop bit for
-    bit. Keys keep the order in which the grid first reaches them.
-    """
-    mu_cells, nu_cells = list(mu_cells), list(nu_cells)
-    xs = np.repeat([x for x, _ in mu_cells], len(nu_cells))
-    us = np.tile([u for u, _ in nu_cells], len(mu_cells))
-    image = h(xs, us)
-    if isinstance(image, tuple):
-        keys = zip(*(np.asarray(c).tolist() for c in image))
-    else:
-        keys = np.asarray(image).tolist()
-    weights = (px * pu for _, px in mu_cells for _, pu in nu_cells)
-    law = {}
-    for key, w in zip(keys, weights):
-        law[key] = law.get(key, 0) + w
-    return law
-
-
-def law_cells(law, cut):
-    """(cells, den): a discrete law's (value, positive integer weight)
-    cells over den, a finite law whole and an unbounded one up to
-    max(support_lo, cut) with its exact tail on the next cell. A kernel row
-    on them is exact where the map is constant from the cut on, as kdv's
-    f = min(u, -x) is in u from -x on."""
-    hi = law.support_hi if law.support_hi < np.inf else \
-        max(law.support_lo, cut)
-    nums, den, tail = laws.truncate(law, hi)
-    return [(k, w) for k, w in {**nums, hi + 1: tail}.items() if w], den
-
-
 def check_detailed_balance_exact(pair, mu, nu, box):
     """mu(x) K(x,y) = mu(y) K(y,x), K(x,.) the law of pair.f(x, U), U ~ nu,
     as one integer equality per pair x != y up to mu's support_lo + box with
     flux either way (mu is 0 below support_lo, so such pairs are exact).
-    Its noise is `law_cells` cut at -support_lo, exact for every state."""
+    K sums nu over the `cells` of mu's states and nu's states of positive
+    weight: a finite nu whole, an unbounded one cut at
+    max(support_lo, -mu.support_lo) with its exact tail on the next state,
+    exact where f is constant in u from the cut on (kdv's f = min(u, -x)
+    is, from u = -x on)."""
     lo = mu.support_lo
     mu_w, _, _ = laws.truncate(mu, lo + box)
-    noise, _ = law_cells(nu, -lo)
+    hi = nu.support_hi if nu.support_hi < np.inf else max(nu.support_lo, -lo)
+    nums, _, tail = laws.truncate(nu, hi)
+    noise = {u: w for u, w in {**nums, hi + 1: tail}.items() if w}
     # K(x, y) in nu's numerators, for each state x of positive mass
-    states = [(x, 1) for x in mu_w]
-    kernel = pushforward(lambda x, u: (x, pair.f(x, u)), states, noise)
+    xs, us = cells(list(mu_w), list(noise))
+    kernel = accumulate(zip(xs.tolist(), pair.f(xs, us).tolist()),
+                        list(noise.values()) * len(mu_w))
     # each pair once: from x < y when both directions carry flux
     pairs = [(x, y, w, kernel.get((y, x), 0))
              for (x, y), w in kernel.items() if x != y and y <= lo + box
@@ -83,7 +54,7 @@ def check_detailed_balance_exact(pair, mu, nu, box):
         name=f"detailed_balance:{pair.name}", passed=not failing,
         details={"checked_pairs": len(pairs), "failing_pairs": len(failing),
                  "witness_pair": list(failing[0]) if failing else None,
-                 "n_states": len(states)})
+                 "n_states": len(mu_w)})
 
 
 # ---------------------------------------------------------------------------

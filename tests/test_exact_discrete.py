@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from ipmaps.exact_discrete import (
-    RRWParams, _step_tables, kdv_box, kdv_pushforward_tv, product_defect_tv,
-    pushforward_cells, rrw_forced_law, rrw_forced_table, rrw_joint_table, rrw_pushforward_cells,
-    rrw_verify_proof_identities,
+    RRWParams, _step_tables, cells, kdv_box, kdv_pushforward_tv,
+    product_defect_tv, pushforward_cells, rrw_forced_law, rrw_forced_table,
+    rrw_joint_table, rrw_pushforward_cells, rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
 from ipmaps.laws import (
@@ -374,10 +374,10 @@ def test_kdv_g1_preserves_product_measure():
 
 
 def test_kdv_g2_breaks_product_measure():
-    cells, failing, witness = kdv_pushforward_tv(0.5, 2, "g2", 60)
+    n_cells, failing, witness = kdv_pushforward_tv(0.5, 2, "g2", 60)
     # g2 moves the product law exactly on the cells with x + u > 0
-    xs, us = kdv_box(0.5, 2, 60)
-    assert (cells, failing) == (len(xs), int((xs + us > 0).sum()))
+    xs, us = cells(range(-2, 3), range(-2, 61))
+    assert (n_cells, failing) == (len(xs), int((xs + us > 0).sum()))
     assert witness == (-2, 3)
 
 

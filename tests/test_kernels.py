@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from ipmaps import laws
-from ipmaps.exact_discrete import (
-    kdv_box, kdv_pushforward_tv, product_defect_tv,
-)
+from ipmaps.exact_discrete import cells, kdv_pushforward_tv, product_defect_tv
 from ipmaps.involutions import catalog_get
 from ipmaps.kernels import (
     KernelError, _gof_against_law, check_detailed_balance_exact,
-    check_ip_statistical, check_reversibility_statistical, pushforward,
+    check_ip_statistical, check_reversibility_statistical,
 )
 from ipmaps.laws import (
     BetaI, FiniteTable, Gamma, Geometric, GIG, ShiftGeom, ThreePoint,
@@ -235,7 +233,7 @@ def test_detailed_balance_and_the_product_law_agree_on_the_walk(theta):
     # the paper's relation: the walk's kernel is reversible for mu exactly
     # when H preserves mu (x) nu, and both hold only at theta = p/q = 0.4
     mu, box = Geometric(theta), 40
-    xs, us = np.repeat(np.arange(box + 1), 3), np.tile([-1, 0, 1], box + 1)
+    xs, us = cells(np.arange(box + 1), [-1, 0, 1])
     ys, vs = WALK(xs, us)
     mu_w, _, _ = truncate(mu, box + 1)
     nu_w, _, _ = truncate(STEPS, 1)
@@ -257,7 +255,7 @@ def test_detailed_balance_does_not_see_g_on_kdv(theta):
         # with mu at theta / 2 both sides fail
         assert not check_detailed_balance_exact(
             pair, TruncGeom(theta / 2, 4), nu, 200).passed
-        xs, us = kdv_box(theta, 4, 60)
+        xs, us = cells(range(-4, 5), range(-4, 61))
         ys, vs = pair(xs, us)
         mu_w, _, _ = truncate(TruncGeom(theta / 2, 4), 4)
         nu_w, _, _ = truncate(nu, int(vs.max()))
@@ -265,25 +263,31 @@ def test_detailed_balance_does_not_see_g_on_kdv(theta):
                                  nu_w)[1] > 0
 
 
-def test_pushforward_fraction_and_float_cells_agree():
-    pair = catalog_get("reflecting_rw")
-    mu = [(k, Fraction(3, 5) * Fraction(2, 5) ** k) for k in range(20)]
-    nu = [(1, Fraction(1, 5)), (-1, Fraction(1, 2)), (0, Fraction(3, 10))]
-    exact = pushforward(pair, mu, nu)
-    mu_f = [(x, float(w)) for x, w in mu]
-    nu_f = [(u, float(w)) for u, w in nu]
-    approx = pushforward(pair, mu_f, nu_f)
-    assert list(exact) == list(approx)
-    assert all(isinstance(w, Fraction) for w in exact.values())
-    # reference: one scalar evaluation per cell, summed in grid order
-    loop = {}
-    for x, px in mu_f:
-        for u, pu in nu_f:
-            key = (int(pair.f(x, u)), int(pair.g(x, u)))
-            loop[key] = loop.get(key, 0.0) + px * pu
-    assert list(approx.items()) == list(loop.items())
-    for key, w in exact.items():
-        assert approx[key] == pytest.approx(float(w), rel=1e-12)
+@pytest.mark.parametrize("theta, passes", [(0.5, True), (0.25, False)])
+def test_detailed_balance_matches_a_per_cell_fraction_reference(theta,
+                                                                passes):
+    # the reference cuts the noise far out, at u <= 200 with its tail on
+    # 201: K(x, -x) = P(U >= -x) holds the tail, so a tail lost or put on
+    # another state moves the pairs (x, -x)
+    mu, nu = TruncGeom(theta, 4), ShiftGeom(0.5, 4)
+    nums, den, _ = truncate(mu, 4)
+    p_mu = {x: Fraction(w, den) for x, w in nums.items()}
+    nums, den, tail = truncate(nu, 200)
+    p_nu = {u: Fraction(w, den) for u, w in {**nums, 201: tail}.items()}
+    kernel = {}
+    for x in p_mu:
+        for u, w in p_nu.items():
+            y = int(KDV_G1.f(x, u))
+            kernel[x, y] = kernel.get((x, y), 0) + w
+    pairs = {tuple(sorted(xy)) for xy in kernel if xy[0] != xy[1]}
+    failing = {(x, y) for x, y in pairs
+               if p_mu[x] * kernel.get((x, y), 0)
+               != p_mu[y] * kernel.get((y, x), 0)}
+    report = check_detailed_balance_exact(KDV_G1, mu, nu, 200)
+    checked, n_failing, witness = _pairs(report)
+    assert report.passed == passes == (not failing)
+    assert (checked, n_failing) == (len(pairs), len(failing))
+    assert witness is None if passes else tuple(sorted(witness)) in failing
 
 
 # ---------------------------------------------------------------------------
