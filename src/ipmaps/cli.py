@@ -229,9 +229,7 @@ def _run_burke(stanza, rng, out_dir):
     if stanza["csv"] and out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, stanza["csv"])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("n,t,x,u\r\n")
-            fh.writelines(burke.field_rows(field))
+        _rewrite(path, ["n,t,x,u\r\n"], burke.field_rows(field), newline="")
         report.details["csv"] = stanza["csv"]
     return report
 
@@ -314,12 +312,24 @@ def run(config, out_dir=None):
     }
 
 
-def emit(report, out_dir):
+_JSON = {"sort_keys": True, "indent": 2, "allow_nan": False}  # of a report
+
+
+def _rewrite(path, *parts, newline=None):
+    """Write the strings of `parts` over the file at `path` in place, cut to
+    length after: never emptied first, which costs a writeback on ext4."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8", newline=newline) as fh:
+        for part in parts:
+            fh.writelines(part)
+        fh.truncate()
+
+
+def emit(report, out_dir, text=None):   # text: the report's JSON, if made
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    _rewrite(path, (json.dumps(report, **_JSON) if text is None else text,
+                    "\n"))
     return path
 
 
@@ -408,9 +418,9 @@ def main(argv=None):
         return 2
     out_dir = args.out
     report = run(config, out_dir=out_dir)
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps(report, **_JSON)
     if out_dir is not None:
-        emit(report, out_dir)
+        emit(report, out_dir, text)
     print(text)
     return 0 if report["overall_pass"] else 1
 

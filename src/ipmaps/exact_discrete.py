@@ -7,14 +7,14 @@ decimal). Every table is one pair (nums, den) of plain integer numerators
 over one integer denominator, so every identity is one integer equality
 and a verdict counts the states where it fails. A catalog law's table is
 `laws.truncate`, and the walk's forced laws use its theta^k tabulation.
-Every verdict enumerates its cells in x-major order with `cells`, and sums
-a pushforward with `accumulate`. One cell identity, `product_defect_tv`,
-decides the product law of an integer map cell by cell (`pushforward_cells`
-for two catalog laws, as `kdv-tv` and Burke's integer fields use it), and
-the walk's per-state proof identities on the cells where Y's marginal is
-exact, so no truncation tail enters any verdict. A reported probability is
-`num / den` of two ints, which Python rounds correctly: the same float as
-`float(Fraction(num, den))`, whatever denominator the table is over.
+Every verdict enumerates its cells in x-major order with `cells`. One cell
+identity, `product_defect_tv`, decides the product law of an integer map
+(`pushforward_cells` for two laws, as `kdv-tv` and Burke's integer fields
+use it) and the walk's per-state proof identities where Y's marginal is
+exact, so no truncation tail enters a verdict. It gathers each table into
+object arrays, one lookup per state, and compares the two sides' products
+in numpy a block of cells at a time. A reported probability is `num / den`
+of two ints, which Python rounds correctly, as `float(Fraction(num, den))`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import laws
-from .involutions import catalog_get
+from .involutions import blocks, catalog_get
 from .laws import (Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom,
                    _frac, _geometric_table, _integer_weights)
 from .reports import VerificationReport
@@ -92,20 +92,21 @@ def rrw_forced_law(params):
     return ParityGeom(rho, float(params.pprime))
 
 
-def rrw_forced_table(params, box, y=False):
-    """Exact pmf of the forced law of X on {0..box} as a table (nums, den),
-    or with `y` the law of Y = (X + U)^+ it gives, over the same den. At
-    r>0 both are the geometric law; at r=0 their parity weights
+def rrw_forced_table(params, box):
+    """Exact pmfs on {0..box} of the forced law of X and of the law of
+    Y = (X + U)^+ it gives, as tables (nums, nums_y, den) over one den. At
+    r>0 both are the geometric law, one dict; at r=0 their parity weights
     (P(k even), P(k odd)) are (q', p') for X and (q, p) for Y."""
     if params.r > 0:
-        return _geometric_table(params.p / params.q, 0, box)
+        nums, den = _geometric_table(params.p / params.q, 0, box)
+        return nums, nums, den
     # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w one of the parity weights
     pairs, dp = _geometric_table(params.rho2, 0, box // 2)
     w, dw = _integer_weights({0: params.qprime, 1: params.pprime,
                               2: params.q, 3: params.p})
-    parity = 2 if y else 0
-    nums = {k: w[k % 2 + parity] * pairs[k // 2] for k in range(box + 1)}
-    return nums, dw * dp
+    x, y = ({k: w[k % 2 + parity] * pairs[k // 2] for k in range(box + 1)}
+            for parity in (0, 2))
+    return x, y, dw * dp
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +146,21 @@ def rrw_joint_table(params, box):
     Y over den, reaching the largest image y = box + 1; and the tables nu
     of U and nu_v of V over du. Cell (x, u) has mass mu(x) nu(u) / (den du).
     """
-    mu, den = rrw_forced_table(params, box + 1)
-    mu_y, _ = rrw_forced_table(params, box + 1, y=True)
+    mu, mu_y, den = rrw_forced_table(params, box + 1)
     nu, nu_v, du = _step_tables(params)
     xs, us = cells(np.arange(box + 1), list(nu))
     grid = (xs, us, *catalog_get("reflecting_rw")(xs, us))
     return grid, (mu, den), mu_y, (nu, nu_v, du)
+
+
+def _gather(table, keys):
+    """The weight of `table` at each of `keys`, 0 off it, as an object array
+    of ints: one lookup per integer of the keys' range, if no longer than
+    the keys, else per distinct key."""
+    lo, hi = (keys.min(), keys.max()) if len(keys) else (0, -1)
+    states, at = ((range(lo, hi + 1), keys - lo) if hi - lo < len(keys) else
+                  np.unique(keys, return_inverse=True))
+    return np.array([table.get(k, 0) for k in states], dtype=object)[at]
 
 
 def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
@@ -165,11 +175,14 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     Returns the number of cells, the number that fail and the first
     failing cell (None when none fails).
     """
-    failing = [(x, u) for x, u, y, v in zip(xs.tolist(), us.tolist(),
-                                            ys.tolist(), vs.tolist())
-               if mu_out.get(y, 0) * nu_out.get(v, 0)
-               != mu.get(x, 0) * nu.get(u, 0)]
-    return len(xs), len(failing), failing[0] if failing else None
+    wy, wv, wx, wu = (_gather(table, keys) for table, keys in (
+        (mu_out, ys), (nu_out, vs), (mu, xs), (nu, us)))
+    fails = np.empty(len(xs), dtype=bool)
+    for s in blocks(len(xs), 1 << 9):   # holds 0.3 MB of products at box 1000
+        fails[s] = wy[s] * wv[s] != wx[s] * wu[s]
+    failing = np.flatnonzero(fails)
+    first = [(xs[i].item(), us[i].item()) for i in failing[:1]]
+    return len(xs), len(failing), first[0] if first else None
 
 
 def rrw_pushforward_cells(joint):
@@ -220,9 +233,11 @@ def rrw_verify_proof_identities(params, joint):
     """
     (xs, us, ys, vs), (mu, dx), _, (nu, nu_v, du) = joint
     box = int(xs[-1])
-    # the laws of Y and V on the cells, numerators over dx du
-    w = [mu[x] * nu[u] for x, u in zip(xs.tolist(), us.tolist())]
-    my, mv = accumulate(ys.tolist(), w), accumulate(vs.tolist(), w)
+    # the laws of Y and V on the cells, numerators over dx du, in one pass
+    my, mv = {}, {}
+    for x, u, y, v in zip(*(a.tolist() for a in (xs, us, ys, vs))):
+        w = mu[x] * nu[u]
+        my[y], mv[v] = my.get(y, 0) + w, mv.get(v, 0) + w
     # mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
     nu_du = {u: w * du for u, w in nu.items()}
     exact = ys <= box - 1
@@ -247,15 +262,16 @@ def rrw_verify_proof_identities(params, joint):
         parity = {name: [] for name in ("parity_down", "parity_up",
                                         "x_odd_mass", "y_even_mass",
                                         "parity_balance")}
+        qdu, pdu, du_pp, du_q = q * du, p * du, du - pp, du - q
         xe = xo = ye = yo = 0
         for k in range(0, 2 * (box // 2), 2):
             xe, xo = xe + mu[k], xo + mu[k + 1]
             ye, yo = ye + my[k], yo + my[k + 1]
             # x_odd_mass, y_even_mass: a = 0, b = 0; parity_balance,
             # xo / (xe + xo) - p' = ye / (ye + yo) - q: a (ye + yo) = b (xe + xo)
-            a, b = xo * du - pp * (xe + xo), ye * du - q * (ye + yo)
-            holds = (q * xo * du == pp * ye, p * xe * du == qp * yo,
-                     a == 0, b == 0, a * (ye + yo) == b * (xe + xo))
+            a, b = du_pp * xo - pp * xe, du_q * ye - q * yo
+            holds = (qdu * xo == pp * ye, pdu * xe == qp * yo, a == 0, b == 0,
+                     a == b == 0 or a * (ye + yo) == b * (xe + xo))
             for checks, ok in zip(parity.values(), holds):
                 checks.append(((k, k + 1), ok))
         report.update((name, _count(c)) for name, c in parity.items())

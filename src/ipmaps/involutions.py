@@ -387,8 +387,8 @@ def batch_item(v, i):
 BLOCK = 1 << 16
 
 
-def blocks(n):
-    return (slice(i, i + BLOCK) for i in range(0, n, BLOCK))
+def blocks(n, size=BLOCK):
+    return (slice(i, i + size) for i in range(0, n, size))
 
 
 def batch_slice(v, s):

@@ -238,14 +238,13 @@ def _integer_weights(weights):
 def _geometric_table(theta, lo, hi):
     """The law P(k) = (1 - theta) theta^(k - lo) on {lo, lo+1, ...} cut at
     hi, for a Fraction theta = a/b: numerators (b - a) a^(k - lo) b^(hi - k)
-    over b^(hi - lo + 1). The dropped mass is theta^(hi - lo + 1)."""
+    over b^(hi - lo + 1), or over b with no state when hi < lo. The
+    dropped mass is theta^(hi - lo + 1)."""
     a, b = theta.numerator, theta.denominator
-    apow, bpow = [1], [1]
-    for _ in range(hi - lo):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-    return ({k: (b - a) * apow[k - lo] * bpow[hi - k]
-             for k in range(lo, hi + 1)}, bpow[-1] * b)
+    nums, n = {}, (b - a) * b ** max(hi - lo, 0)
+    for k in range(lo, hi + 1):    # n_(k+1) = n_k a / b, exact below hi
+        nums[k], n = n, n // b * a
+    return nums, b ** max(hi - lo + 1, 1)
 
 
 class DiscreteLaw(Law):

@@ -7,6 +7,8 @@ for parallel work are obtained by deterministic splitting.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -18,7 +20,10 @@ class RandomStream:
             self._seq = seed
         else:
             self._seq = np.random.SeedSequence(int(seed))
-        self.gen = np.random.Generator(np.random.Philox(self._seq))
+
+    @functools.cached_property
+    def gen(self):   # built at first use: a check that never draws builds none
+        return np.random.Generator(np.random.Philox(self._seq))
 
     def split(self, n):
         """Return ``n`` independent child streams, deterministically derived."""

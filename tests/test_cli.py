@@ -1,6 +1,8 @@
 """Tests for the config-driven verification runner."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -544,9 +546,67 @@ def test_emit_writes_stable_json(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_emit_cuts_a_longer_report_to_the_new_bytes(tmp_path):
+    # through a symlink too: the file it names is written, the link stays
+    target_dir = tmp_path / "target"
+    target_dir.mkdir()
+    for link in (False, True):
+        out = tmp_path / f"out_{link}"
+        out.mkdir()
+        target = target_dir / f"{link}.json" if link else out / "report.json"
+        target.write_text("{" + " " * 10_000 + "}\n" * 100)
+        if link:
+            (out / "report.json").symlink_to(target)
+        path = emit({"overall_pass": True}, str(out))
+        assert target.read_bytes() == b'{\n  "overall_pass": true\n}\n'
+        assert os.path.islink(path) == link
+
+
+def test_emit_creates_a_report_with_the_mode_open_gives(tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "w", encoding="utf-8"):
+        pass
+    path = emit({"overall_pass": True}, str(tmp_path / "out"))
+    assert stat.S_IMODE(os.stat(path).st_mode) == \
+        stat.S_IMODE(os.stat(reference).st_mode)
+
+
+def test_burke_cuts_a_longer_field_csv_to_the_new_bytes(tmp_path):
+    def stanza(n):
+        return {"kind": "burke", "map": "reflecting_rw", "N": n, "T": n,
+                "mu": {"kind": "geometric", "params": {"theta": 0.4}},
+                "nu": {"kind": "three_point",
+                       "params": {"p": 0.2, "q": 0.5, "r": 0.3}},
+                "csv": "field.csv"}
+    small = load_config(_write_config(tmp_path, {
+        "seed": 3, "checks": [stanza(50)]}, "small.json"))
+    large = load_config(_write_config(tmp_path, {
+        "seed": 3, "checks": [stanza(60)]}, "large.json"))
+    run(small, out_dir=str(tmp_path / "fresh"))
+    run(large, out_dir=str(tmp_path / "reused"))
+    run(small, out_dir=str(tmp_path / "reused"))
+    assert (tmp_path / "reused" / "field.csv").read_bytes() == \
+        (tmp_path / "fresh" / "field.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def test_main_prints_the_bytes_it_writes(tmp_path, capsys):
+    # a three-stanza report, then a one-stanza report over it
+    exact = [{"kind": "kdv-tv", "theta": 0.5, "ell": 2, "variant": v}
+             for v in ("g1", "g2")]
+    exact.append({"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
+                  "box": 20})
+    out = tmp_path / "out"
+    for checks in (exact, exact[:1]):
+        config = _write_config(tmp_path, {"seed": 1, "checks": checks})
+        assert main(["verify", "--config", config, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == (out / "report.json").read_bytes()
+        assert json.loads(printed)["n_checks"] == len(checks)
+
 
 def test_main_exit_codes(tmp_path, capsys):
     good = _write_config(tmp_path, {

@@ -32,6 +32,12 @@ def _fractions(table):
     return {k: Fraction(w, den) for k, w in nums.items()}
 
 
+def forced_table(params, box, y=False):
+    """The forced table of X, or with `y` the table of Y, as (nums, den)."""
+    nums, nums_y, den = rrw_forced_table(params, box)
+    return nums_y if y else nums, den
+
+
 def perturbed_tables(params, box=200):
     """The forced table with mass 1/1000 (or all of it, if less) moved
     between adjacent states.
@@ -39,7 +45,7 @@ def perturbed_tables(params, box=200):
     The structured deviation family used to show that independence pins the
     law: every member must fail the cell identity.
     """
-    nums, den = rrw_forced_table(params, box=box)
+    nums, den = forced_table(params, box=box)
     out = []
     for a, b in ((0, 1), (1, 0), (1, 2)):
         moved = {k: 1000 * w for k, w in nums.items()}
@@ -135,7 +141,7 @@ def test_forced_law_boundary_case_parity():
 
 def test_forced_table_is_exact():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    nums, den = rrw_forced_table(params, box=50)
+    nums, den = forced_table(params, box=50)
     pmf = _fractions((nums, den))
     assert pmf[0] == Fraction(3, 5)
     assert pmf[1] == Fraction(3, 5) * Fraction(2, 5)
@@ -144,13 +150,13 @@ def test_forced_table_is_exact():
 
 def test_forced_law_of_y_swaps_the_parity_weights():
     params = RRWParams.make(0.3, 0.7, 0, 0.2)
-    pmf_x = _fractions(rrw_forced_table(params, box=3))
-    pmf_y = _fractions(rrw_forced_table(params, box=3, y=True))
+    pmf_x = _fractions(forced_table(params, box=3))
+    pmf_y = _fractions(forced_table(params, box=3, y=True))
     assert [pmf_y[k] / pmf_x[k] for k in range(4)] == \
         [params.q / params.qprime, params.p / params.pprime] * 2
-    interior = RRWParams.make(0.2, 0.5, 0.3)
-    assert rrw_forced_table(interior, 9, y=True) == \
-        rrw_forced_table(interior, 9)
+    # at r > 0 both are the one geometric table
+    nums, nums_y, _ = rrw_forced_table(RRWParams.make(0.2, 0.5, 0.3), 9)
+    assert nums_y is nums
 
 
 def _ref_pmf(law):
@@ -252,8 +258,8 @@ def test_forced_law_gives_zero_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
     assert rrw_pushforward_cells(rrw_joint_table(params, 200)) == \
         (603, 0, None)
-    law_x = rrw_forced_table(params, 201)
-    law_y = rrw_forced_table(params, 201, y=True)
+    law_x = forced_table(params, 201)
+    law_y = forced_table(params, 201, y=True)
     assert rrw_cells(params, 200, law_x, law_y) == (603, 0, None)
 
 
@@ -261,7 +267,7 @@ def test_wrong_law_gives_visible_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
     table = ({k: 2 ** (201 - k) for k in range(202)}, 2 ** 202)  # 2^-(k+1)
     cells, failing, witness = rrw_cells(
-        params, 200, table, rrw_forced_table(params, 201, y=True))
+        params, 200, table, forced_table(params, 201, y=True))
     assert (cells, witness) == (603, (0, -1))
     assert failing > 0
 
@@ -269,7 +275,7 @@ def test_wrong_law_gives_visible_defect():
 def test_output_law_equal_to_the_input_law_fails_every_cell():
     # at r = 0 and p' != p, Y has parity weights (q, p), not X's (q', p')
     params = RRWParams.make(0.3, 0.7, 0, 0.15)
-    law_x = rrw_forced_table(params, 41)
+    law_x = forced_table(params, 41)
     ref_cells, ref_failing = _ref_rrw_cells(params, 40, y=False)
     assert rrw_cells(params, 40, law_x, law_x) == \
         (ref_cells, len(ref_failing), ref_failing[0]) == (82, 82, (0, -1))
@@ -286,6 +292,56 @@ def test_product_table_has_zero_defect():
     # mu (x) nu itself is not: every cell but the fixed point (1, 1) fails
     assert product_defect_tv(xs, us, us, xs, mu, nu, mu, nu) == \
         (4, 3, (0, -1))
+
+
+def _ref_product_defect(xs, us, ys, vs, mu, nu, mu_out, nu_out):
+    """`product_defect_tv` one cell at a time, in the cells' order."""
+    failing = [(x, u) for x, u, y, v in zip(xs.tolist(), us.tolist(),
+                                            ys.tolist(), vs.tolist())
+               if mu_out.get(y, 0) * nu_out.get(v, 0)
+               != mu.get(x, 0) * nu.get(u, 0)]
+    return len(xs), len(failing), failing[0] if failing else None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_product_defect_tv_matches_a_per_cell_reference(seed):
+    rng = np.random.default_rng(seed)
+    # spread 1 keeps every key range dense, 10^6 sparse
+    spread = 10 ** 6 if seed % 3 == 0 else 1
+
+    def table():
+        # weights 0, small or of hundreds of digits, on some of -5..5
+        states = rng.choice(np.arange(-5, 6), 8, replace=False).tolist()
+        return {spread * k: [0, int(rng.integers(1, 9)),
+                             int(rng.integers(1, 9)) * 10 ** 300][
+                                 rng.integers(3)] for k in states}
+
+    mu, nu, mu_out, nu_out = table(), table(), table(), table()
+    # keys from -8 to 8 reach past the tables on both sides
+    xs, us = cells(spread * np.arange(-8, 9), spread * np.arange(-8, 4))
+    ys, vs = (spread * rng.integers(-8, 9, len(xs)) for _ in range(2))
+    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out) == \
+        _ref_product_defect(xs, us, ys, vs, mu, nu, mu_out, nu_out)
+
+    # the identity H = id holds at every cell, zero cells included, until
+    # two cells of positive mass are sent off the tables; the witness is
+    # the first of them in x-major order
+    ys, vs = xs.copy(), us.copy()
+    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu) == \
+        (len(xs), 0, None)
+    heavy = [i for i, (x, u) in enumerate(zip(xs.tolist(), us.tolist()))
+             if mu.get(x, 0) * nu.get(u, 0)]
+    i, j = sorted(rng.choice(heavy, 2, replace=False).tolist())
+    ys[[j, i]] = spread * 99
+    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu) == \
+        _ref_product_defect(xs, us, ys, vs, mu, nu, mu, nu) == \
+        (len(xs), 2, (xs[i].item(), us[i].item()))
+
+
+def test_product_defect_tv_on_no_cells():
+    empty = np.array([], dtype=np.int64)
+    assert product_defect_tv(*[empty] * 4, {0: 1}, {0: 1}, {0: 1}, {0: 1}) \
+        == (0, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +412,7 @@ def test_perturbed_tables_all_break_independence():
     # the cells whose x carries moved mass fail, and no other cell
     for grid, cells in (((0.2, 0.5, 0.3), 603), ((0.3, 0.7, 0, 0.15), 402)):
         params = RRWParams.make(*grid)
-        law_y = rrw_forced_table(params, 201, y=True)
+        law_y = forced_table(params, 201, y=True)
         tables = perturbed_tables(params, box=201)
         assert len(tables) >= 3
         steps = len(_step_tables(params)[0])
@@ -552,13 +608,13 @@ def test_integer_tables_match_fraction_reference(grid):
     params = RRWParams.make(*grid)
     for box in (200, 5):
         # a short box leaves a tail far above float resolution
-        nums, den = rrw_forced_table(params, box=box)
+        nums, den = forced_table(params, box=box)
         pmf, tail = _ref_forced_table(params, box)
         assert _fractions((nums, den)) == pmf
         assert Fraction(den - sum(nums.values()), den) == tail
-        assert _fractions(rrw_forced_table(params, box, y=True)) == \
+        assert _fractions(forced_table(params, box, y=True)) == \
             _ref_forced_table(params, box, y=True)[0]
-        forced = rrw_forced_table(params, box + 1)
+        forced = forced_table(params, box + 1)
         moved = [table for _, table in perturbed_tables(params, box)]
         for table in [forced] + moved:
             details = identities(params, box, table).details

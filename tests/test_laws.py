@@ -11,13 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from ipmaps import laws
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
-    _KIND_MAP, gig_norm_const, law_from_spec, truncate,
+    _KIND_MAP, _geometric_table, gig_norm_const, law_from_spec, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import chi2_gof, ks_two_sample
@@ -402,6 +404,35 @@ def test_truncate_shift_geom_tail_is_exact():
     nums, den, tail = truncate(ShiftGeom(0.5, 2), 60)
     assert Fraction(tail, den) == Fraction(1, 2 ** 63)
     assert sum(nums.values()) + tail == den
+
+
+def _closed_form_geometric_table(theta, lo, hi):
+    """The geometric table as a closed form: numerators
+    (b - a) a^(k - lo) b^(hi - k) over b^(hi - lo + 1), theta = a / b, or
+    no state over b when hi < lo."""
+    a, b = theta.numerator, theta.denominator
+    apow, bpow = [1], [1]
+    for _ in range(hi - lo):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return ({k: (b - a) * apow[k - lo] * bpow[hi - k]
+             for k in range(lo, hi + 1)}, bpow[-1] * b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 9).flatmap(
+           lambda b: st.tuples(st.integers(0, b - 1), st.just(b))),
+       st.integers(-40, 40), st.integers(-60, 200))
+def test_geometric_table_equals_its_closed_form(ab, lo, hi):
+    theta = Fraction(*ab)
+    assert _geometric_table(theta, lo, hi) == \
+        _closed_form_geometric_table(theta, lo, hi)
+
+
+def test_geometric_table_below_its_first_state_is_empty_over_b():
+    assert _geometric_table(Fraction(2, 7), 5, 4) == ({}, 7)
+    assert _geometric_table(Fraction(2, 7), 5, -30) == ({}, 7)
+    assert _geometric_table(Fraction(0), 0, 2) == ({0: 1, 1: 0, 2: 0}, 1)
 
 
 def test_truncate_geometric_at_zero():
