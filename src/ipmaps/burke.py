@@ -165,10 +165,10 @@ def verify_burke(field, level=DEFAULT_LEVEL):
                                                 level=level)
         checks["u_boundary"] = _gof_against_law(np.sort(U[0, :]), nu,
                                                 level=level)
-        cells, failing, witness = exact_discrete.pushforward_cells(
-            field.pair, mu, nu, int(X.max()), int(U.max()))
-        exact["exact"] = {"checked_cells": cells, "failing_cells": failing,
-                          "witness_cell": list(witness) if witness else None}
+        exact["exact"] = exact_discrete.cell_report(
+            exact_discrete.pushforward_cells(field.pair, mu, nu,
+                                             int(X.max()), int(U.max())))
+        failing = exact["exact"]["failing_cells"]
     else:
         ts = np.arange(0, T - 1, 5)
         chains = X[:N // 2 * 2]

@@ -179,43 +179,20 @@ def _run_detailed_balance(stanza, rng, out_dir):
 
 
 def _run_rrw_characterize(stanza, rng, out_dir):
-    params = exact_discrete.RRWParams.make(
-        stanza["p"], stanza["q"], stanza["r"], stanza["pprime"])
-    box = stanza["box"]
-    joint = exact_discrete.rrw_joint_table(params, box)
-    checked, failing, witness = exact_discrete.rrw_pushforward_cells(joint)
-    identities = exact_discrete.rrw_verify_proof_identities(params, joint)
-    law = exact_discrete.rrw_forced_law(params)
-    _, (mu, den), _, _ = joint
-    tail = den - sum(mu[k] for k in range(box + 1))
-    return VerificationReport(
-        name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
-             f"r={float(params.r)})",
-        passed=identities.passed and failing == 0,
-        details={
-            "forced_law": type(law).__name__,
-            "forced_pmf_head": {str(k): mu[k] / den
-                                for k in range(min(12, box + 1))},
-            "truncation_tail": tail / den,
-            "checked_cells": checked, "failing_cells": failing,
-            "witness_cell": list(witness) if witness else None,
-            "identities": identities.to_dict(),
-        },
-    )
+    return exact_discrete.rrw_characterize(exact_discrete.RRWParams.make(
+        stanza["p"], stanza["q"], stanza["r"], stanza["pprime"]),
+        stanza["box"])
 
 
 def _run_kdv_tv(stanza, rng, out_dir):
     theta, variant = float(stanza["theta"]), stanza["variant"]
-    cells, failing, witness = exact_discrete.kdv_pushforward_tv(
-        theta, stanza["ell"], variant, stanza["M"])
-    preserved = failing == 0
-    passed = preserved if variant == "g1" else not preserved
+    cells = exact_discrete.cell_report(exact_discrete.kdv_pushforward_tv(
+        theta, stanza["ell"], variant, stanza["M"]))
+    preserved = cells["failing_cells"] == 0
     return VerificationReport(
         name=f"kdv_tv({variant},theta={theta},ell={stanza['ell']})",
-        passed=passed,
-        details={"checked_cells": cells, "failing_cells": failing,
-                 "witness_cell": list(witness) if witness else None,
-                 "product_preserved": preserved},
+        passed=preserved if variant == "g1" else not preserved,
+        details={**cells, "product_preserved": preserved},
     )
 
 
@@ -242,13 +219,11 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
                           {"beta": beta, "sigma": sigma})
     xs = np.linspace(-3.0 * sigma, 3.0 * sigma, grid)
     us = np.linspace(0.005, 0.995, grid)
-    xg, ug = np.meshgrid(xs, us)
-    sup_f = float(np.max(np.abs(
-        skorokhod.skorokhod_f(numeric, xg.ravel(), ug.ravel())
-        - catalog.f(xg.ravel(), ug.ravel()))))
-    sup_g = float(np.max(np.abs(
-        skorokhod.rosenblatt_g(numeric, xg.ravel(), ug.ravel())
-        - catalog.g(xg.ravel(), ug.ravel()))))
+    xg, ug = (a.ravel() for a in np.meshgrid(xs, us))
+    # one bisection: the numeric g is F_y(x), as rosenblatt_g computes it
+    y = skorokhod.skorokhod_f(numeric, xg, ug)
+    sup_f = float(np.max(np.abs(y - catalog.f(xg, ug))))
+    sup_g = float(np.max(np.abs(numeric.F(y, xg) - catalog.g(xg, ug))))
     mono = skorokhod.check_monotone(numeric, np.linspace(-3, 3, 11))
     pair = skorokhod.build_involution(skorokhod.gaussian_family(beta, sigma))
     xs, us = sample_points(pair, 10_000, rng)

@@ -13,7 +13,9 @@ identity, `product_defect_tv`, decides the product law of an integer map
 use it) and the walk's per-state proof identities where Y's marginal is
 exact, so no truncation tail enters a verdict. It gathers each table into
 object arrays, one lookup per state, and compares the two sides' products
-in numpy a block of cells at a time. A reported probability is `num / den`
+in numpy a block of cells at a time; `cell_report` puts its result in a
+report. `rrw_characterize` is the walk's whole verdict on one joint table,
+with the mass of X > box summed once. A reported probability is `num / den`
 of two ints, which Python rounds correctly, as `float(Fraction(num, den))`.
 """
 
@@ -185,12 +187,12 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     return len(xs), len(failing), first[0] if first else None
 
 
-def rrw_pushforward_cells(joint):
-    """H#(mu (x) nu) = mu' (x) nu' under reflecting_rw, checked by
-    `product_defect_tv` at every cell of `joint` (`rrw_joint_table`): mu and
-    mu' are the forced laws of X and Y, nu and nu' the laws of U and V."""
-    grid, (mu, _), mu_y, (nu, nu_v, _) = joint
-    return product_defect_tv(*grid, mu, nu, mu_y, nu_v)
+def cell_report(result):
+    """A `product_defect_tv` result (cells, failing, witness) as a report's
+    `checked_cells`, `failing_cells` and `witness_cell`, the witness a list."""
+    checked, failing, witness = result
+    return {"checked_cells": checked, "failing_cells": failing,
+            "witness_cell": list(witness) if witness else None}
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +209,12 @@ def _count(checks):
                              failing[0] if failing else None)))
 
 
-def rrw_verify_proof_identities(params, joint):
+def rrw_verify_proof_identities(params, joint, beyond):
     """The event identities that drive the characterization proof, as exact
     integer equalities on the X table of `joint` (`rrw_joint_table`), with
     Y = (X+U)^+ and V = -U - 2(X+U)^-. The cells of [0, box] give Y's
-    marginal exactly on y <= box - 1, and V's law once the mass of X > box,
-    where V = -U, is added.
+    marginal exactly on y <= box - 1, and V's law once `beyond`, the mass
+    of X > box over the X table's denominator, where V = -U, is added.
 
     Per state, P(X=x) nu(u) = P(Y=y) nu'(v) at each cell (x, u) -> (y, v)
     with y <= box - 1:
@@ -252,7 +254,6 @@ def rrw_verify_proof_identities(params, joint):
             xs[at], us[at], ys[at], vs[at], mu, nu_du, my, nu_v)))
 
     p, q, pp, qp = nu[1], nu[-1], nu_v[1], nu_v[-1]
-    beyond = dx - sum(mu[x] for x in range(box + 1))     # X > box
     report["total_up"] = _count([(1, pp * dx == (dx - mu[0]) * q)])
     report["v_law"] = _count([(v, mv[v] + beyond * nu[-v] == w * dx)
                               for v, w in nu_v.items()])
@@ -280,6 +281,28 @@ def rrw_verify_proof_identities(params, joint):
         name="rrw_proof_identities",
         passed=all(r["failing"] == 0 for r in report.values()),
         details=report)
+
+
+def rrw_characterize(params, box):
+    """The `rrw-characterize` verdict on x in [0, box]: `product_defect_tv`
+    at every cell of one `rrw_joint_table`, with the forced laws of X and Y
+    and the laws of U and V, and the proof identities on the same table.
+    The mass of X > box is summed once, for the truncation tail and V's law.
+    """
+    joint = rrw_joint_table(params, box)
+    grid, (mu, den), mu_y, (nu, nu_v, _) = joint
+    cell_check = cell_report(product_defect_tv(*grid, mu, nu, mu_y, nu_v))
+    beyond = den - sum(mu[x] for x in range(box + 1))     # X > box
+    identities = rrw_verify_proof_identities(params, joint, beyond)
+    return VerificationReport(
+        name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
+             f"r={float(params.r)})",
+        passed=identities.passed and cell_check["failing_cells"] == 0,
+        details={"forced_law": type(rrw_forced_law(params)).__name__,
+                 "forced_pmf_head": {str(k): mu[k] / den
+                                     for k in range(min(12, box + 1))},
+                 "truncation_tail": beyond / den, **cell_check,
+                 "identities": identities.to_dict()})
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ arrays for tuple-valued noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,7 +123,6 @@ class InvolutionPair:
     u_space: SpaceDescriptor
     f: callable
     g: callable
-    params: dict = field(default_factory=dict)
     solver: callable = None
 
     def __call__(self, x, u):
@@ -275,7 +274,7 @@ def _spd_pair(name, params):
     if set(params) - {"d"} or type(d) is not int or d not in (2, 3):
         raise DomainError("spd_matsumoto_yor takes one param, an integer d"
                           f" in {{2, 3}}, not {params!r}")
-    return InvolutionPair(name, spd(d), spd(d), _spd_f, _spd_g, {"d": d})
+    return InvolutionPair(name, spd(d), spd(d), _spd_f, _spd_g)
 
 
 def _gaussian_pair(name, params):
@@ -300,8 +299,7 @@ def _gaussian_pair(name, params):
         u = gaussian_cdf(x, y, beta, sigma)
         return u, np.full(np.shape(u), UNIQUE)
 
-    return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g,
-                          {"beta": beta, "sigma": sigma}, solver)
+    return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g, solver)
 
 
 # name -> builder(name, params) of every catalog map; kdv_g1 and kdv_g2

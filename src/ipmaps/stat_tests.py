@@ -250,12 +250,12 @@ def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
     """
     n = _pair_count("exchangeability_test", a, b, min_n)
     half = n // 2
-    # pooled columns: the first half as-is, then the second half swapped
-    x = np.concatenate([a[:half], b[half:2 * half]])
-    y = np.concatenate([b[:half], a[half:2 * half]])
     bins = 10 if half >= 10_000 else 5
-    ia, ka = _bin_indices_from(np.sort(x), x[:half], x[half:], bins)
-    ib, kb = _bin_indices_from(np.sort(y), y[:half], y[half:], bins)
+    # per pooled column, the first half as-is and the second half swapped,
+    # pooled only to be sorted
+    (ia, ka), (ib, kb) = (
+        _bin_indices_from(np.sort(np.concatenate(h)), *h, bins) for h in (
+            (a[:half], b[half:2 * half]), (b[:half], a[half:2 * half])))
     (ia_a, ia_b), (ib_a, ib_b) = ia, ib
     ca = _table(ia_a, ib_a, ka, kb)
     cb = _table(ia_b, ib_b, ka, kb)

@@ -115,10 +115,10 @@ def test_criterion_3_rrw_exact(capsys):
                 walk, Geometric(0.5), steps, box).passed
 
         for prm in (params, exact_discrete.RRWParams.make(0.3, 0.7, 0, 0.2)):
-            ids = exact_discrete.rrw_verify_proof_identities(
-                prm, exact_discrete.rrw_joint_table(prm, 200))
-            assert ids.passed
-            assert all(r["failing"] == 0 for r in ids.details.values())
+            report = exact_discrete.rrw_characterize(prm, 200)
+            ids = report.details["identities"]
+            assert report.passed and ids["passed"]
+            assert all(r["failing"] == 0 for r in ids["details"].values())
 
         for p in (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)):
             for q in (Fraction(5, 10), Fraction(6, 10), Fraction(7, 10)):
@@ -129,13 +129,16 @@ def test_criterion_3_rrw_exact(capsys):
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn))
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn / 2))
                 for prm in grid:
-                    joint = exact_discrete.rrw_joint_table(prm, 200)
-                    assert exact_discrete.rrw_pushforward_cells(joint) \
+                    cells, (nums, den), law_y, steps = \
+                        exact_discrete.rrw_joint_table(prm, 200)
+                    nu, nu_v, _ = steps
+                    assert exact_discrete.product_defect_tv(
+                        *cells, nums, nu, law_y, nu_v) \
                         == ((3 if prm.r > 0 else 2) * 201, 0, None)
                     # mass 1/1000 moved between adjacent states fails the
-                    # cells of both states, over the cells x in [0, 200]
-                    cells, (nums, den), law_y, steps = joint
-                    nu, nu_v, _ = steps
+                    # cells of both states, over the cells x in [0, 200];
+                    # it stays in [0, 200], so the mass beyond stays
+                    beyond = 1000 * (den - sum(nums[x] for x in range(201)))
                     law_y = {k: 1000 * w for k, w in law_y.items()}
                     for a, b in ((0, 1), (1, 0), (1, 2)):
                         moved = {k: 1000 * w for k, w in nums.items()}
@@ -146,8 +149,8 @@ def test_criterion_3_rrw_exact(capsys):
                             *cells, moved, nu, law_y, nu_v)
                         assert failing == 2 * len(nu)
                         assert not exact_discrete.rrw_verify_proof_identities(
-                            prm, (cells, (moved, 1000 * den), None,
-                                  steps)).passed
+                            prm, (cells, (moved, 1000 * den), None, steps),
+                            beyond).passed
 
 
 # ---------------------------------------------------------------------------

@@ -760,14 +760,22 @@ def test_rrw_characterize_passes_within_its_truncation_tail(tmp_path, box,
 
 
 def test_rrw_characterize_fails_on_a_failing_cell(monkeypatch):
-    # the identities pass, but one failing cell fails the verdict
-    monkeypatch.setattr(exact_discrete, "rrw_pushforward_cells",
-                        lambda joint: (603, 1, (0, -1)))
+    # Y's table off at y = 0 fails the cells (0, -1), (0, 0) and (1, -1)
+    # that reach it; the identities read Y's marginal off the cells, so
+    # they pass, but the failing cells fail the verdict
+    forced = exact_discrete.rrw_forced_table
+
+    def off_at_zero(params, box):
+        nums, nums_y, den = forced(params, box)
+        return nums, {**nums_y, 0: nums_y[0] + 1}, den
+
+    monkeypatch.setattr(exact_discrete, "rrw_forced_table", off_at_zero)
     stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3}
     check = run({"seed": 0, "checks": [stanza]})["checks"][0]
     assert check["details"]["identities"]["passed"]
     assert not check["passed"]
-    assert check["details"]["witness_cell"] == [0, -1]
+    assert (check["details"]["failing_cells"],
+            check["details"]["witness_cell"]) == (3, [0, -1])
 
 
 @pytest.mark.parametrize("variant", ["g1", "g2"])

@@ -10,7 +10,7 @@ import pytest
 from ipmaps.exact_discrete import (
     RRWParams, _step_tables, cells, kdv_box, kdv_pushforward_tv,
     product_defect_tv, pushforward_cells, rrw_forced_law, rrw_forced_table,
-    rrw_joint_table, rrw_pushforward_cells, rrw_verify_proof_identities,
+    rrw_characterize, rrw_joint_table, rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
 from ipmaps.laws import (
@@ -62,13 +62,27 @@ def with_x_table(joint, table):
     return cells, table, mu_y, steps
 
 
+def beyond(joint):
+    """The mass of X > box in the X table of `joint`, over its denominator."""
+    (xs, *_), (nums, den), _, _ = joint
+    return den - sum(nums[x] for x in range(int(xs[-1]) + 1))
+
+
 def identities(params, box, table=None):
     """The proof identities' report on the box [0, box], for the forced X
     table or for `table`."""
     joint = rrw_joint_table(params, box)
     if table is not None:
         joint = with_x_table(joint, table)
-    return rrw_verify_proof_identities(params, joint)
+    return rrw_verify_proof_identities(params, joint, beyond(joint))
+
+
+def characterized_cells(params, box):
+    """The cell identity of `rrw_characterize` on [0, box], as the
+    (cells, failing, witness) of `product_defect_tv`."""
+    details = rrw_characterize(params, box).details
+    return tuple(details[k] for k in ("checked_cells", "failing_cells",
+                                      "witness_cell"))
 
 
 def rrw_cells(params, box, law_x, law_y):
@@ -234,8 +248,8 @@ def test_joint_from_point_mass_at_zero():
     assert law == {(1, -1): Fraction(1, 5), (0, -1): Fraction(1, 2),
                    (0, 0): Fraction(3, 10)}
     # P(Y=0) = q + r moves the boundary identity P(X=0) q = P(Y=0) q'
-    details = rrw_verify_proof_identities(
-        params, with_x_table(joint, (mu, 1))).details
+    joint = with_x_table(joint, (mu, 1))
+    details = rrw_verify_proof_identities(params, joint, beyond(joint)).details
     assert details["boundary"] == \
         {"checked": 1, "failing": 1, "first_failing": (0, -1)}
 
@@ -256,8 +270,7 @@ def test_table_denominator_does_not_change_a_report(grid):
 
 def test_forced_law_gives_zero_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    assert rrw_pushforward_cells(rrw_joint_table(params, 200)) == \
-        (603, 0, None)
+    assert characterized_cells(params, 200) == (603, 0, None)
     law_x = forced_table(params, 201)
     law_y = forced_table(params, 201, y=True)
     assert rrw_cells(params, 200, law_x, law_y) == (603, 0, None)
@@ -279,8 +292,7 @@ def test_output_law_equal_to_the_input_law_fails_every_cell():
     ref_cells, ref_failing = _ref_rrw_cells(params, 40, y=False)
     assert rrw_cells(params, 40, law_x, law_x) == \
         (ref_cells, len(ref_failing), ref_failing[0]) == (82, 82, (0, -1))
-    assert rrw_pushforward_cells(rrw_joint_table(params, 40)) == \
-        (82, 0, None)
+    assert characterized_cells(params, 40) == (82, 0, None)
 
 
 def test_product_table_has_zero_defect():
@@ -419,6 +431,26 @@ def test_perturbed_tables_all_break_independence():
         for (a, b), table in tables:
             assert rrw_cells(params, 200, table, law_y) == \
                 (cells, 2 * steps, (min(a, b), -1))
+
+
+@pytest.mark.parametrize("box", [20, 21])
+@pytest.mark.parametrize("grid", RRW_WIDE_GRID, ids=str)
+def test_truncation_tail_is_the_closed_form(grid, box):
+    # P(X > box) of the forced law: theta^(box + 1) for the geometric law
+    # with theta = p / q; at r = 0, rho^2 to the power box // 2 + 1 for the
+    # parity pairs {2m, 2m + 1} past the box, and at an even box also the
+    # odd state box + 1, p' (1 - rho^2) rho^(2 (box // 2))
+    p, q, r, pprime = (Fraction(str(v)) if v is not None else None
+                       for v in grid)
+    if r > 0:
+        tail = (p / q) ** (box + 1)
+    else:
+        rho2 = p * pprime / (q * (p + q - pprime))
+        tail = rho2 ** (box // 2 + 1)
+        if box % 2 == 0:
+            tail += pprime * (1 - rho2) * rho2 ** (box // 2)
+    details = rrw_characterize(RRWParams.make(*grid), box).details
+    assert details["truncation_tail"] == float(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +665,7 @@ def test_rrw_cells_match_fraction_reference(grid):
     for box in (*range(1, 41), 200):
         ref_cells, ref_failing = _ref_rrw_cells(params, box)
         assert (ref_cells, ref_failing) == ((box + 1) * steps, [])
-        assert rrw_pushforward_cells(rrw_joint_table(params, box)) == \
-            (ref_cells, 0, None)
+        assert characterized_cells(params, box) == (ref_cells, 0, None)
 
 
 # (theta, ell, M); the last has M < ell, so mu reaches past the noise box
