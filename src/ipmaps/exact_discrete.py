@@ -11,7 +11,8 @@ Every verdict enumerates its cells in x-major order with `cells`. One cell
 identity, `product_defect_tv`, decides the product law of an integer map
 (`pushforward_cells` for two laws, as `kdv-tv` and Burke's integer fields
 use it) and the walk's per-state proof identities where Y's marginal is
-exact, so no truncation tail enters a verdict. It gathers each table into
+exact, decided in one pass over the cells of all four identity kinds, so
+no truncation tail enters a verdict. It gathers each table into
 object arrays, one lookup per state, and compares the two sides' products
 in numpy a block of cells at a time; `cell_report` puts its result in a
 report. `rrw_characterize` is the walk's whole verdict on one joint table,
@@ -177,11 +178,21 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     Returns the number of cells, the number that fail and the first
     failing cell (None when none fails).
     """
+    return _tally(xs, us, _cell_fails(xs, us, ys, vs, mu, nu, mu_out, nu_out))
+
+
+def _cell_fails(xs, us, ys, vs, mu, nu, mu_out, nu_out):
+    """Per cell, whether the identity of `product_defect_tv` fails there."""
     wy, wv, wx, wu = (_gather(table, keys) for table, keys in (
         (mu_out, ys), (nu_out, vs), (mu, xs), (nu, us)))
     fails = np.empty(len(xs), dtype=bool)
     for s in blocks(len(xs), 1 << 9):   # holds 0.3 MB of products at box 1000
         fails[s] = wy[s] * wv[s] != wx[s] * wu[s]
+    return fails
+
+
+def _tally(xs, us, fails):
+    """(cells, failing cells, first failing cell or None) of a fails mask."""
     failing = np.flatnonzero(fails)
     first = [(xs[i].item(), us[i].item()) for i in failing[:1]]
     return len(xs), len(failing), first[0] if first else None
@@ -242,16 +253,20 @@ def rrw_verify_proof_identities(params, joint, beyond):
         my[y], mv[v] = my.get(y, 0) + w, mv.get(v, 0) + w
     # mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
     nu_du = {u: w * du for u, w in nu.items()}
-    exact = ys <= box - 1
     kinds = {"boundary": (xs == 0) & (us == -1), "zero_step": us == 0,
              "down_up": (xs > 0) & (us == -1), "up_down": us == 1}
     if params.r == 0:
         del kinds["zero_step"]
+    # the kinds are disjoint: one pass over the cells of them all, split after
+    at = np.flatnonzero(np.logical_or.reduce(list(kinds.values()))
+                        & (ys <= box - 1))
+    xs, us = xs[at], us[at]
+    fails = _cell_fails(xs, us, ys[at], vs[at], mu, nu_du, my, nu_v)
     report = {}
-    for name, at in kinds.items():
-        at &= exact
-        report[name] = dict(zip(_TALLY, product_defect_tv(
-            xs[at], us[at], ys[at], vs[at], mu, nu_du, my, nu_v)))
+    for name, kind in kinds.items():
+        mine = kind[at]
+        report[name] = dict(zip(_TALLY, _tally(xs[mine], us[mine],
+                                               fails[mine])))
 
     p, q, pp, qp = nu[1], nu[-1], nu_v[1], nu_v[-1]
     report["total_up"] = _count([(1, pp * dx == (dx - mu[0]) * q)])

@@ -1,11 +1,14 @@
 """Tests for the lattice field recursion and its row/column properties."""
 
 import json
+import os
+import tracemalloc
 from itertools import count
 
 import numpy as np
 import pytest
 
+from ipmaps import burke
 from ipmaps.burke import (
     LatticeField, check_recursion, field_rows, require_field_shape,
     simulate_field, verify_burke,
@@ -81,6 +84,24 @@ def test_wavefront_matches_scalar_recursion(name, N, T):
     X, U = _scalar_field(pair, mu, nu, N, T, RandomStream(29))
     assert np.array_equal(field.X, X)
     assert np.array_equal(field.U, U)
+
+
+@pytest.mark.parametrize("N, T", [(3000, 30), (30, 3000)])
+def test_long_fields_take_memory_in_proportion_to_their_sites(N, T):
+    pair = catalog_get("matsumoto_yor")
+    mu, nu = _WAVEFRONT_MAPS["matsumoto_yor"]
+    tracemalloc.start()
+    try:
+        field = simulate_field(pair, mu, nu, N, T, RandomStream(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    X, U = _scalar_field(pair, mu, nu, N, T, RandomStream(31))
+    assert np.array_equal(field.X, X)
+    assert np.array_equal(field.U, U)
+    # X and U alone are 2 N T float64s; a diagonal-major store N + T
+    # diagonals wide along the longer side would be about 100 times that
+    assert peak < 8 * N * T * 8
 
 
 class _RowStarts:
@@ -335,3 +356,89 @@ def test_field_rows_keep_every_float_repr(name):
     text = "".join(rows)
     for v in values:
         assert f",{v!r}\r\n" in text and f",{v!r}," in text
+
+
+# ---------------------------------------------------------------------------
+# field rows formatted in a forked process
+# ---------------------------------------------------------------------------
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _set_usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every continuous field is formatted forked; returns a list that gets
+    one entry per call of os.fork."""
+    monkeypatch.setattr(burke, "FORK_MIN_SITES", 0)
+    _set_usable_cores(monkeypatch, 2)
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N, T", [(30, 70), (68, 30), (31, 40), (1, 5)])
+def test_forked_field_rows_match_the_per_site_reference(forks, N, T):
+    field = _my_field(11, N=N, T=T)
+    rows = field_rows(field)
+    assert forks == [1]
+    assert rows == _field_rows_reference(field)
+    _assert_no_child_left()
+
+
+def test_integer_field_rows_are_never_forked(forks):
+    field = _rrw_field(11, N=30, T=70)
+    assert field_rows(field) == _field_rows_reference(field)
+    assert forks == []
+
+
+def test_field_rows_on_one_core_are_not_forked(forks, monkeypatch):
+    _set_usable_cores(monkeypatch, 1)
+    field = _my_field(11, N=68, T=30)
+    assert field_rows(field) == _field_rows_reference(field)
+    assert forks == []
+
+
+def test_field_rows_without_fork_are_the_same(monkeypatch):
+    monkeypatch.setattr(burke, "FORK_MIN_SITES", 0)
+    monkeypatch.delattr(os, "fork")
+    field = _my_field(11, N=68, T=30)
+    assert field_rows(field) == _field_rows_reference(field)
+
+
+def _rows_failing_in(monkeypatch, child):
+    """Make burke._rows raise in the child process, or in this one."""
+    parent, rows = os.getpid(), burke._rows
+
+    def failing(*args):
+        if (os.getpid() != parent) is child:
+            raise ValueError("row formatting failed")
+        return rows(*args)
+
+    monkeypatch.setattr(burke, "_rows", failing)
+
+
+def test_a_failing_child_makes_field_rows_raise(forks, monkeypatch):
+    _rows_failing_in(monkeypatch, child=True)
+    with pytest.raises(RuntimeError, match="exited with status 1"):
+        field_rows(_my_field(11, N=68, T=30))
+    _assert_no_child_left()
+
+
+def test_a_failing_parent_still_reaps_its_child(forks, monkeypatch):
+    _rows_failing_in(monkeypatch, child=False)
+    with pytest.raises(ValueError, match="row formatting failed"):
+        field_rows(_my_field(11, N=68, T=30))
+    _assert_no_child_left()

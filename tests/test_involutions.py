@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipmaps.involutions import (
     BERNOULLI_CROSS_UNIT, BIT, BLOCK, CATALOG_NAMES, INTEGERS,
@@ -352,6 +354,30 @@ def test_scalar_space_membership_table(space):
         assert space.contains(v) is expected, v
         assert space.contains(np.array([v, v])) is expected, v
         assert space.contains(np.array([v, np.nan])) is False, v
+
+
+def _mod_form_contains(space, v):
+    """Integer-space membership as mod(v, 1) == 0 inside [lo, hi]."""
+    a = np.asarray(v, dtype=float)
+    with np.errstate(invalid="ignore"):   # inf and nan: mod is nan
+        return bool(np.all((np.mod(a, 1) == 0) & (space.lo <= a)
+                           & (a <= space.hi)))
+
+
+_EDGE_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324,
+                -5e-324, 0.5, -1.0, 1.0, 2.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([INTEGERS, NONNEG_INTEGERS, THREE_POINT, BIT]),
+       st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(),
+                          st.integers(-5, 5).map(float)),
+                min_size=1, max_size=12))
+def test_integer_space_contains_equals_the_mod_form(space, values):
+    a = np.array(values)
+    assert space.contains(a) is _mod_form_contains(space, a)
+    for v in values:
+        assert space.contains(v) is _mod_form_contains(space, v), v
 
 
 def test_product_space_membership_table():
