@@ -220,20 +220,21 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     )
 
 
-# A continuous field of more sites than this has its rows formatted in two
-# processes, if this process may run on more than one core. Median ms of
-# field_rows, serial against forked, in a 110 MB process on a 2-core Xeon:
-# 80 x 80 17.9 / 20.6, 100 x 100 27.1 / 26.2, 120 x 120 38.2 / 32.4,
-# 200 x 200 116 / 68, 400 x 400 372 / 239; pinned to one core, forking
-# was no faster (200 x 200 103 / 110, 400 x 400 390 / 412).
+# A continuous field of more sites than this is written from two processes,
+# if this process may run on more than one core. Median ms of field_rows,
+# serial against forked (the child then piping its rows back), in a 110 MB
+# process on a 2-core Xeon: 80 x 80 17.9 / 20.6, 100 x 100 27.1 / 26.2,
+# 120 x 120 38.2 / 32.4, 200 x 200 116 / 68, 400 x 400 372 / 239; pinned to
+# one core, forking was no faster (200 x 200 103 / 110, 400 x 400 390 / 412).
 FORK_MIN_SITES = 12_000
 
 
-def field_rows(field):
-    """The field as CSV text: one chunk of CRLF-ended n,t,x,u lines per
-    lattice row n, floats written as their repr. The boundary noise row
-    appears with n=0 and x written as nan, and the last site of every row
-    with u written as nan.
+def field_rows(field, out):
+    """Write the field as CSV into the open binary file `out`: the header
+    n,t,x,u, then one chunk of CRLF-ended n,t,x,u lines per lattice row n,
+    floats written as their repr. The boundary noise row appears with n=0
+    and x written as nan, and the last site of every row with u written as
+    nan.
 
     Each chunk joins one list of six pieces per line, n ",t," x "," u
     "\r\n", whose constant pieces are made once per field. On an integer
@@ -241,13 +242,15 @@ def field_rows(field):
     bit pattern is formatted once into a table, and each row gathers its
     reprs from it at `np.searchsorted` of the row's bits; keying on bits
     keeps -0.0 apart from 0.0. A continuous field of more than
-    `FORK_MIN_SITES` sites is formatted on two cores where `os.fork`
-    exists and this process may run on more than one core
-    (`_forked_rows`): a child process formats the upper half of
-    the rows while this one formats the lower half. The rows are the same
+    `FORK_MIN_SITES` sites is written by two processes where `os.fork`
+    exists and this process may run on more than one core: a forked child
+    writes the lower half of the rows into `out` itself while this process
+    formats the upper half, which it then writes where the child's half
+    ended, the two sharing the file's offset. The bytes are the same
     either way."""
     X, U = field.X, field.U
     N, T = field.shape
+    out.write(b"n,t,x,u\r\n")
     if field.pair.x_space.is_integer:
         bits = np.unique(np.concatenate([X.ravel(), U.ravel()])
                          .view(np.int64))
@@ -259,10 +262,38 @@ def field_rows(field):
     else:
         def text(row):
             return map(repr, row.tolist())
-        if (N * T > FORK_MIN_SITES and hasattr(os, "fork")
-                and _usable_cores() > 1):
-            return _forked_rows(field, text, (N + 1) // 2)
-    return list(_rows(field, text, 0, N + 1))
+    if (not field.pair.x_space.is_integer and N * T > FORK_MIN_SITES
+            and hasattr(os, "fork") and _usable_cores() > 1):
+        split = (N + 1) // 2
+        out.flush()
+        pid = os.fork()
+        if pid == 0:
+            # the child: every path ends in os._exit, so it never returns
+            # into the caller's stack, nor runs exit handlers or closes `out`
+            status = 1
+            try:
+                out.writelines(row.encode("ascii")
+                               for row in _rows(field, text, 0, split))
+                out.flush()
+                status = 0
+            except BaseException:
+                import traceback   # only here: nothing else in burke needs it
+
+                traceback.print_exc()
+            finally:
+                os._exit(status)
+        try:
+            rows = list(_rows(field, text, split, N + 1))
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:   # else every write of the child returned
+            raise RuntimeError(
+                f"the process writing field rows 0..{split - 1} exited with "
+                f"status {status}")
+        out.seek(os.lseek(out.fileno(), 0, os.SEEK_CUR))
+    else:
+        rows = _rows(field, text, 0, N + 1)
+    out.writelines(row.encode("ascii") for row in rows)
 
 
 def _usable_cores():
@@ -289,52 +320,3 @@ def _rows(field, text, lo, hi):
         line[2::6] = text(X[n - 1])
         line[4:6 * T:6] = text(U[n])
         yield "".join(line)
-
-
-def _forked_rows(field, text, split):
-    """`field_rows` from two processes: a forked child formats rows split,
-    ..., N and writes them to a pipe, their byte lengths first, while this
-    process formats rows 0, ..., split - 1; then it reads the child's rows
-    back one at a time, so it never holds them as bytes and as text at once.
-    The child is reaped in every case, and a child that fails raises."""
-    N = field.shape[0]
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # the child: it must never return into the caller's stack, so every
-        # path ends in os._exit, which also skips the parent's exit handlers
-        status = 1
-        try:
-            os.close(read_fd)
-            rows = [row.encode("ascii")
-                    for row in _rows(field, text, split, N + 1)]
-            with open(write_fd, "wb") as pipe:
-                pipe.write(np.array([len(row) for row in rows],
-                                    dtype=np.int64).tobytes())
-                pipe.writelines(rows)
-            status = 0
-        except BaseException:
-            import traceback   # only here: nothing else in burke needs it
-
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            rows = list(_rows(field, text, 0, split))
-            head = pipe.read(8 * (N + 1 - split))
-            for size in np.frombuffer(head, dtype=np.int64).tolist():
-                rows.append(pipe.read(size).decode("ascii"))
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:   # else every write of the child returned
-        raise RuntimeError(
-            f"the process formatting field rows {split}..{N} exited with "
-            f"status {status}")
-    return rows

@@ -51,8 +51,8 @@ _FIELD_CHECKS = {
     "level": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
     "tol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
     "csv": (lambda v: v is None or type(v) is str
-            and os.path.basename(v) == v not in ("", ".", ".."),
-            "null or a plain file name"),
+            and os.path.basename(v) == v not in ("", ".", "..", "report.json"),
+            "null or a plain file name other than 'report.json'"),
 }
 
 
@@ -139,6 +139,9 @@ def load_config(path):
     if not isinstance(checks, list):
         raise ConfigError("checks must be a list")
     raw["checks"] = [_validate_stanza(s, i) for i, s in enumerate(checks)]
+    names = [s["csv"] for s in raw["checks"] if s.get("csv")]
+    if len(set(names)) < len(names):   # one would overwrite another
+        raise ConfigError(f"two burke checks write one csv file: {names}")
     return raw
 
 
@@ -206,7 +209,7 @@ def _run_burke(stanza, rng, out_dir):
     if stanza["csv"] and out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, stanza["csv"])
-        _rewrite(path, ["n,t,x,u\r\n"], burke.field_rows(field), newline="")
+        _rewrite(path, lambda fh: burke.field_rows(field, fh))
         report.details["csv"] = stanza["csv"]
     return report
 
@@ -290,21 +293,22 @@ def run(config, out_dir=None):
 _JSON = {"sort_keys": True, "indent": 2, "allow_nan": False}  # of a report
 
 
-def _rewrite(path, *parts, newline=None):
-    """Write the strings of `parts` over the file at `path` in place, cut to
-    length after: never emptied first, which costs a writeback on ext4."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              encoding="utf-8", newline=newline) as fh:
-        for part in parts:
-            fh.writelines(part)
-        fh.truncate()
+def _rewrite(path, write):
+    """Call `write` on the file at `path`, opened binary in place, then cut
+    the file where writing ended, also if `write` raised: it is never
+    emptied first, which costs a writeback on ext4, nor left with old bytes."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            write(fh)
+        finally:
+            fh.truncate()
 
 
 def emit(report, out_dir, text=None):   # text: the report's JSON, if made
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
-    _rewrite(path, (json.dumps(report, **_JSON) if text is None else text,
-                    "\n"))
+    text = json.dumps(report, **_JSON) if text is None else text
+    _rewrite(path, lambda fh: fh.write(f"{text}\n".encode()))
     return path
 
 

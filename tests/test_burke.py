@@ -8,7 +8,7 @@ from itertools import count
 import numpy as np
 import pytest
 
-from ipmaps import burke
+from ipmaps import burke, cli
 from ipmaps.burke import (
     LatticeField, check_recursion, field_rows, require_field_shape,
     simulate_field, verify_burke,
@@ -309,26 +309,43 @@ def test_field_shape_floor_is_the_row_pair_count(N, T, ok):
             require_field_shape(N, T)
 
 
-def test_field_rows_layout():
+def _written(field, path):
+    """The bytes `field_rows` writes through `cli._rewrite` to `path`,
+    which the file object's position must end at."""
+    ends = []
+
+    def write(fh):
+        field_rows(field, fh)
+        ends.append(fh.tell())
+
+    cli._rewrite(path, write)
+    written = path.read_bytes()
+    assert ends == [len(written)]
+    return written
+
+
+def test_field_rows_layout(tmp_path):
     field = _rrw_field(17, N=5, T=4)
-    rows = field_rows(field)
-    # one CRLF-ended chunk for the boundary noise row n = 0 and one for each
-    # lattice row: T noise lines, then N chunks of T+1 site lines
-    assert len(rows) == 1 + 5
-    assert all(row.endswith("\r\n") for row in rows)
-    lines = [[line.split(",") for line in row.split("\r\n")[:-1]]
-             for row in rows]
-    assert [len(chunk) for chunk in lines] == [4] + [5] * 5
-    assert lines[0][0] == ["0", "0", "nan", repr(float(field.U[0, 0]))]
-    assert lines[2][3] == ["2", "3", repr(float(field.X[1, 3])),
-                           repr(float(field.U[2, 3]))]
-    assert lines[5][4][3] == "nan"
-    assert [{int(line[0]) for line in chunk} for chunk in lines] == \
-        [{n} for n in range(6)]
+    lines = _written(field, tmp_path / "field.csv").decode().split("\r\n")
+    # every line CRLF-ended: the header, T noise lines for the boundary
+    # noise row n = 0, then N rows of T+1 site lines, in row order
+    assert lines[0] == "n,t,x,u" and lines[-1] == ""
+    assert not any("\r" in line or "\n" in line for line in lines)
+    sites = [line.split(",") for line in lines[1:-1]]
+    assert [int(site[0]) for site in sites] == [0] * 4 + \
+        [n for n in range(1, 6) for _ in range(5)]
+    rows = [sites[:4]] + [sites[4 + 5 * k:9 + 5 * k] for k in range(5)]
+    assert all([int(site[1]) for site in row] == list(range(len(row)))
+               for row in rows)
+    assert rows[0][0] == ["0", "0", "nan", repr(float(field.U[0, 0]))]
+    assert rows[2][3] == ["2", "3", repr(float(field.X[1, 3])),
+                          repr(float(field.U[2, 3]))]
+    assert rows[5][4][3] == "nan"
 
 
 def _field_rows_reference(field):
-    """field_rows as one f-string per site, the layout's reference."""
+    """The rows of field.csv as one f-string per site, the layout's
+    reference."""
     X, U = field.X.tolist(), field.U.tolist()
     rows = ["".join([f"0,{t},nan,{u}\r\n" for t, u in enumerate(U[0])])]
     for n, (xs, us) in enumerate(zip(X, U[1:]), start=1):
@@ -337,23 +354,29 @@ def _field_rows_reference(field):
     return rows
 
 
+def _reference(field, rows=None):
+    """field.csv, or its header and first `rows` rows, from the reference."""
+    return ("n,t,x,u\r\n"
+            + "".join(_field_rows_reference(field)[:rows])).encode()
+
+
 @pytest.mark.parametrize("make", [_rrw_field, _my_field])
-def test_field_rows_match_the_per_site_reference(make):
+def test_field_rows_match_the_per_site_reference(make, tmp_path):
     field = make(3, N=37, T=41)
-    assert field_rows(field) == _field_rows_reference(field)
+    assert _written(field, tmp_path / "field.csv") == _reference(field)
 
 
 @pytest.mark.parametrize("name", ["reflecting_rw", "matsumoto_yor"])
-def test_field_rows_keep_every_float_repr(name):
+def test_field_rows_keep_every_float_repr(name, tmp_path):
     # -0.0 and 0.0 share a value but not a repr; on the integer branch the
     # table of reprs must tell them apart
     values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e16, 1e-05, 5e-324, 3.0]
     X = np.resize(values, (4, 8))
     U = np.resize(values[::-1], (5, 7))
     field = LatticeField(X=X, U=U, pair=catalog_get(name), mu=None, nu=None)
-    rows = field_rows(field)
-    assert rows == _field_rows_reference(field)
-    text = "".join(rows)
+    written = _written(field, tmp_path / "field.csv")
+    assert written == _reference(field)
+    text = written.decode()
     for v in values:
         assert f",{v!r}\r\n" in text and f",{v!r}," in text
 
@@ -390,32 +413,44 @@ def forks(monkeypatch):
 
 
 @pytest.mark.parametrize("N, T", [(30, 70), (68, 30), (31, 40), (1, 5)])
-def test_forked_field_rows_match_the_per_site_reference(forks, N, T):
+def test_forked_field_rows_match_the_per_site_reference(forks, N, T,
+                                                        tmp_path):
     field = _my_field(11, N=N, T=T)
-    rows = field_rows(field)
+    assert _written(field, tmp_path / "field.csv") == _reference(field)
     assert forks == [1]
-    assert rows == _field_rows_reference(field)
     _assert_no_child_left()
 
 
-def test_integer_field_rows_are_never_forked(forks):
+def test_integer_field_rows_are_never_forked(forks, tmp_path):
     field = _rrw_field(11, N=30, T=70)
-    assert field_rows(field) == _field_rows_reference(field)
+    assert _written(field, tmp_path / "field.csv") == _reference(field)
     assert forks == []
 
 
-def test_field_rows_on_one_core_are_not_forked(forks, monkeypatch):
+def test_field_rows_on_one_core_are_not_forked(forks, monkeypatch, tmp_path):
     _set_usable_cores(monkeypatch, 1)
     field = _my_field(11, N=68, T=30)
-    assert field_rows(field) == _field_rows_reference(field)
+    assert _written(field, tmp_path / "field.csv") == _reference(field)
     assert forks == []
 
 
-def test_field_rows_without_fork_are_the_same(monkeypatch):
+def test_field_rows_without_fork_are_the_same(monkeypatch, tmp_path):
     monkeypatch.setattr(burke, "FORK_MIN_SITES", 0)
     monkeypatch.delattr(os, "fork")
     field = _my_field(11, N=68, T=30)
-    assert field_rows(field) == _field_rows_reference(field)
+    assert _written(field, tmp_path / "field.csv") == _reference(field)
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_field_rows_over_a_longer_file_leave_no_stale_byte(
+        forks, monkeypatch, tmp_path, forked):
+    if not forked:
+        _set_usable_cores(monkeypatch, 1)
+    field = _my_field(11, N=68, T=30)
+    path = tmp_path / "field.csv"
+    path.write_bytes(b"\xff" * 2 * len(_reference(field)))
+    assert _written(field, path) == _reference(field)
+    assert forks == [1] * forked
 
 
 def _rows_failing_in(monkeypatch, child):
@@ -430,15 +465,34 @@ def _rows_failing_in(monkeypatch, child):
     monkeypatch.setattr(burke, "_rows", failing)
 
 
-def test_a_failing_child_makes_field_rows_raise(forks, monkeypatch):
+def test_a_failing_child_makes_field_rows_raise(forks, monkeypatch,
+                                                tmp_path):
     _rows_failing_in(monkeypatch, child=True)
     with pytest.raises(RuntimeError, match="exited with status 1"):
-        field_rows(_my_field(11, N=68, T=30))
+        _written(_my_field(11, N=68, T=30), tmp_path / "field.csv")
+    assert forks == [1]
     _assert_no_child_left()
 
 
-def test_a_failing_parent_still_reaps_its_child(forks, monkeypatch):
+def test_a_failing_parent_still_reaps_its_child(forks, monkeypatch,
+                                                tmp_path):
     _rows_failing_in(monkeypatch, child=False)
     with pytest.raises(ValueError, match="row formatting failed"):
-        field_rows(_my_field(11, N=68, T=30))
+        _written(_my_field(11, N=68, T=30), tmp_path / "field.csv")
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("child", [True, False])
+def test_a_failed_write_leaves_no_byte_of_the_old_file(
+        forks, monkeypatch, tmp_path, child):
+    # the file is cut where writing stopped: after the header if the child
+    # failed, after the child's 34 rows if this process did
+    field = _my_field(11, N=68, T=30)
+    path = tmp_path / "field.csv"
+    path.write_bytes(b"\xff" * 2 * len(_reference(field)))
+    _rows_failing_in(monkeypatch, child)
+    with pytest.raises(RuntimeError if child else ValueError):
+        _written(field, path)
+    assert path.read_bytes() == _reference(field, 0 if child else 34)
     _assert_no_child_left()

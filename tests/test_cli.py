@@ -242,6 +242,10 @@ BAD_STANZAS = {
                     "mu": GEOMETRIC, "nu": THREE_POINT, "csv": 7},
     "burke_csv_empty": {"kind": "burke", "map": "reflecting_rw",
                         "mu": GEOMETRIC, "nu": THREE_POINT, "csv": ""},
+    # emit would write the report over the field it names
+    "burke_csv_report_json": {"kind": "burke", "map": "reflecting_rw",
+                              "mu": GEOMETRIC, "nu": THREE_POINT,
+                              "csv": "report.json"},
     # a field the kind does not read would silently take its default
     "ip_levl_typo": {"kind": "ip", "map": "kdv_g2",
                      "mu": {"kind": "trunc_geom",
@@ -344,6 +348,23 @@ def test_config_resolves_maps_at_load_time(tmp_path, name, capsys):
     assert captured.out == ""
     assert captured.err.startswith("config error:")
     assert not (out / "report.json").exists()
+
+
+def test_config_rejects_two_burke_checks_writing_one_csv(tmp_path, capsys):
+    def burke(csv):
+        return {"kind": "burke", "map": "reflecting_rw", "mu": GEOMETRIC,
+                "nu": THREE_POINT, "csv": csv}
+    # fields without a csv, and csvs of other names, load
+    load_config(_write_config(tmp_path, {"seed": 1, "checks": [
+        burke(None), burke(None), burke("a.csv"), burke("b.csv")]}))
+    path = _write_config(tmp_path, {"seed": 1, "checks": [
+        burke("a.csv"), burke(None), burke("a.csv")]})
+    with pytest.raises(ConfigError, match="'a.csv'"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["abc", "1", -1, 1.7, True])
