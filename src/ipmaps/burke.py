@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact_discrete, stat_tests
-from .involutions import _deviations, involution_tolerance
+from .involutions import _deviations, involution_tolerance, usable_cores
 from .kernels import KernelError, _gof_against_law
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
@@ -263,7 +263,7 @@ def field_rows(field, out):
         def text(row):
             return map(repr, row.tolist())
     if (not field.pair.x_space.is_integer and N * T > FORK_MIN_SITES
-            and hasattr(os, "fork") and _usable_cores() > 1):
+            and hasattr(os, "fork") and usable_cores() > 1):
         split = (N + 1) // 2
         out.flush()
         pid = os.fork()
@@ -294,13 +294,6 @@ def field_rows(field, out):
     else:
         rows = _rows(field, text, 0, N + 1)
     out.writelines(row.encode("ascii") for row in rows)
-
-
-def _usable_cores():
-    """The number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _rows(field, text, lo, hi):

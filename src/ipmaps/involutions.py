@@ -10,7 +10,9 @@ arrays for tuple-valued noise.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -392,6 +394,48 @@ def blocks(n, size=BLOCK):
     return (slice(i, i + size) for i in range(0, n, size))
 
 
+def usable_cores():
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def concurrently(n, *calls):
+    """The results of `calls`, functions of no argument that work on n
+    points together: the last on this thread and each other one on a
+    thread of its own, all joined before the first call's error is raised;
+    or one after another, for at most one block or a process held to one
+    core. A helper's freed n-point array stays cached in its malloc arena,
+    so the calls fill or sort arrays allocated on this thread, with
+    temporaries of a block."""
+    if len(calls) < 2 or n <= BLOCK or usable_cores() < 2:
+        return [call() for call in calls]
+    import threading
+
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run(i):
+        try:
+            results[i] = calls[i]()
+        except BaseException as error:   # raised on the calling thread
+            errors[i] = error
+
+    threads = []
+    try:
+        for i in range(len(calls) - 1):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(len(calls) - 1)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in filter(None, errors):
+        raise error
+    return results
+
+
 def batch_slice(v, s):
     return tuple(batch_slice(c, s) for c in v) if isinstance(v, tuple) else v[s]
 
@@ -399,17 +443,28 @@ def batch_slice(v, s):
 def map_blocks(h, xs, us, into=()):
     """h(xs, us) made a block at a time: a list of one array per part of its
     value, each of its first block's dtype, written over into[i], an array
-    that nothing reads after h, where the dtypes agree (h is pointwise)."""
+    that nothing reads after h, where the dtypes agree (h is pointwise).
+    The first half block is made, and the output allocated, on this thread;
+    the others are dealt alternately to two calls of `concurrently`, so
+    that the two blocks in flight hold the temporaries of one."""
     out = None
-    for s in blocks(len(xs)):
-        parts = h(xs[s], batch_slice(us, s))
-        parts = parts if isinstance(parts, tuple) else (parts,)
-        out = out or [a if a is not None and a.dtype == p.dtype else
-                      np.empty(len(xs), p.dtype)
-                      for p, a in zip(parts, into or [None] * len(parts))]
-        for o, p in zip(out, parts):
-            o[s] = p
-        del parts, p   # free this block before h makes the next
+
+    def fill(todo):
+        nonlocal out
+        for s in todo:
+            parts = h(xs[s], batch_slice(us, s))
+            parts = parts if isinstance(parts, tuple) else (parts,)
+            out = out or [a if a is not None and a.dtype == p.dtype else
+                          np.empty(len(xs), p.dtype)
+                          for p, a in zip(parts, into or [None] * len(parts))]
+            for o, p in zip(out, parts):
+                o[s] = p
+            del parts, p   # free this block before h makes the next
+
+    halves = list(blocks(len(xs), BLOCK // 2))
+    fill(halves[:1])
+    concurrently(len(xs), partial(fill, halves[1::2]),
+                 partial(fill, halves[2::2]))
     return out
 
 
@@ -450,10 +505,11 @@ def check_involution(pair, xs, us, tol=None):
     if tol is None:
         tol = involution_tolerance(pair)
     space = SpaceDescriptor("pair", parts=(pair.x_space, pair.u_space))
-    dev = np.empty(len(xs))
-    for s in blocks(len(xs)):
-        x, u = xs[s], batch_slice(us, s)
-        dev[s] = _deviations(pair(*pair(x, u)), (x, u), space)
+
+    def deviation(x, u):
+        return _deviations(pair(*pair(x, u)), (x, u), space)
+
+    dev = map_blocks(deviation, xs, us)[0] if len(xs) else np.zeros(0)
     max_dev = float(dev.max(initial=0.0))   # an empty batch passes
     passed = max_dev <= tol
     worst = None

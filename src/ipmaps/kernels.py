@@ -9,11 +9,13 @@ samples and delegate to `stat_tests`.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import laws, stat_tests
 from .exact_discrete import accumulate, cells
-from .involutions import blocks, map_blocks
+from .involutions import blocks, concurrently, map_blocks
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
 
@@ -116,15 +118,24 @@ def require_n(kind, n):
 
 def _draw(kind, pair, mu, nu, n, rng):
     """(xs, us, ys) of a statistical `kind` check: n draws X ~ mu and U ~ nu,
-    one stream each (and one per product component), and Y = f(X, U)."""
+    one stream each (and one per product component), and Y = f(X, U). The
+    draws are made at once into arrays allocated here, X's of floats; a law
+    that is not blockwise draws on this thread."""
     require_n(kind, n)
     mu_rng, nu_rng = rng.split(2)
-    xs = np.asarray(mu.sample(mu_rng, n), dtype=float)
-    if isinstance(nu, tuple):
-        streams = nu_rng.split(len(nu))
-        us = tuple(c.sample(s, n) for c, s in zip(nu, streams))
-    else:
-        us = nu.sample(nu_rng, n)
+    product = isinstance(nu, tuple)
+    drawn = (mu, *nu) if product else (mu, nu)
+    streams = [mu_rng, *(nu_rng.split(len(nu)) if product else [nu_rng])]
+    outs = [np.empty(n, np.int64 if i and law.is_discrete else float)
+            for i, law in enumerate(drawn)]
+    calls = [partial(law.sample, stream, n, out)
+             for law, stream, out in zip(drawn, streams, outs)]
+    helpers = [c for c, law in zip(calls, drawn) if law.blockwise]
+    own = [c for c, law in zip(calls, drawn) if not law.blockwise]
+    own = own or [helpers.pop()]
+    concurrently(n, *helpers, lambda: [c() for c in own])
+    xs, *us = outs
+    us = tuple(us) if product else us[0]
     return xs, us, np.asarray(map_blocks(pair.f, xs, us)[0], dtype=float)
 
 
@@ -147,13 +158,19 @@ def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     # V over U's arrays; popped below, so an int column goes once copied
     vs = map_blocks(pair.g, xs, us, into=us if product else (us,))
     del xs, us
-    # each column sorted once, for its GOF and its independence test
-    y_sorted = np.sort(ys)
-    checks = {"y_marginal": _gof_against_law(y_sorted, mu, level=level)}
+    # each column sorted once, for its GOF and its independence test: a
+    # copy made here and sorted in place, Y's beside the first V's
+    checks = {}
     for i, law in enumerate(nu if product else [nu]):
         key = f"_{i}" if product else ""
         v = np.asarray(vs.pop(0), dtype=float)
-        v_sorted = np.sort(v)
+        v_sorted = v.copy()
+        if checks:
+            v_sorted.sort()
+        else:
+            y_sorted = ys.copy()
+            concurrently(n, y_sorted.sort, v_sorted.sort)
+            checks["y_marginal"] = _gof_against_law(y_sorted, mu, level=level)
         checks["v_marginal" + key] = _gof_against_law(v_sorted, law, level)
         checks["independence" + key] = stat_tests.independence_test(
             ys, v, y_sorted, v_sorted, level=level)

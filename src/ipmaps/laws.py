@@ -30,12 +30,23 @@ class LawError(ValueError):
 class Law:
     """Base class for probability laws. Immutable; safe to share.
 
-    `sample(rng, size)` returns an array of draws in the closed interval
-    [support_lo, support_hi]; a discrete law's draws are also integers.
+    `sample(rng, size, out=None)` returns an array of draws in the closed
+    interval [support_lo, support_hi], written into `out` if given; a
+    discrete law's draws are also integers. A `blockwise` law makes the
+    draws of one whole batch a block at a time, so a helper thread may
+    make them (`involutions.concurrently`).
     """
 
     is_discrete = False
+    blockwise = True
     support_lo, support_hi = -math.inf, math.inf
+
+    def sample(self, rng, size, out=None):
+        if out is None:
+            out = np.empty(int(size), np.int64 if self.is_discrete else float)
+        for s in blocks(len(out)):
+            out[s] = self._draws(rng.gen, len(out[s]))
+        return out
 
     def _check_u(self, u):
         u = np.asarray(u, dtype=float)
@@ -62,8 +73,8 @@ class Gamma(Law):
         from scipy.special import gammaincinv
         return gammaincinv(self.shape, self._check_u(u)) * self._scale
 
-    def sample(self, rng, size):
-        return rng.gen.gamma(self.shape, self._scale, size)
+    def _draws(self, gen, k):
+        return gen.gamma(self.shape, self._scale, k)
 
     def __repr__(self):
         return f"Gamma(shape={self.shape}, rate={self.rate})"
@@ -82,8 +93,8 @@ class BetaI(Law):
         from scipy.special import betaincinv
         return betaincinv(self.a, self.b, self._check_u(u))
 
-    def sample(self, rng, size):
-        return rng.gen.beta(self.a, self.b, size)
+    def _draws(self, gen, k):
+        return gen.beta(self.a, self.b, k)
 
     def __repr__(self):
         return f"BetaI({self.a}, {self.b})"
@@ -95,8 +106,8 @@ class UniformUnit(Law):
     def quantile(self, u):
         return self._check_u(u)
 
-    def sample(self, rng, size):
-        return rng.gen.random(size)
+    def _draws(self, gen, k):
+        return gen.random(k)
 
     def __repr__(self):
         return "UniformUnit()"
@@ -114,8 +125,8 @@ class Normal(Law):
         from scipy.special import ndtri
         return self.mean + self.std * ndtri(self._check_u(u))
 
-    def sample(self, rng, size):
-        return rng.gen.normal(self.mean, self.std, size)
+    def _draws(self, gen, k):
+        return gen.normal(self.mean, self.std, k)
 
     def __repr__(self):
         return f"Normal(mean={self.mean}, variance={self.variance})"
@@ -145,8 +156,9 @@ class GIG(Law):
 
     Sampling uses a ratio-of-uniforms rejection scheme against the
     unnormalized density; the mode and the maximizer of x^2*h(x) have closed
-    forms, so the bounding box is exact. A round draws its m v, then its m w,
-    whole and tests them a block at a time, up to the block that fills n.
+    forms, so the bounding box is exact. A round draws its m v, then its m w
+    a block at a time, as far as one batch of m would go, and tests them a
+    block at a time up to the block that fills n.
 
     The quantile reads a cumulative table of the density in t = log x over
     1200 panels of [-30, 30], built at construction and checked to total 1:
@@ -155,6 +167,7 @@ class GIG(Law):
     """
 
     support_lo = 0.0
+    blockwise = False   # a round holds its 2m proposals
 
     def __init__(self, alpha, lam):
         if not (alpha > 0 and lam > 0):
@@ -195,18 +208,18 @@ class GIG(Law):
         out = np.exp(0.5 * (lo + hi))
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng, size):
+    def sample(self, rng, size, out=None):
         n = int(size)
-        out = np.empty(n)
+        out = np.empty(n) if out is None else out
         filled = 0
         while filled < n:
             m = max(2 * (n - filled), 64)
             v = rng.gen.random(m)
-            w = rng.gen.random(m)
             for s in blocks(m):
+                w = rng.gen.random(len(v[s]))
                 if filled == n:
-                    break
-                x = np.divide(w[s] * self._w_max, v[s], out=w[s])
+                    continue
+                x = np.divide(w * self._w_max, v[s], out=w)
                 accept = (self._log_h(x) - self._log_h_mode
                           >= 2.0 * np.log(v[s]))
                 take = min(int(np.count_nonzero(accept)), n - filled)
@@ -258,12 +271,12 @@ class DiscreteLaw(Law):
         """(nums, den) on [support_lo, end]; geometric kinds use this one."""
         return _geometric_table(_frac(self.theta), self.support_lo, end)
 
-    def sample(self, rng, size):
+    def _draws(self, gen, k):
         """Inverse-cdf draws of a finite law from its exact table: each exact
         partial sum over den, correctly rounded, the last being 1."""
         nums, den, _ = truncate(self, self.support_hi)
         cum = np.array([c / den for c in itertools.accumulate(nums.values())])
-        idx = np.searchsorted(cum, rng.gen.random(size), side="right")
+        idx = np.searchsorted(cum, gen.random(k), side="right")
         return np.array(list(nums))[idx]
 
 
@@ -278,8 +291,8 @@ class Bernoulli(DiscreteLaw):
     def _table(self, end):
         return _integer_weights({0: 1 - _frac(self.p), 1: _frac(self.p)})
 
-    def sample(self, rng, size):
-        return (rng.gen.random(size) < self.p).astype(np.int64)
+    def _draws(self, gen, k):
+        return gen.random(k) < self.p
 
     def __repr__(self):
         return f"Bernoulli({self.p})"
@@ -293,8 +306,8 @@ class Geometric(DiscreteLaw):
             raise LawError("Geometric requires theta in (0,1)")
         self.theta = float(theta)
 
-    def sample(self, rng, size):
-        return rng.gen.geometric(1.0 - self.theta, size) - 1
+    def _draws(self, gen, k):
+        return gen.geometric(1.0 - self.theta, k) - 1
 
     def __repr__(self):
         return f"Geometric({self.theta})"
@@ -328,8 +341,8 @@ class ShiftGeom(DiscreteLaw):
         self.ell = int(ell)
         self.support_lo = -self.ell
 
-    def sample(self, rng, size):
-        return rng.gen.geometric(1.0 - self.theta, size) - 1 - self.ell
+    def _draws(self, gen, k):
+        return gen.geometric(1.0 - self.theta, k) - 1 - self.ell
 
     def __repr__(self):
         return f"ShiftGeom({self.theta}, {self.ell})"
@@ -349,10 +362,9 @@ class ThreePoint(DiscreteLaw):
         return _integer_weights({-1: _frac(self.q), 0: _frac(self.r),
                                  1: _frac(self.p)})
 
-    def sample(self, rng, size):
-        u = rng.gen.random(size)
-        out = np.where(u < self.p, 1, np.where(u < self.p + self.q, -1, 0))
-        return out.astype(np.int64)
+    def _draws(self, gen, k):
+        u = gen.random(k)
+        return np.where(u < self.p, 1, np.where(u < self.p + self.q, -1, 0))
 
     def __repr__(self):
         return f"ThreePoint({self.p}, {self.q}, {self.r})"
@@ -361,6 +373,8 @@ class ThreePoint(DiscreteLaw):
 class ParityGeom(DiscreteLaw):
     """Law on {0,1,...} with P(odd)=podd and geometric(rho^2) conditional
     laws on each parity class."""
+
+    blockwise = False   # two whole arrays from one stream
 
     def __init__(self, rho, podd):
         if not 0.0 < rho < 1.0:
@@ -377,10 +391,10 @@ class ParityGeom(DiscreteLaw):
         pairs, dp = _geometric_table(_frac(self.rho) ** 2, 0, end // 2)
         return {k: w[k % 2] * pairs[k // 2] for k in range(end + 1)}, dw * dp
 
-    def sample(self, rng, size):
+    def sample(self, rng, size, out=None):
         parity = (rng.gen.random(size) < self.podd).astype(np.int64)
         k = rng.gen.geometric(1.0 - self._rho2, size) - 1
-        return 2 * k + parity
+        return np.add(2 * k, parity, out=out)
 
     def __repr__(self):
         return f"ParityGeom(rho={self.rho}, podd={self.podd})"

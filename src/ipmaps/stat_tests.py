@@ -7,10 +7,11 @@ p-values, and enforce binning rules that keep expected cell counts >= 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .involutions import blocks
+from .involutions import blocks, concurrently
 
 DEFAULT_LEVEL = 0.001
 
@@ -124,16 +125,17 @@ def _binning(s, max_bins, *samples):
     """Labels of each sample and the bin count, from s, the sorted pooled
     sample: searchsorted(uniq, v) on its unique values (NaNs are one value)
     if there are at most max_bins, else searchsorted(edges, v, side="right")
-    on its unique interior quantiles."""
-    first = np.concatenate(([True], s[1:] != s[:-1]))
-    distinct = np.count_nonzero(first)
-    if np.isnan(s[-1]):   # each NaN is its own first; count one
-        distinct -= len(s) - 1 - np.searchsorted(s, np.nan)
-    if distinct > max_bins:
+    on its unique interior quantiles. Each unique value is one searchsorted
+    step past the one before it, so at most max_bins + 1 are found."""
+    uniq = [s[0]]
+    while len(uniq) <= max_bins and (
+            i := np.searchsorted(s, uniq[-1], side="right")) < len(s):
+        uniq.append(s[i])
+    if len(uniq) > max_bins:
         qs = _quantiles(s, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
         edges, side = np.unique(qs), "right"
     else:
-        edges, side = s[first][:distinct], "left"
+        edges, side = np.array(uniq), "left"
     return ([_labels(edges, v, side) for v in samples],
             len(edges) + (side == "right"))
 
@@ -150,15 +152,18 @@ def _quantiles(s, q):
 
 
 def _labels(edges, values, side):
-    """np.searchsorted(edges, values, side) as one comparison per edge."""
+    """np.searchsorted(edges, values, side) as one comparison per edge, a
+    block at a time."""
     above = np.greater if side == "left" else np.greater_equal
     labels = np.zeros(len(values), dtype=np.min_scalar_type(len(edges)))
-    for edge in edges:
-        labels += above(values, edge)
-    nan = np.isnan(values)
-    if nan.any():
-        # searchsorted sorts NaN after every number
-        labels[nan] = np.searchsorted(edges, np.nan, side)
+    for b in blocks(len(values)):
+        v, out = values[b], labels[b]
+        for edge in edges:
+            out += above(v, edge)
+        nan = np.isnan(v)
+        if nan.any():
+            # searchsorted sorts NaN after every number
+            out[nan] = np.searchsorted(edges, np.nan, side)
     return labels
 
 
@@ -196,8 +201,9 @@ def independence_test(a, b, sorted_a, sorted_b, bins=10, level=DEFAULT_LEVEL,
     are merged until every expected count reaches 5.
     """
     n = _pair_count("independence_test", a, b, min_n)
-    (ra,), ka = _binning(sorted_a, bins, a)
-    (rb,), kb = _binning(sorted_b, bins, b)
+    ((ra,), ka), ((rb,), kb) = concurrently(
+        n, partial(_binning, sorted_a, bins, a),
+        partial(_binning, sorted_b, bins, b))
     if ka < 2 or kb < 2:
         return _result(0.0, 1.0, (n,), "independence_chi2", level,
                        degenerate_marginal=True, dof=0)
@@ -252,10 +258,10 @@ def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
     half = n // 2
     bins = 10 if half >= 10_000 else 5
     # per pooled column, the first half as-is and the second half swapped,
-    # pooled only to be sorted
-    (ia, ka), (ib, kb) = (
-        _bin_indices_from(np.sort(np.concatenate(h)), *h, bins) for h in (
-            (a[:half], b[half:2 * half]), (b[:half], a[half:2 * half])))
+    # pooled on this thread, then sorted in place and labelled, both at once
+    (ia, ka), (ib, kb) = concurrently(n, *(
+        partial(_bin_indices_from, np.concatenate(h), *h, bins) for h in (
+            (a[:half], b[half:2 * half]), (b[:half], a[half:2 * half]))))
     (ia_a, ia_b), (ib_a, ib_b) = ia, ib
     ca = _table(ia_a, ib_a, ka, kb)
     cb = _table(ia_b, ib_b, ka, kb)
@@ -280,6 +286,8 @@ def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
                    dof=dof, cells=len(ca))
 
 
-def _bin_indices_from(s, a, b, max_bins):
-    """Common bin labels for two samples, from s, their sorted pool."""
-    return _binning(s, max_bins, a, b)
+def _bin_indices_from(pool, a, b, max_bins):
+    """Common bin labels for two samples, from their pool, sorted here in
+    place."""
+    pool.sort()
+    return _binning(pool, max_bins, a, b)

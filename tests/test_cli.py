@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -564,7 +565,7 @@ def test_emit_writes_stable_json(tmp_path):
         "checks": [{"kind": "involution", "map": "kdv_g1", "box": 5}]}))
     p1 = emit(run(config), str(tmp_path / "o1"))
     p2 = emit(run(config), str(tmp_path / "o2"))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_emit_cuts_a_longer_report_to_the_new_bytes(tmp_path):

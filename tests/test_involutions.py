@@ -1,17 +1,20 @@
 """Tests for the involution catalog: point values, round trips, range closure."""
 
 import hashlib
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipmaps import involutions
 from ipmaps.involutions import (
     BERNOULLI_CROSS_UNIT, BIT, BLOCK, CATALOG_NAMES, INTEGERS,
     NONNEG_INTEGERS, POSITIVE_REAL, REAL_LINE, THREE_POINT, UNIT_INTERVAL,
     DomainError, InvolutionPair, batch_item, catalog_get, check_involution,
-    sample_points, spd,
+    concurrently, sample_points, spd,
 )
 from ipmaps.laws import law_from_spec
 from ipmaps.rng import RandomStream
@@ -273,6 +276,44 @@ def test_blocked_round_trip_equals_the_whole_batch(case, n):
         assert report.details["worst_point"] == repr(
             (batch_item(xs, worst), batch_item(us, worst)))
 
+
+# ---------------------------------------------------------------------------
+# work on two threads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    monkeypatch.setattr(involutions, "usable_cores", lambda: 2)
+
+
+def test_concurrently_runs_the_last_call_here_and_the_others_beside_it(
+        two_cores):
+    start = threading.active_count()
+    here = threading.get_ident()
+    idents = concurrently(BLOCK + 1, *[threading.get_ident] * 3)
+    assert idents[-1] == here
+    assert here not in idents[:-1]
+    assert threading.active_count() == start
+
+
+def test_an_error_on_a_helper_thread_reaches_the_caller(two_cores):
+    start = threading.active_count()
+    ran = []
+
+    def fails(message):
+        raise ValueError(message)
+
+    with pytest.raises(ValueError, match="first"):
+        concurrently(BLOCK + 1, partial(fails, "first"),
+                     partial(fails, "second"), partial(ran.append, "last"))
+    # every call ran, and every helper was joined
+    assert ran == ["last"]
+    assert threading.active_count() == start
+    with pytest.raises(ValueError, match="here"):
+        concurrently(BLOCK + 1, partial(ran.append, "helper"),
+                     partial(fails, "here"))
+    assert ran == ["last", "helper"]
+    assert threading.active_count() == start
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Tests for generated kernels: stepping, chains, reversibility checks."""
 
+import json
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ipmaps import laws
+from ipmaps import involutions, kernels, laws
 from ipmaps.exact_discrete import cells, kdv_pushforward_tv, product_defect_tv
-from ipmaps.involutions import catalog_get
+from ipmaps.involutions import (
+    BLOCK, catalog_get, check_involution, concurrently, sample_points,
+)
 from ipmaps.kernels import (
     KernelError, _gof_against_law, check_detailed_balance_exact,
     check_ip_statistical, check_reversibility_statistical,
 )
 from ipmaps.laws import (
-    BetaI, FiniteTable, Gamma, Geometric, GIG, ShiftGeom, ThreePoint,
-    TruncGeom, UniformUnit, truncate,
+    Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, ShiftGeom,
+    ThreePoint, TruncGeom, UniformUnit, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import independence_test
@@ -357,18 +362,135 @@ def test_ip_needs_enough_samples():
 
 
 def test_ip_sorts_each_column_once(monkeypatch):
+    # a sorted copy from np.sort, or a copy's own in-place sort handed to
+    # concurrently: either way, one per column
     sorts = []
 
     def counting_sort(a, *args, **kwargs):
         sorts.append(np.shape(a))
         return original(a, *args, **kwargs)
 
+    def counting_concurrently(n, *calls):
+        sorts.extend(c.__self__.shape for c in calls
+                     if getattr(c, "__name__", None) == "sort")
+        return concurrently(n, *calls)
+
     original = np.sort
     monkeypatch.setattr(np, "sort", counting_sort)
+    monkeypatch.setattr(kernels, "concurrently", counting_concurrently)
     check_ip_statistical(catalog_get("matsumoto_yor"), GIG(2, 1), Gamma(2, 1),
                          20_000, RandomStream(107))
-    # Y for its GOF and independence test, then V for its own
+    # Y for its GOF and independence test, and V for its own
     assert sorts == [(20_000,), (20_000,)]
+
+
+# ---------------------------------------------------------------------------
+# the same reports on one thread and on two
+# ---------------------------------------------------------------------------
+
+def _counted_threads(monkeypatch, cores):
+    """Set the usable core count; returns a list that gets one entry per
+    thread started."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(1)
+            super().start()
+
+    monkeypatch.setattr(involutions, "usable_cores", lambda: cores)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def _reports(n):
+    my, walk = catalog_get("matsumoto_yor"), catalog_get("beta_walk")
+    gauss = catalog_get("gaussian_rosenblatt", {"beta": 0.5, "sigma": 1.0})
+    reports = [
+        check_ip_statistical(my, GIG(2, 1), Gamma(2, 1), n,
+                             RandomStream(131)),
+        check_ip_statistical(walk, BetaI(2, 3),
+                             (Bernoulli(0.4), BetaI(1, 5)), n,
+                             RandomStream(137)),
+        check_ip_statistical(catalog_get("reflecting_rw"), Geometric(0.4),
+                             ThreePoint(0.2, 0.5, 0.3), n, RandomStream(139)),
+        check_reversibility_statistical(my, GIG(2, 1), Gamma(2, 1), n,
+                                        RandomStream(149)),
+        *(check_involution(p, *sample_points(p, n, RandomStream(151)))
+          for p in (walk, gauss)),
+    ]
+    return [json.dumps(r.to_dict()) for r in reports]
+
+
+def test_reports_are_the_same_bytes_on_one_core_and_on_two(monkeypatch):
+    # threads switched every 10 us, so their blocks interleave finely
+    seen, interval = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cores in (1, 2):
+            started = _counted_threads(monkeypatch, cores)
+            seen[cores] = _reports(200_000)
+            assert bool(started) is (cores == 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen[1] == seen[2]
+
+
+def test_n_point_arrays_are_allocated_on_the_calling_thread(monkeypatch):
+    # an array a helper thread frees stays cached in that thread's arena
+    started = _counted_threads(monkeypatch, 2)
+    allocated, empty = [], np.empty
+
+    def recorded(shape, *args, **kwargs):
+        allocated.append((threading.get_ident(), np.prod(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recorded)
+    _reports(200_000)
+    here = threading.get_ident()
+    assert started
+    assert (here, 200_000) in allocated
+    assert all(ident == here for ident, size in allocated if size > BLOCK)
+
+
+def test_whole_array_draws_stay_on_the_calling_thread(monkeypatch):
+    # GIG's round holds 2m proposals and ParityGeom draws two whole arrays:
+    # the blockwise laws alone draw on helper threads
+    started = _counted_threads(monkeypatch, 2)
+    threads = {}
+
+    def recorded(cls):
+        sample = cls.sample
+
+        def wrapper(self, *args):
+            threads[type(self).__name__] = threading.get_ident()
+            return sample(self, *args)
+
+        monkeypatch.setattr(cls, "sample", wrapper)
+
+    for cls in (laws.Law, GIG, laws.ParityGeom):
+        recorded(cls)
+    here = threading.get_ident()
+    pair = catalog_get("matsumoto_yor")
+    # (mu, nu, the laws drawn on a helper); with no law of whole arrays,
+    # the last draw is this thread's
+    for mu, nu, helped in ((GIG(2, 1), Gamma(2, 1), {"Gamma"}),
+                           (GIG(2, 1), laws.ParityGeom(0.5, 0.3), set()),
+                           (Gamma(2, 1), BetaI(1, 5), {"Gamma"})):
+        threads.clear()
+        kernels._draw("ip", pair, mu, nu, 2 * BLOCK, RandomStream(157))
+        assert len(threads) == 2
+        assert {k for k, ident in threads.items() if ident != here} == helped
+    assert started
+
+
+def test_work_of_one_block_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(involutions, "usable_cores", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert len(_reports(BLOCK)) == 6
 
 
 def test_statistical_checks_never_call_np_quantile(monkeypatch):

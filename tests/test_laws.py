@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from ipmaps import laws
+from ipmaps.involutions import BLOCK
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
@@ -209,9 +210,10 @@ def whole_batch_gig_sample(law, rng, size):
     return out
 
 
-# (1, 20) accepts about one proposal in five, so it takes several rounds
+# (1, 20) accepts about one proposal in five, so it takes several rounds;
+# at n = 400,000 (2, 1) fills n two blocks before its round ends
 @pytest.mark.parametrize("alpha, lam", [(2, 1), (1, 20)])
-@pytest.mark.parametrize("n", [1, 64, (1 << 16) + 3, 100_000])
+@pytest.mark.parametrize("n", [1, 64, (1 << 16) + 3, 100_000, 400_000])
 def test_gig_draws_keep_the_bits_of_the_whole_batch_sampler(alpha, lam, n):
     law = GIG(alpha, lam)
     blocked, whole = RandomStream(13), RandomStream(13)
@@ -219,6 +221,33 @@ def test_gig_draws_keep_the_bits_of_the_whole_batch_sampler(alpha, lam, n):
                           whole_batch_gig_sample(law, whole, n))
     # the stream is used as far: its next draws agree as well
     assert np.array_equal(blocked.gen.random(4), whole.gen.random(4))
+
+
+BLOCKWISE_LAWS = [Gamma(2, 1), BetaI(2, 3), BetaI(1, 5), UniformUnit(),
+                  Normal(0.0, 4.0 / 3.0), Bernoulli(0.4), Geometric(0.4),
+                  ShiftGeom(0.5, 2), TruncGeom(0.5, 2),
+                  ThreePoint(0.2, 0.5, 0.3),
+                  FiniteTable([-2, 0, 3], [0.25, 0.5, 0.25])]
+
+
+@pytest.mark.parametrize("law", BLOCKWISE_LAWS, ids=repr)
+def test_blockwise_draws_are_the_whole_batch(law):
+    """A block at a time, into a new array or a given float one, a law
+    draws the bits that one whole batch of numpy draws gives, and leaves
+    its stream where that batch does."""
+    n = 3 * BLOCK + 5
+    whole, blocked, into = (RandomStream(19) for _ in range(3))
+    expected = np.asarray(law._draws(whole.gen, n))
+    drawn = law.sample(blocked, n)
+    out = np.empty(n)
+    assert law.sample(into, n, out) is out
+    assert law.blockwise
+    assert drawn.dtype == (np.int64 if law.is_discrete else np.float64)
+    assert np.array_equal(drawn, expected)
+    assert np.array_equal(out, expected)
+    after = [stream.gen.random(4) for stream in (whole, blocked, into)]
+    assert np.array_equal(after[0], after[1])
+    assert np.array_equal(after[0], after[2])
 
 
 # ---------------------------------------------------------------------------

@@ -54,3 +54,17 @@ def test_traced_peak_is_a_few_columns(case):
         tracemalloc.stop()
     assert report.passed is verdict
     assert peak <= columns * 8 * N, f"{peak / (8 * N):.2f} columns"
+
+
+def test_traced_peak_of_a_gig_draw_is_its_proposals_and_output():
+    # a round's 2n proposals v and the n-point output, 24 MB at n = 10^6;
+    # the w are drawn a block at a time
+    law = GIG(2, 1)
+    law.sample(RandomStream(71), 1_000)
+    tracemalloc.start()
+    try:
+        law.sample(RandomStream(73), 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6, f"{peak / 1e6:.1f} MB"
