@@ -24,7 +24,8 @@ from .stat_tests import DEFAULT_LEVEL
 @dataclass
 class LatticeField:
     """X has shape (N, T+1), rows n = 1..N; U has shape (N+1, T), row 0
-    being the boundary noise."""
+    being the boundary noise, and is a view of an (N+1, T+1) array, whose
+    last column `simulate_field` leaves unset."""
 
     X: np.ndarray
     U: np.ndarray
@@ -42,53 +43,34 @@ def simulate_field(pair, mu, nu, N, T, rng):
     """Fill the rectangle by the recursion, injecting i.i.d. boundaries.
 
     Site (n, t) reads only X[n, t] and U[n, t], so the sites of one
-    anti-diagonal n + t = d are independent and are filled by one
-    vectorized step each. The states are stored diagonal-major along the
-    shorter side of the rectangle: S[d, n] = X[n, d - n] (and so for U)
-    when N <= T + 1, else S[d, t] = X[d - t, t], so each anti-diagonal is
-    one contiguous slice of one row of S, and S holds O(N T) items however
-    long or tall the field is. X and U are read out of S once, at the end.
+    anti-diagonal n + t = d are independent and are filled in place by one
+    vectorized step each. In the row-major X, site (n, d - n) lies d + n T
+    items in, so anti-diagonal d is one slice of step T of the flattened X;
+    U's rows are padded to T + 1 items, so it is the same slice of U. The
+    step's X outputs, one step on in t, lie 1 item further on, and its U
+    outputs, one step on in n, T + 1 items further on.
     Raises on any state escaping the involution's x-space, reporting the
     lattice coordinates of the first violation in row-major order, which
     are those of the row-major scalar recursion: every input of a site
     precedes it in that order.
     """
     mu_rng, nu_rng = rng.split(2)
-    along_n = N <= T + 1
-    SX = np.empty((N + T, N if along_n else T + 1))
-    SU = np.empty((N + T, N + 1 if along_n else T))
-    X = _lattice_view(SX, (N, T + 1), along_n)
-    U = _lattice_view(SU, (N + 1, T), along_n)
+    X = np.empty((N, T + 1))
+    buf = np.empty((N + 1, T + 1))
+    U = buf[:, :T]
     X[:, 0] = np.asarray(mu.sample(mu_rng, N), dtype=float)
     U[0, :] = np.asarray(nu.sample(nu_rng, T), dtype=float)
-    # a site's X output is one step on in t, its U output one step on in
-    # n; on the next diagonal only a step along S's rows moves its slot
-    dx, du = (0, 1) if along_n else (1, 0)
+    x, u = X.reshape(-1), buf.reshape(-1)
     with np.errstate(all="ignore"):
-        for d in range(N + T - 1):
+        for d in range(N + T - 1 if T else 0):
             lo, hi = max(0, d - T + 1), min(N - 1, d) + 1   # the sites' n
-            if not along_n:
-                lo, hi = d + 1 - hi, d + 1 - lo              # their t
-            x, u = SX[d, lo:hi], SU[d, lo:hi]
-            SX[d + 1, lo + dx:hi + dx] = pair.f(x, u)
-            SU[d + 1, lo + du:hi + du] = pair.g(x, u)
-    del SX, SU, x, u   # so each S is freed once its view is copied out
-    X = X.copy()
-    U = U.copy()
+            a, b = d + lo * T, d + hi * T
+            xs, us = x[a:b:T], u[a:b:T]
+            x[a + 1:b + 1:T] = pair.f(xs, us)
+            u[a + T + 1:b + T + 1:T] = pair.g(xs, us)
     if not pair.x_space.contains(X[:, 1:]):
         _raise_first_escape(pair, X, U)
     return LatticeField(X=X, U=U, pair=pair, mu=mu, nu=nu)
-
-
-def _lattice_view(S, shape, along_n):
-    """The lattice A of the given shape in a diagonal-major array S of row
-    width w, as a strided view: A[n, t] = S[n + t, n], which lies
-    n (w + 1) + t w items into S, if along_n, else A[n, t] = S[n + t, t],
-    n w + t (w + 1) items in."""
-    w = S.shape[1]
-    strides = (w + 1, w) if along_n else (w, w + 1)
-    return np.lib.stride_tricks.as_strided(
-        S, shape, [k * S.itemsize for k in strides])
 
 
 def _raise_first_escape(pair, X, U):

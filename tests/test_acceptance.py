@@ -8,6 +8,7 @@ import contextlib
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
@@ -332,6 +333,6 @@ def test_criterion_9_deterministic_reports(tmp_path, capsys):
         config = cli.load_config(str(config_path))
         p1 = cli.emit(cli.run(config), str(tmp_path / "run1"))
         p2 = cli.emit(cli.run(config), str(tmp_path / "run2"))
-        b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
+        b1, b2 = Path(p1).read_bytes(), Path(p2).read_bytes()
         assert b1 == b2
         assert json.loads(b1)["overall_pass"]

@@ -76,7 +76,9 @@ _WAVEFRONT_MAPS = {
 
 
 @pytest.mark.parametrize("name", sorted(_WAVEFRONT_MAPS))
-@pytest.mark.parametrize("N, T", [(23, 9), (7, 31), (1, 1), (1, 17)])
+@pytest.mark.parametrize(
+    "N, T", [(23, 9), (7, 31), (1, 1), (1, 17), (1, 0), (0, 3), (3, 0),
+              (0, 0)])
 def test_wavefront_matches_scalar_recursion(name, N, T):
     pair = catalog_get(name)
     mu, nu = _WAVEFRONT_MAPS[name]
@@ -86,7 +88,7 @@ def test_wavefront_matches_scalar_recursion(name, N, T):
     assert np.array_equal(field.U, U)
 
 
-@pytest.mark.parametrize("N, T", [(3000, 30), (30, 3000)])
+@pytest.mark.parametrize("N, T", [(400, 400), (3000, 30), (30, 3000)])
 def test_long_fields_take_memory_in_proportion_to_their_sites(N, T):
     pair = catalog_get("matsumoto_yor")
     mu, nu = _WAVEFRONT_MAPS["matsumoto_yor"]
@@ -99,9 +101,9 @@ def test_long_fields_take_memory_in_proportion_to_their_sites(N, T):
     X, U = _scalar_field(pair, mu, nu, N, T, RandomStream(31))
     assert np.array_equal(field.X, X)
     assert np.array_equal(field.U, U)
-    # X and U alone are 2 N T float64s; a diagonal-major store N + T
-    # diagonals wide along the longer side would be about 100 times that
-    assert peak < 8 * N * T * 8
+    # X and U alone are 2 N T float64s, and the f and g steps of one
+    # anti-diagonal add O(min(N, T)) more; no copy of either is made
+    assert peak < 3 * N * T * 8
 
 
 class _RowStarts:
