@@ -202,15 +202,6 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     )
 
 
-# A continuous field of more sites than this is written from two processes,
-# if this process may run on more than one core. Median ms of field_rows,
-# serial against forked (the child then piping its rows back), in a 110 MB
-# process on a 2-core Xeon: 80 x 80 17.9 / 20.6, 100 x 100 27.1 / 26.2,
-# 120 x 120 38.2 / 32.4, 200 x 200 116 / 68, 400 x 400 372 / 239; pinned to
-# one core, forking was no faster (200 x 200 103 / 110, 400 x 400 390 / 412).
-FORK_MIN_SITES = 12_000
-
-
 def field_rows(field, out):
     """Write the field as CSV into the open binary file `out`: the header
     n,t,x,u, then one chunk of CRLF-ended n,t,x,u lines per lattice row n,
@@ -223,19 +214,19 @@ def field_rows(field, out):
     x-space the fields hold few distinct floats, so each distinct float64
     bit pattern is formatted once into a table, and each row gathers its
     reprs from it at `np.searchsorted` of the row's bits; keying on bits
-    keeps -0.0 apart from 0.0. A continuous field of more than
-    `FORK_MIN_SITES` sites is written by two processes where `os.fork`
-    exists and this process may run on more than one core: a forked child
-    writes the lower half of the rows into `out` itself while this process
-    formats the upper half, which it then writes where the child's half
-    ended, the two sharing the file's offset. The bytes are the same
+    keeps -0.0 apart from 0.0. A continuous field is written by two
+    processes where `os.fork` exists and more than one core is usable: a
+    forked child writes the lower half of the rows into `out` itself while
+    this process formats the upper half, then writes it where the child's
+    half ended, the two sharing the file's offset. The bytes are the same
     either way."""
     X, U = field.X, field.U
-    N, T = field.shape
+    N = len(X)
     out.write(b"n,t,x,u\r\n")
-    if field.pair.x_space.is_integer:
-        bits = np.unique(np.concatenate([X.ravel(), U.ravel()])
-                         .view(np.int64))
+    integer = field.pair.x_space.is_integer
+    if integer:
+        bits = np.union1d(np.unique(X.view(np.int64)),
+                          np.unique(U.view(np.int64)))
         table = np.array(list(map(repr, bits.view(np.float64).tolist())),
                          dtype=object)
 
@@ -244,8 +235,8 @@ def field_rows(field, out):
     else:
         def text(row):
             return map(repr, row.tolist())
-    if (not field.pair.x_space.is_integer and N * T > FORK_MIN_SITES
-            and hasattr(os, "fork") and usable_cores() > 1):
+    # an integer field, formatted through its table, is slower forked
+    if not integer and hasattr(os, "fork") and usable_cores() > 1:
         split = (N + 1) // 2
         out.flush()
         pid = os.fork()

@@ -400,9 +400,8 @@ def _set_usable_cores(monkeypatch, cores):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Every continuous field is formatted forked; returns a list that gets
-    one entry per call of os.fork."""
-    monkeypatch.setattr(burke, "FORK_MIN_SITES", 0)
+    """Two usable cores, so every continuous field is formatted forked;
+    returns a list that gets one entry per call of os.fork."""
     _set_usable_cores(monkeypatch, 2)
     calls, fork = [], os.fork
 
@@ -414,7 +413,8 @@ def forks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("N, T", [(30, 70), (68, 30), (31, 40), (1, 5)])
+@pytest.mark.parametrize("N, T", [(30, 70), (68, 30), (31, 40), (1, 5),
+                                  (100, 100)])
 def test_forked_field_rows_match_the_per_site_reference(forks, N, T,
                                                         tmp_path):
     field = _my_field(11, N=N, T=T)
@@ -437,7 +437,6 @@ def test_field_rows_on_one_core_are_not_forked(forks, monkeypatch, tmp_path):
 
 
 def test_field_rows_without_fork_are_the_same(monkeypatch, tmp_path):
-    monkeypatch.setattr(burke, "FORK_MIN_SITES", 0)
     monkeypatch.delattr(os, "fork")
     field = _my_field(11, N=68, T=30)
     assert _written(field, tmp_path / "field.csv") == _reference(field)
