@@ -9,13 +9,13 @@ from nu.
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact_discrete, stat_tests
-from .involutions import _deviations, involution_tolerance, usable_cores
+from .involutions import BLOCK, _deviations, involution_tolerance
 from .kernels import KernelError, _gof_against_law
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
@@ -204,85 +204,185 @@ def verify_burke(field, level=DEFAULT_LEVEL):
 
 def field_rows(field, out):
     """Write the field as CSV into the open binary file `out`: the header
-    n,t,x,u, then one chunk of CRLF-ended n,t,x,u lines per lattice row n,
+    n,t,x,u, then one CRLF-ended n,t,x,u line per lattice site, row by row,
     floats written as their repr. The boundary noise row appears with n=0
     and x written as nan, and the last site of every row with u written as
-    nan.
-
-    Each chunk joins one list of six pieces per line, n ",t," x "," u
-    "\r\n", whose constant pieces are made once per field. On an integer
-    x-space the fields hold few distinct floats, so each distinct float64
-    bit pattern is formatted once into a table, and each row gathers its
-    reprs from it at `np.searchsorted` of the row's bits; keying on bits
-    keeps -0.0 apart from 0.0. A continuous field is written by two
-    processes where `os.fork` exists and more than one core is usable: a
-    forked child writes the lower half of the rows into `out` itself while
-    this process formats the upper half, then writes it where the child's
-    half ended, the two sharing the file's offset. The bytes are the same
-    either way."""
+    nan. A block of rows is made as words (`repr_words`), one row of words a
+    line, and written at once. An integer field's distinct float64 bit
+    patterns are formatted once, into a table its blocks take rows of at
+    `np.searchsorted` of their bits; keying on bits keeps -0.0 apart."""
     X, U = field.X, field.U
-    N = len(X)
+    N, T = len(X), U.shape[1]
     out.write(b"n,t,x,u\r\n")
     integer = field.pair.x_space.is_integer
     if integer:
-        bits = np.union1d(np.unique(X.view(np.int64)),
-                          np.unique(U.view(np.int64)))
-        table = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                         dtype=object)
-
-        def text(row):
-            return table[np.searchsorted(bits, row.view(np.int64))].tolist()
-    else:
-        def text(row):
-            return map(repr, row.tolist())
-    # an integer field, formatted through its table, is slower forked
-    if not integer and hasattr(os, "fork") and usable_cores() > 1:
-        split = (N + 1) // 2
-        out.flush()
-        pid = os.fork()
-        if pid == 0:
-            # the child: every path ends in os._exit, so it never returns
-            # into the caller's stack, nor runs exit handlers or closes `out`
-            status = 1
-            try:
-                out.writelines(row.encode("ascii")
-                               for row in _rows(field, text, 0, split))
-                out.flush()
-                status = 0
-            except BaseException:
-                import traceback   # only here: nothing else in burke needs it
-
-                traceback.print_exc()
-            finally:
-                os._exit(status)
-        try:
-            rows = list(_rows(field, text, split, N + 1))
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:   # else every write of the child returned
-            raise RuntimeError(
-                f"the process writing field rows 0..{split - 1} exited with "
-                f"status {status}")
-        out.seek(os.lseek(out.fileno(), 0, os.SEEK_CUR))
-    else:
-        rows = _rows(field, text, 0, N + 1)
-    out.writelines(row.encode("ascii") for row in rows)
+        bits = np.union1d(np.unique(X.view(np.int64)), np.unique(np.append(
+            U.view(np.int64), np.float64(np.nan).view(np.int64))))
+        table = repr_words(bits.view(np.float64))
+    ts = _words(f",{t}" for t in range(T + 1))
+    crlf = np.full((1, 1), 0x0A0D, "<u4")   # "\r\n"
+    rows = max(1, BLOCK // 16 // (T + 1))   # temporaries that fit a cache
+    for lo in range(0, N + 1, rows):
+        hi = min(lo + rows, N + 1)
+        xu = np.full((2, hi - lo, T + 1), np.nan)   # x, then u
+        xu[0, max(1 - lo, 0):] = X[max(lo - 1, 0):hi - 1]
+        xu[1, :, :T] = U[lo:hi]
+        xu = xu.reshape(-1)
+        xu = table.take(np.searchsorted(bits, xu.view(np.int64)), axis=0) \
+            if integer else repr_words(xu)
+        xu = xu.reshape(2, hi - lo, T + 1, -1)
+        line = np.concatenate([
+            np.broadcast_to(p, xu.shape[1:3] + p.shape[-1:]) for p in
+            (_words(map(str, range(lo, hi)))[:, None], ts, *xu, crlf)], -1)
+        if lo == 0:
+            line[0, T] = 0   # the noise row has no site t = T
+        out.write(line.tobytes().translate(None, b"\0"))
 
 
-def _rows(field, text, lo, hi):
-    """The chunks of `field_rows` for lattice rows lo, ..., hi - 1, row 0
-    being the boundary noise row; `text` gives the reprs of an array."""
-    X, U = field.X, field.U
-    T = U.shape[1]
-    line = []
-    for t in range(T + 1):
-        line += ["0", f",{t},", "nan", ",", "nan", "\r\n"]
-    for n in range(lo, hi):
-        if n == 0:
-            line[4:6 * T:6] = text(U[0])
-            yield "".join(line[:6 * T])
-            continue
-        line[0::6] = [str(n)] * (T + 1)
-        line[2::6] = text(X[n - 1])
-        line[4:6 * T:6] = text(U[n])
-        yield "".join(line)
+def _words(texts):
+    """The ASCII `texts` as rows of words, NUL-padded to the longest."""
+    texts = np.array(list(texts), "S")
+    width = -(-texts.itemsize // 4) * 4
+    return texts.astype(f"S{width}").view("<u4").reshape(len(texts), -1)
+
+
+# ---------------------------------------------------------------------------
+# float64 values written as repr writes them, in numpy: the digits Schubfach
+# finds (R. Giulietti, "The Schubfach way to render doubles", 2020), as the
+# JDK's DoubleToDecimal does, laid out as repr does for 1e-4 <= |v| < 1e16,
+# in rows of uint32 words whose bytes, with the NULs removed, are the text
+
+_M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
+# the words "0000".."9999", then from _LEAD with leading zeros as NULs, from
+# _TRAIL with trailing ones; from _POINT "000.".."999.", from _LEAD_POINT with
+# leading zeros as NULs but the units digit's; at _ZERO "0"
+_LEAD, _TRAIL, _POINT, _LEAD_POINT, _ZERO = 10000, 20000, 30000, 31000, 32000
+
+
+@functools.cache
+def _text_tables():
+    """The words; 10**0..10**18; and for k = -324..292 the JDK's g1 and g0
+    of 10**-k, g1 2**63 + g0 = floor(10**-k 2**-r) + 1 in [2**125, 2**126)."""
+    digits = [f"{i:04}" for i in range(10000)]
+    words = (digits + [d.lstrip("0").rjust(4, "\0") for d in digits]
+             + [d.rstrip("0").ljust(4, "\0") for d in digits]
+             + [f"{i:03}." for i in range(1000)]
+             + [f"{i}.".rjust(4, "\0") for i in range(1000)] + ["0\0\0\0"])
+    g = []
+    for k in range(-324, 293):
+        r = (-k * 913124641741 >> 38) - 125   # floor(log2(10**-k)) - 125
+        g1, g0 = divmod((10 ** max(-k, 0) << max(-r, 0))
+                        // (10 ** max(k, 0) << max(r, 0)) + 1, 1 << 63)
+        g.append((g1, g0))
+    return (np.frombuffer("".join(words).encode("ascii"), "<u4"),
+            10 ** np.arange(19), np.array(g, np.uint64).T.copy())
+
+
+def _mulhi(ah, al, bh, bl):
+    """The high 64 bits of a b, from the 32-bit limbs of a and b."""
+    t = ah * bl + (al * bl >> 32)
+    return ah * bh + (t >> 32) + ((t & _M32) + al * bh >> 32)
+
+
+def _rop(y0, y1, x1):
+    """The JDK's rop(g1, g0, cp), given y1 2**64 + y0 = g1 cp and x1 = g0 cp
+    >> 64: floor(cp g / 2**127), its last bit set if inexact."""
+    z = (y0 >> 1) + x1
+    return y1 + (z >> 63) | ((z & _M63) + _M63) >> 63
+
+
+def _shortest_digits(bits):
+    """(f, decpt): 0.f 10**decpt, f of 17 digits, is the shortest decimal
+    that rounds to each normal float64 bit pattern (uint64), else nothing."""
+    G = _text_tables()[2]
+    bq = bits >> 52 & 0x7FF
+    c = bits & (1 << 52) - 1 | 1 << 52
+    q = bq.astype(np.int64) - 1075
+    irregular = (c == 1 << 52) & (bq > 1)   # nearer its lower neighbour
+    # floor(log10(2**q)), of 3/4 2**q if irregular, as the JDK's MathUtils
+    k = q * 661971961083 - irregular * 274743187321 >> 41
+    g1, g0 = (row.take(k + 324) for row in G)
+    g1h, g1l, g0h, g0l = g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    cp = c << h + 2
+    ch, cl = cp >> 32, cp & _M32
+    y0, y1 = g1 * cp, _mulhi(g1h, g1l, ch, cl)
+    x0, x1 = g0 * cp, _mulhi(g0h, g0l, ch, cl)
+    vb = _rop(y0, y1, x1)
+    # the ends of the rounding interval are at cp + 2**s and cp - 2**s,
+    # whose products with g are cp's plus or minus g << s
+    s = h + 1
+    ly, lx = g1 << s, g0 << s
+    vbr = _rop(y0 + ly, y1 + (g1 >> 64 - s) + (y0 + ly < ly),
+               x1 + (g0 >> 64 - s) + (x0 + lx < lx)) - (c & 1)
+    s -= irregular
+    ly, lx = g1 << s, g0 << s
+    vbl = _rop(y0 - ly, y1 - (g1 >> 64 - s) - (y0 < ly),
+               x1 - (g0 >> 64 - s) - (x0 < lx)) + (c & 1)
+    s = vb >> 2
+    sp, s4 = s // 10 * 10, s << 2
+    # sp or sp + 10 if just one is in the interval (closed for an even c);
+    # else s or s + 1 if just one is; else the nearer, ties to even
+    upin, wpin = vbl <= sp << 2, (sp << 2) + 40 <= vbr
+    uin, win = vbl <= s4, s4 + 4 <= vbr
+    f = s + (win & ~uin | (uin == win) & ((vb > s4 + 2)
+                                          | (vb == s4 + 2) & (s & 1 == 1)))
+    f += (sp + wpin * np.uint64(10) - f) * (upin != wpin)
+    short = f < 10**16
+    return f + f * 9 * short, k + 17 - short
+
+
+def _split(w, p):
+    q = w // p   # numpy's % has no fast path for one divisor
+    return [q, w - q * p]
+
+
+def repr_words(x):
+    """(len(x), W) words, row i the text b"," + repr(x[i]): the comma and
+    sign, the integer part and the point, and the fraction, each in as few
+    words as its longest takes. Values that `repr` writes with an exponent,
+    subnormals and infinities are written by `repr`."""
+    words, pow10, _ = _text_tables()
+    bits = np.ascontiguousarray(x, np.float64).view(np.uint64)
+    bq = bits >> 52 & 0x7FF
+    f, decpt = _shortest_digits(bits)
+    fixed = (bq - 1 < 0x7FE) & ((decpt + 3).view(np.uint64) < 20)
+    # zeros, and the values written by repr, are laid out as 0.0 here
+    f = (f * fixed).view(np.int64)
+    d = np.clip(decpt, -3, 16)
+    ints, frac = np.divmod(f, pow10.take(17 - np.maximum(d, 0)))
+    hi, lo = np.divmod(frac, pow10.take(np.maximum(13 - d, 0)))
+    frac = [hi * pow10.take(np.maximum(d - 13, 0))]   # 4 digits of 20
+    for w in _split(lo * pow10.take(np.minimum(d + 3, 16)), 10**8):   # 16
+        frac += _split(w, 10000)
+    # after[j]: all digits after word j are zeros, so word j is written
+    # with its trailing zeros as NULs, and the later words as NULs
+    after = [True]
+    for w in frac[:0:-1]:
+        after.insert(0, after[0] & (w == 0))
+    wf = 1 + sum(bool((~a).any()) for a in after[:-1])
+    wi = (len(str(ints.max(initial=0))) + 4) // 4
+    other = np.flatnonzero(~fixed & (bits << 1 != 0))
+    nan = (bits[other] << 12 != 0) & (bq[other] == 0x7FF)
+    if not nan.all():
+        wi = max(wi, 6 - wf)   # room for "," and a repr of 24 bytes
+    out = np.empty((len(bits), 1 + wi + wf), "<u4")
+    out[:, 0] = 0x2C + (bits >> 63) * 0x2D00   # "," or ",-"
+    # the integer part: words of 4 digits, then 3 digits and the point;
+    # leading zeros as NULs, but the units digit's
+    lead = True
+    thousands, units = _split(ints, 1000)
+    for j in range(wi - 1):
+        w = _split(thousands // 10 ** (4 * (wi - 2 - j)), 10000)[1]
+        out[:, 1 + j] = words.take(w + _LEAD * lead)
+        lead &= w == 0
+    out[:, wi] = words.take(units + _POINT + (_LEAD_POINT - _POINT) * lead)
+    for j in range(wf):
+        out[:, 1 + wi + j] = words.take(frac[j] + _TRAIL * after[j])
+    out[:, 1 + wi] += ((frac[0] == 0) & after[0]) * words[_ZERO]
+    out[other] = 0
+    out[other[nan], 0] = 0x6E616E2C   # ",nan"
+    for i in other[~nan]:
+        text = b"," + repr(float(x[i])).encode("ascii")
+        out.view(np.uint8)[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out

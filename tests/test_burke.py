@@ -384,56 +384,42 @@ def test_field_rows_keep_every_float_repr(name, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# field rows formatted in a forked process
+# field rows at any shape, a block at a time, in this process
 # ---------------------------------------------------------------------------
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _set_usable_cores(monkeypatch, cores):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-
-
 @pytest.fixture
-def forks(monkeypatch):
-    """Two usable cores, so every continuous field is formatted forked;
-    returns a list that gets one entry per call of os.fork."""
-    _set_usable_cores(monkeypatch, 2)
-    calls, fork = [], os.fork
+def no_fork(monkeypatch):
+    """An os.fork that fails the test: field rows are made in this
+    process."""
+    def fork():
+        raise AssertionError("field_rows called os.fork")
 
-    def counted():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
+    monkeypatch.setattr(os, "fork", fork, raising=False)
 
 
-@pytest.mark.parametrize("N, T", [(30, 70), (68, 30), (31, 40), (1, 5),
-                                  (100, 100)])
-def test_forked_field_rows_match_the_per_site_reference(forks, N, T,
-                                                        tmp_path):
+@pytest.mark.parametrize("N, T", [(1, 5), (30, 70), (68, 30), (31, 40),
+                                  (100, 100), (10001, 2), (2, 10001),
+                                  (0, 3), (3, 0)])
+def test_field_rows_match_the_per_site_reference_at_any_shape(
+        no_fork, N, T, tmp_path):
+    # 10001 rows and 10001 sites a row: five-digit n and t; with T = 0 the
+    # noise row has no line
     field = _my_field(11, N=N, T=T)
     assert _written(field, tmp_path / "field.csv") == _reference(field)
-    assert forks == [1]
-    _assert_no_child_left()
 
 
-def test_integer_field_rows_are_never_forked(forks, tmp_path):
+def test_integer_field_rows_are_never_forked(no_fork, tmp_path):
     field = _rrw_field(11, N=30, T=70)
     assert _written(field, tmp_path / "field.csv") == _reference(field)
-    assert forks == []
 
 
-def test_field_rows_on_one_core_are_not_forked(forks, monkeypatch, tmp_path):
-    _set_usable_cores(monkeypatch, 1)
+def test_field_rows_on_one_core_are_not_forked(no_fork, monkeypatch,
+                                               tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     field = _my_field(11, N=68, T=30)
     assert _written(field, tmp_path / "field.csv") == _reference(field)
-    assert forks == []
 
 
 def test_field_rows_without_fork_are_the_same(monkeypatch, tmp_path):
@@ -442,58 +428,56 @@ def test_field_rows_without_fork_are_the_same(monkeypatch, tmp_path):
     assert _written(field, tmp_path / "field.csv") == _reference(field)
 
 
-@pytest.mark.parametrize("forked", [False, True])
-def test_field_rows_over_a_longer_file_leave_no_stale_byte(
-        forks, monkeypatch, tmp_path, forked):
-    if not forked:
-        _set_usable_cores(monkeypatch, 1)
-    field = _my_field(11, N=68, T=30)
+@pytest.mark.parametrize("integer", [False, True])
+def test_field_rows_over_a_longer_file_leave_no_stale_byte(tmp_path,
+                                                           integer):
+    field = (_rrw_field if integer else _my_field)(11, N=68, T=30)
     path = tmp_path / "field.csv"
     path.write_bytes(b"\xff" * 2 * len(_reference(field)))
     assert _written(field, path) == _reference(field)
-    assert forks == [1] * forked
 
 
-def _rows_failing_in(monkeypatch, child):
-    """Make burke._rows raise in the child process, or in this one."""
-    parent, rows = os.getpid(), burke._rows
-
-    def failing(*args):
-        if (os.getpid() != parent) is child:
-            raise ValueError("row formatting failed")
-        return rows(*args)
-
-    monkeypatch.setattr(burke, "_rows", failing)
-
-
-def test_a_failing_child_makes_field_rows_raise(forks, monkeypatch,
-                                                tmp_path):
-    _rows_failing_in(monkeypatch, child=True)
-    with pytest.raises(RuntimeError, match="exited with status 1"):
-        _written(_my_field(11, N=68, T=30), tmp_path / "field.csv")
-    assert forks == [1]
-    _assert_no_child_left()
-
-
-def test_a_failing_parent_still_reaps_its_child(forks, monkeypatch,
-                                                tmp_path):
-    _rows_failing_in(monkeypatch, child=False)
-    with pytest.raises(ValueError, match="row formatting failed"):
-        _written(_my_field(11, N=68, T=30), tmp_path / "field.csv")
-    assert forks == [1]
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("child", [True, False])
+@pytest.mark.parametrize("first_block_written", [False, True])
 def test_a_failed_write_leaves_no_byte_of_the_old_file(
-        forks, monkeypatch, tmp_path, child):
-    # the file is cut where writing stopped: after the header if the child
-    # failed, after the child's 34 rows if this process did
-    field = _my_field(11, N=68, T=30)
+        monkeypatch, tmp_path, first_block_written):
+    # the file is cut where writing stopped: after the header if the
+    # formatter failed on the first block, after that block's rows if it
+    # failed on the second
+    field = _my_field(11, N=1000, T=30)
     path = tmp_path / "field.csv"
     path.write_bytes(b"\xff" * 2 * len(_reference(field)))
-    _rows_failing_in(monkeypatch, child)
-    with pytest.raises(RuntimeError if child else ValueError):
+    calls, words = [], burke.repr_words
+
+    def failing(values):
+        calls.append(1)
+        if len(calls) > first_block_written:
+            raise ValueError("formatting failed")
+        return words(values)
+
+    monkeypatch.setattr(burke, "repr_words", failing)
+    with pytest.raises(ValueError, match="formatting failed"):
         _written(field, path)
-    assert path.read_bytes() == _reference(field, 0 if child else 34)
-    _assert_no_child_left()
+    written = path.read_bytes()
+    assert _reference(field).startswith(written)
+    row_ends = np.cumsum([len(_reference(field, 0))] + [
+        len(row) for row in _field_rows_reference(field)])
+    # the first block holds whole rows, but not all of them
+    assert len(written) in (row_ends[1:-1] if first_block_written
+                            else row_ends[:1])
+
+
+@pytest.mark.parametrize("N", [400, 1000])
+def test_field_rows_write_a_block_at_a_time(N, tmp_path):
+    field = _my_field(5, N=N, T=400)
+    burke.repr_words(np.ones(1))   # its tables are made once a process
+    with open(tmp_path / "field.csv", "wb") as fh:
+        tracemalloc.start()
+        try:
+            field_rows(field, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = fh.tell()
+    # one bound at both sizes: a block's words and temporaries, below the
+    # 7.4 MB of text of the 400 x 400 field alone
+    assert peak < 4e6 < size
