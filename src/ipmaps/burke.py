@@ -83,16 +83,20 @@ def _raise_first_escape(pair, X, U):
 
 
 def check_recursion(field):
-    """Recompute every interior site and report the worst deviation; a nan
-    deviation is the worst, so a field holding a nan fails."""
+    """Recompute every interior site, a band of rows at a time, and report
+    the worst deviation; a nan deviation is the worst, so a field holding a
+    nan fails."""
     X, U, pair = field.X, field.U, field.pair
     N, T = field.shape
-    y = pair.f(X[:, :-1], U[:-1])
-    v = pair.g(X[:, :-1], U[:-1])
-    # np.maximum and np.max propagate nan, where Python's max may skip it
-    worst = float(np.max(np.maximum(_deviations(y, X[:, 1:], pair.x_space),
-                                    _deviations(v, U[1:], pair.u_space)),
-                         initial=0.0))
+    rows = max(1, BLOCK // 8 // (T + 1))
+    worst = 0.0
+    for lo in range(0, N, rows):
+        x, u = X[lo:lo + rows], U[lo:lo + rows + 1]   # u: one row more
+        dev = np.maximum(
+            _deviations(pair.f(x[:, :-1], u[:-1]), x[:, 1:], pair.x_space),
+            _deviations(pair.g(x[:, :-1], u[:-1]), u[1:], pair.u_space))
+        # np.maximum and np.max propagate nan, where Python's max may skip it
+        worst = float(np.maximum(worst, np.max(dev, initial=0.0)))
     tol = involution_tolerance(pair)
     return VerificationReport(
         name=f"recursion:{pair.name}",
@@ -207,36 +211,52 @@ def field_rows(field, out):
     n,t,x,u, then one CRLF-ended n,t,x,u line per lattice site, row by row,
     floats written as their repr. The boundary noise row appears with n=0
     and x written as nan, and the last site of every row with u written as
-    nan. A block of rows is made as words (`repr_words`), one row of words a
-    line, and written at once. An integer field's distinct float64 bit
-    patterns are formatted once, into a table its blocks take rows of at
-    `np.searchsorted` of their bits; keying on bits keeps -0.0 apart."""
+    nan. A block of rows is made as words, one row of words a line, and
+    written at once; `_table_words` formats its values."""
     X, U = field.X, field.U
     N, T = len(X), U.shape[1]
     out.write(b"n,t,x,u\r\n")
-    integer = field.pair.x_space.is_integer
-    if integer:
-        bits = np.union1d(np.unique(X.view(np.int64)), np.unique(np.append(
-            U.view(np.int64), np.float64(np.nan).view(np.int64))))
-        table = repr_words(bits.view(np.float64))
+    table = _integer_table(X, U) if field.pair.x_space.is_integer else None
     ts = _words(f",{t}" for t in range(T + 1))
-    crlf = np.full((1, 1), 0x0A0D, "<u4")   # "\r\n"
     rows = max(1, BLOCK // 16 // (T + 1))   # temporaries that fit a cache
+    xu = np.empty((min(rows, N + 1), 2, T + 1))   # x, then u, by row
+    xu[:, 1, T] = xu[0, 0] = np.nan   # no u leaves t = T; row 0 is noise
     for lo in range(0, N + 1, rows):
-        hi = min(lo + rows, N + 1)
-        xu = np.full((2, hi - lo, T + 1), np.nan)   # x, then u
-        xu[0, max(1 - lo, 0):] = X[max(lo - 1, 0):hi - 1]
-        xu[1, :, :T] = U[lo:hi]
-        xu = xu.reshape(-1)
-        xu = table.take(np.searchsorted(bits, xu.view(np.int64)), axis=0) \
-            if integer else repr_words(xu)
-        xu = xu.reshape(2, hi - lo, T + 1, -1)
-        line = np.concatenate([
-            np.broadcast_to(p, xu.shape[1:3] + p.shape[-1:]) for p in
-            (_words(map(str, range(lo, hi)))[:, None], ts, *xu, crlf)], -1)
+        m = min(rows, N + 1 - lo)
+        v = xu[:m]
+        v[max(1 - lo, 0):, 0] = X[max(lo - 1, 0):lo + m - 1]
+        v[:, 1, :T] = U[lo:lo + m]
+        words = _table_words(table, v.reshape(-1)).reshape(m, 2, T + 1, -1)
+        parts = (_words(map(str, range(lo, lo + m)))[:, None], ts,
+                 words[:, 0], words[:, 1], np.full(1, 0x0A0D, "<u4"))
+        ends = np.cumsum([0] + [p.shape[-1] for p in parts])
+        line = np.empty((m, T + 1, ends[-1]), "<u4")
+        for p, a, b in zip(parts, ends, ends[1:]):
+            line[..., a:b] = p
         if lo == 0:
             line[0, T] = 0   # the noise row has no site t = T
         out.write(line.tobytes().translate(None, b"\0"))
+        del words, parts, line   # so the next block reuses their memory
+
+
+def _integer_table(X, U):
+    """(lo, repr_words of nan, -0.0 and lo..hi) if the values of X and U but
+    nan lie in [lo, hi], lo an integer, and hi - lo is below their count."""
+    lo = float(min(np.fmin.reduce(a, None, initial=np.inf) for a in (X, U)))
+    hi = max(np.fmax.reduce(a, None, initial=-np.inf) for a in (X, U))
+    if lo.is_integer() and hi - lo < X.size + U.size:
+        return lo, repr_words(np.r_[np.nan, -0.0, np.arange(lo, hi + 1)])
+
+
+def _table_words(table, v):
+    """repr_words(v), taken from an `_integer_table` if it holds them."""
+    if table is not None:
+        k = np.fmax(v - (table[0] - 2), 0.0)   # nan's row is 0
+        k[v.view(np.int64) == np.iinfo(np.int64).min] = 1   # and -0.0's 1
+        i = k.astype(np.intp)
+        if (i == k).all():
+            return table[1].take(i, axis=0)
+    return repr_words(v)
 
 
 def _words(texts):
@@ -261,13 +281,16 @@ _LEAD, _TRAIL, _POINT, _LEAD_POINT, _ZERO = 10000, 20000, 30000, 31000, 32000
 
 @functools.cache
 def _text_tables():
-    """The words; 10**0..10**18; and for k = -324..292 the JDK's g1 and g0
-    of 10**-k, g1 2**63 + g0 = floor(10**-k 2**-r) + 1 in [2**125, 2**126)."""
+    """The words; by d + 3 for decpt d = -3..16, 10**(17 - max(d, 0)),
+    10**max(13 - d, 0), 10**max(d - 13, 0) and 10**min(d + 3, 16); and for
+    k = -324..292 the JDK's g1 and g0 of 10**-k, g1 2**63 + g0 =
+    floor(10**-k 2**-r) + 1 in [2**125, 2**126)."""
     digits = [f"{i:04}" for i in range(10000)]
     words = (digits + [d.lstrip("0").rjust(4, "\0") for d in digits]
              + [d.rstrip("0").ljust(4, "\0") for d in digits]
              + [f"{i:03}." for i in range(1000)]
              + [f"{i}.".rjust(4, "\0") for i in range(1000)] + ["0\0\0\0"])
+    d = np.arange(-3, 17)
     g = []
     for k in range(-324, 293):
         r = (-k * 913124641741 >> 38) - 125   # floor(log2(10**-k)) - 125
@@ -275,114 +298,141 @@ def _text_tables():
                         // (10 ** max(k, 0) << max(r, 0)) + 1, 1 << 63)
         g.append((g1, g0))
     return (np.frombuffer("".join(words).encode("ascii"), "<u4"),
-            10 ** np.arange(19), np.array(g, np.uint64).T.copy())
+            10 ** np.array([17 - np.maximum(d, 0), np.maximum(13 - d, 0),
+                            np.maximum(d - 13, 0), np.minimum(d + 3, 16)]),
+            np.array(g, np.uint64).T.copy())
 
 
-def _mulhi(ah, al, bh, bl):
-    """The high 64 bits of a b, from the 32-bit limbs of a and b."""
-    t = ah * bl + (al * bl >> 32)
-    return ah * bh + (t >> 32) + ((t & _M32) + al * bh >> 32)
+def _rop(y1, y0h, x1, out, z):
+    """out = the JDK's rop(g1, g0, cp): floor(g cp / 2**127), its last bit
+    set if inexact, given g1 cp = y1 2**64 + y0, y0h = y0 >> 1 and x1 =
+    g0 cp >> 64; z is a work array."""
+    np.add(y0h, x1, out=z)
+    np.add(y1, z >> 63, out=out)
+    z &= _M63
+    z += _M63
+    out |= z >> 63
 
 
-def _rop(y0, y1, x1):
-    """The JDK's rop(g1, g0, cp), given y1 2**64 + y0 = g1 cp and x1 = g0 cp
-    >> 64: floor(cp g / 2**127), its last bit set if inexact."""
-    z = (y0 >> 1) + x1
-    return y1 + (z >> 63) | ((z & _M63) + _M63) >> 63
-
-
-def _shortest_digits(bits):
+def _shortest_digits(bits, bq, w):
     """(f, decpt): 0.f 10**decpt, f of 17 digits, is the shortest decimal
-    that rounds to each normal float64 bit pattern (uint64), else nothing."""
-    G = _text_tables()[2]
-    bq = bits >> 52 & 0x7FF
-    c = bits & (1 << 52) - 1 | 1 << 52
-    q = bq.astype(np.int64) - 1075
-    irregular = (c == 1 << 52) & (bq > 1)   # nearer its lower neighbour
-    # floor(log10(2**q)), of 3/4 2**q if irregular, as the JDK's MathUtils
-    k = q * 661971961083 - irregular * 274743187321 >> 41
-    g1, g0 = (row.take(k + 324) for row in G)
-    g1h, g1l, g0h, g0l = g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
-    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
-    cp = c << h + 2
-    ch, cl = cp >> 32, cp & _M32
-    y0, y1 = g1 * cp, _mulhi(g1h, g1l, ch, cl)
-    x0, x1 = g0 * cp, _mulhi(g0h, g0l, ch, cl)
-    vb = _rop(y0, y1, x1)
-    # the ends of the rounding interval are at cp + 2**s and cp - 2**s,
-    # whose products with g are cp's plus or minus g << s
-    s = h + 1
-    ly, lx = g1 << s, g0 << s
-    vbr = _rop(y0 + ly, y1 + (g1 >> 64 - s) + (y0 + ly < ly),
-               x1 + (g0 >> 64 - s) + (x0 + lx < lx)) - (c & 1)
-    s -= irregular
-    ly, lx = g1 << s, g0 << s
-    vbl = _rop(y0 - ly, y1 - (g1 >> 64 - s) - (y0 < ly),
-               x1 - (g0 >> 64 - s) - (x0 < lx)) + (c & 1)
-    s = vb >> 2
-    sp, s4 = s // 10 * 10, s << 2
-    # sp or sp + 10 if just one is in the interval (closed for an even c);
+    that rounds to each float64 bit pattern (uint64) of biased exponent bq
+    that repr writes positionally; f is w[0] of the 19 work arrays w. Each
+    rounding interval is taken as symmetric: for the powers of two in that
+    range the asymmetric one gives the same digits (test_every_power_of_two
+    tries them all)."""
+    s, c, h, ch, cl, vb, vbl, vbr, t = w[:9]
+    g, hi, lo, u, v = w[9:11], w[11:13], w[13:15], w[15:17], w[17:19]
+    q = np.subtract(bq, 1075, out=t).view(np.int64)
+    k = q * 661971961083 >> 41   # floor(log10(2**q)), as the JDK's MathUtils
+    _text_tables()[2].take(k + 324, axis=1, out=g, mode="clip")   # g1, g0
+    np.add(k * -913124641741 >> 38, q + 2, out=h.view(np.int64))   # in 1..4
+    np.bitwise_or(bits & (1 << 52) - 1, 1 << 52, out=c)
+    c <<= h + 2   # cp
+    np.right_shift(np.multiply(g, c, out=lo), 1, out=lo)
+    # the high 64 bits of g cp, from the 32-bit limbs of g < 2**63 and
+    # cp < 2**59, so that no sum of partial products overflows
+    np.right_shift(c, 32, out=ch)
+    np.bitwise_and(c, _M32, out=cl)
+    np.bitwise_and(g, _M32, out=u)
+    np.right_shift(np.multiply(u, cl, out=hi), 32, out=hi)
+    hi += np.multiply(u, ch, out=u)
+    np.right_shift(g, 32, out=u)
+    hi += np.multiply(u, cl, out=v)
+    hi >>= 32
+    hi += np.multiply(u, ch, out=u)
+    _rop(hi[0], lo[0], hi[1], vb, t)
+    # the interval's ends are at cp + 2**(h + 1) and cp - 2**(h + 1): each
+    # g << h is added to, or taken from, a halved product as a high part
+    # and a low 63-bit one, whose sum's bit 63 is the carry or the borrow
+    np.right_shift(g, 63 - h, out=v)
+    g <<= h
+    g &= _M63
+    for add, end in ((np.add, vbr), (np.subtract, vbl)):
+        add(lo, g, out=u)
+        np.bitwise_and(u[0], _M63, out=c)
+        u >>= 63
+        u += v
+        _rop(add(hi, u, out=u)[0], c, u[1], end, t)
+    vbr -= bits & 1
+    vbl += bits & 1
+    np.right_shift(vb, 2, out=s)
+    np.multiply(s // 10, 40, out=t)
+    upin, wpin = vbl <= t, t + 40 <= vbr   # sp10 << 2, and tp10 << 2
+    uin, win = vbl <= s << 2, (s << 2) + 4 <= vbr
+    # sp10 or tp10 if just one is in the interval (closed for an even c);
     # else s or s + 1 if just one is; else the nearer, ties to even
-    upin, wpin = vbl <= sp << 2, (sp << 2) + 40 <= vbr
-    uin, win = vbl <= s4, s4 + 4 <= vbr
-    f = s + (win & ~uin | (uin == win) & ((vb > s4 + 2)
-                                          | (vb == s4 + 2) & (s & 1 == 1)))
-    f += (sp + wpin * np.uint64(10) - f) * (upin != wpin)
-    short = f < 10**16
-    return f + f * 9 * short, k + 17 - short
+    up = (vb & 3) + (s & 1) > 2
+    s += win ^ (uin == win) & (up ^ win)
+    s += ((t >> 2) + wpin * np.uint64(10) - s) * (upin ^ wpin)
+    short = s - 10**16 >> 63
+    k -= short.view(np.int64) - 17
+    s *= short * 9 + 1
+    return s, k
 
 
-def _split(w, p):
-    q = w // p   # numpy's % has no fast path for one divisor
-    return [q, w - q * p]
+def _split(v, p, q):
+    """q = v // p, and v its remainder (numpy's % has no fast path)."""
+    np.floor_divide(v, p, out=q)
+    v -= q * p
+    return q, v
 
 
 def repr_words(x):
     """(len(x), W) words, row i the text b"," + repr(x[i]): the comma and
     sign, the integer part and the point, and the fraction, each in as few
     words as its longest takes. Values that `repr` writes with an exponent,
-    subnormals and infinities are written by `repr`."""
-    words, pow10, _ = _text_tables()
+    subnormals and infinities are written by `repr`. The work is done in
+    place, in 20 arrays made at once, and a word of every value at a time,
+    so the rows are a view of the transposed words."""
+    words, powers, _ = _text_tables()
     bits = np.ascontiguousarray(x, np.float64).view(np.uint64)
-    bq = bits >> 52 & 0x7FF
-    f, decpt = _shortest_digits(bits)
-    fixed = (bq - 1 < 0x7FE) & ((decpt + 3).view(np.uint64) < 20)
+    w = np.empty((20, len(bits)), np.uint64)
+    bq = np.bitwise_and(bits >> 52, 0x7FF, out=w[19])
+    f, decpt = _shortest_digits(bits, bq, w)
+    decpt += 3
+    fixed = (bq - 1 < 0x7FE) & (decpt.view(np.uint64) < 20)
     # zeros, and the values written by repr, are laid out as 0.0 here
-    f = (f * fixed).view(np.int64)
-    d = np.clip(decpt, -3, 16)
-    ints, frac = np.divmod(f, pow10.take(17 - np.maximum(d, 0)))
-    hi, lo = np.divmod(frac, pow10.take(np.maximum(13 - d, 0)))
-    frac = [hi * pow10.take(np.maximum(d - 13, 0))]   # 4 digits of 20
-    for w in _split(lo * pow10.take(np.minimum(d + 3, 16)), 10**8):   # 16
-        frac += _split(w, 10000)
+    f *= fixed
+    ints, frac, hi, lo, *p = w[1:9].view(np.int64)
+    for row, pi in zip(powers, p):
+        row.take(decpt, out=pi, mode="clip")
+    np.divmod(f.view(np.int64), p[0], out=(ints, frac))
+    np.divmod(frac, p[1], out=(hi, lo))
+    hi *= p[2]
+    lo *= p[3]
+    a, b = _split(lo, 10**8, p[0])
+    frac = [hi, *_split(a, 10000, p[1]), *_split(b, 10000, p[2])]
     # after[j]: all digits after word j are zeros, so word j is written
     # with its trailing zeros as NULs, and the later words as NULs
     after = [True]
-    for w in frac[:0:-1]:
-        after.insert(0, after[0] & (w == 0))
-    wf = 1 + sum(bool((~a).any()) for a in after[:-1])
+    for v in frac[:0:-1]:
+        after.insert(0, after[0] & (v == 0))
+    wf = 1 + sum(not a.all() for a in after[:-1])
     wi = (len(str(ints.max(initial=0))) + 4) // 4
     other = np.flatnonzero(~fixed & (bits << 1 != 0))
     nan = (bits[other] << 12 != 0) & (bq[other] == 0x7FF)
     if not nan.all():
         wi = max(wi, 6 - wf)   # room for "," and a repr of 24 bytes
-    out = np.empty((len(bits), 1 + wi + wf), "<u4")
-    out[:, 0] = 0x2C + (bits >> 63) * 0x2D00   # "," or ",-"
+    out = np.empty((1 + wi + wf, len(bits)), "<u4")
+    out[0] = 0x2C + (bits >> 63) * 0x2D00   # "," or ",-"
     # the integer part: words of 4 digits, then 3 digits and the point;
     # leading zeros as NULs, but the units digit's
     lead = True
-    thousands, units = _split(ints, 1000)
+    thousands, units = _split(ints, 1000, p[3])
     for j in range(wi - 1):
-        w = _split(thousands // 10 ** (4 * (wi - 2 - j)), 10000)[1]
-        out[:, 1 + j] = words.take(w + _LEAD * lead)
-        lead &= w == 0
-    out[:, wi] = words.take(units + _POINT + (_LEAD_POINT - _POINT) * lead)
+        v = thousands // 10 ** (4 * (wi - 2 - j)) % 10000
+        words.take(v + _LEAD * lead, out=out[1 + j], mode="clip")
+        lead &= v == 0
+    units += _POINT + (_LEAD_POINT - _POINT) * lead
+    words.take(units, out=out[wi], mode="clip")
     for j in range(wf):
-        out[:, 1 + wi + j] = words.take(frac[j] + _TRAIL * after[j])
-    out[:, 1 + wi] += ((frac[0] == 0) & after[0]) * words[_ZERO]
-    out[other] = 0
-    out[other[nan], 0] = 0x6E616E2C   # ",nan"
+        frac[j] += _TRAIL * after[j]
+        words.take(frac[j], out=out[1 + wi + j], mode="clip")
+    out[1 + wi] += (frac[0] == _TRAIL) * words[_ZERO]
+    out[:, other] = 0
+    out[0, other[nan]] = 0x6E616E2C   # ",nan"
     for i in other[~nan]:
-        text = b"," + repr(float(x[i])).encode("ascii")
-        out.view(np.uint8)[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return out
+        out[:7, i] = np.frombuffer((b",%r" % float(x[i])).ljust(28, b"\0"),
+                                   "<u4")
+    return out.T

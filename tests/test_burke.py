@@ -1,5 +1,6 @@
 """Tests for the lattice field recursion and its row/column properties."""
 
+import hashlib
 import json
 import os
 import tracemalloc
@@ -13,7 +14,9 @@ from ipmaps.burke import (
     LatticeField, check_recursion, field_rows, require_field_shape,
     simulate_field, verify_burke,
 )
-from ipmaps.involutions import POSITIVE_REAL, InvolutionPair, catalog_get
+from ipmaps.involutions import (
+    BLOCK, POSITIVE_REAL, InvolutionPair, _deviations, catalog_get,
+)
 from ipmaps.kernels import KernelError
 from ipmaps.laws import (
     Gamma, Geometric, GIG, ShiftGeom, ThreePoint, TruncGeom,
@@ -182,6 +185,69 @@ def test_recursion_fails_on_a_nan(make, corrupt):
     assert np.isnan(rep.details["worst_deviation"])
     details = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
     assert details["details"]["worst_deviation"] is None
+
+
+def _whole_field_worst(field):
+    """The worst deviation by one whole-field pass, the banded check's
+    reference."""
+    X, U, pair = field.X, field.U, field.pair
+    y, v = pair.f(X[:, :-1], U[:-1]), pair.g(X[:, :-1], U[:-1])
+    return float(np.max(np.maximum(_deviations(y, X[:, 1:], pair.x_space),
+                                   _deviations(v, U[1:], pair.u_space)),
+                        initial=0.0))
+
+
+# T = 100 makes bands of 81 rows, so N = 200 ends on a band of 38
+_BAND = BLOCK // 8 // 101
+
+
+@pytest.mark.parametrize("make", [_rrw_field, _my_field])
+@pytest.mark.parametrize("row", [0, _BAND - 1, _BAND, 199])
+@pytest.mark.parametrize("corrupt", ["shift", "nan"])
+def test_banded_recursion_check_finds_every_site(make, row, corrupt):
+    # rows on both sides of a band boundary, and the last row, whose band
+    # is shorter than the others
+    field = make(2, N=200, T=100)
+    if corrupt == "shift":
+        field.X[row, 37] += 1.0
+    else:
+        field.X[row, 37] = np.nan
+    rep = check_recursion(field)
+    assert not rep.passed
+    worst = rep.details["worst_deviation"]
+    if corrupt == "nan":
+        assert np.isnan(worst)
+    else:
+        assert worst == _whole_field_worst(field) > 0
+
+
+@pytest.mark.parametrize("make", [_rrw_field, _my_field])
+def test_banded_recursion_check_reads_the_last_noise_row(make):
+    # U[N] is read only by the last band, one row past its states
+    field = make(2, N=200, T=100)
+    field.U[200, 11] += 1.0
+    rep = check_recursion(field)
+    assert not rep.passed
+    assert rep.details["worst_deviation"] == _whole_field_worst(field) > 0
+
+
+@pytest.mark.parametrize("make", [_rrw_field, _my_field])
+def test_banded_recursion_check_equals_the_whole_field_pass(make):
+    field = make(4, N=200, T=100)
+    rep = check_recursion(field)
+    assert rep.details["worst_deviation"] == _whole_field_worst(field)
+
+
+def test_recursion_check_works_a_band_at_a_time():
+    field = _my_field(5, N=400, T=400)
+    tracemalloc.start()
+    try:
+        check_recursion(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below one whole-field array of float64
+    assert peak < 400 * 400 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +447,62 @@ def test_field_rows_keep_every_float_repr(name, tmp_path):
     text = written.decode()
     for v in values:
         assert f",{v!r}\r\n" in text and f",{v!r}," in text
+
+
+def _kdv_g1_field():
+    # the field of the kdv_g1 golden field.csv: states -2.0 to 2.0, 90 of
+    # them -0.0, and noise -2.0 to 11.0
+    return simulate_field(catalog_get("kdv_g1"), TruncGeom(0.5, 2),
+                          ShiftGeom(0.5, 2), 60, 60, RandomStream(1).split(1)[0])
+
+
+def _wide_integer_field():
+    # integer values from 0 to 10**9 on far fewer sites
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 10**9, (30, 41)).astype(float)
+    U = rng.integers(0, 10**9, (31, 40)).astype(float)
+    X[0, 0], U[0, 0] = 0.0, 1e9
+    return LatticeField(X=X, U=U, pair=catalog_get("reflecting_rw"),
+                        mu=None, nu=None)
+
+
+def _integer_field_with_a_half():
+    field = _rrw_field(11, N=68, T=30)
+    field.X[40, 3] = 2.5   # its block is not in the table
+    return field
+
+
+@pytest.mark.parametrize("make", [_kdv_g1_field, _wide_integer_field,
+                                  _integer_field_with_a_half])
+def test_integer_field_rows_match_the_per_site_reference(make, tmp_path):
+    field = make()
+    assert _written(field, tmp_path / "field.csv") == _reference(field)
+
+
+def test_kdv_g1_field_rows_are_the_golden_bytes(tmp_path):
+    # the digest CI pins for `ipmaps verify` of this field, taken from the
+    # writer that keyed its table on np.unique of the float64 bits
+    field = _kdv_g1_field()
+    assert field.X.min() < 0
+    assert (np.signbit(field.X) & (field.X == 0)).sum() == 90
+    written = _written(field, tmp_path / "field.csv")
+    assert hashlib.sha256(written).hexdigest() == (
+        "d2e691f9b725f43feb29117e8c2915a68b2f105c4bb6a9b10f6e764ab6f07ed1")
+
+
+def test_a_wide_integer_range_makes_no_table(tmp_path):
+    field = _wide_integer_field()
+    assert burke._integer_table(field.X, field.U) is None
+    burke.repr_words(np.ones(1))   # its tables are made once a process
+    with open(tmp_path / "field.csv", "wb") as fh:
+        tracemalloc.start()
+        try:
+            field_rows(field, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a table of the range would take gigabytes
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
