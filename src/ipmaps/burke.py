@@ -240,12 +240,17 @@ def field_rows(field, out):
 
 
 def _integer_table(X, U):
-    """(lo, repr_words of nan, -0.0 and lo..hi) if the values of X and U but
-    nan lie in [lo, hi], lo an integer, and hi - lo is below their count."""
+    """(lo, the texts of nan, -0.0 and lo..hi as rows of words, NUL-padded
+    to the longest) if the values of X and U but nan lie in [lo, hi], lo an
+    integer, and hi - lo is below their count."""
     lo = float(min(np.fmin.reduce(a, None, initial=np.inf) for a in (X, U)))
     hi = max(np.fmax.reduce(a, None, initial=-np.inf) for a in (X, U))
     if lo.is_integer() and hi - lo < X.size + U.size:
-        return lo, repr_words(np.r_[np.nan, -0.0, np.arange(lo, hi + 1)])
+        b = np.ascontiguousarray(repr_words(
+            np.r_[np.nan, -0.0, np.arange(lo, hi + 1)])).view("u1")
+        b = np.take_along_axis(b, np.argsort(b == 0, 1, kind="stable"), 1)
+        width = -(-np.count_nonzero(b, 1).max() // 4) * 4
+        return lo, np.ascontiguousarray(b[:, :width]).view("<u4")
 
 
 def _table_words(table, v):

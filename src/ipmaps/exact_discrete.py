@@ -10,13 +10,14 @@ and a verdict counts the states where it fails. A catalog law's table is
 Every verdict enumerates its cells in x-major order with `cells`. One cell
 identity, `product_defect_tv`, decides the product law of an integer map
 (`pushforward_cells` for two laws, as `kdv-tv` and Burke's integer fields
-use it) and the walk's per-state proof identities where Y's marginal is
-exact, decided in one pass over the cells of all four identity kinds, so
-no truncation tail enters a verdict. It gathers each table into
-object arrays, one lookup per state, and compares the two sides' products
-in numpy a block of cells at a time; `cell_report` puts its result in a
+use it). It gathers each table into object arrays, one lookup per state,
+makes each cell's mass mu(x) nu(u) once and compares it with the image's
+product a block of cells at a time; `cell_report` puts its result in a
 report. `rrw_characterize` is the walk's whole verdict on one joint table,
-with the mass of X > box summed once. A reported probability is `num / den`
+whose masses the cell identity, the laws of Y and V (sums by `_sums`) and
+the per-state proof identities where Y's marginal is exact all read, so no
+truncation tail enters a verdict; its parity identities are prefix sums.
+The mass of X > box is summed once. A reported probability is `num / den`
 of two ints, which Python rounds correctly, as `float(Fraction(num, den))`.
 """
 
@@ -178,17 +179,34 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     Returns the number of cells, the number that fail and the first
     failing cell (None when none fails).
     """
-    return _tally(xs, us, _cell_fails(xs, us, ys, vs, mu, nu, mu_out, nu_out))
+    return _tally(xs, us, _unequal(_gather(mu_out, ys), _gather(nu_out, vs),
+                                   _masses(xs, us, mu, nu)))
 
 
-def _cell_fails(xs, us, ys, vs, mu, nu, mu_out, nu_out):
-    """Per cell, whether the identity of `product_defect_tv` fails there."""
-    wy, wv, wx, wu = (_gather(table, keys) for table, keys in (
-        (mu_out, ys), (nu_out, vs), (mu, xs), (nu, us)))
-    fails = np.empty(len(xs), dtype=bool)
-    for s in blocks(len(xs), 1 << 9):   # holds 0.3 MB of products at box 1000
-        fails[s] = wy[s] * wv[s] != wx[s] * wu[s]
+def _masses(xs, us, mu, nu):
+    """The mass mu(x) nu(u) of each cell, an object array of ints."""
+    return _gather(mu, xs) * _gather(nu, us)
+
+
+def _unequal(wy, wv, mass, scale=1):
+    """Per cell, whether wy wv != mass scale. The products are made a block
+    of cells at a time, so that of the big integers only the masses are
+    held whole."""
+    fails = np.empty(len(mass), dtype=bool)
+    for s in blocks(len(mass), 1 << 9):   # holds 0.3 MB of products at box 1000
+        fails[s] = wy[s] * wv[s] != (mass[s] if scale == 1 else
+                                      mass[s] * scale)
     return fails
+
+
+def _sums(keys, mass):
+    """{key: the mass of its cells}, one `np.add.reduceat` over a stable
+    sort of the keys."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return dict(zip(keys[starts].tolist(),
+                    np.add.reduceat(mass[order], starts)))
 
 
 def _tally(xs, us, fails):
@@ -220,7 +238,7 @@ def _count(checks):
                              failing[0] if failing else None)))
 
 
-def rrw_verify_proof_identities(params, joint, beyond):
+def rrw_verify_proof_identities(params, joint, beyond, mass=None):
     """The event identities that drive the characterization proof, as exact
     integer equalities on the X table of `joint` (`rrw_joint_table`), with
     Y = (X+U)^+ and V = -U - 2(X+U)^-. The cells of [0, box] give Y's
@@ -243,25 +261,28 @@ def rrw_verify_proof_identities(params, joint, beyond):
       parity_balance  P(X odd | pairs) + q = P(Y even | pairs) + p'
     Each identity reports the states it checked, how many fail and the
     first that fails.
+
+    All read `mass`, each cell's mu(x) nu(u), made from the X table when
+    not given: Y's and V's laws are its sums, and each per-state identity is
+    mass du = my(y) nu'(v). A parity identity is a prefix sum over the pairs
+    of its terms, 0 where it holds.
     """
     (xs, us, ys, vs), (mu, dx), _, (nu, nu_v, du) = joint
     box = int(xs[-1])
-    # the laws of Y and V on the cells, numerators over dx du, in one pass
-    my, mv = {}, {}
-    for x, u, y, v in zip(*(a.tolist() for a in (xs, us, ys, vs))):
-        w = mu[x] * nu[u]
-        my[y], mv[v] = my.get(y, 0) + w, mv.get(v, 0) + w
-    # mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
-    nu_du = {u: w * du for u, w in nu.items()}
+    if mass is None:
+        mass = _masses(xs, us, mu, nu)
+    my, mv = _sums(ys, mass), _sums(vs, mass)   # numerators over dx du
     kinds = {"boundary": (xs == 0) & (us == -1), "zero_step": us == 0,
              "down_up": (xs > 0) & (us == -1), "up_down": us == 1}
     if params.r == 0:
         del kinds["zero_step"]
-    # the kinds are disjoint: one pass over the cells of them all, split after
+    # the kinds are disjoint: one pass over the cells of them all, split
+    # after; mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
     at = np.flatnonzero(np.logical_or.reduce(list(kinds.values()))
                         & (ys <= box - 1))
+    fails = _unequal(_gather(my, ys[at]), _gather(nu_v, vs[at]), mass[at],
+                     du)
     xs, us = xs[at], us[at]
-    fails = _cell_fails(xs, us, ys[at], vs[at], mu, nu_du, my, nu_v)
     report = {}
     for name, kind in kinds.items():
         mine = kind[at]
@@ -274,23 +295,25 @@ def rrw_verify_proof_identities(params, joint, beyond):
                               for v, w in nu_v.items()])
 
     if params.r == 0:
-        # sums over the pairs {0, 1}, ..., {k, k+1}: X over dx, Y over dx du
-        parity = {name: [] for name in ("parity_down", "parity_up",
-                                        "x_odd_mass", "y_even_mass",
-                                        "parity_balance")}
-        qdu, pdu, du_pp, du_q = q * du, p * du, du - pp, du - q
-        xe = xo = ye = yo = 0
-        for k in range(0, 2 * (box // 2), 2):
-            xe, xo = xe + mu[k], xo + mu[k + 1]
-            ye, yo = ye + my[k], yo + my[k + 1]
-            # x_odd_mass, y_even_mass: a = 0, b = 0; parity_balance,
-            # xo / (xe + xo) - p' = ye / (ye + yo) - q: a (ye + yo) = b (xe + xo)
-            a, b = du_pp * xo - pp * xe, du_q * ye - q * yo
-            holds = (qdu * xo == pp * ye, pdu * xe == qp * yo, a == 0, b == 0,
-                     a == b == 0 or a * (ye + yo) == b * (xe + xo))
-            for checks, ok in zip(parity.values(), holds):
-                checks.append(((k, k + 1), ok))
-        report.update((name, _count(c)) for name, c in parity.items())
+        # over the pairs {0, 1}, ..., {2n, 2n+1}, X over dx and Y over dx du:
+        # q du xo = p' ye, p du xe = q' yo, xo / (xe + xo) = p' (a = 0),
+        # ye / (ye + yo) = q (b = 0) and a (ye + yo) = b (xe + xo), whose
+        # products are made only where a or b is not 0
+        mx, my = (_gather(t, np.arange(2 * (box // 2))) for t in (mu, my))
+        xe, xo, ye, yo = (m[i::2] for m in (mx, my) for i in (0, 1))
+        down, up, a, b = (np.add.accumulate(t) for t in (
+            q * du * xo - pp * ye, p * du * xe - qp * yo,
+            (du - pp) * xo - pp * xe, (du - q) * ye - q * yo))
+        balance = (a == 0) & (b == 0)
+        nz = np.flatnonzero(~balance)
+        if len(nz):
+            tx, ty = (np.add.accumulate(m)[1::2][nz] for m in (mx, my))
+            balance[nz] = a[nz] * ty == b[nz] * tx
+        pairs = np.arange(0, len(mx), 2)
+        for name, holds in (("parity_down", down == 0), ("parity_up", up == 0),
+                            ("x_odd_mass", a == 0), ("y_even_mass", b == 0),
+                            ("parity_balance", balance)):
+            report[name] = dict(zip(_TALLY, _tally(pairs, pairs + 1, ~holds)))
 
     return VerificationReport(
         name="rrw_proof_identities",
@@ -299,16 +322,19 @@ def rrw_verify_proof_identities(params, joint, beyond):
 
 
 def rrw_characterize(params, box):
-    """The `rrw-characterize` verdict on x in [0, box]: `product_defect_tv`
-    at every cell of one `rrw_joint_table`, with the forced laws of X and Y
-    and the laws of U and V, and the proof identities on the same table.
-    The mass of X > box is summed once, for the truncation tail and V's law.
+    """The `rrw-characterize` verdict on x in [0, box]: the cell identity
+    of `product_defect_tv` at every cell of one `rrw_joint_table`, with the
+    forced laws of X and Y and the laws of U and V, and the proof identities
+    on the same table, both reading one array of cell masses. The mass of
+    X > box is summed once, for the truncation tail and V's law.
     """
     joint = rrw_joint_table(params, box)
-    grid, (mu, den), mu_y, (nu, nu_v, _) = joint
-    cell_check = cell_report(product_defect_tv(*grid, mu, nu, mu_y, nu_v))
+    (xs, us, ys, vs), (mu, den), mu_y, (nu, nu_v, _) = joint
+    mass = _masses(xs, us, mu, nu)
+    cell_check = cell_report(_tally(xs, us, _unequal(
+        _gather(mu_y, ys), _gather(nu_v, vs), mass)))
     beyond = den - sum(mu[x] for x in range(box + 1))     # X > box
-    identities = rrw_verify_proof_identities(params, joint, beyond)
+    identities = rrw_verify_proof_identities(params, joint, beyond, mass)
     return VerificationReport(
         name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
              f"r={float(params.r)})",

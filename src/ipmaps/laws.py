@@ -14,6 +14,7 @@ Gauss-Legendre table in numpy (see `GIG`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -272,12 +273,18 @@ class DiscreteLaw(Law):
         return _geometric_table(_frac(self.theta), self.support_lo, end)
 
     def _draws(self, gen, k):
-        """Inverse-cdf draws of a finite law from its exact table: each exact
-        partial sum over den, correctly rounded, the last being 1."""
+        """Inverse-cdf draws of a finite law from its exact table."""
+        cum, values = self._cdf_table
+        return values[np.searchsorted(cum, gen.random(k), side="right")]
+
+    @functools.cached_property
+    def _cdf_table(self):
+        """(cum, values) of a finite law's exact table, made once, as a law
+        is immutable: each exact partial sum over den, correctly rounded,
+        the last being 1, and the state it ends at."""
         nums, den, _ = truncate(self, self.support_hi)
         cum = np.array([c / den for c in itertools.accumulate(nums.values())])
-        idx = np.searchsorted(cum, gen.random(k), side="right")
-        return np.array(list(nums))[idx]
+        return cum, np.array(list(nums))
 
 
 class Bernoulli(DiscreteLaw):

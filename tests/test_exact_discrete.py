@@ -2,6 +2,7 @@
 lattice-map product-law dichotomy."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,16 +39,16 @@ def forced_table(params, box, y=False):
     return nums_y if y else nums, den
 
 
-def perturbed_tables(params, box=200):
+def perturbed_tables(params, box=200, moves=((0, 1), (1, 0), (1, 2))):
     """The forced table with mass 1/1000 (or all of it, if less) moved
-    between adjacent states.
+    between adjacent states, from a to b for each (a, b) of `moves`.
 
     The structured deviation family used to show that independence pins the
     law: every member must fail the cell identity.
     """
     nums, den = forced_table(params, box=box)
     out = []
-    for a, b in ((0, 1), (1, 0), (1, 2)):
+    for a, b in moves:
         moved = {k: 1000 * w for k, w in nums.items()}
         delta = min(den, moved[a])
         moved[a] -= delta
@@ -453,6 +454,26 @@ def test_truncation_tail_is_the_closed_form(grid, box):
     assert details["truncation_tail"] == float(tail)
 
 
+@pytest.mark.parametrize("grid, bound", [((0.2, 0.5, 0.3), 2.6e6),
+                                         ((0.3, 0.7, 0, 0.15), 3.3e6)],
+                         ids=str)
+def test_rrw_characterize_holds_the_masses_and_a_block_of_products(grid,
+                                                                   bound):
+    # the tables, one mass a cell (some 1 MB of 2,300 to 3,500-bit ints at
+    # box 1000) and one block of products; whole product arrays of the cell
+    # or proof identities reach past the bound
+    params = RRWParams.make(*grid)
+    rrw_characterize(params, 20)   # first-call caches, outside the trace
+    tracemalloc.start()
+    try:
+        report = rrw_characterize(params, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < bound, f"{peak / 1e6:.2f} MB"
+
+
 # ---------------------------------------------------------------------------
 # lattice-map pushforward
 # ---------------------------------------------------------------------------
@@ -656,6 +677,27 @@ def test_integer_tables_match_fraction_reference(grid):
             # the comparison covers failing states
             assert (table is forced) == all(
                 r["failing"] == 0 for r in details.values())
+
+
+@pytest.mark.parametrize("grid", [g for g in RRW_GRID if g[2] == 0], ids=str)
+def test_parity_prefix_perturbed_deep_matches_fraction_reference(grid):
+    # mass moved inside the pair {100, 101} and across {100, 101} and
+    # {102, 103}: every parity sum holds over the pairs up to {96, 97} and
+    # fails from the pairs near 100, and parity_balance multiplies out only
+    # at the pairs where x_odd_mass or y_even_mass fails
+    params = RRWParams.make(*grid)
+    for _, table in perturbed_tables(params, 200, ((100, 101), (101, 102))):
+        details = identities(params, 200, table).details
+        got = {name: (r["checked"], r["failing"], r["first_failing"])
+               for name, r in details.items()}
+        assert got == _ref_identities(params, _fractions(table), 200)
+        for name in ("parity_down", "parity_up", "x_odd_mass",
+                     "y_even_mass", "parity_balance"):
+            checked, failing, first = got[name]
+            assert 0 < failing < checked and first[0] in (98, 100), name
+        # of the 50 or so pairs where a or b is nonzero, the balance holds
+        # at all but one or two
+        assert got["parity_balance"][1] < got["x_odd_mass"][1]
 
 
 @pytest.mark.parametrize("grid", RRW_WIDE_GRID, ids=str)

@@ -47,6 +47,15 @@ GOLDEN = {
         {"kind": "rrw-characterize", "p": 0.4, "q": 0.6, "r": 0,
          "pprime": 0.2, "box": 1000},
         "26a8e6013e8c5308f19112f0170ac2f91eaa7641e192be234d83e29e67661b98"),
+    "rrw_interior_p02_box1000": (
+        {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3,
+         "box": 1000},
+        "2238c2cb133314b5d5d53ef65cbee39d96ec690eaa010fe337c229be4cdb329a"),
+    # p' = p: the forced law collapses to the plain geometric law
+    "rrw_boundary_collapse_box1000": (
+        {"kind": "rrw-characterize", "p": 0.3, "q": 0.7, "r": 0,
+         "pprime": 0.3, "box": 1000},
+        "77200b0bce76854db7cf2efa19cf00151af8defbb1698e6e80423f5d55b426aa"),
     # kdv-tv counts the cells failing mu(y) nu(v) = mu(x) nu(u)
     "kdv_g2_ell8": (
         {"kind": "kdv-tv", "theta": 0.3, "ell": 8, "variant": "g2", "M": 200},

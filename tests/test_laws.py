@@ -6,6 +6,7 @@ b=2 lam), adaptive quadrature for the GIG quantile, and Fraction pmfs for
 the discrete kinds.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -248,6 +249,32 @@ def test_blockwise_draws_are_the_whole_batch(law):
     after = [stream.gen.random(4) for stream in (whole, blocked, into)]
     assert np.array_equal(after[0], after[1])
     assert np.array_equal(after[0], after[2])
+
+
+def _finite_400():
+    w = 0.99 ** np.arange(400)
+    return FiniteTable(np.arange(-200, 200), w / w.sum())
+
+
+# sha256 of the 200,000 draws from RandomStream(79), taken when the table
+# was made again for every block of draws
+@pytest.mark.parametrize("make, digest", [
+    (_finite_400,
+     "bc9c6304204cb890f406f0ea48f589dc5586c559d285899b5d67c0eef065925f"),
+    (lambda: TruncGeom(0.5, 8),
+     "5f65cf1d59848c4ae0e52be44b345f767b603529f510032f5fb10d334dbb2307")],
+    ids=["finite_table", "trunc_geom"])
+def test_a_finite_law_makes_its_table_once(make, digest, monkeypatch):
+    calls = []
+    monkeypatch.setattr(laws, "truncate",
+                        lambda *a: calls.append(a) or truncate(*a))
+    law = make()
+    n = 200_000   # four blocks
+    assert n > 3 * BLOCK
+    draws = law.sample(RandomStream(79), n)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+    law.sample(RandomStream(83), n)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
