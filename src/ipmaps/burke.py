@@ -246,11 +246,8 @@ def _integer_table(X, U):
     lo = float(min(np.fmin.reduce(a, None, initial=np.inf) for a in (X, U)))
     hi = max(np.fmax.reduce(a, None, initial=-np.inf) for a in (X, U))
     if lo.is_integer() and hi - lo < X.size + U.size:
-        b = np.ascontiguousarray(repr_words(
-            np.r_[np.nan, -0.0, np.arange(lo, hi + 1)])).view("u1")
-        b = np.take_along_axis(b, np.argsort(b == 0, 1, kind="stable"), 1)
-        width = -(-np.count_nonzero(b, 1).max() // 4) * 4
-        return lo, np.ascontiguousarray(b[:, :width]).view("<u4")
+        values = [np.nan, -0.0, *np.arange(lo, hi + 1).tolist()]
+        return lo, _words(f",{v!r}" for v in values)
 
 
 def _table_words(table, v):

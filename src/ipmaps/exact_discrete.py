@@ -100,7 +100,8 @@ def rrw_forced_table(params, box):
     """Exact pmfs on {0..box} of the forced law of X and of the law of
     Y = (X + U)^+ it gives, as tables (nums, nums_y, den) over one den. At
     r>0 both are the geometric law, one dict; at r=0 their parity weights
-    (P(k even), P(k odd)) are (q', p') for X and (q, p) for Y."""
+    (P(k even), P(k odd)) are (q', p') for X and (q, p) for Y, one dict
+    where p' = p."""
     if params.r > 0:
         nums, den = _geometric_table(params.p / params.q, 0, box)
         return nums, nums, den
@@ -108,8 +109,10 @@ def rrw_forced_table(params, box):
     pairs, dp = _geometric_table(params.rho2, 0, box // 2)
     w, dw = _integer_weights({0: params.qprime, 1: params.pprime,
                               2: params.q, 3: params.p})
-    x, y = ({k: w[k % 2 + parity] * pairs[k // 2] for k in range(box + 1)}
-            for parity in (0, 2))
+    x = {k: w[k % 2] * pairs[k // 2] for k in range(box + 1)}
+    # where p' = p, (q', p') = (q, p) and Y has X's law
+    y = x if params.pprime == params.p else {
+        k: w[k % 2 + 2] * pairs[k // 2] for k in range(box + 1)}
     return x, y, dw * dp
 
 

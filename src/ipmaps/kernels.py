@@ -158,19 +158,13 @@ def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     # V over U's arrays; popped below, so an int column goes once copied
     vs = map_blocks(pair.g, xs, us, into=us if product else (us,))
     del xs, us
-    # each column sorted once, for its GOF and its independence test: a
-    # copy made here and sorted in place, Y's beside the first V's
-    checks = {}
+    # each column sorted once, for its GOF and its independence test
+    y_sorted = np.sort(ys)
+    checks = {"y_marginal": _gof_against_law(y_sorted, mu, level=level)}
     for i, law in enumerate(nu if product else [nu]):
         key = f"_{i}" if product else ""
         v = np.asarray(vs.pop(0), dtype=float)
-        v_sorted = v.copy()
-        if checks:
-            v_sorted.sort()
-        else:
-            y_sorted = ys.copy()
-            concurrently(n, y_sorted.sort, v_sorted.sort)
-            checks["y_marginal"] = _gof_against_law(y_sorted, mu, level=level)
+        v_sorted = np.sort(v)
         checks["v_marginal" + key] = _gof_against_law(v_sorted, law, level)
         checks["independence" + key] = stat_tests.independence_test(
             ys, v, y_sorted, v_sorted, level=level)

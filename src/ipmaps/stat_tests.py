@@ -7,11 +7,10 @@ p-values, and enforce binning rules that keep expected cell counts >= 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .involutions import blocks, concurrently
+from .involutions import blocks
 
 DEFAULT_LEVEL = 0.001
 
@@ -201,9 +200,8 @@ def independence_test(a, b, sorted_a, sorted_b, bins=10, level=DEFAULT_LEVEL,
     are merged until every expected count reaches 5.
     """
     n = _pair_count("independence_test", a, b, min_n)
-    ((ra,), ka), ((rb,), kb) = concurrently(
-        n, partial(_binning, sorted_a, bins, a),
-        partial(_binning, sorted_b, bins, b))
+    (ra,), ka = _binning(sorted_a, bins, a)
+    (rb,), kb = _binning(sorted_b, bins, b)
     if ka < 2 or kb < 2:
         return _result(0.0, 1.0, (n,), "independence_chi2", level,
                        degenerate_marginal=True, dof=0)
@@ -257,12 +255,11 @@ def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
     n = _pair_count("exchangeability_test", a, b, min_n)
     half = n // 2
     bins = 10 if half >= 10_000 else 5
-    # per pooled column, the first half as-is and the second half swapped,
-    # pooled on this thread, then sorted in place and labelled, both at once
-    (ia, ka), (ib, kb) = concurrently(n, *(
-        partial(_bin_indices_from, np.concatenate(h), *h, bins) for h in (
-            (a[:half], b[half:2 * half]), (b[:half], a[half:2 * half]))))
-    (ia_a, ia_b), (ib_a, ib_b) = ia, ib
+    # per pooled column, the first half as-is and the second half swapped:
+    # pooled, sorted in place and labelled, and freed before the next
+    ((ia_a, ia_b), ka), ((ib_a, ib_b), kb) = (
+        _bin_indices_from(np.concatenate(h), *h, bins) for h in (
+            (a[:half], b[half:2 * half]), (b[:half], a[half:2 * half])))
     ca = _table(ia_a, ib_a, ka, kb)
     cb = _table(ia_b, ib_b, ka, kb)
     pooled_counts = ca + cb

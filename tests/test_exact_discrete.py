@@ -169,9 +169,11 @@ def test_forced_law_of_y_swaps_the_parity_weights():
     pmf_y = _fractions(forced_table(params, box=3, y=True))
     assert [pmf_y[k] / pmf_x[k] for k in range(4)] == \
         [params.q / params.qprime, params.p / params.pprime] * 2
-    # at r > 0 both are the one geometric table
-    nums, nums_y, _ = rrw_forced_table(RRWParams.make(0.2, 0.5, 0.3), 9)
-    assert nums_y is nums
+    # at r > 0 both are the one geometric table, and at r = 0 where p' = p
+    # both are X's
+    for grid in ((0.2, 0.5, 0.3), (0.3, 0.7, 0, 0.3)):
+        nums, nums_y, _ = rrw_forced_table(RRWParams.make(*grid), 9)
+        assert nums_y is nums
 
 
 def _ref_pmf(law):

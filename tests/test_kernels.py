@@ -11,7 +11,7 @@ import pytest
 from ipmaps import involutions, kernels, laws
 from ipmaps.exact_discrete import cells, kdv_pushforward_tv, product_defect_tv
 from ipmaps.involutions import (
-    BLOCK, catalog_get, check_involution, concurrently, sample_points,
+    BLOCK, catalog_get, check_involution, sample_points,
 )
 from ipmaps.kernels import (
     KernelError, _gof_against_law, check_detailed_balance_exact,
@@ -362,22 +362,14 @@ def test_ip_needs_enough_samples():
 
 
 def test_ip_sorts_each_column_once(monkeypatch):
-    # a sorted copy from np.sort, or a copy's own in-place sort handed to
-    # concurrently: either way, one per column
     sorts = []
 
     def counting_sort(a, *args, **kwargs):
         sorts.append(np.shape(a))
         return original(a, *args, **kwargs)
 
-    def counting_concurrently(n, *calls):
-        sorts.extend(c.__self__.shape for c in calls
-                     if getattr(c, "__name__", None) == "sort")
-        return concurrently(n, *calls)
-
     original = np.sort
     monkeypatch.setattr(np, "sort", counting_sort)
-    monkeypatch.setattr(kernels, "concurrently", counting_concurrently)
     check_ip_statistical(catalog_get("matsumoto_yor"), GIG(2, 1), Gamma(2, 1),
                          20_000, RandomStream(107))
     # Y for its GOF and independence test, and V for its own

@@ -1,12 +1,13 @@
 """Tests for the statistical test machinery."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ipmaps import kernels, stat_tests
+from ipmaps import involutions, kernels, stat_tests
 from ipmaps.laws import Gamma, Geometric, UniformUnit
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import (
@@ -177,6 +178,18 @@ def test_results_are_deterministic():
     r2 = _independence(a.copy(), b.copy())
     assert r1 == r2
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_tests_of_many_blocks_start_no_thread(monkeypatch):
+    # the binning, pooling and sorting run on the calling thread at any n
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(involutions, "usable_cores", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    a, b = RandomStream(163).gen.random((2, 2 * involutions.BLOCK + 1))
+    assert _independence(a, b).passed
+    assert exchangeability_test(a, b).passed
 
 
 # ---------------------------------------------------------------------------
