@@ -10,6 +10,7 @@ runtimes, so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, burke, exact_discrete, kernels, skorokhod
-from .augmentation import fspec_for, verify_hypotheses
+from .augmentation import augment, fspec_for, verify_hypotheses
 from .involutions import catalog_get, check_involution, sample_points
 from .laws import LawError, law_from_spec, truncate  # perfbench traces it
 from .reports import VerificationReport, _jsonable
@@ -47,10 +48,10 @@ _FIELD_CHECKS = {
     **dict.fromkeys(("M", "ell", "N", "T"), _integer()),
     **dict.fromkeys(("theta", "p", "q", "r", "beta", "sigma"),
                     (_number, "a finite number")),
-    "pprime": (lambda v: v is None or _number(v), "a finite number or null"),
+    "pprime": (_number, "a finite number or null"),
     "level": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
     "tol": (lambda v: _number(v) and v >= 0, "a finite number >= 0"),
-    "csv": (lambda v: v is None or type(v) is str
+    "csv": (lambda v: type(v) is str
             and os.path.basename(v) == v not in ("", ".", "..", "report.json"),
             "null or a plain file name other than 'report.json'"),
 }
@@ -76,7 +77,8 @@ def _validate_stanza(stanza, index):
     for name, value in stanza.items():
         if name != "kind" and name not in defaults and name[:1] != "_":
             raise ConfigError(f"{where}unknown field {name!r}")
-        if name in _FIELD_CHECKS:
+        # null is accepted as itself where it is the kind's default
+        if name in _FIELD_CHECKS and (value, defaults[name]) != (None, None):
             _check_field(where, name, value)
     for name, default in defaults.items():
         if default is _REQUIRED and name not in stanza:
@@ -217,7 +219,7 @@ def _run_burke(stanza, rng, out_dir):
 def _run_skorokhod_gaussian(stanza, rng, out_dir):
     beta, sigma = float(stanza["beta"]), float(stanza["sigma"])
     grid, tol = stanza["grid"], float(stanza["tol"])
-    numeric = skorokhod.gaussian_family(beta, sigma, closed_form=False)
+    numeric = skorokhod.gaussian_family(beta, sigma)
     catalog = catalog_get("gaussian_rosenblatt",
                           {"beta": beta, "sigma": sigma})
     xs = np.linspace(-3.0 * sigma, 3.0 * sigma, grid)
@@ -228,7 +230,10 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
     sup_f = float(np.max(np.abs(y - catalog.f(xg, ug))))
     sup_g = float(np.max(np.abs(numeric.F(y, xg) - catalog.g(xg, ug))))
     mono = skorokhod.check_monotone(numeric, np.linspace(-3, 3, 11))
-    pair = skorokhod.build_involution(skorokhod.gaussian_family(beta, sigma))
+    # the quantile/conditional-cdf pair: the catalog f augmented through
+    # its solver F, so g_f(x, u) = F_{f(x,u)}(x)
+    pair = dataclasses.replace(augment(catalog),
+                               name=f"skorokhod:{numeric.name}")
     xs, us = sample_points(pair, 10_000, rng)
     invo = check_involution(pair, xs, us, 1e-8)
     passed = sup_f <= tol and sup_g <= tol and mono.passed and invo.passed

@@ -150,8 +150,8 @@ def _my_solver(x, y):
     return 1.0 / y - x, np.where(x * y >= 1.0, NOSOLUTION, UNIQUE)
 
 
-def _swapped_my_f(x, u):
-    return 1.0 / u - 1.0 / (x + u)
+def _swapped_my_f(x, u):   # Matsumoto-Yor's g with x and u swapped
+    return _my_g(u, x)
 
 
 def _swapped_my_solver(x, y):
@@ -407,8 +407,8 @@ def concurrently(n, *calls):
     thread of its own, all joined before the first call's error is raised;
     or one after another, for at most one block or a process held to one
     core. A helper's freed n-point array stays cached in its malloc arena,
-    so the calls fill or sort arrays allocated on this thread, with
-    temporaries of a block."""
+    so the calls fill arrays allocated on this thread, with temporaries of
+    a block."""
     if len(calls) < 2 or n <= BLOCK or usable_cores() < 2:
         return [call() for call in calls]
     import threading

@@ -1,12 +1,12 @@
-"""Generic involution construction from a kernel's conditional cdf family.
+"""Quantile and conditional-cdf transforms of a cdf family, by bisection.
 
 For a family of cdfs F_x on an interval (a, b), strictly increasing in the
-second argument, the quantile transform f(x, u) = F_x^{-1}(u) together with
-the conditional-cdf transform g(x, u) = F_{f(x,u)}(x) forms an involution on
-(a, b) x (0, 1), whatever the family: f(f(x,u), g(x,u)) = F_y^{-1}(F_y(x))
-= x, and g(f(x,u), g(x,u)) = F_x(y) = u with y = f(x, u). Reversibility
-decides the rest: the pair preserves mu (x) UniformUnit exactly when the
-family is the kernel of a chain that is reversible with respect to mu.
+second argument, the quantile transform f(x, u) = F_x^{-1}(u) is solved for
+u by F_x(y), so `augmentation.augment` makes it the involution (f, g_f)
+with g_f(x, u) = F_{f(x,u)}(x), the conditional-cdf transform, whatever the
+family. It preserves mu (x) UniformUnit exactly when the family is the
+kernel of a chain reversible with respect to mu. A `skorokhod-gaussian`
+stanza checks the catalog's closed forms against the numeric ones here.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .involutions import (
-    POSITIVE_REAL, REAL_LINE, UNIT_INTERVAL, InvolutionPair, catalog_get,
-    gaussian_cdf,
-)
+from .involutions import gaussian_cdf
 from .reports import VerificationReport
 
 
@@ -31,15 +28,14 @@ class SkorokhodError(ValueError):
 class CdfFamily:
     """Conditional cdfs y -> F(x, y) on a common open interval.
 
-    `F` must be vectorized over numpy arrays. `quantile(x, u)` is an
-    optional closed form; without it, quantiles are found by bisection in a
-    compactified coordinate, so infinite intervals need no special casing.
+    `F` must be vectorized over numpy arrays. Quantiles are found by
+    bisection in a compactified coordinate, so infinite intervals need no
+    special casing.
     """
 
     name: str
     interval: tuple
     F: callable
-    quantile: callable = None
 
 
 def to_interval(s, lo, hi):
@@ -66,9 +62,6 @@ def skorokhod_f(fam, x, u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise SkorokhodError("u must lie strictly inside (0,1)")
-    if fam.quantile is not None:
-        y = fam.quantile(x, u)
-        return y if y.ndim else float(y)
     lo, hi = fam.interval
     a = np.full(np.broadcast(x, u).shape, 1e-14)
     b = np.full_like(a, 1.0 - 1e-14)
@@ -97,25 +90,6 @@ def rosenblatt_g(fam, x, u):
     return out if out.ndim else float(out)
 
 
-def _state_space(interval):
-    """The catalog real space on the interval (lo, hi), else the line."""
-    return next((s for s in (UNIT_INTERVAL, POSITIVE_REAL)
-                 if (s.lo, s.hi) == interval), REAL_LINE)
-
-
-def build_involution(fam):
-    """Wrap the quantile/conditional-cdf transforms as an involution pair."""
-
-    def f(x, u):
-        return skorokhod_f(fam, x, u)
-
-    def g(x, u):
-        return rosenblatt_g(fam, x, u)
-
-    return InvolutionPair(f"skorokhod:{fam.name}", _state_space(fam.interval),
-                          UNIT_INTERVAL, f, g)
-
-
 def check_monotone(fam, states):
     """Probe that y -> F_x(y) is strictly increasing for each given state."""
     lo, hi = fam.interval
@@ -138,13 +112,10 @@ def check_monotone(fam, states):
     )
 
 
-def gaussian_family(beta, sigma, closed_form=True):
-    """The autoregressive Gaussian kernel x -> N(beta x, sigma^2).
-
-    With `closed_form`, the quantile is the catalog's gaussian_rosenblatt f;
-    otherwise it is left to numeric bisection, which is what the agreement
-    checks compare against the analytic map.
-    """
+def gaussian_family(beta, sigma):
+    """The autoregressive Gaussian kernel x -> N(beta x, sigma^2), its
+    quantile left to bisection: what the agreement checks compare against
+    the catalog's gaussian_rosenblatt."""
     beta, sigma = float(beta), float(sigma)
     if sigma <= 0.0:
         raise SkorokhodError("sigma must be positive")
@@ -152,11 +123,5 @@ def gaussian_family(beta, sigma, closed_form=True):
     def F(x, y):
         return gaussian_cdf(x, y, beta, sigma)
 
-    quantile = None
-    if closed_form:
-        quantile = catalog_get("gaussian_rosenblatt",
-                               {"beta": beta, "sigma": sigma}).f
-
     return CdfFamily(name=f"gaussian(beta={beta},sigma={sigma})",
-                     interval=(-math.inf, math.inf), F=F, quantile=quantile)
-
+                     interval=(-math.inf, math.inf), F=F)

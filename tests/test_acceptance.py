@@ -239,8 +239,7 @@ def test_criterion_7_skorokhod_gaussian(capsys):
     with capsys.disabled(), \
             criterion(7, "numeric quantile construction, decorrelation", 20):
         for beta, sigma in ((0.5, 1.0), (-0.5, 1.0), (0.9, 2.0)):
-            numeric = skorokhod.gaussian_family(beta, sigma,
-                                                closed_form=False)
+            numeric = skorokhod.gaussian_family(beta, sigma)
             catalog = catalog_get("gaussian_rosenblatt",
                                   {"beta": beta, "sigma": sigma})
             xs = np.linspace(-3 * sigma, 3 * sigma, 100)

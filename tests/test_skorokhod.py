@@ -7,12 +7,16 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from ipmaps.involutions import catalog_get, check_involution, sample_points
+from ipmaps.augmentation import augment
+from ipmaps.involutions import (
+    REAL_LINE, UNIQUE, UNIT_INTERVAL, InvolutionPair, catalog_get,
+    check_involution, sample_points,
+)
 from ipmaps.laws import Normal, UniformUnit
 from ipmaps.rng import RandomStream
 from ipmaps.skorokhod import (
-    CdfFamily, SkorokhodError, build_involution, check_monotone,
-    gaussian_family, rosenblatt_g, skorokhod_f,
+    CdfFamily, SkorokhodError, check_monotone, gaussian_family, rosenblatt_g,
+    skorokhod_f,
 )
 
 
@@ -59,7 +63,7 @@ def test_sigma_must_be_positive():
 
 @pytest.mark.parametrize("beta,sigma", [(0.5, 1.0), (-0.5, 1.0), (0.9, 2.0)])
 def test_numeric_matches_closed_form(beta, sigma):
-    numeric = gaussian_family(beta, sigma, closed_form=False)
+    numeric = gaussian_family(beta, sigma)
     catalog = catalog_get("gaussian_rosenblatt", {"beta": beta, "sigma": sigma})
     xs = np.linspace(-3 * sigma, 3 * sigma, 40)
     us = np.linspace(0.005, 0.995, 40)
@@ -73,7 +77,7 @@ def test_numeric_matches_closed_form(beta, sigma):
 
 def test_rosenblatt_matches_formula_at_point():
     beta, sigma = 0.5, 1.0
-    numeric = gaussian_family(beta, sigma, closed_form=False)
+    numeric = gaussian_family(beta, sigma)
     expected = ndtr((1 - beta ** 2) * 1.0 / sigma - beta * ndtri(0.3))
     assert rosenblatt_g(numeric, 1.0, 0.3) == pytest.approx(expected, abs=1e-8)
 
@@ -91,7 +95,9 @@ def test_bracket_failure_is_reported():
 # ---------------------------------------------------------------------------
 
 def test_built_gaussian_pair_is_involution():
-    pair = build_involution(gaussian_family(0.5, 1.0))
+    # the quantile transform augmented through its solver, the cdf
+    pair = augment(catalog_get("gaussian_rosenblatt",
+                               {"beta": 0.5, "sigma": 1.0}))
     xs, us = sample_points(pair, 10_000, RandomStream(163))
     report = check_involution(pair, xs, us, 1e-8)
     assert report.passed
@@ -109,7 +115,11 @@ def test_non_reversible_family_still_gives_an_involution():
                     lambda x, y: ndtr((np.asarray(y, dtype=float)
                                        - mean(np.asarray(x, dtype=float)))
                                       / 0.7))
-    pair = build_involution(fam)
+    spec = InvolutionPair(
+        fam.name, REAL_LINE, UNIT_INTERVAL,
+        lambda x, u: skorokhod_f(fam, x, u), None,
+        solver=lambda x, y: (fam.F(x, y), np.full(np.shape(y), UNIQUE)))
+    pair = augment(spec)
     xs, us = sample_points(pair, 2_000, RandomStream(0))
     assert check_involution(pair, xs, us, 1e-8).passed
 
@@ -156,7 +166,7 @@ def test_gaussian_linear_forms_are_uncorrelated():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_family_is_monotone():
-    fam = gaussian_family(0.5, 1.0, closed_form=False)
+    fam = gaussian_family(0.5, 1.0)
     assert check_monotone(fam, np.linspace(-3, 3, 11)).passed
 
 
