@@ -170,7 +170,8 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     even = np.arange(0, N - 1, 2)
     a, b = X[even][:, slices].ravel(), X[even + 1][:, slices].ravel()
     checks["row_independence"] = stat_tests.independence_test(
-        a, b, np.sort(a), np.sort(b), bins=5, level=level, min_n=_MIN_PAIRS)
+        *(stat_tests.binned(np.sort(c), c, bins=5) for c in (a, b)),
+        level=level, min_n=_MIN_PAIRS)
 
     failing, exact = 0, {}
     if field.pair.x_space.is_integer:

@@ -336,7 +336,7 @@ def rrw_characterize(params, box):
     mass = _masses(xs, us, mu, nu)
     cell_check = cell_report(_tally(xs, us, _unequal(
         _gather(mu_y, ys), _gather(nu_v, vs), mass)))
-    beyond = den - sum(mu[x] for x in range(box + 1))     # X > box
+    beyond = den - sum(mu.values()) + mu[box + 1]   # X > box; mu is 0..box+1
     identities = rrw_verify_proof_identities(params, joint, beyond, mass)
     return VerificationReport(
         name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"

@@ -117,10 +117,10 @@ def require_n(kind, n):
 
 
 def _draw(kind, pair, mu, nu, n, rng):
-    """(xs, us, ys) of a statistical `kind` check: n draws X ~ mu and U ~ nu,
-    one stream each (and one per product component), and Y = f(X, U). The
-    draws are made at once into arrays allocated here, X's of floats; a law
-    that is not blockwise draws on this thread."""
+    """(xs, us) of a statistical `kind` check: n draws X ~ mu and U ~ nu,
+    one stream each (and one per product component), made at once into
+    arrays allocated here, X's of floats; a law that is not blockwise draws
+    on this thread."""
     require_n(kind, n)
     mu_rng, nu_rng = rng.split(2)
     product = isinstance(nu, tuple)
@@ -135,15 +135,18 @@ def _draw(kind, pair, mu, nu, n, rng):
     own = own or [helpers.pop()]
     concurrently(n, *helpers, lambda: [c() for c in own])
     xs, *us = outs
-    us = tuple(us) if product else us[0]
-    return xs, us, np.asarray(map_blocks(pair.f, xs, us)[0], dtype=float)
+    return xs, tuple(us) if product else us[0]
 
 
 def check_reversibility_statistical(pair, mu, nu, n, rng,
                                     level=DEFAULT_LEVEL):
     """Exchangeability of (X, f(X,U)) for X ~ mu independent of U ~ nu."""
-    xs, ys = _draw("reversibility", pair, mu, nu, n, rng)[::2]
-    res = stat_tests.exchangeability_test(xs, ys, level=level)
+    xs, us = _draw("reversibility", pair, mu, nu, n, rng)
+    ys = map_blocks(pair.f, xs, us,   # over U's array
+                    into=us if isinstance(us, tuple) else (us,))[0]
+    del us
+    res = stat_tests.exchangeability_test(xs, np.asarray(ys, dtype=float),
+                                          level=level)
     return VerificationReport(
         name=f"reversibility:{pair.name}",
         passed=res.passed,
@@ -153,21 +156,31 @@ def check_reversibility_statistical(pair, mu, nu, n, rng,
 
 def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     """Does H preserve mu (x) nu?  Tests Y ~ mu, V ~ nu, and Y independent of V."""
-    xs, us, ys = _draw("ip", pair, mu, nu, n, rng)
+    xs, us = _draw("ip", pair, mu, nu, n, rng)
     product = isinstance(nu, tuple)
-    # V over U's arrays; popped below, so an int column goes once copied
-    vs = map_blocks(pair.g, xs, us, into=us if product else (us,))
+
+    def h(x, u):   # H(x, u) with the noise parts flattened
+        y, v = pair(x, u)
+        return (y, *v) if product else (y, v)
+
+    # Y and each V in one pass, over the arrays of X and each U
+    columns = map_blocks(h, xs, us, into=(xs, *us) if product else (xs, us))
     del xs, us
-    # each column sorted once, for its GOF and its independence test
-    y_sorted = np.sort(ys)
-    checks = {"y_marginal": _gof_against_law(y_sorted, mu, level=level)}
+
+    def marginal(law):
+        # the next column's GOF and labels, from one sorted copy freed here
+        column = np.asarray(columns.pop(0), dtype=float)
+        s = np.sort(column)
+        return (_gof_against_law(s, law, level=level),
+                stat_tests.binned(s, column))
+
+    checks = {}
+    checks["y_marginal"], y = marginal(mu)
     for i, law in enumerate(nu if product else [nu]):
         key = f"_{i}" if product else ""
-        v = np.asarray(vs.pop(0), dtype=float)
-        v_sorted = np.sort(v)
-        checks["v_marginal" + key] = _gof_against_law(v_sorted, law, level)
+        checks["v_marginal" + key], v = marginal(law)
         checks["independence" + key] = stat_tests.independence_test(
-            ys, v, y_sorted, v_sorted, level=level)
+            y, v, level=level)
 
     passed = all(c.passed for c in checks.values())
     return VerificationReport(

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .involutions import blocks
+from .involutions import BLOCK, blocks
 
 
 class LawError(ValueError):
@@ -34,8 +34,8 @@ class Law:
     `sample(rng, size, out=None)` returns an array of draws in the closed
     interval [support_lo, support_hi], written into `out` if given; a
     discrete law's draws are also integers. A `blockwise` law makes the
-    draws of one whole batch a block at a time, so a helper thread may
-    make them (`involutions.concurrently`).
+    draws of one whole batch a block at a time (GIG reads its proposals in
+    place), so a helper thread may make them (`involutions.concurrently`).
     """
 
     is_discrete = False
@@ -157,9 +157,9 @@ class GIG(Law):
 
     Sampling uses a ratio-of-uniforms rejection scheme against the
     unnormalized density; the mode and the maximizer of x^2*h(x) have closed
-    forms, so the bounding box is exact. A round draws its m v, then its m w
-    a block at a time, as far as one batch of m would go, and tests them a
-    block at a time up to the block that fills n.
+    forms, so the bounding box is exact. A round's m v and then m w are
+    read in place a block at a time (`RandomStream.ahead`) and tested up to
+    the block that fills n; the stream then moves past all 2m.
 
     The quantile reads a cumulative table of the density in t = log x over
     1200 panels of [-30, 30], built at construction and checked to total 1:
@@ -168,7 +168,6 @@ class GIG(Law):
     """
 
     support_lo = 0.0
-    blockwise = False   # a round holds its 2m proposals
 
     def __init__(self, alpha, lam):
         if not (alpha > 0 and lam > 0):
@@ -215,17 +214,18 @@ class GIG(Law):
         filled = 0
         while filled < n:
             m = max(2 * (n - filled), 64)
-            v = rng.gen.random(m)
+            vs, ws = rng.ahead(0), rng.ahead(m)   # the round's m v, its m w
             for s in blocks(m):
-                w = rng.gen.random(len(v[s]))
                 if filled == n:
-                    continue
-                x = np.divide(w * self._w_max, v[s], out=w)
-                accept = (self._log_h(x) - self._log_h_mode
-                          >= 2.0 * np.log(v[s]))
+                    break
+                v = vs.random(min(BLOCK, m - s.start))
+                w = ws.random(len(v))
+                x = np.divide(w * self._w_max, v, out=w)
+                accept = self._log_h(x) - self._log_h_mode >= 2.0 * np.log(v)
                 take = min(int(np.count_nonzero(accept)), n - filled)
                 out[filled:filled + take] = x[accept][:take]
                 filled += take
+            rng.skip(2 * m)
         return out
 
     def __repr__(self):
@@ -381,7 +381,7 @@ class ParityGeom(DiscreteLaw):
     """Law on {0,1,...} with P(odd)=podd and geometric(rho^2) conditional
     laws on each parity class."""
 
-    blockwise = False   # two whole arrays from one stream
+    blockwise = False   # two whole arrays; geometric draws take varying words
 
     def __init__(self, rho, podd):
         if not 0.0 < rho < 1.0:

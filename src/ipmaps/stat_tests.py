@@ -189,19 +189,18 @@ def _pair_count(test, a, b, min_n):
     return len(a)
 
 
-def independence_test(a, b, sorted_a, sorted_b, bins=10, level=DEFAULT_LEVEL,
-                      min_n=200):
-    """Chi-square independence test of the paired float columns a and b on
-    a binned contingency table; sorted_a and sorted_b are their sorted
-    copies, which the caller shares with its other tests of a and b.
+def binned(s, column, bins=10):
+    """`independence_test`'s (labels, bin count) of a column, from s, its
+    sorted copy: quantile bins, or the categories of at most `bins` values."""
+    (labels,), k = _binning(s, bins, column)
+    return labels, k
 
-    Continuous marginals are binned by their own quantiles; discrete
-    marginals with few distinct values keep their categories. Rows/columns
-    are merged until every expected count reaches 5.
-    """
-    n = _pair_count("independence_test", a, b, min_n)
-    (ra,), ka = _binning(sorted_a, bins, a)
-    (rb,), kb = _binning(sorted_b, bins, b)
+
+def independence_test(a, b, level=DEFAULT_LEVEL, min_n=200):
+    """Chi-square independence test of two paired columns, each `binned`;
+    rows/columns are merged until every expected count reaches 5."""
+    (ra, ka), (rb, kb) = a, b
+    n = _pair_count("independence_test", ra, rb, min_n)
     if ka < 2 or kb < 2:
         return _result(0.0, 1.0, (n,), "independence_chi2", level,
                        degenerate_marginal=True, dof=0)

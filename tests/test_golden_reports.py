@@ -113,6 +113,28 @@ GOLDEN = {
         {"kind": "reversibility", "map": "matsumoto_yor", "n": 1_000_000,
          "mu": GIG, "nu": GAMMA},
         "195b71ade1d693323e36308783f965288a37f53b3bd88d869b653264768481d6"),
+    # ip's Y and V made in one pass over the arrays of X and U, each column
+    # sorted once: float noise, and integer noise whose V is a float column
+    "ip_gaussian_rosenblatt": (
+        {"kind": "ip", "map": "gaussian_rosenblatt", "n": 20000,
+         "params": {"beta": 0.5, "sigma": 1.0},
+         "mu": {"kind": "normal", "params": {"mean": 0.0,
+                                             "variance": 4.0 / 3.0}},
+         "nu": {"kind": "uniform"}},
+        "3a6d14653fc61c29da2b59225bb6379efbf5db0c84eb1da5c45664726a88f085"),
+    "ip_beta_map": (
+        {"kind": "ip", "map": "beta_map", "n": 20000,
+         "mu": {"kind": "beta", "params": {"a": 2.0, "b": 1.0}},
+         "nu": {"kind": "beta", "params": {"a": 3.0, "b": 2.0}}},
+        "2188e539d64269005e08c6d51f8e77dd05ff05973881178ee712c82359e03a63"),
+    "ip_rrw": (
+        {"kind": "ip", "map": "reflecting_rw", "n": 20000,
+         "mu": GEOMETRIC, "nu": THREE_POINT},
+        "0bcd4be2332036d204f072fc9398750b82794cbab2c7a5cfacf73714e1901d18"),
+    "reversibility_rrw": (
+        {"kind": "reversibility", "map": "reflecting_rw", "n": 10000,
+         "mu": GEOMETRIC, "nu": THREE_POINT},
+        "3f3fad7a9386a7d67495f58dcb1e71181b54f8c7b97338b09a1cb3dc18e12b50"),
     "burke_rrw": (
         BURKE_RRW,
         "79191ef57f1a3a8e798d63cd239a64e0aec57bbae23a700f73ea650aebf14b83"),

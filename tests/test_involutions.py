@@ -317,6 +317,64 @@ def test_an_error_on_a_helper_thread_reaches_the_caller(two_cores):
 
 
 # ---------------------------------------------------------------------------
+# the worst probe of a round trip, from each quarter block's worst
+# ---------------------------------------------------------------------------
+
+def _coded(codes):
+    """A batch whose probe i deviates by codes[i] exactly: x = 0, u = i,
+    and f moves x by codes[u] / 2, so the round trip moves it by codes[u]."""
+    pair = InvolutionPair(
+        "coded", REAL_LINE, REAL_LINE,
+        lambda x, u: x + codes[u.astype(np.intp)] / 2, lambda x, u: u)
+    return pair, np.zeros(len(codes)), np.arange(float(len(codes)))
+
+
+def _named(report, i):
+    """Whether a report of a `_coded` batch names probe i as its worst."""
+    return report.details["worst_point"] == repr((0.0, float(i)))
+
+
+def test_a_later_nan_beats_an_earlier_larger_deviation(two_cores):
+    codes = np.zeros(3 * BLOCK)
+    codes[[5, BLOCK + 3]] = 0.9, 0.25
+    codes[[2 * BLOCK + 7, 3 * BLOCK - 1]] = np.nan
+    report = check_involution(*_coded(codes), tol=1e-9)
+    assert not report.passed
+    assert np.isnan(report.details["max_deviation"])
+    assert _named(report, 2 * BLOCK + 7)
+
+
+def test_tied_deviations_name_the_first_probe(two_cores):
+    codes = np.zeros(3 * BLOCK)
+    # ties within one quarter block and across those of both threads
+    ties = [BLOCK // 2 + 3, BLOCK // 2 + 9, BLOCK + 1, 3 * BLOCK - 1]
+    codes[ties] = 0.5
+    codes[[2, 2 * BLOCK]] = 0.25
+    report = check_involution(*_coded(codes), tol=1e-9)
+    assert report.details["max_deviation"] == 0.5
+    assert _named(report, ties[0])
+
+
+@pytest.mark.parametrize("name, n", [
+    ("matsumoto_yor", 3 * BLOCK + 5), ("beta_walk", 3 * BLOCK + 5),
+    ("spd_matsumoto_yor", BLOCK + 5)])
+def test_worst_probe_is_the_whole_batch_worst(name, n, two_cores):
+    # tol = 0 fails every batch with a nonzero deviation, so the report
+    # names its worst probe
+    pair = catalog_get(name)
+    xs, us = sample_points(pair, n, RandomStream(53))
+    report = check_involution(pair, xs, us, tol=0.0)
+    space = involutions.SpaceDescriptor(
+        "pair", parts=(pair.x_space, pair.u_space))
+    dev = involutions._deviations(pair(*pair(xs, us)), (xs, us), space)
+    k = int(np.argmax(dev))
+    assert dev[k] > 0.0
+    assert report.details["max_deviation"] == float(dev.max())
+    assert report.details["worst_point"] == repr(
+        (batch_item(xs, k), batch_item(us, k)))
+
+
+# ---------------------------------------------------------------------------
 # structural properties
 # ---------------------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from ipmaps.laws import (
     ThreePoint, TruncGeom, UniformUnit, truncate,
 )
 from ipmaps.rng import RandomStream
-from ipmaps.stat_tests import independence_test
+from ipmaps.stat_tests import binned, independence_test
 
 
 class ConstLaw:
@@ -109,8 +109,8 @@ def test_codrivers_are_iid_noise():
                   Geometric(0.4), 100_000, RandomStream(79))
     assert _gof_against_law(np.sort(v), ThreePoint(0.2, 0.5, 0.3)).passed
     v = np.asarray(v, dtype=float)
-    assert independence_test(v[:-1], v[1:], np.sort(v[:-1]),
-                             np.sort(v[1:])).passed
+    assert independence_test(*(binned(np.sort(c), c)
+                               for c in (v[:-1], v[1:]))).passed
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,8 @@ def test_n_point_arrays_are_allocated_on_the_calling_thread(monkeypatch):
 
 
 def test_whole_array_draws_stay_on_the_calling_thread(monkeypatch):
-    # GIG's round holds 2m proposals and ParityGeom draws two whole arrays:
-    # the blockwise laws alone draw on helper threads
+    # ParityGeom draws two whole arrays: the blockwise laws alone, GIG
+    # among them, draw on helper threads
     started = _counted_threads(monkeypatch, 2)
     threads = {}
 
@@ -466,8 +466,8 @@ def test_whole_array_draws_stay_on_the_calling_thread(monkeypatch):
     pair = catalog_get("matsumoto_yor")
     # (mu, nu, the laws drawn on a helper); with no law of whole arrays,
     # the last draw is this thread's
-    for mu, nu, helped in ((GIG(2, 1), Gamma(2, 1), {"Gamma"}),
-                           (GIG(2, 1), laws.ParityGeom(0.5, 0.3), set()),
+    for mu, nu, helped in ((GIG(2, 1), Gamma(2, 1), {"GIG"}),
+                           (GIG(2, 1), laws.ParityGeom(0.5, 0.3), {"GIG"}),
                            (Gamma(2, 1), BetaI(1, 5), {"Gamma"})):
         threads.clear()
         kernels._draw("ip", pair, mu, nu, 2 * BLOCK, RandomStream(157))

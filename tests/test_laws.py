@@ -224,6 +224,18 @@ def test_gig_draws_keep_the_bits_of_the_whole_batch_sampler(alpha, lam, n):
     assert np.array_equal(blocked.gen.random(4), whole.gen.random(4))
 
 
+@pytest.mark.parametrize("offset", [1, 2, 3, 4])
+def test_gig_draws_keep_their_bits_from_every_buffer_offset(offset):
+    # the proposals are read in place from wherever the stream stands
+    law = GIG(2, 1)
+    blocked, whole = RandomStream(17), RandomStream(17)
+    blocked.gen.random(offset)
+    whole.gen.random(offset)
+    assert np.array_equal(law.sample(blocked, 100_000),
+                          whole_batch_gig_sample(law, whole, 100_000))
+    assert np.array_equal(blocked.gen.random(4), whole.gen.random(4))
+
+
 BLOCKWISE_LAWS = [Gamma(2, 1), BetaI(2, 3), BetaI(1, 5), UniformUnit(),
                   Normal(0.0, 4.0 / 3.0), Bernoulli(0.4), Geometric(0.4),
                   ShiftGeom(0.5, 2), TruncGeom(0.5, 2),

@@ -11,7 +11,7 @@ from ipmaps import involutions, kernels, stat_tests
 from ipmaps.laws import Gamma, Geometric, UniformUnit
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import (
-    StatTestError, _bin_indices_from, _binning, bin_counts, chi2_gof,
+    StatTestError, _bin_indices_from, _binning, bin_counts, binned, chi2_gof,
     exchangeability_test, independence_test, ks_two_sample,
 )
 
@@ -116,7 +116,8 @@ def test_chi2_sf_matches_scipy_stats_bits():
 
 def _independence(a, b, **kwargs):
     """independence_test of the columns a and b, each sorted once here."""
-    return independence_test(a, b, np.sort(a), np.sort(b), **kwargs)
+    return independence_test(binned(np.sort(a), a), binned(np.sort(b), b),
+                             **kwargs)
 
 
 def test_independence_rejects_perfect_dependence():

@@ -10,16 +10,16 @@ from functools import partial
 import pytest
 
 from ipmaps.involutions import catalog_get, check_involution, sample_points
-from ipmaps.kernels import check_ip_statistical
+from ipmaps.kernels import (check_ip_statistical,
+                            check_reversibility_statistical)
 from ipmaps.laws import Bernoulli, BetaI, GIG, Gamma
 from ipmaps.rng import RandomStream
 
 N = 200_000
 
 
-def _ip(name, mu, nu, n):
-    return partial(check_ip_statistical, catalog_get(name), mu, nu, n,
-                   RandomStream(61))
+def _ip(name, mu, nu, n, check=check_ip_statistical):
+    return partial(check, catalog_get(name), mu, nu, n, RandomStream(61))
 
 
 def _involution(name, n):
@@ -32,11 +32,14 @@ def _involution(name, n):
 # name -> (bound in columns of 8n bytes, n -> the check ready to run, its
 # verdict); beta_walk does not keep this product law, and ip sees it
 CASES = {
-    "ip:matsumoto_yor:gig-gamma": (6, partial(
+    "ip:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1)), True),
-    "ip:beta_walk:product": (6, partial(
+    "ip:beta_walk:product": (5, partial(
         _ip, "beta_walk", BetaI(2, 3), (Bernoulli(0.4), BetaI(1, 5))), False),
-    "involution:matsumoto_yor": (4, partial(_involution, "matsumoto_yor"),
+    "reversibility:matsumoto_yor:gig-gamma": (4, partial(
+        _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1),
+        check=check_reversibility_statistical), True),
+    "involution:matsumoto_yor": (2, partial(_involution, "matsumoto_yor"),
                                  True),
 }
 
@@ -44,7 +47,9 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_traced_peak_is_a_few_columns(case):
     columns, make, verdict = CASES[case]
-    make(1_000)()   # lazy imports and first-call caches, outside the trace
+    # lazy imports and first-call caches, outside the trace, at
+    # reversibility's least n
+    make(10_000)()
     check = make(N)
     tracemalloc.start()
     try:
@@ -57,8 +62,8 @@ def test_traced_peak_is_a_few_columns(case):
 
 
 def test_traced_peak_of_a_gig_draw_is_its_proposals_and_output():
-    # a round's 2n proposals v and the n-point output, 24 MB at n = 10^6;
-    # the w are drawn a block at a time
+    # the n-point output, 8 MB at n = 10^6, and one block of proposals:
+    # a round's v and w are read in place a block at a time
     law = GIG(2, 1)
     law.sample(RandomStream(71), 1_000)
     tracemalloc.start()
@@ -67,4 +72,4 @@ def test_traced_peak_of_a_gig_draw_is_its_proposals_and_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28e6, f"{peak / 1e6:.1f} MB"
+    assert peak < 12e6, f"{peak / 1e6:.1f} MB"
