@@ -18,7 +18,7 @@ from . import exact_discrete, stat_tests
 from .involutions import BLOCK, _deviations, involution_tolerance
 from .kernels import KernelError, _gof_against_law
 from .reports import VerificationReport
-from .stat_tests import DEFAULT_LEVEL
+from .stat_tests import DEFAULT_LEVEL, SortedColumn
 
 
 @dataclass
@@ -163,21 +163,21 @@ def verify_burke(field, level=DEFAULT_LEVEL):
     mu, nu = field.mu, field.nu
     slices = _thinned_slices(T)
     checks = {
-        "x_marginal": _gof_against_law(np.sort(X[:, T]), mu, level=level),
-        "u_marginal": _gof_against_law(np.sort(U[N, :]), nu, level=level),
+        "x_marginal": _gof_against_law(SortedColumn(X[:, T]), mu, level=level),
+        "u_marginal": _gof_against_law(SortedColumn(U[N, :]), nu, level=level),
     }
 
     even = np.arange(0, N - 1, 2)
     a, b = X[even][:, slices].ravel(), X[even + 1][:, slices].ravel()
     checks["row_independence"] = stat_tests.independence_test(
-        *(stat_tests.binned(np.sort(c), c, bins=5) for c in (a, b)),
+        *(stat_tests.binned(SortedColumn(c), c, bins=5) for c in (a, b)),
         level=level, min_n=_MIN_PAIRS)
 
     failing, exact = 0, {}
     if field.pair.x_space.is_integer:
-        checks["x_boundary"] = _gof_against_law(np.sort(X[:, 0]), mu,
+        checks["x_boundary"] = _gof_against_law(SortedColumn(X[:, 0]), mu,
                                                 level=level)
-        checks["u_boundary"] = _gof_against_law(np.sort(U[0, :]), nu,
+        checks["u_boundary"] = _gof_against_law(SortedColumn(U[0, :]), nu,
                                                 level=level)
         exact["exact"] = exact_discrete.cell_report(
             exact_discrete.pushforward_cells(field.pair, mu, nu,

@@ -235,7 +235,7 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
     pair = dataclasses.replace(augment(catalog),
                                name=f"skorokhod:{numeric.name}")
     xs, us = sample_points(pair, 10_000, rng)
-    invo = check_involution(pair, xs, us, 1e-8)
+    invo = check_involution(pair, xs, us)
     passed = sup_f <= tol and sup_g <= tol and mono.passed and invo.passed
     return VerificationReport(
         name=f"skorokhod_gaussian(beta={beta},sigma={sigma})",

@@ -129,6 +129,7 @@ class InvolutionPair:
     f: callable
     g: callable
     solver: callable = None
+    tolerance: float = 1e-9   # of a round trip on real spaces, if not SPD
 
     def __call__(self, x, u):
         return self.f(x, u), self.g(x, u)
@@ -304,7 +305,7 @@ def _gaussian_pair(name, params):
         u = gaussian_cdf(x, y, beta, sigma)
         return u, np.full(np.shape(u), UNIQUE)
 
-    return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g, solver)
+    return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g, solver, 1e-8)
 
 
 # name -> builder(name, params) of every catalog map; kdv_g1 and kdv_g2
@@ -407,8 +408,8 @@ def concurrently(n, *calls):
     thread of its own, all joined before the first call's error is raised;
     or one after another, for at most one block or a process held to one
     core. A helper's freed n-point array stays cached in its malloc arena,
-    so the calls fill arrays allocated on this thread, with temporaries of
-    a block."""
+    so the calls fill, or sort in place, arrays allocated on this thread,
+    with temporaries of a block."""
     if len(calls) < 2 or n <= BLOCK or usable_cores() < 2:
         return [call() for call in calls]
     import threading
@@ -434,6 +435,16 @@ def concurrently(n, *calls):
     for error in filter(None, errors):
         raise error
     return results
+
+
+def deal(work, n, size=BLOCK):
+    """[work(b) for b in blocks(n, size)], alternate blocks on two threads."""
+    done = list(blocks(n, size))
+    if len(done) < 2:
+        return [work(b) for b in done]
+    done[::2], done[1::2] = concurrently(
+        n, *(partial(list, map(work, done[i::2])) for i in (0, 1)))
+    return done
 
 
 def batch_slice(v, s):
@@ -491,9 +502,7 @@ def involution_tolerance(pair):
         return 1e-7
     if pair.x_space.is_integer and pair.u_space.is_integer:
         return 0.0
-    if pair.name == "gaussian_rosenblatt":
-        return 1e-8
-    return 1e-9
+    return pair.tolerance
 
 
 def check_involution(pair, xs, us, tol=None):
@@ -505,18 +514,14 @@ def check_involution(pair, xs, us, tol=None):
     if tol is None:
         tol = involution_tolerance(pair)
     space = SpaceDescriptor("pair", parts=(pair.x_space, pair.u_space))
-    found = []   # (index, deviation) of each quarter block's worst probe
 
-    def run(todo):
-        for s in todo:
-            x, u = xs[s], batch_slice(us, s)
-            dev = _deviations(pair(*pair(x, u)), (x, u), space)
-            k = int(np.argmax(dev))   # its first nan, else its first largest
-            found.append((s.start + k, dev[k]))
+    def worst(s):   # (index, deviation) of a quarter block's worst probe
+        x, u = xs[s], batch_slice(us, s)
+        dev = _deviations(pair(*pair(x, u)), (x, u), space)
+        k = int(np.argmax(dev))   # its first nan, else its first largest
+        return s.start + k, dev[k]
 
-    parts = list(blocks(len(xs), BLOCK // 4))
-    concurrently(len(xs), partial(run, parts[::2]), partial(run, parts[1::2]))
-    found.sort()
+    found = deal(worst, len(xs), BLOCK // 4)
     devs = np.array([d for _, d in found])
     max_dev = float(devs.max(initial=0.0))   # an empty batch passes
     passed = max_dev <= tol

@@ -71,19 +71,20 @@ def _inside(v, law):
 
 
 def _gof_against_law(s, law, level=DEFAULT_LEVEL):
-    """Chi-square GOF of s, the sorted draws, against an analytic law.
+    """Chi-square GOF of s, the draws' SortedColumn, against a law.
 
     A draw outside the law's support interval, or a non-integer draw of a
     discrete law, fails the test outright. A discrete law's cells are its
     exact table (`laws.truncate`) from support_lo to the largest draw, and
     its exact tail; continuous laws use equiprobable quantile bins.
     """
-    n = len(s)
+    n = s.n
     # sorted with NaNs last, the ends bound every draw of a continuous law
-    checked = blocks(n) if law.is_discrete else [[0, -1]]
-    if not all(_inside(s[b], law).all() for b in checked):
+    checked = ((run[b] for run in s.runs for b in blocks(len(run)))
+               if law.is_discrete else [s[[0, -1]]])
+    if not all(_inside(v, law).all() for v in checked):
         # a structural failure: no chi-square can pass it
-        outside = n - int(_inside(s, law).sum())
+        outside = n - sum(int(_inside(run, law).sum()) for run in s.runs)
         return stat_tests.TestResult(
             np.inf, 0.0, (n,), "chi2_gof", False, level,
             {"outside_support": outside,
@@ -168,9 +169,9 @@ def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     del xs, us
 
     def marginal(law):
-        # the next column's GOF and labels, from one sorted copy freed here
-        column = np.asarray(columns.pop(0), dtype=float)
-        s = np.sort(column)
+        # GOF and labels, the halves sorted on both cores in a buffer made here
+        column = columns.pop(0)
+        s = stat_tests.SortedColumn(column)
         return (_gof_against_law(s, law, level=level),
                 stat_tests.binned(s, column))
 

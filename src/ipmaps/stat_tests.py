@@ -2,15 +2,18 @@
 
 All tests are deterministic functions of their inputs, use asymptotic
 p-values, and enforce binning rules that keep expected cell counts >= 5.
+A column of more than one block is sorted as two runs, labelled and
+tabulated on both cores, into arrays made on the calling thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
-from .involutions import blocks
+from .involutions import BLOCK, concurrently, deal
 
 DEFAULT_LEVEL = 0.001
 
@@ -120,16 +123,58 @@ def chi2_gof(counts, probs, level=DEFAULT_LEVEL):
 # binning helpers
 # ---------------------------------------------------------------------------
 
+class SortedColumn:
+    """np.sort(column) read off sorted runs, never merged: a rank sums the
+    runs' ranks, an order statistic is a binary search across two runs
+    (Frederickson & Johnson 1982). Parts (a lone one halved) are copied as
+    floats into a buffer made here, each sorted in place on its own core."""
+
+    def __init__(self, *parts):
+        self.n = n = sum(map(len, parts))
+        if n <= BLOCK:
+            self.runs = [np.concatenate(parts, dtype=float)]
+            return self.runs[0].sort()   # at most a block: one run
+        parts = parts if len(parts) == 2 else np.array_split(parts[0], 2)
+        self.runs = np.split(np.empty(n), [len(parts[0])])
+        def fill(run, part):
+            run[...] = part
+            run.sort()
+        concurrently(n, *(partial(fill, *rp) for rp in zip(self.runs, parts)))
+
+    def searchsorted(self, v, side="left"):
+        return sum(run.searchsorted(v, side) for run in self.runs)
+
+    def above(self, v):   # the least value sorted after v, or None
+        found = [run[i] for run in self.runs
+                 if (i := run.searchsorted(v, "right")) < len(run)]
+        return reduce(np.fmin, found) if found else None
+
+    def __getitem__(self, k):
+        """The order statistics at k, an index or an array of them."""
+        if len(self.runs) == 1:
+            return self.runs[0][k]
+        k = np.asarray(k) % self.n
+        # a[i] stands at i + b.searchsorted(a[i]), a's ties first: bisect to k
+        a, b = self.runs
+        lo, hi = np.maximum(k - len(b), 0), np.minimum(k, len(a))
+        while (lo < hi).any():
+            mid = np.minimum((lo + hi) // 2, len(a) - 1)
+            past = mid + b.searchsorted(a[mid]) >= k
+            lo, hi = np.where(past, lo, mid + 1), np.where(past, mid, hi)
+        i = np.minimum(lo, len(a) - 1)
+        in_a = (lo < len(a)) & (i + b.searchsorted(a[i]) == k)
+        return np.where(in_a, a[i], b[np.minimum(k - lo, len(b) - 1)])[()]
+
+
 def _binning(s, max_bins, *samples):
-    """Labels of each sample and the bin count, from s, the sorted pooled
-    sample: searchsorted(uniq, v) on its unique values (NaNs are one value)
-    if there are at most max_bins, else searchsorted(edges, v, side="right")
-    on its unique interior quantiles. Each unique value is one searchsorted
-    step past the one before it, so at most max_bins + 1 are found."""
+    """Labels of each sample and the bin count, from the SortedColumn s of
+    the pool: searchsorted(uniq, v) on its unique values (NaNs are one
+    value) if there are at most max_bins, else searchsorted(edges, v,
+    side="right") on its unique interior quantiles. Each unique value is
+    the least above the last, so at most max_bins + 1 are found."""
     uniq = [s[0]]
-    while len(uniq) <= max_bins and (
-            i := np.searchsorted(s, uniq[-1], side="right")) < len(s):
-        uniq.append(s[i])
+    while len(uniq) <= max_bins and (v := s.above(uniq[-1])) is not None:
+        uniq.append(v)
     if len(uniq) > max_bins:
         qs = _quantiles(s, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
         edges, side = np.unique(qs), "right"
@@ -140,22 +185,22 @@ def _binning(s, max_bins, *samples):
 
 
 def _quantiles(s, q):
-    """np.quantile(s, q) of a sorted s, read off by index: the type-7
-    (linear) quantiles of Hyndman & Fan (1996) in numpy's arithmetic, where
-    a NaN (sorted last) makes every quantile NaN."""
-    at = (len(s) - 1) * q
-    i = np.where(at >= len(s) - 1, -1, np.floor(at)).astype(np.intp)
-    lo, hi, t = s[i], s[np.where(i < 0, i, i + 1)], at - i
+    """np.quantile of a column from s, its SortedColumn, read off by index:
+    the type-7 (linear) quantiles of Hyndman & Fan (1996) in numpy's
+    arithmetic, where a NaN (sorted last) makes every quantile NaN."""
+    at = (s.n - 1) * q
+    i = np.where(at >= s.n - 1, -1, np.floor(at)).astype(np.intp)
+    (lo, hi), t = s[np.array([i, np.where(i < 0, i, i + 1)])], at - i
     out = np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
     return np.where(np.isnan(s[-1]), s[-1], out)
 
 
 def _labels(edges, values, side):
     """np.searchsorted(edges, values, side) as one comparison per edge, a
-    block at a time."""
+    block at a time, alternate blocks on the two cores."""
     above = np.greater if side == "left" else np.greater_equal
     labels = np.zeros(len(values), dtype=np.min_scalar_type(len(edges)))
-    for b in blocks(len(values)):
+    def fill(b):
         v, out = values[b], labels[b]
         for edge in edges:
             out += above(v, edge)
@@ -163,21 +208,22 @@ def _labels(edges, values, side):
         if nan.any():
             # searchsorted sorts NaN after every number
             out[nan] = np.searchsorted(edges, np.nan, side)
+    deal(fill, len(values))
     return labels
 
 
 def bin_counts(s, edges):
-    """Counts of the labels searchsorted(edges, s, side="right") of a sorted
-    s: the cell between two edges holds the values in [lo, hi)."""
-    cuts = np.searchsorted(s, edges, side="left")
-    return np.diff(cuts, prepend=0, append=len(s))
+    """Counts of the labels searchsorted(edges, v, side="right") of the
+    values v of a SortedColumn s: a cell holds the values in [lo, hi)."""
+    cuts = s.searchsorted(edges, side="left")
+    return np.diff(cuts, prepend=0, append=s.n)
 
 
 def _table(ra, rb, ka, kb):
     """Counts of the label pairs (ra, rb), flattened row-major, by blocks."""
-    return sum(np.bincount(np.multiply(ra[s], kb, dtype=np.intp) + rb[s],
-                           minlength=ka * kb)
-               for s in blocks(len(ra))).astype(float)
+    return sum(deal(lambda s: np.bincount(
+        np.multiply(ra[s], kb, dtype=np.intp) + rb[s], minlength=ka * kb),
+        len(ra))).astype(float)
 
 
 def _pair_count(test, a, b, min_n):
@@ -191,7 +237,7 @@ def _pair_count(test, a, b, min_n):
 
 def binned(s, column, bins=10):
     """`independence_test`'s (labels, bin count) of a column, from s, its
-    sorted copy: quantile bins, or the categories of at most `bins` values."""
+    SortedColumn: quantile bins, or the categories of at most `bins` values."""
     (labels,), k = _binning(s, bins, column)
     return labels, k
 
@@ -255,9 +301,9 @@ def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
     half = n // 2
     bins = 10 if half >= 10_000 else 5
     # per pooled column, the first half as-is and the second half swapped:
-    # pooled, sorted in place and labelled, and freed before the next
+    # its pieces sorted on both cores as the runs of a buffer made here
     ((ia_a, ia_b), ka), ((ib_a, ib_b), kb) = (
-        _bin_indices_from(np.concatenate(h), *h, bins) for h in (
+        _bin_indices_from(*h, bins) for h in (
             (a[:half], b[half:2 * half]), (b[:half], a[half:2 * half])))
     ca = _table(ia_a, ib_a, ka, kb)
     cb = _table(ia_b, ib_b, ka, kb)
@@ -282,8 +328,6 @@ def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
                    dof=dof, cells=len(ca))
 
 
-def _bin_indices_from(pool, a, b, max_bins):
-    """Common bin labels for two samples, from their pool, sorted here in
-    place."""
-    pool.sort()
-    return _binning(pool, max_bins, a, b)
+def _bin_indices_from(a, b, max_bins):
+    """Common bin labels of a and b, the runs of their pool's SortedColumn."""
+    return _binning(SortedColumn(a, b), max_bins, a, b)

@@ -290,7 +290,8 @@ def test_criterion_8_stat_calibration(capsys):
 
             a, b = s_ind.gen.random((2000, 2)).T
             r = stat_tests.independence_test(
-                *(stat_tests.binned(np.sort(c), c) for c in (a, b)),
+                *(stat_tests.binned(stat_tests.SortedColumn(c), c)
+                  for c in (a, b)),
                 level=0.01)
             rejections["independence"] += not r.passed
 

@@ -9,7 +9,7 @@ from ipmaps.augmentation import (
 )
 from ipmaps.involutions import (
     CATALOG_NAMES, REAL_LINE, InvolutionPair, catalog_get, check_involution,
-    sample_points,
+    involution_tolerance, sample_points,
 )
 from ipmaps.rng import RandomStream
 
@@ -123,6 +123,23 @@ def test_augment_is_deterministic():
     b = augment(fspec_for("beta_map"))
     xs, us = sample_points(catalog_get("beta_map"), 100, RandomStream(47))
     assert np.array_equal(a.g(xs, us), b.g(xs, us))
+
+
+@pytest.mark.parametrize("name,params,tol", [
+    ("gaussian_rosenblatt", {"beta": 0.5, "sigma": 1.0}, 1e-8),
+    ("matsumoto_yor", None, 1e-9),
+    ("beta_walk", None, 1e-9),
+    ("reflecting_rw", None, 0.0),
+])
+def test_the_tolerance_follows_the_pair_not_its_name(name, params, tol):
+    # augment renames the pair "augmented:<name>"
+    pair = catalog_get(name, params)
+    for built in (pair, augment(pair), augment(fspec_for(name, params))):
+        assert involution_tolerance(built) == tol
+    xs, us = sample_points(pair, 1000, RandomStream(59))
+    report = check_involution(augment(pair), xs, us)
+    assert report.name == f"involution:augmented:{name}"
+    assert report.details["tolerance"] == tol
 
 
 def test_augment_roundtrip_f_of_y_v():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ipmaps import involutions, kernels, laws
+from ipmaps import involutions, kernels, laws, stat_tests
 from ipmaps.exact_discrete import cells, kdv_pushforward_tv, product_defect_tv
 from ipmaps.involutions import (
     BLOCK, catalog_get, check_involution, sample_points,
@@ -22,7 +22,7 @@ from ipmaps.laws import (
     ThreePoint, TruncGeom, UniformUnit, truncate,
 )
 from ipmaps.rng import RandomStream
-from ipmaps.stat_tests import binned, independence_test
+from ipmaps.stat_tests import SortedColumn, binned, independence_test
 
 
 class ConstLaw:
@@ -101,15 +101,15 @@ def test_stationary_chain_marginal_gof():
                        RandomStream(73))
     # consecutive states are dependent; thin far past the correlation length
     thinned = states[::50]
-    assert _gof_against_law(np.sort(thinned), Geometric(0.4)).passed
+    assert _gof_against_law(SortedColumn(thinned), Geometric(0.4)).passed
 
 
 def test_codrivers_are_iid_noise():
     _, v = _chain(catalog_get("reflecting_rw"), ThreePoint(0.2, 0.5, 0.3),
                   Geometric(0.4), 100_000, RandomStream(79))
-    assert _gof_against_law(np.sort(v), ThreePoint(0.2, 0.5, 0.3)).passed
+    assert _gof_against_law(SortedColumn(v), ThreePoint(0.2, 0.5, 0.3)).passed
     v = np.asarray(v, dtype=float)
-    assert independence_test(*(binned(np.sort(c), c)
+    assert independence_test(*(binned(SortedColumn(c), c)
                                for c in (v[:-1], v[1:]))).passed
 
 
@@ -120,11 +120,11 @@ def test_codrivers_are_iid_noise():
 def test_gof_fails_on_negative_draws_against_gamma():
     law = Gamma(2.0, 1.0)
     draws = law.sample(RandomStream(83), 2000)
-    assert _gof_against_law(np.sort(draws), law).passed
+    assert _gof_against_law(SortedColumn(draws), law).passed
     # 20 negative draws fall into the lowest quantile bin, which a
     # chi-square on 20 bins cannot tell from chance
     draws[:20] = -draws[:20]
-    res = _gof_against_law(np.sort(draws), law)
+    res = _gof_against_law(SortedColumn(draws), law)
     assert not res.passed
     assert res.p_value == 0.0
     assert res.flags["outside_support"] == 20
@@ -145,9 +145,9 @@ def test_gof_fails_on_negative_draws_against_gamma():
 ])
 def test_gof_fails_on_one_draw_outside_the_support(law, bad):
     draws = np.asarray(law.sample(RandomStream(89), 5000), dtype=float)
-    assert _gof_against_law(np.sort(draws), law).passed
+    assert _gof_against_law(SortedColumn(draws), law).passed
     draws[7] = bad
-    res = _gof_against_law(np.sort(draws), law)
+    res = _gof_against_law(SortedColumn(draws), law)
     assert not res.passed
     assert res.flags["outside_support"] == 1
 
@@ -362,18 +362,32 @@ def test_ip_needs_enough_samples():
 
 
 def test_ip_sorts_each_column_once(monkeypatch):
-    sorts = []
+    # one float copy per column, its halves sorted in place: the two runs
+    # of one n-point buffer, and no np.sort
+    n = 2 * BLOCK + 1
+    columns, made = [], []
 
-    def counting_sort(a, *args, **kwargs):
-        sorts.append(np.shape(a))
-        return original(a, *args, **kwargs)
+    def recorded(column):
+        columns.append(np.array(column, dtype=float))
+        made.append(SortedColumn(column))
+        return made[-1]
 
-    original = np.sort
-    monkeypatch.setattr(np, "sort", counting_sort)
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.sort was called")
+
+    monkeypatch.setattr(stat_tests, "SortedColumn", recorded)
+    monkeypatch.setattr(np, "sort", no_sort)
     check_ip_statistical(catalog_get("matsumoto_yor"), GIG(2, 1), Gamma(2, 1),
-                         20_000, RandomStream(107))
+                         n, RandomStream(107))
+    monkeypatch.undo()
     # Y for its GOF and independence test, and V for its own
-    assert sorts == [(20_000,), (20_000,)]
+    assert len(made) == 2
+    for column, s in zip(columns, made):
+        a, b = s.runs
+        assert (len(a), len(b)) == (BLOCK + 1, BLOCK)
+        assert a.base is b.base and a.base.shape == (n,)
+        assert np.array_equal(a, np.sort(column[:BLOCK + 1]))
+        assert np.array_equal(b, np.sort(column[BLOCK + 1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from ipmaps import involutions, kernels, stat_tests
+from ipmaps.involutions import BLOCK
 from ipmaps.laws import Gamma, Geometric, UniformUnit
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import (
-    StatTestError, _bin_indices_from, _binning, bin_counts, binned, chi2_gof,
-    exchangeability_test, independence_test, ks_two_sample,
+    SortedColumn, StatTestError, _bin_indices_from, _binning, bin_counts,
+    binned, chi2_gof, exchangeability_test, independence_test, ks_two_sample,
 )
 
 
@@ -116,8 +118,8 @@ def test_chi2_sf_matches_scipy_stats_bits():
 
 def _independence(a, b, **kwargs):
     """independence_test of the columns a and b, each sorted once here."""
-    return independence_test(binned(np.sort(a), a), binned(np.sort(b), b),
-                             **kwargs)
+    return independence_test(binned(SortedColumn(a), a),
+                             binned(SortedColumn(b), b), **kwargs)
 
 
 def test_independence_rejects_perfect_dependence():
@@ -181,16 +183,50 @@ def test_results_are_deterministic():
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_tests_of_many_blocks_start_no_thread(monkeypatch):
-    # the binning, pooling and sorting run on the calling thread at any n
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
+class _Inline(threading.Thread):
+    """A thread that runs its target when started, on the starting thread,
+    and records the traced peak of that run above what was held before."""
 
-    monkeypatch.setattr(involutions, "usable_cores", lambda: 2)
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    a, b = RandomStream(163).gen.random((2, 2 * involutions.BLOCK + 1))
-    assert _independence(a, b).passed
-    assert exchangeability_test(a, b).passed
+    peaks = []
+
+    def start(self):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        self.run()
+        self.peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+    def join(self, timeout=None):
+        pass
+
+
+def test_tests_of_many_blocks_allocate_no_n_point_array_on_a_helper(
+        monkeypatch):
+    # a helper sorts, labels and counts in arrays made on the calling
+    # thread, with temporaries of a few blocks: a uint8 column of these n
+    # points is larger than they are
+    n = 40 * BLOCK + 1
+    a, b = RandomStream(163).gen.random((2, n))
+
+    def tests():
+        return [json.dumps(r.to_dict()) for r in
+                (_independence(a, b), exchangeability_test(a, b))]
+
+    seen = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(involutions, "usable_cores", lambda: cores)
+        seen[cores] = tests()
+    assert seen[1] == seen[2]
+    assert all(json.loads(r)["passed"] for r in seen[1])
+    monkeypatch.setattr(threading, "Thread", _Inline)
+    _Inline.peaks.clear()
+    tracemalloc.start()
+    try:
+        assert tests() == seen[1]
+    finally:
+        tracemalloc.stop()
+    # per column a sort and a labelling, and a count per table
+    assert len(_Inline.peaks) == 2 * 2 + 1 + 2 * 3 + 2
+    assert max(_Inline.peaks) < n, f"{max(_Inline.peaks) / n:.2f} n bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +243,8 @@ def _ref_bin_indices(values, max_bins):
     return np.searchsorted(edges, values, side="right"), len(edges) + 1
 
 
-def _ref_bin_indices_from(pooled, a, b, max_bins):
+def _ref_bin_indices_from(a, b, max_bins):
+    pooled = np.concatenate([a, b])
     uniq = np.unique(pooled)
     if len(uniq) <= max_bins:
         return (np.searchsorted(uniq, a), np.searchsorted(uniq, b)), len(uniq)
@@ -217,11 +254,9 @@ def _ref_bin_indices_from(pooled, a, b, max_bins):
             np.searchsorted(edges, b, side="right")), len(edges) + 1
 
 
-def _ref_binning(sorted_pooled, max_bins, *samples):
-    if len(samples) == 1:
-        idx, k = _ref_bin_indices(*samples, max_bins)
-        return [idx], k
-    return _ref_bin_indices_from(sorted_pooled, *samples, max_bins)
+def _ref_binning(s, max_bins, column):
+    idx, k = _ref_bin_indices(column, max_bins)
+    return [idx], k
 
 
 def _ref_table(ra, rb, ka, kb):
@@ -293,7 +328,8 @@ def test_quantiles_by_index_match_np_quantile_bit_for_bit(bins):
     with np.errstate(invalid="ignore"):     # inf - inf, as numpy computes
         for values in _quantile_inputs():
             s = np.sort(values)
-            got = stat_tests._quantiles(s, q).view(np.int64)
+            got = stat_tests._quantiles(SortedColumn(values), q).view(
+                np.int64)
             assert np.array_equal(got, np.quantile(s, q).view(np.int64))
             assert np.array_equal(got, np.quantile(values, q).view(np.int64))
 
@@ -303,15 +339,15 @@ def test_quantiles_by_index_match_np_quantile_bit_for_bit(bins):
 @pytest.mark.parametrize("name", sorted(BINNING_INPUTS))
 def test_labels_match_searchsorted_reference(name, bins):
     values = BINNING_INPUTS[name]
-    (labels,), k = _binning(np.sort(values), bins, values)
+    (labels,), k = _binning(SortedColumn(values), bins, values)
     ref, ref_k = _ref_bin_indices(values, bins)
     assert k == ref_k
     assert np.array_equal(labels.astype(np.int64), ref)
     # pooled edges: labels of one half and of a reversed other half
     half = len(values) // 2
     a, b = values[:half], values[half:][::-1]
-    (la, lb), k = _bin_indices_from(np.sort(values), a, b, bins)
-    (ra, rb), ref_k = _ref_bin_indices_from(values, a, b, bins)
+    (la, lb), k = _bin_indices_from(a, b, bins)
+    (ra, rb), ref_k = _ref_bin_indices_from(a, b, bins)
     assert k == ref_k
     assert np.array_equal(la.astype(np.int64), ra)
     assert np.array_equal(lb.astype(np.int64), rb)
@@ -324,7 +360,7 @@ def test_bin_counts_match_searchsorted_reference(name):
     # edges at sample values, between them, and beyond the sample
     for edges in (finite[::7], np.quantile(finite, [0.1, 0.5, 0.9]),
                   np.array([-1.0, 0.0, 2.5, 100.0])):
-        counts = bin_counts(np.sort(values), edges)
+        counts = bin_counts(SortedColumn(values), edges)
         assert np.array_equal(counts, _ref_bin_counts(values, edges))
         assert counts.sum() == len(values)
 
@@ -359,7 +395,89 @@ def test_gof_counts_match_searchsorted_reference(law, low, high, n,
     draws = gen.uniform(low, high, n - 5 * len(edges))
     # every edge drawn exactly, five times
     samples = np.concatenate([draws, np.repeat(edges, 5)])
-    samples = np.sort(samples)
+    samples = SortedColumn(samples)
     new = kernels._gof_against_law(samples, law)
-    monkeypatch.setattr(stat_tests, "bin_counts", _ref_bin_counts)
+    monkeypatch.setattr(stat_tests, "bin_counts", lambda s, edges:
+                        _ref_bin_counts(np.concatenate(s.runs), edges))
     assert _same(new, kernels._gof_against_law(samples, law))
+
+
+# ---------------------------------------------------------------------------
+# a column of more than one block, read off two sorted runs unmerged
+# ---------------------------------------------------------------------------
+
+# odd sizes: the first run holds one point more than the second
+TWO_RUN_SIZES = (2 * BLOCK + 1, 3 * BLOCK + 7)
+
+
+def _two_run_inputs(n):
+    gen = RandomStream(229).gen
+    inputs = _binning_inputs(n)   # its "mostly_nan" has a second run of NaN
+    zeros = gen.normal(size=n)
+    zeros[gen.random(n) < 0.3] = 0.0
+    zeros[gen.random(n) < 0.3] = -0.0
+    inputs["signed_zeros"] = zeros
+    inputs["first_run_nan"] = np.where(np.arange(n) <= n // 2, np.nan,
+                                       gen.normal(size=n))
+    # ten values, the even ones in the first run and the odd in the second
+    inputs["runs_of_other_values"] = np.where(
+        np.arange(n) <= n // 2, 2 * gen.integers(0, 5, n),
+        2 * gen.integers(0, 5, n) + 1).astype(float)
+    return inputs
+
+
+TWO_RUN_INPUTS = {n: _two_run_inputs(n) for n in TWO_RUN_SIZES}
+TWO_RUN_CASES = [(n, name) for n in TWO_RUN_SIZES
+                 for name in sorted(TWO_RUN_INPUTS[n])]
+
+
+def _bits(x):
+    """The bits of x, with -0.0 read as 0.0: np.sort may put either of two
+    equal zeros first."""
+    return (np.asarray(x, dtype=float) + 0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("n,name", TWO_RUN_CASES)
+def test_two_runs_read_as_the_full_sort(n, name, monkeypatch):
+    values = TWO_RUN_INPUTS[n][name]
+    s, full = SortedColumn(values), np.sort(values)
+    assert [len(run) for run in s.runs] == [(n + 1) // 2, n // 2]
+    with monkeypatch.context() as m:    # the full sort, as one run
+        m.setattr(stat_tests, "BLOCK", n)
+        one_run = SortedColumn(values)
+    assert len(one_run.runs) == 1
+    assert np.array_equal(_bits(one_run.runs[0]), _bits(full))
+    ks = np.r_[0, 1, n // 2 - 1:n // 2 + 2, n - 2, n - 1,
+               RandomStream(233).gen.integers(0, n, 200)]
+    assert np.array_equal(_bits(s[ks]), _bits(full[ks]))
+    assert np.array_equal(_bits(s[-1]), _bits(full[-1]))
+    probes = np.r_[values[ks], np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300]
+    for side in ("left", "right"):
+        assert np.array_equal(s.searchsorted(probes, side),
+                              np.searchsorted(full, probes, side))
+    for bins in (5, 10, 50):
+        q = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+        with np.errstate(invalid="ignore"):     # inf - inf
+            assert np.array_equal(_bits(stat_tests._quantiles(s, q)),
+                                  _bits(np.quantile(values, q)))
+        (labels,), k = _binning(s, bins, values)
+        ref, ref_k = _ref_bin_indices(values, bins)
+        assert k == ref_k
+        assert np.array_equal(labels.astype(np.int64), ref)
+    finite = np.unique(values[np.isfinite(values)])
+    for edges in (finite[::max(len(finite) // 30, 1)],
+                  np.array([-1.0, 0.0, 2.5, 100.0])):
+        assert np.array_equal(bin_counts(s, edges),
+                              _ref_bin_counts(values, edges))
+    for law in (Gamma(2.0, 1.0), Geometric(0.4)):
+        assert _same(kernels._gof_against_law(s, law),
+                     kernels._gof_against_law(one_run, law))
+    other = TWO_RUN_INPUTS[n]["tied_at_quantile_edges"]
+    ind, exc = (_independence(values, other),
+                exchangeability_test(values, other))
+    monkeypatch.setattr(stat_tests, "_binning", _ref_binning)
+    monkeypatch.setattr(stat_tests, "_bin_indices_from",
+                        _ref_bin_indices_from)
+    monkeypatch.setattr(stat_tests, "_table", _ref_table)
+    assert _same(ind, _independence(values, other))
+    assert _same(exc, exchangeability_test(values, other))
