@@ -11,11 +11,12 @@ Every verdict enumerates its cells in x-major order with `cells`. One cell
 identity, `product_defect_tv`, decides the product law of an integer map
 (`pushforward_cells` for two laws, as `kdv-tv` and Burke's integer fields
 use it). It gathers each table into object arrays, one lookup per state,
-makes each cell's mass mu(x) nu(u) once and compares it with the image's
-product a block of cells at a time; `cell_report` puts its result in a
-report. `rrw_characterize` is the walk's whole verdict on one joint table,
-whose masses the cell identity, the laws of Y and V (sums by `_sums`) and
-the per-state proof identities where Y's marginal is exact all read, so no
+makes each cell's mass mu(x) nu(u) (`_masses`) once and compares it with
+the image's product a block of cells at a time; `cell_report` puts its
+result in a report. `_sums`, the one pushforward, gives the laws of Y and V
+and detailed balance's flux. `rrw_characterize` is the walk's whole verdict
+on one joint table, whose masses the cell identity, those laws and the
+per-state proof identities where Y's marginal is exact all read, so no
 truncation tail enters a verdict; its parity identities are prefix sums.
 The mass of X > box is summed once. A reported probability is `num / den`
 of two ints, which Python rounds correctly, as `float(Fraction(num, den))`.
@@ -126,15 +127,6 @@ def cells(xs, us):
     return np.repeat(xs, len(us)), np.tile(us, len(xs))
 
 
-def accumulate(keys, weights):
-    """The pushforward: weights summed per key from 0, so int weights stay
-    exact, with the keys in the order they are first reached."""
-    law = {}
-    for key, w in zip(keys, weights):
-        law[key] = law.get(key, 0) + w
-    return law
-
-
 def _step_tables(params):
     """The laws of U, (p, q, r), and of V, (p', q', r), as numerator tables
     over one denominator; the step 0 only when r>0."""
@@ -203,13 +195,12 @@ def _unequal(wy, wv, mass, scale=1):
 
 
 def _sums(keys, mass):
-    """{key: the mass of its cells}, one `np.add.reduceat` over a stable
-    sort of the keys."""
+    """The distinct keys in increasing order and the mass of each one's
+    cells, one `np.add.reduceat` over a stable sort of the keys."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return dict(zip(keys[starts].tolist(),
-                    np.add.reduceat(mass[order], starts)))
+    return keys[starts], np.add.reduceat(mass[order], starts)
 
 
 def _tally(xs, us, fails):
@@ -241,7 +232,7 @@ def _count(checks):
                              failing[0] if failing else None)))
 
 
-def rrw_verify_proof_identities(params, joint, beyond, mass=None):
+def rrw_verify_proof_identities(params, joint, beyond, mass):
     """The event identities that drive the characterization proof, as exact
     integer equalities on the X table of `joint` (`rrw_joint_table`), with
     Y = (X+U)^+ and V = -U - 2(X+U)^-. The cells of [0, box] give Y's
@@ -265,16 +256,15 @@ def rrw_verify_proof_identities(params, joint, beyond, mass=None):
     Each identity reports the states it checked, how many fail and the
     first that fails.
 
-    All read `mass`, each cell's mu(x) nu(u), made from the X table when
-    not given: Y's and V's laws are its sums, and each per-state identity is
+    All read `mass`, each cell's mu(x) nu(u) of the X table (`_masses`):
+    Y's and V's laws are its sums, and each per-state identity is
     mass du = my(y) nu'(v). A parity identity is a prefix sum over the pairs
     of its terms, 0 where it holds.
     """
     (xs, us, ys, vs), (mu, dx), _, (nu, nu_v, du) = joint
     box = int(xs[-1])
-    if mass is None:
-        mass = _masses(xs, us, mu, nu)
-    my, mv = _sums(ys, mass), _sums(vs, mass)   # numerators over dx du
+    my, mv = (dict(zip(k.tolist(), m))   # numerators over dx du
+              for k, m in (_sums(ys, mass), _sums(vs, mass)))
     kinds = {"boundary": (xs == 0) & (us == -1), "zero_step": us == 0,
              "down_up": (xs > 0) & (us == -1), "up_down": us == 1}
     if params.r == 0:

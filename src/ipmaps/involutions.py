@@ -451,31 +451,27 @@ def batch_slice(v, s):
     return tuple(batch_slice(c, s) for c in v) if isinstance(v, tuple) else v[s]
 
 
-def map_blocks(h, xs, us, into=()):
+def map_blocks(h, xs, us, into):
     """h(xs, us) made a block at a time: a list of one array per part of its
     value, each of its first block's dtype, written over into[i], an array
     that nothing reads after h, where the dtypes agree (h is pointwise).
     The first half block is made, and the output allocated, on this thread;
-    the others are dealt alternately to two calls of `concurrently`, so
-    that the two blocks in flight hold the temporaries of one."""
+    the other half blocks are dealt (`deal`), so that the two blocks in
+    flight hold the temporaries of one."""
     out = None
 
-    def fill(todo):
+    def fill(s):
         nonlocal out
-        for s in todo:
-            parts = h(xs[s], batch_slice(us, s))
-            parts = parts if isinstance(parts, tuple) else (parts,)
-            out = out or [a if a is not None and a.dtype == p.dtype else
-                          np.empty(len(xs), p.dtype)
-                          for p, a in zip(parts, into or [None] * len(parts))]
-            for o, p in zip(out, parts):
-                o[s] = p
-            del parts, p   # free this block before h makes the next
+        parts = h(xs[s], batch_slice(us, s))
+        parts = parts if isinstance(parts, tuple) else (parts,)
+        out = out or [a if a.dtype == p.dtype else np.empty(len(xs), p.dtype)
+                      for p, a in zip(parts, into)]
+        for o, p in zip(out, parts):
+            o[s] = p
+        del parts, p   # free this block before h makes the next
 
-    halves = list(blocks(len(xs), BLOCK // 2))
-    fill(halves[:1])
-    concurrently(len(xs), partial(fill, halves[1::2]),
-                 partial(fill, halves[2::2]))
+    fill(slice(0, BLOCK // 2))
+    deal(lambda s: s.start and fill(s), len(xs), BLOCK // 2)
     return out
 
 

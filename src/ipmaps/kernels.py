@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import laws, stat_tests
-from .exact_discrete import accumulate, cells
+from .exact_discrete import _masses, _sums, _tally, cells
 from .involutions import blocks, concurrently, map_blocks
 from .reports import VerificationReport
 from .stat_tests import DEFAULT_LEVEL
@@ -32,30 +32,36 @@ def check_detailed_balance_exact(pair, mu, nu, box):
     """mu(x) K(x,y) = mu(y) K(y,x), K(x,.) the law of pair.f(x, U), U ~ nu,
     as one integer equality per pair x != y up to mu's support_lo + box with
     flux either way (mu is 0 below support_lo, so such pairs are exact).
-    K sums nu over the `cells` of mu's states and nu's states of positive
-    weight: a finite nu whole, an unbounded one cut at
-    max(support_lo, -mu.support_lo) with its exact tail on the next state,
-    exact where f is constant in u from the cut on (kdv's f = min(u, -x)
-    is, from u = -x on)."""
+    A move's flux mu(x) K(x, y) sums the masses (`_sums`) of its `cells`,
+    mu's states by nu's states of positive weight: a finite nu whole, an
+    unbounded one cut at max(support_lo, -mu.support_lo) with its exact
+    tail on the next state, exact where f is constant in u from the cut on
+    (kdv's f = min(u, -x) is, from u = -x on)."""
     lo = mu.support_lo
     mu_w, _, _ = laws.truncate(mu, lo + box)
     hi = nu.support_hi if nu.support_hi < np.inf else max(nu.support_lo, -lo)
     nums, _, tail = laws.truncate(nu, hi)
     noise = {u: w for u, w in {**nums, hi + 1: tail}.items() if w}
-    # K(x, y) in nu's numerators, for each state x of positive mass
     xs, us = cells(list(mu_w), list(noise))
-    kernel = accumulate(zip(xs.tolist(), pair.f(xs, us).tolist()),
-                        list(noise.values()) * len(mu_w))
+    ys = pair.f(xs, us)
+    # each move's flux from a state of positive mass, keyed by one integer,
+    # (x - low) span + (y - low): the keys sort x-major, y ascending
+    low = min(xs.min(), ys.min())
+    span = max(xs.max(), ys.max()) - low + 1
+    keys, w = _sums((xs - low) * span + ys - low,
+                    _masses(xs, us, mu_w, noise))
+    x, y = np.divmod(keys, span)   # each less low
+    at = np.minimum(np.searchsorted(keys, y * span + x), len(keys) - 1)
+    back = keys[at] == y * span + x   # the move (y, x) carries flux too
     # each pair once: from x < y when both directions carry flux
-    pairs = [(x, y, w, kernel.get((y, x), 0))
-             for (x, y), w in kernel.items() if x != y and y <= lo + box
-             and (x < y or (y, x) not in kernel)]
-    failing = [(x, y) for x, y, w, back in pairs
-               if mu_w[x] * w != mu_w.get(y, 0) * back]
+    pairs = (x != y) & (y <= lo + box - low) & ((x < y) | ~back)
+    unequal = w != np.where(back, w[at], 0)   # 0: no flux back
+    checked, failing, witness = _tally(x[pairs] + low, y[pairs] + low,
+                                       unequal[pairs])
     return VerificationReport(
         name=f"detailed_balance:{pair.name}", passed=not failing,
-        details={"checked_pairs": len(pairs), "failing_pairs": len(failing),
-                 "witness_pair": list(failing[0]) if failing else None,
+        details={"checked_pairs": checked, "failing_pairs": failing,
+                 "witness_pair": list(witness) if witness else None,
                  "n_states": len(mu_w)})
 
 
@@ -120,8 +126,8 @@ def require_n(kind, n):
 def _draw(kind, pair, mu, nu, n, rng):
     """(xs, us) of a statistical `kind` check: n draws X ~ mu and U ~ nu,
     one stream each (and one per product component), made at once into
-    arrays allocated here, X's of floats; a law that is not blockwise draws
-    on this thread."""
+    arrays allocated here, X's of floats: the last law draws on this
+    thread, each other one on a helper (`concurrently`)."""
     require_n(kind, n)
     mu_rng, nu_rng = rng.split(2)
     product = isinstance(nu, tuple)
@@ -129,12 +135,8 @@ def _draw(kind, pair, mu, nu, n, rng):
     streams = [mu_rng, *(nu_rng.split(len(nu)) if product else [nu_rng])]
     outs = [np.empty(n, np.int64 if i and law.is_discrete else float)
             for i, law in enumerate(drawn)]
-    calls = [partial(law.sample, stream, n, out)
-             for law, stream, out in zip(drawn, streams, outs)]
-    helpers = [c for c, law in zip(calls, drawn) if law.blockwise]
-    own = [c for c, law in zip(calls, drawn) if not law.blockwise]
-    own = own or [helpers.pop()]
-    concurrently(n, *helpers, lambda: [c() for c in own])
+    concurrently(n, *(partial(law.sample, stream, n, out)
+                      for law, stream, out in zip(drawn, streams, outs)))
     xs, *us = outs
     return xs, tuple(us) if product else us[0]
 

@@ -33,13 +33,12 @@ class Law:
 
     `sample(rng, size, out=None)` returns an array of draws in the closed
     interval [support_lo, support_hi], written into `out` if given; a
-    discrete law's draws are also integers. A `blockwise` law makes the
-    draws of one whole batch a block at a time (GIG reads its proposals in
-    place), so a helper thread may make them (`involutions.concurrently`).
+    discrete law's draws are also integers. Every law makes a batch's
+    draws a block at a time (GIG and ParityGeom read theirs in place), so
+    a helper thread may make them (`involutions.concurrently`).
     """
 
     is_discrete = False
-    blockwise = True
     support_lo, support_hi = -math.inf, math.inf
 
     def sample(self, rng, size, out=None):
@@ -379,9 +378,8 @@ class ThreePoint(DiscreteLaw):
 
 class ParityGeom(DiscreteLaw):
     """Law on {0,1,...} with P(odd)=podd and geometric(rho^2) conditional
-    laws on each parity class."""
-
-    blockwise = False   # two whole arrays; geometric draws take varying words
+    laws on each parity class; a batch reads its n parity doubles in place
+    (`RandomStream.ahead`) beside its geometric draws, a block at a time."""
 
     def __init__(self, rho, podd):
         if not 0.0 < rho < 1.0:
@@ -399,9 +397,13 @@ class ParityGeom(DiscreteLaw):
         return {k: w[k % 2] * pairs[k // 2] for k in range(end + 1)}, dw * dp
 
     def sample(self, rng, size, out=None):
-        parity = (rng.gen.random(size) < self.podd).astype(np.int64)
-        k = rng.gen.geometric(1.0 - self._rho2, size) - 1
-        return np.add(2 * k, parity, out=out)
+        out = np.empty(int(size), np.int64) if out is None else out
+        odd = rng.ahead(0)
+        rng.skip(len(out))
+        for s in blocks(len(out)):
+            k = rng.gen.geometric(1.0 - self._rho2, len(out[s])) - 1
+            out[s] = 2 * k + (odd.random(len(k)) < self.podd)
+        return out
 
     def __repr__(self):
         return f"ParityGeom(rho={self.rho}, podd={self.podd})"

@@ -151,7 +151,8 @@ def test_criterion_3_rrw_exact(capsys):
                         assert failing == 2 * len(nu)
                         assert not exact_discrete.rrw_verify_proof_identities(
                             prm, (cells, (moved, 1000 * den), None, steps),
-                            beyond).passed
+                            beyond, exact_discrete._masses(
+                                *cells[:2], moved, nu)).passed
 
 
 # ---------------------------------------------------------------------------

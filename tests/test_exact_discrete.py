@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ipmaps.exact_discrete import (
-    RRWParams, _step_tables, cells, kdv_box, kdv_pushforward_tv,
+    RRWParams, _masses, _step_tables, cells, kdv_box, kdv_pushforward_tv,
     product_defect_tv, pushforward_cells, rrw_forced_law, rrw_forced_table,
     rrw_characterize, rrw_joint_table, rrw_verify_proof_identities,
 )
@@ -69,13 +69,21 @@ def beyond(joint):
     return den - sum(nums[x] for x in range(int(xs[-1]) + 1))
 
 
+def proof_identities(params, joint):
+    """The proof identities' report on `joint`, reading the masses of its
+    cells and the mass of X > box of its X table."""
+    (xs, us, _, _), (mu, _), _, (nu, _, _) = joint
+    return rrw_verify_proof_identities(params, joint, beyond(joint),
+                                       _masses(xs, us, mu, nu))
+
+
 def identities(params, box, table=None):
     """The proof identities' report on the box [0, box], for the forced X
     table or for `table`."""
     joint = rrw_joint_table(params, box)
     if table is not None:
         joint = with_x_table(joint, table)
-    return rrw_verify_proof_identities(params, joint, beyond(joint))
+    return proof_identities(params, joint)
 
 
 def characterized_cells(params, box):
@@ -252,7 +260,7 @@ def test_joint_from_point_mass_at_zero():
                    (0, 0): Fraction(3, 10)}
     # P(Y=0) = q + r moves the boundary identity P(X=0) q = P(Y=0) q'
     joint = with_x_table(joint, (mu, 1))
-    details = rrw_verify_proof_identities(params, joint, beyond(joint)).details
+    details = proof_identities(params, joint).details
     assert details["boundary"] == \
         {"checked": 1, "failing": 1, "first_failing": (0, -1)}
 

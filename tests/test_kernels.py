@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,10 @@ from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, ShiftGeom,
     ThreePoint, TruncGeom, UniformUnit, truncate,
 )
+from ipmaps.reports import VerificationReport
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import SortedColumn, binned, independence_test
+from test_stat_tests import _Inline
 
 
 class ConstLaw:
@@ -295,6 +298,87 @@ def test_detailed_balance_matches_a_per_cell_fraction_reference(theta,
     assert witness is None if passes else tuple(sorted(witness)) in failing
 
 
+def _dict_loop_detailed_balance(pair, mu, nu, box):
+    """check_detailed_balance_exact as it was written with a dict loop: K's
+    numerators summed per move in the order the cells first reach it."""
+    lo = mu.support_lo
+    mu_w, _, _ = truncate(mu, lo + box)
+    hi = nu.support_hi if nu.support_hi < np.inf else max(nu.support_lo, -lo)
+    nums, _, tail = truncate(nu, hi)
+    noise = {u: w for u, w in {**nums, hi + 1: tail}.items() if w}
+    xs, us = cells(list(mu_w), list(noise))
+    kernel = {}
+    for key, w in zip(zip(xs.tolist(), pair.f(xs, us).tolist()),
+                      list(noise.values()) * len(mu_w)):
+        kernel[key] = kernel.get(key, 0) + w
+    pairs = [(x, y, w, kernel.get((y, x), 0))
+             for (x, y), w in kernel.items() if x != y and y <= lo + box
+             and (x < y or (y, x) not in kernel)]
+    failing = [(x, y) for x, y, w, back in pairs
+               if mu_w[x] * w != mu_w.get(y, 0) * back]
+    return VerificationReport(
+        name=f"detailed_balance:{pair.name}", passed=not failing,
+        details={"checked_pairs": len(pairs), "failing_pairs": len(failing),
+                 "witness_pair": list(failing[0]) if failing else None,
+                 "n_states": len(mu_w)})
+
+
+def _random_law(kind, gen, states):
+    """A law of `kind` with random parameters; a finite table is on a
+    random part of `states`."""
+    theta, a, b = (float(gen.choice([0.2, 0.25, 0.4, 0.5, 0.6, 0.75]))
+                   for _ in range(3))
+    ell = 2 * int(gen.integers(1, 4))
+    if kind == "finite_table":
+        support = gen.choice(states, min(4, len(states) - 1), replace=False)
+        w = gen.integers(1, 5, len(support))
+        return FiniteTable(support, w / w.sum())
+    return {"geometric": lambda: Geometric(theta),
+            "parity_geom": lambda: laws.ParityGeom(theta, a),
+            "trunc_geom": lambda: TruncGeom(theta, ell),
+            "three_point": lambda: ThreePoint(a * b, a * (1 - b), 1 - a),
+            "shift_geom": lambda: ShiftGeom(theta, ell),
+            "bernoulli": lambda: Bernoulli(a)}[kind]()
+
+
+@pytest.mark.parametrize("name", ["reflecting_rw", "kdv_g1", "kdv_g2"])
+def test_detailed_balance_sums_flux_as_the_dict_loop_did(name):
+    # every report equal to the dict loop's, witness included: the flux
+    # sums run x-major, y ascending, the order in which the cells first
+    # reach each move, as f is nondecreasing in u on these maps
+    pair, gen = catalog_get(name), np.random.default_rng(167)
+    walk = name == "reflecting_rw"
+    mu_kinds = ["geometric", "parity_geom", "finite_table", "bernoulli"]
+    nu_kinds = ["three_point", "finite_table", "bernoulli"]
+    if not walk:   # on the integers, either law of every kind
+        mu_kinds = nu_kinds = mu_kinds + ["trunc_geom", "three_point",
+                                          "shift_geom"]
+    # laws the map keeps, then laws it does not, one with a gap in mu's
+    # support, where mu(y) = 0; then random ones
+    cases = ([(Geometric(p / q), ThreePoint(p, q, 1 - p - q))
+              for p, q in ((0.2, 0.5), (0.1, 0.4), (0.3, 0.6))] * 2
+             + [(Geometric(0.5), STEPS),
+                (FiniteTable([0, 1, 3], [0.5, 0.25, 0.25]), STEPS)] if walk
+             else [(TruncGeom(t, ell), ShiftGeom(t, ell))
+                   for t in (0.25, 0.5, 0.75) for ell in (2, 4)]
+             + [(TruncGeom(0.25, 4), ShiftGeom(0.5, 4)),
+                (FiniteTable([-2, 0, 1], [0.25, 0.5, 0.25]),
+                 ShiftGeom(0.5, 2))])
+    cases += [(_random_law(gen.choice(mu_kinds), gen,
+                           range(0 if walk else -4, 9)),
+               _random_law(gen.choice(nu_kinds), gen,
+                           [-1, 0, 1] if walk else range(-4, 9)))
+              for _ in range(80)]
+    seen = set()
+    for i, (mu, nu) in enumerate(cases):
+        box = 1 + i % 40
+        report = check_detailed_balance_exact(pair, mu, nu, box)
+        assert report.to_dict() == _dict_loop_detailed_balance(
+            pair, mu, nu, box).to_dict(), (mu, nu, box)
+        seen.add(report.passed)
+    assert seen == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # statistical reversibility / independence preservation
 # ---------------------------------------------------------------------------
@@ -459,9 +543,10 @@ def test_n_point_arrays_are_allocated_on_the_calling_thread(monkeypatch):
     assert all(ident == here for ident, size in allocated if size > BLOCK)
 
 
-def test_whole_array_draws_stay_on_the_calling_thread(monkeypatch):
-    # ParityGeom draws two whole arrays: the blockwise laws alone, GIG
-    # among them, draw on helper threads
+def test_every_draw_but_the_last_runs_on_a_helper(monkeypatch):
+    # every law draws a block at a time into an array made on this thread,
+    # GIG and ParityGeom reading their first draws in place: the last law
+    # drawn is this thread's, each other one a helper's
     started = _counted_threads(monkeypatch, 2)
     threads = {}
 
@@ -469,7 +554,7 @@ def test_whole_array_draws_stay_on_the_calling_thread(monkeypatch):
         sample = cls.sample
 
         def wrapper(self, *args):
-            threads[type(self).__name__] = threading.get_ident()
+            threads[id(self)] = threading.get_ident()
             return sample(self, *args)
 
         monkeypatch.setattr(cls, "sample", wrapper)
@@ -477,17 +562,35 @@ def test_whole_array_draws_stay_on_the_calling_thread(monkeypatch):
     for cls in (laws.Law, GIG, laws.ParityGeom):
         recorded(cls)
     here = threading.get_ident()
-    pair = catalog_get("matsumoto_yor")
-    # (mu, nu, the laws drawn on a helper); with no law of whole arrays,
-    # the last draw is this thread's
-    for mu, nu, helped in ((GIG(2, 1), Gamma(2, 1), {"GIG"}),
-                           (GIG(2, 1), laws.ParityGeom(0.5, 0.3), {"GIG"}),
-                           (Gamma(2, 1), BetaI(1, 5), {"Gamma"})):
+
+    def noise(nu):   # nu's laws, one per component
+        return nu if isinstance(nu, tuple) else (nu,)
+
+    cases = ((GIG(2, 1), Gamma(2, 1)),
+             (GIG(2, 1), laws.ParityGeom(0.5, 0.3)),
+             (laws.ParityGeom(0.5, 0.3), ThreePoint(0.2, 0.5, 0.3)),
+             (BetaI(2, 3), (Bernoulli(0.4), BetaI(1, 5))))
+    for mu, nu in cases:
         threads.clear()
-        kernels._draw("ip", pair, mu, nu, 2 * BLOCK, RandomStream(157))
-        assert len(threads) == 2
-        assert {k for k, ident in threads.items() if ident != here} == helped
+        kernels._draw("ip", WALK, mu, nu, 2 * BLOCK, RandomStream(157))
+        *helped, last = (threads[id(law)] for law in (mu, *noise(nu)))
+        assert last == here
+        assert len(set(helped)) == len(helped) and here not in helped
     assert started
+
+    # each helper's draws, run inline under tracemalloc, peak below n bytes:
+    # the n-point arrays are all made on this thread
+    n = 40 * BLOCK + 1
+    monkeypatch.setattr(threading, "Thread", _Inline)
+    for mu, nu in cases:
+        _Inline.peaks.clear()
+        tracemalloc.start()
+        try:
+            kernels._draw("ip", WALK, mu, nu, n, RandomStream(163))
+        finally:
+            tracemalloc.stop()
+        assert len(_Inline.peaks) == len(noise(nu))
+        assert max(_Inline.peaks) < n, f"{max(_Inline.peaks) / n:.2f} n bytes"
 
 
 def test_work_of_one_block_starts_no_thread(monkeypatch):

@@ -240,7 +240,17 @@ BLOCKWISE_LAWS = [Gamma(2, 1), BetaI(2, 3), BetaI(1, 5), UniformUnit(),
                   Normal(0.0, 4.0 / 3.0), Bernoulli(0.4), Geometric(0.4),
                   ShiftGeom(0.5, 2), TruncGeom(0.5, 2),
                   ThreePoint(0.2, 0.5, 0.3),
-                  FiniteTable([-2, 0, 3], [0.25, 0.5, 0.25])]
+                  FiniteTable([-2, 0, 3], [0.25, 0.5, 0.25]),
+                  ParityGeom(3 / 7, 0.3)]
+
+
+def whole_batch_draws(law, gen, n):
+    """One whole batch of numpy draws: ParityGeom's n parities, then its
+    n geometric values; every other law's `_draws`."""
+    if isinstance(law, ParityGeom):
+        parity = (gen.random(n) < law.podd).astype(np.int64)
+        return 2 * (gen.geometric(1.0 - law.rho ** 2, n) - 1) + parity
+    return np.asarray(law._draws(gen, n))
 
 
 @pytest.mark.parametrize("law", BLOCKWISE_LAWS, ids=repr)
@@ -250,17 +260,30 @@ def test_blockwise_draws_are_the_whole_batch(law):
     its stream where that batch does."""
     n = 3 * BLOCK + 5
     whole, blocked, into = (RandomStream(19) for _ in range(3))
-    expected = np.asarray(law._draws(whole.gen, n))
+    expected = whole_batch_draws(law, whole.gen, n)
     drawn = law.sample(blocked, n)
     out = np.empty(n)
     assert law.sample(into, n, out) is out
-    assert law.blockwise
     assert drawn.dtype == (np.int64 if law.is_discrete else np.float64)
     assert np.array_equal(drawn, expected)
     assert np.array_equal(out, expected)
     after = [stream.gen.random(4) for stream in (whole, blocked, into)]
     assert np.array_equal(after[0], after[1])
     assert np.array_equal(after[0], after[2])
+
+
+@pytest.mark.parametrize("n", [1, 5, 3 * BLOCK + 7])
+@pytest.mark.parametrize("offset", [1, 2, 3])
+def test_parity_geom_draws_keep_their_bits_from_every_buffer_offset(offset,
+                                                                    n):
+    # the parities are read in place from wherever the stream stands
+    law = ParityGeom(0.8, 0.6)
+    blocked, whole = RandomStream(23), RandomStream(23)
+    blocked.gen.random(offset)
+    whole.gen.random(offset)
+    assert np.array_equal(law.sample(blocked, n),
+                          whole_batch_draws(law, whole.gen, n))
+    assert np.array_equal(blocked.gen.random(4), whole.gen.random(4))
 
 
 def _finite_400():

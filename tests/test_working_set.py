@@ -12,7 +12,9 @@ import pytest
 from ipmaps.involutions import catalog_get, check_involution, sample_points
 from ipmaps.kernels import (check_ip_statistical,
                             check_reversibility_statistical)
-from ipmaps.laws import Bernoulli, BetaI, GIG, Gamma
+from ipmaps.laws import (
+    Bernoulli, BetaI, GIG, Gamma, ParityGeom, ThreePoint,
+)
 from ipmaps.rng import RandomStream
 
 N = 200_000
@@ -34,6 +36,11 @@ def _involution(name, n):
 CASES = {
     "ip:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1)), True),
+    # X (then Y), U and V, and at most one block of the map's temporaries,
+    # half on each thread: 4.64 columns at N when both peak at once
+    "ip:reflecting_rw:parity_geom": (4.75, partial(
+        _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
+        ThreePoint(0.3, 0.7, 0)), True),
     "ip:beta_walk:product": (5, partial(
         _ip, "beta_walk", BetaI(2, 3), (Bernoulli(0.4), BetaI(1, 5))), False),
     "reversibility:matsumoto_yor:gig-gamma": (4, partial(
