@@ -16,7 +16,7 @@ import numpy as np
 from .involutions import (
     NONUNIQUE, NOSOLUTION, UNIQUE, _deviations, batch_item, catalog_get,
 )
-from .reports import VerificationReport
+from .reports import verdict
 
 
 class AugmentationError(ValueError):
@@ -70,12 +70,9 @@ def verify_hypotheses(spec, xs, us):
         violations.append({"kind": kind, "x": batch_item(xs, i),
                            "u": batch_item(us, i), "y": batch_item(ys, i),
                            "note": _NOTES[kind]})
-    return VerificationReport(
-        name=f"hypotheses:{spec.name}",
-        passed=bad.size == 0,
-        details={"n_probes": len(xs), "n_violations": len(bad),
-                 "violations": violations},
-    )
+    return verdict(f"hypotheses:{spec.name}", passed=bad.size == 0,
+                   n_probes=len(xs), n_violations=len(bad),
+                   violations=violations)
 
 
 def fspec_for(name, params=None):

@@ -17,7 +17,7 @@ import numpy as np
 from . import exact_discrete, stat_tests
 from .involutions import BLOCK, _deviations, involution_tolerance
 from .kernels import KernelError, _gof_against_law
-from .reports import VerificationReport
+from .reports import verdict
 from .stat_tests import DEFAULT_LEVEL, SortedColumn
 
 
@@ -98,11 +98,8 @@ def check_recursion(field):
         # np.maximum and np.max propagate nan, where Python's max may skip it
         worst = float(np.maximum(worst, np.max(dev, initial=0.0)))
     tol = involution_tolerance(pair)
-    return VerificationReport(
-        name=f"recursion:{pair.name}",
-        passed=worst <= tol,
-        details={"worst_deviation": worst, "tol": tol, "shape": [N, T]},
-    )
+    return verdict(f"recursion:{pair.name}", passed=worst <= tol,
+                   worst_deviation=worst, tol=tol, shape=[N, T])
 
 
 def _thinned_slices(T):
@@ -173,38 +170,33 @@ def verify_burke(field, level=DEFAULT_LEVEL):
         *(stat_tests.binned(SortedColumn(c), c, bins=5) for c in (a, b)),
         level=level, min_n=_MIN_PAIRS)
 
-    failing, exact = 0, {}
+    name = f"burke:{field.pair.name}"
     if field.pair.x_space.is_integer:
         checks["x_boundary"] = _gof_against_law(SortedColumn(X[:, 0]), mu,
                                                 level=level)
         checks["u_boundary"] = _gof_against_law(SortedColumn(U[0, :]), nu,
                                                 level=level)
-        exact["exact"] = exact_discrete.cell_report(
-            exact_discrete.pushforward_cells(field.pair, mu, nu,
-                                             int(X.max()), int(U.max())))
-        failing = exact["exact"]["failing_cells"]
-    else:
-        ts = np.arange(0, T - 1, 5)
-        chains = X[:N // 2 * 2]
-        # exchangeability_test swaps its second half internally, so the
-        # halves, rows :N // 2 and N // 2:, are passed unswapped
-        checks["column_kernel"] = stat_tests.exchangeability_test(
-            chains[:, ts].ravel(), chains[:, ts + 1].ravel(), level=level,
-            min_n=_MIN_PAIRS)
-        even = np.arange(0, N, 2)
-        ta, tb = list(range(0, T // 2, 5)), list(range(T // 2, T, 5))
-        # the pairs at times ta, then those at times tb
-        a, b = (np.concatenate([U[r][:, ta].ravel(), U[r][:, tb].ravel()])
-                for r in (even, even + 1))
-        checks["dual_column_kernel"] = stat_tests.exchangeability_test(
-            a, b, level=level, min_n=_MIN_PAIRS)
+        exact = exact_discrete.cell_report(exact_discrete.pushforward_cells(
+            field.pair, mu, nu, int(X.max()), int(U.max())), "cell")
+        return verdict(name, checks, passed=exact["failing_cells"] == 0,
+                       shape=[N, T], exact=exact)
 
-    return VerificationReport(
-        name=f"burke:{field.pair.name}",
-        passed=failing == 0 and all(c.passed for c in checks.values()),
-        details={k: c.to_dict() for k, c in checks.items()}
-        | {"shape": [N, T]} | exact,
-    )
+    ts = np.arange(0, T - 1, 5)
+    chains = X[:N // 2 * 2]
+    # exchangeability_test swaps its second half internally, so the
+    # halves, rows :N // 2 and N // 2:, are passed unswapped
+    checks["column_kernel"] = stat_tests.exchangeability_test(
+        chains[:, ts].ravel(), chains[:, ts + 1].ravel(), level=level,
+        min_n=_MIN_PAIRS)
+    even = np.arange(0, N, 2)
+    ta, tb = list(range(0, T // 2, 5)), list(range(T // 2, T, 5))
+    # the pairs at times ta, then those at times tb
+    a, b = (np.concatenate([U[r][:, ta].ravel(), U[r][:, tb].ravel()])
+            for r in (even, even + 1))
+    checks["dual_column_kernel"] = stat_tests.exchangeability_test(
+        a, b, level=level, min_n=_MIN_PAIRS)
+
+    return verdict(name, checks, shape=[N, T])
 
 
 def field_rows(field, out):

@@ -22,7 +22,7 @@ from . import __version__, burke, exact_discrete, kernels, skorokhod
 from .augmentation import augment, fspec_for, verify_hypotheses
 from .involutions import catalog_get, check_involution, sample_points
 from .laws import LawError, law_from_spec, truncate  # perfbench traces it
-from .reports import VerificationReport, _jsonable
+from .reports import _jsonable, verdict
 from .rng import RandomStream
 
 
@@ -192,13 +192,13 @@ def _run_rrw_characterize(stanza, rng, out_dir):
 def _run_kdv_tv(stanza, rng, out_dir):
     theta, variant = float(stanza["theta"]), stanza["variant"]
     cells = exact_discrete.cell_report(exact_discrete.kdv_pushforward_tv(
-        theta, stanza["ell"], variant, stanza["M"]))
+        theta, stanza["ell"], variant, stanza["M"]), "cell")
     preserved = cells["failing_cells"] == 0
-    return VerificationReport(
-        name=f"kdv_tv({variant},theta={theta},ell={stanza['ell']})",
-        passed=preserved if variant == "g1" else not preserved,
-        details={**cells, "product_preserved": preserved},
-    )
+    # g1 preserves the product law and passes when it does; the g2 stanza
+    # shows that g2 does not, so it passes when the product law moves
+    return verdict(f"kdv_tv({variant},theta={theta},ell={stanza['ell']})",
+                   passed=preserved == (variant == "g1"), **cells,
+                   product_preserved=preserved)
 
 
 def _run_burke(stanza, rng, out_dir):
@@ -206,14 +206,15 @@ def _run_burke(stanza, rng, out_dir):
     field = burke.simulate_field(pair, mu, nu, stanza["N"], stanza["T"], rng)
     recursion = burke.check_recursion(field)
     report = burke.verify_burke(field, level=stanza["level"])
-    report.passed = report.passed and recursion.passed
-    report.details["recursion"] = recursion.to_dict()
+    csv = {}
     if stanza["csv"] and out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, stanza["csv"])
         _rewrite(path, lambda fh: burke.field_rows(field, fh))
-        report.details["csv"] = stanza["csv"]
-    return report
+        csv["csv"] = stanza["csv"]
+    # the field's verdict, with the recursion as one more part
+    return verdict(report.name, {"recursion": recursion}, report.passed,
+                   **report.details, **csv)
 
 
 def _run_skorokhod_gaussian(stanza, rng, out_dir):
@@ -236,14 +237,10 @@ def _run_skorokhod_gaussian(stanza, rng, out_dir):
                                name=f"skorokhod:{numeric.name}")
     xs, us = sample_points(pair, 10_000, rng)
     invo = check_involution(pair, xs, us)
-    passed = sup_f <= tol and sup_g <= tol and mono.passed and invo.passed
-    return VerificationReport(
-        name=f"skorokhod_gaussian(beta={beta},sigma={sigma})",
-        passed=passed,
-        details={"sup_f": sup_f, "sup_g": sup_g, "tol": tol,
-                 "grid": grid, "monotone": mono.to_dict(),
-                 "involution": invo.to_dict()},
-    )
+    return verdict(f"skorokhod_gaussian(beta={beta},sigma={sigma})",
+                   {"monotone": mono, "involution": invo},
+                   passed=sup_f <= tol and sup_g <= tol, sup_f=sup_f,
+                   sup_g=sup_g, tol=tol, grid=grid)
 
 
 _MAP = {"map": _REQUIRED, "params": None}
@@ -282,8 +279,8 @@ def run(config, out_dir=None):
             runner, defaults = _KINDS[stanza["kind"]]
             entry = runner({**defaults, **stanza}, stream, out_dir).to_dict()
         except Exception as exc:   # deliberate: isolate per-check failures
-            entry = {"name": stanza["kind"], "passed": False,
-                     "details": {"error": f"{type(exc).__name__}: {exc}"}}
+            entry = verdict(stanza["kind"], passed=False,
+                            error=f"{type(exc).__name__}: {exc}").to_dict()
         entry["inputs"] = _jsonable(inputs)
         entries.append(entry)
     return {

@@ -13,12 +13,13 @@ identity, `product_defect_tv`, decides the product law of an integer map
 use it). It gathers each table into object arrays, one lookup per state,
 makes each cell's mass mu(x) nu(u) (`_masses`) once and compares it with
 the image's product a block of cells at a time; `cell_report` puts its
-result in a report. `_sums`, the one pushforward, gives the laws of Y and V
-and detailed balance's flux. `rrw_characterize` is the walk's whole verdict
-on one joint table, whose masses the cell identity, those laws and the
-per-state proof identities where Y's marginal is exact all read, so no
-truncation tail enters a verdict; its parity identities are prefix sums.
-The mass of X > box is summed once. A reported probability is `num / den`
+result, or detailed balance's tally of state pairs, in a report. `_sums`,
+the one pushforward, gives the laws of Y and V and detailed balance's
+flux. `rrw_characterize` is the walk's whole verdict on one joint table,
+whose masses the cell identity, those laws and the per-state proof
+identities where Y's marginal is exact all read, so no truncation tail
+enters a verdict; its parity identities are prefix sums. The mass of
+X > box is summed once. A reported probability is `num / den`
 of two ints, which Python rounds correctly, as `float(Fraction(num, den))`.
 """
 
@@ -34,7 +35,7 @@ from . import laws
 from .involutions import blocks, catalog_get
 from .laws import (Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom,
                    _frac, _geometric_table, _integer_weights)
-from .reports import VerificationReport
+from .reports import verdict
 
 
 @dataclass(frozen=True)
@@ -210,12 +211,14 @@ def _tally(xs, us, fails):
     return len(xs), len(failing), first[0] if first else None
 
 
-def cell_report(result):
-    """A `product_defect_tv` result (cells, failing, witness) as a report's
-    `checked_cells`, `failing_cells` and `witness_cell`, the witness a list."""
+def cell_report(result, unit):
+    """A `_tally` result (checked, failing, witness), as `product_defect_tv`
+    returns it, as a report's `checked_<unit>s`, `failing_<unit>s` and
+    `witness_<unit>`, the witness a list: `unit` is "cell", or "pair" for
+    detailed balance's state pairs."""
     checked, failing, witness = result
-    return {"checked_cells": checked, "failing_cells": failing,
-            "witness_cell": list(witness) if witness else None}
+    return {f"checked_{unit}s": checked, f"failing_{unit}s": failing,
+            f"witness_{unit}": list(witness) if witness else None}
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +311,9 @@ def rrw_verify_proof_identities(params, joint, beyond, mass):
                             ("parity_balance", balance)):
             report[name] = dict(zip(_TALLY, _tally(pairs, pairs + 1, ~holds)))
 
-    return VerificationReport(
-        name="rrw_proof_identities",
-        passed=all(r["failing"] == 0 for r in report.values()),
-        details=report)
+    return verdict("rrw_proof_identities",
+                   passed=not any(r["failing"] for r in report.values()),
+                   **report)
 
 
 def rrw_characterize(params, box):
@@ -325,18 +327,16 @@ def rrw_characterize(params, box):
     (xs, us, ys, vs), (mu, den), mu_y, (nu, nu_v, _) = joint
     mass = _masses(xs, us, mu, nu)
     cell_check = cell_report(_tally(xs, us, _unequal(
-        _gather(mu_y, ys), _gather(nu_v, vs), mass)))
+        _gather(mu_y, ys), _gather(nu_v, vs), mass)), "cell")
     beyond = den - sum(mu.values()) + mu[box + 1]   # X > box; mu is 0..box+1
     identities = rrw_verify_proof_identities(params, joint, beyond, mass)
-    return VerificationReport(
-        name=f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
-             f"r={float(params.r)})",
-        passed=identities.passed and cell_check["failing_cells"] == 0,
-        details={"forced_law": type(rrw_forced_law(params)).__name__,
-                 "forced_pmf_head": {str(k): mu[k] / den
-                                     for k in range(min(12, box + 1))},
-                 "truncation_tail": beyond / den, **cell_check,
-                 "identities": identities.to_dict()})
+    return verdict(
+        f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
+        f"r={float(params.r)})", {"identities": identities},
+        passed=cell_check["failing_cells"] == 0,
+        forced_law=type(rrw_forced_law(params)).__name__,
+        forced_pmf_head={str(k): mu[k] / den for k in range(min(12, box + 1))},
+        truncation_tail=beyond / den, **cell_check)
 
 
 # ---------------------------------------------------------------------------

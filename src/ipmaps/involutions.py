@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .reports import VerificationReport
+from .reports import verdict
 
 
 class DomainError(ValueError):
@@ -525,13 +525,6 @@ def check_involution(pair, xs, us, tol=None):
     if not passed:
         k = found[int(np.argmax(devs))][0]
         worst = repr((batch_item(xs, k), batch_item(us, k)))
-    return VerificationReport(
-        name=f"involution:{pair.name}",
-        passed=passed,
-        details={
-            "max_deviation": max_dev,
-            "tolerance": tol,
-            "n_points": len(xs),
-            "worst_point": worst,
-        },
-    )
+    return verdict(f"involution:{pair.name}", passed=passed,
+                   max_deviation=max_dev, tolerance=tol, n_points=len(xs),
+                   worst_point=worst)

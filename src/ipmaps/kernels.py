@@ -14,9 +14,9 @@ from functools import partial
 import numpy as np
 
 from . import laws, stat_tests
-from .exact_discrete import _masses, _sums, _tally, cells
+from .exact_discrete import _masses, _sums, _tally, cell_report, cells
 from .involutions import blocks, concurrently, map_blocks
-from .reports import VerificationReport
+from .reports import verdict
 from .stat_tests import DEFAULT_LEVEL
 
 
@@ -56,13 +56,11 @@ def check_detailed_balance_exact(pair, mu, nu, box):
     # each pair once: from x < y when both directions carry flux
     pairs = (x != y) & (y <= lo + box - low) & ((x < y) | ~back)
     unequal = w != np.where(back, w[at], 0)   # 0: no flux back
-    checked, failing, witness = _tally(x[pairs] + low, y[pairs] + low,
-                                       unequal[pairs])
-    return VerificationReport(
-        name=f"detailed_balance:{pair.name}", passed=not failing,
-        details={"checked_pairs": checked, "failing_pairs": failing,
-                 "witness_pair": list(witness) if witness else None,
-                 "n_states": len(mu_w)})
+    tally = cell_report(_tally(x[pairs] + low, y[pairs] + low,
+                               unequal[pairs]), "pair")
+    return verdict(f"detailed_balance:{pair.name}",
+                   passed=tally["failing_pairs"] == 0, **tally,
+                   n_states=len(mu_w))
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +124,16 @@ def require_n(kind, n):
 def _draw(kind, pair, mu, nu, n, rng):
     """(xs, us) of a statistical `kind` check: n draws X ~ mu and U ~ nu,
     one stream each (and one per product component), made at once into
-    arrays allocated here, X's of floats: the last law draws on this
+    arrays allocated here, of int64 for a discrete law, else of floats, so
+    an integer map writes Y and V over them: the last law draws on this
     thread, each other one on a helper (`concurrently`)."""
     require_n(kind, n)
     mu_rng, nu_rng = rng.split(2)
     product = isinstance(nu, tuple)
     drawn = (mu, *nu) if product else (mu, nu)
     streams = [mu_rng, *(nu_rng.split(len(nu)) if product else [nu_rng])]
-    outs = [np.empty(n, np.int64 if i and law.is_discrete else float)
-            for i, law in enumerate(drawn)]
+    outs = [np.empty(n, np.int64 if law.is_discrete else float)
+            for law in drawn]
     concurrently(n, *(partial(law.sample, stream, n, out)
                       for law, stream, out in zip(drawn, streams, outs)))
     xs, *us = outs
@@ -148,13 +147,9 @@ def check_reversibility_statistical(pair, mu, nu, n, rng,
     ys = map_blocks(pair.f, xs, us,   # over U's array
                     into=us if isinstance(us, tuple) else (us,))[0]
     del us
-    res = stat_tests.exchangeability_test(xs, np.asarray(ys, dtype=float),
-                                          level=level)
-    return VerificationReport(
-        name=f"reversibility:{pair.name}",
-        passed=res.passed,
-        details={"exchangeability": res.to_dict(), "n": n},
-    )
+    res = stat_tests.exchangeability_test(xs, ys, level=level)
+    return verdict(f"reversibility:{pair.name}", {"exchangeability": res},
+                   n=n)
 
 
 def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
@@ -185,9 +180,4 @@ def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
         checks["independence" + key] = stat_tests.independence_test(
             y, v, level=level)
 
-    passed = all(c.passed for c in checks.values())
-    return VerificationReport(
-        name=f"ip:{pair.name}",
-        passed=passed,
-        details={k: c.to_dict() for k, c in checks.items()} | {"n": n},
-    )
+    return verdict(f"ip:{pair.name}", checks, n=n)

@@ -1,4 +1,7 @@
-"""Structured verification reports with deterministic JSON serialization."""
+"""Structured verification reports with deterministic JSON serialization.
+
+Every check's report is made by `verdict`, the one rule for pass or fail.
+"""
 
 from __future__ import annotations
 
@@ -46,3 +49,15 @@ class VerificationReport:
             "details": _jsonable(self.details),
         }
 
+
+
+def verdict(name, parts=None, passed=True, **facts):
+    """The report of one check, which passes when `passed` (the check's own
+    exact condition) holds and every part passes. A part is a sub-test's
+    `TestResult` or a nested `VerificationReport`, written under its key as
+    its `to_dict()`; each fact is written as given."""
+    parts = parts or {}
+    return VerificationReport(
+        name=name,
+        passed=bool(passed) and all(p.passed for p in parts.values()),
+        details={k: p.to_dict() for k, p in parts.items()} | facts)

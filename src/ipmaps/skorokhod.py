@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .involutions import gaussian_cdf
-from .reports import VerificationReport
+from .reports import verdict
 
 
 class SkorokhodError(ValueError):
@@ -104,12 +104,8 @@ def check_monotone(fam, states):
         interior = (vals[:-1] > 1e-12) & (vals[1:] < 1.0 - 1e-12)
         if np.any(d < 0.0) or not np.all(d[interior] > 0.0):
             bad.append(float(x))
-    return VerificationReport(
-        name=f"monotone:{fam.name}",
-        passed=not bad,
-        details={"n_grid": len(s), "n_states": len(states),
-                 "violating_states": bad[:10]},
-    )
+    return verdict(f"monotone:{fam.name}", passed=not bad, n_grid=len(s),
+                   n_states=len(states), violating_states=bad[:10])
 
 
 def gaussian_family(beta, sigma):

@@ -289,8 +289,8 @@ def _merge_table(table):
 
 
 def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
-    """Test whether (A,B) and (B,A) are equal in law, from the paired float
-    columns a and b.
+    """Test whether (A,B) and (B,A) are equal in law, from the paired
+    columns a and b, of floats or ints.
 
     Split-half scheme: the first half of the sample is kept as-is, the
     second half is coordinate-swapped, and a two-sample chi-square

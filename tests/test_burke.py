@@ -334,20 +334,23 @@ def _noise_off_the_support(field):
     field.U[0, 7] = 2.0                      # ThreePoint lives on {-1, 0, 1}
 
 
-def test_impossible_transition_fails_with_a_reason_and_strict_json():
+def test_impossible_transition_fails_with_a_reason_and_strict_json(
+        monkeypatch):
+    stanza = cli._validate_stanza({
+        "kind": "burke", "map": "reflecting_rw",
+        "mu": {"kind": "geometric", "params": {"theta": 0.4}},
+        "nu": {"kind": "three_point",
+               "params": {"p": 0.2, "q": 0.5, "r": 0.3}}}, 0)
     for edit, failed in ((_jump_in_a_chain, {"recursion"}),
                          (_noise_off_the_support, {"recursion",
                                                    "u_boundary"})):
         field = _rrw_field(1)
         edit(field)
-        # what a `burke` stanza reports: the field's checks and recursion
-        report = verify_burke(field)
-        recursion = check_recursion(field)
-        report.details["recursion"] = recursion
-        report.passed = report.passed and recursion.passed
-        assert not report.passed
-        details = json.loads(json.dumps(report.to_dict(),
-                                        allow_nan=False))["details"]
+        # what a `burke` stanza reports on this field
+        monkeypatch.setattr(burke, "simulate_field", lambda *args: field)
+        entry, = cli.run({"seed": 1, "checks": [stanza]})["checks"]
+        assert entry["passed"] is False
+        details = json.loads(json.dumps(entry, allow_nan=False))["details"]
         assert {k for k, v in details.items() if isinstance(v, dict)
                 and v.get("passed") is False} == failed
         assert details["recursion"]["details"]["worst_deviation"] > 0

@@ -186,6 +186,28 @@ GOLDEN = {
     "skorokhod_gaussian": (
         {"kind": "skorokhod-gaussian", "beta": 0.5, "sigma": 1.0},
         "833ae69918bb4e7a8139276707d36ed9a717d856e3d68f9214566f35fe99624d"),
+    # failing reports: each pins how a verdict is made from failing parts
+    "burke_kdv_g2_fails": (
+        {"kind": "burke", "map": "kdv_g2",
+         "mu": {"kind": "trunc_geom", "params": {"theta": 0.5, "ell": 2}},
+         "nu": {"kind": "shift_geom", "params": {"theta": 0.5, "ell": 2}},
+         "N": 60, "T": 60},
+        "e4745b768a6928a6f2f3208b68e400afb24da93dbb411a2d3517d92eb60d5db0"),
+    "involution_my_tol0_fails": (
+        {"kind": "involution", "map": "matsumoto_yor", "n": 20000, "tol": 0},
+        "d0ad8f7ba0f60127b6b8f81a4fcfcef266448c5c14b78cad3714a379e3f20807"),
+    "reversibility_my_uniform_fails": (
+        {"kind": "reversibility", "map": "matsumoto_yor", "n": 10000,
+         "mu": GIG, "nu": {"kind": "uniform"}},
+        "70ddc24a3389969c63fd787b84bd7319a6549d53e4064f127da888da6bf6b365"),
+    "ip_my_uniform_fails": (
+        {"kind": "ip", "map": "matsumoto_yor", "n": 20000,
+         "mu": GIG, "nu": {"kind": "uniform"}},
+        "d7995da727d44ea31c77ddb68089965de619579920e2ad2204f53c318cb70a48"),
+    "skorokhod_gaussian_tol_fails": (
+        {"kind": "skorokhod-gaussian", "beta": 0.5, "sigma": 1.0,
+         "tol": 1e-20},
+        "5002c704bee457947247f390e89d21feaf680ef2890e6b8cafbe027d50a69ebf"),
 }
 
 

@@ -36,8 +36,8 @@ def _involution(name, n):
 CASES = {
     "ip:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1)), True),
-    # X (then Y), U and V, and at most one block of the map's temporaries,
-    # half on each thread: 4.64 columns at N when both peak at once
+    # X (then Y) and U (then V), both int64, and one block of each law's
+    # draw temporaries, one law on each thread: 4.01-4.05 columns at N
     "ip:reflecting_rw:parity_geom": (4.75, partial(
         _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
         ThreePoint(0.3, 0.7, 0)), True),
@@ -46,6 +46,12 @@ CASES = {
     "reversibility:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1),
         check=check_reversibility_statistical), True),
+    # X and U (then Y), both int64: the draw's peak, as in ip, 4.01-4.05
+    # columns at N; a float copy of Y beside them would read 4.34
+    "reversibility:reflecting_rw:parity_geom": (4.25, partial(
+        _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
+        ThreePoint(0.3, 0.7, 0), check=check_reversibility_statistical),
+        True),
     "involution:matsumoto_yor": (2, partial(_involution, "matsumoto_yor"),
                                  True),
 }
