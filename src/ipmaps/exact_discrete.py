@@ -3,11 +3,10 @@ characterization, the ultra-discrete KdV product law, Burke's integer
 fields and exact detailed balance.
 
 Probabilities are exact rationals (floats are read as their shortest
-decimal). Every table is one pair (nums, den) of plain integer numerators
-over one integer denominator, so every identity is one integer equality
-and a verdict counts the states where it fails. A catalog law's table is
-`laws.truncate`, and the walk's forced laws use its theta^k tabulation.
-Every verdict enumerates its cells in x-major order with `cells`. One cell
+decimal). Every table is integer numerators over one integer denominator,
+so every identity is one integer equality and a verdict counts the states
+where it fails. A catalog law's table is the dict of `laws.truncate`; every
+verdict enumerates its cells in x-major order with `cells`. One cell
 identity, `product_defect_tv`, decides the product law of an integer map
 (`pushforward_cells` for two laws, as `kdv-tv` and Burke's integer fields
 use it). It gathers each table into object arrays, one lookup per state,
@@ -16,11 +15,12 @@ the image's product a block of cells at a time; `cell_report` puts its
 result, or detailed balance's tally of state pairs, in a report. `_sums`,
 the one pushforward, gives the laws of Y and V and detailed balance's
 flux. `rrw_characterize` is the walk's whole verdict on one joint table,
-whose masses the cell identity, those laws and the per-state proof
-identities where Y's marginal is exact all read, so no truncation tail
-enters a verdict; its parity identities are prefix sums. The mass of
-X > box is summed once. A reported probability is `num / den`
-of two ints, which Python rounds correctly, as `float(Fraction(num, den))`.
+its forced laws dense arrays read by index and its cell masses one outer
+product, which the cell identity, those laws and the per-state proof
+identities all read, the last reading the cell verdicts where Y's summed
+law is the forced one; no truncation tail enters a verdict. The mass of
+X > box is summed once. A reported probability is `num / den` of two
+ints, which Python rounds correctly, as `float(Fraction(num, den))`.
 """
 
 from __future__ import annotations
@@ -100,22 +100,25 @@ def rrw_forced_law(params):
 
 def rrw_forced_table(params, box):
     """Exact pmfs on {0..box} of the forced law of X and of the law of
-    Y = (X + U)^+ it gives, as tables (nums, nums_y, den) over one den. At
-    r>0 both are the geometric law, one dict; at r=0 their parity weights
-    (P(k even), P(k odd)) are (q', p') for X and (q, p) for Y, one dict
-    where p' = p."""
+    Y = (X + U)^+ it gives, (x, y, den): dense object arrays of numerators
+    indexed by the state over one den, read off `laws.truncate`'s theta^k
+    tabulation. At r>0 both are the geometric law, one array; at r=0, in
+    one multiply, the weight of k's pair times its parity weight
+    (P(k even), P(k odd)), (q', p') for X and (q, p) for Y, one row where
+    p' = p."""
     if params.r > 0:
         nums, den = _geometric_table(params.p / params.q, 0, box)
-        return nums, nums, den
-    # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w one of the parity weights
+        x = np.array(list(nums.values()), dtype=object)
+        return x, x, den
+    # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w one of the parity weights;
+    # where p' = p, (q', p') = (q, p) and Y has X's law and row
     pairs, dp = _geometric_table(params.rho2, 0, box // 2)
-    w, dw = _integer_weights({0: params.qprime, 1: params.pprime,
-                              2: params.q, 3: params.p})
-    x = {k: w[k % 2] * pairs[k // 2] for k in range(box + 1)}
-    # where p' = p, (q', p') = (q, p) and Y has X's law
-    y = x if params.pprime == params.p else {
-        k: w[k % 2 + 2] * pairs[k // 2] for k in range(box + 1)}
-    return x, y, dw * dp
+    w, dw = _integer_weights(dict(enumerate((params.qprime, params.pprime) + (
+        params.q, params.p) * (params.pprime != params.p))))
+    k = np.arange(box + 1)
+    xy = np.array(list(pairs.values()), dtype=object)[k // 2] * np.array(
+        list(w.values()), dtype=object).reshape(-1, 2)[:, k % 2]
+    return xy[0], xy[-1], dw * dp
 
 
 # ---------------------------------------------------------------------------
@@ -129,28 +132,40 @@ def cells(xs, us):
 
 
 def _step_tables(params):
-    """The laws of U, (p, q, r), and of V, (p', q', r), as numerator tables
-    over one denominator; the step 0 only when r>0."""
+    """The laws of U, (p, q, r), and of V, (p', q', r), as numerators over
+    one denominator: U's a table on its steps, the step 0 only when r>0,
+    and V's an array on -1, 0, 1, indexed by v + 1."""
     w, den = _integer_weights(dict(enumerate((
         params.q, params.r, params.p,
         params.qprime, params.r, params.pprime))))
     steps = (-1, 0, 1) if params.r > 0 else (-1, 1)
-    return {s: w[s + 1] for s in steps}, {s: w[s + 4] for s in steps}, den
+    return ({s: w[s + 1] for s in steps},
+            np.array([w[3], w[4], w[5]], dtype=object), den)
 
 
 def rrw_joint_table(params, box):
     """(cells, (mu, den), mu_y, (nu, nu_v, du)), read by both the cell
     check and the proof identities: the cells (xs, us, ys, vs), x in
     [0, box] times the step support in x-major order, with (ys, vs) from
-    one evaluation of reflecting_rw; the forced tables mu of X and mu_y of
-    Y over den, reaching the largest image y = box + 1; and the tables nu
-    of U and nu_v of V over du. Cell (x, u) has mass mu(x) nu(u) / (den du).
+    one evaluation of reflecting_rw; the forced arrays mu of X and mu_y of
+    Y over den, on 0..box+1, the largest image y; and the laws nu of U and
+    nu_v of V over du (`_step_tables`). Cell (x, u) has mass
+    mu(x) nu(u) / (den du).
     """
     mu, mu_y, den = rrw_forced_table(params, box + 1)
     nu, nu_v, du = _step_tables(params)
     xs, us = cells(np.arange(box + 1), list(nu))
     grid = (xs, us, *catalog_get("reflecting_rw")(xs, us))
     return grid, (mu, den), mu_y, (nu, nu_v, du)
+
+
+def rrw_cell_fails(joint):
+    """(mass, fails) on the x-major cells of `joint` (`rrw_joint_table`):
+    each mass mu(x) nu(u), one outer product of the X array and the step
+    weights, and where mu'(y) nu'(v) = mass fails, mu' and nu' by index."""
+    (xs, _, ys, vs), (mu, _), mu_y, (nu, nu_v, _) = joint
+    mass = np.multiply.outer(mu[:len(xs) // len(nu)], [*nu.values()]).ravel()
+    return mass, _unequal(mu_y[ys], nu_v[vs + 1], mass)
 
 
 def _gather(table, keys):
@@ -235,7 +250,7 @@ def _count(checks):
                              failing[0] if failing else None)))
 
 
-def rrw_verify_proof_identities(params, joint, beyond, mass):
+def rrw_verify_proof_identities(params, joint, beyond, mass, fails):
     """The event identities that drive the characterization proof, as exact
     integer equalities on the X table of `joint` (`rrw_joint_table`), with
     Y = (X+U)^+ and V = -U - 2(X+U)^-. The cells of [0, box] give Y's
@@ -259,15 +274,16 @@ def rrw_verify_proof_identities(params, joint, beyond, mass):
     Each identity reports the states it checked, how many fail and the
     first that fails.
 
-    All read `mass`, each cell's mu(x) nu(u) of the X table (`_masses`):
-    Y's and V's laws are its sums, and each per-state identity is
-    mass du = my(y) nu'(v). A parity identity is a prefix sum over the pairs
-    of its terms, 0 where it holds.
+    All read each cell's mass mu(x) nu(u) and verdict (`rrw_cell_fails`):
+    Y's and V's laws are the masses' sums. A per-state identity,
+    mass du = my(y) nu'(v), is the cell identity mass = mu'(y) nu'(v) at a
+    state where my(y) = mu'(y) du, so it reads the verdict there and is
+    multiplied out at the other states. A parity identity is a prefix sum
+    over the pairs of its terms, 0 where it holds.
     """
-    (xs, us, ys, vs), (mu, dx), _, (nu, nu_v, du) = joint
+    (xs, us, ys, vs), (mu, dx), mu_y, (nu, nu_v, du) = joint
     box = int(xs[-1])
-    my, mv = (dict(zip(k.tolist(), m))   # numerators over dx du
-              for k, m in (_sums(ys, mass), _sums(vs, mass)))
+    (_, my), mv = _sums(ys, mass), dict(zip(*_sums(vs, mass)))  # over dx du
     kinds = {"boundary": (xs == 0) & (us == -1), "zero_step": us == 0,
              "down_up": (xs > 0) & (us == -1), "up_down": us == 1}
     if params.r == 0:
@@ -276,8 +292,9 @@ def rrw_verify_proof_identities(params, joint, beyond, mass):
     # after; mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
     at = np.flatnonzero(np.logical_or.reduce(list(kinds.values()))
                         & (ys <= box - 1))
-    fails = _unequal(_gather(my, ys[at]), _gather(nu_v, vs[at]), mass[at],
-                     du)
+    fails, off = fails[at], (my[:box] != mu_y[:box] * du)[ys[at]]
+    d = at[off]
+    fails[off] = _unequal(my[ys[d]], nu_v[vs[d] + 1], mass[d], du)
     xs, us = xs[at], us[at]
     report = {}
     for name, kind in kinds.items():
@@ -285,17 +302,17 @@ def rrw_verify_proof_identities(params, joint, beyond, mass):
         report[name] = dict(zip(_TALLY, _tally(xs[mine], us[mine],
                                                fails[mine])))
 
-    p, q, pp, qp = nu[1], nu[-1], nu_v[1], nu_v[-1]
+    p, q, pp, qp = nu[1], nu[-1], nu_v[2], nu_v[0]
     report["total_up"] = _count([(1, pp * dx == (dx - mu[0]) * q)])
-    report["v_law"] = _count([(v, mv[v] + beyond * nu[-v] == w * dx)
-                              for v, w in nu_v.items()])
+    report["v_law"] = _count([   # at each v of U's support, which is V's
+        (v, mv[v] + beyond * nu[-v] == nu_v[v + 1] * dx) for v in nu])
 
     if params.r == 0:
         # over the pairs {0, 1}, ..., {2n, 2n+1}, X over dx and Y over dx du:
         # q du xo = p' ye, p du xe = q' yo, xo / (xe + xo) = p' (a = 0),
         # ye / (ye + yo) = q (b = 0) and a (ye + yo) = b (xe + xo), whose
         # products are made only where a or b is not 0
-        mx, my = (_gather(t, np.arange(2 * (box // 2))) for t in (mu, my))
+        mx, my = (t[:2 * (box // 2)] for t in (mu, my))
         xe, xo, ye, yo = (m[i::2] for m in (mx, my) for i in (0, 1))
         down, up, a, b = (np.add.accumulate(t) for t in (
             q * du * xo - pp * ye, p * du * xe - qp * yo,
@@ -318,21 +335,20 @@ def rrw_verify_proof_identities(params, joint, beyond, mass):
 
 def rrw_characterize(params, box):
     """The `rrw-characterize` verdict on x in [0, box]: the cell identity
-    of `product_defect_tv` at every cell of one `rrw_joint_table`, with the
+    (`rrw_cell_fails`) at every cell of one `rrw_joint_table`, with the
     forced laws of X and Y and the laws of U and V, and the proof identities
-    on the same table, both reading one array of cell masses. The mass of
+    on the same table, which read its masses and cell verdicts. The mass of
     X > box is summed once, for the truncation tail and V's law.
     """
     joint = rrw_joint_table(params, box)
-    (xs, us, ys, vs), (mu, den), mu_y, (nu, nu_v, _) = joint
-    mass = _masses(xs, us, mu, nu)
-    cell_check = cell_report(_tally(xs, us, _unequal(
-        _gather(mu_y, ys), _gather(nu_v, vs), mass)), "cell")
-    beyond = den - sum(mu.values()) + mu[box + 1]   # X > box; mu is 0..box+1
-    identities = rrw_verify_proof_identities(params, joint, beyond, mass)
+    (xs, us, _, _), (mu, den), _, _ = joint
+    mass, fails = rrw_cell_fails(joint)
+    cell_check = cell_report(_tally(xs, us, fails), "cell")
+    beyond = den - mu[:-1].sum()   # X > box; mu is on 0..box+1
+    ids = rrw_verify_proof_identities(params, joint, beyond, mass, fails)
     return verdict(
         f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
-        f"r={float(params.r)})", {"identities": identities},
+        f"r={float(params.r)})", {"identities": ids},
         passed=cell_check["failing_cells"] == 0,
         forced_law=type(rrw_forced_law(params)).__name__,
         forced_pmf_head={str(k): mu[k] / den for k in range(min(12, box + 1))},

@@ -33,9 +33,9 @@ class Law:
 
     `sample(rng, size, out=None)` returns an array of draws in the closed
     interval [support_lo, support_hi], written into `out` if given; a
-    discrete law's draws are also integers. Every law makes a batch's
-    draws a block at a time (GIG and ParityGeom read theirs in place), so
-    a helper thread may make them (`involutions.concurrently`).
+    discrete law's draws are also integers. Every law fills a batch a block
+    at a time (`_draws(gen, out)`; GIG and ParityGeom read theirs in place),
+    so a helper thread may make them (`involutions.concurrently`).
     """
 
     is_discrete = False
@@ -45,7 +45,7 @@ class Law:
         if out is None:
             out = np.empty(int(size), np.int64 if self.is_discrete else float)
         for s in blocks(len(out)):
-            out[s] = self._draws(rng.gen, len(out[s]))
+            self._draws(rng.gen, out[s])
         return out
 
     def _check_u(self, u):
@@ -73,8 +73,8 @@ class Gamma(Law):
         from scipy.special import gammaincinv
         return gammaincinv(self.shape, self._check_u(u)) * self._scale
 
-    def _draws(self, gen, k):
-        return gen.gamma(self.shape, self._scale, k)
+    def _draws(self, gen, out):
+        out[...] = gen.gamma(self.shape, self._scale, len(out))
 
     def __repr__(self):
         return f"Gamma(shape={self.shape}, rate={self.rate})"
@@ -93,8 +93,8 @@ class BetaI(Law):
         from scipy.special import betaincinv
         return betaincinv(self.a, self.b, self._check_u(u))
 
-    def _draws(self, gen, k):
-        return gen.beta(self.a, self.b, k)
+    def _draws(self, gen, out):
+        out[...] = gen.beta(self.a, self.b, len(out))
 
     def __repr__(self):
         return f"BetaI({self.a}, {self.b})"
@@ -106,8 +106,8 @@ class UniformUnit(Law):
     def quantile(self, u):
         return self._check_u(u)
 
-    def _draws(self, gen, k):
-        return gen.random(k)
+    def _draws(self, gen, out):
+        out[...] = gen.random(len(out))
 
     def __repr__(self):
         return "UniformUnit()"
@@ -125,8 +125,8 @@ class Normal(Law):
         from scipy.special import ndtri
         return self.mean + self.std * ndtri(self._check_u(u))
 
-    def _draws(self, gen, k):
-        return gen.normal(self.mean, self.std, k)
+    def _draws(self, gen, out):
+        out[...] = gen.normal(self.mean, self.std, len(out))
 
     def __repr__(self):
         return f"Normal(mean={self.mean}, variance={self.variance})"
@@ -271,10 +271,10 @@ class DiscreteLaw(Law):
         """(nums, den) on [support_lo, end]; geometric kinds use this one."""
         return _geometric_table(_frac(self.theta), self.support_lo, end)
 
-    def _draws(self, gen, k):
+    def _draws(self, gen, out):
         """Inverse-cdf draws of a finite law from its exact table."""
         cum, values = self._cdf_table
-        return values[np.searchsorted(cum, gen.random(k), side="right")]
+        out[...] = values[np.searchsorted(cum, gen.random(len(out)), "right")]
 
     @functools.cached_property
     def _cdf_table(self):
@@ -297,8 +297,8 @@ class Bernoulli(DiscreteLaw):
     def _table(self, end):
         return _integer_weights({0: 1 - _frac(self.p), 1: _frac(self.p)})
 
-    def _draws(self, gen, k):
-        return gen.random(k) < self.p
+    def _draws(self, gen, out):
+        out[...] = gen.random(len(out)) < self.p
 
     def __repr__(self):
         return f"Bernoulli({self.p})"
@@ -312,8 +312,8 @@ class Geometric(DiscreteLaw):
             raise LawError("Geometric requires theta in (0,1)")
         self.theta = float(theta)
 
-    def _draws(self, gen, k):
-        return gen.geometric(1.0 - self.theta, k) - 1
+    def _draws(self, gen, out):
+        out[...] = gen.geometric(1.0 - self.theta, len(out)) - 1
 
     def __repr__(self):
         return f"Geometric({self.theta})"
@@ -347,8 +347,8 @@ class ShiftGeom(DiscreteLaw):
         self.ell = int(ell)
         self.support_lo = -self.ell
 
-    def _draws(self, gen, k):
-        return gen.geometric(1.0 - self.theta, k) - 1 - self.ell
+    def _draws(self, gen, out):
+        out[...] = gen.geometric(1.0 - self.theta, len(out)) - 1 - self.ell
 
     def __repr__(self):
         return f"ShiftGeom({self.theta}, {self.ell})"
@@ -368,9 +368,11 @@ class ThreePoint(DiscreteLaw):
         return _integer_weights({-1: _frac(self.q), 0: _frac(self.r),
                                  1: _frac(self.p)})
 
-    def _draws(self, gen, k):
-        u = gen.random(k)
-        return np.where(u < self.p, 1, np.where(u < self.p + self.q, -1, 0))
+    def _draws(self, gen, out):
+        # -1 below p + q, else 0, then 1 below p: the uniforms and a mask
+        u = gen.random(len(out))
+        np.subtract(0, np.less(u, self.p + self.q, out=out), out=out)
+        out[u < self.p] = 1
 
     def __repr__(self):
         return f"ThreePoint({self.p}, {self.q}, {self.r})"
@@ -400,9 +402,10 @@ class ParityGeom(DiscreteLaw):
         out = np.empty(int(size), np.int64) if out is None else out
         odd = rng.ahead(0)
         rng.skip(len(out))
-        for s in blocks(len(out)):
-            k = rng.gen.geometric(1.0 - self._rho2, len(out[s])) - 1
-            out[s] = 2 * k + (odd.random(len(k)) < self.podd)
+        for s in blocks(len(out)):   # 2 (k - 1) + parity, in out and k
+            k = rng.gen.geometric(1.0 - self._rho2, len(out[s]))
+            np.multiply(np.subtract(k, 1, out=k), 2, out=out[s])
+            out[s] += np.less(odd.random(len(k)), self.podd, out=k)
         return out
 
     def __repr__(self):

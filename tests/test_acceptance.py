@@ -133,26 +133,30 @@ def test_criterion_3_rrw_exact(capsys):
                     cells, (nums, den), law_y, steps = \
                         exact_discrete.rrw_joint_table(prm, 200)
                     nu, nu_v, _ = steps
+                    nu_v = dict(zip((-1, 0, 1), nu_v))
                     assert exact_discrete.product_defect_tv(
-                        *cells, nums, nu, law_y, nu_v) \
+                        *cells, dict(enumerate(nums)), nu,
+                        dict(enumerate(law_y)), nu_v) \
                         == ((3 if prm.r > 0 else 2) * 201, 0, None)
                     # mass 1/1000 moved between adjacent states fails the
                     # cells of both states, over the cells x in [0, 200];
                     # it stays in [0, 200], so the mass beyond stays
                     beyond = 1000 * (den - sum(nums[x] for x in range(201)))
-                    law_y = {k: 1000 * w for k, w in law_y.items()}
+                    law_y = 1000 * law_y
                     for a, b in ((0, 1), (1, 0), (1, 2)):
-                        moved = {k: 1000 * w for k, w in nums.items()}
+                        moved = 1000 * nums
                         delta = min(den, moved[a])
                         moved[a] -= delta
                         moved[b] += delta
                         _, failing, _ = exact_discrete.product_defect_tv(
-                            *cells, moved, nu, law_y, nu_v)
+                            *cells, dict(enumerate(moved)), nu,
+                            dict(enumerate(law_y)), nu_v)
                         assert failing == 2 * len(nu)
+                        joint = (cells, (moved, 1000 * den), law_y, steps)
+                        mass, fails = exact_discrete.rrw_cell_fails(joint)
+                        assert fails.sum() == failing
                         assert not exact_discrete.rrw_verify_proof_identities(
-                            prm, (cells, (moved, 1000 * den), None, steps),
-                            beyond, exact_discrete._masses(
-                                *cells[:2], moved, nu)).passed
+                            prm, joint, beyond, mass, fails).passed
 
 
 # ---------------------------------------------------------------------------

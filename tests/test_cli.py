@@ -802,7 +802,9 @@ def test_rrw_characterize_fails_on_a_failing_cell(monkeypatch):
 
     def off_at_zero(params, box):
         nums, nums_y, den = forced(params, box)
-        return nums, {**nums_y, 0: nums_y[0] + 1}, den
+        nums_y = nums_y.copy()
+        nums_y[0] += 1
+        return nums, nums_y, den
 
     monkeypatch.setattr(exact_discrete, "rrw_forced_table", off_at_zero)
     stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3}

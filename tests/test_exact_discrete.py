@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from ipmaps.exact_discrete import (
-    RRWParams, _masses, _step_tables, cells, kdv_box, kdv_pushforward_tv,
-    product_defect_tv, pushforward_cells, rrw_forced_law, rrw_forced_table,
-    rrw_characterize, rrw_joint_table, rrw_verify_proof_identities,
+    RRWParams, _step_tables, _sums, cells, kdv_box, kdv_pushforward_tv,
+    product_defect_tv, pushforward_cells, rrw_cell_fails, rrw_forced_law,
+    rrw_forced_table, rrw_characterize, rrw_joint_table,
+    rrw_verify_proof_identities,
 )
 from ipmaps.involutions import catalog_get
 from ipmaps.laws import (
@@ -28,9 +29,17 @@ RRW_WIDE_GRID = RRW_GRID + ((0.3, 0.35, 0.35, None), (0.45, 0.55, 0.0, 0.05))
 
 
 def _fractions(table):
-    """A table (nums, den) as a {state: Fraction} law."""
+    """A table (nums, den), nums an array on the states 0, 1, ..., as a
+    {state: Fraction} law."""
     nums, den = table
-    return {k: Fraction(w, den) for k, w in nums.items()}
+    return {k: Fraction(w, den) for k, w in enumerate(nums)}
+
+
+def dense(table):
+    """A table ({state: num}, den) on states from 0 as (array, den)."""
+    nums, den = table
+    return np.array([nums.get(k, 0) for k in range(max(nums) + 1)],
+                    dtype=object), den
 
 
 def forced_table(params, box, y=False):
@@ -49,7 +58,7 @@ def perturbed_tables(params, box=200, moves=((0, 1), (1, 0), (1, 2))):
     nums, den = forced_table(params, box=box)
     out = []
     for a, b in moves:
-        moved = {k: 1000 * w for k, w in nums.items()}
+        moved = 1000 * nums
         delta = min(den, moved[a])
         moved[a] -= delta
         moved[b] += delta
@@ -58,9 +67,13 @@ def perturbed_tables(params, box=200, moves=((0, 1), (1, 0), (1, 2))):
 
 
 def with_x_table(joint, table):
-    """`joint` with the X table the proof identities read replaced."""
-    cells, _, mu_y, steps = joint
-    return cells, table, mu_y, steps
+    """`joint` with the X table the proof identities read replaced, it and
+    the forced Y table brought over one denominator."""
+    cells, (_, dx), mu_y, steps = joint
+    nums, den = table
+    common = math.lcm(dx, den)
+    return (cells, (nums * (common // den), common), mu_y * (common // dx),
+            steps)
 
 
 def beyond(joint):
@@ -70,11 +83,10 @@ def beyond(joint):
 
 
 def proof_identities(params, joint):
-    """The proof identities' report on `joint`, reading the masses of its
-    cells and the mass of X > box of its X table."""
-    (xs, us, _, _), (mu, _), _, (nu, _, _) = joint
+    """The proof identities' report on `joint`, reading the masses and the
+    cell verdicts of its cells and the mass of X > box of its X table."""
     return rrw_verify_proof_identities(params, joint, beyond(joint),
-                                       _masses(xs, us, mu, nu))
+                                       *rrw_cell_fails(joint))
 
 
 def identities(params, box, table=None):
@@ -96,12 +108,14 @@ def characterized_cells(params, box):
 
 def rrw_cells(params, box, law_x, law_y):
     """`product_defect_tv` on the cells x in [0, box], u in the step
-    support, with mu = law_x and mu' = law_y brought over one denominator."""
+    support, with mu = law_x and mu' = law_y, arrays on the states from 0,
+    brought over one denominator as dict tables."""
     (mu, dx), (mu_y, dy) = law_x, law_y
     den = math.lcm(dx, dy)
-    mu = {k: w * (den // dx) for k, w in mu.items()}
-    mu_y = {k: w * (den // dy) for k, w in mu_y.items()}
+    mu = dict(enumerate(mu * (den // dx)))
+    mu_y = dict(enumerate(mu_y * (den // dy)))
     nu, nu_v, _ = _step_tables(params)
+    nu_v = dict(zip((-1, 0, 1), nu_v))
     xs = np.repeat(np.arange(box + 1), len(nu))
     us = np.tile(list(nu), box + 1)
     ys, vs = catalog_get("reflecting_rw")(xs, us)
@@ -168,7 +182,7 @@ def test_forced_table_is_exact():
     pmf = _fractions((nums, den))
     assert pmf[0] == Fraction(3, 5)
     assert pmf[1] == Fraction(3, 5) * Fraction(2, 5)
-    assert Fraction(den - sum(nums.values()), den) == Fraction(2, 5) ** 51
+    assert Fraction(den - nums.sum(), den) == Fraction(2, 5) ** 51
 
 
 def test_forced_law_of_y_swaps_the_parity_weights():
@@ -178,10 +192,10 @@ def test_forced_law_of_y_swaps_the_parity_weights():
     assert [pmf_y[k] / pmf_x[k] for k in range(4)] == \
         [params.q / params.qprime, params.p / params.pprime] * 2
     # at r > 0 both are the one geometric table, and at r = 0 where p' = p
-    # both are X's
-    for grid in ((0.2, 0.5, 0.3), (0.3, 0.7, 0, 0.3)):
+    # both are X's array
+    for grid in ((0.2, 0.5, 0.3), (0.3, 0.7, 0, 0.3), (0.3, 0.7, 0, 0.2)):
         nums, nums_y, _ = rrw_forced_table(RRWParams.make(*grid), 9)
-        assert nums_y is nums
+        assert np.shares_memory(nums, nums_y) == (grid[-1] != 0.2)
 
 
 def _ref_pmf(law):
@@ -226,7 +240,7 @@ def test_law_table_is_each_law_in_integers(law, hi):
 
 def test_law_table_reads_parameters_as_decimals():
     # 1 - 0.7 is the float 0.30000000000000004, not 3/10
-    assert _fractions(truncate(Bernoulli(0.7), 1)[:2]) == \
+    assert _fractions(dense(truncate(Bernoulli(0.7), 1)[:2])) == \
         {0: Fraction(3, 10), 1: Fraction(7, 10)}
     nums, den, tail = truncate(Geometric(0.4), 5)
     assert Fraction(tail, den) == Fraction(2, 5) ** 6
@@ -252,7 +266,7 @@ def test_joint_from_point_mass_at_zero():
         [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
     assert list(zip(ys.tolist(), vs.tolist())) == \
         [(0, -1), (0, 0), (1, -1), (0, 1), (1, 0), (2, -1)]
-    mu = {0: 1, 1: 0, 2: 0}
+    mu = np.array([1, 0, 0], dtype=object)
     law = {(y, v): Fraction(mu[x] * nu[u], du)
            for x, u, y, v in zip(xs.tolist(), us.tolist(), ys.tolist(),
                                  vs.tolist()) if mu[x]}
@@ -273,7 +287,7 @@ def test_table_denominator_does_not_change_a_report(grid):
     params = RRWParams.make(*grid)
     for (_, law_x) in perturbed_tables(params, box=30):
         nums, den = law_x
-        scaled = ({k: 7 * w for k, w in nums.items()}, 7 * den)
+        scaled = (7 * nums, 7 * den)
         a, b = identities(params, 30, law_x), identities(params, 30, scaled)
         assert not a.passed
         assert a.details == b.details
@@ -289,7 +303,9 @@ def test_forced_law_gives_zero_defect():
 
 def test_wrong_law_gives_visible_defect():
     params = RRWParams.make(0.2, 0.5, 0.3)
-    table = ({k: 2 ** (201 - k) for k in range(202)}, 2 ** 202)  # 2^-(k+1)
+    # 2^-(k+1)
+    table = (np.array([2 ** (201 - k) for k in range(202)], dtype=object),
+             2 ** 202)
     cells, failing, witness = rrw_cells(
         params, 200, table, forced_table(params, 201, y=True))
     assert (cells, witness) == (603, (0, -1))
@@ -416,7 +432,8 @@ def test_identities_reject_a_geometric_law_of_the_wrong_rate(box):
     params = RRWParams.make(0.2, 0.5, 0.3)
     for theta in (Fraction(1, 5), Fraction(2, 5), Fraction(1, 2),
                   Fraction(3, 5)):
-        report = identities(params, box, _geometric_table(theta, 0, box + 1))
+        report = identities(params, box,
+                            dense(_geometric_table(theta, 0, box + 1)))
         assert report.passed == (theta == Fraction(2, 5)), (theta, report)
 
 
@@ -427,8 +444,10 @@ def test_identities_reject_a_wrong_geometric_law_at_box_1(grid):
     theta = params.p / params.q
     if params.pprime == params.p:
         theta /= 2
-        assert identities(params, 1, _geometric_table(2 * theta, 0, 2)).passed
-    assert not identities(params, 1, _geometric_table(theta, 0, 2)).passed
+        assert identities(params, 1,
+                          dense(_geometric_table(2 * theta, 0, 2))).passed
+    assert not identities(params, 1,
+                          dense(_geometric_table(theta, 0, 2))).passed
 
 
 def test_perturbed_tables_all_break_independence():
@@ -674,7 +693,7 @@ def test_integer_tables_match_fraction_reference(grid):
         nums, den = forced_table(params, box=box)
         pmf, tail = _ref_forced_table(params, box)
         assert _fractions((nums, den)) == pmf
-        assert Fraction(den - sum(nums.values()), den) == tail
+        assert Fraction(den - nums.sum(), den) == tail
         assert _fractions(forced_table(params, box, y=True)) == \
             _ref_forced_table(params, box, y=True)[0]
         forced = forced_table(params, box + 1)
@@ -687,6 +706,57 @@ def test_integer_tables_match_fraction_reference(grid):
             # the comparison covers failing states
             assert (table is forced) == all(
                 r["failing"] == 0 for r in details.values())
+
+
+def _branches(joint):
+    """Per state y <= box - 1, whether the proof identities multiply out
+    mass du = my(y) nu'(v) there, Y's summed law my(y) being off the forced
+    Y law times du; and whether a failing cell verdict is read at the
+    other states."""
+    (xs, _, ys, _), _, mu_y, (_, _, du) = joint
+    box = int(xs[-1])
+    mass, fails = rrw_cell_fails(joint)
+    _, my = _sums(ys, mass)
+    off = my[:box] != mu_y[:box] * du
+    reused = (ys <= box - 1) & ~off[np.minimum(ys, box - 1)]
+    return off, bool(fails[reused].any())
+
+
+@pytest.mark.parametrize("grid", RRW_WIDE_GRID, ids=str)
+def test_identities_reading_cell_verdicts_match_a_direct_reference(grid):
+    # where Y's summed law is the forced Y law times du, a per-state identity
+    # reads the cell check's verdict, and elsewhere it is multiplied out; the
+    # reference decides every state in Fractions and reads no cell verdict.
+    # The forced tables read the verdicts at every state; Y's table off at
+    # y = 0 (as `off_at_zero` in test_cli.py) and X with mass moved
+    # (`perturbed_tables`) take the direct branch at some states
+    params = RRWParams.make(*grid)
+    reused_failing = False
+    for box in range(1, 41):
+        joint = rrw_joint_table(params, box)
+        cells, x_table, mu_y, steps = joint
+        off_y = mu_y.copy()
+        off_y[0] += 1
+        cases = [joint, (cells, x_table, off_y, steps)] + [
+            with_x_table(joint, table)
+            for _, table in perturbed_tables(params, box + 1)]
+        for i, case in enumerate(cases):
+            details = proof_identities(params, case).details
+            got = {name: tuple(r[k] for k in ("checked", "failing",
+                                              "first_failing"))
+                   for name, r in details.items()}
+            assert got == _ref_identities(params, _fractions(case[1]), box)
+            off, failing = _branches(case)
+            if i < 2:   # forced, or off at y = 0 alone
+                assert off.tolist() == [i == 1] + [False] * (box - 1)
+            else:       # moved mass: both branches from box 5 on
+                assert off.any() or box == 1
+                assert not off.all() or box < 5
+            reused_failing |= failing
+    # mass moved between 0 and 1 leaves my(0) as it was at r = 0, and mass
+    # moved from 1 to 2 leaves my(1) at q = r, while cells that reach that
+    # y fail: their failing verdicts are read
+    assert reused_failing == (params.r == 0 or params.q == params.r)
 
 
 @pytest.mark.parametrize("grid", [g for g in RRW_GRID if g[2] == 0], ids=str)

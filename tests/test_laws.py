@@ -246,11 +246,17 @@ BLOCKWISE_LAWS = [Gamma(2, 1), BetaI(2, 3), BetaI(1, 5), UniformUnit(),
 
 def whole_batch_draws(law, gen, n):
     """One whole batch of numpy draws: ParityGeom's n parities, then its
-    n geometric values; every other law's `_draws`."""
+    n geometric values; ThreePoint's n uniforms through two nested
+    `np.where`; every other law's `_draws` into one n-point array."""
     if isinstance(law, ParityGeom):
         parity = (gen.random(n) < law.podd).astype(np.int64)
         return 2 * (gen.geometric(1.0 - law.rho ** 2, n) - 1) + parity
-    return np.asarray(law._draws(gen, n))
+    if isinstance(law, ThreePoint):
+        u = gen.random(n)
+        return np.where(u < law.p, 1, np.where(u < law.p + law.q, -1, 0))
+    out = np.empty(n, np.int64 if law.is_discrete else float)
+    law._draws(gen, out)
+    return out
 
 
 @pytest.mark.parametrize("law", BLOCKWISE_LAWS, ids=repr)
@@ -266,7 +272,7 @@ def test_blockwise_draws_are_the_whole_batch(law):
     assert law.sample(into, n, out) is out
     assert drawn.dtype == (np.int64 if law.is_discrete else np.float64)
     assert np.array_equal(drawn, expected)
-    assert np.array_equal(out, expected)
+    assert out.tobytes() == expected.astype(float).tobytes()   # no -0.0
     after = [stream.gen.random(4) for stream in (whole, blocked, into)]
     assert np.array_equal(after[0], after[1])
     assert np.array_equal(after[0], after[2])

@@ -36,9 +36,10 @@ def _involution(name, n):
 CASES = {
     "ip:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1)), True),
-    # X (then Y) and U (then V), both int64, and one block of each law's
-    # draw temporaries, one law on each thread: 4.01-4.05 columns at N
-    "ip:reflecting_rw:parity_geom": (4.75, partial(
+    # X (then Y) and U (then V), both int64: 3.41 columns at N in 38 runs
+    # of 38, set after the draw, which reads 3.00 with each law holding its
+    # uniforms and at most one block beside them
+    "ip:reflecting_rw:parity_geom": (3.5, partial(
         _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
         ThreePoint(0.3, 0.7, 0)), True),
     "ip:beta_walk:product": (5, partial(
@@ -46,9 +47,9 @@ CASES = {
     "reversibility:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1),
         check=check_reversibility_statistical), True),
-    # X and U (then Y), both int64: the draw's peak, as in ip, 4.01-4.05
-    # columns at N; a float copy of Y beside them would read 4.34
-    "reversibility:reflecting_rw:parity_geom": (4.25, partial(
+    # X and U (then Y), both int64: 3.34-3.36 columns at N in 38 runs; a
+    # float copy of Y beside them reads 4.36
+    "reversibility:reflecting_rw:parity_geom": (3.5, partial(
         _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
         ThreePoint(0.3, 0.7, 0), check=check_reversibility_statistical),
         True),
