@@ -455,9 +455,9 @@ def map_blocks(h, xs, us, into):
     """h(xs, us) made a block at a time: a list of one array per part of its
     value, each of its first block's dtype, written over into[i], an array
     that nothing reads after h, where the dtypes agree (h is pointwise).
-    The first half block is made, and the output allocated, on this thread;
-    the other half blocks are dealt (`deal`), so that the two blocks in
-    flight hold the temporaries of one."""
+    The first quarter block is made, and the output allocated, on this
+    thread; the other quarter blocks are dealt (`deal`), so that the two in
+    flight hold the temporaries of half a block."""
     out = None
 
     def fill(s):
@@ -470,8 +470,8 @@ def map_blocks(h, xs, us, into):
             o[s] = p
         del parts, p   # free this block before h makes the next
 
-    fill(slice(0, BLOCK // 2))
-    deal(lambda s: s.start and fill(s), len(xs), BLOCK // 2)
+    fill(slice(0, BLOCK // 4))
+    deal(lambda s: s.start and fill(s), len(xs), BLOCK // 4)
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import laws, stat_tests
 from .exact_discrete import _masses, _sums, _tally, cell_report, cells
-from .involutions import blocks, concurrently, map_blocks
+from .involutions import concurrently, map_blocks
 from .reports import verdict
 from .stat_tests import DEFAULT_LEVEL
 
@@ -83,12 +83,12 @@ def _gof_against_law(s, law, level=DEFAULT_LEVEL):
     its exact tail; continuous laws use equiprobable quantile bins.
     """
     n = s.n
+    inside = partial(_inside, law=law)
     # sorted with NaNs last, the ends bound every draw of a continuous law
-    checked = ((run[b] for run in s.runs for b in blocks(len(run)))
-               if law.is_discrete else [s[[0, -1]]])
-    if not all(_inside(v, law).all() for v in checked):
+    outside = (n - s.count(inside)
+               if law.is_discrete or not inside(s[[0, -1]]).all() else 0)
+    if outside:
         # a structural failure: no chi-square can pass it
-        outside = n - sum(int(_inside(run, law).sum()) for run in s.runs)
         return stat_tests.TestResult(
             np.inf, 0.0, (n,), "chi2_gof", False, level,
             {"outside_support": outside,
@@ -164,19 +164,23 @@ def check_ip_statistical(pair, mu, nu, n, rng, level=DEFAULT_LEVEL):
     # Y and each V in one pass, over the arrays of X and each U
     columns = map_blocks(h, xs, us, into=(xs, *us) if product else (xs, us))
     del xs, us
+    drawn = [mu, *nu] if product else [mu, nu]
 
-    def marginal(law):
-        # GOF and labels, the halves sorted on both cores in a buffer made here
-        column = columns.pop(0)
+    def marginal(i):
+        # GOF and labels of column i, which is freed here: the integer ones
+        # (tables) first, so that each is freed before a float one is sorted
+        column, columns[i] = columns[i], None
         s = stat_tests.SortedColumn(column)
-        return (_gof_against_law(s, law, level=level),
+        return (_gof_against_law(s, drawn[i], level=level),
                 stat_tests.binned(s, column))
 
+    done = {i: marginal(i) for i in sorted(
+        range(len(drawn)), key=lambda i: columns[i].dtype.kind != "i")}
     checks = {}
-    checks["y_marginal"], y = marginal(mu)
-    for i, law in enumerate(nu if product else [nu]):
-        key = f"_{i}" if product else ""
-        checks["v_marginal" + key], v = marginal(law)
+    checks["y_marginal"], y = done[0]
+    for i in range(1, len(drawn)):
+        key = f"_{i - 1}" if product else ""
+        checks["v_marginal" + key], v = done[i]
         checks["independence" + key] = stat_tests.independence_test(
             y, v, level=level)
 

@@ -2,8 +2,10 @@
 
 All tests are deterministic functions of their inputs, use asymptotic
 p-values, and enforce binning rules that keep expected cell counts >= 5.
-A column of more than one block is sorted as two runs, labelled and
-tabulated on both cores, into arrays made on the calling thread.
+An integer column of fewer values than points is counted into a table
+and labelled on the calling thread; any other of more than one block is
+sorted as two runs and labelled on both cores. Contingency tables are
+counted on both cores. Every array is made on the calling thread.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .involutions import BLOCK, concurrently, deal
+from .involutions import BLOCK, blocks, concurrently, deal
 
 DEFAULT_LEVEL = 0.001
 
@@ -124,13 +126,29 @@ def chi2_gof(counts, probs, level=DEFAULT_LEVEL):
 # ---------------------------------------------------------------------------
 
 class SortedColumn:
-    """np.sort(column) read off sorted runs, never merged: a rank sums the
-    runs' ranks, an order statistic is a binary search across two runs
-    (Frederickson & Johnson 1982). Parts (a lone one halved) are copied as
-    floats into a buffer made here, each sorted in place on its own core."""
+    """np.sort(column), read as floats without laying it out. An integer
+    column spanning fewer integers than it has points is a table of ends[j],
+    its count below values[j] (lo..hi), one np.bincount a block. Any other
+    is sorted runs, never merged: a rank sums the runs' ranks, an order
+    statistic a binary search across two runs (Frederickson & Johnson 1982).
+    Parts (a lone one halved) are copied as floats into a buffer made here,
+    each sorted in place on its own core."""
 
     def __init__(self, *parts):
         self.n = n = sum(map(len, parts))
+        self.values = None
+        if n and all(p.dtype.kind == "i" for p in parts):
+            lo = min(int(p.min()) for p in parts)
+            hi = max(int(p.max()) for p in parts)
+            if hi - lo < n:   # one thread: np.bincount holds the GIL
+                self.values = np.arange(lo, hi + 1.0)
+                self.ends = np.zeros(hi - lo + 2, np.int64)
+                for p in parts:
+                    for b in blocks(len(p)):
+                        self.ends[1:] += np.bincount(p[b] - lo,
+                                                     minlength=hi - lo + 1)
+                np.cumsum(self.ends, out=self.ends)
+                return
         if n <= BLOCK:
             self.runs = [np.concatenate(parts, dtype=float)]
             return self.runs[0].sort()   # at most a block: one run
@@ -142,28 +160,52 @@ class SortedColumn:
         concurrently(n, *(partial(fill, *rp) for rp in zip(self.runs, parts)))
 
     def searchsorted(self, v, side="left"):
+        if self.values is not None:
+            return self.ends[self.values.searchsorted(v, side)]
         return sum(run.searchsorted(v, side) for run in self.runs)
 
+    def count(self, where):   # of the values v with where(v), by blocks
+        if self.values is not None:
+            return int(np.diff(self.ends) @ where(self.values))
+        return sum(int(where(run[b]).sum())
+                   for run in self.runs for b in blocks(len(run)))
+
     def above(self, v):   # the least value sorted after v, or None
+        if self.values is not None:
+            k = self.searchsorted(v, "right")
+            return self[k] if k < self.n else None
         found = [run[i] for run in self.runs
                  if (i := run.searchsorted(v, "right")) < len(run)]
         return reduce(np.fmin, found) if found else None
 
     def __getitem__(self, k):
         """The order statistics at k, an index or an array of them."""
-        if len(self.runs) == 1:
-            return self.runs[0][k]
+        if self.values is not None:   # values[j], the first with ends[j+1] > k
+            return self.values[self.ends.searchsorted(np.asarray(k) % self.n,
+                                                      "right") - 1]
+        return self.runs[0][k] if len(self.runs) == 1 else self.bracket(k)[0]
+
+    def bracket(self, k):
+        """s[k] and s[k + 1] (s[k] again at the last index), of one search."""
         k = np.asarray(k) % self.n
-        # a[i] stands at i + b.searchsorted(a[i]), a's ties first: bisect to k
+        k1 = np.minimum(k + 1, self.n - 1)
+        if self.values is not None or len(self.runs) == 1:
+            return self[k], self[k1]
+        # a[i] stands at i + b.searchsorted(a[i]), a's ties first: j, the
+        # last of a's values among the k least, is found bit by bit
         a, b = self.runs
-        lo, hi = np.maximum(k - len(b), 0), np.minimum(k, len(a))
-        while (lo < hi).any():
-            mid = np.minimum((lo + hi) // 2, len(a) - 1)
-            past = mid + b.searchsorted(a[mid]) >= k
-            lo, hi = np.where(past, lo, mid + 1), np.where(past, mid, hi)
-        i = np.minimum(lo, len(a) - 1)
-        in_a = (lo < len(a)) & (i + b.searchsorted(a[i]) == k)
-        return np.where(in_a, a[i], b[np.minimum(k - lo, len(b) - 1)])[()]
+        j, last = np.maximum(k - len(b), 0) - 1, np.minimum(k, len(a)) - 1
+        for step in 1 << np.arange(int((last - j).max()).bit_length())[::-1]:
+            i = np.minimum(j + step, last)   # j itself where no step fits
+            j = np.where(i + b.searchsorted(a[i]) < k, i, j)
+        found = []
+        for at in (k, k1):   # a[j + 1] if it stands at `at`, else b[at-j-1]
+            i = np.minimum(j + 1, len(a) - 1)
+            in_a = (j + 1 < len(a)) & (i + b.searchsorted(a[i]) == at)
+            found.append(np.where(in_a, a[i],
+                                  b[np.minimum(at - j - 1, len(b) - 1)])[()])
+            j = j + (in_a & (k1 > k))
+        return tuple(found)
 
 
 def _binning(s, max_bins, *samples):
@@ -180,7 +222,7 @@ def _binning(s, max_bins, *samples):
         edges, side = np.unique(qs), "right"
     else:
         edges, side = np.array(uniq), "left"
-    return ([_labels(edges, v, side) for v in samples],
+    return ([_labels(s, edges, v, side) for v in samples],
             len(edges) + (side == "right"))
 
 
@@ -190,16 +232,23 @@ def _quantiles(s, q):
     arithmetic, where a NaN (sorted last) makes every quantile NaN."""
     at = (s.n - 1) * q
     i = np.where(at >= s.n - 1, -1, np.floor(at)).astype(np.intp)
-    (lo, hi), t = s[np.array([i, np.where(i < 0, i, i + 1)])], at - i
+    (lo, hi), t = s.bracket(i), at - i
     out = np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
     return np.where(np.isnan(s[-1]), s[-1], out)
 
 
-def _labels(edges, values, side):
-    """np.searchsorted(edges, values, side) as one comparison per edge, a
-    block at a time, alternate blocks on the two cores."""
-    above = np.greater if side == "left" else np.greater_equal
+def _labels(s, edges, values, side):
+    """np.searchsorted(edges, values, side) of a part of the SortedColumn s,
+    a block at a time: for a table one lookup into the labels of its
+    values, else one comparison per edge, alternate blocks on two cores."""
     labels = np.zeros(len(values), dtype=np.min_scalar_type(len(edges)))
+    if s.values is not None:
+        table = np.searchsorted(edges, s.values, side).astype(labels.dtype)
+        lo = int(s.values[0])
+        for b in blocks(len(values)):   # faster on one core than on two
+            np.take(table, values[b] - lo, mode="clip", out=labels[b])
+        return labels
+    above = np.greater if side == "left" else np.greater_equal
     def fill(b):
         v, out = values[b], labels[b]
         for edge in edges:
@@ -301,7 +350,7 @@ def exchangeability_test(a, b, level=DEFAULT_LEVEL, min_n=200):
     half = n // 2
     bins = 10 if half >= 10_000 else 5
     # per pooled column, the first half as-is and the second half swapped:
-    # its pieces sorted on both cores as the runs of a buffer made here
+    # its pieces counted, or sorted on both cores as the runs of a buffer
     ((ia_a, ia_b), ka), ((ib_a, ib_b), kb) = (
         _bin_indices_from(*h, bins) for h in (
             (a[:half], b[half:2 * half]), (b[:half], a[half:2 * half])))

@@ -10,7 +10,7 @@ from scipy import stats
 
 from ipmaps import involutions, kernels, stat_tests
 from ipmaps.involutions import BLOCK
-from ipmaps.laws import Gamma, Geometric, UniformUnit
+from ipmaps.laws import Gamma, Geometric, ThreePoint, UniformUnit
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import (
     SortedColumn, StatTestError, _bin_indices_from, _binning, bin_counts,
@@ -451,6 +451,9 @@ def test_two_runs_read_as_the_full_sort(n, name, monkeypatch):
                RandomStream(233).gen.integers(0, n, 200)]
     assert np.array_equal(_bits(s[ks]), _bits(full[ks]))
     assert np.array_equal(_bits(s[-1]), _bits(full[-1]))
+    # each order statistic and the next, the last one twice
+    for got, want in zip(s.bracket(ks), (ks, np.minimum(ks + 1, n - 1))):
+        assert np.array_equal(_bits(got), _bits(full[want]))
     probes = np.r_[values[ks], np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300]
     for side in ("left", "right"):
         assert np.array_equal(s.searchsorted(probes, side),
@@ -481,3 +484,112 @@ def test_two_runs_read_as_the_full_sort(n, name, monkeypatch):
     monkeypatch.setattr(stat_tests, "_table", _ref_table)
     assert _same(ind, _independence(values, other))
     assert _same(exc, exchangeability_test(values, other))
+
+
+# ---------------------------------------------------------------------------
+# an integer column of fewer values than points, read off a table of counts
+# ---------------------------------------------------------------------------
+
+# one block less a few points, and more than two blocks
+TABLE_SIZES = (BLOCK - 5, 2 * BLOCK + 1)
+
+
+def _integer_inputs(n):
+    """name -> the parts of a pooled integer column of n points."""
+    gen = RandomStream(239).gen
+    return {
+        "geometric": (gen.geometric(0.6, n) - 1,),
+        "negative": (gen.integers(-7, 3, n),),
+        "one_value": (np.full(n, -4, np.int64),),
+        # as exchangeability_test pools them: two halves of other ranges
+        "two_parts": (gen.integers(-3, 4, n // 2),
+                      gen.integers(0, 12, n - n // 2)),
+        "gaps": (3 * gen.integers(-5, 5, n),),
+    }
+
+
+TABLE_CASES = [(n, name) for n in TABLE_SIZES
+               for name in sorted(_integer_inputs(8))]
+
+
+@pytest.mark.parametrize("n,name", TABLE_CASES)
+def test_table_reads_as_the_full_sort(n, name):
+    parts = _integer_inputs(n)[name]
+    s, full = SortedColumn(*parts), np.sort(np.concatenate(parts))
+    full = full.astype(float)
+    assert s.values is not None    # a table, no sorted copy
+    ks = np.arange(-n, n)
+    got = s[ks]
+    assert got.dtype == float and np.array_equal(got, full[ks])
+    for k in (0, 1, n // 2, n - 1, -1, -n):
+        assert type(s[k]) is np.float64 and s[k] == full[k]
+    at = ks % n   # each order statistic and the next, the last one twice
+    for got, want in zip(s.bracket(ks), (at, np.minimum(at + 1, n - 1))):
+        assert np.array_equal(got, full[want])
+    # at every value, between values, beyond both ends, and NaN and inf
+    probes = np.r_[np.unique(full), np.unique(full) + 0.5, full[0] - 1.5,
+                   -0.0, np.nan, np.inf, -np.inf]
+    for side in ("left", "right"):
+        assert np.array_equal(s.searchsorted(probes, side),
+                              np.searchsorted(full, probes, side))
+        assert s.searchsorted(full[-1], side) == np.searchsorted(
+            full, full[-1], side)
+    for v in np.r_[full[0] - 1, np.unique(full), full[-1] + 0.5]:
+        later = full[full > v]
+        assert s.above(v) == (later[0] if len(later) else None)
+    assert s.count(lambda v: v >= 0) == (full >= 0).sum()
+    # categorical and quantile labels, each searchsorted(edges, v, side)
+    kinds = set()
+    for bins in (5, 10, 50):
+        labels, k = _binning(s, bins, *parts)
+        if len(parts) == 1:
+            ref, ref_k = _ref_bin_indices(parts[0], bins)
+            ref = [ref]
+        else:
+            ref, ref_k = _ref_bin_indices_from(*parts, bins)
+        assert k == ref_k
+        for got_labels, want in zip(labels, ref):
+            assert np.array_equal(got_labels.astype(np.int64), want)
+        kinds.add(k == len(np.unique(full)))
+        q = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+        assert np.array_equal(stat_tests._quantiles(s, q),
+                              np.quantile(full, q))
+    if len(np.unique(full)) > 5:
+        assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+def test_integer_column_of_wide_range_is_sorted(n):
+    # n values over more than n integers: two sorted runs, or one
+    values = RandomStream(241).gen.integers(-n, 2 * n, n)
+    s, full = SortedColumn(values), np.sort(values).astype(float)
+    assert s.values is None
+    assert len(s.runs) == (2 if n > BLOCK else 1)
+    ks = np.r_[0, 1, n // 2, n - 2, n - 1, -1]
+    assert np.array_equal(s[ks], full[ks])
+    for side in ("left", "right"):
+        assert np.array_equal(s.searchsorted(full[::97] + 0.5, side),
+                              np.searchsorted(full, full[::97] + 0.5, side))
+    (labels,), k = _binning(s, 10, values)
+    ref, ref_k = _ref_bin_indices(values, 10)
+    assert k == ref_k and np.array_equal(labels.astype(np.int64), ref)
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+@pytest.mark.parametrize("law,outside", [
+    # three draws below the support, and two above it
+    (Geometric(0.4), {3: -2, 70: -1, -1: -1}),
+    (ThreePoint(0.2, 0.5, 0.3), {5: 2, -2: 3}),
+    (Gamma(2.0, 1.0), {0: -1, 9: -3}),
+])
+def test_gof_outside_support_of_a_table_matches_its_float_copy(n, law,
+                                                                outside):
+    lo = int(law.support_lo)
+    draws = RandomStream(251).gen.integers(lo, lo + 3, n)
+    draws[list(outside)] = list(outside.values())
+    table, runs = SortedColumn(draws), SortedColumn(draws.astype(float))
+    assert table.values is not None and runs.values is None
+    res = kernels._gof_against_law(table, law)
+    assert res.flags["outside_support"] == len(outside)
+    assert res.flags["reason"].startswith(f"{len(outside)} of {n} draws")
+    assert _same(res, kernels._gof_against_law(runs, law))

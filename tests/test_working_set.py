@@ -36,20 +36,27 @@ def _involution(name, n):
 CASES = {
     "ip:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1)), True),
-    # X (then Y) and U (then V), both int64: 3.41 columns at N in 38 runs
-    # of 38, set after the draw, which reads 3.00 with each law holding its
-    # uniforms and at most one block beside them
-    "ip:reflecting_rw:parity_geom": (3.5, partial(
+    # X (then Y) and U (then V), both int64, each counted into a table, not
+    # copied: 2.99-3.04 columns at N, set by the draw, with each law holding
+    # its uniforms and at most one block beside them; the map reads at most
+    # 2.83
+    "ip:reflecting_rw:parity_geom": (3.1, partial(
         _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
         ThreePoint(0.3, 0.7, 0)), True),
-    "ip:beta_walk:product": (5, partial(
+    # Y and V1 floats, V0 int64: V0 is counted into a table and freed
+    # before Y is copied and sorted, so the marginals read at most 3.46
+    # columns at N. The draw of the three laws at once, each beside a block
+    # of temporaries (a third of a column at N), reads 3.70-4.03 and sets
+    # the peak, and the map reads at most 3.85; at 10^6 draws, where a
+    # block is a fifteenth of a column, the stanza reads 3.28 columns.
+    "ip:beta_walk:product": (4.25, partial(
         _ip, "beta_walk", BetaI(2, 3), (Bernoulli(0.4), BetaI(1, 5))), False),
     "reversibility:matsumoto_yor:gig-gamma": (4, partial(
         _ip, "matsumoto_yor", GIG(2, 1), Gamma(2, 1),
         check=check_reversibility_statistical), True),
-    # X and U (then Y), both int64: 3.34-3.36 columns at N in 38 runs; a
-    # float copy of Y beside them reads 4.36
-    "reversibility:reflecting_rw:parity_geom": (3.5, partial(
+    # X and U (then Y), both int64, the pooled halves counted into a table,
+    # not copied: 2.80-3.04 columns at N, set by the draw
+    "reversibility:reflecting_rw:parity_geom": (3.1, partial(
         _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
         ThreePoint(0.3, 0.7, 0), check=check_reversibility_statistical),
         True),
