@@ -42,7 +42,8 @@ def augment(spec):
             return tuple(np.where(unique, b, v) for b, v in zip(back, u))
         return np.where(unique, back, u)
 
-    return dataclasses.replace(spec, name=f"augmented:{spec.name}", g=g_f)
+    return dataclasses.replace(spec, name=f"augmented:{spec.name}", g=g_f,
+                               h=None)
 
 
 _NOTES = {"symmetry": "reverse pair (y,x) is not accessible",

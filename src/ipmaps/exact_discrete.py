@@ -3,24 +3,18 @@ characterization, the ultra-discrete KdV product law, Burke's integer
 fields and exact detailed balance.
 
 Probabilities are exact rationals (floats are read as their shortest
-decimal). Every table is integer numerators over one integer denominator,
-so every identity is one integer equality and a verdict counts the states
-where it fails. A catalog law's table is the dict of `laws.truncate`; every
-verdict enumerates its cells in x-major order with `cells`. One cell
-identity, `product_defect_tv`, decides the product law of an integer map
-(`pushforward_cells` for two laws, as `kdv-tv` and Burke's integer fields
-use it). It gathers each table into object arrays, one lookup per state,
-makes each cell's mass mu(x) nu(u) (`_masses`) once and compares it with
-the image's product a block of cells at a time; `cell_report` puts its
-result, or detailed balance's tally of state pairs, in a report. `_sums`,
-the one pushforward, gives the laws of Y and V and detailed balance's
-flux. `rrw_characterize` is the walk's whole verdict on one joint table,
-its forced laws dense arrays read by index and its cell masses one outer
-product, which the cell identity, those laws and the per-state proof
-identities all read, the last reading the cell verdicts where Y's summed
-law is the forced one; no truncation tail enters a verdict. The mass of
-X > box is summed once. A reported probability is `num / den` of two
-ints, which Python rounds correctly, as `float(Fraction(num, den))`.
+decimal). One cell identity, `product_defect_tv`, decides the product law
+of an integer map (`pushforward_cells`, for `kdv-tv` and Burke's integer
+fields) on exponent vectors of the laws' factored tables (`laws.factors`),
+with no big integer made. What sums masses reads big-integer numerators
+over one denominator (`laws.truncate`): detailed balance's fluxes, and
+`rrw_characterize`, the walk's whole verdict on one joint table, whose
+cell masses (one outer product) its cell identity and per-state proof
+identities both read. `_sums`, the one pushforward, gives the laws of Y
+and V and detailed balance's flux. Every verdict enumerates its cells in
+x-major order with `cells`; `cell_report` puts a tally in a report. The
+mass of X > box is summed once, and no truncation tail enters a verdict.
+A reported probability is `num / den` of two ints, correctly rounded.
 """
 
 from __future__ import annotations
@@ -34,7 +28,8 @@ import numpy as np
 from . import laws
 from .involutions import blocks, catalog_get
 from .laws import (Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom,
-                   _frac, _geometric_table, _integer_weights)
+                   _frac, _geometric_factors, _integer_weights,
+                   _multiply_out)
 from .reports import verdict
 
 
@@ -101,22 +96,22 @@ def rrw_forced_law(params):
 def rrw_forced_table(params, box):
     """Exact pmfs on {0..box} of the forced law of X and of the law of
     Y = (X + U)^+ it gives, (x, y, den): dense object arrays of numerators
-    indexed by the state over one den, read off `laws.truncate`'s theta^k
-    tabulation. At r>0 both are the geometric law, one array; at r=0, in
-    one multiply, the weight of k's pair times its parity weight
-    (P(k even), P(k odd)), (q', p') for X and (q, p) for Y, one row where
-    p' = p."""
+    indexed by the state over one den, multiplied out from the factored
+    geometric table of `laws.truncate`. At r>0 both are the geometric law,
+    one array; at r=0, in one multiply, the weight of k's pair times its
+    parity weight (P(k even), P(k odd)), (q', p') for X and (q, p) for Y,
+    one row where p' = p."""
     if params.r > 0:
-        nums, den = _geometric_table(params.p / params.q, 0, box)
-        x = np.array(list(nums.values()), dtype=object)
+        _, atoms, exps, den = _geometric_factors(params.p / params.q, 0, box)
+        x = _multiply_out(atoms, exps)
         return x, x, den
     # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w one of the parity weights;
     # where p' = p, (q', p') = (q, p) and Y has X's law and row
-    pairs, dp = _geometric_table(params.rho2, 0, box // 2)
+    _, atoms, exps, dp = _geometric_factors(params.rho2, 0, box // 2)
     w, dw = _integer_weights(dict(enumerate((params.qprime, params.pprime) + (
         params.q, params.p) * (params.pprime != params.p))))
     k = np.arange(box + 1)
-    xy = np.array(list(pairs.values()), dtype=object)[k // 2] * np.array(
+    xy = _multiply_out(atoms, exps)[k // 2] * np.array(
         list(w.values()), dtype=object).reshape(-1, 2)[:, k % 2]
     return xy[0], xy[-1], dw * dp
 
@@ -168,35 +163,81 @@ def rrw_cell_fails(joint):
     return mass, _unequal(mu_y[ys], nu_v[vs + 1], mass)
 
 
-def _gather(table, keys):
-    """The weight of `table` at each of `keys`, 0 off it, as an object array
-    of ints: one lookup per integer of the keys' range, if no longer than
-    the keys, else per distinct key."""
-    lo, hi = (keys.min(), keys.max()) if len(keys) else (0, -1)
-    states, at = ((range(lo, hi + 1), keys - lo) if hi - lo < len(keys) else
-                  np.unique(keys, return_inverse=True))
-    return np.array([table.get(k, 0) for k in states], dtype=object)[at]
-
-
 def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     """The cells (xs, us), in x-major order, at which
     mu_out(y) nu_out(v) = mu(x) nu(u) fails, with (ys, vs) = H(xs, us).
 
     H is an involution, hence a bijection, so H#(mu (x) nu) = mu_out (x)
     nu_out holds exactly when the identity holds at every cell. The laws
-    are integer numerator tables whose products on either side are over
-    one denominator (mu_out over mu's and nu_out over nu's, say), so each
-    cell is one integer comparison; a state off a table has weight 0.
-    Returns the number of cells, the number that fail and the first
-    failing cell (None when none fails).
+    are factored tables (`laws.factors`), each side's products over one
+    denominator; a state off a table has weight 0. Over one pairwise
+    coprime base of their atoms a positive integer has one exponent
+    vector, so a cell holds when both sides are 0 or have one vector, each
+    read as one integer. Returns the number of cells, the number that fail
+    and the first failing cell (None when none fails).
     """
-    return _tally(xs, us, _unequal(_gather(mu_out, ys), _gather(nu_out, vs),
-                                   _masses(xs, us, mu, nu)))
+    tables = {id(t): t for t in (mu, nu, mu_out, nu_out)}
+    base = _coprime_base({a for t in tables.values() for a in t[1]})
+    exps = {i: t[2] @ _valuations(t[1], base) for i, t in tables.items()}
+    # a vector's digits in radix r, above any digit of a side's sum: a
+    # side's code is below top, and below 0 where a state is off its table
+    r = 2 * int(max(e.max(initial=0) for e in exps.values())) + 1
+    top = r ** len(base)
+    place = np.array([r ** j for j in range(len(base))],
+                     np.int64 if 2 * top < 2 ** 63 else object)
+    codes = {i: e @ place for i, e in exps.items()}
+    left, right = (np.maximum(
+        _lookup(a[0], codes[id(a)], ka, -top)
+        + _lookup(b[0], codes[id(b)], kb, -top), -1)
+        for a, ka, b, kb in ((mu, xs, nu, us), (mu_out, ys, nu_out, vs)))
+    return _tally(xs, us, left != right)
 
 
-def _masses(xs, us, mu, nu):
-    """The mass mu(x) nu(u) of each cell, an object array of ints."""
-    return _gather(mu, xs) * _gather(nu, us)
+def _coprime_base(atoms):
+    """Pairwise coprime integers above 1 whose products are the atoms: two
+    with a common factor g > 1 give way to g and to each over its powers of
+    g (factor refinement)."""
+    base, todo = [], sorted(set(atoms) - {1})
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                todo += {g, _power_of(a, g)[1], _power_of(b, g)[1]} - {1}
+                del base[i]
+                break
+        else:
+            base.append(a)
+    return base
+
+
+def _power_of(a, g):
+    """(k, a / g^k) for the largest k with g^k dividing a, in some log2 k
+    divisions: the powers of g^2 are divided out first."""
+    if a % g:
+        return 0, a
+    k, a = _power_of(a // g, g * g)
+    return (2 * k + 2, a // g) if a % g == 0 else (2 * k + 1, a)
+
+
+def _valuations(atoms, base):
+    """Each atom's exponents over the coprime `base`, one int64 row each."""
+    return np.array([[_power_of(a, p)[0] for p in base] for a in atoms],
+                    np.int64).reshape(len(atoms), len(base))
+
+
+def _lookup(states, values, keys, off):
+    """The values of the sorted states at the keys, `off` elsewhere: read
+    from one array over their range where that is short, else searched."""
+    if len(states):
+        lo, hi = keys.min(initial=states[0]), keys.max(initial=states[-1])
+        if hi - lo < 2 * len(states) + len(keys):
+            dense = np.full(hi - lo + 1, off, values.dtype)
+            dense[states - lo] = values
+            return dense[keys - lo]
+    at = np.searchsorted(states, keys)
+    at[np.append(states, 0)[at] != keys] = len(states)
+    return np.append(values, off)[at]
 
 
 def _unequal(wy, wv, mass, scale=1):
@@ -371,15 +412,15 @@ def pushforward_cells(pair, mu, nu, x_hi, u_hi):
     """H#(mu (x) nu) = mu (x) nu, checked by `product_defect_tv` at every
     cell x in [mu.support_lo, x_hi], u in [nu.support_lo, u_hi] of the
     integer map `pair`, each range clipped to its law's support. Each
-    law's table is one `laws.truncate` reaching the largest state of its
+    law's table is one `laws.factors` reaching the largest state of its
     range and of its image (y or v), so no image falls off it. Returns
     what `product_defect_tv` returns.
     """
     xs, us = cells(np.arange(mu.support_lo, min(x_hi, mu.support_hi) + 1),
                    np.arange(nu.support_lo, min(u_hi, nu.support_hi) + 1))
     ys, vs = pair(xs, us)
-    mu_w, _, _ = laws.truncate(mu, int(ys.max(initial=x_hi)))
-    nu_w, _, _ = laws.truncate(nu, int(vs.max(initial=u_hi)))
+    mu_w = laws.factors(mu, int(ys.max(initial=x_hi)))
+    nu_w = laws.factors(nu, int(vs.max(initial=u_hi)))
     return product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
 
 

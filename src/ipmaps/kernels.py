@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import laws, stat_tests
-from .exact_discrete import _masses, _sums, _tally, cell_report, cells
+from .exact_discrete import _sums, _tally, cell_report, cells
 from .involutions import concurrently, map_blocks
 from .reports import verdict
 from .stat_tests import DEFAULT_LEVEL
@@ -33,7 +33,8 @@ def check_detailed_balance_exact(pair, mu, nu, box):
     as one integer equality per pair x != y up to mu's support_lo + box with
     flux either way (mu is 0 below support_lo, so such pairs are exact).
     A move's flux mu(x) K(x, y) sums the masses (`_sums`) of its `cells`,
-    mu's states by nu's states of positive weight: a finite nu whole, an
+    one outer product of the weights of mu's states and of nu's states of
+    positive weight: a finite nu whole, an
     unbounded one cut at max(support_lo, -mu.support_lo) with its exact
     tail on the next state, exact where f is constant in u from the cut on
     (kdv's f = min(u, -x) is, from u = -x on)."""
@@ -48,8 +49,9 @@ def check_detailed_balance_exact(pair, mu, nu, box):
     # (x - low) span + (y - low): the keys sort x-major, y ascending
     low = min(xs.min(), ys.min())
     span = max(xs.max(), ys.max()) - low + 1
-    keys, w = _sums((xs - low) * span + ys - low,
-                    _masses(xs, us, mu_w, noise))
+    mass = np.multiply.outer(*(np.array([*t.values()], dtype=object)
+                               for t in (mu_w, noise)))
+    keys, w = _sums((xs - low) * span + ys - low, mass.ravel())
     x, y = np.divmod(keys, span)   # each less low
     at = np.minimum(np.searchsorted(keys, y * span + x), len(keys) - 1)
     back = keys[at] == y * span + x   # the move (y, x) carries flux too

@@ -1,8 +1,11 @@
 """Probability laws: sampling, quantiles, and exact truncated tabulation.
 
 A law keeps what a verdict reads. Continuous kinds expose `quantile` and
-`sample`. A discrete kind has `sample` and one exact table, `truncate`,
-which every verdict that reads a discrete law reads.
+`sample`. A discrete kind has `sample` and one exact table, stated once in
+factored form, `factors`: a few positive integer atoms and a row of
+exponents per state. The product-law cell identity reads that form;
+`truncate` multiplies it out for what sums masses (goodness-of-fit cells,
+the inverse-cdf table, detailed balance, the walk's forced laws).
 
 Of scipy, this module uses scipy.special alone, imported in the functions
 that call it, so the discrete laws of the exact stanzas load no scipy. The
@@ -248,16 +251,49 @@ def _integer_weights(weights):
              for k, w in weights.items()}, den)
 
 
-def _geometric_table(theta, lo, hi):
+def _geometric_factors(theta, lo, hi):
     """The law P(k) = (1 - theta) theta^(k - lo) on {lo, lo+1, ...} cut at
-    hi, for a Fraction theta = a/b: numerators (b - a) a^(k - lo) b^(hi - k)
-    over b^(hi - lo + 1), or over b with no state when hi < lo. The
-    dropped mass is theta^(hi - lo + 1)."""
+    hi, for a Fraction theta = a/b, factored: the states lo..hi, atoms
+    (b - a, a, b) and exponent rows (1, k - lo, hi - k), over
+    b^(hi - lo + 1), or over b with no state when hi < lo. The dropped
+    mass is theta^(hi - lo + 1)."""
     a, b = theta.numerator, theta.denominator
-    nums, n = {}, (b - a) * b ** max(hi - lo, 0)
-    for k in range(lo, hi + 1):    # n_(k+1) = n_k a / b, exact below hi
-        nums[k], n = n, n // b * a
-    return nums, b ** max(hi - lo + 1, 1)
+    k = np.arange(lo, hi + 1)
+    return (k, (b - a, a, b), np.array([np.ones_like(k), k - lo, hi - k]).T,
+            b ** max(hi - lo + 1, 1))
+
+
+def _weight_atoms(weights):
+    """A few {key: Fraction} weights over the lcm of their denominators,
+    factored with each positive weight an atom of its own."""
+    nums, den = _integer_weights(weights)
+    keys = sorted(k for k, w in nums.items() if w)
+    return (np.array(keys, np.int64), tuple(nums[k] for k in keys),
+            np.eye(len(keys), dtype=np.int64), den)
+
+
+def _multiply_out(atoms, exps):
+    """The weight of each row of exps, the atoms to its powers, in an object
+    array: each from the last, exactly divided by the atoms whose exponents
+    fall and times those that rise, each distinct step's factors made once;
+    or, where no exponent is above 1, each the product of its atoms."""
+    if exps.max(initial=0) <= 1:
+        return np.array([math.prod(itertools.compress(atoms, e))
+                         for e in exps.tolist()], dtype=object)
+
+    def power(e):
+        return math.prod(atoms[c] ** int(e[c]) for c in np.flatnonzero(e > 0))
+    steps, made = np.diff(exps, axis=0), {}
+    runs = [0, *np.flatnonzero((steps[1:] != steps[:-1]).any(1)) + 1]
+    weights = [power(e) for e in exps[:1]]
+    for a, b in zip(runs[:len(steps)], [*runs[1:], len(steps)]):
+        key = steps[a].tobytes()
+        if key not in made:
+            made[key] = power(-steps[a]), power(steps[a])
+        down, up = made[key]
+        for _ in range(a, b):
+            weights.append(weights[-1] // down * up)
+    return np.array(weights, dtype=object)
 
 
 class DiscreteLaw(Law):
@@ -267,9 +303,10 @@ class DiscreteLaw(Law):
     support_lo = 0
     support_hi = math.inf
 
-    def _table(self, end):
-        """(nums, den) on [support_lo, end]; geometric kinds use this one."""
-        return _geometric_table(_frac(self.theta), self.support_lo, end)
+    def _factors(self, end):
+        """(states, atoms, exps, den) on [support_lo, end], the states those
+        of positive weight; geometric kinds use this one."""
+        return _geometric_factors(_frac(self.theta), self.support_lo, end)
 
     def _draws(self, gen, out):
         """Inverse-cdf draws of a finite law from its exact table."""
@@ -294,8 +331,8 @@ class Bernoulli(DiscreteLaw):
             raise LawError("Bernoulli requires p in [0,1]")
         self.p = float(p)
 
-    def _table(self, end):
-        return _integer_weights({0: 1 - _frac(self.p), 1: _frac(self.p)})
+    def _factors(self, end):
+        return _weight_atoms({0: 1 - _frac(self.p), 1: _frac(self.p)})
 
     def _draws(self, gen, out):
         out[...] = gen.random(len(out)) < self.p
@@ -364,9 +401,9 @@ class ThreePoint(DiscreteLaw):
             raise LawError("ThreePoint requires p,q,r >= 0 with p+q+r=1")
         self.p, self.q, self.r = float(p), float(q), float(r)
 
-    def _table(self, end):
-        return _integer_weights({-1: _frac(self.q), 0: _frac(self.r),
-                                 1: _frac(self.p)})
+    def _factors(self, end):
+        return _weight_atoms({-1: _frac(self.q), 0: _frac(self.r),
+                              1: _frac(self.p)})
 
     def _draws(self, gen, out):
         # -1 below p + q, else 0, then 1 below p: the uniforms and a mask
@@ -392,11 +429,14 @@ class ParityGeom(DiscreteLaw):
         self.podd = float(podd)
         self._rho2 = self.rho ** 2
 
-    def _table(self, end):
+    def _factors(self, end):
         # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w the weight of k's parity
         w, dw = _integer_weights({0: 1 - _frac(self.podd), 1: _frac(self.podd)})
-        pairs, dp = _geometric_table(_frac(self.rho) ** 2, 0, end // 2)
-        return {k: w[k % 2] * pairs[k // 2] for k in range(end + 1)}, dw * dp
+        _, atoms, pairs, dp = _geometric_factors(_frac(self.rho) ** 2, 0,
+                                                 end // 2)
+        k = np.arange(end + 1)
+        return (k, (w[0], w[1], *atoms), np.column_stack(
+            [1 - k % 2, k % 2, pairs[k // 2]]), dw * dp)
 
     def sample(self, rng, size, out=None):
         out = np.empty(int(size), np.int64) if out is None else out
@@ -434,28 +474,37 @@ class FiniteTable(DiscreteLaw):
         self.support_lo = int(self.support[0])
         self.support_hi = int(self.support[-1])
 
-    def _table(self, end):
-        return _integer_weights(dict(zip(self.support.tolist(),
-                                         map(_frac, self.probs.tolist()))))
+    def _factors(self, end):
+        return _weight_atoms(dict(zip(self.support.tolist(),
+                                      map(_frac, self.probs.tolist()))))
 
     def __repr__(self):
         return f"FiniteTable(n={len(self.support)}, lo={self.support_lo}, hi={self.support_hi})"
 
 
-def truncate(law, hi):
-    """A discrete law on [support_lo, hi], exactly: (nums, den, tail), the
-    positive integer weights of its states in increasing order over one
-    den, and tail = den P(X > hi). A finite law is over the sum of its
-    weights, so no mass lies past support_hi. A probability is then one
-    correctly rounded int division `num / den`."""
+def factors(law, hi):
+    """A discrete law's exact table in factored form through hi, or whole if
+    finite, (states, atoms, exps, den): its states of positive weight in
+    increasing order, an int64 array; a few positive integer atoms; per
+    state an int64 row of exponents, its weight the atoms to those powers;
+    and an integer denominator (`truncate`'s, where the law is infinite)."""
     if not law.is_discrete:
         raise LawError("truncate requires a discrete law")
     if hi < law.support_lo:
         raise LawError("empty truncation box")
-    finite = law.support_hi < math.inf
-    nums, den = law._table(law.support_hi if finite else hi)
-    den = sum(nums.values()) if finite else den
-    nums = {k: w for k, w in nums.items() if k <= hi and w}
+    return law._factors(hi if law.support_hi == math.inf else law.support_hi)
+
+
+def truncate(law, hi):
+    """A discrete law on [support_lo, hi], exactly: (nums, den, tail), the
+    positive integer weights of its states in increasing order over one
+    den, and tail = den P(X > hi), `factors` multiplied out. A finite law
+    is over the sum of its weights, so no mass lies past support_hi. A
+    probability is then one correctly rounded int division `num / den`."""
+    states, atoms, exps, den = factors(law, hi)
+    weights = _multiply_out(atoms, exps)
+    den = sum(weights) if law.support_hi < math.inf else den
+    nums = {k: w for k, w in zip(states.tolist(), weights) if k <= hi}
     return nums, den, den - sum(nums.values())
 
 

@@ -18,9 +18,16 @@ from ipmaps.augmentation import augment, fspec_for, verify_hypotheses
 from ipmaps.involutions import catalog_get, check_involution, sample_points
 from ipmaps.laws import (
     Bernoulli, BetaI, Gamma, Geometric, GIG, Normal, ShiftGeom, ThreePoint,
-    TruncGeom, UniformUnit,
+    TruncGeom, UniformUnit, _weight_atoms,
 )
 from ipmaps.rng import RandomStream
+
+
+def factored(table):
+    """A {state: weight} table in the factored form that
+    `exact_discrete.product_defect_tv` reads, each positive weight an atom
+    of its own."""
+    return _weight_atoms(dict(zip(table, map(Fraction, table.values()))))[:3]
 
 
 @contextlib.contextmanager
@@ -134,9 +141,9 @@ def test_criterion_3_rrw_exact(capsys):
                         exact_discrete.rrw_joint_table(prm, 200)
                     nu, nu_v, _ = steps
                     nu_v = dict(zip((-1, 0, 1), nu_v))
-                    assert exact_discrete.product_defect_tv(
-                        *cells, dict(enumerate(nums)), nu,
-                        dict(enumerate(law_y)), nu_v) \
+                    assert exact_discrete.product_defect_tv(*cells, *map(
+                        factored, (dict(enumerate(nums)), nu,
+                                   dict(enumerate(law_y)), nu_v))) \
                         == ((3 if prm.r > 0 else 2) * 201, 0, None)
                     # mass 1/1000 moved between adjacent states fails the
                     # cells of both states, over the cells x in [0, 200];
@@ -149,8 +156,9 @@ def test_criterion_3_rrw_exact(capsys):
                         moved[a] -= delta
                         moved[b] += delta
                         _, failing, _ = exact_discrete.product_defect_tv(
-                            *cells, dict(enumerate(moved)), nu,
-                            dict(enumerate(law_y)), nu_v)
+                            *cells, *map(factored, (
+                                dict(enumerate(moved)), nu,
+                                dict(enumerate(law_y)), nu_v)))
                         assert failing == 2 * len(nu)
                         joint = (cells, (moved, 1000 * den), law_y, steps)
                         mass, fails = exact_discrete.rrw_cell_fails(joint)

@@ -7,17 +7,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ipmaps import exact_discrete
 from ipmaps.exact_discrete import (
-    RRWParams, _step_tables, _sums, cells, kdv_box, kdv_pushforward_tv,
-    product_defect_tv, pushforward_cells, rrw_cell_fails, rrw_forced_law,
-    rrw_forced_table, rrw_characterize, rrw_joint_table,
+    RRWParams, _coprime_base, _power_of, _step_tables, _sums, cells, kdv_box,
+    kdv_pushforward_tv, product_defect_tv, pushforward_cells, rrw_cell_fails,
+    rrw_forced_law, rrw_forced_table, rrw_characterize, rrw_joint_table,
     rrw_verify_proof_identities,
 )
-from ipmaps.involutions import catalog_get
+from ipmaps.involutions import INTEGERS, InvolutionPair, catalog_get
 from ipmaps.laws import (
     Bernoulli, FiniteTable, Geometric, LawError, ParityGeom, ShiftGeom,
-    ThreePoint, TruncGeom, _geometric_table, truncate,
+    ThreePoint, TruncGeom, _geometric_factors, _multiply_out, _weight_atoms,
+    factors, truncate,
 )
 
 # the (p, q, r, p') grid of the exact-enum benchmark workload
@@ -40,6 +44,25 @@ def dense(table):
     nums, den = table
     return np.array([nums.get(k, 0) for k in range(max(nums) + 1)],
                     dtype=object), den
+
+
+def factored(table):
+    """A {state: weight} table in the factored form `product_defect_tv`
+    reads, each positive weight an atom of its own."""
+    return _weight_atoms(dict(zip(table, map(Fraction, table.values()))))[:3]
+
+
+def defect(xs, us, ys, vs, *tables):
+    """`product_defect_tv` on the {state: weight} tables mu, nu, mu_out and
+    nu_out, each `factored`."""
+    return product_defect_tv(xs, us, ys, vs, *map(factored, tables))
+
+
+def geometric(theta, box):
+    """The geometric table of ratio theta on the states 0..box, multiplied
+    out, as (array, den)."""
+    _, atoms, exps, den = _geometric_factors(theta, 0, box)
+    return _multiply_out(atoms, exps), den
 
 
 def forced_table(params, box, y=False):
@@ -109,7 +132,7 @@ def characterized_cells(params, box):
 def rrw_cells(params, box, law_x, law_y):
     """`product_defect_tv` on the cells x in [0, box], u in the step
     support, with mu = law_x and mu' = law_y, arrays on the states from 0,
-    brought over one denominator as dict tables."""
+    brought over one denominator as `factored` dict tables."""
     (mu, dx), (mu_y, dy) = law_x, law_y
     den = math.lcm(dx, dy)
     mu = dict(enumerate(mu * (den // dx)))
@@ -119,7 +142,7 @@ def rrw_cells(params, box, law_x, law_y):
     xs = np.repeat(np.arange(box + 1), len(nu))
     us = np.tile(list(nu), box + 1)
     ys, vs = catalog_get("reflecting_rw")(xs, us)
-    return product_defect_tv(xs, us, ys, vs, mu, nu, mu_y, nu_v)
+    return defect(xs, us, ys, vs, mu, nu, mu_y, nu_v)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +350,9 @@ def test_product_table_has_zero_defect():
     # over 6: mu halves on {0, 1}, nu thirds on {-1, 1}
     mu, nu = {0: 3, 1: 3}, {-1: 2, 1: 4}
     xs, us = np.repeat([0, 1], 2), np.tile([-1, 1], 2)
-    assert product_defect_tv(xs, us, us, xs, mu, nu, nu, mu) == (4, 0, None)
+    assert defect(xs, us, us, xs, mu, nu, nu, mu) == (4, 0, None)
     # mu (x) nu itself is not: every cell but the fixed point (1, 1) fails
-    assert product_defect_tv(xs, us, us, xs, mu, nu, mu, nu) == \
-        (4, 3, (0, -1))
+    assert defect(xs, us, us, xs, mu, nu, mu, nu) == (4, 3, (0, -1))
 
 
 def _ref_product_defect(xs, us, ys, vs, mu, nu, mu_out, nu_out):
@@ -359,28 +381,27 @@ def test_product_defect_tv_matches_a_per_cell_reference(seed):
     # keys from -8 to 8 reach past the tables on both sides
     xs, us = cells(spread * np.arange(-8, 9), spread * np.arange(-8, 4))
     ys, vs = (spread * rng.integers(-8, 9, len(xs)) for _ in range(2))
-    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out) == \
+    assert defect(xs, us, ys, vs, mu, nu, mu_out, nu_out) == \
         _ref_product_defect(xs, us, ys, vs, mu, nu, mu_out, nu_out)
 
     # the identity H = id holds at every cell, zero cells included, until
     # two cells of positive mass are sent off the tables; the witness is
     # the first of them in x-major order
     ys, vs = xs.copy(), us.copy()
-    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu) == \
-        (len(xs), 0, None)
+    assert defect(xs, us, ys, vs, mu, nu, mu, nu) == (len(xs), 0, None)
     heavy = [i for i, (x, u) in enumerate(zip(xs.tolist(), us.tolist()))
              if mu.get(x, 0) * nu.get(u, 0)]
     i, j = sorted(rng.choice(heavy, 2, replace=False).tolist())
     ys[[j, i]] = spread * 99
-    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu) == \
+    assert defect(xs, us, ys, vs, mu, nu, mu, nu) == \
         _ref_product_defect(xs, us, ys, vs, mu, nu, mu, nu) == \
         (len(xs), 2, (xs[i].item(), us[i].item()))
 
 
 def test_product_defect_tv_on_no_cells():
     empty = np.array([], dtype=np.int64)
-    assert product_defect_tv(*[empty] * 4, {0: 1}, {0: 1}, {0: 1}, {0: 1}) \
-        == (0, 0, None)
+    assert defect(*[empty] * 4, {0: 1}, {0: 1}, {0: 1}, {0: 1}) == \
+        (0, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +454,7 @@ def test_identities_reject_a_geometric_law_of_the_wrong_rate(box):
     for theta in (Fraction(1, 5), Fraction(2, 5), Fraction(1, 2),
                   Fraction(3, 5)):
         report = identities(params, box,
-                            dense(_geometric_table(theta, 0, box + 1)))
+                            geometric(theta, box + 1))
         assert report.passed == (theta == Fraction(2, 5)), (theta, report)
 
 
@@ -445,9 +466,9 @@ def test_identities_reject_a_wrong_geometric_law_at_box_1(grid):
     if params.pprime == params.p:
         theta /= 2
         assert identities(params, 1,
-                          dense(_geometric_table(2 * theta, 0, 2))).passed
+                          geometric(2 * theta, 2)).passed
     assert not identities(params, 1,
-                          dense(_geometric_table(theta, 0, 2))).passed
+                          geometric(theta, 2)).passed
 
 
 def test_perturbed_tables_all_break_independence():
@@ -545,6 +566,114 @@ def test_pushforward_cells_reads_a_state_off_a_table_as_weight_0():
     cells, failing, witness = pushforward_cells(pair, Geometric(0.5), nu,
                                                 5, 9)
     assert (cells, witness) == (18, (0, 1)) and failing > 0
+
+
+# ratios of the geometric kinds, in pairs that are powers of one another,
+# so that the tables of mu and nu share atoms that are not coprime
+RATIOS = (0.5, 0.25, 0.2, 0.04, 0.3, 0.09)
+
+
+@st.composite
+def integer_laws(draw, steps=False):
+    """A law of any integer kind; with `steps`, one on {-1, 0, 1}, which is
+    reflecting_rw's noise space."""
+    ratio = st.one_of(st.sampled_from(RATIOS), st.floats(0.01, 0.99))
+    ell = st.sampled_from((2, 4, 6))
+    prob = st.one_of(st.sampled_from((0.0, 1.0, 0.5, 0.3)),
+                     st.floats(0.0, 1.0))
+    support = st.lists(st.integers(-1, 1) if steps else st.integers(-3, 6),
+                       min_size=1, max_size=5, unique=True)
+    weights = support.flatmap(lambda v: st.tuples(st.just(v), st.lists(
+        st.floats(0.05, 1.0), min_size=len(v), max_size=len(v))))
+    kinds = {
+        "bernoulli": st.builds(Bernoulli, prob),
+        "three_point": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+            lambda pq: ThreePoint(pq[0] * pq[1], pq[0] * (1 - pq[1]),
+                                  1 - pq[0])),
+        # probabilities of some 17 digits: w / sum(w)
+        "finite_table": weights.map(lambda vw: FiniteTable(
+            vw[0], [w / sum(vw[1]) for w in vw[1]])),
+    }
+    if not steps:
+        kinds.update({
+            "geometric": st.builds(Geometric, ratio),
+            "trunc_geom": st.builds(TruncGeom, ratio, ell),
+            "shift_geom": st.builds(ShiftGeom, ratio, ell),
+            "parity_geom": st.builds(ParityGeom, ratio,
+                                     st.floats(0.01, 0.99))})
+    return draw(kinds[draw(st.sampled_from(sorted(kinds)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("kdv_g1", "kdv_g2", "reflecting_rw")), st.data(),
+       st.integers(1, 40))
+def test_pushforward_cells_matches_the_per_cell_big_integer_reference(
+        name, data, box):
+    # every integer law kind on its truncate tables, from 1 to 40 wide
+    mu = data.draw(integer_laws())
+    nu = data.draw(integer_laws(steps=name == "reflecting_rw"))
+    pair = catalog_get(name)
+    x_hi, u_hi = mu.support_lo + box, nu.support_lo + box
+    xs, us = cells(np.arange(mu.support_lo, min(x_hi, mu.support_hi) + 1),
+                   np.arange(nu.support_lo, min(u_hi, nu.support_hi) + 1))
+    ys, vs = pair(xs, us)
+    mu_w = truncate(mu, int(ys.max(initial=x_hi)))[0]
+    nu_w = truncate(nu, int(vs.max(initial=u_hi)))[0]
+    assert pushforward_cells(pair, mu, nu, x_hi, u_hi) == \
+        _ref_product_defect(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
+
+
+def test_product_defect_tv_reads_dependent_atoms_through_one_base():
+    # Geometric(1/2) and ShiftGeom(1/4, 2) share the prime 2 through their
+    # atoms 2 and 4: mu(x) nu(u) = mu(x - 2) nu(u + 1) wherever both sides
+    # are on their tables, which 2 and 4 read as independent atoms miss
+    laws = Geometric(0.5), ShiftGeom(0.25, 2)
+    xs, us = cells(np.arange(0, 9), np.arange(-2, 9))
+    ys, vs = xs - 2, us + 1
+    mu, nu = (truncate(law, 8)[0] for law in laws)
+    expected = _ref_product_defect(xs, us, ys, vs, mu, nu, mu, nu)
+    mu, nu = (factors(law, 8) for law in laws)
+    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu) == expected
+    # the cells with x < 2 or u = 8 fail, their image off a table
+    assert expected == (99, 29, (0, -2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(1, 10 ** 6),
+    st.tuples(st.sampled_from((2, 3, 6, 10, 12, 91)),
+              st.integers(0, 300)).map(lambda b: b[0] ** b[1]),
+    st.integers(1, 10 ** 40)), min_size=1, max_size=8))
+def test_coprime_base_is_pairwise_coprime_and_factors_every_atom(atoms):
+    base = _coprime_base(atoms)
+    assert all(b > 1 for b in base)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(base)
+               for b in base[i + 1:])
+    for atom in atoms:
+        rest = atom
+        for b in base:
+            k, quotient = _power_of(atom, b)
+            # b^k is the largest power of b that divides the atom
+            assert quotient * b ** k == atom and quotient % b != 0
+            assert rest % b ** k == 0
+            rest //= b ** k
+        assert rest == 1, (atom, base)
+
+
+def test_pushforward_cells_makes_no_big_integer_products(monkeypatch):
+    # the cell identity is decided on exponent vectors: the helpers that
+    # sum or compare big-integer masses (detailed balance's and the walk's)
+    # are not called
+    def refuse(*args, **kwargs):
+        raise AssertionError("a big-integer mass helper was called")
+
+    for helper in ("_unequal", "_sums"):
+        monkeypatch.setattr(exact_discrete, helper, refuse)
+    assert kdv_pushforward_tv(0.3, 8, "g1", 200) == (17 * 209, 0, None)
+    assert kdv_pushforward_tv(0.3, 8, "g2", 200)[1] > 0
+    assert pushforward_cells(catalog_get("reflecting_rw"), Geometric(0.4),
+                             ThreePoint(0.2, 0.5, 0.3), 200, 1) == \
+        (603, 0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ipmaps.kernels import (
 )
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, ShiftGeom,
-    ThreePoint, TruncGeom, UniformUnit, truncate,
+    ThreePoint, TruncGeom, UniformUnit, factors, truncate,
 )
 from ipmaps.reports import VerificationReport
 from ipmaps.rng import RandomStream
@@ -243,8 +243,7 @@ def test_detailed_balance_and_the_product_law_agree_on_the_walk(theta):
     mu, box = Geometric(theta), 40
     xs, us = cells(np.arange(box + 1), [-1, 0, 1])
     ys, vs = WALK(xs, us)
-    mu_w, _, _ = truncate(mu, box + 1)
-    nu_w, _, _ = truncate(STEPS, 1)
+    mu_w, nu_w = factors(mu, box + 1), factors(STEPS, 1)
     _, failing, _ = product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
     reversible = check_detailed_balance_exact(WALK, mu, STEPS, box).passed
     assert reversible == (failing == 0) == (theta == 0.4)
@@ -265,8 +264,8 @@ def test_detailed_balance_does_not_see_g_on_kdv(theta):
             pair, TruncGeom(theta / 2, 4), nu, 200).passed
         xs, us = cells(range(-4, 5), range(-4, 61))
         ys, vs = pair(xs, us)
-        mu_w, _, _ = truncate(TruncGeom(theta / 2, 4), 4)
-        nu_w, _, _ = truncate(nu, int(vs.max()))
+        mu_w = factors(TruncGeom(theta / 2, 4), 4)
+        nu_w = factors(nu, int(vs.max()))
         assert product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w,
                                  nu_w)[1] > 0
 

@@ -21,7 +21,8 @@ from ipmaps.involutions import BLOCK
 from ipmaps.laws import (
     Bernoulli, BetaI, FiniteTable, Gamma, Geometric, GIG, LawError, Normal,
     ParityGeom, ShiftGeom, ThreePoint, TruncGeom, UniformUnit,
-    _KIND_MAP, _geometric_table, gig_norm_const, law_from_spec, truncate,
+    _KIND_MAP, _geometric_factors, _multiply_out, gig_norm_const,
+    law_from_spec, truncate,
 )
 from ipmaps.rng import RandomStream
 from ipmaps.stat_tests import chi2_gof, ks_two_sample
@@ -501,6 +502,13 @@ def test_truncate_shift_geom_tail_is_exact():
     nums, den, tail = truncate(ShiftGeom(0.5, 2), 60)
     assert Fraction(tail, den) == Fraction(1, 2 ** 63)
     assert sum(nums.values()) + tail == den
+
+
+def _geometric_table(theta, lo, hi):
+    """The geometric table `_geometric_factors` states, multiplied out:
+    ({k: numerator}, den)."""
+    k, atoms, exps, den = _geometric_factors(theta, lo, hi)
+    return dict(zip(k.tolist(), _multiply_out(atoms, exps).tolist())), den
 
 
 def _closed_form_geometric_table(theta, lo, hi):
