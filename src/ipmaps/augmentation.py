@@ -42,8 +42,7 @@ def augment(spec):
             return tuple(np.where(unique, b, v) for b, v in zip(back, u))
         return np.where(unique, back, u)
 
-    return dataclasses.replace(spec, name=f"augmented:{spec.name}", g=g_f,
-                               h=None)
+    return dataclasses.replace(spec, name=f"augmented:{spec.name}", g=g_f)
 
 
 _NOTES = {"symmetry": "reverse pair (y,x) is not accessible",

@@ -5,16 +5,16 @@ fields and exact detailed balance.
 Probabilities are exact rationals (floats are read as their shortest
 decimal). One cell identity, `product_defect_tv`, decides the product law
 of an integer map (`pushforward_cells`, for `kdv-tv` and Burke's integer
-fields) on exponent vectors of the laws' factored tables (`laws.factors`),
-with no big integer made. What sums masses reads big-integer numerators
-over one denominator (`laws.truncate`): detailed balance's fluxes, and
-`rrw_characterize`, the walk's whole verdict on one joint table, whose
-cell masses (one outer product) its cell identity and per-state proof
-identities both read. `_sums`, the one pushforward, gives the laws of Y
-and V and detailed balance's flux. Every verdict enumerates its cells in
-x-major order with `cells`; `cell_report` puts a tally in a report. The
-mass of X > box is summed once, and no truncation tail enters a verdict.
-A reported probability is `num / den` of two ints, correctly rounded.
+fields) on int64 exponent vectors of the laws' factored tables
+(`laws.factors`), or on their weights for tables of many atoms. What sums
+masses reads big-integer numerators over one denominator
+(`laws.truncate`): detailed balance's fluxes, and `rrw_characterize`, the
+walk's verdict on one joint table whose cell masses its cell identity and
+proof identities read. `_sums`, the one pushforward, gives the laws of Y
+and V and detailed balance's flux. Each verdict enumerates its cells in
+x-major order (`cells`); `cell_report` puts a tally in a report. The mass
+of X > box is summed once, and no truncation tail enters a verdict. A
+reported probability is `num / den` of two ints, correctly rounded.
 """
 
 from __future__ import annotations
@@ -97,23 +97,23 @@ def rrw_forced_table(params, box):
     """Exact pmfs on {0..box} of the forced law of X and of the law of
     Y = (X + U)^+ it gives, (x, y, den): dense object arrays of numerators
     indexed by the state over one den, multiplied out from the factored
-    geometric table of `laws.truncate`. At r>0 both are the geometric law,
-    one array; at r=0, in one multiply, the weight of k's pair times its
-    parity weight (P(k even), P(k odd)), (q', p') for X and (q, p) for Y,
-    one row where p' = p."""
+    geometric table (`laws._geometric_factors`). At r>0 both are the
+    geometric law, one array; at r=0, in one multiply, the weight of k's
+    pair times its parity weight (P(k even), P(k odd)), (q', p') for X and
+    (q, p) for Y, one row where p' = p."""
     if params.r > 0:
-        _, atoms, exps, den = _geometric_factors(params.p / params.q, 0, box)
-        x = _multiply_out(atoms, exps)
-        return x, x, den
+        theta = params.p / params.q
+        x = _multiply_out(*_geometric_factors(theta, 0, box)[1:])
+        return x, x, theta.denominator ** (box + 1)
     # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w one of the parity weights;
     # where p' = p, (q', p') = (q, p) and Y has X's law and row
-    _, atoms, exps, dp = _geometric_factors(params.rho2, 0, box // 2)
     w, dw = _integer_weights(dict(enumerate((params.qprime, params.pprime) + (
         params.q, params.p) * (params.pprime != params.p))))
+    pairs = _multiply_out(*_geometric_factors(params.rho2, 0, box // 2)[1:])
     k = np.arange(box + 1)
-    xy = _multiply_out(atoms, exps)[k // 2] * np.array(
+    xy = pairs[k // 2] * np.array(
         list(w.values()), dtype=object).reshape(-1, 2)[:, k % 2]
-    return xy[0], xy[-1], dw * dp
+    return xy[0], xy[-1], dw * params.rho2.denominator ** (box // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,43 +171,59 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     nu_out holds exactly when the identity holds at every cell. The laws
     are factored tables (`laws.factors`), each side's products over one
     denominator; a state off a table has weight 0. Over one pairwise
-    coprime base of their atoms a positive integer has one exponent
-    vector, so a cell holds when both sides are 0 or have one vector, each
-    read as one integer. Returns the number of cells, the number that fail
-    and the first failing cell (None when none fails).
+    coprime base of their atoms a weight has one exponent vector, its code
+    one int64 in a mixed radix above any digit of a side's sum of codes: a
+    side is below top, or -1 where a state is off its table. Where no int64
+    holds that, or the tables have 40 atoms or more (a finite table of
+    many states), a code is the weight itself and a side their product.
+    Returns the number of cells, the number that fail and the first
+    failing cell (None when none fails).
     """
     tables = {id(t): t for t in (mu, nu, mu_out, nu_out)}
-    base = _coprime_base({a for t in tables.values() for a in t[1]})
-    exps = {i: t[2] @ _valuations(t[1], base) for i, t in tables.items()}
-    # a vector's digits in radix r, above any digit of a side's sum: a
-    # side's code is below top, and below 0 where a state is off its table
-    r = 2 * int(max(e.max(initial=0) for e in exps.values())) + 1
-    top = r ** len(base)
-    place = np.array([r ** j for j in range(len(base))],
-                     np.int64 if 2 * top < 2 ** 63 else object)
-    codes = {i: e @ place for i, e in exps.items()}
-    left, right = (np.maximum(
-        _lookup(a[0], codes[id(a)], ka, -top)
-        + _lookup(b[0], codes[id(b)], kb, -top), -1)
-        for a, ka, b, kb in ((mu, xs, nu, us), (mu_out, ys, nu_out, vs)))
+    atoms = {a for t in tables.values() for a in t[1]}
+    top = 2 ** 63   # past an int64, unless a base is found
+    if len(atoms) < 40:
+        base = _coprime_base(atoms)
+        exps = {}
+        for i, (_, own, e) in tables.items():
+            v = np.array([[_power_of(a, p)[0] for p in base] for a in own],
+                         np.int64).reshape(len(own), len(base))
+            exps[i] = v if e is None else e @ v
+        radix = [2 * max(c) + 1 for c in zip(*(
+            e.max(0, initial=0).tolist() for e in exps.values()))]
+        place = [math.prod(radix[:j]) for j in range(len(base) + 1)]
+        top = place[-1]
+    if 2 * top < 2 ** 63:
+        codes = {i: e @ np.array(place[:-1], np.int64)
+                 for i, e in exps.items()}
+        off, join = -int(top), lambda a, b: np.maximum(a + b, -1)
+    else:
+        codes, off, join = ({i: _multiply_out(*t[1:])
+                             for i, t in tables.items()}, 0, np.multiply)
+    left, right = (join(_lookup(a[0], codes[id(a)], ka, off),
+                        _lookup(b[0], codes[id(b)], kb, off))
+                   for a, ka, b, kb in ((mu, xs, nu, us),
+                                        (mu_out, ys, nu_out, vs)))
     return _tally(xs, us, left != right)
 
 
 def _coprime_base(atoms):
-    """Pairwise coprime integers above 1 whose products are the atoms: two
-    with a common factor g > 1 give way to g and to each over its powers of
-    g (factor refinement)."""
-    base, todo = [], sorted(set(atoms) - {1})
+    """Pairwise coprime integers above 1 whose products are the atoms
+    (factor refinement): an atom coprime to the base's product joins it;
+    else it and a member with a common factor g give way to g and to each
+    over its powers of g."""
+    base, product, todo = [], 1, sorted(set(atoms) - {1})
     while todo:
         a = todo.pop()
-        for i, b in enumerate(base):
-            g = math.gcd(a, b)
-            if g > 1:
-                todo += {g, _power_of(a, g)[1], _power_of(b, g)[1]} - {1}
-                del base[i]
-                break
-        else:
+        if math.gcd(a, product) == 1:
             base.append(a)
+            product *= a
+            continue
+        b = next(b for b in base if math.gcd(a, b) > 1)
+        base.remove(b)
+        product //= b
+        g = math.gcd(a, b)
+        todo += {g, _power_of(a, g)[1], _power_of(b, g)[1]} - {1}
     return base
 
 
@@ -220,15 +236,9 @@ def _power_of(a, g):
     return (2 * k + 2, a // g) if a % g == 0 else (2 * k + 1, a)
 
 
-def _valuations(atoms, base):
-    """Each atom's exponents over the coprime `base`, one int64 row each."""
-    return np.array([[_power_of(a, p)[0] for p in base] for a in atoms],
-                    np.int64).reshape(len(atoms), len(base))
-
-
 def _lookup(states, values, keys, off):
-    """The values of the sorted states at the keys, `off` elsewhere: read
-    from one array over their range where that is short, else searched."""
+    """The values of the sorted states at the keys, `off` elsewhere, read
+    from one array over their range if short."""
     if len(states):
         lo, hi = keys.min(initial=states[0]), keys.max(initial=states[-1])
         if hi - lo < 2 * len(states) + len(keys):

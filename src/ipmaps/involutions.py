@@ -121,8 +121,6 @@ class InvolutionPair:
     `solver(x, y)`, None for a map without one, solves y = f(x, u) for u
     on arrays and returns (u, status): status holds UNIQUE, NONUNIQUE or
     NOSOLUTION per entry, and u is meaningful only where it is UNIQUE.
-    `h(x, u)`, if set, returns (f(x, u), g(x, u)) bit for bit in one pass,
-    and a call of the pair runs it.
     """
 
     name: str
@@ -132,10 +130,9 @@ class InvolutionPair:
     g: callable
     solver: callable = None
     tolerance: float = 1e-9   # of a round trip on real spaces, if not SPD
-    h: callable = None
 
     def __call__(self, x, u):
-        return self.h(x, u) if self.h else (self.f(x, u), self.g(x, u))
+        return self.f(x, u), self.g(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +301,11 @@ def _gaussian_pair(name, params):
     def g(x, u):
         return phi((1.0 - beta * beta) * x / sigma - beta * phi_inv(u))
 
-    def h(x, u):   # f and g, with phi_inv(u) taken once
-        z = phi_inv(u)
-        return beta * x + sigma * z, phi((1.0 - beta * beta) * x / sigma
-                                         - beta * z)
-
     def solver(x, y):
         u = gaussian_cdf(x, y, beta, sigma)
         return u, np.full(np.shape(u), UNIQUE)
 
-    return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g, solver, 1e-8,
-                          h)
+    return InvolutionPair(name, REAL_LINE, UNIT_INTERVAL, f, g, solver, 1e-8)
 
 
 # name -> builder(name, params) of every catalog map; kdv_g1 and kdv_g2

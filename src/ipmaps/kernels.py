@@ -33,8 +33,7 @@ def check_detailed_balance_exact(pair, mu, nu, box):
     as one integer equality per pair x != y up to mu's support_lo + box with
     flux either way (mu is 0 below support_lo, so such pairs are exact).
     A move's flux mu(x) K(x, y) sums the masses (`_sums`) of its `cells`,
-    one outer product of the weights of mu's states and of nu's states of
-    positive weight: a finite nu whole, an
+    mu's states by nu's states of positive weight: a finite nu whole, an
     unbounded one cut at max(support_lo, -mu.support_lo) with its exact
     tail on the next state, exact where f is constant in u from the cut on
     (kdv's f = min(u, -x) is, from u = -x on)."""

@@ -1,11 +1,9 @@
 """Probability laws: sampling, quantiles, and exact truncated tabulation.
 
 A law keeps what a verdict reads. Continuous kinds expose `quantile` and
-`sample`. A discrete kind has `sample` and one exact table, stated once in
-factored form, `factors`: a few positive integer atoms and a row of
-exponents per state. The product-law cell identity reads that form;
-`truncate` multiplies it out for what sums masses (goodness-of-fit cells,
-the inverse-cdf table, detailed balance, the walk's forced laws).
+`sample`. A discrete kind has `sample` and one exact table, in factored
+form (`factors`), which the product-law cell identity reads and
+`truncate` multiplies out for every verdict that sums masses.
 
 Of scipy, this module uses scipy.special alone, imported in the functions
 that call it, so the discrete laws of the exact stanzas load no scipy. The
@@ -255,44 +253,38 @@ def _geometric_factors(theta, lo, hi):
     """The law P(k) = (1 - theta) theta^(k - lo) on {lo, lo+1, ...} cut at
     hi, for a Fraction theta = a/b, factored: the states lo..hi, atoms
     (b - a, a, b) and exponent rows (1, k - lo, hi - k), over
-    b^(hi - lo + 1), or over b with no state when hi < lo. The dropped
-    mass is theta^(hi - lo + 1)."""
+    b^(hi - lo + 1). The dropped mass is theta^(hi - lo + 1)."""
     a, b = theta.numerator, theta.denominator
     k = np.arange(lo, hi + 1)
-    return (k, (b - a, a, b), np.array([np.ones_like(k), k - lo, hi - k]).T,
-            b ** max(hi - lo + 1, 1))
+    return k, (b - a, a, b), np.array([np.ones_like(k), k - lo, hi - k]).T
 
 
 def _weight_atoms(weights):
-    """A few {key: Fraction} weights over the lcm of their denominators,
-    factored with each positive weight an atom of its own."""
-    nums, den = _integer_weights(weights)
+    """{key: Fraction} weights factored, each positive one an atom."""
+    nums, _ = _integer_weights(weights)
     keys = sorted(k for k, w in nums.items() if w)
-    return (np.array(keys, np.int64), tuple(nums[k] for k in keys),
-            np.eye(len(keys), dtype=np.int64), den)
+    return np.array(keys, np.int64), tuple(nums[k] for k in keys), None
 
 
 def _multiply_out(atoms, exps):
-    """The weight of each row of exps, the atoms to its powers, in an object
-    array: each from the last, exactly divided by the atoms whose exponents
-    fall and times those that rise, each distinct step's factors made once;
-    or, where no exponent is above 1, each the product of its atoms."""
-    if exps.max(initial=0) <= 1:
-        return np.array([math.prod(itertools.compress(atoms, e))
-                         for e in exps.tolist()], dtype=object)
-
-    def power(e):
-        return math.prod(atoms[c] ** int(e[c]) for c in np.flatnonzero(e > 0))
+    """The weight of each row of exps, the atoms to its powers (each atom
+    where exps is None), in an object array: each from the last over the
+    atoms whose exponents fall, times those that rise, the two made once
+    per distinct step and applied along a run of equal steps in one loop."""
+    if exps is None:
+        return np.array(atoms, dtype=object)
     steps, made = np.diff(exps, axis=0), {}
-    runs = [0, *np.flatnonzero((steps[1:] != steps[:-1]).any(1)) + 1]
-    weights = [power(e) for e in exps[:1]]
-    for a, b in zip(runs[:len(steps)], [*runs[1:], len(steps)]):
-        key = steps[a].tobytes()
-        if key not in made:
-            made[key] = power(-steps[a]), power(steps[a])
-        down, up = made[key]
-        for _ in range(a, b):
-            weights.append(weights[-1] // down * up)
+    ends = [*np.flatnonzero((steps[1:] != steps[:-1]).any(1)) + 1, len(steps)]
+    weights = [math.prod(map(pow, atoms, exps[0].tolist()))]
+    for start, end in zip([0, *ends], ends) if len(steps) else ():
+        step = tuple(steps[start].tolist())
+        if step not in made:   # the atoms to the powers that fall, that rise
+            made[step] = [math.prod(a ** (d * e) for a, e in zip(atoms, step)
+                                    if d * e > 0) for d in (-1, 1)]
+        (down, up), w = made[step], weights[-1]
+        for _ in range(start, end):
+            w = w // down * up
+            weights.append(w)
     return np.array(weights, dtype=object)
 
 
@@ -304,9 +296,13 @@ class DiscreteLaw(Law):
     support_hi = math.inf
 
     def _factors(self, end):
-        """(states, atoms, exps, den) on [support_lo, end], the states those
-        of positive weight; geometric kinds use this one."""
+        """(states, atoms, exps) on [support_lo, end], the states those of
+        positive weight; geometric kinds use this one."""
         return _geometric_factors(_frac(self.theta), self.support_lo, end)
+
+    def _den(self, end):
+        """An infinite kind's denominator through end; geometric kinds'."""
+        return _frac(self.theta).denominator ** (end - self.support_lo + 1)
 
     def _draws(self, gen, out):
         """Inverse-cdf draws of a finite law from its exact table."""
@@ -431,12 +427,15 @@ class ParityGeom(DiscreteLaw):
 
     def _factors(self, end):
         # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w the weight of k's parity
-        w, dw = _integer_weights({0: 1 - _frac(self.podd), 1: _frac(self.podd)})
-        _, atoms, pairs, dp = _geometric_factors(_frac(self.rho) ** 2, 0,
-                                                 end // 2)
+        w, _ = _integer_weights({0: 1 - _frac(self.podd), 1: _frac(self.podd)})
+        _, atoms, pairs = _geometric_factors(_frac(self.rho) ** 2, 0, end // 2)
         k = np.arange(end + 1)
-        return (k, (w[0], w[1], *atoms), np.column_stack(
-            [1 - k % 2, k % 2, pairs[k // 2]]), dw * dp)
+        return k, (w[0], w[1], *atoms), np.column_stack(
+            [1 - k % 2, k % 2, pairs[k // 2]])
+
+    def _den(self, end):   # the parity weights' den, podd's, times rho^2's
+        return _frac(self.podd).denominator * (
+            _frac(self.rho) ** 2).denominator ** (end // 2 + 1)
 
     def sample(self, rng, size, out=None):
         out = np.empty(int(size), np.int64) if out is None else out
@@ -483,11 +482,10 @@ class FiniteTable(DiscreteLaw):
 
 
 def factors(law, hi):
-    """A discrete law's exact table in factored form through hi, or whole if
-    finite, (states, atoms, exps, den): its states of positive weight in
-    increasing order, an int64 array; a few positive integer atoms; per
-    state an int64 row of exponents, its weight the atoms to those powers;
-    and an integer denominator (`truncate`'s, where the law is infinite)."""
+    """A discrete law's exact table through hi, or whole if finite, as
+    (states, atoms, exps): its states of positive weight, increasing; a few
+    positive integer atoms; and an int64 row of exponents per state, its
+    weight the atoms to those powers (exps None: each weight an atom)."""
     if not law.is_discrete:
         raise LawError("truncate requires a discrete law")
     if hi < law.support_lo:
@@ -501,9 +499,9 @@ def truncate(law, hi):
     den, and tail = den P(X > hi), `factors` multiplied out. A finite law
     is over the sum of its weights, so no mass lies past support_hi. A
     probability is then one correctly rounded int division `num / den`."""
-    states, atoms, exps, den = factors(law, hi)
+    states, atoms, exps = factors(law, hi)
     weights = _multiply_out(atoms, exps)
-    den = sum(weights) if law.support_hi < math.inf else den
+    den = sum(weights) if law.support_hi < math.inf else law._den(hi)
     nums = {k: w for k, w in zip(states.tolist(), weights) if k <= hi}
     return nums, den, den - sum(nums.values())
 

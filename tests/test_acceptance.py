@@ -27,7 +27,7 @@ def factored(table):
     """A {state: weight} table in the factored form that
     `exact_discrete.product_defect_tv` reads, each positive weight an atom
     of its own."""
-    return _weight_atoms(dict(zip(table, map(Fraction, table.values()))))[:3]
+    return _weight_atoms(dict(zip(table, map(Fraction, table.values()))))
 
 
 @contextlib.contextmanager

@@ -18,19 +18,6 @@ from ipmaps.rng import RandomStream
 # closed-form solvers
 # ---------------------------------------------------------------------------
 
-def test_augment_drops_the_fused_h_of_the_g_it_replaces():
-    # a call of the augmented pair runs g_f, not the catalog's one-pass h
-    catalog = catalog_get("gaussian_rosenblatt", {"beta": 0.5, "sigma": 1.0})
-    pair = augment(catalog)
-    assert catalog.h is not None and pair.h is None
-    xs, us = sample_points(pair, 1000, RandomStream(5))
-    y, v = pair(xs, us)
-    assert y.tobytes() == catalog.f(xs, us).tobytes()
-    assert v.tobytes() == pair.g(xs, us).tobytes()
-    # g_f, through the solver, is off the catalog g in the last bits
-    assert v.tobytes() != catalog.g(xs, us).tobytes()
-
-
 def test_my_solver_unique():
     spec = fspec_for("matsumoto_yor")
     u, status = spec.solver(np.array([1.0]), np.array([0.5]))

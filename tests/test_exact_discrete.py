@@ -49,7 +49,7 @@ def dense(table):
 def factored(table):
     """A {state: weight} table in the factored form `product_defect_tv`
     reads, each positive weight an atom of its own."""
-    return _weight_atoms(dict(zip(table, map(Fraction, table.values()))))[:3]
+    return _weight_atoms(dict(zip(table, map(Fraction, table.values()))))
 
 
 def defect(xs, us, ys, vs, *tables):
@@ -61,8 +61,8 @@ def defect(xs, us, ys, vs, *tables):
 def geometric(theta, box):
     """The geometric table of ratio theta on the states 0..box, multiplied
     out, as (array, den)."""
-    _, atoms, exps, den = _geometric_factors(theta, 0, box)
-    return _multiply_out(atoms, exps), den
+    _, atoms, exps = _geometric_factors(theta, 0, box)
+    return _multiply_out(atoms, exps), theta.denominator ** (box + 1)
 
 
 def forced_table(params, box, y=False):
@@ -614,13 +614,37 @@ def test_pushforward_cells_matches_the_per_cell_big_integer_reference(
     nu = data.draw(integer_laws(steps=name == "reflecting_rw"))
     pair = catalog_get(name)
     x_hi, u_hi = mu.support_lo + box, nu.support_lo + box
+    assert pushforward_cells(pair, mu, nu, x_hi, u_hi) == \
+        _ref_pushforward_cells(pair, mu, nu, x_hi, u_hi)
+
+
+def _ref_pushforward_cells(pair, mu, nu, x_hi, u_hi):
+    """`pushforward_cells` by `_ref_product_defect` on `truncate` tables."""
     xs, us = cells(np.arange(mu.support_lo, min(x_hi, mu.support_hi) + 1),
                    np.arange(nu.support_lo, min(u_hi, nu.support_hi) + 1))
     ys, vs = pair(xs, us)
     mu_w = truncate(mu, int(ys.max(initial=x_hi)))[0]
     nu_w = truncate(nu, int(vs.max(initial=u_hi)))[0]
-    assert pushforward_cells(pair, mu, nu, x_hi, u_hi) == \
-        _ref_product_defect(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
+    return _ref_product_defect(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
+
+
+@pytest.mark.parametrize("states, equal, int64", [
+    (4, False, True), (60, False, False), (64, True, True)])
+def test_pushforward_cells_on_finite_tables_of_many_states(states, equal,
+                                                           int64):
+    # probabilities of some 17 digits, each weight an atom: the cells are
+    # read on int64 exponent codes below 40 atoms, and on the weights from
+    # 40 on; 64 equal weights have one atom, 1, and an empty base
+    rng = np.random.default_rng(states)
+    mu, nu = (FiniteTable(np.arange(states) - states // 2,
+                          np.full(states, 1 / states) if equal else
+                          rng.dirichlet(np.ones(states))) for _ in range(2))
+    atoms = {a for law in (mu, nu) for a in factors(law, 0)[1]}
+    assert (len(atoms) < 40) == int64
+    for name in ("kdv_g1", "kdv_g2"):
+        pair = catalog_get(name)
+        assert pushforward_cells(pair, mu, nu, 99, 99) == \
+            _ref_pushforward_cells(pair, mu, nu, 99, 99)
 
 
 def test_product_defect_tv_reads_dependent_atoms_through_one_base():

@@ -413,25 +413,6 @@ def test_swapped_my_g_equals_my_f():
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_fused_h_is_f_and_g_bit_for_bit(name):
-    # an entry's one-pass h, where it has one, gives f's and g's very bits
-    params = {"gaussian_rosenblatt": {"beta": 0.5, "sigma": 1.0},
-              "spd_matsumoto_yor": {"d": 2}}.get(name)
-    pair = catalog_get(name, params)
-    assert (pair.h is not None) == (name == "gaussian_rosenblatt")
-    if pair.h is None:
-        return
-    xs, us = sample_points(pair, 100_000, RandomStream(38))
-    # past the clamp of phi_inv and at the ends of the unit interval too
-    us[:4] = (0.0, 1e-17, 1.0 - 1e-17, 1.0)
-    y, v = pair.h(xs, us)
-    assert y.tobytes() == pair.f(xs, us).tobytes()
-    assert v.tobytes() == pair.g(xs, us).tobytes()
-    assert all(a.tobytes() == b.tobytes()
-               for a, b in zip(pair(xs, us), (y, v)))
-
-
-@pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_range_closure(name):
     params = None
     if name == "gaussian_rosenblatt":

@@ -507,8 +507,10 @@ def test_truncate_shift_geom_tail_is_exact():
 def _geometric_table(theta, lo, hi):
     """The geometric table `_geometric_factors` states, multiplied out:
     ({k: numerator}, den)."""
-    k, atoms, exps, den = _geometric_factors(theta, lo, hi)
-    return dict(zip(k.tolist(), _multiply_out(atoms, exps).tolist())), den
+    k, atoms, exps = _geometric_factors(theta, lo, hi)
+    nums = _multiply_out(atoms, exps).tolist() if len(k) else []
+    return (dict(zip(k.tolist(), nums)),
+            theta.denominator ** max(hi - lo + 1, 1))
 
 
 def _closed_form_geometric_table(theta, lo, hi):
