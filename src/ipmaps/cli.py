@@ -153,8 +153,9 @@ def load_config(path):
 
 def _run_involution(stanza, rng, out_dir):
     pair = catalog_get(stanza["map"], stanza["params"])
-    xs, us = sample_points(pair, stanza["n"], rng, box=stanza["box"])
-    return check_involution(pair, xs, us, stanza["tol"])
+    xs, us, draw = sample_points(pair, stanza["n"], rng, box=stanza["box"],
+                                 lazy=True)
+    return check_involution(pair, xs, us, stanza["tol"], draw)
 
 
 def _run_hypotheses(stanza, rng, out_dir):

@@ -364,19 +364,31 @@ def _space_samples(space, n, gen):
     return a
 
 
-def sample_points(pair, n, rng, box=20):
+def sample_points(pair, n, rng, box=20, lazy=False):
     """One batch (xs, us) of probe points for round-trip checks.
 
     Integer-by-integer maps get the exhaustive grid {-box..box}^2 clipped
     to [lo, hi] of each space; every other map gets n draws from each
-    space, SPD maps as stacks of shape (n, d, d).
+    space, SPD maps as stacks of shape (n, d, d). With `lazy`, it is
+    (xs, us, draw), the last part of us left to draw(s), which fills the
+    slices s of `blocks`, in order, with the bits of one whole draw.
     """
     spaces = pair.x_space, pair.u_space
     if all(s.is_integer for s in spaces):
         xg, ug = np.meshgrid(*(np.arange(max(s.lo, -box), min(s.hi, box) + 1)
                                for s in spaces))
-        return xg.ravel(), ug.ravel()
-    return tuple(_space_samples(s, n, rng.gen) for s in spaces)
+        return (xg.ravel(), ug.ravel()) + ((None,) if lazy else ())
+    if not lazy:
+        return tuple(_space_samples(s, n, rng.gen) for s in spaces)
+    *head, last = pair.u_space.parts or (pair.u_space,)
+    xs, *us = [_space_samples(s, n, rng.gen) for s in (pair.x_space, *head)]
+    us.append(np.empty((n, last.dim, last.dim) if last.dim else n,
+                       int if last.is_integer else float))
+
+    def draw(s):
+        us[-1][s] = _space_samples(last, len(us[-1][s]), rng.gen)
+
+    return xs, tuple(us) if pair.u_space.parts else us[0], draw
 
 
 def batch_item(v, i):
@@ -404,12 +416,12 @@ def usable_cores():
 
 def concurrently(n, *calls):
     """The results of `calls`, functions of no argument that work on n
-    points together: the last on this thread and each other one on a
-    thread of its own, all joined before the first call's error is raised;
-    or one after another, for at most one block or a process held to one
-    core. A helper's freed n-point array stays cached in its malloc arena,
-    so the calls fill, or sort in place, arrays allocated on this thread,
-    with temporaries of a block."""
+    points together: the last here and each other one on a thread of its
+    own, all joined before the first call's error is raised; or in the
+    listed order, for at most one block or a process held to one core, so
+    a call that waits on another must come after it. A helper's freed
+    n-point array stays cached in its malloc arena, so the calls fill, or
+    sort in place, arrays made on this thread, with a block's temporaries."""
     if len(calls) < 2 or n <= BLOCK or usable_cores() < 2:
         return [call() for call in calls]
     import threading
@@ -437,13 +449,39 @@ def concurrently(n, *calls):
     return results
 
 
-def deal(work, n, size=BLOCK):
-    """[work(b) for b in blocks(n, size)], alternate blocks on two threads."""
-    done = list(blocks(n, size))
-    if len(done) < 2:
-        return [work(b) for b in done]
-    done[::2], done[1::2] = concurrently(
-        n, *(partial(list, map(work, done[i::2])) for i in (0, 1)))
+def deal(work, n, size=BLOCK, draw=None):
+    """[work(b) for b in blocks(n, size)], one thread taking blocks from
+    each end; with `draw`, the first thread calls draw(b) on every block in
+    order first, and the other works each block once it is drawn."""
+    spans = list(blocks(n, size))
+    if len(spans) < 2 and not draw:
+        return [work(b) for b in spans]
+    import threading
+    done, left = [None] * len(spans), list(range(len(spans)))
+    # a token per drawn block, and one more once the draw is over
+    ready = threading.Semaphore(0 if draw else len(spans) + 1)
+
+    def take(pop, wait):   # work blocks from one end until none is left
+        while wait():
+            try:
+                i = pop()
+            except IndexError:
+                return
+            done[i] = work(spans[i])
+
+    def first():
+        try:
+            for b in spans if draw else ():
+                draw(b)
+                ready.release()
+        except BaseException:   # leave the other thread no block to wait on
+            left.clear()
+            raise
+        finally:
+            ready.release()
+        take(left.pop, lambda: True)
+
+    concurrently(n, first, partial(take, partial(left.pop, 0), ready.acquire))
     return done
 
 
@@ -501,12 +539,12 @@ def involution_tolerance(pair):
     return pair.tolerance
 
 
-def check_involution(pair, xs, us, tol=None):
+def check_involution(pair, xs, us, tol=None, draw=None):
     """Verify H(H(x,u)) == (x,u) on one batch of points, quarter blocks
-    dealt to two threads (`concurrently`), whose round trips are its only
-    temporaries. A deviation that is nan fails the check; a failing report
-    names the probe with the first nan if there is one, else the first
-    largest."""
+    dealt to two threads (`deal`, given the `draw` of a lazy
+    `sample_points`), whose round trips are its only temporaries. A
+    deviation that is nan fails the check; a failing report names the probe
+    with the first nan if there is one, else the first largest."""
     if tol is None:
         tol = involution_tolerance(pair)
     space = SpaceDescriptor("pair", parts=(pair.x_space, pair.u_space))
@@ -517,7 +555,7 @@ def check_involution(pair, xs, us, tol=None):
         k = int(np.argmax(dev))   # its first nan, else its first largest
         return s.start + k, dev[k]
 
-    found = deal(worst, len(xs), BLOCK // 4)
+    found = deal(worst, len(xs), BLOCK // 4, draw)
     devs = np.array([d for _, d in found])
     max_dev = float(devs.max(initial=0.0))   # an empty batch passes
     passed = max_dev <= tol

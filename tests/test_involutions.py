@@ -1,7 +1,10 @@
 """Tests for the involution catalog: point values, round trips, range closure."""
 
 import hashlib
+import json
+import sys
 import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -9,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipmaps import involutions
+from ipmaps import cli, involutions
 from ipmaps.involutions import (
     BERNOULLI_CROSS_UNIT, BIT, BLOCK, CATALOG_NAMES, INTEGERS,
     NONNEG_INTEGERS, POSITIVE_REAL, REAL_LINE, THREE_POINT, UNIT_INTERVAL,
-    DomainError, InvolutionPair, batch_item, catalog_get, check_involution,
-    concurrently, sample_points, spd,
+    DomainError, InvolutionPair, SpaceDescriptor, batch_item, blocks,
+    catalog_get, check_involution, concurrently, deal, sample_points, spd,
 )
 from ipmaps.laws import law_from_spec
 from ipmaps.rng import RandomStream
@@ -372,6 +375,177 @@ def test_worst_probe_is_the_whole_batch_worst(name, n, two_cores):
     assert report.details["max_deviation"] == float(dev.max())
     assert report.details["worst_point"] == repr(
         (batch_item(xs, k), batch_item(us, k)))
+
+
+# ---------------------------------------------------------------------------
+# probes drawn while they are round-tripped
+# ---------------------------------------------------------------------------
+
+QUARTER = BLOCK // 4
+# the sizes around a quarter block, and several blocks and a bit
+SIZES = (1, QUARTER - 1, QUARTER + 1, 3 * BLOCK + 7)
+
+
+def _within_a_minute(call):
+    """call(), run on a thread that must end: a deadlock fails, not hangs."""
+    out = []
+
+    def run():
+        try:
+            out.append(call())
+        except BaseException as error:   # raised on the calling thread
+            out.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "deadlocked"
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+def _deal_drawn(n, size, pause=0.0):
+    """deal with a draw that notes each block, checking that every block
+    is drawn once, in order, and worked once, after its draw."""
+    drawn, seen, worked = [], set(), []
+
+    def draw(s):
+        time.sleep(pause)
+        drawn.append(s.start)
+        seen.add(s.start)
+
+    def work(s):
+        worked.append(s.start)
+        return s.start, s.start in seen
+
+    done = deal(work, n, size, draw)
+    starts = list(range(0, n, size))
+    assert drawn == starts
+    assert sorted(worked) == starts
+    assert done == [(start, True) for start in starts]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_deal_works_every_block_once_after_its_draw(cores, monkeypatch):
+    monkeypatch.setattr(involutions, "usable_cores", lambda: cores)
+    # a draw slow enough that a worker not waiting for it would overtake it
+    _within_a_minute(partial(_deal_drawn, 3 * BLOCK + 7, QUARTER, 0.001))
+
+
+def test_deals_that_switch_threads_often_work_every_block_once(two_cores):
+    # three deals at once, six threads on the cores there are, switching
+    # every microsecond, over 5,000 blocks each
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _within_a_minute(partial(concurrently, BLOCK + 1, *[
+            partial(_deal_drawn, 20_000, 4)] * 3))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_draw_reaches_the_caller(two_cores):
+    start = threading.active_count()
+
+    def draw(s):
+        if s.start:
+            raise ValueError("draw")
+
+    # the other thread waits on block 1, which is never drawn
+    with pytest.raises(ValueError, match="draw"):
+        _within_a_minute(partial(deal, lambda s: s.start, 3 * BLOCK, QUARTER,
+                                 draw))
+    assert threading.active_count() == start
+
+
+def test_blocks_drawn_and_worked_out_of_order_keep_the_witness(two_cores):
+    # the blocks finish on two threads, taken from both ends, in no fixed
+    # order; the report still names the first nan, then the first largest
+    codes = np.zeros(3 * BLOCK)
+    codes[[7, QUARTER + 1, 3 * BLOCK - 2]] = 0.5, np.nan, np.nan
+    pair, xs, us = _coded(codes)
+    drawn = np.full_like(us, np.inf)
+
+    def draw(s):
+        drawn[s] = us[s]
+
+    report = check_involution(pair, xs, drawn, 1e-9, draw)
+    assert np.isnan(report.details["max_deviation"])
+    assert _named(report, QUARTER + 1)
+    codes[[QUARTER + 1, 3 * BLOCK - 2]] = 0.5
+    drawn[:] = np.inf
+    assert _named(check_involution(pair, xs, drawn, 1e-9, draw), 7)
+
+
+def _bits(v):
+    """The dtype, shape and bytes of each part of a batch component."""
+    if isinstance(v, tuple):
+        return [_bits(c) for c in v]
+    return v.dtype.str, v.shape, v.tobytes()
+
+
+def _state(stream):
+    """A stream's bit generator state: counter, key, buffered words and the
+    position in them, and the pending 32-bit half of a word."""
+    return json.dumps(stream.gen.bit_generator.state, default=np.ndarray.tolist)
+
+
+# each scalar space a last probe part may have, and an SPD stack, after a
+# bit column drawn whole, so that an odd n leaves a 32-bit half pending;
+# and beta_walk's weights, after its x and its bits
+LAST_PARTS = {
+    "half_line": InvolutionPair("probe", BIT, POSITIVE_REAL, None, None),
+    "real_line": InvolutionPair("probe", BIT, REAL_LINE, None, None),
+    "unit_interval": InvolutionPair("probe", BIT, UNIT_INTERVAL, None, None),
+    "interval": InvolutionPair(
+        "probe", BIT, SpaceDescriptor("interval", -2.5, 3.0), None, None),
+    "beta_walk": catalog_get("beta_walk"),
+    "spd": InvolutionPair("probe", BIT, spd(3), None, None),
+}
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("last", LAST_PARTS)
+def test_a_last_part_drawn_by_blocks_is_its_whole_draw(last, n):
+    pair = LAST_PARTS[last]
+    whole, by_blocks = RandomStream(83), RandomStream(83)
+    want = sample_points(pair, n, whole)
+    *got, draw = sample_points(pair, n, by_blocks, lazy=True)
+    for s in blocks(n, QUARTER):
+        draw(s)
+    assert _bits(tuple(got)) == _bits(want)
+    assert _state(by_blocks) == _state(whole)
+
+
+def test_the_grid_has_nothing_to_draw():
+    pair = catalog_get("kdv_g1")
+    *got, draw = sample_points(pair, 0, None, box=3, lazy=True)
+    assert draw is None
+    assert _bits(tuple(got)) == _bits(sample_points(pair, 0, None, box=3))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("name, params", [
+    ("matsumoto_yor", None), ("swapped_matsumoto_yor", None),
+    ("beta_map", None), ("beta_walk", None),
+    ("gaussian_rosenblatt", {"beta": 0.5, "sigma": 1.3})])
+def test_a_stanza_drawn_while_round_tripped_writes_the_bytes_of_a_drawn_batch(
+        name, params, cores, monkeypatch):
+    # tol 0 fails the larger batches, so their witnesses are compared too
+    pair = catalog_get(name, params)
+    for n in SIZES:
+        for tol in (None, 0.0):
+            stanza = {"kind": "involution", "map": name, "params": params,
+                      "n": n, "tol": tol}
+            monkeypatch.setattr(involutions, "usable_cores", lambda: 1)
+            want = check_involution(pair, *sample_points(
+                pair, n, RandomStream(89).split(1)[0]), tol).to_dict()
+            want["inputs"] = stanza
+            monkeypatch.setattr(involutions, "usable_cores", lambda: cores)
+            got = _within_a_minute(partial(
+                cli.run, {"seed": 89, "checks": [stanza]}))
+            assert json.dumps(got["checks"][0]) == json.dumps(want)
 
 
 # ---------------------------------------------------------------------------

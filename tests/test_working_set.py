@@ -9,7 +9,8 @@ from functools import partial
 
 import pytest
 
-from ipmaps.involutions import catalog_get, check_involution, sample_points
+from ipmaps import cli
+from ipmaps.involutions import BLOCK, catalog_get
 from ipmaps.kernels import (check_ip_statistical,
                             check_reversibility_statistical)
 from ipmaps.laws import (
@@ -25,10 +26,16 @@ def _ip(name, mu, nu, n, check=check_ip_statistical):
 
 
 def _involution(name, n):
-    # the probe points are drawn before the trace starts
-    pair = catalog_get(name)
-    return partial(check_involution, pair,
-                   *sample_points(pair, n, RandomStream(67)))
+    # the stanza as `ipmaps verify` runs it, from its stream: the probes
+    # are drawn in the trace
+    runner, defaults = cli._KINDS["involution"]
+    return partial(runner, {**defaults, "map": name, "n": n},
+                   RandomStream(67), None)
+
+
+# a round trip's temporaries, and a drawn quarter block's, on each of the
+# two threads: at most 9.1 quarter blocks on one, 18.2 on both
+ROUND_TRIPS = 2 * 10 * (BLOCK // 4) / N
 
 
 # name -> (bound in columns of 8n bytes, n -> the check ready to run, its
@@ -60,8 +67,13 @@ CASES = {
         _ip, "reflecting_rw", ParityGeom(3 / 7, 0.3),
         ThreePoint(0.3, 0.7, 0), check=check_reversibility_statistical),
         True),
-    "involution:matsumoto_yor": (2, partial(_involution, "matsumoto_yor"),
-                                 True),
+    # x and u, 2.58 columns at N on one thread and 2.99-3.08 on two
+    "involution:matsumoto_yor": (2 + ROUND_TRIPS, partial(
+        _involution, "matsumoto_yor"), True),
+    # x, the bits (int64) and the weights: 3.74 columns on one thread and
+    # 4.41-4.49 on two
+    "involution:beta_walk": (3 + ROUND_TRIPS, partial(
+        _involution, "beta_walk"), True),
 }
 
 
