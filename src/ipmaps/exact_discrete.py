@@ -2,19 +2,17 @@
 characterization, the ultra-discrete KdV product law, Burke's integer
 fields and exact detailed balance.
 
-Probabilities are exact rationals (floats are read as their shortest
-decimal). One cell identity, `product_defect_tv`, decides the product law
-of an integer map (`pushforward_cells`, for `kdv-tv` and Burke's integer
-fields) on int64 exponent vectors of the laws' factored tables
-(`laws.factors`), or on their weights for tables of many atoms. What sums
-masses reads big-integer numerators over one denominator
-(`laws.truncate`): detailed balance's fluxes, and `rrw_characterize`, the
-walk's verdict on one joint table whose cell masses its cell identity and
-proof identities read. `_sums`, the one pushforward, gives the laws of Y
-and V and detailed balance's flux. Each verdict enumerates its cells in
-x-major order (`cells`); `cell_report` puts a tally in a report. The mass
-of X > box is summed once, and no truncation tail enters a verdict. A
-reported probability is `num / den` of two ints, correctly rounded.
+Probabilities are exact rationals, from the laws' exact parameters. One
+cell identity, `product_defect_tv`, decides a product law on int64
+exponent vectors of the laws' factored tables (`laws.factors`), or on
+their weights for tables of many atoms: for `kdv-tv` and Burke's integer
+fields (`pushforward_cells`), and for the walk's laws X, U, Y and V
+(`rrw_forced_table`). What sums masses reads big-integer numerators over
+one denominator (`laws.truncate`): detailed balance's fluxes and the
+walk's proof identities, each summed by `_sums`, the one pushforward.
+Each verdict enumerates its cells in x-major order (`cells`); `cell_report`
+puts a tally in a report. No truncation tail enters a verdict. A reported
+probability is `num / den` of two ints, correctly rounded.
 """
 
 from __future__ import annotations
@@ -26,10 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import laws
-from .involutions import blocks, catalog_get
-from .laws import (Geometric, LawError, ParityGeom, ShiftGeom, TruncGeom,
-                   _frac, _geometric_factors, _integer_weights,
-                   _multiply_out)
+from .involutions import catalog_get
+from .laws import (Geometric, LawError, ParityGeom, ShiftGeom, ThreePoint,
+                   TruncGeom, _frac, _multiply_out)
 from .reports import verdict
 
 
@@ -77,48 +74,34 @@ class RRWParams:
 
 
 # ---------------------------------------------------------------------------
-# forced laws
+# the walk's laws and cells
 # ---------------------------------------------------------------------------
 
 def rrw_forced_law(params):
-    """The X-law forced by independence of Y=(X+U)^+ and V=-U-2(X+U)^-.
-
-    r>0: geometric with failure rate p/q. r=0: parity-conditional geometric
-    with rate rho^2 = p p' / (q q') and P(X odd) = p'; for p'=p this table
-    collapses to the plain geometric law.
+    """The X-law forced by independence of Y=(X+U)^+ and V=-U-2(X+U)^-,
+    exactly. r>0: geometric with failure rate p/q. r=0: parity-conditional
+    geometric with rate rho^2 = p p' / (q q') and P(X odd) = p'; for p'=p
+    this table collapses to the plain geometric law.
     """
     if params.r > 0:
-        return Geometric(float(params.p / params.q))
-    rho = math.sqrt(float(params.rho2))
-    return ParityGeom(rho, float(params.pprime))
+        return Geometric(params.p / params.q)
+    return ParityGeom(None, params.pprime, rho2=params.rho2)
 
 
 def rrw_forced_table(params, box):
-    """Exact pmfs on {0..box} of the forced law of X and of the law of
-    Y = (X + U)^+ it gives, (x, y, den): dense object arrays of numerators
-    indexed by the state over one den, multiplied out from the factored
-    geometric table (`laws._geometric_factors`). At r>0 both are the
-    geometric law, one array; at r=0, in one multiply, the weight of k's
-    pair times its parity weight (P(k even), P(k odd)), (q', p') for X and
-    (q, p) for Y, one row where p' = p."""
-    if params.r > 0:
-        theta = params.p / params.q
-        x = _multiply_out(*_geometric_factors(theta, 0, box)[1:])
-        return x, x, theta.denominator ** (box + 1)
-    # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w one of the parity weights;
-    # where p' = p, (q', p') = (q, p) and Y has X's law and row
-    w, dw = _integer_weights(dict(enumerate((params.qprime, params.pprime) + (
-        params.q, params.p) * (params.pprime != params.p))))
-    pairs = _multiply_out(*_geometric_factors(params.rho2, 0, box // 2)[1:])
-    k = np.arange(box + 1)
-    xy = pairs[k // 2] * np.array(
-        list(w.values()), dtype=object).reshape(-1, 2)[:, k % 2]
-    return xy[0], xy[-1], dw * params.rho2.denominator ** (box // 2 + 1)
+    """The walk's laws (X, U, Y, V) and their tables through box + 1, the
+    largest state a cell of [0, box] reaches (`laws.factors`): X the forced
+    law, U (p, q, r), and Y and V the laws IP gives them, X's and U's but at
+    r = 0 with p' != p: Y's parity weights are then (q, p), not X's (q', p'),
+    and V is (p', q', 0), so the cell identity's two sides share one den.
+    """
+    x, u = rrw_forced_law(params), ThreePoint(params.p, params.q, params.r)
+    y, v = (x, u) if params.pprime == params.p else (
+        ParityGeom(None, params.p, rho2=x._rho2),
+        ThreePoint(params.pprime, params.qprime, 0))
+    made = {law: laws.factors(law, box + 1) for law in (x, u, y, v)}
+    return (x, u, y, v), [made[law] for law in (x, u, y, v)]
 
-
-# ---------------------------------------------------------------------------
-# cells, the pushforward, the joint law and the cell identity
-# ---------------------------------------------------------------------------
 
 def cells(xs, us):
     """The x-major cells of two value sequences: every (x, u) with x from
@@ -126,42 +109,20 @@ def cells(xs, us):
     return np.repeat(xs, len(us)), np.tile(us, len(xs))
 
 
-def _step_tables(params):
-    """The laws of U, (p, q, r), and of V, (p', q', r), as numerators over
-    one denominator: U's a table on its steps, the step 0 only when r>0,
-    and V's an array on -1, 0, 1, indexed by v + 1."""
-    w, den = _integer_weights(dict(enumerate((
-        params.q, params.r, params.p,
-        params.qprime, params.r, params.pprime))))
-    steps = (-1, 0, 1) if params.r > 0 else (-1, 1)
-    return ({s: w[s + 1] for s in steps},
-            np.array([w[3], w[4], w[5]], dtype=object), den)
-
-
 def rrw_joint_table(params, box):
-    """(cells, (mu, den), mu_y, (nu, nu_v, du)), read by both the cell
-    check and the proof identities: the cells (xs, us, ys, vs), x in
-    [0, box] times the step support in x-major order, with (ys, vs) from
-    one evaluation of reflecting_rw; the forced arrays mu of X and mu_y of
-    Y over den, on 0..box+1, the largest image y; and the laws nu of U and
-    nu_v of V over du (`_step_tables`). Cell (x, u) has mass
-    mu(x) nu(u) / (den du).
+    """(cells, laws, tables), which the cell check and the proof identities
+    read: the cells (xs, us, ys, vs), x in [0, box] times U's steps in
+    x-major order, (ys, vs) from one evaluation of reflecting_rw, and the
+    walk's laws and tables (`rrw_forced_table`).
     """
-    mu, mu_y, den = rrw_forced_table(params, box + 1)
-    nu, nu_v, du = _step_tables(params)
-    xs, us = cells(np.arange(box + 1), list(nu))
-    grid = (xs, us, *catalog_get("reflecting_rw")(xs, us))
-    return grid, (mu, den), mu_y, (nu, nu_v, du)
+    walk, tables = rrw_forced_table(params, box)
+    xs, us = cells(np.arange(box + 1), tables[1][0])
+    return (xs, us, *catalog_get("reflecting_rw")(xs, us)), walk, tables
 
 
-def rrw_cell_fails(joint):
-    """(mass, fails) on the x-major cells of `joint` (`rrw_joint_table`):
-    each mass mu(x) nu(u), one outer product of the X array and the step
-    weights, and where mu'(y) nu'(v) = mass fails, mu' and nu' by index."""
-    (xs, _, ys, vs), (mu, _), mu_y, (nu, nu_v, _) = joint
-    mass = np.multiply.outer(mu[:len(xs) // len(nu)], [*nu.values()]).ravel()
-    return mass, _unequal(mu_y[ys], nu_v[vs + 1], mass)
-
+# ---------------------------------------------------------------------------
+# the cell identity
+# ---------------------------------------------------------------------------
 
 def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     """The cells (xs, us), in x-major order, at which
@@ -176,25 +137,24 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
     side is below top, or -1 where a state is off its table. Where no int64
     holds that, or the tables have 40 atoms or more (a finite table of
     many states), a code is the weight itself and a side their product.
-    Returns the number of cells, the number that fail and the first
-    failing cell (None when none fails).
+    Returns, per cell, whether the identity fails there (`_tally` counts).
     """
     tables = {id(t): t for t in (mu, nu, mu_out, nu_out)}
     atoms = {a for t in tables.values() for a in t[1]}
     top = 2 ** 63   # past an int64, unless a base is found
     if len(atoms) < 40:
         base = _coprime_base(atoms)
-        exps = {}
-        for i, (_, own, e) in tables.items():
-            v = np.array([[_power_of(a, p)[0] for p in base] for a in own],
-                         np.int64).reshape(len(own), len(base))
-            exps[i] = v if e is None else e @ v
+        exps, of = {}, {a: [_power_of(a, p)[0] for p in base] for a in atoms}
+        for i, (_, own, e) in tables.items():   # a column a state
+            v = np.array([of[a] for a in own], np.int64).reshape(
+                len(own), len(base)).T
+            exps[i] = v if e is None else v @ e.T
         radix = [2 * max(c) + 1 for c in zip(*(
-            e.max(0, initial=0).tolist() for e in exps.values()))]
+            e.max(1, initial=0).tolist() for e in exps.values()))]
         place = [math.prod(radix[:j]) for j in range(len(base) + 1)]
         top = place[-1]
     if 2 * top < 2 ** 63:
-        codes = {i: e @ np.array(place[:-1], np.int64)
+        codes = {i: np.array(place[:-1], np.int64) @ e
                  for i, e in exps.items()}
         off, join = -int(top), lambda a, b: np.maximum(a + b, -1)
     else:
@@ -204,7 +164,7 @@ def product_defect_tv(xs, us, ys, vs, mu, nu, mu_out, nu_out):
                         _lookup(b[0], codes[id(b)], kb, off))
                    for a, ka, b, kb in ((mu, xs, nu, us),
                                         (mu_out, ys, nu_out, vs)))
-    return _tally(xs, us, left != right)
+    return left != right
 
 
 def _coprime_base(atoms):
@@ -250,17 +210,6 @@ def _lookup(states, values, keys, off):
     return np.append(values, off)[at]
 
 
-def _unequal(wy, wv, mass, scale=1):
-    """Per cell, whether wy wv != mass scale. The products are made a block
-    of cells at a time, so that of the big integers only the masses are
-    held whole."""
-    fails = np.empty(len(mass), dtype=bool)
-    for s in blocks(len(mass), 1 << 9):   # holds 0.3 MB of products at box 1000
-        fails[s] = wy[s] * wv[s] != (mass[s] if scale == 1 else
-                                      mass[s] * scale)
-    return fails
-
-
 def _sums(keys, mass):
     """The distinct keys in increasing order and the mass of each one's
     cells, one `np.add.reduceat` over a stable sort of the keys."""
@@ -278,7 +227,7 @@ def _tally(xs, us, fails):
 
 
 def cell_report(result, unit):
-    """A `_tally` result (checked, failing, witness), as `product_defect_tv`
+    """A `_tally` result (checked, failing, witness), as `pushforward_cells`
     returns it, as a report's `checked_<unit>s`, `failing_<unit>s` and
     `witness_<unit>`, the witness a list: `unit` is "cell", or "pair" for
     detailed balance's state pairs."""
@@ -301,12 +250,14 @@ def _count(checks):
                              failing[0] if failing else None)))
 
 
-def rrw_verify_proof_identities(params, joint, beyond, mass, fails):
+def rrw_verify_proof_identities(params, joint, x_table, fails):
     """The event identities that drive the characterization proof, as exact
-    integer equalities on the X table of `joint` (`rrw_joint_table`), with
-    Y = (X+U)^+ and V = -U - 2(X+U)^-. The cells of [0, box] give Y's
-    marginal exactly on y <= box - 1, and V's law once `beyond`, the mass
-    of X > box over the X table's denominator, where V = -U, is added.
+    integer equalities on the cells, U and V of `joint` (`rrw_joint_table`)
+    and X's table x_table = (mu, dx, beyond): the weights mu of 0..box over
+    dx, and beyond = dx P(X > box). With Y = (X+U)^+ and V = -U - 2(X+U)^-,
+    the cells of [0, box] give Y's marginal exactly on y <= box - 1, and
+    V's law once the mass of X > box, where V = -U, is added. `fails` is
+    the cell identity's verdict at each cell (`product_defect_tv`).
 
     Per state, P(X=x) nu(u) = P(Y=y) nu'(v) at each cell (x, u) -> (y, v)
     with y <= box - 1:
@@ -325,27 +276,37 @@ def rrw_verify_proof_identities(params, joint, beyond, mass, fails):
     Each identity reports the states it checked, how many fail and the
     first that fails.
 
-    All read each cell's mass mu(x) nu(u) and verdict (`rrw_cell_fails`):
-    Y's and V's laws are the masses' sums. A per-state identity,
-    mass du = my(y) nu'(v), is the cell identity mass = mu'(y) nu'(v) at a
-    state where my(y) = mu'(y) du, so it reads the verdict there and is
-    multiplied out at the other states. A parity identity is a prefix sum
-    over the pairs of its terms, 0 where it holds.
+    Each cell's mass is mu(x) nu(u), and Y's and V's laws are the masses'
+    sums. A per-state identity at a cell reaching y is
+    mass dv = my(y) nu'(v). Where every cell reaching y passes the cell
+    identity mass = mu'(y) nu'(v), mu' Y's law, the cells' v cover V's
+    support (y's preimages are (y+1, -1), (y, 0) and (y-1, 1), or (0, -1)
+    in place of the last at y = 0), so my(y) = mu'(y) dv and the identity
+    is the cell identity: it reads the verdict, a pass. It is multiplied
+    out only at the other y. A parity identity is a prefix sum over the
+    pairs of its terms, 0 where it holds.
     """
-    (xs, us, ys, vs), (mu, dx), mu_y, (nu, nu_v, du) = joint
-    box = int(xs[-1])
+    (xs, us, ys, vs), (_, u, _, v), (_, nu, _, nu_v) = joint
+    mu, dx, beyond = x_table
+    (nu, du, _), (nu_v, dv, _) = (laws.truncate(u, 1, nu),
+                                  laws.truncate(v, 1, nu_v))
+    box = len(mu) - 1
+    mass = np.multiply.outer(mu, [*nu.values()]).ravel()   # x-major cells
     (_, my), mv = _sums(ys, mass), dict(zip(*_sums(vs, mass)))  # over dx du
     kinds = {"boundary": (xs == 0) & (us == -1), "zero_step": us == 0,
              "down_up": (xs > 0) & (us == -1), "up_down": us == 1}
     if params.r == 0:
         del kinds["zero_step"]
-    # the kinds are disjoint: one pass over the cells of them all, split
-    # after; mu(x) nu(u) du = my(y) nu'(v), both sides over dx du^2
+    # the kinds are disjoint: one pass over their cells, split after; mass
+    # dv = my(y) nu'(v), over dx du dv, made at a y a failing cell reaches
     at = np.flatnonzero(np.logical_or.reduce(list(kinds.values()))
                         & (ys <= box - 1))
-    fails, off = fails[at], (my[:box] != mu_y[:box] * du)[ys[at]]
+    reached = np.zeros(box + 2, bool)
+    reached[ys[fails]] = True
+    fails, off = fails[at], reached[ys[at]]
     d = at[off]
-    fails[off] = _unequal(my[ys[d]], nu_v[vs[d] + 1], mass[d], du)
+    fails[off] = my[ys[d]] * np.array([nu_v[k] for k in vs[d].tolist()],
+                                      object) != mass[d] * dv
     xs, us = xs[at], us[at]
     report = {}
     for name, kind in kinds.items():
@@ -353,26 +314,27 @@ def rrw_verify_proof_identities(params, joint, beyond, mass, fails):
         report[name] = dict(zip(_TALLY, _tally(xs[mine], us[mine],
                                                fails[mine])))
 
-    p, q, pp, qp = nu[1], nu[-1], nu_v[2], nu_v[0]
-    report["total_up"] = _count([(1, pp * dx == (dx - mu[0]) * q)])
+    p, q, pp, qp = nu[1], nu[-1], nu_v[1], nu_v[-1]
+    report["total_up"] = _count([(1, pp * dx * du == (dx - mu[0]) * q * dv)])
     report["v_law"] = _count([   # at each v of U's support, which is V's
-        (v, mv[v] + beyond * nu[-v] == nu_v[v + 1] * dx) for v in nu])
+        (k, (mv[k] + beyond * nu[-k]) * dv == nu_v[k] * dx * du)
+        for k in nu])
 
     if params.r == 0:
         # over the pairs {0, 1}, ..., {2n, 2n+1}, X over dx and Y over dx du:
-        # q du xo = p' ye, p du xe = q' yo, xo / (xe + xo) = p' (a = 0),
-        # ye / (ye + yo) = q (b = 0) and a (ye + yo) = b (xe + xo), whose
-        # products are made only where a or b is not 0
+        # q dv xo = p' ye, p dv xe = q' yo, xo / (xe + xo) = p' (a = 0),
+        # ye / (ye + yo) = q (b = 0) and a du (ye + yo) = b dv (xe + xo),
+        # whose products are made only where a or b is not 0
         mx, my = (t[:2 * (box // 2)] for t in (mu, my))
         xe, xo, ye, yo = (m[i::2] for m in (mx, my) for i in (0, 1))
         down, up, a, b = (np.add.accumulate(t) for t in (
-            q * du * xo - pp * ye, p * du * xe - qp * yo,
-            (du - pp) * xo - pp * xe, (du - q) * ye - q * yo))
+            q * dv * xo - pp * ye, p * dv * xe - qp * yo,
+            (dv - pp) * xo - pp * xe, (du - q) * ye - q * yo))
         balance = (a == 0) & (b == 0)
         nz = np.flatnonzero(~balance)
         if len(nz):
             tx, ty = (np.add.accumulate(m)[1::2][nz] for m in (mx, my))
-            balance[nz] = a[nz] * ty == b[nz] * tx
+            balance[nz] = a[nz] * du * ty == b[nz] * dv * tx
         pairs = np.arange(0, len(mx), 2)
         for name, holds in (("parity_down", down == 0), ("parity_up", up == 0),
                             ("x_odd_mass", a == 0), ("y_even_mass", b == 0),
@@ -386,22 +348,24 @@ def rrw_verify_proof_identities(params, joint, beyond, mass, fails):
 
 def rrw_characterize(params, box):
     """The `rrw-characterize` verdict on x in [0, box]: the cell identity
-    (`rrw_cell_fails`) at every cell of one `rrw_joint_table`, with the
-    forced laws of X and Y and the laws of U and V, and the proof identities
-    on the same table, which read its masses and cell verdicts. The mass of
-    X > box is summed once, for the truncation tail and V's law.
+    (`product_defect_tv`) at every cell of one `rrw_joint_table`, on the
+    tables of X, U, Y and V, and the proof identities on the same cells,
+    which read the cell verdicts and X's masses: its table multiplied out
+    (`laws.truncate`), and the mass of X > box, the truncation tail.
     """
     joint = rrw_joint_table(params, box)
-    (xs, us, _, _), (mu, den), _, _ = joint
-    mass, fails = rrw_cell_fails(joint)
+    (xs, us, _, _), (x, *_), tables = joint
+    fails = product_defect_tv(*joint[0], *tables)
     cell_check = cell_report(_tally(xs, us, fails), "cell")
-    beyond = den - mu[:-1].sum()   # X > box; mu is on 0..box+1
-    ids = rrw_verify_proof_identities(params, joint, beyond, mass, fails)
+    nums, den, tail = laws.truncate(x, box + 1, tables[0])
+    mu = np.fromiter(nums.values(), object, len(nums))
+    beyond = tail + mu[-1]   # X > box
+    ids = rrw_verify_proof_identities(params, joint, (mu[:-1], den, beyond),
+                                      fails)
     return verdict(
         f"rrw_characterize(p={float(params.p)},q={float(params.q)},"
         f"r={float(params.r)})", {"identities": ids},
-        passed=cell_check["failing_cells"] == 0,
-        forced_law=type(rrw_forced_law(params)).__name__,
+        passed=cell_check["failing_cells"] == 0, forced_law=type(x).__name__,
         forced_pmf_head={str(k): mu[k] / den for k in range(min(12, box + 1))},
         truncation_tail=beyond / den, **cell_check)
 
@@ -424,14 +388,16 @@ def pushforward_cells(pair, mu, nu, x_hi, u_hi):
     integer map `pair`, each range clipped to its law's support. Each
     law's table is one `laws.factors` reaching the largest state of its
     range and of its image (y or v), so no image falls off it. Returns
-    what `product_defect_tv` returns.
+    the `_tally` of its verdicts: the cells, the number that fail and the
+    first failing cell (None when none fails).
     """
     xs, us = cells(np.arange(mu.support_lo, min(x_hi, mu.support_hi) + 1),
                    np.arange(nu.support_lo, min(u_hi, nu.support_hi) + 1))
     ys, vs = pair(xs, us)
     mu_w = laws.factors(mu, int(ys.max(initial=x_hi)))
     nu_w = laws.factors(nu, int(vs.max(initial=u_hi)))
-    return product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
+    return _tally(xs, us, product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w,
+                                            nu_w))
 
 
 def kdv_pushforward_tv(theta, ell, variant, M):

@@ -3,7 +3,9 @@
 A law keeps what a verdict reads. Continuous kinds expose `quantile` and
 `sample`. A discrete kind has `sample` and one exact table, in factored
 form (`factors`), which the product-law cell identity reads and
-`truncate` multiplies out for every verdict that sums masses.
+`truncate` multiplies out for every verdict that sums masses. Its
+parameters are exact, made once: a Fraction as given, a float as its
+shortest decimal (`_frac`); sampling and `repr` read them as floats.
 
 Of scipy, this module uses scipy.special alone, imported in the functions
 that call it, so the discrete laws of the exact stanzas load no scipy. The
@@ -294,15 +296,21 @@ class DiscreteLaw(Law):
     #: (lo, hi) integer support bounds; hi may be math.inf
     support_lo = 0
     support_hi = math.inf
+    #: a finite kind's exact {state: weight}; a geometric kind's is `_theta`
+    _weights = None
+    #: the weights of a `factors` table (atoms, exps), multiplied out
+    _multiply = staticmethod(_multiply_out)
 
     def _factors(self, end):
         """(states, atoms, exps) on [support_lo, end], the states those of
-        positive weight; geometric kinds use this one."""
-        return _geometric_factors(_frac(self.theta), self.support_lo, end)
+        positive weight; a finite kind's, or a geometric kind's."""
+        if self._weights is not None:
+            return _weight_atoms(self._weights)
+        return _geometric_factors(self._theta, self.support_lo, end)
 
     def _den(self, end):
         """An infinite kind's denominator through end; geometric kinds'."""
-        return _frac(self.theta).denominator ** (end - self.support_lo + 1)
+        return self._theta.denominator ** (end - self.support_lo + 1)
 
     def _draws(self, gen, out):
         """Inverse-cdf draws of a finite law from its exact table."""
@@ -326,9 +334,7 @@ class Bernoulli(DiscreteLaw):
         if not 0.0 <= p <= 1.0:
             raise LawError("Bernoulli requires p in [0,1]")
         self.p = float(p)
-
-    def _factors(self, end):
-        return _weight_atoms({0: 1 - _frac(self.p), 1: _frac(self.p)})
+        self._weights = {0: 1 - _frac(p), 1: _frac(p)}
 
     def _draws(self, gen, out):
         out[...] = gen.random(len(out)) < self.p
@@ -343,7 +349,7 @@ class Geometric(DiscreteLaw):
     def __init__(self, theta):
         if not 0.0 < theta < 1.0:
             raise LawError("Geometric requires theta in (0,1)")
-        self.theta = float(theta)
+        self.theta, self._theta = float(theta), _frac(theta)
 
     def _draws(self, gen, out):
         out[...] = gen.geometric(1.0 - self.theta, len(out)) - 1
@@ -360,7 +366,7 @@ class TruncGeom(DiscreteLaw):
             raise LawError("TruncGeom requires theta in (0,1)")
         if ell <= 0 or ell % 2 != 0:
             raise LawError("TruncGeom requires even ell >= 2")
-        self.theta = float(theta)
+        self.theta, self._theta = float(theta), _frac(theta)
         self.ell = int(ell)
         self.support_lo, self.support_hi = -self.ell, self.ell
 
@@ -376,7 +382,7 @@ class ShiftGeom(DiscreteLaw):
             raise LawError("ShiftGeom requires theta in (0,1)")
         if ell <= 0 or ell % 2 != 0:
             raise LawError("ShiftGeom requires even ell >= 2")
-        self.theta = float(theta)
+        self.theta, self._theta = float(theta), _frac(theta)
         self.ell = int(ell)
         self.support_lo = -self.ell
 
@@ -393,13 +399,11 @@ class ThreePoint(DiscreteLaw):
     support_lo, support_hi = -1, 1
 
     def __init__(self, p, q, r):
-        if min(p, q, r) < 0 or abs(p + q + r - 1.0) > 1e-12:
-            raise LawError("ThreePoint requires p,q,r >= 0 with p+q+r=1")
         self.p, self.q, self.r = float(p), float(q), float(r)
-
-    def _factors(self, end):
-        return _weight_atoms({-1: _frac(self.q), 0: _frac(self.r),
-                              1: _frac(self.p)})
+        total = self.p + self.q + self.r
+        if min(p, q, r) < 0 or not abs(total - 1.0) <= 1e-12:   # nan too
+            raise LawError("ThreePoint requires p,q,r >= 0 with p+q+r=1")
+        self._weights = {-1: _frac(q), 0: _frac(r), 1: _frac(p)}
 
     def _draws(self, gen, out):
         # -1 below p + q, else 0, then 1 below p: the uniforms and a mask
@@ -413,36 +417,49 @@ class ThreePoint(DiscreteLaw):
 
 class ParityGeom(DiscreteLaw):
     """Law on {0,1,...} with P(odd)=podd and geometric(rho^2) conditional
-    laws on each parity class; a batch reads its n parity doubles in place
-    (`RandomStream.ahead`) beside its geometric draws, a block at a time."""
+    laws on each parity class. `rho2`, if given, is rho^2 exactly, and rho
+    is then its root as a float: a config gives rho, and the walk's forced
+    law has a rational rho^2 whose root is irrational. A batch reads its n
+    parity doubles in place (`RandomStream.ahead`) beside its geometric
+    draws, a block at a time."""
 
-    def __init__(self, rho, podd):
-        if not 0.0 < rho < 1.0:
+    def __init__(self, rho, podd, *, rho2=None):
+        if not 0 < (rho if rho2 is None else rho2) < 1:
             raise LawError("ParityGeom requires rho in (0,1)")
-        if not 0.0 < podd < 1.0:
+        if not 0 < podd < 1:
             raise LawError("ParityGeom requires podd in (0,1)")
-        self.rho = float(rho)
-        self.podd = float(podd)
-        self._rho2 = self.rho ** 2
+        self._rho2 = _frac(rho) ** 2 if rho2 is None else _frac(rho2)
+        self.rho = float(rho) if rho2 is None else math.sqrt(rho2)
+        self.podd, self._podd = float(podd), _frac(podd)
 
     def _factors(self, end):
-        # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w the weight of k's parity
-        w, _ = _integer_weights({0: 1 - _frac(self.podd), 1: _frac(self.podd)})
-        _, atoms, pairs = _geometric_factors(_frac(self.rho) ** 2, 0, end // 2)
-        k = np.arange(end + 1)
-        return k, (w[0], w[1], *atoms), np.column_stack(
-            [1 - k % 2, k % 2, pairs[k // 2]])
+        # P(k) = w (1 - rho^2) rho^(2 (k // 2)), w the weight of k's parity:
+        # rows (1, 0) and (0, 1) of the parity weights beside pair k // 2's
+        w, _ = _integer_weights({0: 1 - self._podd, 1: self._podd})
+        _, atoms, pairs = _geometric_factors(self._rho2, 0, end // 2)
+        exps = np.empty((len(pairs), 2, 5), np.int64)
+        exps[..., :2], exps[..., 2:] = np.eye(2, dtype=int), pairs[:, None]
+        return np.arange(end + 1), (w[0], w[1], *atoms), exps.reshape(
+            -1, 5)[:end + 1]
+
+    def _multiply(self, atoms, exps):
+        # the pair table in rho^2, off the even states' rows, times each
+        # parity weight: one run, and one product a state
+        pairs = _multiply_out(atoms[2:], exps[::2, 2:])
+        weights = np.empty(2 * len(pairs), object)
+        weights[::2], weights[1::2] = pairs * atoms[0], pairs * atoms[1]
+        return weights[:len(exps)]
 
     def _den(self, end):   # the parity weights' den, podd's, times rho^2's
-        return _frac(self.podd).denominator * (
-            _frac(self.rho) ** 2).denominator ** (end // 2 + 1)
+        return self._podd.denominator * self._rho2.denominator ** (
+            end // 2 + 1)
 
     def sample(self, rng, size, out=None):
         out = np.empty(int(size), np.int64) if out is None else out
-        odd = rng.ahead(0)
+        odd, success = rng.ahead(0), 1.0 - self.rho ** 2
         rng.skip(len(out))
         for s in blocks(len(out)):   # 2 (k - 1) + parity, in out and k
-            k = rng.gen.geometric(1.0 - self._rho2, len(out[s]))
+            k = rng.gen.geometric(success, len(out[s]))
             np.multiply(np.subtract(k, 1, out=k), 2, out=out[s])
             out[s] += np.less(odd.random(len(k)), self.podd, out=k)
         return out
@@ -472,10 +489,8 @@ class FiniteTable(DiscreteLaw):
             raise LawError("FiniteTable probabilities must sum to 1")
         self.support_lo = int(self.support[0])
         self.support_hi = int(self.support[-1])
-
-    def _factors(self, end):
-        return _weight_atoms(dict(zip(self.support.tolist(),
-                                      map(_frac, self.probs.tolist()))))
+        self._weights = dict(zip(self.support.tolist(),
+                                 map(_frac, self.probs.tolist())))
 
     def __repr__(self):
         return f"FiniteTable(n={len(self.support)}, lo={self.support_lo}, hi={self.support_hi})"
@@ -493,16 +508,18 @@ def factors(law, hi):
     return law._factors(hi if law.support_hi == math.inf else law.support_hi)
 
 
-def truncate(law, hi):
+def truncate(law, hi, table=None):
     """A discrete law on [support_lo, hi], exactly: (nums, den, tail), the
     positive integer weights of its states in increasing order over one
-    den, and tail = den P(X > hi), `factors` multiplied out. A finite law
-    is over the sum of its weights, so no mass lies past support_hi. A
-    probability is then one correctly rounded int division `num / den`."""
-    states, atoms, exps = factors(law, hi)
-    weights = _multiply_out(atoms, exps)
+    den, and tail = den P(X > hi), `factors` multiplied out (`table`, if
+    the caller has made it). A finite law is over the sum of its weights,
+    so no mass lies past support_hi. A probability is then one correctly
+    rounded int division `num / den`."""
+    states, atoms, exps = factors(law, hi) if table is None else table
+    weights = law._multiply(atoms, exps)
     den = sum(weights) if law.support_hi < math.inf else law._den(hi)
-    nums = {k: w for k, w in zip(states.tolist(), weights) if k <= hi}
+    n = np.searchsorted(states, hi, "right")
+    nums = dict(zip(states[:n].tolist(), weights[:n]))
     return nums, den, den - sum(nums.values())
 
 

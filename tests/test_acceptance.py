@@ -18,7 +18,7 @@ from ipmaps.augmentation import augment, fspec_for, verify_hypotheses
 from ipmaps.involutions import catalog_get, check_involution, sample_points
 from ipmaps.laws import (
     Bernoulli, BetaI, Gamma, Geometric, GIG, Normal, ShiftGeom, ThreePoint,
-    TruncGeom, UniformUnit, _weight_atoms,
+    TruncGeom, UniformUnit, _multiply_out, _weight_atoms, truncate,
 )
 from ipmaps.rng import RandomStream
 
@@ -137,34 +137,32 @@ def test_criterion_3_rrw_exact(capsys):
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn))
                 grid.append(exact_discrete.RRWParams.make(pn, qn, 0, pn / 2))
                 for prm in grid:
-                    cells, (nums, den), law_y, steps = \
-                        exact_discrete.rrw_joint_table(prm, 200)
-                    nu, nu_v, _ = steps
-                    nu_v = dict(zip((-1, 0, 1), nu_v))
-                    assert exact_discrete.product_defect_tv(*cells, *map(
-                        factored, (dict(enumerate(nums)), nu,
-                                   dict(enumerate(law_y)), nu_v))) \
-                        == ((3 if prm.r > 0 else 2) * 201, 0, None)
+                    joint = exact_discrete.rrw_joint_table(prm, 200)
+                    cells, (x, *_), tables = joint
+                    steps = 3 if prm.r > 0 else 2
+                    fails = exact_discrete.product_defect_tv(*cells, *tables)
+                    assert exact_discrete._tally(*cells[:2], fails) == \
+                        (steps * 201, 0, None)
                     # mass 1/1000 moved between adjacent states fails the
                     # cells of both states, over the cells x in [0, 200];
                     # it stays in [0, 200], so the mass beyond stays
-                    beyond = 1000 * (den - sum(nums[x] for x in range(201)))
-                    law_y = 1000 * law_y
+                    nums, den, tail = truncate(x, 201, tables[0])
+                    nums = np.array(list(nums.values()), dtype=object)
+                    beyond = 1000 * (tail + nums[201])
+                    law_y = factored(dict(enumerate(
+                        1000 * _multiply_out(*tables[2][1:]))))
                     for a, b in ((0, 1), (1, 0), (1, 2)):
                         moved = 1000 * nums
                         delta = min(den, moved[a])
                         moved[a] -= delta
                         moved[b] += delta
-                        _, failing, _ = exact_discrete.product_defect_tv(
-                            *cells, *map(factored, (
-                                dict(enumerate(moved)), nu,
-                                dict(enumerate(law_y)), nu_v)))
-                        assert failing == 2 * len(nu)
-                        joint = (cells, (moved, 1000 * den), law_y, steps)
-                        mass, fails = exact_discrete.rrw_cell_fails(joint)
-                        assert fails.sum() == failing
+                        fails = exact_discrete.product_defect_tv(
+                            *cells, factored(dict(enumerate(moved))),
+                            tables[1], law_y, tables[3])
+                        assert fails.sum() == 2 * steps
                         assert not exact_discrete.rrw_verify_proof_identities(
-                            prm, joint, beyond, mass, fails).passed
+                            prm, joint, (moved[:201], 1000 * den, beyond),
+                            fails).passed
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from ipmaps import exact_discrete
 from ipmaps.cli import ConfigError, emit, load_config, main, run
+from ipmaps.laws import _multiply_out
 
 
 # a JSON number no float writes as: it loads as inf
@@ -801,10 +802,11 @@ def test_rrw_characterize_fails_on_a_failing_cell(monkeypatch):
     forced = exact_discrete.rrw_forced_table
 
     def off_at_zero(params, box):
-        nums, nums_y, den = forced(params, box)
-        nums_y = nums_y.copy()
-        nums_y[0] += 1
-        return nums, nums_y, den
+        walk, tables = forced(params, box)
+        states, atoms, exps = tables[2]
+        weights = _multiply_out(atoms, exps)
+        weights[0] += 1   # Y's table, each weight an atom
+        return walk, [*tables[:2], (states, tuple(weights), None), tables[3]]
 
     monkeypatch.setattr(exact_discrete, "rrw_forced_table", off_at_zero)
     stanza = {"kind": "rrw-characterize", "p": 0.2, "q": 0.5, "r": 0.3}

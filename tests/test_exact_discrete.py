@@ -4,6 +4,7 @@ lattice-map product-law dichotomy."""
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from ipmaps import exact_discrete
 from ipmaps.exact_discrete import (
-    RRWParams, _coprime_base, _power_of, _step_tables, _sums, cells, kdv_box,
-    kdv_pushforward_tv, product_defect_tv, pushforward_cells, rrw_cell_fails,
+    RRWParams, _coprime_base, _power_of, _tally, cells, kdv_box,
+    kdv_pushforward_tv, product_defect_tv, pushforward_cells,
     rrw_forced_law, rrw_forced_table, rrw_characterize, rrw_joint_table,
     rrw_verify_proof_identities,
 )
@@ -53,9 +54,10 @@ def factored(table):
 
 
 def defect(xs, us, ys, vs, *tables):
-    """`product_defect_tv` on the {state: weight} tables mu, nu, mu_out and
-    nu_out, each `factored`."""
-    return product_defect_tv(xs, us, ys, vs, *map(factored, tables))
+    """The (cells, failing, witness) of `product_defect_tv` on the
+    {state: weight} tables mu, nu, mu_out and nu_out, each `factored`."""
+    return _tally(xs, us, product_defect_tv(xs, us, ys, vs,
+                                            *map(factored, tables)))
 
 
 def geometric(theta, box):
@@ -66,9 +68,11 @@ def geometric(theta, box):
 
 
 def forced_table(params, box, y=False):
-    """The forced table of X, or with `y` the table of Y, as (nums, den)."""
-    nums, nums_y, den = rrw_forced_table(params, box)
-    return nums_y if y else nums, den
+    """The forced law of X, or with `y` the law of Y, of
+    `rrw_forced_table` on 0..box, `truncate`d, as (nums, den)."""
+    walk, _ = rrw_forced_table(params, box)
+    nums, den, _ = truncate(walk[2 if y else 0], box)
+    return np.array(list(nums.values()), dtype=object), den
 
 
 def perturbed_tables(params, box=200, moves=((0, 1), (1, 0), (1, 2))):
@@ -89,60 +93,56 @@ def perturbed_tables(params, box=200, moves=((0, 1), (1, 0), (1, 2))):
     return out
 
 
-def with_x_table(joint, table):
-    """`joint` with the X table the proof identities read replaced, it and
-    the forced Y table brought over one denominator."""
-    cells, (_, dx), mu_y, steps = joint
-    nums, den = table
-    common = math.lcm(dx, den)
-    return (cells, (nums * (common // den), common), mu_y * (common // dx),
-            steps)
+def step_weights(params):
+    """The laws of U and V, {step: int}, over one denominator, from
+    `_ref_step_laws`: the step 0 only when r > 0."""
+    nu, nu_v = _ref_step_laws(params)
+    den = math.lcm(*(w.denominator for t in (nu, nu_v) for w in t.values()))
+    return ({k: int(w * den) for k, w in t.items()} for t in (nu, nu_v))
 
 
-def beyond(joint):
-    """The mass of X > box in the X table of `joint`, over its denominator."""
-    (xs, *_), (nums, den), _, _ = joint
-    return den - sum(nums[x] for x in range(int(xs[-1]) + 1))
-
-
-def proof_identities(params, joint):
-    """The proof identities' report on `joint`, reading the masses and the
-    cell verdicts of its cells and the mass of X > box of its X table."""
-    return rrw_verify_proof_identities(params, joint, beyond(joint),
-                                       *rrw_cell_fails(joint))
-
-
-def identities(params, box, table=None):
-    """The proof identities' report on the box [0, box], for the forced X
-    table or for `table`."""
-    joint = rrw_joint_table(params, box)
-    if table is not None:
-        joint = with_x_table(joint, table)
-    return proof_identities(params, joint)
-
-
-def characterized_cells(params, box):
-    """The cell identity of `rrw_characterize` on [0, box], as the
-    (cells, failing, witness) of `product_defect_tv`."""
-    details = rrw_characterize(params, box).details
-    return tuple(details[k] for k in ("checked_cells", "failing_cells",
-                                      "witness_cell"))
+def rrw_cell_fails(params, box, law_x, law_y):
+    """(xs, us, ys, vs, fails): `product_defect_tv`'s verdicts on the cells
+    x in [0, box], u in U's steps, with mu = law_x and mu' = law_y, arrays
+    on the states from 0 brought over one denominator, and the laws of U
+    and V over another (`step_weights`)."""
+    (mu, dx), (mu_y, dy) = law_x, law_y
+    den = math.lcm(dx, dy)
+    mu, mu_y = (dict(enumerate(t * (den // d)))
+                for t, d in ((mu[:box + 1], dx), (mu_y, dy)))
+    nu, nu_v = step_weights(params)
+    xs, us = cells(np.arange(box + 1), list(nu))
+    ys, vs = catalog_get("reflecting_rw")(xs, us)
+    return xs, us, ys, vs, product_defect_tv(
+        xs, us, ys, vs, *map(factored, (mu, nu, mu_y, nu_v)))
 
 
 def rrw_cells(params, box, law_x, law_y):
-    """`product_defect_tv` on the cells x in [0, box], u in the step
-    support, with mu = law_x and mu' = law_y, arrays on the states from 0,
-    brought over one denominator as `factored` dict tables."""
-    (mu, dx), (mu_y, dy) = law_x, law_y
-    den = math.lcm(dx, dy)
-    mu = dict(enumerate(mu * (den // dx)))
-    mu_y = dict(enumerate(mu_y * (den // dy)))
-    nu, nu_v, _ = _step_tables(params)
-    nu_v = dict(zip((-1, 0, 1), nu_v))
-    xs = np.repeat(np.arange(box + 1), len(nu))
-    us = np.tile(list(nu), box + 1)
-    ys, vs = catalog_get("reflecting_rw")(xs, us)
-    return defect(xs, us, ys, vs, mu, nu, mu_y, nu_v)
+    """The (cells, failing, witness) of `rrw_cell_fails`."""
+    xs, us, _, _, fails = rrw_cell_fails(params, box, law_x, law_y)
+    return _tally(xs, us, fails)
+
+
+def identities(params, box, table=None, law_y=None):
+    """The proof identities' report on the box [0, box], for the forced X
+    table or for `table`, an array from the state 0 past box with its den,
+    and for the cell verdicts of that X table against the forced Y table
+    or `law_y` (`rrw_cell_fails`)."""
+    law_x = forced_table(params, box + 1) if table is None else table
+    law_y = forced_table(params, box + 1, y=True) if law_y is None else law_y
+    nums, den = law_x
+    x_table = (nums[:box + 1], den, den - sum(nums[:box + 1]))
+    fails = rrw_cell_fails(params, box, law_x, law_y)[-1]
+    return rrw_verify_proof_identities(params, rrw_joint_table(params, box),
+                                       x_table, fails)
+
+
+def characterized_cells(params, box):
+    """The cell identity of `rrw_characterize` on [0, box], as its
+    (cells, failing, witness)."""
+    details = rrw_characterize(params, box).details
+    return tuple(details[k] for k in ("checked_cells", "failing_cells",
+                                      "witness_cell"))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +214,12 @@ def test_forced_law_of_y_swaps_the_parity_weights():
     pmf_y = _fractions(forced_table(params, box=3, y=True))
     assert [pmf_y[k] / pmf_x[k] for k in range(4)] == \
         [params.q / params.qprime, params.p / params.pprime] * 2
-    # at r > 0 both are the one geometric table, and at r = 0 where p' = p
-    # both are X's array
+    # at r > 0 both are the one geometric law, and at r = 0 where p' = p
+    # both are X's law; V is then U, and each law has one table
     for grid in ((0.2, 0.5, 0.3), (0.3, 0.7, 0, 0.3), (0.3, 0.7, 0, 0.2)):
-        nums, nums_y, _ = rrw_forced_table(RRWParams.make(*grid), 9)
-        assert np.shares_memory(nums, nums_y) == (grid[-1] != 0.2)
+        (x, u, y, v), tables = rrw_forced_table(RRWParams.make(*grid), 9)
+        assert (y is x and v is u and tables[2] is tables[0] and
+                tables[3] is tables[1]) == (grid[-1] != 0.2)
 
 
 def _ref_pmf(law):
@@ -283,21 +284,20 @@ def test_joint_from_point_mass_at_zero():
     # the cells of box 1 in x-major order and their image; with X = 0 the
     # weights mu(x) nu(u) of the cells give H's law
     params = RRWParams.make(0.2, 0.5, 0.3)
-    joint = rrw_joint_table(params, 1)
-    (xs, us, ys, vs), _, _, (nu, _, du) = joint
+    (xs, us, ys, vs), (_, u, _, _), _ = rrw_joint_table(params, 1)
     assert list(zip(xs.tolist(), us.tolist())) == \
         [(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
     assert list(zip(ys.tolist(), vs.tolist())) == \
         [(0, -1), (0, 0), (1, -1), (0, 1), (1, 0), (2, -1)]
     mu = np.array([1, 0, 0], dtype=object)
+    nu, du, _ = truncate(u, 1)
     law = {(y, v): Fraction(mu[x] * nu[u], du)
            for x, u, y, v in zip(xs.tolist(), us.tolist(), ys.tolist(),
                                  vs.tolist()) if mu[x]}
     assert law == {(1, -1): Fraction(1, 5), (0, -1): Fraction(1, 2),
                    (0, 0): Fraction(3, 10)}
     # P(Y=0) = q + r moves the boundary identity P(X=0) q = P(Y=0) q'
-    joint = with_x_table(joint, (mu, 1))
-    details = proof_identities(params, joint).details
+    details = identities(params, 1, (mu, 1)).details
     assert details["boundary"] == \
         {"checked": 1, "failing": 1, "first_failing": (0, -1)}
 
@@ -478,7 +478,7 @@ def test_perturbed_tables_all_break_independence():
         law_y = forced_table(params, 201, y=True)
         tables = perturbed_tables(params, box=201)
         assert len(tables) >= 3
-        steps = len(_step_tables(params)[0])
+        steps = 3 if params.r > 0 else 2
         for (a, b), table in tables:
             assert rrw_cells(params, 200, table, law_y) == \
                 (cells, 2 * steps, (min(a, b), -1))
@@ -509,9 +509,9 @@ def test_truncation_tail_is_the_closed_form(grid, box):
                          ids=str)
 def test_rrw_characterize_holds_the_masses_and_a_block_of_products(grid,
                                                                    bound):
-    # the tables, one mass a cell (some 1 MB of 2,300 to 3,500-bit ints at
-    # box 1000) and one block of products; whole product arrays of the cell
-    # or proof identities reach past the bound
+    # X's table and one mass a cell (some 1 MB of 2,300 to 3,500-bit ints
+    # at box 1000); the cell check makes no big integer, and a whole product
+    # array of the cell or proof identities would reach past the bound
     params = RRWParams.make(*grid)
     rrw_characterize(params, 20)   # first-call caches, outside the trace
     tracemalloc.start()
@@ -657,7 +657,8 @@ def test_product_defect_tv_reads_dependent_atoms_through_one_base():
     mu, nu = (truncate(law, 8)[0] for law in laws)
     expected = _ref_product_defect(xs, us, ys, vs, mu, nu, mu, nu)
     mu, nu = (factors(law, 8) for law in laws)
-    assert product_defect_tv(xs, us, ys, vs, mu, nu, mu, nu) == expected
+    assert _tally(xs, us, product_defect_tv(xs, us, ys, vs, mu, nu, mu,
+                                            nu)) == expected
     # the cells with x < 2 or u = 8 fail, their image off a table
     assert expected == (99, 29, (0, -2))
 
@@ -685,19 +686,22 @@ def test_coprime_base_is_pairwise_coprime_and_factors_every_atom(atoms):
 
 
 def test_pushforward_cells_makes_no_big_integer_products(monkeypatch):
-    # the cell identity is decided on exponent vectors: the helpers that
-    # sum or compare big-integer masses (detailed balance's and the walk's)
-    # are not called
+    # the cell identity is decided on exponent vectors, the walk's too: the
+    # helpers that multiply out a table or sum big-integer masses (detailed
+    # balance's and the walk's proof identities') are not called
     def refuse(*args, **kwargs):
-        raise AssertionError("a big-integer mass helper was called")
+        raise AssertionError("a big-integer helper was called")
 
-    for helper in ("_unequal", "_sums"):
+    for helper in ("_multiply_out", "_sums"):
         monkeypatch.setattr(exact_discrete, helper, refuse)
     assert kdv_pushforward_tv(0.3, 8, "g1", 200) == (17 * 209, 0, None)
     assert kdv_pushforward_tv(0.3, 8, "g2", 200)[1] > 0
     assert pushforward_cells(catalog_get("reflecting_rw"), Geometric(0.4),
                              ThreePoint(0.2, 0.5, 0.3), 200, 1) == \
         (603, 0, None)
+    for grid in ((0.2, 0.5, 0.3), (0.3, 0.7, 0, 0.15)):
+        cells, _, tables = rrw_joint_table(RRWParams.make(*grid), 1000)
+        assert not product_defect_tv(*cells, *tables).any()
 
 
 # ---------------------------------------------------------------------------
@@ -861,55 +865,43 @@ def test_integer_tables_match_fraction_reference(grid):
                 r["failing"] == 0 for r in details.values())
 
 
-def _branches(joint):
+def _multiplied_out(params, box, law_x, law_y):
     """Per state y <= box - 1, whether the proof identities multiply out
-    mass du = my(y) nu'(v) there, Y's summed law my(y) being off the forced
-    Y law times du; and whether a failing cell verdict is read at the
-    other states."""
-    (xs, _, ys, _), _, mu_y, (_, _, du) = joint
-    box = int(xs[-1])
-    mass, fails = rrw_cell_fails(joint)
-    _, my = _sums(ys, mass)
-    off = my[:box] != mu_y[:box] * du
-    reused = (ys <= box - 1) & ~off[np.minimum(ys, box - 1)]
-    return off, bool(fails[reused].any())
+    mass dv = my(y) nu'(v) there: whether a cell that reaches y fails the
+    cell identity (`rrw_cell_fails`). At the other states they read the
+    cell verdicts, all passes."""
+    _, _, ys, _, fails = rrw_cell_fails(params, box, law_x, law_y)
+    return np.isin(np.arange(box), ys[fails])
 
 
 @pytest.mark.parametrize("grid", RRW_WIDE_GRID, ids=str)
 def test_identities_reading_cell_verdicts_match_a_direct_reference(grid):
-    # where Y's summed law is the forced Y law times du, a per-state identity
-    # reads the cell check's verdict, and elsewhere it is multiplied out; the
-    # reference decides every state in Fractions and reads no cell verdict.
-    # The forced tables read the verdicts at every state; Y's table off at
-    # y = 0 (as `off_at_zero` in test_cli.py) and X with mass moved
-    # (`perturbed_tables`) take the direct branch at some states
+    # a per-state identity at y reads the cell verdicts where every cell
+    # that reaches y passes, for y's preimages cover V's steps, and is
+    # multiplied out where one fails; the reference decides every state in
+    # Fractions and reads no cell verdict. The forced tables read the
+    # verdicts at every state; Y's table off at y = 0 (as `off_at_zero` in
+    # test_cli.py) and X with mass moved (`perturbed_tables`) take the
+    # direct branch at some states
     params = RRWParams.make(*grid)
-    reused_failing = False
     for box in range(1, 41):
-        joint = rrw_joint_table(params, box)
-        cells, x_table, mu_y, steps = joint
-        off_y = mu_y.copy()
-        off_y[0] += 1
-        cases = [joint, (cells, x_table, off_y, steps)] + [
-            with_x_table(joint, table)
-            for _, table in perturbed_tables(params, box + 1)]
-        for i, case in enumerate(cases):
-            details = proof_identities(params, case).details
+        forced, law_y = (forced_table(params, box + 1, y) for y in (0, 1))
+        off_y = law_y[0].copy(), law_y[1]
+        off_y[0][0] += 1
+        cases = [(forced, law_y), (forced, off_y)] + [
+            (table, law_y) for _, table in perturbed_tables(params, box + 1)]
+        for i, (law_x, case_y) in enumerate(cases):
+            details = identities(params, box, law_x, case_y).details
             got = {name: tuple(r[k] for k in ("checked", "failing",
                                               "first_failing"))
                    for name, r in details.items()}
-            assert got == _ref_identities(params, _fractions(case[1]), box)
-            off, failing = _branches(case)
+            assert got == _ref_identities(params, _fractions(law_x), box)
+            off = _multiplied_out(params, box, law_x, case_y)
             if i < 2:   # forced, or off at y = 0 alone
                 assert off.tolist() == [i == 1] + [False] * (box - 1)
             else:       # moved mass: both branches from box 5 on
-                assert off.any() or box == 1
+                assert off.any()
                 assert not off.all() or box < 5
-            reused_failing |= failing
-    # mass moved between 0 and 1 leaves my(0) as it was at r = 0, and mass
-    # moved from 1 to 2 leaves my(1) at q = r, while cells that reach that
-    # y fail: their failing verdicts are read
-    assert reused_failing == (params.r == 0 or params.q == params.r)
 
 
 @pytest.mark.parametrize("grid", [g for g in RRW_GRID if g[2] == 0], ids=str)
@@ -941,6 +933,54 @@ def test_rrw_cells_match_fraction_reference(grid):
         ref_cells, ref_failing = _ref_rrw_cells(params, box)
         assert (ref_cells, ref_failing) == ((box + 1) * steps, [])
         assert characterized_cells(params, box) == (ref_cells, 0, None)
+
+
+# denominators that are not powers of ten, which no float reads back
+DENOMINATORS = (7, 9, 11, 12, 13, 17, 21)
+
+
+@st.composite
+def rational_walks(draw):
+    """RRWParams of rationals over `DENOMINATORS`, r > 0 or r = 0."""
+    d = draw(st.sampled_from(DENOMINATORS))
+    if draw(st.booleans()):   # 1 <= i < j and r = (d - i - j) / d > 0
+        i = draw(st.integers(1, (d - 2) // 2))
+        j = draw(st.integers(i + 1, d - i - 1))
+        return RRWParams.make(Fraction(i, d), Fraction(j, d),
+                              Fraction(d - i - j, d))
+    i, e = draw(st.integers(1, (d - 1) // 2)), draw(st.sampled_from(
+        DENOMINATORS))
+    q = Fraction(d - i, d)   # p = i / d < q, and p' = k / e < q
+    k = draw(st.integers(1, math.ceil(q * e) - 1))
+    return RRWParams.make(Fraction(i, d), q, 0, Fraction(k, e))
+
+
+def nudged_forced_law(params):
+    """The forced law with theta or rho^2 moved up by 2^-40."""
+    nudge = Fraction(1, 2 ** 40)
+    if params.r > 0:
+        return Geometric(params.p / params.q + nudge)
+    return ParityGeom(None, params.pprime, rho2=params.rho2 + nudge)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_walks(), st.integers(1, 40))
+def test_rational_walks_match_the_fraction_reference(params, box):
+    # the forced laws' exact parameters: every cell and identity holds, as
+    # the Fraction reference finds, and a forced theta or rho^2 off by
+    # 2^-40 fails cells
+    details = rrw_characterize(params, box).details
+    ref_cells, ref_failing = _ref_rrw_cells(params, box)
+    assert ref_failing == []
+    assert characterized_cells(params, box) == (ref_cells, 0, None)
+    pmf, tail = _ref_forced_table(params, box)
+    got = {name: tuple(r.values())
+           for name, r in details["identities"]["details"].items()}
+    assert got == _ref_identities(params, pmf, box)
+    assert details["truncation_tail"] == float(tail)
+    with mock.patch.object(exact_discrete, "rrw_forced_law",
+                           nudged_forced_law):
+        assert rrw_characterize(params, box).details["failing_cells"] > 0
 
 
 # (theta, ell, M); the last has M < ell, so mu reaches past the noise box

@@ -244,7 +244,7 @@ def test_detailed_balance_and_the_product_law_agree_on_the_walk(theta):
     xs, us = cells(np.arange(box + 1), [-1, 0, 1])
     ys, vs = WALK(xs, us)
     mu_w, nu_w = factors(mu, box + 1), factors(STEPS, 1)
-    _, failing, _ = product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w)
+    failing = product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w, nu_w).sum()
     reversible = check_detailed_balance_exact(WALK, mu, STEPS, box).passed
     assert reversible == (failing == 0) == (theta == 0.4)
 
@@ -267,7 +267,7 @@ def test_detailed_balance_does_not_see_g_on_kdv(theta):
         mu_w = factors(TruncGeom(theta / 2, 4), 4)
         nu_w = factors(nu, int(vs.max()))
         assert product_defect_tv(xs, us, ys, vs, mu_w, nu_w, mu_w,
-                                 nu_w)[1] > 0
+                                 nu_w).any()
 
 
 @pytest.mark.parametrize("theta, passes", [(0.5, True), (0.25, False)])

@@ -549,6 +549,42 @@ def test_truncate_geometric_at_zero():
     assert Fraction(tail, den) == Fraction(2, 5)
 
 
+def _parity_pmf(rho2, podd):
+    return lambda k: (podd if k % 2 else 1 - podd) * (1 - rho2) * \
+        rho2 ** (k // 2)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("make, pmf", [
+    # a Fraction is kept as it is, where its float would be read back as
+    # its shortest decimal: 1/6 as 0.16666666666666666
+    (lambda: Geometric(F(1, 6)), lambda k: F(5, 6) * F(1, 6) ** k),
+    (lambda: ThreePoint(F(1, 7), F(5, 7), F(1, 7)),
+     {-1: F(5, 7), 0: F(1, 7), 1: F(1, 7)}.get),
+    (lambda: ParityGeom(None, F(2, 7), rho2=F(1, 6)),
+     _parity_pmf(F(1, 6), F(2, 7))),
+    # rho^2 = p p' / (q q') of the walk at (0.3, 0.7, 0, 0.15)
+    (lambda: ParityGeom(None, F(3, 20), rho2=F(9, 119)),
+     _parity_pmf(F(9, 119), F(3, 20))),
+    # a config float is read as its shortest decimal, as it always was
+    (lambda: Geometric(0.1), lambda k: F(9, 10) * F(1, 10) ** k),
+    (lambda: ThreePoint(0.2, 0.5, 0.3),
+     {-1: F(1, 2), 0: F(3, 10), 1: F(1, 5)}.get),
+    (lambda: ParityGeom(0.6, 0.3), _parity_pmf(F(9, 25), F(3, 10))),
+], ids=["geometric-1/6", "three_point-sevenths", "parity_geom-rho2-1/6",
+        "parity_geom-rho2-9/119", "geometric-0.1", "three_point-0.2-0.5",
+        "parity_geom-0.6-0.3"])
+def test_a_discrete_law_keeps_its_exact_parameters(make, pmf):
+    law = make()
+    hi = 40 if law.support_hi == math.inf else law.support_hi
+    nums, den, tail = truncate(law, hi)
+    assert {k: F(w, den) for k, w in nums.items()} == \
+        {k: pmf(k) for k in range(law.support_lo, hi + 1)}
+    assert F(tail, den) == 1 - sum(map(pmf, range(law.support_lo, hi + 1)))
+
+
 def test_truncate_trunc_geom_identity():
     law = TruncGeom(0.3, 4)
     nums, den, tail = truncate(law, 4)
@@ -673,7 +709,8 @@ def test_law_from_spec_takes_only_finite_numbers(value):
 @pytest.mark.parametrize("make", [
     lambda nan: Gamma(nan, 1.0), lambda nan: BetaI(2.0, nan),
     lambda nan: Normal(0.0, nan), lambda nan: GIG(nan, 1.0),
-    lambda nan: FiniteTable([0, 1], [nan, 0.5])])
+    lambda nan: FiniteTable([0, 1], [nan, 0.5]),
+    lambda nan: ThreePoint(0.2, nan, 0.3)])
 def test_laws_reject_nan_parameters(make):
     with pytest.raises(LawError):
         make(float("nan"))
