@@ -395,14 +395,18 @@ def main(argv=None):
         config = _config_from_args(args)
         if args.seed is not None:
             config["seed"] = _check_field("--seed: ", "seed", args.seed)
+        if args.out is not None:   # before any check runs
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot write to --out {args.out}: {exc}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out
-    report = run(config, out_dir=out_dir)
+    report = run(config, out_dir=args.out)
     text = json.dumps(report, **_JSON)
-    if out_dir is not None:
-        emit(report, out_dir, text)
+    if args.out is not None:
+        emit(report, args.out, text)
     print(text)
     return 0 if report["overall_pass"] else 1
 

@@ -297,10 +297,10 @@ def rrw_verify_proof_identities(params, joint, x_table, fails):
              "down_up": (xs > 0) & (us == -1), "up_down": us == 1}
     if params.r == 0:
         del kinds["zero_step"]
-    # the kinds are disjoint: one pass over their cells, split after; mass
-    # dv = my(y) nu'(v), over dx du dv, made at a y a failing cell reaches
-    at = np.flatnonzero(np.logical_or.reduce(list(kinds.values()))
-                        & (ys <= box - 1))
+    # the kinds partition the cells (U's states are -1, 0 and 1, or -1 and
+    # 1 at r = 0, and x = 0 splits u = -1); mass dv = my(y) nu'(v), over
+    # dx du dv, made at a y a failing cell reaches
+    at = np.flatnonzero(ys <= box - 1)
     reached = np.zeros(box + 2, bool)
     reached[ys[fails]] = True
     fails, off = fails[at], reached[ys[at]]

@@ -296,21 +296,13 @@ class DiscreteLaw(Law):
     #: (lo, hi) integer support bounds; hi may be math.inf
     support_lo = 0
     support_hi = math.inf
-    #: a finite kind's exact {state: weight}; a geometric kind's is `_theta`
-    _weights = None
     #: the weights of a `factors` table (atoms, exps), multiplied out
     _multiply = staticmethod(_multiply_out)
 
     def _factors(self, end):
-        """(states, atoms, exps) on [support_lo, end], the states those of
-        positive weight; a finite kind's, or a geometric kind's."""
-        if self._weights is not None:
-            return _weight_atoms(self._weights)
-        return _geometric_factors(self._theta, self.support_lo, end)
-
-    def _den(self, end):
-        """An infinite kind's denominator through end; geometric kinds'."""
-        return self._theta.denominator ** (end - self.support_lo + 1)
+        """(states, atoms, exps) of a finite kind's exact {state: weight}
+        `_weights`, each positive weight an atom."""
+        return _weight_atoms(self._weights)
 
     def _draws(self, gen, out):
         """Inverse-cdf draws of a finite law from its exact table."""
@@ -343,54 +335,55 @@ class Bernoulli(DiscreteLaw):
         return f"Bernoulli({self.p})"
 
 
-class Geometric(DiscreteLaw):
+class _GeometricLaw(DiscreteLaw):
+    """The geometric kinds' rule: pmf proportional to theta^k from
+    support_lo, -ell if an even ell is given, cut at support_hi."""
+
+    def __init__(self, theta, ell):
+        if not 0.0 < theta < 1.0:
+            raise LawError(f"{type(self).__name__} requires theta in (0,1)")
+        self.theta, self._theta = float(theta), _frac(theta)
+        if ell is not None:
+            if ell <= 0 or ell % 2 != 0:
+                raise LawError(f"{type(self).__name__} requires even ell >= 2")
+            self.ell, self.support_lo = int(ell), -int(ell)
+
+    def _factors(self, end):
+        return _geometric_factors(self._theta, self.support_lo, end)
+
+    def _den(self, end):   # the table's denominator through end
+        return self._theta.denominator ** (end - self.support_lo + 1)
+
+    def _draws(self, gen, out):
+        out[...] = gen.geometric(1.0 - self.theta, len(out)) - (
+            1 - self.support_lo)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.theta}, {self.ell})"
+
+
+class Geometric(_GeometricLaw):
     """geo(theta) on {0,1,...}: pmf (1-theta) theta^k."""
 
     def __init__(self, theta):
-        if not 0.0 < theta < 1.0:
-            raise LawError("Geometric requires theta in (0,1)")
-        self.theta, self._theta = float(theta), _frac(theta)
-
-    def _draws(self, gen, out):
-        out[...] = gen.geometric(1.0 - self.theta, len(out)) - 1
+        super().__init__(theta, None)
 
     def __repr__(self):
         return f"Geometric({self.theta})"
 
 
-class TruncGeom(DiscreteLaw):
+class TruncGeom(_GeometricLaw):
     """pmf proportional to theta^x on {-ell, ..., ell} (ell even)."""
 
+    _draws = DiscreteLaw._draws
+
     def __init__(self, theta, ell):
-        if not 0.0 < theta < 1.0:
-            raise LawError("TruncGeom requires theta in (0,1)")
-        if ell <= 0 or ell % 2 != 0:
-            raise LawError("TruncGeom requires even ell >= 2")
-        self.theta, self._theta = float(theta), _frac(theta)
-        self.ell = int(ell)
-        self.support_lo, self.support_hi = -self.ell, self.ell
-
-    def __repr__(self):
-        return f"TruncGeom({self.theta}, {self.ell})"
+        super().__init__(theta, ell)
+        self.support_hi = self.ell
 
 
-class ShiftGeom(DiscreteLaw):
+class ShiftGeom(_GeometricLaw):
     """pmf proportional to theta^u on {-ell, -ell+1, ...} (ell even)."""
-
-    def __init__(self, theta, ell):
-        if not 0.0 < theta < 1.0:
-            raise LawError("ShiftGeom requires theta in (0,1)")
-        if ell <= 0 or ell % 2 != 0:
-            raise LawError("ShiftGeom requires even ell >= 2")
-        self.theta, self._theta = float(theta), _frac(theta)
-        self.ell = int(ell)
-        self.support_lo = -self.ell
-
-    def _draws(self, gen, out):
-        out[...] = gen.geometric(1.0 - self.theta, len(out)) - 1 - self.ell
-
-    def __repr__(self):
-        return f"ShiftGeom({self.theta}, {self.ell})"
 
 
 class ThreePoint(DiscreteLaw):

@@ -313,8 +313,9 @@ def independence_test(a, b, level=DEFAULT_LEVEL, min_n=200):
 
 
 def _merge_table(table):
-    """Merge adjacent rows/columns with the smallest marginals until all
-    expected counts under independence reach 5, never below 2 x 2."""
+    """Merge the line of least marginal (a row on a tie or at two columns)
+    into the one before it, the first with the second, a column as a row of
+    table.T, until all expected counts reach 5, never below 2 x 2."""
     table = table.astype(float)
     n = table.sum()
     while True:
@@ -324,16 +325,12 @@ def _merge_table(table):
         # smallest expected count under independence is min_row*min_col/n
         if row.min() * col.min() >= 5.0 * n or (r <= 2 and c <= 2):
             break
-        if r > 2 and (c <= 2 or row.min() <= col.min()):
-            i = int(np.argmin(row))
-            j = i - 1 if i > 0 else 1
-            table[min(i, j)] += table[max(i, j)]
-            table = np.delete(table, max(i, j), axis=0)
-        else:
-            i = int(np.argmin(col))
-            j = i - 1 if i > 0 else 1
-            table[:, min(i, j)] += table[:, max(i, j)]
-            table = np.delete(table, max(i, j), axis=1)
+        rows = r > 2 and (c <= 2 or row.min() <= col.min())
+        t, margin = (table, row) if rows else (table.T, col)
+        i = max(int(np.argmin(margin)) - 1, 0)
+        t[i] += t[i + 1]
+        t = np.delete(t, i + 1, axis=0)
+        table = t if rows else t.T
     return table
 
 

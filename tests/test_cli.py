@@ -662,6 +662,26 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["file", "under_a_file"])
+def test_an_unwritable_out_is_a_config_error_before_any_check(
+        tmp_path, where, capsys, monkeypatch):
+    config = _write_config(tmp_path, {
+        "seed": 1, "checks": [{"kind": "involution", "map": "kdv_g1",
+                               "box": 5}]})
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    out = taken if where == "file" else taken / "out"
+    ran = []
+    monkeypatch.setattr("ipmaps.cli.run", lambda *a, **k: ran.append(a))
+    assert main(["verify", "--config", config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write to --out "
+                                   f"{out}: ")
+    assert taken.read_bytes() == b"not a directory\n"
+    assert ran == []
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 

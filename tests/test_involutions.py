@@ -318,6 +318,16 @@ def test_an_error_on_a_helper_thread_reaches_the_caller(two_cores):
     assert ran == ["last", "helper"]
     assert threading.active_count() == start
 
+    def fails_late(message):   # after the last call has failed here
+        time.sleep(0.05)
+        fails(message)
+
+    # both fail: the first call's error, the helper's, once it is joined
+    with pytest.raises(ValueError, match="helper"):
+        concurrently(BLOCK + 1, partial(fails_late, "helper"),
+                     partial(fails, "here"))
+    assert threading.active_count() == start
+
 
 # ---------------------------------------------------------------------------
 # the worst probe of a round trip, from each quarter block's worst
